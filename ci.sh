@@ -17,6 +17,10 @@
 #      The determinism contract says both must pass with identical
 #      semantics; the property tests in tests/parallel_determinism.rs
 #      additionally check bitwise equality across thread counts.
+#   3b. kernel crates         — cargo test -q -p qsim -p qaoa: the root
+#      package's `cargo test` runs only the umbrella integration tests, so
+#      the statevector and QAOA crates' own unit tests and doctests (the
+#      phase-table kernel, the evaluators) run here explicitly.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -55,6 +59,9 @@ RED_QAOA_THREADS=1 cargo test -q
 
 echo "==> tier-1 (parallel: RED_QAOA_THREADS unset): cargo test -q"
 env -u RED_QAOA_THREADS cargo test -q
+
+echo "==> kernel crates' unit tests and doctests: cargo test -q -p qsim -p qaoa"
+cargo test -q -p qsim -p qaoa
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
 cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json

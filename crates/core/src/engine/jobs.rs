@@ -27,7 +27,6 @@ use qaoa::evaluator::{
     StatevectorEvaluator,
 };
 use qaoa::landscape::Landscape;
-use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{approximation_ratio, paper_restarts, OptimizeDriver, OptimizerConfig};
 
 /// A graph-reduction request: distill the graph to the smallest subgraph
@@ -110,8 +109,10 @@ pub struct LandscapeJob {
     /// Scan the cached reduction of the graph instead of the graph itself.
     pub reduce_first: bool,
     /// Per-job circuit-reduction mode; `None` uses the engine's default.
-    /// Depth modes scan with the [`ScheduledCircuitEvaluator`] (the exact
-    /// depth-scheduled gate circuit) instead of the configured backend, and
+    /// Depth modes scan with the [`ScheduledCircuitEvaluator`] instead of the
+    /// configured backend. Scheduling cannot change an ideal expectation, so
+    /// its values equal the statevector backend's bit for bit; the gate
+    /// schedule itself is only executed by noisy runs.
     /// [`CircuitReduction::Depth`] makes [`LandscapeJob::reduce_first`] scan
     /// the graph itself (the identity reduction).
     pub circuit: Option<CircuitReduction>,
@@ -260,7 +261,9 @@ pub struct OptimizeReport {
     /// The full transfer comparison: reduced-graph session, full-graph
     /// baseline session, and the re-scored transferred values.
     pub transfer: OptimizedTransfer,
-    /// Exact MaxCut of the full graph, when brute force is feasible.
+    /// Exact MaxCut of the full graph: the maximum of its cut table. Always
+    /// `Some` for jobs that ran, since the full-graph session needs an
+    /// exactly simulable graph.
     pub ground_truth: Option<usize>,
     /// Objective evaluations spent by the reduced-graph session.
     pub reduced_evaluations: usize,
@@ -563,7 +566,8 @@ pub(super) fn execute(
                 None
             };
             let graph = reduction.as_ref().map(|r| r.graph()).unwrap_or(&job.graph);
-            // Depth modes scan the exact depth-scheduled gate circuit; the
+            // Depth modes scan with the scheduled evaluator, whose ideal
+            // values equal the statevector backend's bit for bit; the
             // configured backend choice only applies to the legacy mode.
             let landscape = if circuit.wants_depth() {
                 Landscape::evaluate(job.width, &ScheduledCircuitEvaluator::new(graph, 1)?)
@@ -629,11 +633,7 @@ pub(super) fn execute(
             let mut rng = seeded(job_seed);
             let transfer =
                 optimized_transfer(&job.graph, reduction.graph(), job.layers, &driver, &mut rng)?;
-            let ground_truth = if job.graph.node_count() <= 22 {
-                Some(brute_force_maxcut(&job.graph)?.best_cut)
-            } else {
-                None
-            };
+            let ground_truth = Some(transfer.original_max_cut);
             let reduced_evaluations = transfer.surrogate.evaluations;
             let baseline_evaluations = transfer.native.evaluations;
             // Re-scoring on the full graph: one expectation for the best

@@ -22,7 +22,6 @@ use crate::RedQaoaError;
 pub use qaoa::depth::CircuitReduction;
 use qaoa::depth::{compile_maxcut, DepthMetrics};
 use qaoa::evaluator::{SequentialNoisyEvaluator, StatevectorEvaluator};
-use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{
     approximation_ratio, maximize_with_restarts, NelderMeadOptimizer, OptimizeDriver,
     OptimizeOptions,
@@ -86,8 +85,8 @@ pub struct PipelineOutcome {
     /// Average over Red-QAOA's restarts on the reduced graph, re-evaluated on
     /// the original graph.
     pub red_qaoa_average: f64,
-    /// Exact MaxCut of the original graph (ground truth), when brute force is
-    /// feasible.
+    /// Exact MaxCut of the original graph (ground truth): the maximum of
+    /// its cut table.
     pub ground_truth: Option<usize>,
     /// Depth-compilation metrics of the Red-QAOA arm's cost layer, when the
     /// run requested a depth-reducing [`CircuitReduction`] mode.
@@ -205,11 +204,9 @@ pub fn run_ideal_with_reduction<R: Rng>(
         .instance()
         .expectation(&transferred_params);
 
-    let ground_truth = if graph.node_count() <= 22 {
-        Some(brute_force_maxcut(graph)?.best_cut)
-    } else {
-        None
-    };
+    // The full-graph evaluator exists only up to the exact-simulation limit,
+    // so its cut table always yields the ground truth here.
+    let ground_truth = Some(original_evaluator.instance().max_cut());
 
     Ok(PipelineOutcome {
         reduction,
@@ -235,7 +232,7 @@ pub struct NoisyPipelineOutcome {
     /// Parameters found by optimizing the *original* graph under noise,
     /// re-evaluated ideally on the original graph.
     pub baseline_ideal_value: f64,
-    /// Exact MaxCut of the original graph, when feasible.
+    /// Exact MaxCut of the original graph: the maximum of its cut table.
     pub ground_truth: Option<usize>,
     /// Depth-compilation metrics of the Red-QAOA arm's cost layer, when the
     /// run requested a depth-reducing [`CircuitReduction`] mode.
@@ -330,11 +327,7 @@ pub fn run_noisy_with_reduction<R: Rng>(
     let original_instance = original_evaluator.instance();
     let red_qaoa_ideal_value = original_instance.expectation(&red_outcome.best_params);
     let baseline_ideal_value = original_instance.expectation(&baseline_outcome.best_params);
-    let ground_truth = if graph.node_count() <= 22 {
-        Some(brute_force_maxcut(graph)?.best_cut)
-    } else {
-        None
-    };
+    let ground_truth = Some(original_instance.max_cut());
 
     Ok(NoisyPipelineOutcome {
         reduction,

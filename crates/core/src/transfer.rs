@@ -131,6 +131,9 @@ pub struct OptimizedTransfer {
     /// Periodic distance between the surrogate's and the native session's
     /// best parameters.
     pub parameter_distance: f64,
+    /// Exact MaxCut of the original graph: the maximum of the cut table its
+    /// evaluator already built.
+    pub original_max_cut: usize,
 }
 
 impl OptimizedTransfer {
@@ -197,6 +200,7 @@ pub fn optimized_transfer<O: Optimizer, R: Rng>(
         native_average: native_outcome.average_restart_value(),
         transfer_error,
         parameter_distance,
+        original_max_cut: original_instance.max_cut(),
         surrogate: surrogate_outcome,
         native: native_outcome,
     })

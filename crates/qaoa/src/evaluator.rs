@@ -18,10 +18,11 @@
 //!   point, no graph walks).
 //! * [`EdgeLocalEvaluator`] — the light-cone decomposition with per-edge
 //!   subgraphs and cut tables precomputed once per graph.
-//! * [`ScheduledCircuitEvaluator`] — exact simulation of the explicit
-//!   depth-scheduled gate circuit (see [`crate::depth`]); unitarily equal to
-//!   the statevector backend but exercising the exact gate sequence noisy
-//!   depth-mode runs execute.
+//! * [`ScheduledCircuitEvaluator`] — the statevector backend plus the
+//!   depth schedule of the cost layer (see [`crate::depth`]). Scheduling
+//!   cannot change an ideal expectation, so its energies are bitwise-equal to
+//!   [`StatevectorEvaluator`]'s; only noisy trajectory runs execute the
+//!   scheduled gate sequence.
 //! * [`NoisyTrajectoryEvaluator`] — Monte-Carlo trajectory simulation under
 //!   a device noise model, optionally routed onto a coupling map, with one
 //!   noise substream per evaluation index (parallel-scan safe).
@@ -493,15 +494,16 @@ impl EnergyEvaluator for SequentialNoisyEvaluator {
     }
 }
 
-/// Exact backend that simulates the *explicit depth-scheduled gate circuit*
-/// instead of applying the cost layer as a phase table.
+/// Exact backend for depth-mode scans: evaluates like
+/// [`StatevectorEvaluator`] and reports the depth schedule of its cost layer.
 ///
-/// The scheduled circuit is unitarily identical to the naive emission
-/// (diagonal `RZZ` gates commute), so values agree with
-/// [`StatevectorEvaluator`] to floating-point reassociation — but this
-/// backend exercises the exact gate sequence the noisy trajectory paths
-/// execute, which is what depth-mode landscape jobs evaluate and what the
-/// scheduled-circuit golden pins lock down.
+/// A depth schedule only reorders commuting diagonal `RZZ` gates, so it
+/// cannot change an ideal expectation. Energies therefore come from the
+/// shared phase-table kernel ([`QaoaInstance::expectation_with`]) and are
+/// bitwise-equal to [`StatevectorEvaluator`]'s. The schedule is compiled
+/// once at construction for [`ScheduledCircuitEvaluator::depth_metrics`];
+/// the gate-by-gate scheduled circuit is only executed on the noisy
+/// trajectory paths, where the emission order matters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledCircuitEvaluator {
     instance: QaoaInstance,
@@ -544,22 +546,18 @@ impl ScheduledCircuitEvaluator {
 }
 
 impl EnergyEvaluator for ScheduledCircuitEvaluator {
-    type Scratch = ();
+    type Scratch = StatevectorWorkspace;
 
     fn layers(&self) -> usize {
         self.instance.layers()
     }
 
-    fn scratch(&self) -> Self::Scratch {}
+    fn scratch(&self) -> Self::Scratch {
+        StatevectorWorkspace::with_qubits(self.instance.graph().node_count())
+    }
 
-    fn energy(&self, _scratch: &mut Self::Scratch, _index: u64, params: &QaoaParams) -> f64 {
-        let schedule = self
-            .instance
-            .depth_schedule()
-            .expect("constructor attaches a schedule");
-        let circuit = crate::depth::scheduled_qaoa_circuit(schedule, params);
-        qsim::statevector::StateVector::from_circuit(&circuit)
-            .expectation_diagonal(self.instance.cut_table())
+    fn energy(&self, scratch: &mut Self::Scratch, _index: u64, params: &QaoaParams) -> f64 {
+        self.instance.expectation_with(scratch, params)
     }
 }
 
@@ -742,13 +740,14 @@ mod tests {
         let g = connected_gnp(7, 0.5, &mut rng).unwrap();
         let scheduled = ScheduledCircuitEvaluator::new(&g, 2).unwrap();
         let exact = StatevectorEvaluator::new(&g, 2).unwrap();
+        let mut scheduled_scratch = scheduled.scratch();
         let mut scratch = exact.scratch();
         assert!(scheduled.depth_metrics().meets_vizing_bound());
         for _ in 0..4 {
             let params = QaoaParams::random(2, &mut rng);
-            let a = scheduled.energy(&mut (), 0, &params);
+            let a = scheduled.energy(&mut scheduled_scratch, 0, &params);
             let b = exact.energy(&mut scratch, 0, &params);
-            assert!((a - b).abs() < 1e-8, "scheduled {a} vs exact {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "scheduled {a} vs exact {b}");
         }
     }
 

@@ -80,7 +80,7 @@ impl QaoaInstance {
     /// sequence. The circuit is unitarily identical — diagonal `RZZ` gates
     /// commute — but its measured depth drops to the scheduled round count,
     /// so noisy evaluation sees less idle decoherence. Exact (phase-table)
-    /// evaluation is unaffected.
+    /// evaluation is unaffected, bit for bit.
     ///
     /// Compilation is deterministic and happens once here, never per
     /// evaluation.
@@ -124,6 +124,13 @@ impl QaoaInstance {
     /// The diagonal of the cost Hamiltonian (cut value of each basis state).
     pub fn cut_table(&self) -> &[f64] {
         &self.cut_table
+    }
+
+    /// The exact MaxCut value of the graph: the largest entry of the cut
+    /// table, which already enumerates every assignment. Equal to
+    /// `brute_force_maxcut(graph).best_cut` without a second `2^n` pass.
+    pub fn max_cut(&self) -> usize {
+        self.cut_table.iter().fold(0.0f64, |best, &v| best.max(v)) as usize
     }
 
     /// Prepares `|ψ(γ, β)⟩` in the workspace: uniform superposition, then
@@ -630,6 +637,20 @@ mod tests {
         let a = instance.noisy_expectation_seeded(&params, &noise, opts, 99);
         let b = instance.noisy_expectation_seeded(&params, &noise, opts, 99);
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
+    fn max_cut_equals_brute_force() {
+        let mut rng = seeded(43);
+        let mut graphs = vec![cycle(7).unwrap(), complete(5), star(6).unwrap()];
+        for n in 4..=11 {
+            graphs.push(connected_gnp(n, 0.45, &mut rng).unwrap());
+        }
+        for g in &graphs {
+            let instance = QaoaInstance::new(g, 1).unwrap();
+            let brute = crate::maxcut::brute_force_maxcut(g).unwrap().best_cut;
+            assert_eq!(instance.max_cut(), brute);
+        }
     }
 
     #[test]

@@ -595,7 +595,22 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 pub struct StatevectorWorkspace {
     state: StateVector,
     phases: Vec<Complex64>,
+    /// `phase_memo[k] = cis(scale · k)` for the integer table values `k` of
+    /// the current [`apply_phase_diagonal`](Self::apply_phase_diagonal)
+    /// call.
+    phase_memo: Vec<Complex64>,
     probabilities: Vec<f64>,
+}
+
+/// The memo slot of a phase-table value: `Some(k)` when `value` is exactly
+/// the integer `k` (same bits as `k as f64`, so `-0.0`, NaN and fractions
+/// never match) and `k < memo_len`.
+#[inline]
+fn memo_slot(value: f64, memo_len: u32) -> Option<usize> {
+    // `as` saturates: negatives and NaN become 0 and huge values
+    // `u32::MAX`, which the range and bit checks then reject.
+    let k = value as u32;
+    (k < memo_len && f64::from(k).to_bits() == value.to_bits()).then_some(k as usize)
 }
 
 impl StatevectorWorkspace {
@@ -604,6 +619,7 @@ impl StatevectorWorkspace {
         Self {
             state: StateVector::new(0),
             phases: Vec::new(),
+            phase_memo: Vec::new(),
             probabilities: Vec::new(),
         }
     }
@@ -640,13 +656,36 @@ impl StatevectorWorkspace {
     /// This is the QAOA cost layer: with `scale = -γ` and `table` the
     /// cut-value diagonal it applies `e^{-iγ H_C}` in one pass.
     ///
+    /// A cut table holds only the integers `0..=|E|`, so the phase of each
+    /// integer value `k < table.len()` is computed once, as
+    /// `cis(scale · k)`, and gathered; any other value (negative,
+    /// fractional, out of range) gets its own `cis(scale · v)`. Either way
+    /// every phase is `cis` of the same product as the one-call-per-entry
+    /// loop, so the result is bitwise unchanged — only `|E| + 1` sin/cos
+    /// pairs are paid instead of `2^n`.
+    ///
     /// # Panics
     ///
     /// Panics if `table.len()` differs from the state dimension.
     pub fn apply_phase_diagonal(&mut self, table: &[f64], scale: f64) {
+        // The memo covers `0..=floor(top)`, `top` being the largest table
+        // value below `table.len()` (NaN never compares below), so it never
+        // holds more entries than the table.
+        let len = table.len() as f64;
+        let top = table
+            .iter()
+            .fold(0.0f64, |top, &v| if v < len { top.max(v) } else { top });
+        let memo_len = top as u32 + 1;
+        self.phase_memo.clear();
+        self.phase_memo
+            .extend((0..memo_len).map(|k| Complex64::cis(scale * f64::from(k))));
+        let memo = &self.phase_memo;
         self.phases.clear();
         self.phases
-            .extend(table.iter().map(|&v| Complex64::cis(scale * v)));
+            .extend(table.iter().map(|&v| match memo_slot(v, memo_len) {
+                Some(k) => memo[k],
+                None => Complex64::cis(scale * v),
+            }));
         self.state.apply_diagonal(&self.phases);
     }
 

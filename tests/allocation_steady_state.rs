@@ -1,7 +1,8 @@
 //! Steady-state allocation tests for the hot evaluation paths.
 //!
-//! The workspace-buffer APIs (`expectation_with`, `probabilities_into`,
-//! `sample_counts_with`, `apply_readout_confusion_in_place`) promise that
+//! The workspace-buffer APIs (`expectation_with`, the depth-mode
+//! evaluator's `energy`, `probabilities_into`, `sample_counts_with`,
+//! `apply_readout_confusion_in_place`) promise that
 //! after the first call of a given size *no further allocation happens*.
 //! That promise is what makes landscape scans allocator-quiet; this file
 //! enforces it with a counting `#[global_allocator]` so an accidental
@@ -21,6 +22,7 @@ use std::cell::Cell;
 
 use graphlib::generators::connected_gnp;
 use mathkit::rng::seeded;
+use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator};
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::density::apply_readout_confusion_in_place;
@@ -87,6 +89,22 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         }
     });
     assert_eq!(allocs, 0, "expectation_with allocated in steady state");
+
+    // --- the depth-mode evaluator through a reused scratch ---------------
+    let scheduled = ScheduledCircuitEvaluator::new(&graph, 2).unwrap();
+    let mut scheduled_scratch = scheduled.scratch();
+    for _ in 0..2 {
+        scheduled.energy(&mut scheduled_scratch, 0, &params); // warm
+    }
+    let allocs = allocations_during(|| {
+        for _ in 0..16 {
+            scheduled.energy(&mut scheduled_scratch, 0, &params);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "ScheduledCircuitEvaluator::energy allocated in steady state"
+    );
 
     // --- probabilities_into through the same workspace -------------------
     let mut probs = Vec::new();

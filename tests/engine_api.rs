@@ -8,11 +8,13 @@
 
 use graphlib::generators::{connected_gnp, cycle};
 use mathkit::rng::seeded;
+use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{NelderMeadOptimizer, OptimizerConfig, SpsaOptimizer};
 use red_qaoa::annealing::SaOptions;
 use red_qaoa::engine::{
     Engine, Job, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
 };
+use red_qaoa::pipeline::CircuitReduction;
 use red_qaoa::reduction::{reduce, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
@@ -325,4 +327,56 @@ fn free_reduce_remains_the_validating_low_level_wrapper() {
     };
     let err = reduce(&graph, &bad, &mut seeded(1)).unwrap_err();
     assert_eq!(err.field(), Some("and_ratio_threshold"));
+}
+
+// ---------------------------------------------------------------------------
+// Ideal evaluation: one kernel for every mode.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn depth_mode_landscapes_equal_legacy_scans_bitwise() {
+    // A depth schedule only reorders commuting diagonal gates, so it cannot
+    // change an ideal expectation: depth-mode scans share the legacy
+    // statevector kernel and must match its scans bit for bit, on the graph
+    // and on its reduction.
+    let engine = Engine::builder().threads(1).build().unwrap();
+    let graph = test_graph(12);
+    let scan_bits = |job: &LandscapeJob, mode: CircuitReduction| -> Vec<u64> {
+        let job = Job::Landscape(job.clone().with_circuit(mode));
+        let output = engine.run(&job, 3).unwrap();
+        let landscape = output.as_landscape().unwrap();
+        landscape.values.iter().map(|v| v.to_bits()).collect()
+    };
+    for job in [
+        LandscapeJob::new(graph.clone(), 5),
+        LandscapeJob::new(graph.clone(), 5).reduced(),
+    ] {
+        assert_eq!(
+            scan_bits(&job, CircuitReduction::None),
+            scan_bits(&job, CircuitReduction::NodeAndDepth),
+            "reduce_first = {}",
+            job.reduce_first
+        );
+    }
+}
+
+#[test]
+fn optimize_job_ground_truth_is_the_brute_force_maxcut() {
+    // The report reads the ground truth off the full graph's cut table; it
+    // must be exactly what exhaustive enumeration finds.
+    let engine = Engine::builder().threads(1).build().unwrap();
+    for seed in [13, 14] {
+        let graph = test_graph(seed);
+        let job = Job::Optimize(
+            OptimizeJob::new(graph.clone())
+                .with_restarts(1)
+                .with_max_iters(10),
+        );
+        let output = engine.run(&job, 5).unwrap();
+        let report = output.as_optimize().unwrap();
+        assert_eq!(
+            report.ground_truth,
+            Some(brute_force_maxcut(&graph).unwrap().best_cut)
+        );
+    }
 }

@@ -13,7 +13,10 @@
 //! bits are the contract, kernel choice is an implementation detail.
 
 use graphlib::generators::{connected_gnp, cycle};
+use graphlib::Graph;
 use mathkit::rng::seeded;
+use qaoa::depth::scheduled_qaoa_circuit;
+use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator, StatevectorEvaluator};
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
@@ -83,15 +86,26 @@ fn expectation_diagonal_and_norm_bits_are_pinned() {
     });
 }
 
+/// Simulates the explicit depth-scheduled gate circuit — the round-major
+/// `RZZ` sequence noisy depth-mode runs execute — and reads off the cut
+/// expectation.
+fn scheduled_circuit_expectation(graph: &Graph, params: &QaoaParams) -> f64 {
+    let instance = QaoaInstance::new(graph, params.layers())
+        .unwrap()
+        .with_depth_schedule();
+    let schedule = instance.depth_schedule().unwrap();
+    StateVector::from_circuit(&scheduled_qaoa_circuit(schedule, params))
+        .expectation_diagonal(instance.cut_table())
+}
+
 #[test]
 fn scheduled_circuit_expectation_bits_are_pinned() {
-    // Depth-scheduled cost layers (PR 10): the `ScheduledCircuitEvaluator`
-    // simulates the explicit round-major `RZZ` gate sequence the greedy
-    // interaction scheduler emits, not the phase-table shortcut. The gate
-    // *order* is part of the floating-point result, so these pins lock the
-    // scheduler's round assignment (lowest-index tie-breaks) as well as the
-    // kernels: a future change to either moves these bits.
-    use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator};
+    // Depth-scheduled cost layers: the explicit round-major `RZZ` gate
+    // sequence the greedy interaction scheduler emits, which the noisy
+    // trajectory paths execute. The gate *order* is part of the
+    // floating-point result there, so these pins lock the scheduler's round
+    // assignment (lowest-index tie-breaks) as well as the kernels: a future
+    // change to either moves these bits.
     let params = QaoaParams::new(vec![0.7], vec![0.4]).unwrap();
     let graphs = [
         ("cycle8", cycle(8).unwrap(), 0x4017e1572a7fa90eu64),
@@ -108,8 +122,7 @@ fn scheduled_circuit_expectation_bits_are_pinned() {
     ];
     for_both_kernels(|| {
         for (name, graph, bits) in &graphs {
-            let evaluator = ScheduledCircuitEvaluator::new(graph, 1).unwrap();
-            let value = evaluator.energy(&mut evaluator.scratch(), 0, &params);
+            let value = scheduled_circuit_expectation(graph, &params);
             assert_eq!(
                 value.to_bits(),
                 *bits,
@@ -123,7 +136,6 @@ fn scheduled_circuit_expectation_bits_are_pinned() {
 fn scheduled_three_layer_expectation_bits_are_pinned() {
     // Same contract at p = 3: every layer re-emits the scheduled rounds, so
     // these pins cover the round-major emission repeated across layers.
-    use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator};
     let params = QaoaParams::new(vec![0.7, 0.35, 0.21], vec![0.4, 0.55, 0.13]).unwrap();
     let graphs = [
         ("cycle8", cycle(8).unwrap(), 0x400b4ae7159c05e1u64),
@@ -135,13 +147,45 @@ fn scheduled_three_layer_expectation_bits_are_pinned() {
     ];
     for_both_kernels(|| {
         for (name, graph, bits) in &graphs {
-            let evaluator = ScheduledCircuitEvaluator::new(graph, 3).unwrap();
-            let value = evaluator.energy(&mut evaluator.scratch(), 0, &params);
+            let value = scheduled_circuit_expectation(graph, &params);
             assert_eq!(
                 value.to_bits(),
                 *bits,
                 "scheduled p=3 expectation on {name} drifted"
             );
+        }
+    });
+}
+
+#[test]
+fn scheduled_evaluator_matches_the_statevector_evaluator_bitwise() {
+    // Scheduling cannot change an ideal expectation, so the depth-mode
+    // evaluator takes the phase-table kernel and must agree with the
+    // statevector evaluator bit for bit, on the pinned graphs at p = 1 and
+    // p = 3.
+    let points = [
+        QaoaParams::new(vec![0.7], vec![0.4]).unwrap(),
+        QaoaParams::new(vec![0.7, 0.35, 0.21], vec![0.4, 0.55, 0.13]).unwrap(),
+    ];
+    let graphs = [
+        cycle(8).unwrap(),
+        connected_gnp(9, 0.4, &mut seeded(77)).unwrap(),
+        connected_gnp(10, 0.3, &mut seeded(78)).unwrap(),
+    ];
+    for_both_kernels(|| {
+        for params in &points {
+            for graph in &graphs {
+                let scheduled = ScheduledCircuitEvaluator::new(graph, params.layers()).unwrap();
+                let exact = StatevectorEvaluator::new(graph, params.layers()).unwrap();
+                assert_eq!(
+                    scheduled
+                        .energy(&mut scheduled.scratch(), 0, params)
+                        .to_bits(),
+                    exact.energy(&mut exact.scratch(), 0, params).to_bits(),
+                    "p={}",
+                    params.layers()
+                );
+            }
         }
     });
 }

@@ -24,7 +24,9 @@ use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
 use qsim::circuit::Gate;
-use qsim::statevector::{reference, vectorized, with_kernel, KernelMode, StateVector};
+use qsim::statevector::{
+    reference, vectorized, with_kernel, KernelMode, StateVector, StatevectorWorkspace,
+};
 use rand::Rng;
 
 /// Samples one random gate over `n` qubits (single-qubit only when `n == 1`).
@@ -205,6 +207,90 @@ proptest! {
         };
         prop_assert_eq!(run(KernelMode::Scalar), run(KernelMode::Vectorized));
     }
+
+    /// The memoized cost layer: `StatevectorWorkspace::apply_phase_diagonal`
+    /// gathers one `cis` per distinct integer table value, and must leave
+    /// exactly the amplitude bits of the naive one-`cis`-per-entry diagonal
+    /// under both kernels. Tables cover pure integer cut-style tables (with
+    /// `0` and the maximum present), integers mixed with fallback values
+    /// (negative, `-0.0`, fractional, out of range, non-finite), and tables
+    /// with no memoizable value at all. Two layers run through one workspace
+    /// so a memo left by the previous call is exercised too.
+    #[test]
+    fn memoized_phase_diagonal_matches_per_entry_cis_bitwise(
+        seed in 0u64..100_000,
+        qubits in 1usize..=10,
+        kind in 0usize..3,
+    ) {
+        let mut rng = seeded(seed);
+        let dim = 1usize << qubits;
+        let tables: Vec<Vec<f64>> = (0..2).map(|_| phase_table(dim, kind, &mut rng)).collect();
+        let scales = [rng.gen_range(-3.5f64..6.5), rng.gen_range(-3.5f64..6.5)];
+        let gate_seed: u64 = rng.gen();
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let (memoized, naive) = with_kernel(mode, || {
+                let mut rng = seeded(gate_seed);
+                let mut workspace = StatevectorWorkspace::new();
+                workspace.begin_uniform(qubits);
+                for _ in 0..12 {
+                    workspace.state_mut().apply_gate(random_gate(qubits, &mut rng));
+                }
+                let mut naive = workspace.state().clone();
+                for (table, &scale) in tables.iter().zip(&scales) {
+                    workspace.apply_phase_diagonal(table, scale);
+                    let phases: Vec<Complex64> =
+                        table.iter().map(|&v| Complex64::cis(scale * v)).collect();
+                    naive.apply_diagonal(&phases);
+                }
+                (
+                    amplitude_bits(workspace.state().amplitudes()),
+                    amplitude_bits(naive.amplitudes()),
+                )
+            });
+            prop_assert!(memoized == naive, "{mode:?}: memoized cost layer drifted");
+        }
+    }
+}
+
+/// A random phase table of length `dim`.
+///
+/// * `kind == 0`: integers in `0..=top` for a random `top < dim`, with `0`
+///   and `top` both present — the shape of a MaxCut cut table.
+/// * `kind == 1`: the same, with about a third of the entries replaced by
+///   values the memo must not serve.
+/// * otherwise: only such values.
+fn phase_table<R: Rng>(dim: usize, kind: usize, rng: &mut R) -> Vec<f64> {
+    let specials = [
+        -1.0,
+        -0.0,
+        0.5,
+        -2.75,
+        3.25,
+        dim as f64,
+        dim as f64 + 3.0,
+        1e300,
+        9_007_199_254_740_992.0,
+        f64::INFINITY,
+    ];
+    let top = rng.gen_range(0..dim);
+    let mut table: Vec<f64> = (0..dim).map(|_| rng.gen_range(0..=top) as f64).collect();
+    table[0] = 0.0;
+    table[dim - 1] = top as f64;
+    for value in table.iter_mut() {
+        let replace = match kind {
+            0 => false,
+            1 => rng.gen_range(0..3) == 0,
+            _ => true,
+        };
+        if replace {
+            *value = if rng.gen_range(0..2) == 0 {
+                specials[rng.gen_range(0..specials.len())]
+            } else {
+                rng.gen_range(-4.0f64..4.0)
+            };
+        }
+    }
+    table
 }
 
 /// The single-qubit unitary matrix of a gate (panics on two-qubit gates).
