@@ -23,8 +23,7 @@ use graphlib::Graph;
 use mathkit::rng::seeded;
 use qaoa::depth::{compile_maxcut, DepthMetrics};
 use qaoa::evaluator::{
-    AnalyticP1Evaluator, AutoEvaluator, EdgeLocalEvaluator, ScheduledCircuitEvaluator,
-    StatevectorEvaluator,
+    AnalyticP1Evaluator, AutoEvaluator, EdgeLocalEvaluator, StatevectorEvaluator,
 };
 use qaoa::landscape::Landscape;
 use qaoa::optimize::{approximation_ratio, paper_restarts, OptimizeDriver, OptimizerConfig};
@@ -109,10 +108,9 @@ pub struct LandscapeJob {
     /// Scan the cached reduction of the graph instead of the graph itself.
     pub reduce_first: bool,
     /// Per-job circuit-reduction mode; `None` uses the engine's default.
-    /// Depth modes scan with the [`ScheduledCircuitEvaluator`] instead of the
-    /// configured backend. Scheduling cannot change an ideal expectation, so
-    /// its values equal the statevector backend's bit for bit; the gate
-    /// schedule itself is only executed by noisy runs.
+    /// Depth modes do not change the scan: scheduling cannot change an ideal
+    /// expectation, so every mode evaluates with the configured backend and
+    /// only node reduction decides which graph is scanned.
     /// [`CircuitReduction::Depth`] makes [`LandscapeJob::reduce_first`] scan
     /// the graph itself (the identity reduction).
     pub circuit: Option<CircuitReduction>,
@@ -566,25 +564,21 @@ pub(super) fn execute(
                 None
             };
             let graph = reduction.as_ref().map(|r| r.graph()).unwrap_or(&job.graph);
-            // Depth modes scan with the scheduled evaluator, whose ideal
-            // values equal the statevector backend's bit for bit; the
-            // configured backend choice only applies to the legacy mode.
-            let landscape = if circuit.wants_depth() {
-                Landscape::evaluate(job.width, &ScheduledCircuitEvaluator::new(graph, 1)?)
-            } else {
-                match engine.evaluator_backend() {
-                    EvaluatorBackend::Auto => {
-                        Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?)
-                    }
-                    EvaluatorBackend::Statevector => {
-                        Landscape::evaluate(job.width, &StatevectorEvaluator::new(graph, 1)?)
-                    }
-                    EvaluatorBackend::AnalyticP1 => {
-                        Landscape::evaluate(job.width, &AnalyticP1Evaluator::new(graph)?)
-                    }
-                    EvaluatorBackend::EdgeLocal => {
-                        Landscape::evaluate(job.width, &EdgeLocalEvaluator::new(graph, 1)?)
-                    }
+            // Depth modes scan with the configured backend too: a schedule
+            // only reorders commuting diagonal gates, so it cannot change an
+            // ideal expectation.
+            let landscape = match engine.evaluator_backend() {
+                EvaluatorBackend::Auto => {
+                    Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?)
+                }
+                EvaluatorBackend::Statevector => {
+                    Landscape::evaluate(job.width, &StatevectorEvaluator::new(graph, 1)?)
+                }
+                EvaluatorBackend::AnalyticP1 => {
+                    Landscape::evaluate(job.width, &AnalyticP1Evaluator::new(graph)?)
+                }
+                EvaluatorBackend::EdgeLocal => {
+                    Landscape::evaluate(job.width, &EdgeLocalEvaluator::new(graph, 1)?)
                 }
             };
             Ok(JobOutput::Landscape(landscape))

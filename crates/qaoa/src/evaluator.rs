@@ -22,7 +22,8 @@
 //!   depth schedule of the cost layer (see [`crate::depth`]). Scheduling
 //!   cannot change an ideal expectation, so its energies are bitwise-equal to
 //!   [`StatevectorEvaluator`]'s; only noisy trajectory runs execute the
-//!   scheduled gate sequence.
+//!   scheduled gate sequence, and ideal depth-mode scans simply use the
+//!   configured exact backend.
 //! * [`NoisyTrajectoryEvaluator`] — Monte-Carlo trajectory simulation under
 //!   a device noise model, optionally routed onto a coupling map, with one
 //!   noise substream per evaluation index (parallel-scan safe).
@@ -494,8 +495,8 @@ impl EnergyEvaluator for SequentialNoisyEvaluator {
     }
 }
 
-/// Exact backend for depth-mode scans: evaluates like
-/// [`StatevectorEvaluator`] and reports the depth schedule of its cost layer.
+/// Exact statevector backend that also reports the depth schedule of its
+/// cost layer.
 ///
 /// A depth schedule only reorders commuting diagonal `RZZ` gates, so it
 /// cannot change an ideal expectation. Energies therefore come from the

@@ -12,7 +12,7 @@ use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{NelderMeadOptimizer, OptimizerConfig, SpsaOptimizer};
 use red_qaoa::annealing::SaOptions;
 use red_qaoa::engine::{
-    Engine, Job, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
+    Engine, EvaluatorBackend, Job, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
 };
 use red_qaoa::pipeline::CircuitReduction;
 use red_qaoa::reduction::{reduce, ReductionOptions};
@@ -336,27 +336,46 @@ fn free_reduce_remains_the_validating_low_level_wrapper() {
 #[test]
 fn depth_mode_landscapes_equal_legacy_scans_bitwise() {
     // A depth schedule only reorders commuting diagonal gates, so it cannot
-    // change an ideal expectation: depth-mode scans share the legacy
-    // statevector kernel and must match its scans bit for bit, on the graph
-    // and on its reduction.
-    let engine = Engine::builder().threads(1).build().unwrap();
-    let graph = test_graph(12);
-    let scan_bits = |job: &LandscapeJob, mode: CircuitReduction| -> Vec<u64> {
-        let job = Job::Landscape(job.clone().with_circuit(mode));
-        let output = engine.run(&job, 3).unwrap();
-        let landscape = output.as_landscape().unwrap();
-        landscape.values.iter().map(|v| v.to_bits()).collect()
-    };
-    for job in [
-        LandscapeJob::new(graph.clone(), 5),
-        LandscapeJob::new(graph.clone(), 5).reduced(),
-    ] {
+    // change an ideal expectation: depth-mode scans use the configured
+    // backend and must match legacy scans bit for bit, on the graph and on
+    // its reduction. The 18-node graph takes `Auto` past its statevector
+    // cutoff (to the analytic p = 1 formula), and the edge-local engine
+    // covers an explicitly configured backend.
+    let auto = Engine::builder().threads(1).build().unwrap();
+    let edge_local = Engine::builder()
+        .threads(1)
+        .evaluator(EvaluatorBackend::EdgeLocal)
+        .build()
+        .unwrap();
+    let large = connected_gnp(18, 0.25, &mut seeded(12)).unwrap();
+    let cases = [
+        (&auto, test_graph(12)),
+        (&auto, large.clone()),
+        (&edge_local, large),
+    ];
+    for (engine, graph) in cases {
+        let scan_bits = |job: &LandscapeJob, mode: CircuitReduction| -> Vec<u64> {
+            let job = Job::Landscape(job.clone().with_circuit(mode));
+            let output = engine.run(&job, 3).unwrap();
+            let landscape = output.as_landscape().unwrap();
+            landscape.values.iter().map(|v| v.to_bits()).collect()
+        };
+        let full = LandscapeJob::new(graph.clone(), 5);
         assert_eq!(
-            scan_bits(&job, CircuitReduction::None),
-            scan_bits(&job, CircuitReduction::NodeAndDepth),
-            "reduce_first = {}",
-            job.reduce_first
+            scan_bits(&full, CircuitReduction::None),
+            scan_bits(&full, CircuitReduction::Depth),
+            "depth-only, n = {}",
+            graph.node_count()
         );
+        for job in [full.clone(), full.clone().reduced()] {
+            assert_eq!(
+                scan_bits(&job, CircuitReduction::None),
+                scan_bits(&job, CircuitReduction::NodeAndDepth),
+                "n = {}, reduce_first = {}",
+                graph.node_count(),
+                job.reduce_first
+            );
+        }
     }
 }
 
