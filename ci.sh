@@ -14,13 +14,13 @@
 #   3. tier-1 verify          — cargo build --release && cargo test -q,
 #      run twice: once with RED_QAOA_THREADS=1 (forced-serial paths) and
 #      once with the variable unset (parallel paths, default thread count).
+#      The root Cargo.toml's `default-members` lists the umbrella package
+#      and every crates/* member, so `cargo test -q` runs the whole suite:
+#      the workspace integration tests plus every crate's unit tests and
+#      doctests (only the vendored shims are left out).
 #      The determinism contract says both must pass with identical
 #      semantics; the property tests in tests/parallel_determinism.rs
 #      additionally check bitwise equality across thread counts.
-#   3b. kernel crates         — cargo test -q -p qsim -p qaoa: the root
-#      package's `cargo test` runs only the umbrella integration tests, so
-#      the statevector and QAOA crates' own unit tests and doctests (the
-#      phase-table kernel, the evaluators) run here explicitly.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -32,8 +32,10 @@
 #      >= 0.95, full-graph-equivalent cost ratio, evaluations-to-target),
 #      the qsim smoke emits BENCH_qsim.json (gate-ops/sec scalar vs
 #      vectorized kernels for 8-20 qubits, bitwise cross-checked, 16-qubit
-#      speedup gated at >= 1.5x, per-core landscape scaling gated at >= 2x
-#      when cores > 1), and the depth smoke emits BENCH_depth.json
+#      speedup gated at >= 1.5x; ideal p = 1 QAOA points/sec at 12-16
+#      qubits, mixer layer vs gate-by-gate Rx, energies bitwise
+#      cross-checked; per-core landscape scaling gated at >= 2x when
+#      cores > 1), and the depth smoke emits BENCH_depth.json
 #      (interaction-scheduler rounds gated at <= d+1 for d-regular graphs,
 #      two-qubit depth reduction vs naive emission gated at >= 2x, and the
 #      compound node+depth noisy MSE gated at <= the node-only MSE) so the
@@ -59,9 +61,6 @@ RED_QAOA_THREADS=1 cargo test -q
 
 echo "==> tier-1 (parallel: RED_QAOA_THREADS unset): cargo test -q"
 env -u RED_QAOA_THREADS cargo test -q
-
-echo "==> kernel crates' unit tests and doctests: cargo test -q -p qsim -p qaoa"
-cargo test -q -p qsim -p qaoa
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
 cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json

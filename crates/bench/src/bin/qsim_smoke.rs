@@ -16,6 +16,13 @@
 //! 16-qubit row must show a **≥ 1.5× vectorized speedup** — the headline
 //! acceptance number of the kernel split.
 //!
+//! An ideal-QAOA section times the p = 1 energy the landscape and
+//! optimizer loops spend their time in, at 12, 14 and 16 qubits: points/sec
+//! through `QaoaInstance::expectation_with` (fused cost-phase gather plus
+//! the structured `Rx` mixer layer) against the same evolution with the
+//! mixer applied gate by gate (`Gate::Rx` through the generic butterfly),
+//! after checking that every point's energy bits agree.
+//!
 //! A per-core scaling section then times a 16-node landscape grid at one
 //! worker and at `min(4, cores)` workers; whenever the machine actually has
 //! more than one core, the multi-thread run must be **≥ 2× faster** —
@@ -27,9 +34,11 @@
 use bench::bench_graph;
 use mathkit::parallel::with_threads;
 use qaoa::evaluator::StatevectorEvaluator;
+use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::Landscape;
+use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
-use qsim::statevector::{with_kernel, KernelMode, StateVector};
+use qsim::statevector::{with_kernel, KernelMode, StateVector, StatevectorWorkspace};
 use std::time::Instant;
 
 /// Qubit counts of the throughput rows and repetitions per row (chosen so
@@ -78,6 +87,48 @@ fn timed_evolutions(circuit: &Circuit, reps: usize, mode: KernelMode) -> (f64, u
         }
         (start.elapsed().as_secs_f64(), last_bits)
     })
+}
+
+/// Qubit counts of the ideal-QAOA rows, the side of their p = 1 grid and
+/// the number of timed repetitions (the median is reported).
+const QAOA_ROWS: [usize; 3] = [12, 14, 16];
+const QAOA_GRID: usize = 8;
+const QAOA_REPS: usize = 3;
+
+/// The p = 1 energy with the mixer applied gate by gate: the same cost layer
+/// as `expectation_with`, then `Gate::Rx(q, 2β)` on each qubit.
+fn gate_by_gate_energy(
+    instance: &QaoaInstance,
+    workspace: &mut StatevectorWorkspace,
+    params: &QaoaParams,
+) -> f64 {
+    let qubits = instance.graph().node_count();
+    workspace.begin_uniform(qubits);
+    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
+        workspace.apply_phase_diagonal(instance.cut_table(), -gamma);
+        for q in 0..qubits {
+            workspace.state_mut().apply_gate(Gate::Rx(q, 2.0 * beta));
+        }
+    }
+    workspace.state().expectation_diagonal(instance.cut_table())
+}
+
+/// Evaluates every grid point `QAOA_REPS` times with `energy` and returns
+/// (median seconds per pass, energy bits of the last pass).
+fn timed_grid(
+    points: &[QaoaParams],
+    mut energy: impl FnMut(&QaoaParams) -> f64,
+) -> (f64, Vec<u64>) {
+    let mut bits = points.iter().map(|p| energy(p).to_bits()).collect(); // warm
+    let mut secs: Vec<f64> = (0..QAOA_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            bits = points.iter().map(|p| energy(p).to_bits()).collect();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    (secs[QAOA_REPS / 2], bits)
 }
 
 fn main() {
@@ -138,6 +189,43 @@ fn main() {
         "vectorized kernels must be >= 1.5x scalar at 16 qubits, got {speedup_16q:.3}x"
     );
 
+    // --- ideal-QAOA energy: structured mixer layer vs gate-by-gate Rx -----
+    let grid: Vec<QaoaParams> = (0..QAOA_GRID * QAOA_GRID)
+        .map(|i| {
+            let gamma = (i / QAOA_GRID) as f64 * std::f64::consts::PI / QAOA_GRID as f64;
+            let beta = (i % QAOA_GRID) as f64 * std::f64::consts::FRAC_PI_2 / QAOA_GRID as f64;
+            QaoaParams::new(vec![gamma], vec![beta]).expect("one layer")
+        })
+        .collect();
+    let mut qaoa_json = Vec::new();
+    for n in QAOA_ROWS {
+        let instance = QaoaInstance::new(&bench_graph(n, 16), 1).expect("bench graph is simulable");
+        let mut workspace = StatevectorWorkspace::with_qubits(n);
+        let (layer_secs, layer_bits) =
+            timed_grid(&grid, |p| instance.expectation_with(&mut workspace, p));
+        let (gates_secs, gates_bits) =
+            timed_grid(&grid, |p| gate_by_gate_energy(&instance, &mut workspace, p));
+        assert_eq!(
+            layer_bits, gates_bits,
+            "mixer layer energies diverged from the gate-by-gate evolution at {n} qubits"
+        );
+        let layer_pps = grid.len() as f64 / layer_secs;
+        let gates_pps = grid.len() as f64 / gates_secs;
+        qaoa_json.push(format!(
+            concat!(
+                "    {{ \"qubits\": {}, \"points\": {}, ",
+                "\"gate_by_gate_points_per_sec\": {:.1}, ",
+                "\"expectation_with_points_per_sec\": {:.1}, ",
+                "\"speedup\": {:.3} }}"
+            ),
+            n,
+            grid.len(),
+            gates_pps,
+            layer_pps,
+            layer_pps / gates_pps
+        ));
+    }
+
     // --- per-core scaling section ----------------------------------------
     let graph = bench_graph(16, 16);
     let evaluator = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
@@ -172,6 +260,7 @@ fn main() {
             "  \"available_cores\": {},\n",
             "  \"rows\": [\n{}\n  ],\n",
             "  \"speedup_16q\": {:.3},\n",
+            "  \"ideal_qaoa_p1\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",
             "    \"nodes\": 16,\n",
             "    \"width\": {},\n",
@@ -188,6 +277,7 @@ fn main() {
         cores,
         row_json.join(",\n"),
         speedup_16q,
+        qaoa_json.join(",\n"),
         width,
         points,
         multi,

@@ -23,7 +23,6 @@ use crate::QaoaError;
 use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
-use qsim::circuit::Gate;
 use qsim::noise::NoiseModel;
 use qsim::statevector::{StateVector, StatevectorWorkspace};
 use qsim::trajectory::{
@@ -347,12 +346,16 @@ impl QaoaInstance {
 
 /// Shared QAOA layer evolution: resets `workspace` to the uniform
 /// superposition over `qubits` qubits, then applies the alternating
-/// cost-phase (`e^{-iγ H_C}` via the diagonal `cut_table`) and mixer
-/// (`Rx(2β)` on every qubit) layers.
+/// cost-phase (`e^{-iγ H_C}` via the diagonal `cut_table`, one fused
+/// memoized-phase pass) and mixer (`Rx(2β)` on every qubit, one
+/// [`StateVector::apply_rx_layer`] call) layers. Energies are bitwise
+/// equal to the gate-by-gate `Gate::Rx` evolution (see that method's
+/// contract).
 ///
 /// This is the single definition of the ansatz evolution; the global
-/// statevector backend and the edge-local light-cone backend both route
-/// through it so the two can never silently diverge.
+/// statevector backend, the edge-local light-cone backend and
+/// `depth::factor` all route through it so they can never silently
+/// diverge.
 pub(crate) fn evolve_qaoa_layers(
     workspace: &mut StatevectorWorkspace,
     qubits: usize,
@@ -362,9 +365,7 @@ pub(crate) fn evolve_qaoa_layers(
     workspace.begin_uniform(qubits);
     for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
         workspace.apply_phase_diagonal(cut_table, -gamma);
-        for q in 0..qubits {
-            workspace.state_mut().apply_gate(Gate::Rx(q, 2.0 * beta));
-        }
+        workspace.state_mut().apply_rx_layer(2.0 * beta);
     }
 }
 

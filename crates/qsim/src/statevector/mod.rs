@@ -23,6 +23,19 @@
 //! two backends are bitwise-identical, the choice can never change any
 //! result — only how fast it is computed.
 //!
+//! # The mixer-layer contract
+//!
+//! One kernel has a stated exception at the amplitude level: the QAOA
+//! mixer [`StateVector::apply_rx_layer`]. Its vectorized body uses the
+//! structure of `Rx` (8 multiplies per amplitude pair instead of 16); its
+//! scalar body is the per-qubit generic butterfly. Reductions and energies
+//! are **bitwise equal** to the gate-by-gate `Gate::Rx` evolution;
+//! amplitudes are equal except that an exact zero may change sign. The
+//! generic butterfly differs only by adding products with the `Rx`
+//! matrix's exact `±0` entries, which for finite inputs can change only
+//! the sign of a result that is exactly zero, and every reduction squares
+//! the components. See `docs/determinism.md`.
+//!
 //! # Fixed reduction order
 //!
 //! All reductions (`expectation_*`, [`StateVector::prob_one`],
@@ -115,6 +128,13 @@ pub fn with_kernel<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     let previous = KERNEL_OVERRIDE.swap(code, Ordering::Relaxed);
     let _restore = Restore(previous);
     f()
+}
+
+/// The matrix of `Rx(θ)`: `cos(θ/2)` on the diagonal, `-i·sin(θ/2)` off it.
+fn rx_matrix(theta: f64) -> [[Complex64; 2]; 2] {
+    let c = Complex64::new((theta / 2.0).cos(), 0.0);
+    let s = Complex64::new(0.0, -(theta / 2.0).sin());
+    [[c, s], [s, c]]
 }
 
 /// A pure quantum state over `n` qubits.
@@ -291,11 +311,7 @@ impl StateVector {
                     ],
                 ],
             ),
-            Gate::Rx(q, theta) => {
-                let c = Complex64::new((theta / 2.0).cos(), 0.0);
-                let s = Complex64::new(0.0, -(theta / 2.0).sin());
-                self.apply_single(q, [[c, s], [s, c]]);
-            }
+            Gate::Rx(q, theta) => self.apply_single(q, rx_matrix(theta)),
             Gate::Ry(q, theta) => {
                 let c = Complex64::new((theta / 2.0).cos(), 0.0);
                 let s = Complex64::new((theta / 2.0).sin(), 0.0);
@@ -360,6 +376,44 @@ impl StateVector {
         match current_kernel() {
             KernelMode::Scalar => reference::apply_rzz(&mut self.amplitudes, a, b, theta),
             KernelMode::Vectorized => vectorized::apply_rzz(&mut self.amplitudes, a, b, theta),
+        }
+    }
+
+    /// Applies `Rx(θ)` to every qubit: the QAOA mixer layer `e^{-iβ Σ X_q}`
+    /// with `θ = 2β`.
+    ///
+    /// The vectorized kernel uses the structure of `Rx` — `cos(θ/2)` on the
+    /// diagonal, `i·(-sin(θ/2))` off it, both computed exactly as
+    /// [`apply_gate`](Self::apply_gate)`(Gate::Rx)` computes them — for 8
+    /// multiplies per amplitude pair instead of the generic butterfly's 16.
+    /// Under [`KernelMode::Scalar`] the layer is the per-qubit generic
+    /// [`reference::apply_single`] loop, i.e. the textbook circuit.
+    ///
+    /// # Contract
+    ///
+    /// Equal to `n` gate-by-gate `Gate::Rx(q, θ)` applications, under `==`
+    /// per amplitude component: the structured butterfly only omits the
+    /// generic one's products with the matrix's exact `±0` entries
+    /// (`0·x = ±0`, and `y ± 0 = y` for `y ≠ 0`), so for finite amplitudes
+    /// a component can differ only in the sign of an exact zero — and a
+    /// zero's sign never reaches a nonzero value in later gates either.
+    /// Every reduction squares the components, so `norm_sqr`,
+    /// probabilities, `prob_one` and all `expectation_*` values (hence
+    /// every QAOA energy) are bitwise equal.
+    pub fn apply_rx_layer(&mut self, theta: f64) {
+        let u = rx_matrix(theta);
+        match current_kernel() {
+            KernelMode::Scalar => {
+                for q in 0..self.qubit_count {
+                    reference::apply_single(&mut self.amplitudes, q, u);
+                }
+            }
+            KernelMode::Vectorized => {
+                let (c, sn) = (u[0][0].re, u[0][1].im);
+                for q in 0..self.qubit_count {
+                    vectorized::apply_rx(&mut self.amplitudes, q, c, sn);
+                }
+            }
         }
     }
 
@@ -582,9 +636,9 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 /// Reusable scratch buffers for repeated statevector evaluations.
 ///
 /// Landscape scans evaluate the same circuit family thousands of times; a
-/// fresh `2^n` amplitude vector (plus a `2^n` phase table per cost layer)
-/// per evaluation is pure allocator traffic. A workspace owns both buffers
-/// (plus a probability buffer for distribution readouts) and recycles them:
+/// fresh `2^n` amplitude vector per evaluation is pure allocator traffic.
+/// A workspace owns it (plus the cost layer's per-cut-value phase memo and
+/// a probability buffer for distribution readouts) and recycles them:
 /// after the first evaluation of a given size no further allocation
 /// happens. Buffers only grow, so one workspace can serve subgraphs of
 /// mixed sizes (the edge-local light-cone evaluator does this).
@@ -594,7 +648,6 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 #[derive(Debug, Clone)]
 pub struct StatevectorWorkspace {
     state: StateVector,
-    phases: Vec<Complex64>,
     /// `phase_memo[k] = cis(scale · k)` for the integer table values `k` of
     /// the current [`apply_phase_diagonal`](Self::apply_phase_diagonal)
     /// call.
@@ -618,7 +671,6 @@ impl StatevectorWorkspace {
     pub fn new() -> Self {
         Self {
             state: StateVector::new(0),
-            phases: Vec::new(),
             phase_memo: Vec::new(),
             probabilities: Vec::new(),
         }
@@ -632,7 +684,6 @@ impl StatevectorWorkspace {
     pub fn with_qubits(qubit_count: usize) -> Self {
         let mut ws = Self::new();
         ws.begin_zero(qubit_count);
-        ws.phases.reserve(1 << qubit_count);
         ws
     }
 
@@ -651,7 +702,8 @@ impl StatevectorWorkspace {
     }
 
     /// Applies the diagonal unitary `|z⟩ ↦ e^{i·scale·table[z]} |z⟩` to the
-    /// working state, building the phase table in the reused scratch buffer.
+    /// working state in one pass, multiplying each amplitude by its phase
+    /// directly (no `2^n` phase table is built).
     ///
     /// This is the QAOA cost layer: with `scale = -γ` and `table` the
     /// cut-value diagonal it applies `e^{-iγ H_C}` in one pass.
@@ -661,13 +713,20 @@ impl StatevectorWorkspace {
     /// `cis(scale · k)`, and gathered; any other value (negative,
     /// fractional, out of range) gets its own `cis(scale · v)`. Either way
     /// every phase is `cis` of the same product as the one-call-per-entry
-    /// loop, so the result is bitwise unchanged — only `|E| + 1` sin/cos
-    /// pairs are paid instead of `2^n`.
+    /// loop and multiplies its amplitude exactly as
+    /// [`StateVector::apply_diagonal`] does (under either kernel), so the
+    /// result is bitwise unchanged — only `|E| + 1` sin/cos pairs are paid
+    /// instead of `2^n`.
     ///
     /// # Panics
     ///
     /// Panics if `table.len()` differs from the state dimension.
     pub fn apply_phase_diagonal(&mut self, table: &[f64], scale: f64) {
+        assert_eq!(
+            table.len(),
+            self.state.amplitudes.len(),
+            "diagonal length must equal the state dimension"
+        );
         // The memo covers `0..=floor(top)`, `top` being the largest table
         // value below `table.len()` (NaN never compares below), so it never
         // holds more entries than the table.
@@ -680,13 +739,12 @@ impl StatevectorWorkspace {
         self.phase_memo
             .extend((0..memo_len).map(|k| Complex64::cis(scale * f64::from(k))));
         let memo = &self.phase_memo;
-        self.phases.clear();
-        self.phases
-            .extend(table.iter().map(|&v| match memo_slot(v, memo_len) {
+        for (amp, &v) in self.state.amplitudes.iter_mut().zip(table) {
+            *amp *= match memo_slot(v, memo_len) {
                 Some(k) => memo[k],
                 None => Complex64::cis(scale * v),
-            }));
-        self.state.apply_diagonal(&self.phases);
+            };
+        }
     }
 
     /// Computes the working state's measurement distribution into the

@@ -26,7 +26,12 @@
 //! kernels (`u00·a0 + u01·a1`, `re·re + im·im`, …). Rust never contracts
 //! `a*b + c` into a fused-multiply-add on its own, so matching the
 //! expression shape is sufficient for bitwise identity; see
-//! `docs/determinism.md`.
+//! `docs/determinism.md`. The one kernel without a reference twin is
+//! [`apply_rx`], the QAOA mixer's structured butterfly: it drops the
+//! generic butterfly's products with exact zeros, so it matches the
+//! reference `Rx` loop under `==` and in every reduction bit, but a zero
+//! amplitude may change sign (the contract in the
+//! [module docs](super#the-mixer-layer-contract)).
 
 use super::REDUCTION_LANES;
 use mathkit::Complex64;
@@ -71,6 +76,41 @@ pub fn apply_single(amplitudes: &mut [Complex64], target: usize, u: [[Complex64;
             let a1 = hi[i];
             lo[i] = butterfly_row(u00, a0, u01, a1);
             hi[i] = butterfly_row(u10, a0, u11, a1);
+        }
+    }
+}
+
+/// One `Rx` butterfly with `c = cos(θ/2)` on the diagonal and `i·sn`
+/// (`sn = -sin(θ/2)`) off it: 8 multiplies instead of the generic 16. It
+/// drops only the generic butterfly's products with the matrix's exact
+/// `±0` entries, so for finite inputs it can differ from
+/// [`butterfly_row`] only in the sign of an exactly-zero component (see
+/// [`StateVector::apply_rx_layer`](super::StateVector::apply_rx_layer)).
+#[inline]
+fn rx_pair(c: f64, sn: f64, a0: Complex64, a1: Complex64) -> (Complex64, Complex64) {
+    (
+        Complex64::new(c * a0.re - sn * a1.im, c * a0.im + sn * a1.re),
+        Complex64::new(c * a1.re - sn * a0.im, c * a1.im + sn * a0.re),
+    )
+}
+
+/// Applies `Rx(θ)` to `target`, given `c = cos(θ/2)` and `sn = -sin(θ/2)`,
+/// with the same block walk as [`apply_single`] and the structured `Rx`
+/// butterfly: each pair becomes
+/// `lo = (c·a0.re − sn·a1.im, c·a0.im + sn·a1.re)`,
+/// `hi = (c·a1.re − sn·a0.im, c·a1.im + sn·a0.re)`.
+pub fn apply_rx(amplitudes: &mut [Complex64], target: usize, c: f64, sn: f64) {
+    let stride = 1usize << target;
+    if stride == 1 {
+        for pair in amplitudes.chunks_exact_mut(2) {
+            (pair[0], pair[1]) = rx_pair(c, sn, pair[0], pair[1]);
+        }
+        return;
+    }
+    for block in amplitudes.chunks_exact_mut(2 * stride) {
+        let (lo, hi) = block.split_at_mut(stride);
+        for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
+            (*a0, *a1) = rx_pair(c, sn, *a0, *a1);
         }
     }
 }

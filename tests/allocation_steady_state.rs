@@ -1,7 +1,8 @@
 //! Steady-state allocation tests for the hot evaluation paths.
 //!
-//! The workspace-buffer APIs (`expectation_with`, the depth-mode
-//! evaluator's `energy`, `probabilities_into`, `sample_counts_with`,
+//! The workspace-buffer APIs (`expectation_with`, the evaluators'
+//! `energy` — depth-mode, edge-local light-cone and every `AutoEvaluator`
+//! backend — `probabilities_into`, `sample_counts_with`,
 //! `apply_readout_confusion_in_place`) promise that
 //! after the first call of a given size *no further allocation happens*.
 //! That promise is what makes landscape scans allocator-quiet; this file
@@ -21,8 +22,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use graphlib::generators::connected_gnp;
+use graphlib::Graph;
 use mathkit::rng::seeded;
-use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator};
+use qaoa::evaluator::{
+    AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
+};
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::density::apply_readout_confusion_in_place;
@@ -72,6 +76,36 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// A 20-node ring with five chords: its p = 2 light cones range from 6
+/// nodes on the plain arc to 16 around the chords, so one
+/// workspace serves cones of mixed sizes (and cut tables of mixed maxima)
+/// within every evaluation.
+fn mixed_cone_graph() -> Graph {
+    let n = 20;
+    let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    edges.extend([(0, 3), (0, 5), (10, 13), (10, 16), (3, 16)]);
+    Graph::from_edges(n, &edges).unwrap()
+}
+
+/// Asserts that `evaluator.energy` allocates nothing once one scratch has
+/// served two warm-up calls.
+fn assert_energy_allocation_free<E: EnergyEvaluator>(
+    evaluator: &E,
+    params: &QaoaParams,
+    what: &str,
+) {
+    let mut scratch = evaluator.scratch();
+    for i in 0..2 {
+        evaluator.energy(&mut scratch, i, params); // warm
+    }
+    let allocs = allocations_during(|| {
+        for i in 0..16 {
+            evaluator.energy(&mut scratch, i, params);
+        }
+    });
+    assert_eq!(allocs, 0, "{what} allocated in steady state");
+}
+
 #[test]
 fn hot_paths_allocate_nothing_in_steady_state() {
     let graph = connected_gnp(8, 0.45, &mut seeded(5)).unwrap();
@@ -92,19 +126,40 @@ fn hot_paths_allocate_nothing_in_steady_state() {
 
     // --- the depth-mode evaluator through a reused scratch ---------------
     let scheduled = ScheduledCircuitEvaluator::new(&graph, 2).unwrap();
-    let mut scheduled_scratch = scheduled.scratch();
-    for _ in 0..2 {
-        scheduled.energy(&mut scheduled_scratch, 0, &params); // warm
-    }
+    assert_energy_allocation_free(&scheduled, &params, "ScheduledCircuitEvaluator::energy");
+
+    // --- the edge-local light-cone evaluator: mixed cone sizes ----------
+    let ring = mixed_cone_graph();
+    let edge_local = EdgeLocalEvaluator::new(&ring, 2).unwrap();
+    assert_energy_allocation_free(&edge_local, &params, "EdgeLocalEvaluator::energy");
+
+    // A workspace that starts empty and grows cone by cone during the first
+    // call must be allocation-free from the second call on as well.
+    let mut grown = StatevectorWorkspace::new();
+    edge_local.energy(&mut grown, 0, &params); // warm
     let allocs = allocations_during(|| {
-        for _ in 0..16 {
-            scheduled.energy(&mut scheduled_scratch, 0, &params);
+        for i in 0..8 {
+            edge_local.energy(&mut grown, i, &params);
         }
     });
     assert_eq!(
         allocs, 0,
-        "ScheduledCircuitEvaluator::energy allocated in steady state"
+        "EdgeLocalEvaluator::energy allocated in a grown workspace"
     );
+
+    // --- every AutoEvaluator backend --------------------------------------
+    let p1 = QaoaParams::new(vec![0.7], vec![0.4]).unwrap();
+    let autos = [
+        (AutoEvaluator::new(&graph, 2).unwrap(), &params),
+        (AutoEvaluator::new(&ring, 1).unwrap(), &p1),
+        (AutoEvaluator::new(&ring, 2).unwrap(), &params),
+    ];
+    assert!(matches!(autos[0].0, AutoEvaluator::Exact(_)));
+    assert!(matches!(autos[1].0, AutoEvaluator::Analytic(_)));
+    assert!(matches!(autos[2].0, AutoEvaluator::EdgeLocal(_)));
+    for (auto, auto_params) in &autos {
+        assert_energy_allocation_free(auto, auto_params, "AutoEvaluator::energy");
+    }
 
     // --- probabilities_into through the same workspace -------------------
     let mut probs = Vec::new();

@@ -14,15 +14,24 @@
 //!   `with_kernel(Scalar, …)` / `with_kernel(Vectorized, …)` to confirm the
 //!   dispatch layer routes to the right kernels end-to-end.
 //!
+//! The QAOA mixer layer (`StateVector::apply_rx_layer`, the structured
+//! `vectorized::apply_rx` butterfly) has a slightly weaker, stated
+//! contract: amplitudes equal to the per-qubit `Gate::Rx` loop under `==`
+//! (an exact zero may change sign), reductions and QAOA energies bitwise
+//! equal. Its tests below check exactly that.
+//!
 //! Why bitwise and not tolerance-based: the determinism contract
 //! (`docs/determinism.md`) pins every result to exact bits across thread
 //! counts, and `RED_QAOA_KERNEL` must be an operational knob that can never
 //! change a result. A single ULP of drift here would silently invalidate
 //! every golden value downstream.
 
+use graphlib::generators::connected_gnp;
 use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
+use qaoa::expectation::QaoaInstance;
+use qaoa::params::QaoaParams;
 use qsim::circuit::Gate;
 use qsim::statevector::{
     reference, vectorized, with_kernel, KernelMode, StateVector, StatevectorWorkspace,
@@ -76,6 +85,33 @@ fn amplitude_bits(amplitudes: &[Complex64]) -> Vec<(u64, u64)> {
         .iter()
         .map(|a| (a.re.to_bits(), a.im.to_bits()))
         .collect()
+}
+
+/// Component-wise `==`: `+0` and `-0` compare equal, every other value only
+/// to itself. The mixer-layer contract promises exactly this much.
+fn amplitudes_eq(a: &[Complex64], b: &[Complex64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.re == y.re && x.im == y.im)
+}
+
+/// A start state for the mixer differential: a dense random state
+/// (`kind == 0`) or a sparse one with many exact-zero components
+/// (`|0…0⟩` through a few `X`/`CNOT`/`H` gates), where a zero's sign is
+/// what can differ.
+fn mixer_start_state<R: Rng>(n: usize, kind: usize, rng: &mut R) -> StateVector {
+    if kind == 0 {
+        return random_state(n, 8, rng);
+    }
+    let mut sv = StateVector::new(n);
+    for _ in 0..3 {
+        let q = rng.gen_range(0..n);
+        let gate = match rng.gen_range(0..3) {
+            0 => Gate::X(q),
+            1 if n > 1 => Gate::Cnot(q, (q + 1) % n),
+            _ => Gate::H(q),
+        };
+        sv.apply_gate(gate);
+    }
+    sv
 }
 
 proptest! {
@@ -248,6 +284,152 @@ proptest! {
                 )
             });
             prop_assert!(memoized == naive, "{mode:?}: memoized cost layer drifted");
+        }
+    }
+}
+
+/// The mixer angles the differential covers: `0` (where `-sin(0/2)` is
+/// `-0.0`), `±π/2`, `±π` (where `cos(θ/2)` is tiny but not zero), and one
+/// random angle.
+fn mixer_angles<R: Rng>(rng: &mut R) -> [f64; 6] {
+    use std::f64::consts::{FRAC_PI_2, PI};
+    [
+        0.0,
+        FRAC_PI_2,
+        -FRAC_PI_2,
+        PI,
+        -PI,
+        rng.gen_range(-3.5f64..6.5),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The structured mixer kernel against the generic butterfly, with no
+    /// global state involved: `n` `vectorized::apply_rx` passes must equal
+    /// `n` `reference::apply_single(Rx)` passes under `==` per component,
+    /// and every reduction of the two states must be bitwise equal.
+    #[test]
+    fn rx_layer_matches_per_qubit_rx_gates(
+        seed in 0u64..100_000,
+        qubits in 1usize..=14,
+        kind in 0usize..2,
+    ) {
+        let mut rng = seeded(seed);
+        let start = mixer_start_state(qubits, kind, &mut rng);
+        let values: Vec<f64> = (0..start.amplitudes().len())
+            .map(|_| rng.gen_range(-4.0f64..4.0))
+            .collect();
+        for theta in mixer_angles(&mut rng) {
+            let u = single_qubit_matrix(Gate::Rx(0, theta));
+            let mut gates = start.amplitudes().to_vec();
+            let mut layer = gates.clone();
+            for q in 0..qubits {
+                reference::apply_single(&mut gates, q, u);
+                vectorized::apply_rx(&mut layer, q, u[0][0].re, u[0][1].im);
+            }
+            prop_assert!(amplitudes_eq(&gates, &layer), "θ = {theta}: amplitudes differ");
+            prop_assert_eq!(
+                reference::norm_sqr(&gates).to_bits(),
+                vectorized::norm_sqr(&layer).to_bits()
+            );
+            prop_assert_eq!(
+                reference::expectation_diagonal(&gates, &values).to_bits(),
+                vectorized::expectation_diagonal(&layer, &values).to_bits()
+            );
+            for q in 0..qubits {
+                prop_assert_eq!(
+                    reference::prob_one(&gates, q).to_bits(),
+                    vectorized::prob_one(&layer, q).to_bits()
+                );
+                let r = (q + 1) % qubits;
+                if r != q {
+                    prop_assert_eq!(
+                        reference::expectation_zz(&gates, q, r).to_bits(),
+                        vectorized::expectation_zz(&layer, q, r).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The same contract through the `StateVector` API under both kernel
+    /// modes: `apply_rx_layer` equals the gate-by-gate `Gate::Rx` loop.
+    #[test]
+    fn apply_rx_layer_matches_gate_loop_through_the_api(
+        seed in 0u64..100_000,
+        qubits in 1usize..=10,
+        kind in 0usize..2,
+    ) {
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let mut rng = seeded(seed);
+            let start = mixer_start_state(qubits, kind, &mut rng);
+            for theta in mixer_angles(&mut rng) {
+                let (gates, layer) = with_kernel(mode, || {
+                    let mut gates = start.clone();
+                    for q in 0..qubits {
+                        gates.apply_gate(Gate::Rx(q, theta));
+                    }
+                    let mut layer = start.clone();
+                    layer.apply_rx_layer(theta);
+                    (gates, layer)
+                });
+                prop_assert!(
+                    amplitudes_eq(gates.amplitudes(), layer.amplitudes()),
+                    "{mode:?}, θ = {theta}: amplitudes differ"
+                );
+                prop_assert_eq!(gates.norm_sqr().to_bits(), layer.norm_sqr().to_bits());
+            }
+        }
+    }
+}
+
+/// The textbook QAOA evolution, gate by gate: uniform superposition, then
+/// per layer one `cis(-γ·C(z))` per basis state and `Rx(2β)` on every
+/// qubit; returns `⟨C⟩`.
+fn gate_by_gate_energy(instance: &QaoaInstance, params: &QaoaParams) -> f64 {
+    let qubits = instance.graph().node_count();
+    let table = instance.cut_table();
+    let mut sv = StateVector::uniform_superposition(qubits);
+    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
+        let phases: Vec<Complex64> = table.iter().map(|&v| Complex64::cis(-gamma * v)).collect();
+        sv.apply_diagonal(&phases);
+        for q in 0..qubits {
+            sv.apply_gate(Gate::Rx(q, 2.0 * beta));
+        }
+    }
+    sv.expectation_diagonal(table)
+}
+
+/// `QaoaInstance::expectation_with` (fused phase gather + structured mixer
+/// layer) is bitwise equal to the gate-by-gate evolution for p = 1..3 on
+/// graphs up to 16 nodes, including the grid corners where γ or β is 0.
+#[test]
+fn qaoa_energies_match_gate_by_gate_evolution_bitwise() {
+    let mut rng = seeded(1406);
+    for (n, p) in [(2, 1), (5, 2), (8, 3), (11, 1), (13, 2), (16, 1), (16, 3)] {
+        let graph = connected_gnp(n, 0.4, &mut rng).unwrap();
+        let instance = QaoaInstance::new(&graph, p).unwrap();
+        let mut workspace = StatevectorWorkspace::new();
+        let random: Vec<f64> = (0..4 * p).map(|_| rng.gen_range(-3.5f64..3.5)).collect();
+        let (gammas, betas) = random.split_at(2 * p);
+        let points = [
+            (vec![0.0; p], vec![0.0; p]),
+            (gammas[..p].to_vec(), vec![0.0; p]),
+            (vec![0.0; p], betas[..p].to_vec()),
+            (gammas[..p].to_vec(), betas[..p].to_vec()),
+            (gammas[p..].to_vec(), betas[p..].to_vec()),
+        ];
+        for (g, b) in points {
+            let params = QaoaParams::new(g, b).unwrap();
+            let fast = instance.expectation_with(&mut workspace, &params);
+            let reference = gate_by_gate_energy(&instance, &params);
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "n = {n}, p = {p}, {params:?}: {fast} vs {reference}"
+            );
         }
     }
 }
