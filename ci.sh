@@ -21,6 +21,10 @@
 #      The determinism contract says both must pass with identical
 #      semantics; the property tests in tests/parallel_determinism.rs
 #      additionally check bitwise equality across thread counts.
+#   3b. benchmark crate tests — cargo test -q --manifest-path
+#      perfbench/Cargo.toml: perfbench is its own workspace, so tier 1 does
+#      not build it; this step makes a public-API change that breaks the
+#      benchmark crate fail here instead of at benchmark time.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -30,9 +34,11 @@
 #      warm reduction cache), the optimize smoke emits BENCH_optimize.json
 #      (end-to-end session latency, reduced-vs-baseline ratio gated at
 #      >= 0.95, full-graph-equivalent cost ratio, evaluations-to-target),
-#      the qsim smoke emits BENCH_qsim.json (gate-ops/sec scalar vs
-#      vectorized kernels for 8-20 qubits, bitwise cross-checked, 16-qubit
-#      speedup gated at >= 1.5x; ideal p = 1 QAOA points/sec at 12-16
+#      the qsim smoke emits BENCH_qsim.json (gate-ops/sec of the scalar
+#      oracle's gate runner, statevector::reference::apply_circuit on a raw
+#      amplitude buffer, vs StateVector's vectorized kernels for 8-20
+#      qubits, bitwise cross-checked, 16-qubit speedup gated at >= 1.5x;
+#      ideal p = 1 QAOA points/sec at 12-16
 #      qubits, mixer layer vs gate-by-gate Rx, energies bitwise
 #      cross-checked; per-core landscape scaling gated at >= 2x when
 #      cores > 1), and the depth smoke emits BENCH_depth.json
@@ -61,6 +67,9 @@ RED_QAOA_THREADS=1 cargo test -q
 
 echo "==> tier-1 (parallel: RED_QAOA_THREADS unset): cargo test -q"
 env -u RED_QAOA_THREADS cargo test -q
+
+echo "==> benchmark crate: cargo test -q --manifest-path perfbench/Cargo.toml"
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
 cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json

@@ -10,7 +10,7 @@ use qsim::circuit::{Circuit, Gate};
 use qsim::density::DensityMatrix;
 use qsim::devices::heavy_hex_like;
 use qsim::noise::{NoiseModel, ReadoutError};
-use qsim::statevector::{with_kernel, KernelMode, StateVector};
+use qsim::statevector::{reference, StateVector};
 use qsim::trajectory::{noisy_probabilities, TrajectoryOptions};
 use qsim::transpile::{decompose_to_native, route_trivial};
 
@@ -34,33 +34,40 @@ fn bench_statevector(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar reference kernels vs the chunked vectorized kernels on the same
-/// QAOA evolution — the criterion-grade version of `qsim_smoke`'s rows.
+/// The scalar oracle (`statevector::reference`) vs `StateVector`'s chunked
+/// vectorized kernels on the same QAOA evolution — the criterion-grade
+/// version of `qsim_smoke`'s rows.
 fn bench_statevector_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("statevector_scalar_vs_vectorized");
     for &n in &[12usize, 16] {
         let graph = bench_graph(n, n as u64);
         let params = QaoaParams::new(vec![0.6, 0.3], vec![0.4, 0.2]).unwrap();
         let circuit = qaoa_circuit(&graph, &params).unwrap();
-        for (label, mode) in [
-            ("scalar", KernelMode::Scalar),
-            ("vectorized", KernelMode::Vectorized),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &circuit,
-                |b, circuit: &Circuit| {
-                    let mut sv = StateVector::new(circuit.qubit_count());
-                    b.iter(|| {
-                        with_kernel(mode, || {
-                            sv.reinitialize_zero(circuit.qubit_count());
-                            sv.apply_circuit(circuit);
-                            sv.expectation_z(0)
-                        })
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("scalar", n),
+            &circuit,
+            |b, circuit: &Circuit| {
+                let zero = StateVector::new(circuit.qubit_count());
+                let mut amplitudes = zero.amplitudes().to_vec();
+                b.iter(|| {
+                    amplitudes.copy_from_slice(zero.amplitudes());
+                    reference::apply_circuit(&mut amplitudes, circuit);
+                    reference::expectation_z(&amplitudes, 0)
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("vectorized", n),
+            &circuit,
+            |b, circuit: &Circuit| {
+                let mut sv = StateVector::new(circuit.qubit_count());
+                b.iter(|| {
+                    sv.reinitialize_zero(circuit.qubit_count());
+                    sv.apply_circuit(circuit);
+                    sv.expectation_z(0)
+                })
+            },
+        );
     }
     group.finish();
 }

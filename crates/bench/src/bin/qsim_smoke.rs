@@ -5,9 +5,10 @@
 //! a dense problem graph onto nearest-neighbour connectivity: `n` rounds of
 //! adjacent `RZZ` + `SWAP`, realizing all `n(n-1)/2` pairs) followed by the
 //! `Rx` mixer wall, plus a CNOT/CZ entangler tail so every kernel family
-//! the simulator implements is exercised — is timed under
-//! `KernelMode::Scalar` and `KernelMode::Vectorized`, reporting
-//! gate-ops/sec per kernel and the speedup. Dense-graph QAOA routed through
+//! the simulator implements is exercised — is timed through the scalar
+//! oracle's gate runner (`statevector::reference::apply_circuit` on a raw
+//! amplitude buffer) and through `StateVector` (the vectorized kernels),
+//! reporting gate-ops/sec per kernel and the speedup. Dense-graph QAOA routed through
 //! swap networks is exactly the regime the source paper targets, and its
 //! two-qubit-heavy gate mix is where the chunked kernels' quadrant
 //! decomposition (touching only affected runs, no per-index bit tests)
@@ -38,7 +39,7 @@ use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::Landscape;
 use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
-use qsim::statevector::{with_kernel, KernelMode, StateVector, StatevectorWorkspace};
+use qsim::statevector::{reference, StateVector, StatevectorWorkspace};
 use std::time::Instant;
 
 /// Qubit counts of the throughput rows and repetitions per row (chosen so
@@ -73,20 +74,15 @@ fn workload(n: usize) -> Circuit {
     c
 }
 
-/// Applies `circuit` `reps` times (reinitializing in between) under the
-/// given kernel and returns (elapsed seconds, final expectation bits).
-fn timed_evolutions(circuit: &Circuit, reps: usize, mode: KernelMode) -> (f64, u64) {
-    with_kernel(mode, || {
-        let mut sv = StateVector::new(circuit.qubit_count());
-        let mut last_bits = 0u64;
-        let start = Instant::now();
-        for _ in 0..reps {
-            sv.reinitialize_zero(circuit.qubit_count());
-            sv.apply_circuit(circuit);
-            last_bits = sv.expectation_z(0).to_bits();
-        }
-        (start.elapsed().as_secs_f64(), last_bits)
-    })
+/// Runs `evolve` (one evolution from `|0…0⟩`, returning `⟨Z_0⟩`) `reps`
+/// times and returns (elapsed seconds, final expectation bits).
+fn timed_evolutions(reps: usize, mut evolve: impl FnMut() -> f64) -> (f64, u64) {
+    let mut last_bits = 0u64;
+    let start = Instant::now();
+    for _ in 0..reps {
+        last_bits = evolve().to_bits();
+    }
+    (start.elapsed().as_secs_f64(), last_bits)
 }
 
 /// Qubit counts of the ideal-QAOA rows, the side of their p = 1 grid and
@@ -144,28 +140,35 @@ fn main() {
     let mut speedup_16q = 0.0f64;
     for (n, reps) in ROWS {
         let circuit = workload(n);
-        // Bitwise cross-check before timing: both kernels must produce the
-        // same amplitudes on this workload or the speedup is meaningless.
-        let scalar_state = with_kernel(KernelMode::Scalar, || StateVector::from_circuit(&circuit));
-        let vector_state = with_kernel(KernelMode::Vectorized, || {
-            StateVector::from_circuit(&circuit)
-        });
-        let identical = scalar_state
-            .amplitudes()
-            .iter()
-            .zip(vector_state.amplitudes())
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-        assert!(identical, "kernels diverged on the {n}-qubit workload");
-
+        let zero = StateVector::new(n);
+        let mut oracle = zero.amplitudes().to_vec();
+        let mut scalar = || {
+            oracle.copy_from_slice(zero.amplitudes());
+            reference::apply_circuit(&mut oracle, &circuit);
+            reference::expectation_z(&oracle, 0)
+        };
+        let mut sv = zero.clone();
+        let mut vectorized = || {
+            sv.reinitialize_zero(n);
+            sv.apply_circuit(&circuit);
+            sv.expectation_z(0)
+        };
         // Warm both paths once, then time.
-        timed_evolutions(&circuit, 1, KernelMode::Scalar);
-        timed_evolutions(&circuit, 1, KernelMode::Vectorized);
-        let (scalar_secs, scalar_bits) = timed_evolutions(&circuit, reps, KernelMode::Scalar);
-        let (vector_secs, vector_bits) = timed_evolutions(&circuit, reps, KernelMode::Vectorized);
+        timed_evolutions(1, &mut scalar);
+        timed_evolutions(1, &mut vectorized);
+        let (scalar_secs, scalar_bits) = timed_evolutions(reps, &mut scalar);
+        let (vector_secs, vector_bits) = timed_evolutions(reps, &mut vectorized);
         assert_eq!(
             scalar_bits, vector_bits,
             "expectation bits diverged at {n} qubits"
         );
+        // Bitwise cross-check of the final states: both kernels must produce
+        // the same amplitudes on this workload or the speedup is meaningless.
+        let identical = oracle
+            .iter()
+            .zip(sv.amplitudes())
+            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+        assert!(identical, "kernels diverged on the {n}-qubit workload");
 
         let gate_ops = (circuit.gates().len() * reps) as f64;
         let scalar_gops = gate_ops / scalar_secs;

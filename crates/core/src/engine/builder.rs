@@ -13,22 +13,6 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// Which [`qaoa::evaluator::EnergyEvaluator`] backend a
-/// [`LandscapeJob`](super::LandscapeJob) scans with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvaluatorBackend {
-    /// Pick per graph: exact statevector when small enough, otherwise the
-    /// analytic / edge-local backends ([`qaoa::evaluator::AutoEvaluator`]).
-    #[default]
-    Auto,
-    /// Exact global statevector simulation.
-    Statevector,
-    /// Closed-form `p = 1` evaluation.
-    AnalyticP1,
-    /// Edge-local light-cone evaluation.
-    EdgeLocal,
-}
-
 /// Validating builder for [`Engine`].
 ///
 /// Every knob is checked once at [`EngineBuilder::build`]; a rejected
@@ -62,7 +46,6 @@ pub struct EngineBuilder {
     /// pipeline keeps its own reduction options; the default one follows
     /// the engine's.
     pipeline_set: bool,
-    evaluator: EvaluatorBackend,
     noise: Option<NoiseModel>,
     cache_capacity: usize,
     cache_shards: usize,
@@ -77,7 +60,6 @@ impl Default for EngineBuilder {
             reduction: ReductionOptions::default(),
             pipeline: PipelineOptions::default(),
             pipeline_set: false,
-            evaluator: EvaluatorBackend::default(),
             noise: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_shards: DEFAULT_CACHE_SHARDS,
@@ -127,13 +109,6 @@ impl EngineBuilder {
     pub fn pipeline(mut self, pipeline: PipelineOptions) -> Self {
         self.pipeline = pipeline;
         self.pipeline_set = true;
-        self
-    }
-
-    /// Chooses the evaluator backend [`LandscapeJob`](super::LandscapeJob)s
-    /// scan with.
-    pub fn evaluator(mut self, evaluator: EvaluatorBackend) -> Self {
-        self.evaluator = evaluator;
         self
     }
 
@@ -254,7 +229,6 @@ impl EngineBuilder {
             threads: self.threads,
             reduction: self.reduction,
             pipeline: self.pipeline,
-            evaluator: self.evaluator,
             noise: self.noise,
             reduction_seed: self.reduction_seed,
             cache,

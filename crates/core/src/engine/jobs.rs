@@ -9,7 +9,7 @@
 //! which is the whole determinism story: nothing in here can observe which
 //! worker, lane, or scheduling order ran it.
 
-use super::builder::{validate_pipeline_options, EvaluatorBackend};
+use super::builder::validate_pipeline_options;
 use super::Engine;
 use crate::pipeline::{
     run_ideal_with_reduction, run_noisy_with_reduction, CircuitReduction, NoisyPipelineOutcome,
@@ -22,9 +22,7 @@ use crate::RedQaoaError;
 use graphlib::Graph;
 use mathkit::rng::seeded;
 use qaoa::depth::{compile_maxcut, DepthMetrics};
-use qaoa::evaluator::{
-    AnalyticP1Evaluator, AutoEvaluator, EdgeLocalEvaluator, StatevectorEvaluator,
-};
+use qaoa::evaluator::AutoEvaluator;
 use qaoa::landscape::Landscape;
 use qaoa::optimize::{approximation_ratio, paper_restarts, OptimizeDriver, OptimizerConfig};
 
@@ -97,8 +95,9 @@ impl PipelineJob {
 }
 
 /// A `p = 1` energy-landscape scan on a `width × width` `(γ, β)` grid,
-/// evaluated with the engine's configured [`EvaluatorBackend`] — optionally
-/// on the graph's cached reduction instead of the graph itself.
+/// evaluated with an [`AutoEvaluator`] (exact statevector, analytic `p = 1`
+/// or edge-local, chosen from the graph size) — optionally on the graph's
+/// cached reduction instead of the graph itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LandscapeJob {
     /// The graph whose landscape is scanned.
@@ -109,8 +108,8 @@ pub struct LandscapeJob {
     pub reduce_first: bool,
     /// Per-job circuit-reduction mode; `None` uses the engine's default.
     /// Depth modes do not change the scan: scheduling cannot change an ideal
-    /// expectation, so every mode evaluates with the configured backend and
-    /// only node reduction decides which graph is scanned.
+    /// expectation, so every mode evaluates with the same [`AutoEvaluator`]
+    /// and only node reduction decides which graph is scanned.
     /// [`CircuitReduction::Depth`] makes [`LandscapeJob::reduce_first`] scan
     /// the graph itself (the identity reduction).
     pub circuit: Option<CircuitReduction>,
@@ -564,23 +563,10 @@ pub(super) fn execute(
                 None
             };
             let graph = reduction.as_ref().map(|r| r.graph()).unwrap_or(&job.graph);
-            // Depth modes scan with the configured backend too: a schedule
-            // only reorders commuting diagonal gates, so it cannot change an
-            // ideal expectation.
-            let landscape = match engine.evaluator_backend() {
-                EvaluatorBackend::Auto => {
-                    Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?)
-                }
-                EvaluatorBackend::Statevector => {
-                    Landscape::evaluate(job.width, &StatevectorEvaluator::new(graph, 1)?)
-                }
-                EvaluatorBackend::AnalyticP1 => {
-                    Landscape::evaluate(job.width, &AnalyticP1Evaluator::new(graph)?)
-                }
-                EvaluatorBackend::EdgeLocal => {
-                    Landscape::evaluate(job.width, &EdgeLocalEvaluator::new(graph, 1)?)
-                }
-            };
+            // Depth modes scan with the same evaluator: a schedule only
+            // reorders commuting diagonal gates, so it cannot change an ideal
+            // expectation.
+            let landscape = Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?);
             Ok(JobOutput::Landscape(landscape))
         }
         Job::Throughput(job) => {

@@ -14,8 +14,8 @@
 //! mirrors a request's path through the service:
 //!
 //! * [`builder`](self) — [`EngineBuilder`] validates the whole
-//!   configuration (thread count, warm-start policy, SA knobs, evaluator
-//!   backend, optional noise model, cache geometry, persistence) at
+//!   configuration (thread count, warm-start policy, SA knobs, optional
+//!   noise model, cache geometry, persistence) at
 //!   [`EngineBuilder::build`], naming the offending field in the error, so
 //!   no validation-driven failure is left to job time.
 //! * [`jobs`](self) — typed requests ([`ReduceJob`], [`PipelineJob`],
@@ -71,7 +71,7 @@ mod jobs;
 mod persist;
 mod scheduler;
 
-pub use builder::{EngineBuilder, EvaluatorBackend};
+pub use builder::EngineBuilder;
 pub use cache::CacheStats;
 pub use jobs::{
     Job, JobOutput, LandscapeJob, OptimizeJob, OptimizeReport, PipelineJob, ReduceJob,
@@ -121,7 +121,6 @@ pub struct Engine {
     threads: Option<usize>,
     reduction: ReductionOptions,
     pipeline: PipelineOptions,
-    evaluator: EvaluatorBackend,
     noise: Option<NoiseModel>,
     reduction_seed: u64,
     cache: ShardedReductionCache,
@@ -247,11 +246,6 @@ impl Engine {
     /// The noise model noisy pipelines simulate under, if configured.
     fn noise_model(&self) -> Option<&NoiseModel> {
         self.noise.as_ref()
-    }
-
-    /// The evaluator backend landscape scans use.
-    fn evaluator_backend(&self) -> EvaluatorBackend {
-        self.evaluator
     }
 
     /// Reduces `graph` through the sharded content-hash cache: a hit
@@ -472,13 +466,7 @@ mod tests {
         // A batch whose landscape dwarfs its siblings: under 4 threads the
         // scheduler gives it the exclusive (inner-parallel) lane; under 1
         // thread everything is serial. Outputs must be bitwise-identical.
-        let build = |threads| {
-            Engine::builder()
-                .threads(threads)
-                .evaluator(EvaluatorBackend::AnalyticP1)
-                .build()
-                .unwrap()
-        };
+        let build = |threads| Engine::builder().threads(threads).build().unwrap();
         let graph = test_graph(11);
         let jobs = vec![
             Job::Reduce(ReduceJob::new(graph.clone())),

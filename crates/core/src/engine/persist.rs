@@ -120,18 +120,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn encode_record(key: &CacheKey, value: &ReducedGraph) -> Vec<u8> {
-    let key_bytes = encode_key(key);
-    let val_bytes = encode_value(value);
-    let mut checksum_input = Vec::with_capacity(key_bytes.len() + val_bytes.len());
-    checksum_input.extend_from_slice(&key_bytes);
-    checksum_input.extend_from_slice(&val_bytes);
+    frame_record(key.content_hash(), &encode_key(key), &encode_value(value))
+}
+
+/// Frames encoded key and value sections as one record: the prefix (hash,
+/// section lengths, FNV-1a checksum of both sections), then the sections.
+fn frame_record(hash: u64, key_bytes: &[u8], val_bytes: &[u8]) -> Vec<u8> {
     let mut record = Vec::with_capacity(RECORD_PREFIX_LEN + key_bytes.len() + val_bytes.len());
-    record.extend_from_slice(&key.content_hash().to_le_bytes());
+    record.extend_from_slice(&hash.to_le_bytes());
     record.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
     record.extend_from_slice(&(val_bytes.len() as u32).to_le_bytes());
-    record.extend_from_slice(&fnv1a(&checksum_input).to_le_bytes());
-    record.extend_from_slice(&key_bytes);
-    record.extend_from_slice(&val_bytes);
+    record.extend_from_slice(&[0; 8]); // checksum, filled in below
+    record.extend_from_slice(key_bytes);
+    record.extend_from_slice(val_bytes);
+    let checksum = fnv1a(&record[RECORD_PREFIX_LEN..]);
+    record[16..RECORD_PREFIX_LEN].copy_from_slice(&checksum.to_le_bytes());
     record
 }
 
@@ -173,7 +176,7 @@ fn parse_records(body: &[u8]) -> (Vec<(CacheKey, ReducedGraph)>, usize) {
         if key.content_hash() != hash {
             continue;
         }
-        let Some(value) = decode_value(&payload[key_len..]) else {
+        let Some(value) = decode_value(&payload[key_len..], key.nodes) else {
             continue;
         };
         records.push((key, value));
@@ -253,9 +256,17 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
     out
 }
 
-fn decode_value(bytes: &[u8]) -> Option<ReducedGraph> {
+/// Decodes a reduction of a `key_nodes`-node graph. The reduced graph is
+/// built last, after its mapping has been read and checked: the mapping
+/// must hold exactly one distinct parent node `< key_nodes` per reduced
+/// node, so the node count is bounded both by the key and by the bytes
+/// actually present, and a crafted count cannot drive the allocation.
+fn decode_value(bytes: &[u8], key_nodes: usize) -> Option<ReducedGraph> {
     let mut cursor = Cursor::new(bytes);
     let node_count = cursor.u64()? as usize;
+    if node_count > key_nodes {
+        return None;
+    }
     let edge_count = cursor.u64()? as usize;
     if edge_count > MAX_SECTION_LEN / 16 {
         return None;
@@ -266,14 +277,19 @@ fn decode_value(bytes: &[u8]) -> Option<ReducedGraph> {
         let v = cursor.u64()? as usize;
         edges.push((u, v));
     }
-    let graph = Graph::from_edges(node_count, &edges).ok()?;
     let mapping_len = cursor.u64()? as usize;
-    if mapping_len > MAX_SECTION_LEN / 8 {
+    if mapping_len != node_count || mapping_len > MAX_SECTION_LEN / 8 {
         return None;
     }
     let mut nodes = Vec::with_capacity(mapping_len);
     for _ in 0..mapping_len {
         nodes.push(cursor.u64()? as usize);
+    }
+    let mut sorted = nodes.clone();
+    sorted.sort_unstable();
+    let unique = sorted.windows(2).all(|pair| pair[0] < pair[1]);
+    if !unique || sorted.last().is_some_and(|&top| top >= key_nodes) {
+        return None;
     }
     let and_ratio = f64::from_bits(cursor.u64()?);
     let node_reduction = f64::from_bits(cursor.u64()?);
@@ -285,7 +301,11 @@ fn decode_value(bytes: &[u8]) -> Option<ReducedGraph> {
         3 => WarmDecision::MeasuredReverted,
         _ => return None,
     };
-    cursor.finished().then_some(ReducedGraph {
+    if !cursor.finished() {
+        return None;
+    }
+    let graph = Graph::from_edges(node_count, &edges).ok()?;
+    Some(ReducedGraph {
         subgraph: Subgraph { graph, nodes },
         and_ratio,
         node_reduction,
@@ -405,6 +425,106 @@ mod tests {
         let (records, consumed) = parse_records(&body);
         assert!(records.is_empty());
         assert_eq!(consumed, 0);
+    }
+
+    /// Raw value-section bytes with the given node count, edges and
+    /// mapping (no validation — for crafting hostile records).
+    fn raw_value(node_count: u64, edges: &[(u64, u64)], mapping: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&node_count.to_le_bytes());
+        out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        for &(u, v) in edges {
+            out.extend_from_slice(&u.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&(mapping.len() as u64).to_le_bytes());
+        for &node in mapping {
+            out.extend_from_slice(&node.to_le_bytes());
+        }
+        for ratio in [0.95f64, 0.5, 0.5] {
+            out.extend_from_slice(&ratio.to_bits().to_le_bytes());
+        }
+        out.push(0);
+        out
+    }
+
+    /// Frames `value` under `key` with a valid checksum and content hash, so
+    /// only the value checks stand between the record and the cache.
+    fn hostile_record(key: &CacheKey, value: &[u8]) -> Vec<u8> {
+        frame_record(key.content_hash(), &encode_key(key), value)
+    }
+
+    #[test]
+    fn reductions_inconsistent_with_their_key_are_corrupt() {
+        let (key, _) = sample(); // a 9-node key
+        let ring: Vec<(u64, u64)> = (0..3).map(|i| (i, (i + 1) % 3)).collect();
+        let cases = [
+            (
+                "more reduced nodes than the key",
+                raw_value(10, &[], &[0; 10]),
+            ),
+            (
+                "mapping shorter than the graph",
+                raw_value(3, &ring, &[0, 1]),
+            ),
+            (
+                "mapping longer than the graph",
+                raw_value(3, &ring, &[0, 1, 2, 3]),
+            ),
+            ("duplicate mapping index", raw_value(3, &ring, &[0, 4, 4])),
+            (
+                "mapping index outside the key",
+                raw_value(3, &ring, &[0, 1, 9]),
+            ),
+        ];
+        for (what, value) in cases {
+            let (records, consumed) = parse_records(&hostile_record(&key, &value));
+            assert!(records.is_empty(), "{what}: record must be rejected");
+            assert!(consumed > 0, "{what}: framing is intact, parsing goes on");
+        }
+        // The same layout with a consistent mapping decodes.
+        let (records, _) = parse_records(&hostile_record(&key, &raw_value(3, &ring, &[0, 4, 8])));
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].1.subgraph.nodes, vec![0, 4, 8]);
+    }
+
+    #[test]
+    fn a_crafted_node_count_cannot_drive_allocation_at_open() {
+        // Records whose checksum and content hash are valid but whose
+        // reduced node count is astronomically large. The graph allocates
+        // one adjacency list per node, so the count must be rejected (it
+        // exceeds the key's nodes, or the mapping bytes present) before
+        // anything is built; each record is skipped as corrupt.
+        let (key, value) = sample();
+        let huge = 1u64 << 40;
+        let huge_key = CacheKey {
+            nodes: huge as usize,
+            ..key.clone()
+        };
+        let mut body = Vec::new();
+        body.extend_from_slice(&MAGIC);
+        body.extend_from_slice(&VERSION.to_le_bytes());
+        body.extend_from_slice(&hostile_record(&key, &raw_value(huge, &[], &[])));
+        body.extend_from_slice(&hostile_record(&huge_key, &raw_value(huge, &[], &[0, 1])));
+        // Mapping length claims the huge count but the bytes are absent.
+        let mut truncated_mapping = raw_value(huge, &[], &[]);
+        let mapping_at = 16;
+        truncated_mapping[mapping_at..mapping_at + 8].copy_from_slice(&huge.to_le_bytes());
+        body.extend_from_slice(&hostile_record(&huge_key, &truncated_mapping));
+        body.extend_from_slice(&encode_record(&key, &value));
+        let path = std::env::temp_dir().join(format!(
+            "red_qaoa_persist_hostile_{}.rqps",
+            std::process::id()
+        ));
+        std::fs::write(&path, &body).unwrap();
+        let opened = PersistentStore::open(&path);
+        let _ = std::fs::remove_file(&path);
+        let (_, loaded) = opened.expect("opening a store with hostile records is Ok");
+        assert!(
+            loaded.iter().all(|(k, _)| k.nodes != huge_key.nodes),
+            "nothing served for the hostile key"
+        );
+        assert_eq!(loaded, vec![(key, value)], "only the honest record loads");
     }
 
     #[test]

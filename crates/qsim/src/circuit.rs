@@ -6,6 +6,8 @@
 //! so the simulators are useful beyond QAOA.
 
 use crate::QsimError;
+use mathkit::Complex64;
+use std::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_4};
 
 /// A quantum gate acting on one or two qubits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,6 +87,59 @@ impl Gate {
         }
     }
 
+    /// The target qubit and 2×2 unitary of a single-qubit gate, or `None`
+    /// for two-qubit gates.
+    ///
+    /// This is the workspace's one gate→matrix table: the statevector
+    /// simulator, its scalar reference oracle and the density-matrix
+    /// simulator all read their matrices from it, so every simulator
+    /// applies the same matrix bits.
+    pub fn single_qubit_unitary(&self) -> Option<(usize, [[Complex64; 2]; 2])> {
+        let z = Complex64::zero;
+        let o = Complex64::one;
+        Some(match *self {
+            Gate::H(q) => (
+                q,
+                [
+                    [
+                        Complex64::new(FRAC_1_SQRT_2, 0.0),
+                        Complex64::new(FRAC_1_SQRT_2, 0.0),
+                    ],
+                    [
+                        Complex64::new(FRAC_1_SQRT_2, 0.0),
+                        Complex64::new(-FRAC_1_SQRT_2, 0.0),
+                    ],
+                ],
+            ),
+            Gate::X(q) => (q, [[z(), o()], [o(), z()]]),
+            Gate::Y(q) => (
+                q,
+                [
+                    [z(), Complex64::new(0.0, -1.0)],
+                    [Complex64::new(0.0, 1.0), z()],
+                ],
+            ),
+            Gate::Z(q) => (q, [[o(), z()], [z(), Complex64::new(-1.0, 0.0)]]),
+            Gate::S(q) => (q, [[o(), z()], [z(), Complex64::i()]]),
+            Gate::Sdg(q) => (q, [[o(), z()], [z(), Complex64::new(0.0, -1.0)]]),
+            Gate::T(q) => (q, [[o(), z()], [z(), Complex64::cis(FRAC_PI_4)]]),
+            Gate::Rx(q, theta) => (q, rx_matrix(theta)),
+            Gate::Ry(q, theta) => {
+                let c = Complex64::new((theta / 2.0).cos(), 0.0);
+                let s = Complex64::new((theta / 2.0).sin(), 0.0);
+                (q, [[c, -s], [s, c]])
+            }
+            Gate::Rz(q, theta) => (
+                q,
+                [
+                    [Complex64::cis(-theta / 2.0), z()],
+                    [z(), Complex64::cis(theta / 2.0)],
+                ],
+            ),
+            Gate::Cnot(..) | Gate::Cz(..) | Gate::Swap(..) | Gate::Rzz(..) => return None,
+        })
+    }
+
     /// Returns a copy of the gate with its qubit operands remapped through
     /// `map` (used by the router when logical qubits move).
     ///
@@ -109,6 +164,14 @@ impl Gate {
             Gate::Rzz(a, b, t) => Gate::Rzz(map[a], map[b], t),
         }
     }
+}
+
+/// The matrix of `Rx(θ)`: `cos(θ/2)` on the diagonal, `-i·sin(θ/2)` off it
+/// (the [`Gate::Rx`] entry of [`Gate::single_qubit_unitary`]).
+pub(crate) fn rx_matrix(theta: f64) -> [[Complex64; 2]; 2] {
+    let c = Complex64::new((theta / 2.0).cos(), 0.0);
+    let s = Complex64::new(0.0, -(theta / 2.0).sin());
+    [[c, s], [s, c]]
 }
 
 /// An ordered quantum circuit over a fixed number of qubits.

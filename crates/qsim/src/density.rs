@@ -11,56 +11,9 @@ use crate::noise::{KrausChannel, NoiseModel};
 use crate::statevector::StateVector;
 use crate::QsimError;
 use mathkit::Complex64;
-use std::f64::consts::FRAC_1_SQRT_2;
 
 /// Practical qubit limit for the density-matrix backend.
 pub const MAX_DENSITY_QUBITS: usize = 10;
-
-/// Returns the 2×2 matrix of a single-qubit gate, or `None` for two-qubit
-/// gates.
-pub fn single_qubit_matrix(gate: Gate) -> Option<[[Complex64; 2]; 2]> {
-    let z = Complex64::zero;
-    let o = Complex64::one;
-    Some(match gate {
-        Gate::H(_) => [
-            [
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-            ],
-            [
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-                Complex64::new(-FRAC_1_SQRT_2, 0.0),
-            ],
-        ],
-        Gate::X(_) => [[z(), o()], [o(), z()]],
-        Gate::Y(_) => [
-            [z(), Complex64::new(0.0, -1.0)],
-            [Complex64::new(0.0, 1.0), z()],
-        ],
-        Gate::Z(_) => [[o(), z()], [z(), Complex64::new(-1.0, 0.0)]],
-        Gate::S(_) => [[o(), z()], [z(), Complex64::i()]],
-        Gate::Sdg(_) => [[o(), z()], [z(), Complex64::new(0.0, -1.0)]],
-        Gate::T(_) => [
-            [o(), z()],
-            [z(), Complex64::cis(std::f64::consts::FRAC_PI_4)],
-        ],
-        Gate::Rx(_, t) => {
-            let c = Complex64::new((t / 2.0).cos(), 0.0);
-            let s = Complex64::new(0.0, -(t / 2.0).sin());
-            [[c, s], [s, c]]
-        }
-        Gate::Ry(_, t) => {
-            let c = Complex64::new((t / 2.0).cos(), 0.0);
-            let s = Complex64::new((t / 2.0).sin(), 0.0);
-            [[c, -s], [s, c]]
-        }
-        Gate::Rz(_, t) => [
-            [Complex64::cis(-t / 2.0), z()],
-            [z(), Complex64::cis(t / 2.0)],
-        ],
-        _ => return None,
-    })
-}
 
 /// Returns the 4×4 matrix of a two-qubit gate in the basis
 /// `|q_b q_a⟩ = {00, 01, 10, 11}` where `q_a` is the first operand (least
@@ -204,8 +157,7 @@ impl DensityMatrix {
     ///
     /// Panics if a gate operand is out of range.
     pub fn apply_gate(&mut self, gate: Gate) {
-        if let Some(u) = single_qubit_matrix(gate) {
-            let q = gate.qubits()[0];
+        if let Some((q, u)) = gate.single_qubit_unitary() {
             assert!(q < self.qubit_count, "qubit out of range");
             self.apply_single_rows(q, &u);
             self.apply_single_cols(q, &u);

@@ -5,137 +5,59 @@
 //! convention), so `|q_{n-1} … q_1 q_0⟩` maps to index
 //! `q_0 + 2 q_1 + … + 2^{n-1} q_{n-1}`.
 //!
-//! # Kernel backends
+//! # Kernels
 //!
-//! Every hot loop exists twice, with identical results bit for bit:
+//! Every `StateVector` operation runs the [`vectorized`] kernels: explicitly
+//! chunked, branch-free loops shaped for LLVM's autovectorizer — gates walk
+//! only the contiguous runs they change, butterflies are slice zips with the
+//! index math hoisted out, reductions keep one accumulator per lane.
 //!
-//! * [`vectorized`] (the default) — explicitly chunked, branch-free loops
-//!   shaped for LLVM's autovectorizer: gates walk only the contiguous runs
-//!   they change, butterflies are slice zips with the index math hoisted
-//!   out, reductions keep one accumulator per lane.
-//! * [`mod@reference`] — the plain scalar loops, kept as the differential-test
-//!   oracle (`tests/qsim_kernel_equivalence.rs`) and as the benchmark
-//!   baseline.
-//!
-//! The backend is selected per process with the [`KERNEL_ENV`]
-//! (`RED_QAOA_KERNEL=scalar|vectorized`) environment variable, mirroring
-//! `RED_QAOA_THREADS`, or scoped in code with [`with_kernel`]. Because the
-//! two backends are bitwise-identical, the choice can never change any
-//! result — only how fast it is computed.
+//! [`mod@reference`] holds the plain scalar loops. It is not a mode the
+//! simulator can run in but a test oracle: the differential tests
+//! (`tests/qsim_kernel_equivalence.rs`), the golden pins and the `qsim_smoke`
+//! baseline drive raw amplitude buffers through
+//! [`reference::apply_gate`] and compare against `StateVector` bit for bit.
+//! Every gate's matrix comes from the one table in
+//! [`Gate::single_qubit_unitary`], which both sides read.
 //!
 //! # The mixer-layer contract
 //!
 //! One kernel has a stated exception at the amplitude level: the QAOA
-//! mixer [`StateVector::apply_rx_layer`]. Its vectorized body uses the
-//! structure of `Rx` (8 multiplies per amplitude pair instead of 16); its
-//! scalar body is the per-qubit generic butterfly. Reductions and energies
-//! are **bitwise equal** to the gate-by-gate `Gate::Rx` evolution;
-//! amplitudes are equal except that an exact zero may change sign. The
-//! generic butterfly differs only by adding products with the `Rx`
-//! matrix's exact `±0` entries, which for finite inputs can change only
-//! the sign of a result that is exactly zero, and every reduction squares
-//! the components. See `docs/determinism.md`.
+//! mixer [`StateVector::apply_rx_layer`]. It uses the structure of `Rx`
+//! (8 multiplies per amplitude pair instead of the generic butterfly's 16).
+//! Reductions and energies are **bitwise equal** to the gate-by-gate
+//! `Gate::Rx` evolution; amplitudes are equal except that an exact zero may
+//! change sign. The generic butterfly differs only by adding products with
+//! the `Rx` matrix's exact `±0` entries, which for finite inputs can change
+//! only the sign of a result that is exactly zero, and every reduction
+//! squares the components. See `docs/determinism.md`.
 //!
 //! # Fixed reduction order
 //!
 //! All reductions (`expectation_*`, [`StateVector::prob_one`],
-//! [`StateVector::norm_sqr`]) sum in one fixed order, independent of kernel
-//! backend and thread count: [`REDUCTION_LANES`]` = L` interleaved partial
-//! sums, where lane `j` accumulates elements `j, j + L, j + 2L, …` over the
-//! largest prefix that is a multiple of `L`; the lanes then combine
-//! pairwise (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`) and any tail elements
-//! (only states with fewer than 3 qubits have one) are added sequentially.
+//! [`StateVector::norm_sqr`]) sum in one fixed order, shared with the
+//! scalar oracle and independent of thread count: [`REDUCTION_LANES`]` = L`
+//! interleaved partial sums, where lane `j` accumulates elements
+//! `j, j + L, j + 2L, …` over the largest prefix that is a multiple of `L`;
+//! the lanes then combine pairwise (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`)
+//! and any tail elements (only states with fewer than 3 qubits have one) are
+//! added sequentially.
 //! This order is part of the determinism contract — see
 //! `docs/determinism.md`.
 
 pub mod reference;
 pub mod vectorized;
 
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::{rx_matrix, Circuit, Gate};
 use mathkit::Complex64;
 use rand::Rng;
-use std::f64::consts::FRAC_1_SQRT_2;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Practical qubit limit for the statevector backend (64 Mi amplitudes).
 pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 
 /// Number of interleaved partial sums in the fixed reduction order shared
-/// by both kernel backends (see the [module docs](self)).
+/// by the kernels and the scalar oracle (see the [module docs](self)).
 pub const REDUCTION_LANES: usize = 8;
-
-/// Environment variable selecting the kernel backend
-/// (`scalar` or `vectorized`; unset or unrecognized means vectorized).
-///
-/// Mirrors `RED_QAOA_THREADS`: an operational knob that can never change a
-/// result, because the two backends are bitwise-identical.
-pub const KERNEL_ENV: &str = "RED_QAOA_KERNEL";
-
-/// Which statevector kernel implementation executes gates and reductions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelMode {
-    /// Plain scalar loops ([`mod@reference`]) — the oracle and baseline.
-    Scalar,
-    /// Chunked autovectorization-friendly loops ([`vectorized`]) — default.
-    Vectorized,
-}
-
-const KERNEL_NONE: u8 = 0;
-const KERNEL_SCALAR: u8 = 1;
-const KERNEL_VECTORIZED: u8 = 2;
-
-/// Process-wide override installed by [`with_kernel`]. Unlike the
-/// thread-local `RED_QAOA_THREADS` override, this is deliberately global:
-/// gates execute inside `mathkit::parallel` worker threads, and a scoped
-/// kernel choice must reach them.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(KERNEL_NONE);
-static KERNEL_FROM_ENV: OnceLock<KernelMode> = OnceLock::new();
-
-/// The kernel backend a statevector operation started *now* would use:
-/// the innermost [`with_kernel`] override if one is active, else
-/// [`KERNEL_ENV`], else [`KernelMode::Vectorized`].
-pub fn current_kernel() -> KernelMode {
-    match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-        KERNEL_SCALAR => KernelMode::Scalar,
-        KERNEL_VECTORIZED => KernelMode::Vectorized,
-        _ => *KERNEL_FROM_ENV.get_or_init(|| match std::env::var(KERNEL_ENV) {
-            Ok(raw) if raw.trim().eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-            _ => KernelMode::Vectorized,
-        }),
-    }
-}
-
-/// Runs `f` with the kernel backend fixed to `mode`, restoring the previous
-/// selection on exit (including panics).
-///
-/// The override is **process-global** (see `KERNEL_OVERRIDE`'s rationale),
-/// so overlapping overrides from concurrent threads resolve
-/// last-writer-wins. That can change which backend a concurrent operation
-/// runs on, but never any result: the backends are bitwise-identical, which
-/// is exactly what the differential suite proves.
-pub fn with_kernel<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            KERNEL_OVERRIDE.store(self.0, Ordering::Relaxed);
-        }
-    }
-    let code = match mode {
-        KernelMode::Scalar => KERNEL_SCALAR,
-        KernelMode::Vectorized => KERNEL_VECTORIZED,
-    };
-    let previous = KERNEL_OVERRIDE.swap(code, Ordering::Relaxed);
-    let _restore = Restore(previous);
-    f()
-}
-
-/// The matrix of `Rx(θ)`: `cos(θ/2)` on the diagonal, `-i·sin(θ/2)` off it.
-fn rx_matrix(theta: f64) -> [[Complex64; 2]; 2] {
-    let c = Complex64::new((theta / 2.0).cos(), 0.0);
-    let s = Complex64::new(0.0, -(theta / 2.0).sin());
-    [[c, s], [s, c]]
-}
 
 /// A pure quantum state over `n` qubits.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,79 +175,16 @@ impl StateVector {
     /// Panics if a gate operand is out of range.
     pub fn apply_gate(&mut self, gate: Gate) {
         match gate {
-            Gate::H(q) => self.apply_single(
-                q,
-                [
-                    [
-                        Complex64::new(FRAC_1_SQRT_2, 0.0),
-                        Complex64::new(FRAC_1_SQRT_2, 0.0),
-                    ],
-                    [
-                        Complex64::new(FRAC_1_SQRT_2, 0.0),
-                        Complex64::new(-FRAC_1_SQRT_2, 0.0),
-                    ],
-                ],
-            ),
-            Gate::X(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::zero(), Complex64::one()],
-                    [Complex64::one(), Complex64::zero()],
-                ],
-            ),
-            Gate::Y(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::zero(), Complex64::new(0.0, -1.0)],
-                    [Complex64::new(0.0, 1.0), Complex64::zero()],
-                ],
-            ),
-            Gate::Z(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::one(), Complex64::zero()],
-                    [Complex64::zero(), Complex64::new(-1.0, 0.0)],
-                ],
-            ),
-            Gate::S(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::one(), Complex64::zero()],
-                    [Complex64::zero(), Complex64::i()],
-                ],
-            ),
-            Gate::Sdg(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::one(), Complex64::zero()],
-                    [Complex64::zero(), Complex64::new(0.0, -1.0)],
-                ],
-            ),
-            Gate::T(q) => self.apply_single(
-                q,
-                [
-                    [Complex64::one(), Complex64::zero()],
-                    [
-                        Complex64::zero(),
-                        Complex64::cis(std::f64::consts::FRAC_PI_4),
-                    ],
-                ],
-            ),
-            Gate::Rx(q, theta) => self.apply_single(q, rx_matrix(theta)),
-            Gate::Ry(q, theta) => {
-                let c = Complex64::new((theta / 2.0).cos(), 0.0);
-                let s = Complex64::new((theta / 2.0).sin(), 0.0);
-                self.apply_single(q, [[c, -s], [s, c]]);
-            }
-            Gate::Rz(q, theta) => {
-                let e_neg = Complex64::cis(-theta / 2.0);
-                let e_pos = Complex64::cis(theta / 2.0);
-                self.apply_single(q, [[e_neg, Complex64::zero()], [Complex64::zero(), e_pos]]);
-            }
             Gate::Cnot(control, target) => self.apply_cnot(control, target),
             Gate::Cz(a, b) => self.apply_cz(a, b),
             Gate::Swap(a, b) => self.apply_swap(a, b),
             Gate::Rzz(a, b, theta) => self.apply_rzz(a, b, theta),
+            single => {
+                let (q, u) = single
+                    .single_qubit_unitary()
+                    .expect("two-qubit gates are matched above");
+                self.apply_single(q, u);
+            }
         }
     }
 
@@ -337,57 +196,40 @@ impl StateVector {
     /// Panics if `target` is out of range.
     pub fn apply_single(&mut self, target: usize, u: [[Complex64; 2]; 2]) {
         assert!(target < self.qubit_count, "qubit {target} out of range");
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_single(&mut self.amplitudes, target, u),
-            KernelMode::Vectorized => vectorized::apply_single(&mut self.amplitudes, target, u),
-        }
+        vectorized::apply_single(&mut self.amplitudes, target, u);
     }
 
     fn apply_cnot(&mut self, control: usize, target: usize) {
         assert!(control < self.qubit_count && target < self.qubit_count);
         assert_ne!(control, target, "control and target must differ");
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_cnot(&mut self.amplitudes, control, target),
-            KernelMode::Vectorized => vectorized::apply_cnot(&mut self.amplitudes, control, target),
-        }
+        vectorized::apply_cnot(&mut self.amplitudes, control, target);
     }
 
     fn apply_cz(&mut self, a: usize, b: usize) {
         assert!(a < self.qubit_count && b < self.qubit_count);
         assert_ne!(a, b);
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_cz(&mut self.amplitudes, a, b),
-            KernelMode::Vectorized => vectorized::apply_cz(&mut self.amplitudes, a, b),
-        }
+        vectorized::apply_cz(&mut self.amplitudes, a, b);
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
         assert!(a < self.qubit_count && b < self.qubit_count);
         assert_ne!(a, b);
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_swap(&mut self.amplitudes, a, b),
-            KernelMode::Vectorized => vectorized::apply_swap(&mut self.amplitudes, a, b),
-        }
+        vectorized::apply_swap(&mut self.amplitudes, a, b);
     }
 
     fn apply_rzz(&mut self, a: usize, b: usize, theta: f64) {
         assert!(a < self.qubit_count && b < self.qubit_count);
         assert_ne!(a, b);
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_rzz(&mut self.amplitudes, a, b, theta),
-            KernelMode::Vectorized => vectorized::apply_rzz(&mut self.amplitudes, a, b, theta),
-        }
+        vectorized::apply_rzz(&mut self.amplitudes, a, b, theta);
     }
 
     /// Applies `Rx(θ)` to every qubit: the QAOA mixer layer `e^{-iβ Σ X_q}`
     /// with `θ = 2β`.
     ///
-    /// The vectorized kernel uses the structure of `Rx` — `cos(θ/2)` on the
-    /// diagonal, `i·(-sin(θ/2))` off it, both computed exactly as
-    /// [`apply_gate`](Self::apply_gate)`(Gate::Rx)` computes them — for 8
-    /// multiplies per amplitude pair instead of the generic butterfly's 16.
-    /// Under [`KernelMode::Scalar`] the layer is the per-qubit generic
-    /// [`reference::apply_single`] loop, i.e. the textbook circuit.
+    /// The kernel uses the structure of `Rx` — `cos(θ/2)` on the diagonal,
+    /// `i·(-sin(θ/2))` off it, both read from the same `Rx` matrix that
+    /// [`apply_gate`](Self::apply_gate)`(Gate::Rx)` uses — for 8 multiplies
+    /// per amplitude pair instead of the generic butterfly's 16.
     ///
     /// # Contract
     ///
@@ -402,18 +244,9 @@ impl StateVector {
     /// every QAOA energy) are bitwise equal.
     pub fn apply_rx_layer(&mut self, theta: f64) {
         let u = rx_matrix(theta);
-        match current_kernel() {
-            KernelMode::Scalar => {
-                for q in 0..self.qubit_count {
-                    reference::apply_single(&mut self.amplitudes, q, u);
-                }
-            }
-            KernelMode::Vectorized => {
-                let (c, sn) = (u[0][0].re, u[0][1].im);
-                for q in 0..self.qubit_count {
-                    vectorized::apply_rx(&mut self.amplitudes, q, c, sn);
-                }
-            }
+        let (c, sn) = (u[0][0].re, u[0][1].im);
+        for q in 0..self.qubit_count {
+            vectorized::apply_rx(&mut self.amplitudes, q, c, sn);
         }
     }
 
@@ -431,10 +264,7 @@ impl StateVector {
             self.amplitudes.len(),
             "diagonal length must equal the state dimension"
         );
-        match current_kernel() {
-            KernelMode::Scalar => reference::apply_diagonal(&mut self.amplitudes, phases),
-            KernelMode::Vectorized => vectorized::apply_diagonal(&mut self.amplitudes, phases),
-        }
+        vectorized::apply_diagonal(&mut self.amplitudes, phases);
     }
 
     /// Probability that measuring `qubit` yields `1`.
@@ -444,10 +274,7 @@ impl StateVector {
     /// Panics if `qubit` is out of range.
     pub fn prob_one(&self, qubit: usize) -> f64 {
         assert!(qubit < self.qubit_count);
-        match current_kernel() {
-            KernelMode::Scalar => reference::prob_one(&self.amplitudes, qubit),
-            KernelMode::Vectorized => vectorized::prob_one(&self.amplitudes, qubit),
-        }
+        vectorized::prob_one(&self.amplitudes, qubit)
     }
 
     /// Rescales the state to unit norm. Used by the quantum-jump (trajectory)
@@ -486,10 +313,7 @@ impl StateVector {
 
     /// Sum of `|amplitude|^2` (should be 1 up to rounding).
     pub fn norm_sqr(&self) -> f64 {
-        match current_kernel() {
-            KernelMode::Scalar => reference::norm_sqr(&self.amplitudes),
-            KernelMode::Vectorized => vectorized::norm_sqr(&self.amplitudes),
-        }
+        vectorized::norm_sqr(&self.amplitudes)
     }
 
     /// Expectation value of the Pauli-Z operator on `qubit`.
@@ -499,10 +323,7 @@ impl StateVector {
     /// Panics if `qubit` is out of range.
     pub fn expectation_z(&self, qubit: usize) -> f64 {
         assert!(qubit < self.qubit_count);
-        match current_kernel() {
-            KernelMode::Scalar => reference::expectation_z(&self.amplitudes, qubit),
-            KernelMode::Vectorized => vectorized::expectation_z(&self.amplitudes, qubit),
-        }
+        vectorized::expectation_z(&self.amplitudes, qubit)
     }
 
     /// Expectation value of `Z_a Z_b`.
@@ -512,10 +333,7 @@ impl StateVector {
     /// Panics if either qubit is out of range.
     pub fn expectation_zz(&self, a: usize, b: usize) -> f64 {
         assert!(a < self.qubit_count && b < self.qubit_count);
-        match current_kernel() {
-            KernelMode::Scalar => reference::expectation_zz(&self.amplitudes, a, b),
-            KernelMode::Vectorized => vectorized::expectation_zz(&self.amplitudes, a, b),
-        }
+        vectorized::expectation_zz(&self.amplitudes, a, b)
     }
 
     /// Expectation value of an arbitrary diagonal observable given its value
@@ -526,10 +344,7 @@ impl StateVector {
     /// Panics if `values.len()` does not equal `2^n`.
     pub fn expectation_diagonal(&self, values: &[f64]) -> f64 {
         assert_eq!(values.len(), self.amplitudes.len());
-        match current_kernel() {
-            KernelMode::Scalar => reference::expectation_diagonal(&self.amplitudes, values),
-            KernelMode::Vectorized => vectorized::expectation_diagonal(&self.amplitudes, values),
-        }
+        vectorized::expectation_diagonal(&self.amplitudes, values)
     }
 
     /// Samples `shots` measurement outcomes in the computational basis and
@@ -714,7 +529,7 @@ impl StatevectorWorkspace {
     /// fractional, out of range) gets its own `cis(scale · v)`. Either way
     /// every phase is `cis` of the same product as the one-call-per-entry
     /// loop and multiplies its amplitude exactly as
-    /// [`StateVector::apply_diagonal`] does (under either kernel), so the
+    /// [`StateVector::apply_diagonal`] does, so the
     /// result is bitwise unchanged — only `|E| + 1` sin/cos pairs are paid
     /// instead of `2^n`.
     ///
@@ -1078,32 +893,5 @@ mod tests {
         );
         zero.renormalize();
         assert!((zero.probabilities()[0] - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn kernel_override_is_scoped_and_selects_the_backend() {
-        // The override nests and restores, and gates really do run on the
-        // selected backend (identical bits either way — that is the whole
-        // contract, proven at scale by tests/qsim_kernel_equivalence.rs).
-        let run = || {
-            let mut sv = StateVector::uniform_superposition(4);
-            sv.apply_gate(Gate::Ry(1, 0.8));
-            sv.apply_gate(Gate::Rzz(0, 3, 0.9));
-            sv.apply_gate(Gate::Cnot(2, 0));
-            (
-                sv.amplitudes().to_vec(),
-                sv.expectation_zz(0, 3).to_bits(),
-                sv.norm_sqr().to_bits(),
-            )
-        };
-        let scalar = with_kernel(KernelMode::Scalar, || {
-            assert_eq!(current_kernel(), KernelMode::Scalar);
-            let inner = with_kernel(KernelMode::Vectorized, current_kernel);
-            assert_eq!(inner, KernelMode::Vectorized);
-            assert_eq!(current_kernel(), KernelMode::Scalar);
-            run()
-        });
-        let vectorized = with_kernel(KernelMode::Vectorized, run);
-        assert_eq!(scalar, vectorized);
     }
 }

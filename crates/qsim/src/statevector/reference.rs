@@ -2,19 +2,19 @@
 //!
 //! Every kernel in this module is the plain per-index scalar loop the
 //! simulator shipped with before the chunked
-//! [`vectorized`](super::vectorized) module existed. They survive for two
-//! reasons:
+//! [`vectorized`](super::vectorized) module existed. `StateVector` never
+//! runs them; they survive as a public oracle that callers drive directly
+//! on raw amplitude buffers, with [`apply_gate`] / [`apply_circuit`] as the
+//! gate-level entry points:
 //!
 //! 1. **Oracle** — the differential suite in
-//!    `tests/qsim_kernel_equivalence.rs` drives random circuits through both
-//!    modules and asserts bitwise-equal amplitudes and reductions after
-//!    every gate. A vectorized kernel is only correct if it reproduces this
-//!    module exactly.
-//! 2. **Baseline** — the `qsim_smoke` benchmark measures the vectorized
-//!    speedup against these loops.
-//!
-//! Selected at runtime with `RED_QAOA_KERNEL=scalar` or scoped via
-//! [`with_kernel`](super::with_kernel).
+//!    `tests/qsim_kernel_equivalence.rs` and the golden pins in
+//!    `tests/kernel_golden_values.rs` run random circuits through this
+//!    module and through `StateVector` and assert bitwise-equal amplitudes
+//!    and reductions. A vectorized kernel is only correct if it reproduces
+//!    this module exactly.
+//! 2. **Baseline** — the `qsim_smoke` benchmark and the `bench_simulators`
+//!    `scalar` group measure the vectorized speedup against these loops.
 //!
 //! # Reduction order
 //!
@@ -26,6 +26,7 @@
 //! `docs/determinism.md`.
 
 use super::REDUCTION_LANES;
+use crate::circuit::{Circuit, Gate};
 use mathkit::Complex64;
 
 /// Sums `term(i)` over `0..len` in the fixed lane order shared with the
@@ -48,6 +49,61 @@ fn lane_sum(len: usize, mut term: impl FnMut(usize) -> f64) -> f64 {
         total += term(i);
     }
     total
+}
+
+/// Applies one gate with the scalar kernels; single-qubit gates take their
+/// matrix from [`Gate::single_qubit_unitary`], as `StateVector` does.
+///
+/// # Panics
+///
+/// Panics if a gate operand is not a qubit of the `amplitudes.len() = 2^n`
+/// buffer, or a two-qubit gate names one qubit twice.
+pub fn apply_gate(amplitudes: &mut [Complex64], gate: Gate) {
+    let qubits = amplitudes.len().trailing_zeros() as usize;
+    let pair = |a: usize, b: usize| {
+        assert!(a < qubits && b < qubits, "qubit out of range in {gate:?}");
+        assert_ne!(a, b, "two-qubit gate operands must differ");
+    };
+    match gate {
+        Gate::Cnot(control, target) => {
+            pair(control, target);
+            apply_cnot(amplitudes, control, target);
+        }
+        Gate::Cz(a, b) => {
+            pair(a, b);
+            apply_cz(amplitudes, a, b);
+        }
+        Gate::Swap(a, b) => {
+            pair(a, b);
+            apply_swap(amplitudes, a, b);
+        }
+        Gate::Rzz(a, b, theta) => {
+            pair(a, b);
+            apply_rzz(amplitudes, a, b, theta);
+        }
+        single => {
+            let (q, u) = single
+                .single_qubit_unitary()
+                .expect("two-qubit gates are matched above");
+            assert!(q < qubits, "qubit {q} out of range");
+            apply_single(amplitudes, q, u);
+        }
+    }
+}
+
+/// Applies every gate of `circuit` in order with [`apply_gate`].
+///
+/// # Panics
+///
+/// Panics if the circuit has more qubits than the buffer.
+pub fn apply_circuit(amplitudes: &mut [Complex64], circuit: &Circuit) {
+    assert!(
+        circuit.qubit_count() <= amplitudes.len().trailing_zeros() as usize,
+        "circuit does not fit in the state"
+    );
+    for gate in circuit.gates() {
+        apply_gate(amplitudes, *gate);
+    }
 }
 
 /// Applies a single-qubit unitary `[[u00, u01], [u10, u11]]` to `target` by

@@ -9,18 +9,20 @@
 //! from the PR that introduced the kernel split (same pattern as
 //! `tests/warm_start_regression.rs`).
 //!
-//! Every expectation is asserted under **both** `KernelMode`s: the pinned
-//! bits are the contract, kernel choice is an implementation detail.
+//! The gate-level pins are asserted twice: through `StateVector` and
+//! through the scalar oracle (`qsim::statevector::reference`) run on a raw
+//! amplitude buffer. The pinned bits are the contract for both.
 
 use graphlib::generators::{connected_gnp, cycle};
 use graphlib::Graph;
 use mathkit::rng::seeded;
+use mathkit::Complex64;
 use qaoa::depth::scheduled_qaoa_circuit;
 use qaoa::evaluator::{EnergyEvaluator, ScheduledCircuitEvaluator, StatevectorEvaluator};
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
-use qsim::statevector::{with_kernel, KernelMode, StateVector, StatevectorWorkspace};
+use qsim::statevector::{reference, StateVector, StatevectorWorkspace};
 
 /// A fixed 5-qubit circuit mixing every gate family the kernels implement.
 fn pinned_circuit() -> Circuit {
@@ -41,10 +43,14 @@ fn pinned_circuit() -> Circuit {
     c
 }
 
-fn for_both_kernels(check: impl Fn()) {
-    for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-        with_kernel(mode, &check);
-    }
+/// The final amplitudes of `circuit` from `|0…0⟩`, computed by the scalar
+/// oracle.
+fn oracle_state(circuit: &Circuit) -> Vec<Complex64> {
+    let mut amplitudes = StateVector::new(circuit.qubit_count())
+        .amplitudes()
+        .to_vec();
+    reference::apply_circuit(&mut amplitudes, circuit);
+    amplitudes
 }
 
 #[test]
@@ -56,46 +62,52 @@ fn expectation_zz_bits_are_pinned() {
         ((2, 4), 0x3ff0000000000002),
         ((0, 4), 0x3c90000000000000),
     ];
-    for_both_kernels(|| {
-        let sv = StateVector::from_circuit(&pinned_circuit());
-        for ((a, b), bits) in expected {
-            assert_eq!(
-                sv.expectation_zz(a, b).to_bits(),
-                bits,
-                "expectation_zz({a}, {b}) drifted"
-            );
+    let sv = StateVector::from_circuit(&pinned_circuit());
+    let oracle = oracle_state(&pinned_circuit());
+    for ((a, b), bits) in expected {
+        for value in [
+            sv.expectation_zz(a, b),
+            reference::expectation_zz(&oracle, a, b),
+        ] {
+            assert_eq!(value.to_bits(), bits, "expectation_zz({a}, {b}) drifted");
         }
-    });
+    }
 }
 
 #[test]
 fn expectation_diagonal_and_norm_bits_are_pinned() {
-    for_both_kernels(|| {
-        let sv = StateVector::from_circuit(&pinned_circuit());
-        let values: Vec<f64> = (0..32).map(|i| (i as f64) * 0.25 - 3.5).collect();
+    let sv = StateVector::from_circuit(&pinned_circuit());
+    let oracle = oracle_state(&pinned_circuit());
+    let values: Vec<f64> = (0..32).map(|i| (i as f64) * 0.25 - 3.5).collect();
+    for value in [
+        sv.expectation_diagonal(&values),
+        reference::expectation_diagonal(&oracle, &values),
+    ] {
         assert_eq!(
-            sv.expectation_diagonal(&values).to_bits(),
+            value.to_bits(),
             0x3fc56ce74783d488,
             "expectation_diagonal drifted"
         );
-        assert_eq!(
-            sv.norm_sqr().to_bits(),
-            0x3ff0000000000002,
-            "norm_sqr drifted"
-        );
-    });
+    }
+    for value in [sv.norm_sqr(), reference::norm_sqr(&oracle)] {
+        assert_eq!(value.to_bits(), 0x3ff0000000000002, "norm_sqr drifted");
+    }
 }
 
 /// Simulates the explicit depth-scheduled gate circuit — the round-major
 /// `RZZ` sequence noisy depth-mode runs execute — and reads off the cut
-/// expectation.
-fn scheduled_circuit_expectation(graph: &Graph, params: &QaoaParams) -> f64 {
+/// expectation, through `StateVector` and through the scalar oracle.
+fn scheduled_circuit_expectations(graph: &Graph, params: &QaoaParams) -> [f64; 2] {
     let instance = QaoaInstance::new(graph, params.layers())
         .unwrap()
         .with_depth_schedule();
     let schedule = instance.depth_schedule().unwrap();
-    StateVector::from_circuit(&scheduled_qaoa_circuit(schedule, params))
-        .expectation_diagonal(instance.cut_table())
+    let circuit = scheduled_qaoa_circuit(schedule, params);
+    let table = instance.cut_table();
+    [
+        StateVector::from_circuit(&circuit).expectation_diagonal(table),
+        reference::expectation_diagonal(&oracle_state(&circuit), table),
+    ]
 }
 
 #[test]
@@ -120,16 +132,15 @@ fn scheduled_circuit_expectation_bits_are_pinned() {
             0x4021344352dcebab,
         ),
     ];
-    for_both_kernels(|| {
-        for (name, graph, bits) in &graphs {
-            let value = scheduled_circuit_expectation(graph, &params);
+    for (name, graph, bits) in &graphs {
+        for value in scheduled_circuit_expectations(graph, &params) {
             assert_eq!(
                 value.to_bits(),
                 *bits,
                 "scheduled p=1 expectation on {name} drifted"
             );
         }
-    });
+    }
 }
 
 #[test]
@@ -145,16 +156,15 @@ fn scheduled_three_layer_expectation_bits_are_pinned() {
             0x401cc9c3e16caa02,
         ),
     ];
-    for_both_kernels(|| {
-        for (name, graph, bits) in &graphs {
-            let value = scheduled_circuit_expectation(graph, &params);
+    for (name, graph, bits) in &graphs {
+        for value in scheduled_circuit_expectations(graph, &params) {
             assert_eq!(
                 value.to_bits(),
                 *bits,
                 "scheduled p=3 expectation on {name} drifted"
             );
         }
-    });
+    }
 }
 
 #[test]
@@ -172,22 +182,20 @@ fn scheduled_evaluator_matches_the_statevector_evaluator_bitwise() {
         connected_gnp(9, 0.4, &mut seeded(77)).unwrap(),
         connected_gnp(10, 0.3, &mut seeded(78)).unwrap(),
     ];
-    for_both_kernels(|| {
-        for params in &points {
-            for graph in &graphs {
-                let scheduled = ScheduledCircuitEvaluator::new(graph, params.layers()).unwrap();
-                let exact = StatevectorEvaluator::new(graph, params.layers()).unwrap();
-                assert_eq!(
-                    scheduled
-                        .energy(&mut scheduled.scratch(), 0, params)
-                        .to_bits(),
-                    exact.energy(&mut exact.scratch(), 0, params).to_bits(),
-                    "p={}",
-                    params.layers()
-                );
-            }
+    for params in &points {
+        for graph in &graphs {
+            let scheduled = ScheduledCircuitEvaluator::new(graph, params.layers()).unwrap();
+            let exact = StatevectorEvaluator::new(graph, params.layers()).unwrap();
+            assert_eq!(
+                scheduled
+                    .energy(&mut scheduled.scratch(), 0, params)
+                    .to_bits(),
+                exact.energy(&mut exact.scratch(), 0, params).to_bits(),
+                "p={}",
+                params.layers()
+            );
         }
-    });
+    }
 }
 
 #[test]
@@ -209,15 +217,13 @@ fn three_layer_qaoa_expectation_bits_are_pinned() {
             0x401a626396a20c92,
         ),
     ];
-    for_both_kernels(|| {
-        let mut workspace = StatevectorWorkspace::new();
-        for (name, graph, bits) in &graphs {
-            let instance = QaoaInstance::new(graph, 3).unwrap();
-            assert_eq!(
-                instance.expectation_with(&mut workspace, &params).to_bits(),
-                *bits,
-                "3-layer expectation on {name} drifted"
-            );
-        }
-    });
+    let mut workspace = StatevectorWorkspace::new();
+    for (name, graph, bits) in &graphs {
+        let instance = QaoaInstance::new(graph, 3).unwrap();
+        assert_eq!(
+            instance.expectation_with(&mut workspace, &params).to_bits(),
+            *bits,
+            "3-layer expectation on {name} drifted"
+        );
+    }
 }

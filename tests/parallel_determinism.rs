@@ -19,7 +19,6 @@ use mathkit::rng::{derive_seed, seeded};
 use proptest::prelude::*;
 use qaoa::evaluator::{NoisyTrajectoryEvaluator, StatevectorEvaluator};
 use qaoa::landscape::Landscape;
-use qsim::statevector::{with_kernel, KernelMode};
 use qsim::trajectory::TrajectoryOptions;
 use red_qaoa::engine::{
     Engine, Job, JobOutput, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
@@ -322,14 +321,12 @@ proptest! {
         }
     }
 
-    /// Kernel-mode invariance (PR 9): `RED_QAOA_KERNEL` is an operational
-    /// knob exactly like `RED_QAOA_THREADS` — a mixed `LandscapeJob` /
-    /// `OptimizeJob` batch must be bitwise-identical across every
-    /// combination of kernel mode ∈ {scalar, vectorized} and worker count
-    /// ∈ {1, 2, 4}. This is the end-to-end proof that the vectorized
-    /// statevector kernels cannot change any engine result.
+    /// A mixed `LandscapeJob` / `OptimizeJob` batch must be
+    /// bitwise-identical for worker count ∈ {1, 2, 4}. (That the kernels
+    /// equal the scalar oracle is proved without any engine in
+    /// `tests/qsim_kernel_equivalence.rs`.)
     #[test]
-    fn job_batches_are_kernel_mode_invariant(seed in 0u64..100) {
+    fn landscape_and_optimize_batches_are_thread_count_invariant(seed in 0u64..100) {
         let graphs: Vec<_> = (0..2)
             .map(|i| {
                 let nodes = 8 + (i % 2);
@@ -345,36 +342,32 @@ proptest! {
             ),
             Job::Landscape(LandscapeJob::new(graphs[1].clone(), 4).reduced()),
         ];
-        let run = |mode: KernelMode, threads: usize| {
-            with_kernel(mode, || {
-                with_threads(threads, || {
-                    let engine = Engine::builder().build().unwrap();
-                    engine.run_batch(&jobs, derive_seed(seed, 999))
-                })
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let engine = Engine::builder().build().unwrap();
+                engine.run_batch(&jobs, derive_seed(seed, 999))
             })
         };
-        let reference = run(KernelMode::Scalar, 1);
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            for threads in THREAD_COUNTS {
-                let batch = run(mode, threads);
-                prop_assert_eq!(reference.len(), batch.len());
-                for (a, b) in reference.iter().zip(&batch) {
-                    let a = a.as_ref().expect("reference job succeeds");
-                    let b = b.as_ref().expect("batch job succeeds");
-                    prop_assert_eq!(a, b);
-                    match (a, b) {
-                        (JobOutput::Landscape(x), JobOutput::Landscape(y)) => {
-                            prop_assert_eq!(bits(&x.values), bits(&y.values));
-                        }
-                        (JobOutput::Optimize(x), JobOutput::Optimize(y)) => {
-                            prop_assert_eq!(
-                                x.transfer.transferred_value.to_bits(),
-                                y.transfer.transferred_value.to_bits()
-                            );
-                            prop_assert_eq!(x.cost_ratio.to_bits(), y.cost_ratio.to_bits());
-                        }
-                        _ => {}
+        let reference = run(1);
+        for threads in THREAD_COUNTS {
+            let batch = run(threads);
+            prop_assert_eq!(reference.len(), batch.len());
+            for (a, b) in reference.iter().zip(&batch) {
+                let a = a.as_ref().expect("reference job succeeds");
+                let b = b.as_ref().expect("batch job succeeds");
+                prop_assert_eq!(a, b);
+                match (a, b) {
+                    (JobOutput::Landscape(x), JobOutput::Landscape(y)) => {
+                        prop_assert_eq!(bits(&x.values), bits(&y.values));
                     }
+                    (JobOutput::Optimize(x), JobOutput::Optimize(y)) => {
+                        prop_assert_eq!(
+                            x.transfer.transferred_value.to_bits(),
+                            y.transfer.transferred_value.to_bits()
+                        );
+                        prop_assert_eq!(x.cost_ratio.to_bits(), y.cost_ratio.to_bits());
+                    }
+                    _ => {}
                 }
             }
         }
@@ -384,13 +377,12 @@ proptest! {
     /// routes through the depth-reduction subsystem — a depth-only
     /// landscape, a node+depth landscape on the cached reduction, a noisy
     /// node+depth pipeline, and a node+depth optimize session — must be
-    /// bitwise-identical across every combination of kernel mode ∈
-    /// {scalar, vectorized} and worker count ∈ {1, 2, 4}. The greedy
+    /// bitwise-identical for worker count ∈ {1, 2, 4}. The greedy
     /// interaction scheduler is RNG-free (lowest-index tie-breaks
     /// throughout), so composing it with node reduction must add exactly
-    /// zero nondeterminism on top of the PR-9 contract.
+    /// zero nondeterminism.
     #[test]
-    fn depth_scheduled_batches_are_thread_and_kernel_invariant(seed in 0u64..100) {
+    fn depth_scheduled_batches_are_thread_count_invariant(seed in 0u64..100) {
         let graphs: Vec<_> = (0..2)
             .map(|i| {
                 let nodes = 8 + (i % 2);
@@ -428,21 +420,18 @@ proptest! {
                     .with_max_iters(8),
             ),
         ];
-        let run = |mode: KernelMode, threads: usize| {
-            with_kernel(mode, || {
-                with_threads(threads, || {
-                    let engine = Engine::builder()
-                        .noise(qsim::devices::fake_toronto().noise)
-                        .build()
-                        .unwrap();
-                    engine.run_batch(&jobs, derive_seed(seed, 1010))
-                })
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let engine = Engine::builder()
+                    .noise(qsim::devices::fake_toronto().noise)
+                    .build()
+                    .unwrap();
+                engine.run_batch(&jobs, derive_seed(seed, 1010))
             })
         };
-        let reference = run(KernelMode::Scalar, 1);
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            for threads in THREAD_COUNTS {
-                let batch = run(mode, threads);
+        let reference = run(1);
+        for threads in THREAD_COUNTS {
+                let batch = run(threads);
                 prop_assert_eq!(reference.len(), batch.len());
                 for (a, b) in reference.iter().zip(&batch) {
                     let a = a.as_ref().expect("reference job succeeds");
@@ -477,7 +466,6 @@ proptest! {
                         _ => {}
                     }
                 }
-            }
         }
     }
 

@@ -3,16 +3,15 @@
 //! circuits — same amplitude bits after every gate, same probability bits,
 //! same reduction bits (`prob_one`, `norm_sqr`, `expectation_*`).
 //!
-//! Two layers of checking:
+//! Two layers of checking, neither touching any global state:
 //!
 //! * The module-level tests call `qsim::statevector::reference` and
 //!   `qsim::statevector::vectorized` free functions directly on cloned
-//!   amplitude buffers — no global state involved, so this is the airtight
-//!   proof of equivalence even when other tests in this binary toggle the
-//!   process-wide kernel override concurrently.
-//! * The API-level test drives two `StateVector`s through
-//!   `with_kernel(Scalar, …)` / `with_kernel(Vectorized, …)` to confirm the
-//!   dispatch layer routes to the right kernels end-to-end.
+//!   amplitude buffers.
+//! * The API-level test runs the same random circuit through `StateVector`
+//!   and through the oracle's gate runner (`reference::apply_gate`), so the
+//!   `StateVector` dispatch layer and the shared gate→matrix table
+//!   (`Gate::single_qubit_unitary`) are covered end to end.
 //!
 //! The QAOA mixer layer (`StateVector::apply_rx_layer`, the structured
 //! `vectorized::apply_rx` butterfly) has a slightly weaker, stated
@@ -22,9 +21,9 @@
 //!
 //! Why bitwise and not tolerance-based: the determinism contract
 //! (`docs/determinism.md`) pins every result to exact bits across thread
-//! counts, and `RED_QAOA_KERNEL` must be an operational knob that can never
-//! change a result. A single ULP of drift here would silently invalidate
-//! every golden value downstream.
+//! counts, and the golden pins (`tests/kernel_golden_values.rs`) hold for
+//! the oracle and the simulator alike. A single ULP of drift here would
+//! silently invalidate every golden value downstream.
 
 use graphlib::generators::connected_gnp;
 use mathkit::rng::seeded;
@@ -33,9 +32,7 @@ use proptest::prelude::*;
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::circuit::Gate;
-use qsim::statevector::{
-    reference, vectorized, with_kernel, KernelMode, StateVector, StatevectorWorkspace,
-};
+use qsim::statevector::{reference, vectorized, StateVector, StatevectorWorkspace};
 use rand::Rng;
 
 /// Samples one random gate over `n` qubits (single-qubit only when `n == 1`).
@@ -151,8 +148,7 @@ proptest! {
                     vectorized::apply_rzz(&mut fast, a, b, theta);
                 }
                 single => {
-                    let target = single.qubits()[0];
-                    let u = single_qubit_matrix(single);
+                    let (target, u) = single.single_qubit_unitary().unwrap();
                     reference::apply_single(&mut scalar, target, u);
                     vectorized::apply_single(&mut fast, target, u);
                 }
@@ -218,36 +214,58 @@ proptest! {
     }
 
     /// API-level differential: the same random circuit executed through
-    /// `with_kernel(Scalar)` and `with_kernel(Vectorized)` yields identical
-    /// amplitude, probability, and expectation bits (this exercises the
-    /// `StateVector` dispatch layer and the `probabilities` path on top of
-    /// the raw kernels).
+    /// `StateVector::apply_gate` and through the scalar oracle's
+    /// `reference::apply_gate` runner yields identical amplitude,
+    /// probability and reduction bits (this exercises the `StateVector`
+    /// dispatch layer, the shared gate→matrix table and the
+    /// `probabilities` path on top of the raw kernels).
     #[test]
-    fn kernel_modes_agree_through_the_statevector_api(
+    fn statevector_api_matches_reference_runner_bitwise(
         seed in 0u64..100_000,
         qubits in 1usize..=8,
         gate_count in 5usize..30,
     ) {
-        let run = |mode: KernelMode| {
-            with_kernel(mode, || {
-                let mut rng = seeded(seed);
-                let sv = random_state(qubits, gate_count, &mut rng);
-                let probs: Vec<u64> =
-                    sv.probabilities().iter().map(|p| p.to_bits()).collect();
-                let expectations: Vec<u64> = (0..qubits)
-                    .map(|q| sv.expectation_z(q).to_bits())
-                    .chain(std::iter::once(sv.norm_sqr().to_bits()))
-                    .collect();
-                (amplitude_bits(sv.amplitudes()), probs, expectations)
-            })
-        };
-        prop_assert_eq!(run(KernelMode::Scalar), run(KernelMode::Vectorized));
+        let mut rng = seeded(seed);
+        let mut sv = StateVector::uniform_superposition(qubits);
+        let mut oracle = sv.amplitudes().to_vec();
+        for _ in 0..gate_count {
+            let gate = random_gate(qubits, &mut rng);
+            sv.apply_gate(gate);
+            reference::apply_gate(&mut oracle, gate);
+        }
+        prop_assert_eq!(amplitude_bits(sv.amplitudes()), amplitude_bits(&oracle));
+        let probs: Vec<u64> = sv.probabilities().iter().map(|p| p.to_bits()).collect();
+        let oracle_probs: Vec<u64> = oracle.iter().map(|a| a.norm_sqr().to_bits()).collect();
+        prop_assert_eq!(probs, oracle_probs);
+        prop_assert_eq!(sv.norm_sqr().to_bits(), reference::norm_sqr(&oracle).to_bits());
+        for q in 0..qubits {
+            prop_assert_eq!(
+                sv.expectation_z(q).to_bits(),
+                reference::expectation_z(&oracle, q).to_bits()
+            );
+            prop_assert_eq!(
+                sv.prob_one(q).to_bits(),
+                reference::prob_one(&oracle, q).to_bits()
+            );
+            let r = (q + 1) % qubits;
+            if r != q {
+                prop_assert_eq!(
+                    sv.expectation_zz(q, r).to_bits(),
+                    reference::expectation_zz(&oracle, q, r).to_bits()
+                );
+            }
+        }
+        let values: Vec<f64> = (0..oracle.len()).map(|_| rng.gen_range(-4.0f64..4.0)).collect();
+        prop_assert_eq!(
+            sv.expectation_diagonal(&values).to_bits(),
+            reference::expectation_diagonal(&oracle, &values).to_bits()
+        );
     }
 
     /// The memoized cost layer: `StatevectorWorkspace::apply_phase_diagonal`
     /// gathers one `cis` per distinct integer table value, and must leave
-    /// exactly the amplitude bits of the naive one-`cis`-per-entry diagonal
-    /// under both kernels. Tables cover pure integer cut-style tables (with
+    /// exactly the amplitude bits of the naive one-`cis`-per-entry diagonal.
+    /// Tables cover pure integer cut-style tables (with
     /// `0` and the maximum present), integers mixed with fallback values
     /// (negative, `-0.0`, fractional, out of range, non-finite), and tables
     /// with no memoizable value at all. Two layers run through one workspace
@@ -262,29 +280,22 @@ proptest! {
         let dim = 1usize << qubits;
         let tables: Vec<Vec<f64>> = (0..2).map(|_| phase_table(dim, kind, &mut rng)).collect();
         let scales = [rng.gen_range(-3.5f64..6.5), rng.gen_range(-3.5f64..6.5)];
-        let gate_seed: u64 = rng.gen();
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            let (memoized, naive) = with_kernel(mode, || {
-                let mut rng = seeded(gate_seed);
-                let mut workspace = StatevectorWorkspace::new();
-                workspace.begin_uniform(qubits);
-                for _ in 0..12 {
-                    workspace.state_mut().apply_gate(random_gate(qubits, &mut rng));
-                }
-                let mut naive = workspace.state().clone();
-                for (table, &scale) in tables.iter().zip(&scales) {
-                    workspace.apply_phase_diagonal(table, scale);
-                    let phases: Vec<Complex64> =
-                        table.iter().map(|&v| Complex64::cis(scale * v)).collect();
-                    naive.apply_diagonal(&phases);
-                }
-                (
-                    amplitude_bits(workspace.state().amplitudes()),
-                    amplitude_bits(naive.amplitudes()),
-                )
-            });
-            prop_assert!(memoized == naive, "{mode:?}: memoized cost layer drifted");
+        let mut workspace = StatevectorWorkspace::new();
+        workspace.begin_uniform(qubits);
+        for _ in 0..12 {
+            workspace.state_mut().apply_gate(random_gate(qubits, &mut rng));
         }
+        let mut naive = workspace.state().clone();
+        for (table, &scale) in tables.iter().zip(&scales) {
+            workspace.apply_phase_diagonal(table, scale);
+            let phases: Vec<Complex64> =
+                table.iter().map(|&v| Complex64::cis(scale * v)).collect();
+            naive.apply_diagonal(&phases);
+        }
+        prop_assert!(
+            amplitude_bits(workspace.state().amplitudes()) == amplitude_bits(naive.amplitudes()),
+            "memoized cost layer drifted"
+        );
     }
 }
 
@@ -322,7 +333,7 @@ proptest! {
             .map(|_| rng.gen_range(-4.0f64..4.0))
             .collect();
         for theta in mixer_angles(&mut rng) {
-            let u = single_qubit_matrix(Gate::Rx(0, theta));
+            let (_, u) = Gate::Rx(0, theta).single_qubit_unitary().unwrap();
             let mut gates = start.amplitudes().to_vec();
             let mut layer = gates.clone();
             for q in 0..qubits {
@@ -354,33 +365,28 @@ proptest! {
         }
     }
 
-    /// The same contract through the `StateVector` API under both kernel
-    /// modes: `apply_rx_layer` equals the gate-by-gate `Gate::Rx` loop.
+    /// The same contract through the `StateVector` API: `apply_rx_layer`
+    /// equals the gate-by-gate `Gate::Rx` loop.
     #[test]
     fn apply_rx_layer_matches_gate_loop_through_the_api(
         seed in 0u64..100_000,
         qubits in 1usize..=10,
         kind in 0usize..2,
     ) {
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            let mut rng = seeded(seed);
-            let start = mixer_start_state(qubits, kind, &mut rng);
-            for theta in mixer_angles(&mut rng) {
-                let (gates, layer) = with_kernel(mode, || {
-                    let mut gates = start.clone();
-                    for q in 0..qubits {
-                        gates.apply_gate(Gate::Rx(q, theta));
-                    }
-                    let mut layer = start.clone();
-                    layer.apply_rx_layer(theta);
-                    (gates, layer)
-                });
-                prop_assert!(
-                    amplitudes_eq(gates.amplitudes(), layer.amplitudes()),
-                    "{mode:?}, θ = {theta}: amplitudes differ"
-                );
-                prop_assert_eq!(gates.norm_sqr().to_bits(), layer.norm_sqr().to_bits());
+        let mut rng = seeded(seed);
+        let start = mixer_start_state(qubits, kind, &mut rng);
+        for theta in mixer_angles(&mut rng) {
+            let mut gates = start.clone();
+            for q in 0..qubits {
+                gates.apply_gate(Gate::Rx(q, theta));
             }
+            let mut layer = start.clone();
+            layer.apply_rx_layer(theta);
+            prop_assert!(
+                amplitudes_eq(gates.amplitudes(), layer.amplitudes()),
+                "θ = {theta}: amplitudes differ"
+            );
+            prop_assert_eq!(gates.norm_sqr().to_bits(), layer.norm_sqr().to_bits());
         }
     }
 }
@@ -473,49 +479,4 @@ fn phase_table<R: Rng>(dim: usize, kind: usize, rng: &mut R) -> Vec<f64> {
         }
     }
     table
-}
-
-/// The single-qubit unitary matrix of a gate (panics on two-qubit gates).
-/// Mirrors the matrix table in `StateVector::apply_gate` so the module-level
-/// differential can exercise `apply_single` with every gate's actual matrix.
-fn single_qubit_matrix(gate: Gate) -> [[Complex64; 2]; 2] {
-    use std::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_4};
-    let zero = Complex64::zero;
-    let one = Complex64::one;
-    match gate {
-        Gate::H(_) => [
-            [
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-            ],
-            [
-                Complex64::new(FRAC_1_SQRT_2, 0.0),
-                Complex64::new(-FRAC_1_SQRT_2, 0.0),
-            ],
-        ],
-        Gate::X(_) => [[zero(), one()], [one(), zero()]],
-        Gate::Y(_) => [
-            [zero(), Complex64::new(0.0, -1.0)],
-            [Complex64::new(0.0, 1.0), zero()],
-        ],
-        Gate::Z(_) => [[one(), zero()], [zero(), Complex64::new(-1.0, 0.0)]],
-        Gate::S(_) => [[one(), zero()], [zero(), Complex64::i()]],
-        Gate::Sdg(_) => [[one(), zero()], [zero(), Complex64::new(0.0, -1.0)]],
-        Gate::T(_) => [[one(), zero()], [zero(), Complex64::cis(FRAC_PI_4)]],
-        Gate::Rx(_, theta) => {
-            let c = Complex64::new((theta / 2.0).cos(), 0.0);
-            let s = Complex64::new(0.0, -(theta / 2.0).sin());
-            [[c, s], [s, c]]
-        }
-        Gate::Ry(_, theta) => {
-            let c = Complex64::new((theta / 2.0).cos(), 0.0);
-            let s = Complex64::new((theta / 2.0).sin(), 0.0);
-            [[c, -s], [s, c]]
-        }
-        Gate::Rz(_, theta) => [
-            [Complex64::cis(-theta / 2.0), zero()],
-            [zero(), Complex64::cis(theta / 2.0)],
-        ],
-        other => panic!("not a single-qubit gate: {other:?}"),
-    }
 }
