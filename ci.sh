@@ -40,7 +40,9 @@
 #      qubits, bitwise cross-checked, 16-qubit speedup gated at >= 1.5x;
 #      ideal p = 1 QAOA points/sec at 12-16
 #      qubits, mixer layer vs gate-by-gate Rx, energies bitwise
-#      cross-checked; per-core landscape scaling gated at >= 2x when
+#      cross-checked; the grouped mixer layer vs per-qubit Rx passes at
+#      12-16 qubits, amplitudes bitwise cross-checked, recorded without a
+#      gate; per-core landscape scaling gated at >= 2x when
 #      cores > 1), and the depth smoke emits BENCH_depth.json
 #      (interaction-scheduler rounds gated at <= d+1 for d-regular graphs,
 #      two-qubit depth reduction vs naive emission gated at >= 2x, and the

@@ -19,10 +19,17 @@
 //!
 //! An ideal-QAOA section times the p = 1 energy the landscape and
 //! optimizer loops spend their time in, at 12, 14 and 16 qubits: points/sec
-//! through `QaoaInstance::expectation_with` (fused cost-phase gather plus
-//! the structured `Rx` mixer layer) against the same evolution with the
-//! mixer applied gate by gate (`Gate::Rx` through the generic butterfly),
-//! after checking that every point's energy bits agree.
+//! through `QaoaInstance::expectation_with` (the `u8` cost-layer gather
+//! with the uniform start folded in, plus the grouped structured `Rx` mixer
+//! layer) against the same cost layers with the mixer applied gate by gate
+//! (`Gate::Rx` through the generic butterfly), after checking that every
+//! point's energy bits agree.
+//!
+//! A mixer section records, at 12–16 qubits, the grouped mixer kernel
+//! `vectorized::apply_rx_layer` (three qubits per pass, what
+//! `StateVector::apply_rx_layer` runs) against `n` per-qubit
+//! `vectorized::apply_rx` passes, after checking that both leave the same
+//! amplitude bits. It is recorded, not gated.
 //!
 //! A per-core scaling section then times a 16-node landscape grid at one
 //! worker and at `min(4, cores)` workers; whenever the machine actually has
@@ -34,12 +41,13 @@
 
 use bench::bench_graph;
 use mathkit::parallel::with_threads;
+use mathkit::Complex64;
 use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::Landscape;
 use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
-use qsim::statevector::{reference, StateVector, StatevectorWorkspace};
+use qsim::statevector::{reference, vectorized, CostDiagonal, StateVector, StatevectorWorkspace};
 use std::time::Instant;
 
 /// Qubit counts of the throughput rows and repetitions per row (chosen so
@@ -91,22 +99,52 @@ const QAOA_ROWS: [usize; 3] = [12, 14, 16];
 const QAOA_GRID: usize = 8;
 const QAOA_REPS: usize = 3;
 
-/// The p = 1 energy with the mixer applied gate by gate: the same cost layer
-/// as `expectation_with`, then `Gate::Rx(q, 2β)` on each qubit.
+/// The energy with the mixer applied gate by gate: the same cost layers as
+/// `expectation_with` (the first folded into the uniform start), then
+/// `Gate::Rx(q, 2β)` on each qubit.
 fn gate_by_gate_energy(
-    instance: &QaoaInstance,
+    cost: &CostDiagonal,
+    qubits: usize,
     workspace: &mut StatevectorWorkspace,
     params: &QaoaParams,
 ) -> f64 {
-    let qubits = instance.graph().node_count();
-    workspace.begin_uniform(qubits);
-    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        workspace.apply_phase_diagonal(instance.cut_table(), -gamma);
+    for (layer, (gamma, beta)) in params.gammas.iter().zip(&params.betas).enumerate() {
+        if layer == 0 {
+            workspace.begin_cost_layer(qubits, cost, *gamma);
+        } else {
+            workspace.apply_cost_layer(cost, *gamma);
+        }
         for q in 0..qubits {
             workspace.state_mut().apply_gate(Gate::Rx(q, 2.0 * beta));
         }
     }
-    workspace.state().expectation_diagonal(instance.cut_table())
+    workspace.state().expectation_diagonal(cost.values())
+}
+
+/// Qubit counts of the mixer rows and mixer layers per timed repetition.
+const MIXER_ROWS: [usize; 5] = [12, 13, 14, 15, 16];
+const MIXER_LAYERS: usize = 24;
+
+/// Times `MIXER_LAYERS` mixer layers on a copy of `start`, `QAOA_REPS`
+/// times, and returns (median seconds, final amplitude bits).
+fn timed_mixer(start: &[Complex64], mut layer: impl FnMut(&mut [Complex64])) -> (f64, Vec<u64>) {
+    let mut amplitudes = start.to_vec();
+    let mut secs: Vec<f64> = (0..QAOA_REPS)
+        .map(|_| {
+            amplitudes.copy_from_slice(start);
+            let begin = Instant::now();
+            for _ in 0..MIXER_LAYERS {
+                layer(&mut amplitudes);
+            }
+            begin.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let bits = amplitudes
+        .iter()
+        .flat_map(|a| [a.re.to_bits(), a.im.to_bits()])
+        .collect();
+    (secs[QAOA_REPS / 2], bits)
 }
 
 /// Evaluates every grid point `QAOA_REPS` times with `energy` and returns
@@ -203,11 +241,12 @@ fn main() {
     let mut qaoa_json = Vec::new();
     for n in QAOA_ROWS {
         let instance = QaoaInstance::new(&bench_graph(n, 16), 1).expect("bench graph is simulable");
+        let cost = CostDiagonal::new(instance.cut_table().to_vec());
         let mut workspace = StatevectorWorkspace::with_qubits(n);
         let (layer_secs, layer_bits) =
             timed_grid(&grid, |p| instance.expectation_with(&mut workspace, p));
         let (gates_secs, gates_bits) =
-            timed_grid(&grid, |p| gate_by_gate_energy(&instance, &mut workspace, p));
+            timed_grid(&grid, |p| gate_by_gate_energy(&cost, n, &mut workspace, p));
         assert_eq!(
             layer_bits, gates_bits,
             "mixer layer energies diverged from the gate-by-gate evolution at {n} qubits"
@@ -226,6 +265,45 @@ fn main() {
             gates_pps,
             layer_pps,
             layer_pps / gates_pps
+        ));
+    }
+
+    // --- mixer: three qubits per pass vs per-qubit passes (recorded) ------
+    let (_, u) = Gate::Rx(0, 0.83)
+        .single_qubit_unitary()
+        .expect("Rx is one-qubit");
+    let (c, sn) = (u[0][0].re, u[0][1].im);
+    let mut mixer_json = Vec::new();
+    for n in MIXER_ROWS {
+        let mut start = StateVector::uniform_superposition(n);
+        for q in 0..n {
+            start.apply_gate(Gate::Ry(q, 0.1 + 0.05 * q as f64));
+        }
+        let (grouped_secs, grouped_bits) = timed_mixer(start.amplitudes(), |amplitudes| {
+            vectorized::apply_rx_layer(amplitudes, n, c, sn);
+        });
+        let (passes_secs, passes_bits) = timed_mixer(start.amplitudes(), |amplitudes| {
+            for q in 0..n {
+                vectorized::apply_rx(amplitudes, q, c, sn);
+            }
+        });
+        assert_eq!(
+            grouped_bits, passes_bits,
+            "grouped mixer diverged from per-qubit passes at {n} qubits"
+        );
+        let layers = MIXER_LAYERS as f64;
+        mixer_json.push(format!(
+            concat!(
+                "    {{ \"qubits\": {}, \"layers\": {}, ",
+                "\"per_qubit_layers_per_sec\": {:.1}, ",
+                "\"grouped_layers_per_sec\": {:.1}, ",
+                "\"speedup\": {:.3} }}"
+            ),
+            n,
+            MIXER_LAYERS,
+            layers / passes_secs,
+            layers / grouped_secs,
+            passes_secs / grouped_secs
         ));
     }
 
@@ -264,6 +342,7 @@ fn main() {
             "  \"rows\": [\n{}\n  ],\n",
             "  \"speedup_16q\": {:.3},\n",
             "  \"ideal_qaoa_p1\": [\n{}\n  ],\n",
+            "  \"rx_layer\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",
             "    \"nodes\": 16,\n",
             "    \"width\": {},\n",
@@ -281,6 +360,7 @@ fn main() {
         row_json.join(",\n"),
         speedup_16q,
         qaoa_json.join(",\n"),
+        mixer_json.join(",\n"),
         width,
         points,
         multi,

@@ -15,8 +15,10 @@
 //! * **Loading is validating.** Every record must pass a checksum *and* a
 //!   staleness check (the stored hash must equal the re-hashed decoded key —
 //!   a record written by an incompatible option layout re-hashes
-//!   differently and is dropped). Corrupt or stale records are skipped, not
-//!   fatal.
+//!   differently and is dropped). Its reduction must also agree with its
+//!   key: a distinct in-range mapping, exactly the edges the key's graph
+//!   induces on that mapping, and node and edge reductions that recompute
+//!   to the stored bits. Corrupt or stale records are skipped, not fatal.
 //! * **Torn tails self-heal.** A record truncated by a crash mid-append is
 //!   cut off at open time, so the next append starts from a clean boundary.
 //!
@@ -24,7 +26,7 @@
 //! no compression): reductions are small, and auditability beats density.
 
 use super::cache::CacheKey;
-use crate::reduction::{ReducedGraph, WarmDecision};
+use crate::reduction::{reduction_fractions, ReducedGraph, WarmDecision};
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use std::fs::{File, OpenOptions};
@@ -176,7 +178,7 @@ fn parse_records(body: &[u8]) -> (Vec<(CacheKey, ReducedGraph)>, usize) {
         if key.content_hash() != hash {
             continue;
         }
-        let Some(value) = decode_value(&payload[key_len..], key.nodes) else {
+        let Some(value) = decode_value(&payload[key_len..], &key) else {
             continue;
         };
         records.push((key, value));
@@ -256,12 +258,17 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
     out
 }
 
-/// Decodes a reduction of a `key_nodes`-node graph. The reduced graph is
+/// Decodes a reduction of the graph `key` describes. The reduced graph is
 /// built last, after its mapping has been read and checked: the mapping
-/// must hold exactly one distinct parent node `< key_nodes` per reduced
+/// must hold exactly one distinct parent node `< key.nodes` per reduced
 /// node, so the node count is bounded both by the key and by the bytes
 /// actually present, and a crafted count cannot drive the allocation.
-fn decode_value(bytes: &[u8], key_nodes: usize) -> Option<ReducedGraph> {
+/// The built graph must then carry exactly the edges the key's graph
+/// induces on the mapping, and the stored node and edge reductions must be
+/// the bits [`reduction_fractions`] recomputes, so a record can only serve
+/// what a fresh reduction to that subgraph would.
+fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
+    let key_nodes = key.nodes;
     let mut cursor = Cursor::new(bytes);
     let node_count = cursor.u64()? as usize;
     if node_count > key_nodes {
@@ -305,6 +312,17 @@ fn decode_value(bytes: &[u8], key_nodes: usize) -> Option<ReducedGraph> {
         return None;
     }
     let graph = Graph::from_edges(node_count, &edges).ok()?;
+    let mut stored = graph.edges();
+    stored.sort_unstable();
+    if stored != induced_edges(key, &nodes) {
+        return None;
+    }
+    let (nodes_cut, edges_cut) = reduction_fractions(key.nodes, key.edges.len(), &graph);
+    if nodes_cut.to_bits() != node_reduction.to_bits()
+        || edges_cut.to_bits() != edge_reduction.to_bits()
+    {
+        return None;
+    }
     Some(ReducedGraph {
         subgraph: Subgraph { graph, nodes },
         and_ratio,
@@ -312,6 +330,34 @@ fn decode_value(bytes: &[u8], key_nodes: usize) -> Option<ReducedGraph> {
         edge_reduction,
         warm_decision,
     })
+}
+
+/// The edges the key's graph induces on `nodes` (distinct parent nodes;
+/// reduced node `i` is `nodes[i]`), as sorted reduced-index pairs `(a, b)`
+/// with `a < b` — the form `Graph::edges` lists them in, once sorted.
+fn induced_edges(key: &CacheKey, nodes: &[usize]) -> Vec<(usize, usize)> {
+    let mut reduced_index: Vec<(usize, usize)> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &parent)| (parent, i))
+        .collect();
+    reduced_index.sort_unstable();
+    let index_of = |parent: usize| {
+        let at = reduced_index
+            .binary_search_by_key(&parent, |&(p, _)| p)
+            .ok()?;
+        Some(reduced_index[at].1)
+    };
+    let mut edges: Vec<(usize, usize)> = key
+        .edges
+        .iter()
+        .filter_map(|&(u, v)| {
+            let (a, b) = (index_of(u)?, index_of(v)?);
+            Some((a.min(b), a.max(b)))
+        })
+        .collect();
+    edges.sort_unstable();
+    edges
 }
 
 /// Minimal bounds-checked reader over a byte slice (`std::io::Cursor` on
@@ -349,21 +395,23 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::ReductionOptions;
-    use graphlib::generators::cycle;
+    use crate::reduction::{reduce, ReductionOptions};
+    use graphlib::generators::{connected_gnp, cycle, path};
+    use mathkit::rng::seeded;
 
+    /// A 9-cycle's key and the reduction to nodes `0..6`, on which the
+    /// cycle induces a 6-node path.
     fn sample() -> (CacheKey, ReducedGraph) {
         let graph = cycle(9).unwrap();
         let key = CacheKey::new(&graph, &ReductionOptions::default());
-        let reduced_graph = cycle(6).unwrap();
         let value = ReducedGraph {
             subgraph: Subgraph {
                 nodes: (0..6).collect(),
-                graph: reduced_graph,
+                graph: path(6).unwrap(),
             },
             and_ratio: 0.95,
-            node_reduction: 1.0 / 3.0,
-            edge_reduction: 1.0 / 3.0,
+            node_reduction: 1.0 - 6.0 / 9.0,
+            edge_reduction: 1.0 - 5.0 / 9.0,
             warm_decision: WarmDecision::MeasuredKept,
         };
         (key, value)
@@ -428,7 +476,9 @@ mod tests {
     }
 
     /// Raw value-section bytes with the given node count, edges and
-    /// mapping (no validation — for crafting hostile records).
+    /// mapping (no validation — for crafting hostile records). The node and
+    /// edge reductions are the ones those counts give against the sample's
+    /// 9-node, 9-edge key.
     fn raw_value(node_count: u64, edges: &[(u64, u64)], mapping: &[u64]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&node_count.to_le_bytes());
@@ -441,7 +491,9 @@ mod tests {
         for &node in mapping {
             out.extend_from_slice(&node.to_le_bytes());
         }
-        for ratio in [0.95f64, 0.5, 0.5] {
+        let node_reduction = 1.0 - node_count as f64 / 9.0;
+        let edge_reduction = 1.0 - edges.len() as f64 / 9.0;
+        for ratio in [0.95f64, node_reduction, edge_reduction] {
             out.extend_from_slice(&ratio.to_bits().to_le_bytes());
         }
         out.push(0);
@@ -482,10 +534,78 @@ mod tests {
             assert!(records.is_empty(), "{what}: record must be rejected");
             assert!(consumed > 0, "{what}: framing is intact, parsing goes on");
         }
-        // The same layout with a consistent mapping decodes.
+        // The same layout with a consistent mapping decodes: the 9-cycle
+        // induces the single edge 8–0 on nodes {0, 4, 8}.
         let (records, _) = parse_records(&hostile_record(&key, &raw_value(3, &ring, &[0, 4, 8])));
+        assert!(records.is_empty(), "a ring is not what the key induces");
+        let (records, _) =
+            parse_records(&hostile_record(&key, &raw_value(3, &[(0, 2)], &[0, 4, 8])));
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1.subgraph.nodes, vec![0, 4, 8]);
+    }
+
+    #[test]
+    fn records_that_disagree_with_a_fresh_reduce_are_corrupt() {
+        // Crafted records whose checksum and content hash are valid but
+        // whose reduction is not the one a fresh `reduce` of the key's
+        // graph gives: the store must serve the fresh value or nothing.
+        let graph = connected_gnp(12, 0.4, &mut seeded(5)).unwrap();
+        let options = ReductionOptions::default();
+        let key = CacheKey::new(&graph, &options);
+        let fresh = reduce(&graph, &options, &mut seeded(6)).unwrap();
+        let sub = &fresh.subgraph;
+        let n = sub.graph.node_count();
+        let edges = sub.graph.edges();
+        assert!(edges.len() >= 2 && edges.len() < n * (n - 1) / 2);
+        let missing = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| !sub.graph.has_edge(a, b))
+            .unwrap();
+        let with_graph = |edges: &[(usize, usize)]| ReducedGraph {
+            subgraph: Subgraph {
+                graph: Graph::from_edges(n, edges).unwrap(),
+                nodes: sub.nodes.clone(),
+            },
+            ..fresh.clone()
+        };
+        let mut added = edges.clone();
+        added.push(missing);
+        let mut swapped = fresh.clone();
+        swapped.subgraph.nodes.swap(0, n - 1);
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let cases = [
+            ("an induced edge dropped", with_graph(&edges[1..])),
+            ("a non-induced edge added", with_graph(&added)),
+            ("two mapping entries swapped", swapped),
+            (
+                "node reduction off by one ulp",
+                ReducedGraph {
+                    node_reduction: next_up(fresh.node_reduction),
+                    ..fresh.clone()
+                },
+            ),
+            (
+                "edge reduction off by one ulp",
+                ReducedGraph {
+                    edge_reduction: next_up(fresh.edge_reduction),
+                    ..fresh.clone()
+                },
+            ),
+        ];
+        for (what, value) in &cases {
+            assert_ne!(value, &fresh, "{what}: the crafted value differs");
+            let record = hostile_record(&key, &encode_value(value));
+            let (records, consumed) = parse_records(&record);
+            assert!(
+                records.iter().all(|(_, served)| served == &fresh),
+                "{what}: a value that differs from a fresh reduce was served"
+            );
+            assert!(records.is_empty(), "{what}: record must be rejected");
+            assert_eq!(consumed, record.len(), "{what}: framing is intact");
+        }
+        // The honest record serves exactly the fresh value.
+        let (records, _) = parse_records(&encode_record(&key, &fresh));
+        assert_eq!(records, vec![(key, fresh)]);
     }
 
     #[test]

@@ -403,18 +403,19 @@ impl ReducedGraph {
 
     /// Documented *estimate* of this value's memory footprint in bytes:
     /// the struct itself, the node-mapping vector, the adjacency-list spine,
-    /// and three words per directed edge entry (a `BTreeSet` stores each
-    /// undirected edge twice; three words approximates the amortized B-tree
-    /// node overhead per element). The engine's cache accounting
+    /// and three words per directed edge entry (the adjacency lists store
+    /// each undirected edge twice; three words is a generous allowance for
+    /// allocation slack per element). The engine's cache accounting
     /// (`CacheStats::bytes`) sums exactly this quantity, so evictions and
-    /// inserts balance to zero by construction.
+    /// inserts balance to zero by construction. The estimate is part of the
+    /// cache's eviction policy (cost per byte), so it stays fixed when the
+    /// graph's storage changes.
     pub fn approx_heap_bytes(&self) -> usize {
-        use std::collections::BTreeSet;
         use std::mem::size_of;
         let word = size_of::<usize>();
         size_of::<Self>()
             + self.subgraph.nodes.len() * word
-            + self.graph().node_count() * size_of::<BTreeSet<usize>>()
+            + self.graph().node_count() * size_of::<Vec<usize>>()
             + 2 * self.graph().edge_count() * 3 * word
     }
 }
@@ -664,8 +665,8 @@ pub fn reduce<R: Rng>(
         }
     };
 
-    let node_reduction = 1.0 - subgraph.graph.node_count() as f64 / n as f64;
-    let edge_reduction = 1.0 - subgraph.graph.edge_count() as f64 / graph.edge_count() as f64;
+    let (node_reduction, edge_reduction) =
+        reduction_fractions(n, graph.edge_count(), &subgraph.graph);
     let ratio = and_ratio(graph, &subgraph.graph);
     Ok(ReducedGraph {
         subgraph,
@@ -674,6 +675,18 @@ pub fn reduce<R: Rng>(
         edge_reduction,
         warm_decision: warm.decision,
     })
+}
+
+/// The fractions of nodes and of edges a reduction to `reduced` removes
+/// from a graph with `nodes` nodes and `edges` edges: the
+/// [`ReducedGraph::node_reduction`] and [`ReducedGraph::edge_reduction`]
+/// of [`reduce`], which the persistent store recomputes to validate
+/// records.
+pub(crate) fn reduction_fractions(nodes: usize, edges: usize, reduced: &Graph) -> (f64, f64) {
+    (
+        1.0 - reduced.node_count() as f64 / nodes as f64,
+        1.0 - reduced.edge_count() as f64 / edges as f64,
+    )
 }
 
 /// Mutable warm-start bookkeeping threaded through the binary search.

@@ -128,8 +128,8 @@ impl UnionFind {
 ///
 /// Both the SA move evaluator and the resize scratch iterate neighborhoods
 /// millions of times; a contiguous slice walk (plus binary-search edge
-/// tests, see [`AdjacencyCsr::has_edge`]) beats pointer-chasing the
-/// `BTreeSet` adjacency by a wide margin. [`AdjacencyCsr::rebuild_from`]
+/// tests, see [`AdjacencyCsr::has_edge`]) beats hopping between the
+/// graph's per-node lists by a wide margin. [`AdjacencyCsr::rebuild_from`]
 /// refills the buffers in place, so a scratch-owned CSR allocates only on
 /// first use or growth.
 ///

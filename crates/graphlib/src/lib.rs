@@ -34,8 +34,6 @@ pub mod metrics;
 pub mod subgraph;
 pub mod traversal;
 
-use std::collections::BTreeSet;
-
 /// Errors produced by graph operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
@@ -70,10 +68,14 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A simple undirected graph over nodes `0..n`.
+///
+/// Each node's neighbors are kept as a sorted, duplicate-free `Vec`: one
+/// small allocation per node instead of a tree node, which matters for the
+/// many small reduced graphs a long-lived engine caches.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Graph {
     node_count: usize,
-    adjacency: Vec<BTreeSet<usize>>,
+    adjacency: Vec<Vec<usize>>,
 }
 
 impl Graph {
@@ -81,7 +83,7 @@ impl Graph {
     pub fn new(n: usize) -> Self {
         Self {
             node_count: n,
-            adjacency: vec![BTreeSet::new(); n],
+            adjacency: vec![Vec::new(); n],
         }
     }
 
@@ -128,8 +130,12 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        self.adjacency[u].insert(v);
-        self.adjacency[v].insert(u);
+        for (a, b) in [(u, v), (v, u)] {
+            let list = &mut self.adjacency[a];
+            if let Err(at) = list.binary_search(&b) {
+                list.insert(at, b);
+            }
+        }
         Ok(())
     }
 
@@ -142,8 +148,14 @@ impl Graph {
     pub fn remove_edge(&mut self, u: usize, v: usize) -> Result<bool, GraphError> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let removed = self.adjacency[u].remove(&v);
-        self.adjacency[v].remove(&u);
+        let mut removed = false;
+        for (a, b) in [(u, v), (v, u)] {
+            let list = &mut self.adjacency[a];
+            if let Ok(at) = list.binary_search(&b) {
+                list.remove(at);
+                removed = true;
+            }
+        }
         Ok(removed)
     }
 
@@ -151,7 +163,7 @@ impl Graph {
     ///
     /// Out-of-range nodes simply yield `false`.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        u < self.node_count && v < self.node_count && self.adjacency[u].contains(&v)
+        u < self.node_count && v < self.node_count && self.adjacency[u].binary_search(&v).is_ok()
     }
 
     /// Degree of a node.
@@ -244,7 +256,11 @@ impl Graph {
             u < self.node_count && v < self.node_count,
             "node out of range"
         );
-        self.adjacency[u].intersection(&self.adjacency[v]).count()
+        let others = &self.adjacency[v];
+        self.adjacency[u]
+            .iter()
+            .filter(|w| others.binary_search(w).is_ok())
+            .count()
     }
 
     /// Returns a new graph with the same nodes and edges plus `extra` isolated

@@ -32,7 +32,7 @@ use crate::QaoaError;
 use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
-use qsim::statevector::StatevectorWorkspace;
+use qsim::statevector::{CostDiagonal, StatevectorWorkspace};
 
 /// Merges duplicate-pair terms into single weighted terms (the exact,
 /// circuit-level merge). Returns the merged list — sorted by `(u, v)`, one
@@ -211,7 +211,7 @@ pub fn factored_edge_local_expectation(
         let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
         let local_u = sub.nodes.binary_search(&rep.u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&rep.v).expect("v in subgraph");
-        let table = cut_values(&sub.graph)?;
+        let table = CostDiagonal::new(cut_values(&sub.graph)?);
         evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
         let term = 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
         total += class.multiplicity() as f64 * term;

@@ -62,7 +62,7 @@ use graphlib::Graph;
 use mathkit::rng::{derive_seed, seeded};
 use qsim::devices::CouplingMap;
 use qsim::noise::NoiseModel;
-use qsim::statevector::StatevectorWorkspace;
+use qsim::statevector::{CostDiagonal, StatevectorWorkspace};
 use qsim::trajectory::TrajectoryOptions;
 use rand::rngs::SmallRng;
 
@@ -248,7 +248,7 @@ impl EnergyEvaluator for AnalyticP1Evaluator {
 #[derive(Debug, Clone, PartialEq)]
 struct EdgeCone {
     qubits: usize,
-    cut_table: Vec<f64>,
+    cut_table: CostDiagonal,
     local_u: usize,
     local_v: usize,
 }
@@ -296,7 +296,7 @@ impl EdgeLocalEvaluator {
             let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
             cones.push(EdgeCone {
                 qubits: sub.graph.node_count(),
-                cut_table: cut_values(&sub.graph)?,
+                cut_table: CostDiagonal::new(cut_values(&sub.graph)?),
                 local_u,
                 local_v,
             });

@@ -3,9 +3,10 @@
 //! Three evaluators are provided:
 //!
 //! * [`QaoaInstance::expectation`] — exact statevector evaluation. The cost
-//!   layer is diagonal, so it is applied as a phase table rather than as
-//!   individual gates, which makes full landscape sweeps cheap for ≤ ~20
-//!   qubits.
+//!   layer is diagonal, so it is applied from the `u8` cut table as one
+//!   phase gather rather than as individual gates (the first one folded
+//!   into the uniform start), which makes full landscape sweeps cheap for
+//!   ≤ ~20 qubits.
 //! * [`edge_local_expectation`] — exact evaluation through the edge
 //!   light-cone decomposition (Section 3.3 / Equation 7): each edge term is
 //!   simulated on the induced subgraph of nodes within distance `p` of the
@@ -24,7 +25,7 @@ use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
 use qsim::noise::NoiseModel;
-use qsim::statevector::{StateVector, StatevectorWorkspace};
+use qsim::statevector::{CostDiagonal, StateVector, StatevectorWorkspace};
 use qsim::trajectory::{
     noisy_expectation_diagonal, noisy_expectation_diagonal_seeded, TrajectoryOptions,
 };
@@ -33,13 +34,17 @@ use rand::Rng;
 /// Maximum number of nodes for the exact global statevector evaluator.
 pub const MAX_EXACT_NODES: usize = 22;
 
+// Cut tables hold one `u8` per basis state: the most edges a graph within
+// the limit can have must fit, or raising the limit would wrap cut values.
+const _: () = assert!(MAX_EXACT_NODES * (MAX_EXACT_NODES - 1) / 2 <= u8::MAX as usize);
+
 /// A prepared QAOA MaxCut instance: the graph, the layer count, and the
 /// precomputed diagonal of the cost Hamiltonian.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QaoaInstance {
     graph: Graph,
     layers: usize,
-    cut_table: Vec<f64>,
+    cut_table: CostDiagonal,
     schedule: Option<DepthSchedule>,
 }
 
@@ -68,7 +73,7 @@ impl QaoaInstance {
         Ok(Self {
             graph: graph.clone(),
             layers,
-            cut_table: cut_values(graph)?,
+            cut_table: CostDiagonal::new(cut_values(graph)?),
             schedule: None,
         })
     }
@@ -121,20 +126,26 @@ impl QaoaInstance {
     }
 
     /// The diagonal of the cost Hamiltonian (cut value of each basis state).
-    pub fn cut_table(&self) -> &[f64] {
-        &self.cut_table
+    pub fn cut_table(&self) -> &[u8] {
+        self.cut_table.values()
+    }
+
+    /// The cut table widened to `f64`, built at the point of use for the
+    /// noisy trajectory paths, which read observables as `f64`.
+    fn cut_table_f64(&self) -> Vec<f64> {
+        self.cut_table().iter().map(|&k| f64::from(k)).collect()
     }
 
     /// The exact MaxCut value of the graph: the largest entry of the cut
     /// table, which already enumerates every assignment. Equal to
     /// `brute_force_maxcut(graph).best_cut` without a second `2^n` pass.
     pub fn max_cut(&self) -> usize {
-        self.cut_table.iter().fold(0.0f64, |best, &v| best.max(v)) as usize
+        usize::from(self.cut_table.max())
     }
 
     /// Prepares `|ψ(γ, β)⟩` in the workspace: uniform superposition, then
-    /// alternating cost-phase and mixer layers. The cost layer is applied as
-    /// a single diagonal pass over the precomputed cut table.
+    /// alternating cost-phase and mixer layers. Each cost layer is one
+    /// phase gather over the precomputed cut table.
     fn evolve_into<'w>(
         &self,
         workspace: &'w mut StatevectorWorkspace,
@@ -170,7 +181,7 @@ impl QaoaInstance {
         params: &QaoaParams,
     ) -> f64 {
         self.evolve_into(workspace, params)
-            .expectation_diagonal(&self.cut_table)
+            .expectation_diagonal(self.cut_table())
     }
 
     /// Exact measurement distribution for the given parameters.
@@ -219,7 +230,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal(&circuit, noise, &self.cut_table, options, rng)
+        noisy_expectation_diagonal(&circuit, noise, &self.cut_table_f64(), options, rng)
     }
 
     /// Noisy cost expectation of the circuit *after routing onto a device
@@ -271,7 +282,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal_seeded(&circuit, noise, &self.cut_table, options, seed)
+        noisy_expectation_diagonal_seeded(&circuit, noise, &self.cut_table_f64(), options, seed)
     }
 
     /// Seeded, thread-count-independent variant of
@@ -344,11 +355,12 @@ impl QaoaInstance {
     }
 }
 
-/// Shared QAOA layer evolution: resets `workspace` to the uniform
-/// superposition over `qubits` qubits, then applies the alternating
-/// cost-phase (`e^{-iγ H_C}` via the diagonal `cut_table`, one fused
-/// memoized-phase pass) and mixer (`Rx(2β)` on every qubit, one
-/// [`StateVector::apply_rx_layer`] call) layers. Energies are bitwise
+/// Shared QAOA layer evolution over `qubits` qubits: the alternating
+/// cost-phase (`e^{-iγ H_C}` via the `u8` cut table, one memoized phase
+/// gather) and mixer (`Rx(2β)` on every qubit, one
+/// [`StateVector::apply_rx_layer`] call) layers, with the uniform start
+/// folded into the first cost layer
+/// ([`StatevectorWorkspace::begin_cost_layer`]). Energies are bitwise
 /// equal to the gate-by-gate `Gate::Rx` evolution (see that method's
 /// contract).
 ///
@@ -359,12 +371,19 @@ impl QaoaInstance {
 pub(crate) fn evolve_qaoa_layers(
     workspace: &mut StatevectorWorkspace,
     qubits: usize,
-    cut_table: &[f64],
+    cut_table: &CostDiagonal,
     params: &QaoaParams,
 ) {
-    workspace.begin_uniform(qubits);
-    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        workspace.apply_phase_diagonal(cut_table, -gamma);
+    let mut layers = params.gammas.iter().zip(&params.betas);
+    let Some((gamma, beta)) = layers.next() else {
+        workspace.begin_uniform(qubits);
+        return;
+    };
+    workspace
+        .begin_cost_layer(qubits, cut_table, *gamma)
+        .apply_rx_layer(2.0 * beta);
+    for (gamma, beta) in layers {
+        workspace.apply_cost_layer(cut_table, *gamma);
         workspace.state_mut().apply_rx_layer(2.0 * beta);
     }
 }
@@ -400,7 +419,7 @@ pub fn edge_local_expectation(graph: &Graph, params: &QaoaParams) -> Result<f64,
         let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
         let local_u = sub.nodes.binary_search(&u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
-        let table = cut_values(&sub.graph)?;
+        let table = CostDiagonal::new(cut_values(&sub.graph)?);
         evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
         total += 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
     }
@@ -462,7 +481,7 @@ mod tests {
         let e: f64 = probs
             .iter()
             .zip(instance.cut_table())
-            .map(|(p, c)| p * c)
+            .map(|(p, &c)| p * f64::from(c))
             .sum();
         assert!((e - instance.expectation(&params)).abs() < EPS);
     }

@@ -5,6 +5,7 @@
 //! whose endpoints fall in different partitions; the QAOA cost Hamiltonian
 //! (Equation 5) is diagonal with exactly these values on the diagonal.
 
+use crate::expectation::MAX_EXACT_NODES;
 use crate::QaoaError;
 use graphlib::Graph;
 
@@ -18,29 +19,30 @@ pub fn cut_value(graph: &Graph, assignment: u64) -> usize {
 }
 
 /// The diagonal of the MaxCut cost Hamiltonian: `values[z] = cut(z)` for all
-/// `2^n` basis states.
+/// `2^n` basis states, one byte each (a graph within the exact-simulation
+/// limit has at most 231 edges).
 ///
 /// # Errors
 ///
-/// Returns [`QaoaError::GraphTooLarge`] if the graph has more than 26 nodes
-/// (the table would not fit in memory).
-pub fn cut_values(graph: &Graph) -> Result<Vec<f64>, QaoaError> {
+/// Returns [`QaoaError::GraphTooLarge`] if the graph has more than
+/// [`MAX_EXACT_NODES`] nodes.
+pub fn cut_values(graph: &Graph) -> Result<Vec<u8>, QaoaError> {
     let n = graph.node_count();
-    if n > 26 {
+    if n > MAX_EXACT_NODES {
         return Err(QaoaError::GraphTooLarge {
             nodes: n,
-            limit: 26,
+            limit: MAX_EXACT_NODES,
         });
     }
     let edges = graph.edges();
     let dim = 1usize << n;
-    let mut values = vec![0.0f64; dim];
+    let mut values = vec![0u8; dim];
     for &(u, v) in &edges {
         let ubit = 1usize << u;
         let vbit = 1usize << v;
         for (z, value) in values.iter_mut().enumerate() {
             if ((z & ubit) == 0) != ((z & vbit) == 0) {
-                *value += 1.0;
+                *value += 1;
             }
         }
     }
@@ -152,7 +154,7 @@ mod tests {
         let g = cycle(5).unwrap();
         let table = cut_values(&g).unwrap();
         for z in 0..(1usize << 5) {
-            assert_eq!(table[z], cut_value(&g, z as u64) as f64);
+            assert_eq!(usize::from(table[z]), cut_value(&g, z as u64));
         }
     }
 

@@ -20,11 +20,26 @@
 //! Every gate's matrix comes from the one table in
 //! [`Gate::single_qubit_unitary`], which both sides read.
 //!
+//! # The `u8` cost-layer contract
+//!
+//! The QAOA cost diagonal is held once, as a [`CostDiagonal`]: one `u8`
+//! per basis state. [`StatevectorWorkspace::begin_cost_layer`] folds the
+//! uniform start into the first cost layer — `memo[k] = (2^{-n/2}, 0) ·
+//! cis(-γ·k)` per cost value, then the gather `amp[z] = memo[cost[z]]` —
+//! and [`StatevectorWorkspace::apply_cost_layer`] multiplies by a
+//! `cis(-γ·k)` memo gathered the same way. Both leave the amplitude bits
+//! of [`StatevectorWorkspace::begin_uniform`] plus
+//! [`StateVector::apply_diagonal`] with one `cis(-γ·cost[z])` per entry,
+//! and [`StateVector::expectation_diagonal`] reads the `u8` values with
+//! the bits of the same table held as `f64`.
+//!
 //! # The mixer-layer contract
 //!
 //! One kernel has a stated exception at the amplitude level: the QAOA
 //! mixer [`StateVector::apply_rx_layer`]. It uses the structure of `Rx`
-//! (8 multiplies per amplitude pair instead of the generic butterfly's 16).
+//! (8 multiplies per amplitude pair instead of the generic butterfly's 16)
+//! and walks the qubits three per pass; its amplitude bits are those of
+//! `n` per-qubit [`vectorized::apply_rx`] passes.
 //! Reductions and energies are **bitwise equal** to the gate-by-gate
 //! `Gate::Rx` evolution; amplitudes are equal except that an exact zero may
 //! change sign. The generic butterfly differs only by adding products with
@@ -89,8 +104,7 @@ impl StateVector {
     /// (the QAOA initial state, Equation 4 of the paper).
     pub fn uniform_superposition(qubit_count: usize) -> Self {
         let mut sv = Self::new(qubit_count);
-        let amp = Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0);
-        sv.amplitudes.fill(amp);
+        sv.amplitudes.fill(uniform_amplitude(qubit_count));
         sv
     }
 
@@ -122,25 +136,27 @@ impl StateVector {
     ///
     /// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
     pub fn reinitialize_uniform(&mut self, qubit_count: usize) {
-        let amp = Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0);
-        self.reinitialize_with(qubit_count, amp);
+        self.reinitialize_with(qubit_count, uniform_amplitude(qubit_count));
     }
 
     /// Resizes to `2^qubit_count` amplitudes all equal to `value`, without
     /// reallocating when the buffer is already large enough.
     fn reinitialize_with(&mut self, qubit_count: usize, value: Complex64) {
+        self.resize_for(qubit_count);
+        self.amplitudes.fill(value);
+    }
+
+    /// Sets the qubit count and resizes the buffer to `2^qubit_count`
+    /// amplitudes, reallocating only when it must grow. Amplitudes that
+    /// survive keep stale values: callers overwrite every one.
+    fn resize_for(&mut self, qubit_count: usize) {
         assert!(
             qubit_count <= MAX_STATEVECTOR_QUBITS,
             "statevector limited to {MAX_STATEVECTOR_QUBITS} qubits"
         );
         self.qubit_count = qubit_count;
-        let dim = 1usize << qubit_count;
-        if self.amplitudes.len() == dim {
-            self.amplitudes.fill(value);
-        } else {
-            self.amplitudes.clear();
-            self.amplitudes.resize(dim, value);
-        }
+        self.amplitudes
+            .resize(1usize << qubit_count, Complex64::zero());
     }
 
     /// Number of qubits.
@@ -229,9 +245,15 @@ impl StateVector {
     /// The kernel uses the structure of `Rx` — `cos(θ/2)` on the diagonal,
     /// `i·(-sin(θ/2))` off it, both read from the same `Rx` matrix that
     /// [`apply_gate`](Self::apply_gate)`(Gate::Rx)` uses — for 8 multiplies
-    /// per amplitude pair instead of the generic butterfly's 16.
+    /// per amplitude pair instead of the generic butterfly's 16, and walks
+    /// the qubits three per pass over the state
+    /// ([`vectorized::apply_rx_layer`]).
     ///
     /// # Contract
+    ///
+    /// Amplitude bits equal to `n` per-qubit [`vectorized::apply_rx`]
+    /// passes: grouping only changes which amplitudes a pass visits, never
+    /// the sequence of operations an amplitude goes through.
     ///
     /// Equal to `n` gate-by-gate `Gate::Rx(q, θ)` applications, under `==`
     /// per amplitude component: the structured butterfly only omits the
@@ -244,10 +266,12 @@ impl StateVector {
     /// every QAOA energy) are bitwise equal.
     pub fn apply_rx_layer(&mut self, theta: f64) {
         let u = rx_matrix(theta);
-        let (c, sn) = (u[0][0].re, u[0][1].im);
-        for q in 0..self.qubit_count {
-            vectorized::apply_rx(&mut self.amplitudes, q, c, sn);
-        }
+        vectorized::apply_rx_layer(
+            &mut self.amplitudes,
+            self.qubit_count,
+            u[0][0].re,
+            u[0][1].im,
+        );
     }
 
     /// Multiplies every amplitude of basis state `z` by `phases[z]`.
@@ -337,12 +361,14 @@ impl StateVector {
     }
 
     /// Expectation value of an arbitrary diagonal observable given its value
-    /// on every basis state.
+    /// on every basis state. The values may be any type that widens exactly
+    /// to `f64`: a [`CostDiagonal`]'s `u8` entries give the same bits as the
+    /// same table held as `f64`.
     ///
     /// # Panics
     ///
     /// Panics if `values.len()` does not equal `2^n`.
-    pub fn expectation_diagonal(&self, values: &[f64]) -> f64 {
+    pub fn expectation_diagonal<V: Copy + Into<f64>>(&self, values: &[V]) -> f64 {
         assert_eq!(values.len(), self.amplitudes.len());
         vectorized::expectation_diagonal(&self.amplitudes, values)
     }
@@ -448,11 +474,50 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
     }
 }
 
+/// The uniform-superposition amplitude `2^{-n/2}` of `qubit_count` qubits.
+fn uniform_amplitude(qubit_count: usize) -> Complex64 {
+    Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0)
+}
+
+/// An integer-valued diagonal observable — the QAOA MaxCut cost
+/// Hamiltonian — held as one `u8` per basis state, plus its largest entry.
+///
+/// This is the only form the exact QAOA paths keep a cost table in: cut
+/// values of a graph with at most 22 nodes are at most 231, and
+/// `f64::from(k)` is exact, so nothing is lost against an `f64` table at
+/// an eighth of the memory. The largest entry, fixed at construction,
+/// bounds the per-value phase memo of the cost layers
+/// ([`StatevectorWorkspace::begin_cost_layer`],
+/// [`StatevectorWorkspace::apply_cost_layer`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CostDiagonal {
+    values: Vec<u8>,
+    max: u8,
+}
+
+impl CostDiagonal {
+    /// Wraps `values[z]`, the cost of basis state `z`.
+    pub fn new(values: Vec<u8>) -> Self {
+        let max = values.iter().copied().max().unwrap_or(0);
+        Self { values, max }
+    }
+
+    /// The per-basis-state costs.
+    pub fn values(&self) -> &[u8] {
+        &self.values
+    }
+
+    /// The largest cost.
+    pub fn max(&self) -> u8 {
+        self.max
+    }
+}
+
 /// Reusable scratch buffers for repeated statevector evaluations.
 ///
 /// Landscape scans evaluate the same circuit family thousands of times; a
 /// fresh `2^n` amplitude vector per evaluation is pure allocator traffic.
-/// A workspace owns it (plus the cost layer's per-cut-value phase memo and
+/// A workspace owns it (plus the cost layers' per-cost-value phase memo and
 /// a probability buffer for distribution readouts) and recycles them:
 /// after the first evaluation of a given size no further allocation
 /// happens. Buffers only grow, so one workspace can serve subgraphs of
@@ -463,22 +528,10 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 #[derive(Debug, Clone)]
 pub struct StatevectorWorkspace {
     state: StateVector,
-    /// `phase_memo[k] = cis(scale · k)` for the integer table values `k` of
-    /// the current [`apply_phase_diagonal`](Self::apply_phase_diagonal)
-    /// call.
-    phase_memo: Vec<Complex64>,
+    /// `phase_memo[k]` for `k ≤ cost.max()` is the phase of cost value `k`
+    /// in the current cost layer; entries above the maximum are never read.
+    phase_memo: Box<[Complex64; 256]>,
     probabilities: Vec<f64>,
-}
-
-/// The memo slot of a phase-table value: `Some(k)` when `value` is exactly
-/// the integer `k` (same bits as `k as f64`, so `-0.0`, NaN and fractions
-/// never match) and `k < memo_len`.
-#[inline]
-fn memo_slot(value: f64, memo_len: u32) -> Option<usize> {
-    // `as` saturates: negatives and NaN become 0 and huge values
-    // `u32::MAX`, which the range and bit checks then reject.
-    let k = value as u32;
-    (k < memo_len && f64::from(k).to_bits() == value.to_bits()).then_some(k as usize)
 }
 
 impl StatevectorWorkspace {
@@ -486,7 +539,7 @@ impl StatevectorWorkspace {
     pub fn new() -> Self {
         Self {
             state: StateVector::new(0),
-            phase_memo: Vec::new(),
+            phase_memo: Box::new([Complex64::zero(); 256]),
             probabilities: Vec::new(),
         }
     }
@@ -516,50 +569,64 @@ impl StatevectorWorkspace {
         &mut self.state
     }
 
-    /// Applies the diagonal unitary `|z⟩ ↦ e^{i·scale·table[z]} |z⟩` to the
-    /// working state in one pass, multiplying each amplitude by its phase
-    /// directly (no `2^n` phase table is built).
+    /// Prepares `e^{-iγ C} |s⟩` over `qubit_count` qubits: the uniform
+    /// superposition followed by the first QAOA cost layer, in one pass.
     ///
-    /// This is the QAOA cost layer: with `scale = -γ` and `table` the
-    /// cut-value diagonal it applies `e^{-iγ H_C}` in one pass.
-    ///
-    /// A cut table holds only the integers `0..=|E|`, so the phase of each
-    /// integer value `k < table.len()` is computed once, as
-    /// `cis(scale · k)`, and gathered; any other value (negative,
-    /// fractional, out of range) gets its own `cis(scale · v)`. Either way
-    /// every phase is `cis` of the same product as the one-call-per-entry
-    /// loop and multiplies its amplitude exactly as
-    /// [`StateVector::apply_diagonal`] does, so the
-    /// result is bitwise unchanged — only `|E| + 1` sin/cos pairs are paid
-    /// instead of `2^n`.
+    /// The memo `memo[k] = (2^{-n/2}, 0) · cis(-γ·k)` is built for every
+    /// cost value `k ≤ cost.max()` (`|E| + 1` sin/cos pairs, not `2^n`), and
+    /// the state is the gather `amp[z] = memo[cost[z]]` — no fill pass
+    /// first. Each amplitude is the very product
+    /// [`begin_uniform`](Self::begin_uniform) followed by
+    /// [`StateVector::apply_diagonal`] with `cis(-γ·cost[z])` computes, so
+    /// the bits are the same.
     ///
     /// # Panics
     ///
-    /// Panics if `table.len()` differs from the state dimension.
-    pub fn apply_phase_diagonal(&mut self, table: &[f64], scale: f64) {
-        assert_eq!(
-            table.len(),
-            self.state.amplitudes.len(),
-            "diagonal length must equal the state dimension"
-        );
-        // The memo covers `0..=floor(top)`, `top` being the largest table
-        // value below `table.len()` (NaN never compares below), so it never
-        // holds more entries than the table.
-        let len = table.len() as f64;
-        let top = table
-            .iter()
-            .fold(0.0f64, |top, &v| if v < len { top.max(v) } else { top });
-        let memo_len = top as u32 + 1;
-        self.phase_memo.clear();
-        self.phase_memo
-            .extend((0..memo_len).map(|k| Complex64::cis(scale * f64::from(k))));
-        let memo = &self.phase_memo;
-        for (amp, &v) in self.state.amplitudes.iter_mut().zip(table) {
-            *amp *= match memo_slot(v, memo_len) {
-                Some(k) => memo[k],
-                None => Complex64::cis(scale * v),
-            };
+    /// Panics if `cost` does not have `2^qubit_count` entries or
+    /// `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
+    pub fn begin_cost_layer(
+        &mut self,
+        qubit_count: usize,
+        cost: &CostDiagonal,
+        gamma: f64,
+    ) -> &mut StateVector {
+        let start = uniform_amplitude(qubit_count);
+        for (k, slot) in self.memo_slots(cost).iter_mut().enumerate() {
+            *slot = start * Complex64::cis(-gamma * k as f64);
         }
+        self.state.resize_for(qubit_count);
+        self.check_dimension(cost);
+        vectorized::gather_phases(&mut self.state.amplitudes, &cost.values, &self.phase_memo);
+        &mut self.state
+    }
+
+    /// Applies a later QAOA cost layer `e^{-iγ C}` to the working state in
+    /// one pass: `memo[k] = cis(-γ·k)` for every cost value, then each
+    /// amplitude is multiplied by `memo[cost[z]]` — the bits of
+    /// [`StateVector::apply_diagonal`] with `cis(-γ·cost[z])` per entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` does not match the state dimension.
+    pub fn apply_cost_layer(&mut self, cost: &CostDiagonal, gamma: f64) {
+        for (k, slot) in self.memo_slots(cost).iter_mut().enumerate() {
+            *slot = Complex64::cis(-gamma * k as f64);
+        }
+        self.check_dimension(cost);
+        vectorized::apply_phases(&mut self.state.amplitudes, &cost.values, &self.phase_memo);
+    }
+
+    /// The memo slots of the cost values `0..=cost.max()`.
+    fn memo_slots(&mut self, cost: &CostDiagonal) -> &mut [Complex64] {
+        &mut self.phase_memo[..=usize::from(cost.max)]
+    }
+
+    fn check_dimension(&self, cost: &CostDiagonal) {
+        assert_eq!(
+            cost.values.len(),
+            self.state.amplitudes.len(),
+            "cost table length must equal the state dimension"
+        );
     }
 
     /// Computes the working state's measurement distribution into the
@@ -841,18 +908,26 @@ mod tests {
 
     #[test]
     fn workspace_phase_diagonal_matches_explicit_table() {
-        let table = [0.0, 1.0, 2.0, 1.0];
-        let mut ws = StatevectorWorkspace::with_qubits(2);
-        ws.begin_uniform(2);
-        ws.apply_phase_diagonal(&table, -0.7);
+        let cost = CostDiagonal::new(vec![0, 1, 2, 1]);
         let mut reference = StateVector::uniform_superposition(2);
-        let phases: Vec<Complex64> = table.iter().map(|&v| Complex64::cis(-0.7 * v)).collect();
-        reference.apply_diagonal(&phases);
-        assert_eq!(ws.state().amplitudes(), reference.amplitudes());
-        // A second application reuses the scratch without reallocation side
-        // effects on the result.
-        ws.begin_uniform(2);
-        ws.apply_phase_diagonal(&table, -0.7);
+        let mut ws = StatevectorWorkspace::with_qubits(2);
+        for gamma in [0.7, -1.3] {
+            let phases: Vec<Complex64> = cost
+                .values()
+                .iter()
+                .map(|&k| Complex64::cis(-gamma * f64::from(k)))
+                .collect();
+            reference.apply_diagonal(&phases);
+            if gamma == 0.7 {
+                ws.begin_cost_layer(2, &cost, gamma);
+            } else {
+                ws.apply_cost_layer(&cost, gamma);
+            }
+            assert_eq!(ws.state().amplitudes(), reference.amplitudes());
+        }
+        // A second preparation overwrites the previous state entirely.
+        ws.begin_cost_layer(2, &cost, 0.7);
+        ws.apply_cost_layer(&cost, -1.3);
         assert_eq!(ws.state().amplitudes(), reference.amplitudes());
     }
 

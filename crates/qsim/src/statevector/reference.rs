@@ -218,7 +218,9 @@ pub fn expectation_zz(amplitudes: &[Complex64], a: usize, b: usize) -> f64 {
 }
 
 /// Expectation of a diagonal observable given its per-basis-state values
-/// (lane-order sum of `|amplitude|² · value`).
-pub fn expectation_diagonal(amplitudes: &[Complex64], values: &[f64]) -> f64 {
-    lane_sum(amplitudes.len(), |i| amplitudes[i].norm_sqr() * values[i])
+/// (lane-order sum of `|amplitude|² · value`, each value widened to `f64`).
+pub fn expectation_diagonal<V: Copy + Into<f64>>(amplitudes: &[Complex64], values: &[V]) -> f64 {
+    lane_sum(amplitudes.len(), |i| {
+        amplitudes[i].norm_sqr() * values[i].into()
+    })
 }

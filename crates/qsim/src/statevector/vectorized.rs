@@ -21,16 +21,23 @@
 //!   exactly the interleaved order the reference module defines — so the
 //!   faster reduction produces the *same bits*, not just the same value
 //!   up to rounding.
+//! * **The QAOA mixer walks three qubits per pass.** [`apply_rx_layer`]
+//!   loads each 8-tuple of amplitudes three qubits connect into registers,
+//!   runs their butterflies and stores it once; every amplitude still goes
+//!   through the butterflies of per-qubit [`apply_rx`] passes, in order.
+//! * **Cost layers gather.** [`gather_phases`] and [`apply_phases`] read a
+//!   `u8` cost table and a per-value phase memo instead of a `2^n` phase
+//!   table.
 //!
 //! Per-element arithmetic uses the same expression trees as the reference
 //! kernels (`u00·a0 + u01·a1`, `re·re + im·im`, …). Rust never contracts
 //! `a*b + c` into a fused-multiply-add on its own, so matching the
 //! expression shape is sufficient for bitwise identity; see
-//! `docs/determinism.md`. The one kernel without a reference twin is
-//! [`apply_rx`], the QAOA mixer's structured butterfly: it drops the
-//! generic butterfly's products with exact zeros, so it matches the
-//! reference `Rx` loop under `==` and in every reduction bit, but a zero
-//! amplitude may change sign (the contract in the
+//! `docs/determinism.md`. The mixer kernels ([`apply_rx`],
+//! [`apply_rx_layer`]) have no reference twin: the structured butterfly
+//! drops the generic butterfly's products with exact zeros, so it matches
+//! the reference `Rx` loop under `==` and in every reduction bit, but a
+//! zero amplitude may change sign (the contract in the
 //! [module docs](super#the-mixer-layer-contract)).
 
 use super::REDUCTION_LANES;
@@ -80,18 +87,59 @@ pub fn apply_single(amplitudes: &mut [Complex64], target: usize, u: [[Complex64;
     }
 }
 
-/// One `Rx` butterfly with `c = cos(θ/2)` on the diagonal and `i·sn`
-/// (`sn = -sin(θ/2)`) off it: 8 multiplies instead of the generic 16. It
-/// drops only the generic butterfly's products with the matrix's exact
-/// `±0` entries, so for finite inputs it can differ from
-/// [`butterfly_row`] only in the sign of an exactly-zero component (see
-/// [`StateVector::apply_rx_layer`](super::StateVector::apply_rx_layer)).
-#[inline]
-fn rx_pair(c: f64, sn: f64, a0: Complex64, a1: Complex64) -> (Complex64, Complex64) {
-    (
-        Complex64::new(c * a0.re - sn * a1.im, c * a0.im + sn * a1.re),
-        Complex64::new(c * a1.re - sn * a0.im, c * a1.im + sn * a0.re),
-    )
+/// The coefficients of the structured `Rx(θ)` butterfly: `c = cos(θ/2)` on
+/// the diagonal, `i·sn` (`sn = -sin(θ/2)`) off it, and `nsn = -sn`.
+#[derive(Clone, Copy)]
+struct RxCoefficients {
+    c: f64,
+    sn: f64,
+    nsn: f64,
+}
+
+impl RxCoefficients {
+    #[inline]
+    fn new(c: f64, sn: f64) -> Self {
+        // `nsn` is opaque to the optimizer: were it known to be `-sn`, each
+        // `+ nsn·x` below would fold back into `- sn·x`, and the real and
+        // imaginary parts of a result would take a subtract and an add
+        // blended together instead of one shared vector multiply and add.
+        // Either form gives the same bits.
+        Self {
+            c,
+            sn,
+            nsn: std::hint::black_box(-sn),
+        }
+    }
+
+    /// One `Rx` butterfly: 8 multiplies instead of the generic 16. It drops
+    /// only the generic butterfly's products with the matrix's exact `±0`
+    /// entries, so for finite inputs it can differ from [`butterfly_row`]
+    /// only in the sign of an exactly-zero component (see
+    /// [`StateVector::apply_rx_layer`](super::StateVector::apply_rx_layer)).
+    /// `x + nsn·y` is bitwise `x − sn·y`: IEEE negation is exact and
+    /// `x − z` is defined as `x + (−z)`.
+    #[inline(always)]
+    fn pair(self, a0: Complex64, a1: Complex64) -> (Complex64, Complex64) {
+        let Self { c, sn, nsn } = self;
+        (
+            Complex64::new(c * a0.re + nsn * a1.im, c * a0.im + sn * a1.re),
+            Complex64::new(c * a1.re + nsn * a0.im, c * a1.im + sn * a0.re),
+        )
+    }
+
+    /// Every butterfly of an `N`-tuple held in registers (`N` a power of
+    /// two, element `j` holding bit pattern `j` of `log2(N)` qubits): all
+    /// pairs `(j, j + bit)` of the lowest qubit, then of the next one.
+    #[inline(always)]
+    fn tuple<const N: usize>(self, x: &mut [Complex64; N]) {
+        let mut bit = 1;
+        while bit < N {
+            for lo in (0..N).filter(|lo| lo & bit == 0) {
+                (x[lo], x[lo + bit]) = self.pair(x[lo], x[lo + bit]);
+            }
+            bit <<= 1;
+        }
+    }
 }
 
 /// Applies `Rx(θ)` to `target`, given `c = cos(θ/2)` and `sn = -sin(θ/2)`,
@@ -100,18 +148,69 @@ fn rx_pair(c: f64, sn: f64, a0: Complex64, a1: Complex64) -> (Complex64, Complex
 /// `lo = (c·a0.re − sn·a1.im, c·a0.im + sn·a1.re)`,
 /// `hi = (c·a1.re − sn·a0.im, c·a1.im + sn·a0.re)`.
 pub fn apply_rx(amplitudes: &mut [Complex64], target: usize, c: f64, sn: f64) {
+    let rx = RxCoefficients::new(c, sn);
     let stride = 1usize << target;
     if stride == 1 {
         for pair in amplitudes.chunks_exact_mut(2) {
-            (pair[0], pair[1]) = rx_pair(c, sn, pair[0], pair[1]);
+            (pair[0], pair[1]) = rx.pair(pair[0], pair[1]);
         }
         return;
     }
     for block in amplitudes.chunks_exact_mut(2 * stride) {
         let (lo, hi) = block.split_at_mut(stride);
         for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-            (*a0, *a1) = rx_pair(c, sn, *a0, *a1);
+            (*a0, *a1) = rx.pair(*a0, *a1);
         }
+    }
+}
+
+/// Applies `Rx(θ)` to the `log2(N)` qubits `low, low + 1, …` in one pass
+/// over `N`-tuples (`N` = 4 or 8): each tuple of amplitudes those qubits
+/// connect — element `j` holding bit pattern `j` — is loaded into
+/// registers, takes the butterflies of its lowest qubit, then the next
+/// qubit's, and is stored. Per amplitude that is exactly the sequence of
+/// butterflies the per-qubit [`apply_rx`] passes make, so the bits are
+/// theirs. For `low = 0` the tuples are contiguous chunks; above, each
+/// block of `N·2^low` amplitudes is `N` runs of `2^low` walked in lockstep.
+fn apply_rx_group<const N: usize>(amplitudes: &mut [Complex64], low: usize, rx: RxCoefficients) {
+    let stride = 1usize << low;
+    if stride == 1 {
+        for chunk in amplitudes.chunks_exact_mut(N) {
+            let x: &mut [Complex64; N] = chunk.try_into().expect("chunks of N");
+            let mut tuple = *x;
+            rx.tuple(&mut tuple);
+            *x = tuple;
+        }
+        return;
+    }
+    for block in amplitudes.chunks_exact_mut(N * stride) {
+        for i in 0..stride {
+            let mut tuple: [Complex64; N] = std::array::from_fn(|j| block[i + j * stride]);
+            rx.tuple(&mut tuple);
+            for (j, amp) in tuple.into_iter().enumerate() {
+                block[i + j * stride] = amp;
+            }
+        }
+    }
+}
+
+/// The QAOA mixer layer: `Rx(θ)` on every one of `qubits` qubits, given
+/// `c = cos(θ/2)` and `sn = -sin(θ/2)`, three qubits per pass over 8-tuples
+/// and then one pass over 4-tuples or one [`apply_rx`] pass for the two or
+/// one qubits left over. Every amplitude goes through the same butterflies
+/// as in `qubits` per-qubit [`apply_rx`] passes, in the same order, so the
+/// amplitude bits are identical to theirs.
+pub fn apply_rx_layer(amplitudes: &mut [Complex64], qubits: usize, c: f64, sn: f64) {
+    let rx = RxCoefficients::new(c, sn);
+    let mut low = 0;
+    while qubits - low >= 3 {
+        apply_rx_group::<8>(amplitudes, low, rx);
+        low += 3;
+    }
+    match qubits - low {
+        2 => apply_rx_group::<4>(amplitudes, low, rx),
+        1 => apply_rx(amplitudes, low, c, sn),
+        _ => {}
     }
 }
 
@@ -269,6 +368,22 @@ pub fn apply_diagonal(amplitudes: &mut [Complex64], phases: &[Complex64]) {
     }
 }
 
+/// Sets amplitude `z` to `memo[table[z]]`: a cost layer folded into the
+/// state preparation, one gather and no fill pass.
+pub fn gather_phases(amplitudes: &mut [Complex64], table: &[u8], memo: &[Complex64; 256]) {
+    for (amp, &k) in amplitudes.iter_mut().zip(table) {
+        *amp = memo[usize::from(k)];
+    }
+}
+
+/// Multiplies amplitude `z` by `memo[table[z]]` — [`apply_diagonal`] with
+/// the phase gathered from a per-value memo instead of a `2^n` table.
+pub fn apply_phases(amplitudes: &mut [Complex64], table: &[u8], memo: &[Complex64; 256]) {
+    for (amp, &k) in amplitudes.iter_mut().zip(table) {
+        *amp *= memo[usize::from(k)];
+    }
+}
+
 /// Probability that measuring `qubit` yields `1` — masked chunked sum in
 /// the fixed lane order.
 pub fn prob_one(amplitudes: &[Complex64], qubit: usize) -> f64 {
@@ -366,8 +481,9 @@ pub fn expectation_zz(amplitudes: &[Complex64], a: usize, b: usize) -> f64 {
 }
 
 /// Expectation of a diagonal observable — chunked zip sum in the fixed lane
-/// order.
-pub fn expectation_diagonal(amplitudes: &[Complex64], values: &[f64]) -> f64 {
+/// order. Values of any type that widens exactly to `f64` (the `u8` cost
+/// tables, `f64` itself) give the bits of the same table held as `f64`.
+pub fn expectation_diagonal<V: Copy + Into<f64>>(amplitudes: &[Complex64], values: &[V]) -> f64 {
     let mut lanes = [0.0f64; REDUCTION_LANES];
     let achunks = amplitudes.chunks_exact(REDUCTION_LANES);
     let vchunks = values.chunks_exact(REDUCTION_LANES);
@@ -375,12 +491,12 @@ pub fn expectation_diagonal(amplitudes: &[Complex64], values: &[f64]) -> f64 {
     let vtail = vchunks.remainder();
     for (ac, vc) in achunks.zip(vchunks) {
         for ((lane, a), v) in lanes.iter_mut().zip(ac).zip(vc) {
-            *lane += a.norm_sqr() * v;
+            *lane += a.norm_sqr() * (*v).into();
         }
     }
     let mut total = combine(lanes);
     for (a, v) in atail.iter().zip(vtail) {
-        total += a.norm_sqr() * v;
+        total += a.norm_sqr() * (*v).into();
     }
     total
 }

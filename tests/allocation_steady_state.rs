@@ -124,6 +124,33 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     });
     assert_eq!(allocs, 0, "expectation_with allocated in steady state");
 
+    // The mixer walks qubits three per pass; 10 qubits leave one for a
+    // single-qubit pass and 11 leave two for a 4-tuple pass. p = 3 runs the
+    // later cost layers as well as the folded first one.
+    for (n, gammas, betas) in [
+        (10, vec![0.7], vec![0.4]),
+        (11, vec![0.7, 0.3, -0.2], vec![0.4, 0.2, 0.9]),
+    ] {
+        let graph = connected_gnp(n, 0.4, &mut seeded(n as u64)).unwrap();
+        let instance = QaoaInstance::new(&graph, gammas.len()).unwrap();
+        let params = QaoaParams::new(gammas, betas).unwrap();
+        let mut workspace = StatevectorWorkspace::new();
+        for _ in 0..2 {
+            instance.expectation_with(&mut workspace, &params); // warm
+        }
+        let allocs = allocations_during(|| {
+            for _ in 0..8 {
+                instance.expectation_with(&mut workspace, &params);
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "expectation_with allocated in steady state at {n} qubits, p = {}",
+            params.layers()
+        );
+    }
+
     // --- the depth-mode evaluator through a reused scratch ---------------
     let scheduled = ScheduledCircuitEvaluator::new(&graph, 2).unwrap();
     assert_energy_allocation_free(&scheduled, &params, "ScheduledCircuitEvaluator::energy");

@@ -14,10 +14,18 @@
 //!   (`Gate::single_qubit_unitary`) are covered end to end.
 //!
 //! The QAOA mixer layer (`StateVector::apply_rx_layer`, the structured
-//! `vectorized::apply_rx` butterfly) has a slightly weaker, stated
-//! contract: amplitudes equal to the per-qubit `Gate::Rx` loop under `==`
-//! (an exact zero may change sign), reductions and QAOA energies bitwise
-//! equal. Its tests below check exactly that.
+//! `vectorized::apply_rx` butterfly walked three qubits per pass) has a
+//! slightly weaker, stated contract: amplitudes equal to the per-qubit
+//! `Gate::Rx` loop under `==` (an exact zero may change sign), reductions
+//! and QAOA energies bitwise equal. Its tests below check exactly that,
+//! and that the grouped layer leaves the very amplitude bits of `n`
+//! per-qubit `vectorized::apply_rx` passes.
+//!
+//! The QAOA cost layers (`StatevectorWorkspace::begin_cost_layer`, the
+//! first layer folded into the uniform start, and `apply_cost_layer`) read
+//! a `u8` cost table and gather one memoized phase per cost value; they
+//! must leave the amplitude bits of `begin_uniform` plus `apply_diagonal`
+//! with one `cis(-γ·C(z))` per entry.
 //!
 //! Why bitwise and not tolerance-based: the determinism contract
 //! (`docs/determinism.md`) pins every result to exact bits across thread
@@ -30,9 +38,10 @@ use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
 use qaoa::expectation::QaoaInstance;
+use qaoa::maxcut::cut_values;
 use qaoa::params::QaoaParams;
 use qsim::circuit::Gate;
-use qsim::statevector::{reference, vectorized, StateVector, StatevectorWorkspace};
+use qsim::statevector::{reference, vectorized, CostDiagonal, StateVector, StatevectorWorkspace};
 use rand::Rng;
 
 /// Samples one random gate over `n` qubits (single-qubit only when `n == 1`).
@@ -262,14 +271,14 @@ proptest! {
         );
     }
 
-    /// The memoized cost layer: `StatevectorWorkspace::apply_phase_diagonal`
-    /// gathers one `cis` per distinct integer table value, and must leave
-    /// exactly the amplitude bits of the naive one-`cis`-per-entry diagonal.
-    /// Tables cover pure integer cut-style tables (with
-    /// `0` and the maximum present), integers mixed with fallback values
-    /// (negative, `-0.0`, fractional, out of range, non-finite), and tables
-    /// with no memoizable value at all. Two layers run through one workspace
-    /// so a memo left by the previous call is exercised too.
+    /// The memoized cost layer on an arbitrary state:
+    /// `StatevectorWorkspace::apply_cost_layer` gathers one `cis` per cost
+    /// value of a `u8` table and must leave exactly the amplitude bits of
+    /// the naive one-`cis`-per-entry diagonal. Tables cover cut-style
+    /// tables with a random maximum, the cut table of a random graph, and
+    /// tables reaching `u8::MAX`. Two layers run through one workspace so a
+    /// memo left by the previous call (possibly with a larger maximum) is
+    /// exercised too.
     #[test]
     fn memoized_phase_diagonal_matches_per_entry_cis_bitwise(
         seed in 0u64..100_000,
@@ -277,26 +286,93 @@ proptest! {
         kind in 0usize..3,
     ) {
         let mut rng = seeded(seed);
-        let dim = 1usize << qubits;
-        let tables: Vec<Vec<f64>> = (0..2).map(|_| phase_table(dim, kind, &mut rng)).collect();
-        let scales = [rng.gen_range(-3.5f64..6.5), rng.gen_range(-3.5f64..6.5)];
+        let tables: Vec<CostDiagonal> =
+            (0..2).map(|_| cost_table(qubits, kind, &mut rng)).collect();
+        let gammas = [rng.gen_range(-3.5f64..6.5), rng.gen_range(-3.5f64..6.5)];
         let mut workspace = StatevectorWorkspace::new();
         workspace.begin_uniform(qubits);
         for _ in 0..12 {
             workspace.state_mut().apply_gate(random_gate(qubits, &mut rng));
         }
         let mut naive = workspace.state().clone();
-        for (table, &scale) in tables.iter().zip(&scales) {
-            workspace.apply_phase_diagonal(table, scale);
-            let phases: Vec<Complex64> =
-                table.iter().map(|&v| Complex64::cis(scale * v)).collect();
-            naive.apply_diagonal(&phases);
+        for (table, &gamma) in tables.iter().zip(&gammas) {
+            workspace.apply_cost_layer(table, gamma);
+            naive.apply_diagonal(&per_entry_phases(table, gamma));
         }
         prop_assert!(
             amplitude_bits(workspace.state().amplitudes()) == amplitude_bits(naive.amplitudes()),
             "memoized cost layer drifted"
         );
     }
+
+    /// The `u8` cost layers of a p-layer evolution, p = 1..3: the first
+    /// layer folded into the uniform start (`begin_cost_layer`) and the
+    /// later ones (`apply_cost_layer`) against `begin_uniform` plus
+    /// `apply_diagonal` with per-entry `cis(-γ·C(z))`, with the same mixer
+    /// layer between them on both sides. Amplitude bits are compared after
+    /// every cost layer.
+    #[test]
+    fn u8_cost_layers_match_per_entry_cis_bitwise(
+        seed in 0u64..100_000,
+        qubits in 1usize..=12,
+        layers in 1usize..=3,
+        kind in 0usize..3,
+    ) {
+        let mut rng = seeded(seed);
+        let table = cost_table(qubits, kind, &mut rng);
+        let mut workspace = StatevectorWorkspace::new();
+        let mut naive = StateVector::uniform_superposition(qubits);
+        for layer in 0..layers {
+            let gamma = rng.gen_range(-3.5f64..6.5);
+            let beta = rng.gen_range(-3.5f64..6.5);
+            if layer == 0 {
+                workspace.begin_cost_layer(qubits, &table, gamma);
+            } else {
+                workspace.apply_cost_layer(&table, gamma);
+            }
+            naive.apply_diagonal(&per_entry_phases(&table, gamma));
+            prop_assert!(
+                amplitude_bits(workspace.state().amplitudes()) == amplitude_bits(naive.amplitudes()),
+                "cost layer {layer} of {layers} drifted"
+            );
+            workspace.state_mut().apply_rx_layer(2.0 * beta);
+            naive.apply_rx_layer(2.0 * beta);
+        }
+    }
+}
+
+/// `cis(-γ·C(z))` for every entry of `table`, one call per entry.
+fn per_entry_phases(table: &CostDiagonal, gamma: f64) -> Vec<Complex64> {
+    table
+        .values()
+        .iter()
+        .map(|&k| Complex64::cis(-gamma * f64::from(k)))
+        .collect()
+}
+
+/// A random `u8` cost table over `qubits` qubits.
+///
+/// * `kind == 0`: values in `0..=max` for a random `max`, with `0` and
+///   `max` both present — the shape of a MaxCut cut table.
+/// * `kind == 1`: the cut table of a random connected graph (the `kind 0`
+///   shape on one qubit, which has no edges).
+/// * otherwise: the `kind 0` shape with `max = u8::MAX`, so every memo slot
+///   is live.
+fn cost_table<R: Rng>(qubits: usize, kind: usize, rng: &mut R) -> CostDiagonal {
+    if kind == 1 && qubits > 1 {
+        let graph = connected_gnp(qubits, 0.5, rng).unwrap();
+        return CostDiagonal::new(cut_values(&graph).unwrap());
+    }
+    let dim = 1usize << qubits;
+    let max = if kind == 2 {
+        u8::MAX
+    } else {
+        rng.gen_range(0..=u8::MAX)
+    };
+    let mut values: Vec<u8> = (0..dim).map(|_| rng.gen_range(0..=max)).collect();
+    values[0] = 0;
+    values[dim - 1] = max;
+    CostDiagonal::new(values)
 }
 
 /// The mixer angles the differential covers: `0` (where `-sin(0/2)` is
@@ -391,6 +467,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The grouped mixer (three qubits per pass, then a two-qubit or
+    /// one-qubit remainder) against `n` per-qubit `vectorized::apply_rx`
+    /// passes: identical amplitude bits, not just `==`. Every case runs
+    /// 1..=16 qubits, so every `n mod 3` and both remainder kernels are
+    /// covered, at every mixer angle.
+    #[test]
+    fn grouped_rx_layer_matches_per_qubit_passes_bitwise(
+        seed in 0u64..100_000,
+        kind in 0usize..2,
+    ) {
+        let mut rng = seeded(seed);
+        for qubits in 1..=16 {
+            let start = mixer_start_state(qubits, kind, &mut rng);
+            for theta in mixer_angles(&mut rng) {
+                let (_, u) = Gate::Rx(0, theta).single_qubit_unitary().unwrap();
+                let mut passes = start.amplitudes().to_vec();
+                for q in 0..qubits {
+                    vectorized::apply_rx(&mut passes, q, u[0][0].re, u[0][1].im);
+                }
+                let mut grouped = start.clone();
+                grouped.apply_rx_layer(theta);
+                prop_assert!(
+                    amplitude_bits(grouped.amplitudes()) == amplitude_bits(&passes),
+                    "{qubits} qubits, θ = {theta}: grouped mixer drifted"
+                );
+            }
+        }
+    }
+}
+
 /// The textbook QAOA evolution, gate by gate: uniform superposition, then
 /// per layer one `cis(-γ·C(z))` per basis state and `Rx(2β)` on every
 /// qubit; returns `⟨C⟩`.
@@ -399,7 +508,10 @@ fn gate_by_gate_energy(instance: &QaoaInstance, params: &QaoaParams) -> f64 {
     let table = instance.cut_table();
     let mut sv = StateVector::uniform_superposition(qubits);
     for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        let phases: Vec<Complex64> = table.iter().map(|&v| Complex64::cis(-gamma * v)).collect();
+        let phases: Vec<Complex64> = table
+            .iter()
+            .map(|&v| Complex64::cis(-gamma * f64::from(v)))
+            .collect();
         sv.apply_diagonal(&phases);
         for q in 0..qubits {
             sv.apply_gate(Gate::Rx(q, 2.0 * beta));
@@ -408,8 +520,8 @@ fn gate_by_gate_energy(instance: &QaoaInstance, params: &QaoaParams) -> f64 {
     sv.expectation_diagonal(table)
 }
 
-/// `QaoaInstance::expectation_with` (fused phase gather + structured mixer
-/// layer) is bitwise equal to the gate-by-gate evolution for p = 1..3 on
+/// `QaoaInstance::expectation_with` (`u8` cost-layer gathers with the
+/// uniform start folded in + grouped structured mixer layer) is bitwise equal to the gate-by-gate evolution for p = 1..3 on
 /// graphs up to 16 nodes, including the grid corners where γ or β is 0.
 #[test]
 fn qaoa_energies_match_gate_by_gate_evolution_bitwise() {
@@ -438,45 +550,4 @@ fn qaoa_energies_match_gate_by_gate_evolution_bitwise() {
             );
         }
     }
-}
-
-/// A random phase table of length `dim`.
-///
-/// * `kind == 0`: integers in `0..=top` for a random `top < dim`, with `0`
-///   and `top` both present — the shape of a MaxCut cut table.
-/// * `kind == 1`: the same, with about a third of the entries replaced by
-///   values the memo must not serve.
-/// * otherwise: only such values.
-fn phase_table<R: Rng>(dim: usize, kind: usize, rng: &mut R) -> Vec<f64> {
-    let specials = [
-        -1.0,
-        -0.0,
-        0.5,
-        -2.75,
-        3.25,
-        dim as f64,
-        dim as f64 + 3.0,
-        1e300,
-        9_007_199_254_740_992.0,
-        f64::INFINITY,
-    ];
-    let top = rng.gen_range(0..dim);
-    let mut table: Vec<f64> = (0..dim).map(|_| rng.gen_range(0..=top) as f64).collect();
-    table[0] = 0.0;
-    table[dim - 1] = top as f64;
-    for value in table.iter_mut() {
-        let replace = match kind {
-            0 => false,
-            1 => rng.gen_range(0..3) == 0,
-            _ => true,
-        };
-        if replace {
-            *value = if rng.gen_range(0..2) == 0 {
-                specials[rng.gen_range(0..specials.len())]
-            } else {
-                rng.gen_range(-4.0f64..4.0)
-            };
-        }
-    }
-    table
 }
