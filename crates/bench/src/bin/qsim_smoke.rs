@@ -31,6 +31,13 @@
 //! `vectorized::apply_rx` passes, after checking that both leave the same
 //! amplitude bits. It is recorded, not gated.
 //!
+//! A trajectory section records, at 8, 10 and 12 qubits, noisy p = 1 QAOA
+//! trajectories per second under `fake_toronto` noise through
+//! `trajectory::noisy_probabilities` (the carried norm and structured
+//! kernels) against the renormalize-every-step oracle
+//! `trajectory::reference::noisy_probabilities`, after checking that the
+//! two distributions agree within `1e-12`. It is recorded, not gated.
+//!
 //! A per-core scaling section then times a 16-node landscape grid at one
 //! worker and at `min(4, cores)` workers; whenever the machine actually has
 //! more than one core, the multi-thread run must be **≥ 2× faster** —
@@ -41,13 +48,17 @@
 
 use bench::bench_graph;
 use mathkit::parallel::with_threads;
+use mathkit::rng::seeded;
 use mathkit::Complex64;
+use qaoa::circuit::qaoa_circuit;
 use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::Landscape;
 use qaoa::params::QaoaParams;
 use qsim::circuit::{Circuit, Gate};
+use qsim::devices::fake_toronto;
 use qsim::statevector::{reference, vectorized, CostDiagonal, StateVector, StatevectorWorkspace};
+use qsim::trajectory::{self, TrajectoryOptions};
 use std::time::Instant;
 
 /// Qubit counts of the throughput rows and repetitions per row (chosen so
@@ -145,6 +156,25 @@ fn timed_mixer(start: &[Complex64], mut layer: impl FnMut(&mut [Complex64])) -> 
         .flat_map(|a| [a.re.to_bits(), a.im.to_bits()])
         .collect();
     (secs[QAOA_REPS / 2], bits)
+}
+
+/// Qubit counts of the trajectory rows and trajectories per timed call.
+const TRAJECTORY_ROWS: [usize; 3] = [8, 10, 12];
+const TRAJECTORIES: usize = 48;
+
+/// Runs `probabilities` (one averaged noisy distribution from a fixed
+/// seed) `QAOA_REPS` times and returns (median seconds, last result).
+fn timed_trajectories(mut probabilities: impl FnMut() -> Vec<f64>) -> (f64, Vec<f64>) {
+    let mut last = probabilities(); // warm
+    let mut secs: Vec<f64> = (0..QAOA_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            last = probabilities();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    (secs[QAOA_REPS / 2], last)
 }
 
 /// Evaluates every grid point `QAOA_REPS` times with `energy` and returns
@@ -307,6 +337,49 @@ fn main() {
         ));
     }
 
+    // --- noisy trajectories: carried norm vs renormalizing oracle ---------
+    let noise = fake_toronto().noise;
+    let options = TrajectoryOptions {
+        trajectories: TRAJECTORIES,
+    };
+    let params = QaoaParams::new(vec![0.7], vec![0.4]).expect("one layer");
+    let mut trajectory_json = Vec::new();
+    for n in TRAJECTORY_ROWS {
+        let circuit = qaoa_circuit(&bench_graph(n, 16), &params).expect("bench graph has edges");
+        let (fast_secs, fast) = timed_trajectories(|| {
+            trajectory::noisy_probabilities(&circuit, &noise, options, &mut seeded(5))
+        });
+        let (oracle_secs, oracle) = timed_trajectories(|| {
+            trajectory::reference::noisy_probabilities(&circuit, &noise, options, &mut seeded(5))
+        });
+        let gap = fast
+            .iter()
+            .zip(&oracle)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            gap <= 1e-12,
+            "trajectories diverged from the oracle at {n} qubits: gap {gap:e}"
+        );
+        let runs = TRAJECTORIES as f64;
+        trajectory_json.push(format!(
+            concat!(
+                "    {{ \"qubits\": {}, \"gates\": {}, \"trajectories\": {}, ",
+                "\"oracle_trajectories_per_sec\": {:.1}, ",
+                "\"trajectories_per_sec\": {:.1}, ",
+                "\"max_abs_gap\": {:.3e}, ",
+                "\"speedup\": {:.3} }}"
+            ),
+            n,
+            circuit.gate_count(),
+            TRAJECTORIES,
+            runs / oracle_secs,
+            runs / fast_secs,
+            gap,
+            oracle_secs / fast_secs
+        ));
+    }
+
     // --- per-core scaling section ----------------------------------------
     let graph = bench_graph(16, 16);
     let evaluator = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
@@ -343,6 +416,7 @@ fn main() {
             "  \"speedup_16q\": {:.3},\n",
             "  \"ideal_qaoa_p1\": [\n{}\n  ],\n",
             "  \"rx_layer\": [\n{}\n  ],\n",
+            "  \"trajectory\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",
             "    \"nodes\": 16,\n",
             "    \"width\": {},\n",
@@ -361,6 +435,7 @@ fn main() {
         speedup_16q,
         qaoa_json.join(",\n"),
         mixer_json.join(",\n"),
+        trajectory_json.join(",\n"),
         width,
         points,
         multi,

@@ -27,6 +27,7 @@
 
 use super::cache::CacheKey;
 use crate::reduction::{reduction_fractions, ReducedGraph, WarmDecision};
+use graphlib::metrics::and_ratio_of_counts;
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use std::fs::{File, OpenOptions};
@@ -264,9 +265,12 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
 /// node, so the node count is bounded both by the key and by the bytes
 /// actually present, and a crafted count cannot drive the allocation.
 /// The built graph must then carry exactly the edges the key's graph
-/// induces on the mapping, and the stored node and edge reductions must be
-/// the bits [`reduction_fractions`] recomputes, so a record can only serve
-/// what a fresh reduction to that subgraph would.
+/// induces on the mapping, the stored node and edge reductions must be
+/// the bits [`reduction_fractions`] recomputes, and the stored AND ratio
+/// the bits [`and_ratio_of_counts`] recomputes from the key's counts (the
+/// key's graph is never built: a crafted key's node count is unbounded),
+/// so a record can only serve what a fresh reduction to that subgraph
+/// would.
 fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
     let key_nodes = key.nodes;
     let mut cursor = Cursor::new(bytes);
@@ -318,8 +322,13 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         return None;
     }
     let (nodes_cut, edges_cut) = reduction_fractions(key.nodes, key.edges.len(), &graph);
+    let and = and_ratio_of_counts(
+        (key.nodes, key.edges.len()),
+        (graph.node_count(), graph.edge_count()),
+    );
     if nodes_cut.to_bits() != node_reduction.to_bits()
         || edges_cut.to_bits() != edge_reduction.to_bits()
+        || and.to_bits() != and_ratio.to_bits()
     {
         return None;
     }
@@ -397,6 +406,7 @@ mod tests {
     use super::*;
     use crate::reduction::{reduce, ReductionOptions};
     use graphlib::generators::{connected_gnp, cycle, path};
+    use graphlib::metrics::and_ratio;
     use mathkit::rng::seeded;
 
     /// A 9-cycle's key and the reduction to nodes `0..6`, on which the
@@ -409,7 +419,7 @@ mod tests {
                 nodes: (0..6).collect(),
                 graph: path(6).unwrap(),
             },
-            and_ratio: 0.95,
+            and_ratio: and_ratio(&graph, &path(6).unwrap()),
             node_reduction: 1.0 - 6.0 / 9.0,
             edge_reduction: 1.0 - 5.0 / 9.0,
             warm_decision: WarmDecision::MeasuredKept,
@@ -493,7 +503,8 @@ mod tests {
         }
         let node_reduction = 1.0 - node_count as f64 / 9.0;
         let edge_reduction = 1.0 - edges.len() as f64 / 9.0;
-        for ratio in [0.95f64, node_reduction, edge_reduction] {
+        let and = and_ratio_of_counts((9, 9), (node_count as usize, edges.len()));
+        for ratio in [and, node_reduction, edge_reduction] {
             out.extend_from_slice(&ratio.to_bits().to_le_bytes());
         }
         out.push(0);
@@ -588,6 +599,13 @@ mod tests {
                 "edge reduction off by one ulp",
                 ReducedGraph {
                     edge_reduction: next_up(fresh.edge_reduction),
+                    ..fresh.clone()
+                },
+            ),
+            (
+                "AND ratio off by one ulp",
+                ReducedGraph {
+                    and_ratio: next_up(fresh.and_ratio),
                     ..fresh.clone()
                 },
             ),

@@ -208,10 +208,7 @@ impl Graph {
     ///
     /// Returns `0.0` for the empty graph.
     pub fn average_degree(&self) -> f64 {
-        if self.node_count == 0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count() as f64 / self.node_count as f64
+        metrics::average_degree_of_counts(self.node_count, self.edge_count())
     }
 
     /// Edge density: edges divided by the maximum possible number of edges.

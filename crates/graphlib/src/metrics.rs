@@ -13,20 +13,38 @@ pub fn average_node_degree(graph: &Graph) -> f64 {
     graph.average_degree()
 }
 
+/// Average node degree `2|E|/|V|` of a graph with `nodes` nodes and `edges`
+/// edges (`0.0` without nodes): the one formula behind
+/// [`Graph::average_degree`].
+pub(crate) fn average_degree_of_counts(nodes: usize, edges: usize) -> f64 {
+    if nodes == 0 {
+        return 0.0;
+    }
+    2.0 * edges as f64 / nodes as f64
+}
+
 /// Ratio of the subgraph's AND to the original graph's AND.
 ///
-/// Returns `0.0` when the original graph has no edges (its AND is zero), in
-/// which case any subgraph is considered to trivially match.
+/// Returns `1.0` when the original graph has no edges (its AND is zero) and
+/// the subgraph has none either, in which case the subgraph trivially
+/// matches, and `0.0` when only the original has none.
 pub fn and_ratio(original: &Graph, reduced: &Graph) -> f64 {
-    let base = average_node_degree(original);
+    and_ratio_of_counts(
+        (original.node_count(), original.edge_count()),
+        (reduced.node_count(), reduced.edge_count()),
+    )
+}
+
+/// [`and_ratio`] from `(nodes, edges)` counts alone, with the same bits: a
+/// caller that holds only the counts (a persisted record checked against
+/// its key) recomputes the ratio without building either graph.
+pub fn and_ratio_of_counts(original: (usize, usize), reduced: (usize, usize)) -> f64 {
+    let base = average_degree_of_counts(original.0, original.1);
+    let sub = average_degree_of_counts(reduced.0, reduced.1);
     if base <= f64::EPSILON {
-        return if average_node_degree(reduced) <= f64::EPSILON {
-            1.0
-        } else {
-            0.0
-        };
+        return if sub <= f64::EPSILON { 1.0 } else { 0.0 };
     }
-    average_node_degree(reduced) / base
+    sub / base
 }
 
 /// Local clustering coefficient of a single node: the fraction of pairs of
@@ -119,6 +137,13 @@ mod tests {
         let empty = Graph::new(4);
         assert_eq!(and_ratio(&empty, &Graph::new(2)), 1.0);
         assert_eq!(and_ratio(&empty, &complete(3)), 0.0);
+        for (original, reduced) in [(complete(6), complete(4)), (complete(7), path(5).unwrap())] {
+            let counts = |g: &Graph| (g.node_count(), g.edge_count());
+            assert_eq!(
+                and_ratio(&original, &reduced).to_bits(),
+                and_ratio_of_counts(counts(&original), counts(&reduced)).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl QaoaInstance {
         self.cut_table.values()
     }
 
-    /// The cut table widened to `f64`, built at the point of use for the
-    /// noisy trajectory paths, which read observables as `f64`.
-    fn cut_table_f64(&self) -> Vec<f64> {
-        self.cut_table().iter().map(|&k| f64::from(k)).collect()
-    }
-
     /// The exact MaxCut value of the graph: the largest entry of the cut
     /// table, which already enumerates every assignment. Equal to
     /// `brute_force_maxcut(graph).best_cut` without a second `2^n` pass.
@@ -230,7 +224,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal(&circuit, noise, &self.cut_table_f64(), options, rng)
+        noisy_expectation_diagonal(&circuit, noise, self.cut_table(), options, rng)
     }
 
     /// Noisy cost expectation of the circuit *after routing onto a device
@@ -282,7 +276,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal_seeded(&circuit, noise, &self.cut_table_f64(), options, seed)
+        noisy_expectation_diagonal_seeded(&circuit, noise, self.cut_table(), options, seed)
     }
 
     /// Seeded, thread-count-independent variant of

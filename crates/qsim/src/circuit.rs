@@ -43,8 +43,10 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// The qubits this gate acts on (one or two entries).
-    pub fn qubits(&self) -> Vec<usize> {
+    /// The qubits this gate acts on, without allocating: `(qubits, arity)`,
+    /// of which the first `arity` (1 or 2) entries are the operands (a
+    /// two-qubit gate's in the order it names them).
+    pub fn operands(&self) -> ([usize; 2], usize) {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -55,16 +57,16 @@ impl Gate {
             | Gate::T(q)
             | Gate::Rx(q, _)
             | Gate::Ry(q, _)
-            | Gate::Rz(q, _) => vec![q],
+            | Gate::Rz(q, _) => ([q, q], 1),
             Gate::Cnot(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) | Gate::Rzz(a, b, _) => {
-                vec![a, b]
+                ([a, b], 2)
             }
         }
     }
 
     /// `true` for two-qubit gates.
     pub fn is_two_qubit(&self) -> bool {
-        self.qubits().len() == 2
+        self.operands().1 == 2
     }
 
     /// Short mnemonic name (lowercase, Qiskit style).
@@ -207,8 +209,9 @@ impl Circuit {
     /// Returns [`QsimError::QubitOutOfRange`] or [`QsimError::DuplicateQubit`]
     /// if the gate operands are invalid for this circuit.
     pub fn push(&mut self, gate: Gate) -> Result<(), QsimError> {
-        let qs = gate.qubits();
-        for &q in &qs {
+        let (qubits, arity) = gate.operands();
+        let qs = &qubits[..arity];
+        for &q in qs {
             if q >= self.qubit_count {
                 return Err(QsimError::QubitOutOfRange {
                     qubit: q,
@@ -253,9 +256,10 @@ impl Circuit {
         let mut qubit_depth = vec![0usize; self.qubit_count];
         let mut depth = 0usize;
         for gate in &self.gates {
-            let qs = gate.qubits();
+            let (qubits, arity) = gate.operands();
+            let qs = &qubits[..arity];
             let layer = qs.iter().map(|&q| qubit_depth[q]).max().unwrap_or(0) + 1;
-            for &q in &qs {
+            for &q in qs {
                 qubit_depth[q] = layer;
             }
             depth = depth.max(layer);
@@ -306,7 +310,8 @@ mod tests {
 
     #[test]
     fn gate_metadata() {
-        assert_eq!(Gate::Rzz(0, 1, 0.3).qubits(), vec![0, 1]);
+        assert_eq!(Gate::Rzz(0, 1, 0.3).operands(), ([0, 1], 2));
+        assert_eq!(Gate::Rx(3, 0.1).operands().1, 1);
         assert!(Gate::Cnot(0, 1).is_two_qubit());
         assert!(!Gate::Rx(0, 0.1).is_two_qubit());
         assert_eq!(Gate::H(0).name(), "h");

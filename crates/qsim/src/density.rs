@@ -162,8 +162,7 @@ impl DensityMatrix {
             self.apply_single_rows(q, &u);
             self.apply_single_cols(q, &u);
         } else if let Some(u) = two_qubit_matrix(gate) {
-            let qs = gate.qubits();
-            let (a, b) = (qs[0], qs[1]);
+            let ([a, b], _) = gate.operands();
             assert!(a < self.qubit_count && b < self.qubit_count && a != b);
             self.apply_two_rows(a, b, &u);
             self.apply_two_cols(a, b, &u);
@@ -310,68 +309,46 @@ pub fn simulate_noisy_probabilities(
         } else {
             &chan_1q
         };
-        for q in gate.qubits() {
+        let (qubits, arity) = gate.operands();
+        for &q in &qubits[..arity] {
             dm.apply_kraus(q, channel);
         }
     }
-    Ok(apply_readout_confusion(
-        &dm.probabilities(),
-        circuit.qubit_count(),
-        noise,
-    ))
+    let mut probs = dm.probabilities();
+    apply_readout_confusion_in_place(&mut probs, circuit.qubit_count(), noise);
+    Ok(probs)
 }
 
 /// Applies the per-qubit readout confusion matrix to a probability vector
-/// over computational basis states.
+/// over computational basis states, in place: per qubit, every pair
+/// `(p0, p1)` of entries that differ only in that bit becomes
+/// `(p0·(1−p01) + p1·p10, p0·p01 + p1·(1−p10))`.
+///
+/// For probabilities (nonnegative, no `-0`) the bits are those of the
+/// scatter loop in [`trajectory::reference`](crate::trajectory::reference),
+/// which adds the same products in the same order into a zeroed buffer.
 ///
 /// # Panics
 ///
 /// Panics if `probs.len() != 2^qubit_count`.
-pub fn apply_readout_confusion(probs: &[f64], qubit_count: usize, noise: &NoiseModel) -> Vec<f64> {
-    let mut current = probs.to_vec();
-    let mut scratch = Vec::new();
-    apply_readout_confusion_in_place(&mut current, &mut scratch, qubit_count, noise);
-    current
-}
-
-/// In-place variant of [`apply_readout_confusion`]: transforms `probs`
-/// directly, using `scratch` as the per-qubit staging buffer so repeated
-/// calls (the trajectory accumulation loop) allocate nothing after the
-/// first of a given size. Bitwise-identical to the allocating variant.
-///
-/// # Panics
-///
-/// Panics if `probs.len() != 2^qubit_count`.
-pub fn apply_readout_confusion_in_place(
-    probs: &mut [f64],
-    scratch: &mut Vec<f64>,
-    qubit_count: usize,
-    noise: &NoiseModel,
-) {
+pub fn apply_readout_confusion_in_place(probs: &mut [f64], qubit_count: usize, noise: &NoiseModel) {
     assert_eq!(probs.len(), 1usize << qubit_count);
     let p01 = noise.readout.p01;
     let p10 = noise.readout.p10;
     if p01 == 0.0 && p10 == 0.0 {
         return;
     }
-    scratch.clear();
-    scratch.resize(probs.len(), 0.0);
+    let (stay0, stay1) = (1.0 - p01, 1.0 - p10);
     for q in 0..qubit_count {
         let bit = 1usize << q;
-        scratch.fill(0.0);
-        for (i, &p) in probs.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            if i & bit == 0 {
-                scratch[i] += p * (1.0 - p01);
-                scratch[i | bit] += p * p01;
-            } else {
-                scratch[i] += p * (1.0 - p10);
-                scratch[i & !bit] += p * p10;
+        for block in probs.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            for (p0, p1) in lo.iter_mut().zip(hi.iter_mut()) {
+                let (a, b) = (*p0, *p1);
+                *p0 = a * stay0 + b * p10;
+                *p1 = a * p01 + b * stay1;
             }
         }
-        probs.copy_from_slice(scratch);
     }
 }
 
@@ -486,8 +463,8 @@ mod tests {
             35.0,
             300.0,
         );
-        let probs = vec![1.0, 0.0, 0.0, 0.0];
-        let out = apply_readout_confusion(&probs, 2, &noise);
+        let mut out = vec![1.0, 0.0, 0.0, 0.0];
+        apply_readout_confusion_in_place(&mut out, 2, &noise);
         assert!((out.iter().sum::<f64>() - 1.0).abs() < EPS);
         assert!((out[0] - 0.81).abs() < EPS);
         assert!((out[3] - 0.01).abs() < EPS);

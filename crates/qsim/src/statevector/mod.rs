@@ -47,6 +47,23 @@
 //! only the sign of a result that is exactly zero, and every reduction
 //! squares the components. See `docs/determinism.md`.
 //!
+//! # Trajectory kernels
+//!
+//! The noisy trajectory simulator ([`crate::trajectory`]) works on a raw
+//! amplitude buffer with the [`vectorized`] kernels directly, plus a few
+//! that only it reaches: structured [`vectorized::apply_h`],
+//! [`vectorized::apply_x`], [`vectorized::apply_y`] and
+//! [`vectorized::apply_z`] (4 multiplies or none per pair instead of 16),
+//! the unnormalized amplitude-damping steps
+//! [`vectorized::apply_damping_keep`] and
+//! [`vectorized::apply_damping_jump`], and the fused read pass
+//! [`vectorized::one_and_norm_sqr`]. Each gate kernel equals the generic
+//! butterfly under `==` per component, by the argument of the mixer-layer
+//! contract below, and the read pass returns the bits of
+//! [`StateVector::prob_one`] and [`StateVector::norm_sqr`].
+//! [`StateVector::apply_gate`] keeps the generic butterfly for every
+//! single-qubit gate.
+//!
 //! # Fixed reduction order
 //!
 //! All reductions (`expectation_*`, [`StateVector::prob_one`],
@@ -301,9 +318,10 @@ impl StateVector {
         vectorized::prob_one(&self.amplitudes, qubit)
     }
 
-    /// Rescales the state to unit norm. Used by the quantum-jump (trajectory)
-    /// noise simulation after applying non-unitary Kraus operators. A state
-    /// with (numerically) zero norm is reset to `|0…0⟩`.
+    /// Rescales the state to unit norm, as the renormalize-every-step
+    /// trajectory oracle ([`crate::trajectory::reference`]) does after each
+    /// non-unitary Kraus operator. A state with (numerically) zero norm is
+    /// reset to `|0…0⟩`.
     pub fn renormalize(&mut self) {
         let norm = self.norm_sqr().sqrt();
         if norm < 1e-300 {

@@ -28,16 +28,21 @@
 //! * **Cost layers gather.** [`gather_phases`] and [`apply_phases`] read a
 //!   `u8` cost table and a per-value phase memo instead of a `2^n` phase
 //!   table.
+//! * **Trajectory kernels use gate structure.** [`apply_h`], [`apply_x`],
+//!   [`apply_y`], [`apply_z`] and the amplitude-damping steps
+//!   [`apply_damping_keep`] / [`apply_damping_jump`] skip the generic
+//!   butterfly's products with exact zeros, and [`one_and_norm_sqr`] reads
+//!   `prob_one` and `norm_sqr` in one pass.
 //!
 //! Per-element arithmetic uses the same expression trees as the reference
 //! kernels (`u00·a0 + u01·a1`, `re·re + im·im`, …). Rust never contracts
 //! `a*b + c` into a fused-multiply-add on its own, so matching the
 //! expression shape is sufficient for bitwise identity; see
 //! `docs/determinism.md`. The mixer kernels ([`apply_rx`],
-//! [`apply_rx_layer`]) have no reference twin: the structured butterfly
-//! drops the generic butterfly's products with exact zeros, so it matches
-//! the reference `Rx` loop under `==` and in every reduction bit, but a
-//! zero amplitude may change sign (the contract in the
+//! [`apply_rx_layer`]) and the trajectory gate kernels have no reference
+//! twin: a structured butterfly drops the generic butterfly's products with
+//! exact zeros, so it matches the reference loop under `==` and in every
+//! reduction bit, but a zero amplitude may change sign (the contract in the
 //! [module docs](super#the-mixer-layer-contract)).
 
 use super::REDUCTION_LANES;
@@ -214,6 +219,112 @@ pub fn apply_rx_layer(amplitudes: &mut [Complex64], qubits: usize, c: f64, sn: f
     }
 }
 
+/// Walks every amplitude pair `(a0, a1)` that `target` connects (`a0` with
+/// the bit clear, `a1` with it set) with the same block split as
+/// [`apply_single`].
+#[inline(always)]
+fn for_each_pair(
+    amplitudes: &mut [Complex64],
+    target: usize,
+    mut f: impl FnMut(&mut Complex64, &mut Complex64),
+) {
+    let stride = 1usize << target;
+    if stride == 1 {
+        for pair in amplitudes.chunks_exact_mut(2) {
+            let (a0, a1) = pair.split_at_mut(1);
+            f(&mut a0[0], &mut a1[0]);
+        }
+        return;
+    }
+    for block in amplitudes.chunks_exact_mut(2 * stride) {
+        let (lo, hi) = block.split_at_mut(stride);
+        for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
+            f(a0, a1);
+        }
+    }
+}
+
+/// Walks the runs of amplitudes whose `target` bit is set (the upper half
+/// of every `2·2^target` block), alongside the matching runs with it clear.
+#[inline(always)]
+fn for_each_half(
+    amplitudes: &mut [Complex64],
+    target: usize,
+    mut f: impl FnMut(&mut [Complex64], &mut [Complex64]),
+) {
+    let stride = 1usize << target;
+    for block in amplitudes.chunks_exact_mut(2 * stride) {
+        let (lo, hi) = block.split_at_mut(stride);
+        f(lo, hi);
+    }
+}
+
+/// Applies the Hadamard gate to `target` with the structured butterfly
+/// `lo = s·a0 + s·a1`, `hi = s·a0 − s·a1` (`s = 1/√2`, per component):
+/// 4 multiplies per pair instead of the generic 16. The generic
+/// [`apply_single`] with `H`'s matrix adds only products with exact `±0`
+/// entries on top (`(−s)·x` is exactly `−(s·x)`), so the results are equal
+/// under `==` per component: only the sign of an exact zero can differ.
+pub fn apply_h(amplitudes: &mut [Complex64], target: usize) {
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    for_each_pair(amplitudes, target, |a0, a1| {
+        let (x, y) = (*a0, *a1);
+        *a0 = Complex64::new(s * x.re + s * y.re, s * x.im + s * y.im);
+        *a1 = Complex64::new(s * x.re - s * y.re, s * x.im - s * y.im);
+    });
+}
+
+/// Applies Pauli `X` to `target`: the two halves swap. Equal to the generic
+/// butterfly under `==` per component (see [`apply_h`]).
+pub fn apply_x(amplitudes: &mut [Complex64], target: usize) {
+    for_each_half(amplitudes, target, |lo, hi| lo.swap_with_slice(hi));
+}
+
+/// Applies Pauli `Y` to `target`: a swap with phase,
+/// `lo = −i·a1 = (a1.im, −a1.re)` and `hi = i·a0 = (−a0.im, a0.re)`. Equal
+/// to the generic butterfly under `==` per component (see [`apply_h`]).
+pub fn apply_y(amplitudes: &mut [Complex64], target: usize) {
+    for_each_pair(amplitudes, target, |a0, a1| {
+        let (x, y) = (*a0, *a1);
+        *a0 = Complex64::new(y.im, -y.re);
+        *a1 = Complex64::new(-x.im, x.re);
+    });
+}
+
+/// Applies Pauli `Z` to `target`: the half with the bit set flips sign.
+/// Equal to the generic butterfly under `==` per component (see
+/// [`apply_h`]).
+pub fn apply_z(amplitudes: &mut [Complex64], target: usize) {
+    for_each_half(amplitudes, target, |_, hi| {
+        for amp in hi {
+            *amp = -*amp;
+        }
+    });
+}
+
+/// The no-jump step of unnormalized amplitude damping on `target`:
+/// `diag(1, keep)` with `keep = √(1−γ)`, as one pass that scales the half
+/// with the bit set. Equal under `==` per component to the generic
+/// butterfly with that matrix, whose other products are with exact zeros.
+pub fn apply_damping_keep(amplitudes: &mut [Complex64], target: usize, keep: f64) {
+    for_each_half(amplitudes, target, |_, hi| {
+        for amp in hi {
+            *amp = amp.scale(keep);
+        }
+    });
+}
+
+/// The jump step of unnormalized amplitude damping on `target`: `|0⟩⟨1|`,
+/// as one pass that moves the half with the bit set onto the half with it
+/// clear and zeroes it. Equal under `==` per component to the generic
+/// butterfly with `[[0, 1], [0, 0]]`.
+pub fn apply_damping_jump(amplitudes: &mut [Complex64], target: usize) {
+    for_each_half(amplitudes, target, |lo, hi| {
+        lo.copy_from_slice(hi);
+        hi.fill(Complex64::zero());
+    });
+}
+
 /// Applies CNOT by swapping the two `control = 1` quadrants run by run
 /// (touching `2^{n-2}` index pairs, with no per-index bit tests).
 pub fn apply_cnot(amplitudes: &mut [Complex64], control: usize, target: usize) {
@@ -384,33 +495,61 @@ pub fn apply_phases(amplitudes: &mut [Complex64], table: &[u8], memo: &[Complex6
     }
 }
 
-/// Probability that measuring `qubit` yields `1` — masked chunked sum in
-/// the fixed lane order.
+/// Probability that measuring `qubit` yields `1` — the masked sum of
+/// [`one_and_norm_sqr`].
 pub fn prob_one(amplitudes: &[Complex64], qubit: usize) -> f64 {
+    one_and_norm_sqr(amplitudes, qubit).0
+}
+
+/// `(prob_one(qubit), norm_sqr)` of an unnormalized state in one read pass:
+/// the masked sum `Σ_{bit set} |a|²` and the full sum `Σ |a|²`, each in the
+/// fixed lane order (the full sum with the bits of [`norm_sqr`]).
+///
+/// For `qubit ≥ 3` every lane chunk lies wholly inside one half, so the
+/// masked lanes skip the chunks with the bit clear instead of adding
+/// `0.0` to them — the same bits, since every lane holds a sum of squares
+/// and `x + 0.0 == x` for such `x`.
+pub fn one_and_norm_sqr(amplitudes: &[Complex64], qubit: usize) -> (f64, f64) {
     let bit = 1usize << qubit;
-    let mut lanes = [0.0f64; REDUCTION_LANES];
+    let mut one = [0.0f64; REDUCTION_LANES];
+    let mut all = [0.0f64; REDUCTION_LANES];
     let chunks = amplitudes.chunks_exact(REDUCTION_LANES);
     let tail = chunks.remainder();
     let main = amplitudes.len() - tail.len();
-    for (c, chunk) in chunks.enumerate() {
-        let base = c * REDUCTION_LANES;
-        for (j, (lane, a)) in lanes.iter_mut().zip(chunk).enumerate() {
-            *lane += if (base + j) & bit != 0 {
-                a.norm_sqr()
-            } else {
-                0.0
-            };
+    let add = |lanes: &mut [f64; REDUCTION_LANES], chunk: &[Complex64]| {
+        for (lane, a) in lanes.iter_mut().zip(chunk) {
+            *lane += a.norm_sqr();
+        }
+    };
+    if bit >= REDUCTION_LANES && 2 * bit <= main {
+        for block in amplitudes.chunks_exact(2 * bit) {
+            let (lo, hi) = block.split_at(bit);
+            for chunk in lo.chunks_exact(REDUCTION_LANES) {
+                add(&mut all, chunk);
+            }
+            for chunk in hi.chunks_exact(REDUCTION_LANES) {
+                add(&mut all, chunk);
+                add(&mut one, chunk);
+            }
+        }
+    } else {
+        // `qubit < 3`, or a qubit the state does not have (nothing is set).
+        let set: [bool; REDUCTION_LANES] = std::array::from_fn(|j| j & bit != 0);
+        for chunk in chunks {
+            for (j, a) in chunk.iter().enumerate() {
+                let p = a.norm_sqr();
+                all[j] += p;
+                one[j] += if set[j] { p } else { 0.0 };
+            }
         }
     }
-    let mut total = combine(lanes);
+    let (mut one_total, mut all_total) = (combine(one), combine(all));
     for (j, a) in tail.iter().enumerate() {
-        total += if (main + j) & bit != 0 {
-            a.norm_sqr()
-        } else {
-            0.0
-        };
+        let p = a.norm_sqr();
+        one_total += if (main + j) & bit != 0 { p } else { 0.0 };
+        all_total += p;
     }
-    total
+    (one_total, all_total)
 }
 
 /// Sum of `|amplitude|²` — chunked sum in the fixed lane order.

@@ -9,13 +9,42 @@
 //! of the device — the same approximation underlying standard error-mitigation
 //! analyses. Readout error is applied as a per-qubit confusion on the final
 //! distribution.
+//!
+//! # The trajectory contract
+//!
+//! A trajectory carries its state **unnormalized**. Amplitude damping is the
+//! only non-unitary step. Its random draw comes first: `P(1) ≤ 1`, so a draw
+//! at or above `γ` is a no-jump whatever `P(1)` is, and the step is one
+//! half-pass that scales the bit-set half by `√(1−γ)`. Only a draw below `γ`
+//! needs `P(1)`: one read pass returns `(Σ_{bit set}|a|², Σ|a|²)` in the
+//! fixed lane order, `P(1)` is their quotient, and then either the no-jump
+//! half-pass or a pass that moves the bit-set half onto the bit-clear half
+//! (jump) follows. Nothing renormalizes: each trajectory divides its `|a|²`
+//! by its norm once, when they join the average. If the carried norm falls
+//! below the constant floor `2^-512`, the state is scaled up by `2^256`,
+//! which is exact, so the quotients keep their bits.
+//!
+//! The gates run on the structured `H`/`X`/`Y`/`Z`/`Rx` kernels of
+//! [`vectorized`] (the generic butterfly for the rest), each equal to the
+//! generic butterfly under `==` per component.
+//!
+//! The stochastic process is the one [`mod@reference`] implements — the
+//! renormalize-every-step simulator, kept as the test oracle — and both draw
+//! the same random numbers in the same order, so only the rounding of the
+//! renormalization differs: probabilities agree with the oracle within
+//! `1e-12`. Models without T1 (and the ideal model) never damp, keep unit
+//! norm, and give the oracle's bits. Run-to-run and thread-count invariance
+//! are unchanged; see `docs/determinism.md`.
 
-use crate::circuit::{Circuit, Gate};
+pub mod reference;
+
+use crate::circuit::{rx_matrix, Circuit, Gate};
 use crate::density::apply_readout_confusion_in_place;
 use crate::noise::NoiseModel;
-use crate::statevector::{sample_counts_from_probabilities, StateVector};
+use crate::statevector::{sample_counts_from_probabilities, vectorized};
 use mathkit::parallel::parallel_map_indexed;
 use mathkit::rng::{derive_seed, seeded};
+use mathkit::Complex64;
 use rand::Rng;
 
 /// Configuration of the trajectory simulator.
@@ -31,6 +60,35 @@ impl Default for TrajectoryOptions {
     }
 }
 
+/// Number of trajectories summed per reduction chunk of the seeded average.
+///
+/// The chunk size is a fixed constant — *not* derived from the thread count —
+/// so the floating-point summation tree of [`noisy_probabilities_seeded`] is
+/// identical no matter how many workers process the chunks.
+const SEEDED_TRAJECTORY_CHUNK: usize = 8;
+
+/// A carried norm below this floor (`2^-512`) is scaled up by
+/// [`NORM_RESCALE`]`² = 2^512` before it can underflow.
+const NORM_FLOOR: f64 = 1.0 / (NORM_RESCALE * NORM_RESCALE);
+
+/// The amplitude factor of the floor rescale, `2^256`: a power of two, so
+/// the rescale is exact.
+const NORM_RESCALE: f64 = TWO_TO_64 * TWO_TO_64 * TWO_TO_64 * TWO_TO_64;
+
+/// `2^64`.
+const TWO_TO_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// Trajectories to run: one for a noiseless model (every trajectory would
+/// be the same), else the requested count (at least one).
+fn effective_runs(noise: &NoiseModel, options: TrajectoryOptions) -> usize {
+    let ideal_noise = noise.effective_error_1q() <= 0.0 && noise.effective_error_2q() <= 0.0;
+    if ideal_noise {
+        1
+    } else {
+        options.trajectories.max(1)
+    }
+}
+
 fn random_pauli<R: Rng>(qubit: usize, rng: &mut R) -> Gate {
     match rng.gen_range(0..3) {
         0 => Gate::X(qubit),
@@ -39,44 +97,148 @@ fn random_pauli<R: Rng>(qubit: usize, rng: &mut R) -> Gate {
     }
 }
 
-/// Applies one step of amplitude damping (strength `gamma`) to `qubit` using
-/// the quantum-jump unravelling: with probability `γ·P(1)` the qubit decays
-/// to `|0⟩`, otherwise the no-jump Kraus operator is applied. Averaged over
-/// trajectories this reproduces the amplitude-damping channel exactly and —
-/// unlike depolarizing noise — it biases the state toward `|0…0⟩`, which is
-/// what distorts (rather than merely flattens) QAOA landscapes on hardware.
-fn amplitude_damping_jump<R: Rng>(sv: &mut StateVector, qubit: usize, gamma: f64, rng: &mut R) {
-    use mathkit::Complex64;
-    if gamma <= 0.0 {
-        return;
-    }
-    let p_one = sv.prob_one(qubit);
-    let p_jump = gamma * p_one;
-    if rng.gen::<f64>() < p_jump {
-        // Jump operator K1 = sqrt(γ) |0⟩⟨1| (the prefactor is absorbed by the
-        // renormalization).
-        sv.apply_single(
-            qubit,
-            [
-                [Complex64::zero(), Complex64::one()],
-                [Complex64::zero(), Complex64::zero()],
-            ],
-        );
-    } else {
-        // No-jump operator K0 = diag(1, sqrt(1-γ)).
-        sv.apply_single(
-            qubit,
-            [
-                [Complex64::one(), Complex64::zero()],
-                [Complex64::zero(), Complex64::new((1.0 - gamma).sqrt(), 0.0)],
-            ],
-        );
-    }
-    sv.renormalize();
+/// The error processes one qubit goes through at one point of the circuit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Decoherence {
+    /// Depolarizing Pauli-error probability (gates only).
+    depol: f64,
+    /// Dephasing `Z`-error probability.
+    dephase: f64,
+    /// Amplitude-damping strength `γ`.
+    gamma: f64,
+    /// The no-jump factor `√(1−γ)`.
+    keep: f64,
 }
 
-/// Runs one noisy trajectory into an existing statevector (re-initialized to
-/// `|0…0⟩` first), so trajectory loops can reuse one amplitude allocation.
+impl Decoherence {
+    /// T1 and T2 decay over `ns` nanoseconds, plus a depolarizing
+    /// probability.
+    fn over(noise: &NoiseModel, depol: f64, ns: f64) -> Self {
+        let gamma = noise.relaxation_probability(ns);
+        Self {
+            depol,
+            dephase: 0.5 * noise.dephasing_probability(ns),
+            gamma,
+            keep: (1.0 - gamma).sqrt(),
+        }
+    }
+}
+
+/// Everything a trajectory needs that depends only on the circuit and the
+/// noise model, computed once per call instead of once per trajectory.
+struct NoisePlan {
+    /// Per-gate noise of one- (`[0]`) and two-qubit (`[1]`) gates.
+    gate: [Decoherence; 2],
+    /// Per-qubit idle (spectator) decoherence: T1 and T2 decay for the part
+    /// of the circuit's duration the qubit spends waiting.
+    idle: Vec<Decoherence>,
+    /// Whether any amplitude damping can happen (else the norm stays 1).
+    damps: bool,
+}
+
+impl NoisePlan {
+    fn new(circuit: &Circuit, noise: &NoiseModel) -> Self {
+        let gate_time = [noise.gate_time_1q_ns, noise.gate_time_2q_ns];
+        let gate = [
+            Decoherence::over(noise, noise.error_1q, gate_time[0]),
+            Decoherence::over(noise, noise.error_2q, gate_time[1]),
+        ];
+        let mut busy_ns = vec![0.0f64; circuit.qubit_count()];
+        for g in circuit.gates() {
+            let (qubits, arity) = g.operands();
+            for &q in &qubits[..arity] {
+                busy_ns[q] += gate_time[arity - 1];
+            }
+        }
+        let duration_ns = noise.circuit_duration_ns(circuit);
+        let idle: Vec<Decoherence> = busy_ns
+            .iter()
+            .map(|&busy| {
+                let idle_ns = duration_ns - busy;
+                if idle_ns > 0.0 {
+                    Decoherence::over(noise, 0.0, idle_ns)
+                } else {
+                    Decoherence::default()
+                }
+            })
+            .collect();
+        let damps = gate.iter().chain(&idle).any(|d| d.gamma > 0.0);
+        Self { gate, idle, damps }
+    }
+}
+
+/// Applies one gate with the structured kernels where a gate has one.
+fn apply_gate(amplitudes: &mut [Complex64], gate: Gate) {
+    match gate {
+        Gate::H(q) => vectorized::apply_h(amplitudes, q),
+        Gate::X(q) => vectorized::apply_x(amplitudes, q),
+        Gate::Y(q) => vectorized::apply_y(amplitudes, q),
+        Gate::Z(q) => vectorized::apply_z(amplitudes, q),
+        Gate::Rx(q, theta) => {
+            let u = rx_matrix(theta);
+            vectorized::apply_rx(amplitudes, q, u[0][0].re, u[0][1].im);
+        }
+        Gate::Cnot(control, target) => vectorized::apply_cnot(amplitudes, control, target),
+        Gate::Cz(a, b) => vectorized::apply_cz(amplitudes, a, b),
+        Gate::Swap(a, b) => vectorized::apply_swap(amplitudes, a, b),
+        Gate::Rzz(a, b, theta) => vectorized::apply_rzz(amplitudes, a, b, theta),
+        single => {
+            let (q, u) = single
+                .single_qubit_unitary()
+                .expect("two-qubit gates are matched above");
+            vectorized::apply_single(amplitudes, q, u);
+        }
+    }
+}
+
+/// One amplitude-damping step of strength `d.gamma` on `qubit` by quantum
+/// jumps, on the unnormalized state: with probability `γ·P(1)` the qubit
+/// decays to `|0⟩` (jump `|0⟩⟨1|`), otherwise the no-jump operator
+/// `diag(1, √(1−γ))` applies. Averaged over trajectories this reproduces
+/// the amplitude-damping channel exactly and — unlike depolarizing noise —
+/// it biases the state toward `|0…0⟩`, which is what distorts (rather than
+/// merely flattens) QAOA landscapes on hardware.
+///
+/// `P(1)` is `one / norm` from the read pass, and `one ≤ norm` holds in
+/// floating point too (each masked lane sums a subset of its full lane's
+/// terms, and rounding is monotone), so `γ·P(1) ≤ γ`: a draw at or above
+/// `γ` is a no-jump whatever `P(1)` is, and the read pass is skipped. It is
+/// also what keeps the norm off the floor, so it is skipped only while
+/// `norm_bound` — a lower bound on the carried norm, which a no-jump step
+/// shrinks by at most `1 − γ` — stays above it.
+fn damp<R: Rng>(
+    amplitudes: &mut [Complex64],
+    qubit: usize,
+    d: Decoherence,
+    norm_bound: &mut f64,
+    rng: &mut R,
+) {
+    let draw = rng.gen::<f64>();
+    if draw >= d.gamma && *norm_bound >= NORM_FLOOR {
+        vectorized::apply_damping_keep(amplitudes, qubit, d.keep);
+        *norm_bound *= 1.0 - d.gamma;
+        return;
+    }
+    let (mut one, mut norm) = vectorized::one_and_norm_sqr(amplitudes, qubit);
+    if norm < NORM_FLOOR {
+        for amp in amplitudes.iter_mut() {
+            *amp = amp.scale(NORM_RESCALE);
+        }
+        let squared = NORM_RESCALE * NORM_RESCALE;
+        one *= squared;
+        norm *= squared;
+    }
+    if draw < d.gamma * (one / norm) {
+        vectorized::apply_damping_jump(amplitudes, qubit);
+        *norm_bound = one;
+    } else {
+        vectorized::apply_damping_keep(amplitudes, qubit, d.keep);
+        *norm_bound = norm * (1.0 - d.gamma);
+    }
+}
+
+/// Runs one noisy trajectory into `amplitudes` (reset to `|0…0⟩` first, its
+/// allocation reused) and returns the state's norm `Σ|a|²`.
 ///
 /// Per gate and per participating qubit three error processes are applied:
 /// a depolarizing Pauli error with the calibrated gate-error probability, a
@@ -89,56 +251,51 @@ fn amplitude_damping_jump<R: Rng>(sv: &mut StateVector, qubit: usize, gamma: f64
 /// is the dominant size-dependent error source on hardware: a circuit twice
 /// as deep exposes every qubit to roughly twice the idle decay, which is
 /// precisely the penalty Red-QAOA's smaller circuits avoid.
-fn run_trajectory_into<R: Rng>(
-    sv: &mut StateVector,
+fn run_trajectory<R: Rng>(
+    amplitudes: &mut Vec<Complex64>,
     circuit: &Circuit,
-    noise: &NoiseModel,
+    plan: &NoisePlan,
     rng: &mut R,
-) {
-    sv.reinitialize_zero(circuit.qubit_count());
-    let depol = [noise.error_1q, noise.error_2q];
-    let relax = [
-        noise.relaxation_probability(noise.gate_time_1q_ns),
-        noise.relaxation_probability(noise.gate_time_2q_ns),
-    ];
-    let dephase = [
-        0.5 * noise.dephasing_probability(noise.gate_time_1q_ns),
-        0.5 * noise.dephasing_probability(noise.gate_time_2q_ns),
-    ];
-    let gate_time = [noise.gate_time_1q_ns, noise.gate_time_2q_ns];
-    let mut busy_ns = vec![0.0f64; circuit.qubit_count()];
+) -> f64 {
+    amplitudes.clear();
+    amplitudes.resize(1usize << circuit.qubit_count(), Complex64::zero());
+    amplitudes[0] = Complex64::one();
+    let mut norm_bound = 1.0;
     for gate in circuit.gates() {
-        sv.apply_gate(*gate);
-        let kind = usize::from(gate.is_two_qubit());
-        for q in gate.qubits() {
-            busy_ns[q] += gate_time[kind];
-            if depol[kind] > 0.0 && rng.gen::<f64>() < depol[kind] {
-                sv.apply_gate(random_pauli(q, rng));
+        apply_gate(amplitudes, *gate);
+        let (qubits, arity) = gate.operands();
+        let d = plan.gate[arity - 1];
+        for &q in &qubits[..arity] {
+            if d.depol > 0.0 && rng.gen::<f64>() < d.depol {
+                apply_gate(amplitudes, random_pauli(q, rng));
             }
-            if dephase[kind] > 0.0 && rng.gen::<f64>() < dephase[kind] {
-                sv.apply_gate(Gate::Z(q));
+            if d.dephase > 0.0 && rng.gen::<f64>() < d.dephase {
+                vectorized::apply_z(amplitudes, q);
             }
-            if relax[kind] > 0.0 {
-                amplitude_damping_jump(sv, q, relax[kind], rng);
+            if d.gamma > 0.0 {
+                damp(amplitudes, q, d, &mut norm_bound, rng);
             }
         }
     }
-    // Idle (spectator) decoherence: each qubit decays for the portion of the
-    // scheduled circuit duration it spent waiting.
-    let duration_ns = noise.circuit_duration_ns(circuit);
-    for q in 0..circuit.qubit_count() {
-        let idle_ns = (duration_ns - busy_ns[q]).max(0.0);
-        if idle_ns <= 0.0 {
-            continue;
+    for (q, &d) in plan.idle.iter().enumerate() {
+        if d.gamma > 0.0 {
+            damp(amplitudes, q, d, &mut norm_bound, rng);
         }
-        let p_relax = noise.relaxation_probability(idle_ns);
-        if p_relax > 0.0 {
-            amplitude_damping_jump(sv, q, p_relax, rng);
+        if d.dephase > 0.0 && rng.gen::<f64>() < d.dephase {
+            vectorized::apply_z(amplitudes, q);
         }
-        let p_dephase = 0.5 * noise.dephasing_probability(idle_ns);
-        if p_dephase > 0.0 && rng.gen::<f64>() < p_dephase {
-            sv.apply_gate(Gate::Z(q));
-        }
+    }
+    if plan.damps {
+        vectorized::norm_sqr(amplitudes)
+    } else {
+        1.0
+    }
+}
+
+/// Adds a trajectory's normalized distribution `|a|² / norm` to `acc`.
+fn accumulate(acc: &mut [f64], amplitudes: &[Complex64], norm: f64) {
+    for (a, amp) in acc.iter_mut().zip(amplitudes) {
+        *a += amp.norm_sqr() / norm;
     }
 }
 
@@ -152,32 +309,20 @@ pub fn noisy_probabilities<R: Rng>(
     options: TrajectoryOptions,
     rng: &mut R,
 ) -> Vec<f64> {
-    let dim = 1usize << circuit.qubit_count();
-    let runs = options.trajectories.max(1);
-    let ideal_noise = noise.effective_error_1q() <= 0.0 && noise.effective_error_2q() <= 0.0;
-    let effective_runs = if ideal_noise { 1 } else { runs };
-    let mut acc = vec![0.0f64; dim];
-    let mut sv = StateVector::new(circuit.qubit_count());
-    for _ in 0..effective_runs {
-        run_trajectory_into(&mut sv, circuit, noise, rng);
-        for (a, amp) in acc.iter_mut().zip(sv.amplitudes()) {
-            *a += amp.norm_sqr();
-        }
+    let runs = effective_runs(noise, options);
+    let plan = NoisePlan::new(circuit, noise);
+    let mut acc = vec![0.0f64; 1usize << circuit.qubit_count()];
+    let mut amplitudes = Vec::with_capacity(acc.len());
+    for _ in 0..runs {
+        let norm = run_trajectory(&mut amplitudes, circuit, &plan, rng);
+        accumulate(&mut acc, &amplitudes, norm);
     }
     for a in acc.iter_mut() {
-        *a /= effective_runs as f64;
+        *a /= runs as f64;
     }
-    let mut scratch = Vec::new();
-    apply_readout_confusion_in_place(&mut acc, &mut scratch, circuit.qubit_count(), noise);
+    apply_readout_confusion_in_place(&mut acc, circuit.qubit_count(), noise);
     acc
 }
-
-/// Number of trajectories summed per reduction chunk of the seeded average.
-///
-/// The chunk size is a fixed constant — *not* derived from the thread count —
-/// so the floating-point summation tree of [`noisy_probabilities_seeded`] is
-/// identical no matter how many workers process the chunks.
-const SEEDED_TRAJECTORY_CHUNK: usize = 8;
 
 /// Average measurement distribution of a circuit under the noise model,
 /// driven by per-trajectory RNG substreams instead of one sequential stream.
@@ -199,23 +344,20 @@ pub fn noisy_probabilities_seeded(
     seed: u64,
 ) -> Vec<f64> {
     let dim = 1usize << circuit.qubit_count();
-    let runs = options.trajectories.max(1);
-    let ideal_noise = noise.effective_error_1q() <= 0.0 && noise.effective_error_2q() <= 0.0;
-    let effective_runs = if ideal_noise { 1 } else { runs };
-    let chunks = effective_runs.div_ceil(SEEDED_TRAJECTORY_CHUNK);
+    let runs = effective_runs(noise, options);
+    let plan = NoisePlan::new(circuit, noise);
+    let chunks = runs.div_ceil(SEEDED_TRAJECTORY_CHUNK);
     let partials = parallel_map_indexed(
         chunks,
-        || StateVector::new(circuit.qubit_count()),
-        |sv, chunk| {
+        || Vec::with_capacity(dim),
+        |amplitudes, chunk| {
             let lo = chunk * SEEDED_TRAJECTORY_CHUNK;
-            let hi = (lo + SEEDED_TRAJECTORY_CHUNK).min(effective_runs);
+            let hi = (lo + SEEDED_TRAJECTORY_CHUNK).min(runs);
             let mut acc = vec![0.0f64; dim];
             for t in lo..hi {
                 let mut rng = seeded(derive_seed(seed, t as u64));
-                run_trajectory_into(sv, circuit, noise, &mut rng);
-                for (a, amp) in acc.iter_mut().zip(sv.amplitudes()) {
-                    *a += amp.norm_sqr();
-                }
+                let norm = run_trajectory(amplitudes, circuit, &plan, &mut rng);
+                accumulate(&mut acc, amplitudes, norm);
             }
             acc
         },
@@ -227,10 +369,9 @@ pub fn noisy_probabilities_seeded(
         }
     }
     for a in acc.iter_mut() {
-        *a /= effective_runs as f64;
+        *a /= runs as f64;
     }
-    let mut scratch = Vec::new();
-    apply_readout_confusion_in_place(&mut acc, &mut scratch, circuit.qubit_count(), noise);
+    apply_readout_confusion_in_place(&mut acc, circuit.qubit_count(), noise);
     acc
 }
 
@@ -240,34 +381,41 @@ pub fn noisy_probabilities_seeded(
 /// # Panics
 ///
 /// Panics if `values.len() != 2^n`.
-pub fn noisy_expectation_diagonal_seeded(
+pub fn noisy_expectation_diagonal_seeded<V: Copy + Into<f64>>(
     circuit: &Circuit,
     noise: &NoiseModel,
-    values: &[f64],
+    values: &[V],
     options: TrajectoryOptions,
     seed: u64,
 ) -> f64 {
-    let probs = noisy_probabilities_seeded(circuit, noise, options, seed);
-    assert_eq!(values.len(), probs.len());
-    probs.iter().zip(values).map(|(p, v)| p * v).sum()
+    expectation(
+        &noisy_probabilities_seeded(circuit, noise, options, seed),
+        values,
+    )
 }
 
 /// Noisy expectation value of a diagonal observable (given its value on every
-/// computational basis state).
+/// computational basis state). The values may be any type that widens
+/// exactly to `f64` (a QAOA cut table's `u8` entries give the bits of the
+/// same table held as `f64`).
 ///
 /// # Panics
 ///
 /// Panics if `values.len() != 2^n`.
-pub fn noisy_expectation_diagonal<R: Rng>(
+pub fn noisy_expectation_diagonal<R: Rng, V: Copy + Into<f64>>(
     circuit: &Circuit,
     noise: &NoiseModel,
-    values: &[f64],
+    values: &[V],
     options: TrajectoryOptions,
     rng: &mut R,
 ) -> f64 {
-    let probs = noisy_probabilities(circuit, noise, options, rng);
+    expectation(&noisy_probabilities(circuit, noise, options, rng), values)
+}
+
+/// `Σ p·v` in index order.
+fn expectation<V: Copy + Into<f64>>(probs: &[f64], values: &[V]) -> f64 {
     assert_eq!(values.len(), probs.len());
-    probs.iter().zip(values).map(|(p, v)| p * v).sum()
+    probs.iter().zip(values).map(|(p, &v)| p * v.into()).sum()
 }
 
 /// Samples measurement counts from the noisy distribution (shot noise plus

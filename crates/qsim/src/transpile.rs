@@ -118,8 +118,8 @@ pub fn route_with_layout(
     let mut swap_count = 0usize;
 
     for gate in circuit.gates() {
-        let qs = gate.qubits();
-        if qs.len() == 1 {
+        let (qs, arity) = gate.operands();
+        if arity == 1 {
             routed
                 .push(gate.remapped(&l2p))
                 .expect("validated physical qubit");

@@ -4,7 +4,9 @@
 //! `energy` — depth-mode, edge-local light-cone and every `AutoEvaluator`
 //! backend — `probabilities_into`, `sample_counts_with`,
 //! `apply_readout_confusion_in_place`) promise that
-//! after the first call of a given size *no further allocation happens*.
+//! after the first call of a given size *no further allocation happens*,
+//! and the noisy trajectory average allocates per call, never per
+//! trajectory.
 //! That promise is what makes landscape scans allocator-quiet; this file
 //! enforces it with a counting `#[global_allocator]` so an accidental
 //! per-call `Vec` rebuild (the bug class PR 9 removed) fails a test
@@ -23,15 +25,19 @@ use std::cell::Cell;
 
 use graphlib::generators::connected_gnp;
 use graphlib::Graph;
+use mathkit::parallel::with_threads;
 use mathkit::rng::seeded;
+use qaoa::circuit::qaoa_circuit;
 use qaoa::evaluator::{
     AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
 };
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
 use qsim::density::apply_readout_confusion_in_place;
+use qsim::devices::fake_toronto;
 use qsim::noise::{NoiseModel, ReadoutError};
 use qsim::statevector::{SampleScratch, StateVector, StatevectorWorkspace};
+use qsim::trajectory::{noisy_probabilities, noisy_probabilities_seeded, TrajectoryOptions};
 
 struct CountingAllocator;
 
@@ -221,17 +227,57 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         300.0,
     );
     let mut dist = sv.probabilities();
-    let mut confusion_scratch = Vec::new();
-    apply_readout_confusion_in_place(&mut dist, &mut confusion_scratch, 8, &noise); // warm
     let allocs = allocations_during(|| {
         for _ in 0..16 {
-            apply_readout_confusion_in_place(&mut dist, &mut confusion_scratch, 8, &noise);
+            apply_readout_confusion_in_place(&mut dist, 8, &noise);
         }
     });
+    assert_eq!(allocs, 0, "apply_readout_confusion_in_place allocated");
+
+    // --- noisy trajectories ----------------------------------------------
+    // Per-circuit work (the noise plan, the amplitude buffer, the average)
+    // is set up once per call, so the trajectory count adds no allocation.
+    let noise = fake_toronto().noise;
+    let circuit = qaoa_circuit(&graph, &params).unwrap();
+    let allocs_for = |trajectories| {
+        let options = TrajectoryOptions { trajectories };
+        allocations_during(|| {
+            noisy_probabilities(&circuit, &noise, options, &mut seeded(3));
+        })
+    };
     assert_eq!(
-        allocs, 0,
-        "apply_readout_confusion_in_place allocated in steady state"
+        allocs_for(8),
+        allocs_for(1),
+        "noisy_probabilities allocated per trajectory"
     );
+
+    // The noisy instance paths read the `u8` cut table in place: beyond
+    // building the circuit they allocate exactly what the trajectory
+    // average does.
+    let options = TrajectoryOptions { trajectories: 2 };
+    let circuit_allocs = allocations_during(|| {
+        qaoa_circuit(&graph, &params).unwrap();
+    });
+    let sequential = allocations_during(|| {
+        noisy_probabilities(&circuit, &noise, options, &mut seeded(3));
+    });
+    let allocs = allocations_during(|| {
+        instance.noisy_expectation(&params, &noise, options, &mut seeded(3));
+    });
+    assert_eq!(allocs, circuit_allocs + sequential, "noisy_expectation");
+    with_threads(1, || {
+        let seeded_allocs = allocations_during(|| {
+            noisy_probabilities_seeded(&circuit, &noise, options, 3);
+        });
+        let allocs = allocations_during(|| {
+            instance.noisy_expectation_seeded(&params, &noise, options, 3);
+        });
+        assert_eq!(
+            allocs,
+            circuit_allocs + seeded_allocs,
+            "noisy_expectation_seeded"
+        );
+    });
 
     // Sanity check that the counter actually counts: a fresh Vec push must
     // register at least one allocation, or every assertion above is vacuous.
