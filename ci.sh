@@ -38,9 +38,10 @@
 #      oracle's gate runner, statevector::reference::apply_circuit on a raw
 #      amplitude buffer, vs StateVector's vectorized kernels for 8-20
 #      qubits, bitwise cross-checked, 16-qubit speedup gated at >= 1.5x;
-#      ideal p = 1 QAOA points/sec at 12-16
-#      qubits, mixer layer vs gate-by-gate Rx, energies bitwise
-#      cross-checked; the grouped mixer layer vs per-qubit Rx passes at
+#      ideal p = 1 and p = 2 QAOA points/sec at 12-16 qubits,
+#      expectation_with (half-state evolution) vs the full state with a
+#      gate-by-gate Rx mixer, energies bitwise cross-checked at every
+#      point; the grouped mixer layer vs per-qubit Rx passes at
 #      12-16 qubits, amplitudes bitwise cross-checked, recorded without a
 #      gate; noisy QAOA trajectories/sec at 8-12 qubits, carried-norm
 #      trajectories vs the renormalize-every-step oracle

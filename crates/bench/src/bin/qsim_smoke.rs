@@ -17,13 +17,14 @@
 //! 16-qubit row must show a **≥ 1.5× vectorized speedup** — the headline
 //! acceptance number of the kernel split.
 //!
-//! An ideal-QAOA section times the p = 1 energy the landscape and
-//! optimizer loops spend their time in, at 12, 14 and 16 qubits: points/sec
-//! through `QaoaInstance::expectation_with` (the `u8` cost-layer gather
-//! with the uniform start folded in, plus the grouped structured `Rx` mixer
-//! layer) against the same cost layers with the mixer applied gate by gate
-//! (`Gate::Rx` through the generic butterfly), after checking that every
-//! point's energy bits agree.
+//! An ideal-QAOA section times the p = 1 and p = 2 energies the landscape
+//! and optimizer loops spend their time in, at 12, 14 and 16 qubits:
+//! points/sec through `QaoaInstance::expectation_with` (the half-state
+//! evolution: the `u8` cost-layer gathers with the uniform start folded in
+//! and the grouped structured `Rx` mixer layer, on the `2^(n−1)` amplitudes
+//! whose top qubit is clear) against the full `2^n` state with the same
+//! cost layers and the mixer applied gate by gate (`Gate::Rx` through the
+//! generic butterfly), after checking that every point's energy bits agree.
 //!
 //! A mixer section records, at 12–16 qubits, the grouped mixer kernel
 //! `vectorized::apply_rx_layer` (three qubits per pass, what
@@ -104,15 +105,33 @@ fn timed_evolutions(reps: usize, mut evolve: impl FnMut() -> f64) -> (f64, u64) 
     (start.elapsed().as_secs_f64(), last_bits)
 }
 
-/// Qubit counts of the ideal-QAOA rows, the side of their p = 1 grid and
-/// the number of timed repetitions (the median is reported).
+/// Layer counts and qubit counts of the ideal-QAOA rows, the side of their
+/// `(γ, β)` grid and the number of timed repetitions (the median is
+/// reported).
+const QAOA_LAYERS: [usize; 2] = [1, 2];
 const QAOA_ROWS: [usize; 3] = [12, 14, 16];
 const QAOA_GRID: usize = 8;
 const QAOA_REPS: usize = 3;
 
-/// The energy with the mixer applied gate by gate: the same cost layers as
-/// `expectation_with` (the first folded into the uniform start), then
-/// `Gate::Rx(q, 2β)` on each qubit.
+/// The `QAOA_GRID × QAOA_GRID` grid of `layers`-layer points: `(γ, β)` over
+/// `[0, π) × [0, π/2)` in the first layer (so its first row and column are
+/// the `γ = 0` / `β = 0` corners) and a shifted half of it in the second.
+fn qaoa_grid(layers: usize) -> Vec<QaoaParams> {
+    (0..QAOA_GRID * QAOA_GRID)
+        .map(|i| {
+            let gamma = (i / QAOA_GRID) as f64 * std::f64::consts::PI / QAOA_GRID as f64;
+            let beta = (i % QAOA_GRID) as f64 * std::f64::consts::FRAC_PI_2 / QAOA_GRID as f64;
+            let gammas = [gamma, 0.5 * gamma + 0.1];
+            let betas = [beta, 0.5 * beta + 0.05];
+            QaoaParams::new(gammas[..layers].to_vec(), betas[..layers].to_vec())
+                .expect("one or two layers")
+        })
+        .collect()
+}
+
+/// The full-state energy with the mixer applied gate by gate: the same
+/// cost layers as `expectation_with` (the first folded into the uniform
+/// start) on all `2^n` amplitudes, then `Gate::Rx(q, 2β)` on each qubit.
 fn gate_by_gate_energy(
     cost: &CostDiagonal,
     qubits: usize,
@@ -260,42 +279,41 @@ fn main() {
         "vectorized kernels must be >= 1.5x scalar at 16 qubits, got {speedup_16q:.3}x"
     );
 
-    // --- ideal-QAOA energy: structured mixer layer vs gate-by-gate Rx -----
-    let grid: Vec<QaoaParams> = (0..QAOA_GRID * QAOA_GRID)
-        .map(|i| {
-            let gamma = (i / QAOA_GRID) as f64 * std::f64::consts::PI / QAOA_GRID as f64;
-            let beta = (i % QAOA_GRID) as f64 * std::f64::consts::FRAC_PI_2 / QAOA_GRID as f64;
-            QaoaParams::new(vec![gamma], vec![beta]).expect("one layer")
-        })
-        .collect();
+    // --- ideal-QAOA energy: half state vs full-state gate-by-gate Rx ------
     let mut qaoa_json = Vec::new();
-    for n in QAOA_ROWS {
-        let instance = QaoaInstance::new(&bench_graph(n, 16), 1).expect("bench graph is simulable");
-        let cost = CostDiagonal::new(instance.cut_table().to_vec());
-        let mut workspace = StatevectorWorkspace::with_qubits(n);
-        let (layer_secs, layer_bits) =
-            timed_grid(&grid, |p| instance.expectation_with(&mut workspace, p));
-        let (gates_secs, gates_bits) =
-            timed_grid(&grid, |p| gate_by_gate_energy(&cost, n, &mut workspace, p));
-        assert_eq!(
-            layer_bits, gates_bits,
-            "mixer layer energies diverged from the gate-by-gate evolution at {n} qubits"
-        );
-        let layer_pps = grid.len() as f64 / layer_secs;
-        let gates_pps = grid.len() as f64 / gates_secs;
-        qaoa_json.push(format!(
-            concat!(
-                "    {{ \"qubits\": {}, \"points\": {}, ",
-                "\"gate_by_gate_points_per_sec\": {:.1}, ",
-                "\"expectation_with_points_per_sec\": {:.1}, ",
-                "\"speedup\": {:.3} }}"
-            ),
-            n,
-            grid.len(),
-            gates_pps,
-            layer_pps,
-            layer_pps / gates_pps
-        ));
+    for layers in QAOA_LAYERS {
+        let grid = qaoa_grid(layers);
+        for n in QAOA_ROWS {
+            let instance =
+                QaoaInstance::new(&bench_graph(n, 16), layers).expect("bench graph is simulable");
+            let cost = CostDiagonal::new(instance.cut_table().to_vec());
+            let mut workspace = StatevectorWorkspace::with_qubits(n);
+            let (layer_secs, layer_bits) =
+                timed_grid(&grid, |p| instance.expectation_with(&mut workspace, p));
+            let (gates_secs, gates_bits) =
+                timed_grid(&grid, |p| gate_by_gate_energy(&cost, n, &mut workspace, p));
+            assert_eq!(
+                layer_bits, gates_bits,
+                "p = {layers}: half-state energies diverged from the full-state gate-by-gate \
+                 evolution at {n} qubits"
+            );
+            let layer_pps = grid.len() as f64 / layer_secs;
+            let gates_pps = grid.len() as f64 / gates_secs;
+            qaoa_json.push(format!(
+                concat!(
+                    "    {{ \"layers\": {}, \"qubits\": {}, \"points\": {}, ",
+                    "\"gate_by_gate_points_per_sec\": {:.1}, ",
+                    "\"expectation_with_points_per_sec\": {:.1}, ",
+                    "\"speedup\": {:.3} }}"
+                ),
+                layers,
+                n,
+                grid.len(),
+                gates_pps,
+                layer_pps,
+                layer_pps / gates_pps
+            ));
+        }
     }
 
     // --- mixer: three qubits per pass vs per-qubit passes (recorded) ------
@@ -414,7 +432,7 @@ fn main() {
             "  \"available_cores\": {},\n",
             "  \"rows\": [\n{}\n  ],\n",
             "  \"speedup_16q\": {:.3},\n",
-            "  \"ideal_qaoa_p1\": [\n{}\n  ],\n",
+            "  \"ideal_qaoa\": [\n{}\n  ],\n",
             "  \"rx_layer\": [\n{}\n  ],\n",
             "  \"trajectory\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",

@@ -21,7 +21,7 @@
 //!   affects *performance*: a re-request of an evicted key recomputes the
 //!   bitwise-identical reduction from its content-derived substream.
 
-use crate::reduction::{ReducedGraph, ReductionOptions, WarmStart};
+use crate::reduction::{ReducedGraph, ReductionOptions, WarmDecision, WarmStart};
 use graphlib::Graph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,10 +77,12 @@ impl CacheStats {
 /// list, which `Graph::edges` yields canonically) and the bit patterns of
 /// every reduction option. Storing the full key rather than a digest makes
 /// collisions impossible; graphs at Red-QAOA scale are a few hundred edges.
+/// Endpoints are held as `u32` (8 bytes an edge instead of 16); the content
+/// hash and the persisted key still widen each one to a `u64` word.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(super) struct CacheKey {
     pub(super) nodes: usize,
-    pub(super) edges: Vec<(usize, usize)>,
+    pub(super) edges: Vec<(u32, u32)>,
     pub(super) option_bits: [u64; 14],
 }
 
@@ -92,14 +94,18 @@ impl CacheKey {
             CoolingSchedule::Adaptive { base } => (1u64, base.to_bits()),
         };
         let warm = match options.warm_start {
-            WarmStart::Off => 0u64,
-            WarmStart::On => 1,
-            WarmStart::Auto => 2,
-            WarmStart::Measured => 3,
+            WarmStart::Off => WARM_OFF,
+            WarmStart::On => WARM_ON,
+            WarmStart::Auto => WARM_AUTO,
+            WarmStart::Measured => WARM_MEASURED,
         };
         Self {
             nodes: graph.node_count(),
-            edges: graph.edges(),
+            edges: graph
+                .edges()
+                .into_iter()
+                .map(|(u, v)| (endpoint(u), endpoint(v)))
+                .collect(),
             option_bits: [
                 options.and_ratio_threshold.to_bits(),
                 options.sa_runs as u64,
@@ -116,6 +122,27 @@ impl CacheKey {
                 options.warm_auto_min_nodes as u64,
                 options.warm_temp_fraction.to_bits(),
             ],
+        }
+    }
+
+    /// Whether a reduction under this key's options can report `decision`,
+    /// by [`ReductionOptions::warm_enabled_for`] on the key's node count:
+    /// [`WarmDecision::Cold`] exactly when warm starts are off for the
+    /// graph, [`WarmDecision::Warm`] when they are on, and the measured
+    /// outcomes only under [`WarmStart::Measured`].
+    pub(super) fn permits(&self, decision: WarmDecision) -> bool {
+        let policy = self.option_bits[WARM_START_WORD];
+        let enabled = match policy {
+            WARM_OFF => false,
+            WARM_ON => true,
+            _ => self.nodes as u64 >= self.option_bits[WARM_AUTO_MIN_NODES_WORD],
+        };
+        match decision {
+            WarmDecision::Cold => !enabled,
+            WarmDecision::Warm => enabled,
+            WarmDecision::MeasuredKept | WarmDecision::MeasuredReverted => {
+                enabled && policy == WARM_MEASURED
+            }
         }
     }
 
@@ -137,14 +164,33 @@ impl CacheKey {
         eat(self.nodes as u64);
         eat(self.edges.len() as u64);
         for &(u, v) in &self.edges {
-            eat(u as u64);
-            eat(v as u64);
+            eat(u64::from(u));
+            eat(u64::from(v));
         }
         for &word in &self.option_bits {
             eat(word);
         }
         hash
     }
+}
+
+/// The option word holding the warm-start policy, and its codes.
+const WARM_START_WORD: usize = 4;
+const WARM_OFF: u64 = 0;
+const WARM_ON: u64 = 1;
+const WARM_AUTO: u64 = 2;
+const WARM_MEASURED: u64 = 3;
+/// The option word holding `warm_auto_min_nodes`.
+const WARM_AUTO_MIN_NODES_WORD: usize = 12;
+
+/// A node index as a key endpoint.
+///
+/// # Panics
+///
+/// Panics for an index above `u32::MAX`: a graph that large could not be
+/// reduced in memory anyway.
+fn endpoint(node: usize) -> u32 {
+    u32::try_from(node).expect("node index fits in u32")
 }
 
 /// Deterministic proxy for the annealing work a cached reduction saves:
@@ -320,7 +366,6 @@ impl ShardedReductionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::WarmDecision;
     use graphlib::generators::cycle;
     use graphlib::subgraph::Subgraph;
 
@@ -442,6 +487,50 @@ mod tests {
             let k = key(n);
             cache.insert(k.clone(), k.content_hash(), value(n), 1.0);
             assert!(cache.totals().0 <= 5);
+        }
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // The hash is the reduction substream, the shard and the persisted
+        // record key: recorded bits, so a change to how a key is stored
+        // (endpoint width, field order) cannot move it unnoticed.
+        let graph =
+            Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]).unwrap();
+        let key = CacheKey::new(&graph, &ReductionOptions::default());
+        assert_eq!(key.content_hash(), 0xa439_ca79_128b_51cb);
+    }
+
+    #[test]
+    fn permitted_warm_decisions_follow_the_warm_start_gate() {
+        let decisions = [
+            WarmDecision::Cold,
+            WarmDecision::Warm,
+            WarmDecision::MeasuredKept,
+            WarmDecision::MeasuredReverted,
+        ];
+        for policy in [
+            WarmStart::Off,
+            WarmStart::On,
+            WarmStart::Auto,
+            WarmStart::Measured,
+        ] {
+            for (nodes, gate) in [(9, 16), (16, 16), (20, 16), (9, 0)] {
+                let options = ReductionOptions {
+                    warm_start: policy,
+                    warm_auto_min_nodes: gate,
+                    ..ReductionOptions::default()
+                };
+                let key = CacheKey::new(&cycle(nodes).unwrap(), &options);
+                let enabled = options.warm_enabled_for(nodes);
+                let permitted: Vec<bool> = decisions.iter().map(|&d| key.permits(d)).collect();
+                let measured = enabled && policy == WarmStart::Measured;
+                assert_eq!(
+                    permitted,
+                    [!enabled, enabled, measured, measured],
+                    "{policy:?}, {nodes} nodes, gate {gate}"
+                );
+            }
         }
     }
 

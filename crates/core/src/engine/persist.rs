@@ -15,10 +15,17 @@
 //! * **Loading is validating.** Every record must pass a checksum *and* a
 //!   staleness check (the stored hash must equal the re-hashed decoded key —
 //!   a record written by an incompatible option layout re-hashes
-//!   differently and is dropped). Its reduction must also agree with its
-//!   key: a distinct in-range mapping, exactly the edges the key's graph
-//!   induces on that mapping, and node and edge reductions that recompute
-//!   to the stored bits. Corrupt or stale records are skipped, not fatal.
+//!   differently and is dropped). Every key endpoint must lie below the
+//!   key's node count. Its reduction must also agree with its key: an
+//!   in-range mapping in the strictly increasing order `reduce` emits,
+//!   exactly the edges the key's graph induces on that mapping, node and
+//!   edge reductions and an AND ratio that recompute to the stored bits,
+//!   and a warm-start decision the key's options can produce. Corrupt or
+//!   stale records are skipped, not fatal. What no check can tell apart
+//!   from a fresh reduction is another node set on which the key's graph
+//!   induces the same reduced graph, or another permitted warm decision
+//!   (the measured outcomes under `WarmStart::Measured`); the mutation
+//!   proptest bounds served values by exactly that.
 //! * **Torn tails self-heal.** A record truncated by a crash mid-append is
 //!   cut off at open time, so the next append starts from a clean boundary.
 //!
@@ -200,8 +207,8 @@ fn encode_key(key: &CacheKey) -> Vec<u8> {
     out.extend_from_slice(&(key.nodes as u64).to_le_bytes());
     out.extend_from_slice(&(key.edges.len() as u64).to_le_bytes());
     for &(u, v) in &key.edges {
-        out.extend_from_slice(&(u as u64).to_le_bytes());
-        out.extend_from_slice(&(v as u64).to_le_bytes());
+        out.extend_from_slice(&u64::from(u).to_le_bytes());
+        out.extend_from_slice(&u64::from(v).to_le_bytes());
     }
     for &word in &key.option_bits {
         out.extend_from_slice(&word.to_le_bytes());
@@ -209,19 +216,31 @@ fn encode_key(key: &CacheKey) -> Vec<u8> {
     out
 }
 
+/// Decodes a key section. Every edge endpoint must lie below the key's
+/// node count (so within `u32`, the width a key holds it at) before it is
+/// narrowed: an out-of-range endpoint is corruption, never a truncated
+/// index.
 fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     let mut cursor = Cursor::new(bytes);
-    let nodes = cursor.u64()? as usize;
+    let nodes = cursor.u64()?;
     let edge_count = cursor.u64()? as usize;
     if edge_count > MAX_SECTION_LEN / 16 {
         return None;
     }
+    let mut endpoint = || {
+        let node = cursor.u64()?;
+        if node >= nodes {
+            return None;
+        }
+        u32::try_from(node).ok()
+    };
     let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
-        let u = cursor.u64()? as usize;
-        let v = cursor.u64()? as usize;
+        let u = endpoint()?;
+        let v = endpoint()?;
         edges.push((u, v));
     }
+    let nodes = usize::try_from(nodes).ok()?;
     let mut option_bits = [0u64; 14];
     for word in &mut option_bits {
         *word = cursor.u64()?;
@@ -261,9 +280,11 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
 
 /// Decodes a reduction of the graph `key` describes. The reduced graph is
 /// built last, after its mapping has been read and checked: the mapping
-/// must hold exactly one distinct parent node `< key.nodes` per reduced
-/// node, so the node count is bounded both by the key and by the bytes
-/// actually present, and a crafted count cannot drive the allocation.
+/// must hold one parent node `< key.nodes` per reduced node, strictly
+/// increasing (the order `reduce` emits), so the node count is bounded
+/// both by the key and by the bytes actually present, and a crafted count
+/// cannot drive the allocation. The warm decision must be one the key's
+/// options permit ([`CacheKey::permits`]).
 /// The built graph must then carry exactly the edges the key's graph
 /// induces on the mapping, the stored node and edge reductions must be
 /// the bits [`reduction_fractions`] recomputes, and the stored AND ratio
@@ -296,10 +317,8 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
     for _ in 0..mapping_len {
         nodes.push(cursor.u64()? as usize);
     }
-    let mut sorted = nodes.clone();
-    sorted.sort_unstable();
-    let unique = sorted.windows(2).all(|pair| pair[0] < pair[1]);
-    if !unique || sorted.last().is_some_and(|&top| top >= key_nodes) {
+    let increasing = nodes.windows(2).all(|pair| pair[0] < pair[1]);
+    if !increasing || nodes.last().is_some_and(|&top| top >= key_nodes) {
         return None;
     }
     let and_ratio = f64::from_bits(cursor.u64()?);
@@ -312,7 +331,7 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         3 => WarmDecision::MeasuredReverted,
         _ => return None,
     };
-    if !cursor.finished() {
+    if !cursor.finished() || !key.permits(warm_decision) {
         return None;
     }
     let graph = Graph::from_edges(node_count, &edges).ok()?;
@@ -341,22 +360,12 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
     })
 }
 
-/// The edges the key's graph induces on `nodes` (distinct parent nodes;
-/// reduced node `i` is `nodes[i]`), as sorted reduced-index pairs `(a, b)`
-/// with `a < b` — the form `Graph::edges` lists them in, once sorted.
+/// The edges the key's graph induces on `nodes` (strictly increasing
+/// parent nodes; reduced node `i` is `nodes[i]`), as sorted reduced-index
+/// pairs `(a, b)` with `a < b` — the form `Graph::edges` lists them in,
+/// once sorted.
 fn induced_edges(key: &CacheKey, nodes: &[usize]) -> Vec<(usize, usize)> {
-    let mut reduced_index: Vec<(usize, usize)> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &parent)| (parent, i))
-        .collect();
-    reduced_index.sort_unstable();
-    let index_of = |parent: usize| {
-        let at = reduced_index
-            .binary_search_by_key(&parent, |&(p, _)| p)
-            .ok()?;
-        Some(reduced_index[at].1)
-    };
+    let index_of = |parent: u32| nodes.binary_search(&(parent as usize)).ok();
     let mut edges: Vec<(usize, usize)> = key
         .edges
         .iter()
@@ -404,10 +413,12 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::{reduce, ReductionOptions};
+    use crate::reduction::{reduce, ReductionOptions, WarmStart};
     use graphlib::generators::{connected_gnp, cycle, path};
     use graphlib::metrics::and_ratio;
+    use graphlib::subgraph::induced_subgraph;
     use mathkit::rng::seeded;
+    use proptest::{prop_assert, prop_assert_eq};
 
     /// A 9-cycle's key and the reduction to nodes `0..6`, on which the
     /// cycle induces a 6-node path.
@@ -422,7 +433,7 @@ mod tests {
             and_ratio: and_ratio(&graph, &path(6).unwrap()),
             node_reduction: 1.0 - 6.0 / 9.0,
             edge_reduction: 1.0 - 5.0 / 9.0,
-            warm_decision: WarmDecision::MeasuredKept,
+            warm_decision: WarmDecision::Cold,
         };
         (key, value)
     }
@@ -521,6 +532,7 @@ mod tests {
     fn reductions_inconsistent_with_their_key_are_corrupt() {
         let (key, _) = sample(); // a 9-node key
         let ring: Vec<(u64, u64)> = (0..3).map(|i| (i, (i + 1) % 3)).collect();
+        let path_edges: Vec<(u64, u64)> = (0..5).map(|i| (i, i + 1)).collect();
         let cases = [
             (
                 "more reduced nodes than the key",
@@ -538,6 +550,12 @@ mod tests {
             (
                 "mapping index outside the key",
                 raw_value(3, &ring, &[0, 1, 9]),
+            ),
+            (
+                // The cycle induces the same 6-node path on the reversed
+                // labels, but `reduce` lists its nodes in increasing order.
+                "mapping out of increasing order",
+                raw_value(6, &path_edges, &[5, 4, 3, 2, 1, 0]),
             ),
         ];
         for (what, value) in cases {
@@ -663,6 +681,217 @@ mod tests {
             "nothing served for the hostile key"
         );
         assert_eq!(loaded, vec![(key, value)], "only the honest record loads");
+    }
+
+    #[test]
+    fn warm_decisions_the_key_cannot_produce_are_corrupt() {
+        // The 9-node sample key runs the default measured policy below its
+        // 16-node gate, so a fresh reduction anneals cold: every other
+        // decision byte is a record that no reduction under the key wrote.
+        let (key, value) = sample();
+        let mut bytes = encode_value(&value);
+        for (byte, served) in [(0u8, true), (1, false), (2, false), (3, false), (4, false)] {
+            *bytes.last_mut().unwrap() = byte;
+            let (records, consumed) = parse_records(&hostile_record(&key, &bytes));
+            assert_eq!(records.len(), usize::from(served), "decision byte {byte}");
+            assert!(consumed > 0);
+        }
+    }
+
+    #[test]
+    fn key_endpoints_outside_the_key_are_corrupt() {
+        // A one-edge key section over `nodes` nodes, with the sample's
+        // option words.
+        let options = sample().0.option_bits;
+        let raw_key = |nodes: u64, (u, v): (u64, u64)| {
+            let mut out = Vec::new();
+            for word in [nodes, 1, u, v].into_iter().chain(options) {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            out
+        };
+        let cases = [
+            ("an endpoint equal to the node count", 9, (0, 9)),
+            ("an endpoint above the node count", 9, (12, 3)),
+            ("an endpoint above u32::MAX", 1 << 40, (0, 1 << 33)),
+            (
+                "an endpoint that would narrow into range",
+                1 << 40,
+                ((1 << 32) + 1, 2),
+            ),
+        ];
+        for (what, nodes, edge) in cases {
+            assert!(decode_key(&raw_key(nodes, edge)).is_none(), "{what}");
+        }
+        let key = decode_key(&raw_key(9, (0, 8))).expect("in-range key decodes");
+        assert_eq!(key.edges, vec![(0, 8)]);
+        assert_eq!(encode_key(&key), raw_key(9, (0, 8)), "byte format");
+    }
+
+    /// One honest record per policy — the default measured policy below its
+    /// gate (a cold reduction), warm starts off, and the measured policy
+    /// with its gate at 0 (a measured reduction) — each holding a fresh
+    /// `reduce` of its random graph.
+    struct HonestRecord {
+        graph: Graph,
+        key: CacheKey,
+        fresh: ReducedGraph,
+        bytes: Vec<u8>,
+    }
+
+    fn honest_records() -> &'static [HonestRecord] {
+        static RECORDS: std::sync::OnceLock<Vec<HonestRecord>> = std::sync::OnceLock::new();
+        RECORDS.get_or_init(|| {
+            let policies = [
+                ReductionOptions::default(),
+                ReductionOptions {
+                    warm_start: WarmStart::Off,
+                    ..ReductionOptions::default()
+                },
+                ReductionOptions {
+                    warm_auto_min_nodes: 0,
+                    ..ReductionOptions::default()
+                },
+            ];
+            policies
+                .iter()
+                .zip(10u64..)
+                .map(|(options, seed)| {
+                    let graph = connected_gnp(seed as usize, 0.4, &mut seeded(seed)).unwrap();
+                    let key = CacheKey::new(&graph, options);
+                    let fresh = reduce(&graph, options, &mut seeded(seed + 100)).unwrap();
+                    let bytes = encode_record(&key, &fresh);
+                    HonestRecord {
+                        graph,
+                        key,
+                        fresh,
+                        bytes,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Re-frames a record whose sections were edited: the content hash of
+    /// its key section (when that still decodes) and the checksum of its
+    /// payload (when the length fields still fit the record) are
+    /// recomputed, so the edit reaches the decoder instead of the framing
+    /// checks.
+    fn refresh_framing(record: &mut [u8]) {
+        let key_len = read_u32(record, 8) as usize;
+        let val_len = read_u32(record, 12) as usize;
+        let Some(payload) = record.get(RECORD_PREFIX_LEN..RECORD_PREFIX_LEN + key_len + val_len)
+        else {
+            return;
+        };
+        let checksum = fnv1a(payload);
+        let hash = decode_key(&payload[..key_len]).map(|key| key.content_hash());
+        record[16..RECORD_PREFIX_LEN].copy_from_slice(&checksum.to_le_bytes());
+        if let Some(hash) = hash {
+            record[..8].copy_from_slice(&hash.to_le_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(160))]
+
+        /// Mutated stores: one record of three takes a bit flip in its
+        /// payload (framing recomputed), a bit flip anywhere (framing left
+        /// as is), a length-field edit (framing recomputed), or the file is
+        /// cut short. Opening never fails or panics. A record whose
+        /// framing was left alone serves nothing but an honest record, and
+        /// a payload flip never costs the other records.
+        ///
+        /// What a forged record with recomputed framing can still carry is
+        /// bounded by what the decoder checks: for an honest key it serves
+        /// exactly the fresh reduced graph and ratios; only the node labels
+        /// (another node set on which the key's graph induces that same
+        /// graph) or the warm-start telemetry (another decision the key's
+        /// options allow) could differ, since no check short of re-running
+        /// the reduction can tell those apart.
+        #[test]
+        fn mutated_stores_open_and_serve_only_fresh_reductions(
+            target in 0usize..3,
+            kind in 0usize..4,
+            at in 0usize..1_000_000,
+            bit in 0u32..8,
+            amount in 1u32..48,
+        ) {
+            let honest = honest_records();
+            let mut records: Vec<Vec<u8>> = honest.iter().map(|r| r.bytes.clone()).collect();
+            let record = &mut records[target];
+            let payload_len = record.len() - RECORD_PREFIX_LEN;
+            match kind {
+                0 => {
+                    record[RECORD_PREFIX_LEN + at % payload_len] ^= 1 << bit;
+                    refresh_framing(record);
+                }
+                1 => {
+                    let len = record.len();
+                    record[at % len] ^= 1 << bit;
+                }
+                2 => {
+                    let field = if bit % 2 == 0 { 8 } else { 12 };
+                    let old = read_u32(record, field);
+                    let new = if bit < 4 {
+                        old.wrapping_add(amount)
+                    } else {
+                        old.saturating_sub(amount)
+                    };
+                    record[field..field + 4].copy_from_slice(&new.to_le_bytes());
+                    refresh_framing(record);
+                }
+                _ => {}
+            }
+            let mut file = Vec::new();
+            file.extend_from_slice(&MAGIC);
+            file.extend_from_slice(&VERSION.to_le_bytes());
+            for record in &records {
+                file.extend_from_slice(record);
+            }
+            let cut = if kind == 3 { at % (file.len() + 1) } else { file.len() };
+            file.truncate(cut);
+            let path = std::env::temp_dir().join(format!(
+                "red_qaoa_persist_mutated_{}_{target}_{kind}_{at}_{bit}_{amount}.rqps",
+                std::process::id()
+            ));
+            std::fs::write(&path, &file).unwrap();
+            let opened = std::panic::catch_unwind(|| PersistentStore::open(&path));
+            let _ = std::fs::remove_file(&path);
+            let opened = opened.map_err(|_| "opening a mutated store panicked");
+            let (_, loaded) = opened.unwrap().expect("opening a mutated store is Ok");
+
+            let framing_kept = kind == 1 || kind == 3;
+            for (key, value) in &loaded {
+                let Some(source) = honest.iter().find(|r| &r.key == key) else {
+                    prop_assert!(!framing_kept, "a record with stale framing was served");
+                    continue;
+                };
+                let fresh = &source.fresh;
+                if framing_kept {
+                    prop_assert!(value == fresh, "an honest key served a stale value");
+                    continue;
+                }
+                prop_assert!(value.subgraph.graph == fresh.subgraph.graph);
+                prop_assert_eq!(value.and_ratio.to_bits(), fresh.and_ratio.to_bits());
+                prop_assert_eq!(value.node_reduction.to_bits(), fresh.node_reduction.to_bits());
+                prop_assert_eq!(value.edge_reduction.to_bits(), fresh.edge_reduction.to_bits());
+                let relabelled = induced_subgraph(&source.graph, &value.subgraph.nodes).unwrap();
+                prop_assert!(relabelled.graph == value.subgraph.graph);
+                prop_assert!(key.permits(value.warm_decision));
+            }
+            let served = |r: &HonestRecord| loaded.iter().any(|(k, v)| k == &r.key && v == &r.fresh);
+            for (i, source) in honest.iter().enumerate() {
+                let whole_before_cut =
+                    HEADER_LEN + records[..=i].iter().map(Vec::len).sum::<usize>() <= cut;
+                let intact = match kind {
+                    0 => i != target,
+                    3 => whole_before_cut,
+                    _ => false,
+                };
+                prop_assert!(!intact || served(source), "honest record {} was lost", i);
+            }
+        }
     }
 
     #[test]

@@ -212,8 +212,8 @@ pub fn factored_edge_local_expectation(
         let local_u = sub.nodes.binary_search(&rep.u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&rep.v).expect("v in subgraph");
         let table = CostDiagonal::new(cut_values(&sub.graph)?);
-        evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
-        let term = 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
+        let state = evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
+        let term = 0.5 * (1.0 - state.expectation_zz(local_u, local_v));
         total += class.multiplicity() as f64 * term;
     }
     Ok(total)

@@ -321,8 +321,13 @@ impl EnergyEvaluator for EdgeLocalEvaluator {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let mut total = 0.0;
         for cone in &self.cones {
-            crate::expectation::evolve_qaoa_layers(scratch, cone.qubits, &cone.cut_table, params);
-            total += 0.5 * (1.0 - scratch.state().expectation_zz(cone.local_u, cone.local_v));
+            let state = crate::expectation::evolve_qaoa_layers(
+                scratch,
+                cone.qubits,
+                &cone.cut_table,
+                params,
+            );
+            total += 0.5 * (1.0 - state.expectation_zz(cone.local_u, cone.local_v));
         }
         total
     }

@@ -25,7 +25,7 @@ use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
 use qsim::noise::NoiseModel;
-use qsim::statevector::{CostDiagonal, StateVector, StatevectorWorkspace};
+use qsim::statevector::{CostDiagonal, HalfState, StatevectorWorkspace};
 use qsim::trajectory::{
     noisy_expectation_diagonal, noisy_expectation_diagonal_seeded, TrajectoryOptions,
 };
@@ -137,17 +137,15 @@ impl QaoaInstance {
         usize::from(self.cut_table.max())
     }
 
-    /// Prepares `|ψ(γ, β)⟩` in the workspace: uniform superposition, then
-    /// alternating cost-phase and mixer layers. Each cost layer is one
-    /// phase gather over the precomputed cut table.
+    /// Prepares `|ψ(γ, β)⟩` in the workspace's half state (see
+    /// [`evolve_qaoa_layers`]).
     fn evolve_into<'w>(
         &self,
         workspace: &'w mut StatevectorWorkspace,
         params: &QaoaParams,
-    ) -> &'w StateVector {
+    ) -> HalfState<'w> {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
-        evolve_qaoa_layers(workspace, self.graph.node_count(), &self.cut_table, params);
-        workspace.state()
+        evolve_qaoa_layers(workspace, self.graph.node_count(), &self.cut_table, params)
     }
 
     /// Exact cost expectation for the given parameters (to be *maximized*).
@@ -351,35 +349,40 @@ impl QaoaInstance {
 
 /// Shared QAOA layer evolution over `qubits` qubits: the alternating
 /// cost-phase (`e^{-iγ H_C}` via the `u8` cut table, one memoized phase
-/// gather) and mixer (`Rx(2β)` on every qubit, one
-/// [`StateVector::apply_rx_layer`] call) layers, with the uniform start
-/// folded into the first cost layer
-/// ([`StatevectorWorkspace::begin_cost_layer`]). Energies are bitwise
-/// equal to the gate-by-gate `Gate::Rx` evolution (see that method's
-/// contract).
+/// gather) and mixer (`Rx(2β)` on every qubit) layers, with the uniform
+/// start folded into the first cost layer.
+///
+/// It evolves only the half of the state whose top qubit is clear. A cut
+/// table is bit-flip symmetric (`cut(z) = cut(z̄)`), and so are the
+/// uniform start and every layer, bit for bit, so the other half is the
+/// mirror image; the returned [`HalfState`] reads the full state's
+/// energies, `⟨Z_u Z_v⟩` and probabilities with the full state's bits
+/// (see `qsim::statevector`'s bit-flip symmetry contract). Energies are
+/// bitwise equal to the gate-by-gate `Gate::Rx` evolution of the full
+/// state.
 ///
 /// This is the single definition of the ansatz evolution; the global
 /// statevector backend, the edge-local light-cone backend and
 /// `depth::factor` all route through it so they can never silently
 /// diverge.
-pub(crate) fn evolve_qaoa_layers(
-    workspace: &mut StatevectorWorkspace,
+pub(crate) fn evolve_qaoa_layers<'w>(
+    workspace: &'w mut StatevectorWorkspace,
     qubits: usize,
     cut_table: &CostDiagonal,
     params: &QaoaParams,
-) {
+) -> HalfState<'w> {
     let mut layers = params.gammas.iter().zip(&params.betas);
-    let Some((gamma, beta)) = layers.next() else {
-        workspace.begin_uniform(qubits);
-        return;
-    };
-    workspace
-        .begin_cost_layer(qubits, cut_table, *gamma)
-        .apply_rx_layer(2.0 * beta);
-    for (gamma, beta) in layers {
-        workspace.apply_cost_layer(cut_table, *gamma);
-        workspace.state_mut().apply_rx_layer(2.0 * beta);
+    if let Some((gamma, beta)) = layers.next() {
+        workspace.begin_half_cost_layer(qubits, cut_table, *gamma);
+        workspace.apply_half_rx_layer(2.0 * beta);
+    } else {
+        workspace.begin_half_uniform(qubits);
     }
+    for (gamma, beta) in layers {
+        workspace.apply_half_cost_layer(cut_table, *gamma);
+        workspace.apply_half_rx_layer(2.0 * beta);
+    }
+    workspace.half_state()
 }
 
 /// Exact cost expectation computed edge-by-edge on light-cone subgraphs.
@@ -414,8 +417,8 @@ pub fn edge_local_expectation(graph: &Graph, params: &QaoaParams) -> Result<f64,
         let local_u = sub.nodes.binary_search(&u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
         let table = CostDiagonal::new(cut_values(&sub.graph)?);
-        evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
-        total += 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
+        let state = evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
+        total += 0.5 * (1.0 - state.expectation_zz(local_u, local_v));
     }
     Ok(total)
 }
@@ -426,6 +429,7 @@ mod tests {
     use graphlib::generators::{complete, connected_gnp, cycle, path, star};
     use mathkit::rng::seeded;
     use qsim::noise::ReadoutError;
+    use qsim::statevector::StateVector;
 
     const EPS: f64 = 1e-9;
 

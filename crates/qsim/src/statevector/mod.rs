@@ -33,6 +33,31 @@
 //! and [`StateVector::expectation_diagonal`] reads the `u8` values with
 //! the bits of the same table held as `f64`.
 //!
+//! # The bit-flip symmetry contract
+//!
+//! A MaxCut cut table is bit-flip symmetric — `cut(z) = cut(z̄)`, with
+//! `z̄ = 2^n − 1 − z` — and so is every QAOA state it drives, **bit for
+//! bit**: the uniform start and the gathered cost phases are symmetric, and
+//! the structured `Rx` butterfly maps mirrored inputs to mirrored outputs
+//! (it builds `lo` on swapped inputs with the expression tree of `hi`),
+//! signs of zeros included. The exact QAOA evolution therefore runs on the
+//! workspace's **half state**, the `2^(n−1)` amplitudes whose top qubit is
+//! clear: [`StatevectorWorkspace::begin_half_cost_layer`] and
+//! [`StatevectorWorkspace::apply_half_cost_layer`] gather over the first
+//! half of the table, and [`StatevectorWorkspace::apply_half_rx_layer`]
+//! runs the grouped mixer on every qubit below the top one, then the top
+//! qubit's butterflies as one [`vectorized::apply_rx_mirror`] pass,
+//! pairing `half[x]` with `half[2^(n−1) − 1 − x]`. The [`HalfState`] readers walk
+//! the full `2^n` index space in the fixed lane order, reading `amp[z]` as
+//! `half[2^n − 1 − z]` in the upper half, so they add the same terms in the
+//! same order as the full state's readers: **every energy, `⟨Z_a Z_b⟩` and
+//! probability has the full state's bits**. Only a table
+//! [`CostDiagonal::is_bit_flip_symmetric`] accepts may drive the half
+//! state. The full-state cost layers
+//! ([`StatevectorWorkspace::begin_cost_layer`],
+//! [`StatevectorWorkspace::apply_cost_layer`]) remain as its test and smoke
+//! oracle (`tests/half_state_equivalence.rs`). See `docs/determinism.md`.
+//!
 //! # The mixer-layer contract
 //!
 //! One kernel has a stated exception at the amplitude level: the QAOA
@@ -105,10 +130,7 @@ impl StateVector {
     ///
     /// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
     pub fn new(qubit_count: usize) -> Self {
-        assert!(
-            qubit_count <= MAX_STATEVECTOR_QUBITS,
-            "statevector limited to {MAX_STATEVECTOR_QUBITS} qubits"
-        );
+        check_qubits(qubit_count);
         let mut amplitudes = vec![Complex64::zero(); 1 << qubit_count];
         amplitudes[0] = Complex64::one();
         Self {
@@ -167,10 +189,7 @@ impl StateVector {
     /// amplitudes, reallocating only when it must grow. Amplitudes that
     /// survive keep stale values: callers overwrite every one.
     fn resize_for(&mut self, qubit_count: usize) {
-        assert!(
-            qubit_count <= MAX_STATEVECTOR_QUBITS,
-            "statevector limited to {MAX_STATEVECTOR_QUBITS} qubits"
-        );
+        check_qubits(qubit_count);
         self.qubit_count = qubit_count;
         self.amplitudes
             .resize(1usize << qubit_count, Complex64::zero());
@@ -492,6 +511,14 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
     }
 }
 
+/// Panics unless `qubit_count` is within [`MAX_STATEVECTOR_QUBITS`].
+fn check_qubits(qubit_count: usize) {
+    assert!(
+        qubit_count <= MAX_STATEVECTOR_QUBITS,
+        "statevector limited to {MAX_STATEVECTOR_QUBITS} qubits"
+    );
+}
+
 /// The uniform-superposition amplitude `2^{-n/2}` of `qubit_count` qubits.
 fn uniform_amplitude(qubit_count: usize) -> Complex64 {
     Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0)
@@ -511,13 +538,31 @@ fn uniform_amplitude(qubit_count: usize) -> Complex64 {
 pub struct CostDiagonal {
     values: Vec<u8>,
     max: u8,
+    bit_flip_symmetric: bool,
 }
 
 impl CostDiagonal {
     /// Wraps `values[z]`, the cost of basis state `z`.
     pub fn new(values: Vec<u8>) -> Self {
         let max = values.iter().copied().max().unwrap_or(0);
-        Self { values, max }
+        let (lower, upper) = values.split_at(values.len() / 2);
+        let bit_flip_symmetric = values.len() >= 2
+            && values.len().is_power_of_two()
+            && lower.iter().eq(upper.iter().rev());
+        Self {
+            values,
+            max,
+            bit_flip_symmetric,
+        }
+    }
+
+    /// True when the table has `2^n ≥ 2` entries and `values[z] ==
+    /// values[z̄]` for every `z` (`z̄ = 2^n − 1 − z`, every bit flipped), as
+    /// every MaxCut table has: `cut(z) = cut(z̄)`. Only such a table can
+    /// drive the half-state QAOA evolution
+    /// ([`StatevectorWorkspace::begin_half_cost_layer`]).
+    pub fn is_bit_flip_symmetric(&self) -> bool {
+        self.bit_flip_symmetric
     }
 
     /// The per-basis-state costs.
@@ -534,18 +579,42 @@ impl CostDiagonal {
 /// Reusable scratch buffers for repeated statevector evaluations.
 ///
 /// Landscape scans evaluate the same circuit family thousands of times; a
-/// fresh `2^n` amplitude vector per evaluation is pure allocator traffic.
-/// A workspace owns it (plus the cost layers' per-cost-value phase memo and
-/// a probability buffer for distribution readouts) and recycles them:
-/// after the first evaluation of a given size no further allocation
-/// happens. Buffers only grow, so one workspace can serve subgraphs of
-/// mixed sizes (the edge-local light-cone evaluator does this).
+/// fresh amplitude vector per evaluation is pure allocator traffic. A
+/// workspace owns the amplitudes (plus the cost layers' per-cost-value
+/// phase memo and a probability buffer for distribution readouts) and
+/// recycles them: after the first evaluation of a given size no further
+/// allocation happens. Buffers only grow, so one workspace can serve
+/// subgraphs of mixed sizes (the edge-local light-cone evaluator does
+/// this).
+///
+/// It holds two states, each grown only when used:
+///
+/// * the **half state** of a QAOA evolution — the `2^(n−1)` amplitudes
+///   with the top qubit clear of a bit-flip-symmetric state
+///   ([`begin_half_cost_layer`](Self::begin_half_cost_layer),
+///   [`apply_half_cost_layer`](Self::apply_half_cost_layer),
+///   [`apply_half_rx_layer`](Self::apply_half_rx_layer), read through
+///   [`half_state`](Self::half_state); see the
+///   [module docs](self#the-bit-flip-symmetry-contract)). Every exact QAOA
+///   energy runs on it, so a workspace that only evaluates energies holds
+///   `2^(n−1)` amplitudes;
+/// * a full [`StateVector`] for gate circuits
+///   ([`begin_zero`](Self::begin_zero),
+///   [`begin_uniform`](Self::begin_uniform),
+///   [`state_mut`](Self::state_mut)), with the full-state cost layers
+///   [`begin_cost_layer`](Self::begin_cost_layer) and
+///   [`apply_cost_layer`](Self::apply_cost_layer) kept as the test and
+///   smoke oracle of the half state.
 ///
 /// A workspace is intentionally `!Sync`-by-use: each worker thread of a
 /// parallel scan creates its own (see `mathkit::parallel`).
 #[derive(Debug, Clone)]
 pub struct StatevectorWorkspace {
     state: StateVector,
+    /// The amplitudes `0..2^(half_qubits−1)` (top qubit clear) of the
+    /// bit-flip-symmetric QAOA state over `half_qubits` qubits.
+    half: Vec<Complex64>,
+    half_qubits: usize,
     /// `phase_memo[k]` for `k ≤ cost.max()` is the phase of cost value `k`
     /// in the current cost layer; entries above the maximum are never read.
     phase_memo: Box<[Complex64; 256]>,
@@ -557,19 +626,23 @@ impl StatevectorWorkspace {
     pub fn new() -> Self {
         Self {
             state: StateVector::new(0),
+            half: Vec::new(),
+            half_qubits: 0,
             phase_memo: Box::new([Complex64::zero(); 256]),
             probabilities: Vec::new(),
         }
     }
 
-    /// Creates a workspace with buffers pre-sized for `qubit_count` qubits.
+    /// Creates a workspace pre-sized for QAOA evaluation on `qubit_count`
+    /// qubits: room for the half state's `2^(qubit_count−1)` amplitudes.
     ///
     /// # Panics
     ///
     /// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
     pub fn with_qubits(qubit_count: usize) -> Self {
+        check_qubits(qubit_count);
         let mut ws = Self::new();
-        ws.begin_zero(qubit_count);
+        ws.half.reserve_exact((1usize << qubit_count) / 2);
         ws
     }
 
@@ -587,8 +660,10 @@ impl StatevectorWorkspace {
         &mut self.state
     }
 
-    /// Prepares `e^{-iγ C} |s⟩` over `qubit_count` qubits: the uniform
-    /// superposition followed by the first QAOA cost layer, in one pass.
+    /// Prepares `e^{-iγ C} |s⟩` over `qubit_count` qubits in the full
+    /// working state: the uniform superposition followed by the first QAOA
+    /// cost layer, in one pass. The full-state oracle of
+    /// [`begin_half_cost_layer`](Self::begin_half_cost_layer).
     ///
     /// The memo `memo[k] = (2^{-n/2}, 0) · cis(-γ·k)` is built for every
     /// cost value `k ≤ cost.max()` (`|E| + 1` sin/cos pairs, not `2^n`), and
@@ -608,30 +683,106 @@ impl StatevectorWorkspace {
         cost: &CostDiagonal,
         gamma: f64,
     ) -> &mut StateVector {
-        let start = uniform_amplitude(qubit_count);
-        for (k, slot) in self.memo_slots(cost).iter_mut().enumerate() {
-            *slot = start * Complex64::cis(-gamma * k as f64);
-        }
+        self.fill_start_memo(qubit_count, cost, gamma);
         self.state.resize_for(qubit_count);
         self.check_dimension(cost);
         vectorized::gather_phases(&mut self.state.amplitudes, &cost.values, &self.phase_memo);
         &mut self.state
     }
 
-    /// Applies a later QAOA cost layer `e^{-iγ C}` to the working state in
-    /// one pass: `memo[k] = cis(-γ·k)` for every cost value, then each
-    /// amplitude is multiplied by `memo[cost[z]]` — the bits of
-    /// [`StateVector::apply_diagonal`] with `cis(-γ·cost[z])` per entry.
+    /// Applies a later QAOA cost layer `e^{-iγ C}` to the full working
+    /// state in one pass: `memo[k] = cis(-γ·k)` for every cost value, then
+    /// each amplitude is multiplied by `memo[cost[z]]` — the bits of
+    /// [`StateVector::apply_diagonal`] with `cis(-γ·cost[z])` per entry. The
+    /// full-state oracle of
+    /// [`apply_half_cost_layer`](Self::apply_half_cost_layer).
     ///
     /// # Panics
     ///
     /// Panics if `cost` does not match the state dimension.
     pub fn apply_cost_layer(&mut self, cost: &CostDiagonal, gamma: f64) {
+        self.fill_phase_memo(cost, gamma);
+        self.check_dimension(cost);
+        vectorized::apply_phases(&mut self.state.amplitudes, &cost.values, &self.phase_memo);
+    }
+
+    /// Prepares the half state of `e^{-iγ C} |s⟩` over `qubit_count`
+    /// qubits: [`begin_cost_layer`](Self::begin_cost_layer)'s memo and
+    /// gather over the first `2^(n−1)` table entries only. Each amplitude
+    /// has the bits of the full state's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` is not [bit-flip
+    /// symmetric](CostDiagonal::is_bit_flip_symmetric) with `2^qubit_count`
+    /// entries, or `qubit_count` is `0` or exceeds
+    /// [`MAX_STATEVECTOR_QUBITS`].
+    pub fn begin_half_cost_layer(&mut self, qubit_count: usize, cost: &CostDiagonal, gamma: f64) {
+        self.fill_start_memo(qubit_count, cost, gamma);
+        self.resize_half(qubit_count);
+        let table = self.half_table(cost);
+        vectorized::gather_phases(&mut self.half, table, &self.phase_memo);
+    }
+
+    /// Applies a later QAOA cost layer `e^{-iγ C}` to the half state:
+    /// [`apply_cost_layer`](Self::apply_cost_layer)'s memo and multiply
+    /// over the first `2^(n−1)` table entries only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` is not bit-flip symmetric with `2^n` entries for
+    /// the half state's `n` qubits.
+    pub fn apply_half_cost_layer(&mut self, cost: &CostDiagonal, gamma: f64) {
+        self.fill_phase_memo(cost, gamma);
+        let table = self.half_table(cost);
+        vectorized::apply_phases(&mut self.half, table, &self.phase_memo);
+    }
+
+    /// Applies `Rx(θ)` to every qubit of the half state — the QAOA mixer
+    /// layer with `θ = 2β`: [`vectorized::apply_rx_layer`] on the qubits
+    /// below the top one, whose pairs never leave the half, then the top
+    /// qubit's butterflies as one [`vectorized::apply_rx_mirror`] pass. The
+    /// top qubit still goes last for every amplitude, so each amplitude has
+    /// the bits [`StateVector::apply_rx_layer`] leaves in the full state.
+    pub fn apply_half_rx_layer(&mut self, theta: f64) {
+        let u = rx_matrix(theta);
+        let (c, sn) = (u[0][0].re, u[0][1].im);
+        vectorized::apply_rx_layer(&mut self.half, self.half_qubits - 1, c, sn);
+        vectorized::apply_rx_mirror(&mut self.half, c, sn);
+    }
+
+    /// Resets the half state to the uniform superposition over
+    /// `qubit_count` qubits (a QAOA evolution with no layers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubit_count` is `0` or exceeds [`MAX_STATEVECTOR_QUBITS`].
+    pub fn begin_half_uniform(&mut self, qubit_count: usize) {
+        self.resize_half(qubit_count);
+        self.half.fill(uniform_amplitude(qubit_count));
+    }
+
+    /// The half state, for the readers that unfold it.
+    pub fn half_state(&self) -> HalfState<'_> {
+        HalfState {
+            qubit_count: self.half_qubits,
+            half: &self.half,
+        }
+    }
+
+    /// `memo[k] = (2^{-n/2}, 0) · cis(-γ·k)` for every cost value.
+    fn fill_start_memo(&mut self, qubit_count: usize, cost: &CostDiagonal, gamma: f64) {
+        let start = uniform_amplitude(qubit_count);
+        for (k, slot) in self.memo_slots(cost).iter_mut().enumerate() {
+            *slot = start * Complex64::cis(-gamma * k as f64);
+        }
+    }
+
+    /// `memo[k] = cis(-γ·k)` for every cost value.
+    fn fill_phase_memo(&mut self, cost: &CostDiagonal, gamma: f64) {
         for (k, slot) in self.memo_slots(cost).iter_mut().enumerate() {
             *slot = Complex64::cis(-gamma * k as f64);
         }
-        self.check_dimension(cost);
-        vectorized::apply_phases(&mut self.state.amplitudes, &cost.values, &self.phase_memo);
     }
 
     /// The memo slots of the cost values `0..=cost.max()`.
@@ -647,7 +798,32 @@ impl StatevectorWorkspace {
         );
     }
 
-    /// Computes the working state's measurement distribution into the
+    /// Sets the half state's qubit count and resizes it to `2^(n−1)`
+    /// amplitudes, reallocating only when it must grow.
+    fn resize_half(&mut self, qubit_count: usize) {
+        check_qubits(qubit_count);
+        assert!(qubit_count >= 1, "a half state needs at least one qubit");
+        self.half_qubits = qubit_count;
+        self.half
+            .resize(1usize << (qubit_count - 1), Complex64::zero());
+    }
+
+    /// The entries of `cost` for the half state's indices, after checking
+    /// that `cost` may drive it.
+    fn half_table<'c>(&self, cost: &'c CostDiagonal) -> &'c [u8] {
+        assert!(
+            cost.bit_flip_symmetric,
+            "the half-state evolution needs a bit-flip-symmetric cost table"
+        );
+        assert_eq!(
+            cost.values.len(),
+            2 * self.half.len(),
+            "cost table length must equal the state dimension"
+        );
+        &cost.values[..self.half.len()]
+    }
+
+    /// Computes the full working state's measurement distribution into the
     /// workspace's reused probability buffer and returns it (no allocation
     /// after the first call of a given size).
     pub fn state_probabilities(&mut self) -> &[f64] {
@@ -655,14 +831,75 @@ impl StatevectorWorkspace {
         &self.probabilities
     }
 
-    /// Borrow of the working state.
+    /// Borrow of the full working state.
     pub fn state(&self) -> &StateVector {
         &self.state
     }
 
-    /// Mutable borrow of the working state (for applying gates).
+    /// Mutable borrow of the full working state (for applying gates).
     pub fn state_mut(&mut self) -> &mut StateVector {
         &mut self.state
+    }
+}
+
+/// A bit-flip-symmetric `n`-qubit state (`amp[z] == amp[z̄]` bit for bit,
+/// `z̄ = 2^n − 1 − z`) held as its lower half `half[x] = amp[x]`,
+/// `x < 2^(n−1)`: the view [`StatevectorWorkspace::half_state`] gives of a
+/// QAOA evolution.
+///
+/// Its readers walk the full `2^n` index space in the fixed lane order of
+/// the [`StateVector`] readers, reading `amp[z]` as `half[2^n − 1 − z]`
+/// for `z ≥ 2^(n−1)`: the same terms in the same order, so the same bits
+/// as the full state's readers.
+#[derive(Debug, Clone, Copy)]
+pub struct HalfState<'a> {
+    qubit_count: usize,
+    half: &'a [Complex64],
+}
+
+impl HalfState<'_> {
+    /// The full state, unfolded into a fresh [`StateVector`] (allocates;
+    /// for tests and diagnostics).
+    pub fn to_state_vector(&self) -> StateVector {
+        let amplitudes = self
+            .half
+            .iter()
+            .chain(self.half.iter().rev())
+            .copied()
+            .collect();
+        StateVector {
+            qubit_count: self.qubit_count,
+            amplitudes,
+        }
+    }
+
+    /// [`StateVector::expectation_diagonal`] of the full state, with its
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` does not equal `2^n`.
+    pub fn expectation_diagonal<V: Copy + Into<f64>>(&self, values: &[V]) -> f64 {
+        assert_eq!(values.len(), 2 * self.half.len());
+        vectorized::expectation_diagonal_mirror(self.half, values)
+    }
+
+    /// [`StateVector::expectation_zz`] of the full state, with its bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either qubit is out of range.
+    pub fn expectation_zz(&self, a: usize, b: usize) -> f64 {
+        assert!(a < self.qubit_count && b < self.qubit_count);
+        vectorized::expectation_zz_mirror(self.half, a, b)
+    }
+
+    /// [`StateVector::probabilities_into`] of the full state, with its
+    /// bits: the lower half forward, then the half backward.
+    pub fn probabilities_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.half.iter().map(|a| a.norm_sqr()));
+        out.extend(self.half.iter().rev().map(|a| a.norm_sqr()));
     }
 }
 

@@ -28,6 +28,12 @@
 //! * **Cost layers gather.** [`gather_phases`] and [`apply_phases`] read a
 //!   `u8` cost table and a per-value phase memo instead of a `2^n` phase
 //!   table.
+//! * **Bit-flip-symmetric states are held as half.** [`apply_rx_mirror`]
+//!   runs the top qubit's butterflies on the lower half of a symmetric
+//!   state, and [`expectation_diagonal_mirror`] / [`expectation_zz_mirror`]
+//!   read the full state from it, walking the upper half backwards in the
+//!   fixed lane order (the [bit-flip symmetry
+//!   contract](super#the-bit-flip-symmetry-contract)).
 //! * **Trajectory kernels use gate structure.** [`apply_h`], [`apply_x`],
 //!   [`apply_y`], [`apply_z`] and the amplitude-damping steps
 //!   [`apply_damping_keep`] / [`apply_damping_jump`] skip the generic
@@ -216,6 +222,26 @@ pub fn apply_rx_layer(amplitudes: &mut [Complex64], qubits: usize, c: f64, sn: f
         2 => apply_rx_group::<4>(amplitudes, low, rx),
         1 => apply_rx(amplitudes, low, c, sn),
         _ => {}
+    }
+}
+
+/// The top-qubit `Rx(θ)` butterflies of a bit-flip-symmetric state held as
+/// its lower half (`half[x] = amp[x]`, `amp[z] = amp[z̄]`): the full pair
+/// `(x, x + H)` is `(half[x], half[H−1−x])`, so each pair of mirrored
+/// slots takes one butterfly, `(half[x], half[H−1−x]) = pair(half[x],
+/// half[H−1−x])`. Its `lo` is the full pair's `lo`, and its `hi` is the
+/// mirrored full pair's `lo` (`pair` builds `hi` with the expression tree
+/// of `lo` on swapped inputs), so the bits are the full state's. A
+/// one-qubit state (`H = 1`) pairs its one slot with itself.
+pub fn apply_rx_mirror(half: &mut [Complex64], c: f64, sn: f64) {
+    let rx = RxCoefficients::new(c, sn);
+    if let [only] = half {
+        *only = rx.pair(*only, *only).0;
+        return;
+    }
+    let (lo, hi) = half.split_at_mut(half.len() / 2);
+    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut().rev()) {
+        (*a0, *a1) = rx.pair(*a0, *a1);
     }
 }
 
@@ -638,4 +664,83 @@ pub fn expectation_diagonal<V: Copy + Into<f64>>(amplitudes: &[Complex64], value
         total += a.norm_sqr() * (*v).into();
     }
     total
+}
+
+/// The full state of a mirrored half too short to fill one lane chunk on
+/// its own (`half.len() < REDUCTION_LANES`, so at most three qubits),
+/// unfolded on the stack: `full[z] = half[z]` below `H`, `half[2H−1−z]`
+/// from `H` on. Returns the buffer and the full length `2H`.
+fn unfold_short(half: &[Complex64]) -> ([Complex64; REDUCTION_LANES], usize) {
+    let len = 2 * half.len();
+    let mut full = [Complex64::zero(); REDUCTION_LANES];
+    for (z, amp) in full[..len].iter_mut().enumerate() {
+        *amp = half[z.min(len - 1 - z)];
+    }
+    (full, len)
+}
+
+/// [`expectation_diagonal`] of the bit-flip-symmetric state whose lower
+/// half is `half` (`values` holds all `2H` entries): the same terms
+/// `|amp[z]|²·values[z]` in the same lane order, with `amp[z]` read as
+/// `half[2H−1−z]` for `z ≥ H` — the upper half walks `half` backwards, one
+/// reversed chunk at a time — so the bits are those of the full state.
+/// Halves shorter than a lane chunk unfold onto the stack first.
+pub fn expectation_diagonal_mirror<V: Copy + Into<f64>>(half: &[Complex64], values: &[V]) -> f64 {
+    let h = half.len();
+    if h % REDUCTION_LANES != 0 {
+        let (full, len) = unfold_short(half);
+        return expectation_diagonal(&full[..len], values);
+    }
+    let (lower, upper) = values.split_at(h);
+    let mut lanes = [0.0f64; REDUCTION_LANES];
+    for (ac, vc) in half
+        .chunks_exact(REDUCTION_LANES)
+        .zip(lower.chunks_exact(REDUCTION_LANES))
+    {
+        for ((lane, a), v) in lanes.iter_mut().zip(ac).zip(vc) {
+            *lane += a.norm_sqr() * (*v).into();
+        }
+    }
+    for (ac, vc) in half
+        .rchunks_exact(REDUCTION_LANES)
+        .zip(upper.chunks_exact(REDUCTION_LANES))
+    {
+        for ((lane, a), v) in lanes.iter_mut().zip(ac.iter().rev()).zip(vc) {
+            *lane += a.norm_sqr() * (*v).into();
+        }
+    }
+    combine(lanes)
+}
+
+/// [`expectation_zz`] of the bit-flip-symmetric state whose lower half is
+/// `half`: each term's sign comes from the full index `z` and its
+/// amplitude from `half[z]` or, for `z ≥ H`, `half[2H−1−z]`, in the same
+/// lane order, so the bits are those of the full state.
+pub fn expectation_zz_mirror(half: &[Complex64], a: usize, b: usize) -> f64 {
+    let h = half.len();
+    if h % REDUCTION_LANES != 0 {
+        let (full, len) = unfold_short(half);
+        return expectation_zz(&full[..len], a, b);
+    }
+    let abit = 1usize << a;
+    let bbit = 1usize << b;
+    let sign_of = |i: usize, amp: &Complex64| {
+        let parity = ((i & abit != 0) as u8) ^ ((i & bbit != 0) as u8);
+        let sign = if parity == 0 { 1.0 } else { -1.0 };
+        sign * amp.norm_sqr()
+    };
+    let mut lanes = [0.0f64; REDUCTION_LANES];
+    for (c, chunk) in half.chunks_exact(REDUCTION_LANES).enumerate() {
+        let base = c * REDUCTION_LANES;
+        for (j, (lane, amp)) in lanes.iter_mut().zip(chunk).enumerate() {
+            *lane += sign_of(base + j, amp);
+        }
+    }
+    for (c, chunk) in half.rchunks_exact(REDUCTION_LANES).enumerate() {
+        let base = h + c * REDUCTION_LANES;
+        for (j, (lane, amp)) in lanes.iter_mut().zip(chunk.iter().rev()).enumerate() {
+            *lane += sign_of(base + j, amp);
+        }
+    }
+    combine(lanes)
 }

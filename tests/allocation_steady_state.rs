@@ -12,8 +12,13 @@
 //! per-call `Vec` rebuild (the bug class PR 9 removed) fails a test
 //! instead of quietly costing 2^n allocations per grid point.
 //!
-//! The counter is **per-thread** (a `const`-initialized thread-local `Cell`,
-//! which never allocates itself): the global allocator hook runs on whatever
+//! The allocator also sums the bytes it hands out, which pins the size of
+//! the QAOA working state: the exact paths evolve only the half of a
+//! bit-flip-symmetric state, so the first energy on a fresh workspace must
+//! allocate less than one full `2^n`-amplitude state.
+//!
+//! The counters are **per-thread** (`const`-initialized thread-local
+//! `Cell`s, which never allocate themselves): the global allocator hook runs on whatever
 //! thread allocates, and libtest's main thread allocates lazily at
 //! unpredictable times while it waits for test events — a process-global
 //! counter would flake whenever that lands inside a measured window.
@@ -30,6 +35,7 @@ use mathkit::rng::seeded;
 use qaoa::circuit::qaoa_circuit;
 use qaoa::evaluator::{
     AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
+    StatevectorEvaluator,
 };
 use qaoa::expectation::QaoaInstance;
 use qaoa::params::QaoaParams;
@@ -44,26 +50,29 @@ struct CountingAllocator;
 thread_local! {
     /// Allocations performed by *this* thread since it started.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations requested (a `realloc` counts its new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Counts one allocation on the calling thread.
-fn count() {
+/// Counts one allocation of `bytes` on the calling thread.
+fn count(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -80,6 +89,13 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Runs `f` and returns how many bytes this thread's allocations requested.
+fn bytes_during(f: impl FnOnce()) -> usize {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 /// A 20-node ring with five chords: its p = 2 light cones range from 6
@@ -156,6 +172,31 @@ fn hot_paths_allocate_nothing_in_steady_state() {
             params.layers()
         );
     }
+
+    // --- the first energy on a fresh workspace: half a state --------------
+    // One full 12-qubit state is 2^12 · 16 bytes; the half state, the
+    // phase memo and the workspace's other buffers stay below it, whether
+    // the workspace starts empty or from the evaluator's pre-sized scratch.
+    let n = 12;
+    let full_state_bytes = (1usize << n) * 16;
+    let big = connected_gnp(n, 0.4, &mut seeded(12)).unwrap();
+    let instance12 = QaoaInstance::new(&big, 2).unwrap();
+    let bytes = bytes_during(|| {
+        instance12.expectation_with(&mut StatevectorWorkspace::new(), &params);
+    });
+    assert!(
+        bytes < full_state_bytes,
+        "first energy on a fresh workspace allocated {bytes} bytes, a full state is {full_state_bytes}"
+    );
+    let exact = StatevectorEvaluator::from_instance(instance12);
+    let bytes = bytes_during(|| {
+        exact.energy(&mut exact.scratch(), 0, &params);
+    });
+    assert!(
+        bytes < full_state_bytes,
+        "StatevectorEvaluator scratch and first energy allocated {bytes} bytes, a full state is {full_state_bytes}"
+    );
+    assert_energy_allocation_free(&exact, &params, "StatevectorEvaluator::energy");
 
     // --- the depth-mode evaluator through a reused scratch ---------------
     let scheduled = ScheduledCircuitEvaluator::new(&graph, 2).unwrap();
@@ -286,4 +327,9 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         std::hint::black_box(&v);
     });
     assert!(allocs >= 1, "counting allocator is not counting");
+    let bytes = bytes_during(|| {
+        let v = vec![0u8; 100];
+        std::hint::black_box(&v);
+    });
+    assert!(bytes >= 100, "counting allocator is not summing bytes");
 }
