@@ -43,11 +43,13 @@
 #      gate-by-gate Rx mixer, energies bitwise cross-checked at every
 #      point; the grouped mixer layer vs per-qubit Rx passes at
 #      12-16 qubits, amplitudes bitwise cross-checked, recorded without a
-#      gate; noisy QAOA trajectories/sec at 8-12 qubits, carried-norm
-#      trajectories vs the renormalize-every-step oracle
-#      (qsim::trajectory::reference), distributions cross-checked within
-#      1e-12, recorded without a gate; per-core landscape scaling gated at
-#      >= 2x when cores > 1), and the depth smoke emits BENCH_depth.json
+#      gate; noisy QAOA trajectories/sec at 8-12 qubits under fake_toronto
+#      noise x1 and x10 (x10 splits most deferred RZZ runs), carried-norm
+#      trajectories with deferred diagonal work vs the
+#      renormalize-every-step oracle (qsim::trajectory::reference),
+#      distributions cross-checked within 1e-12, recorded without a gate;
+#      per-core landscape scaling gated at >= 2x when cores > 1), and the
+#      depth smoke emits BENCH_depth.json
 #      (interaction-scheduler rounds gated at <= d+1 for d-regular graphs,
 #      two-qubit depth reduction vs naive emission gated at >= 2x, and the
 #      compound node+depth noisy MSE gated at <= the node-only MSE) so the

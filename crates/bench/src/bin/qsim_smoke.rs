@@ -33,11 +33,14 @@
 //! amplitude bits. It is recorded, not gated.
 //!
 //! A trajectory section records, at 8, 10 and 12 qubits, noisy p = 1 QAOA
-//! trajectories per second under `fake_toronto` noise through
-//! `trajectory::noisy_probabilities` (the carried norm and structured
-//! kernels) against the renormalize-every-step oracle
-//! `trajectory::reference::noisy_probabilities`, after checking that the
-//! two distributions agree within `1e-12`. It is recorded, not gated.
+//! trajectories per second under `fake_toronto` noise scaled ×1 and ×10
+//! through `trajectory::noisy_probabilities` (the carried norm, structured
+//! kernels, and deferred diagonal work: each cost layer's `Rzz` run one
+//! gather, no-jump damping factors held per qubit) against the
+//! renormalize-every-step oracle `trajectory::reference::noisy_probabilities`,
+//! after checking that the two distributions agree within `1e-12`. The ×10
+//! rows interrupt most cost-layer runs with Pauli errors and jumps, so the
+//! split-run gathers are timed and checked too. It is recorded, not gated.
 //!
 //! A per-core scaling section then times a 16-node landscape grid at one
 //! worker and at `min(4, cores)` workers; whenever the machine actually has
@@ -177,8 +180,10 @@ fn timed_mixer(start: &[Complex64], mut layer: impl FnMut(&mut [Complex64])) -> 
     (secs[QAOA_REPS / 2], bits)
 }
 
-/// Qubit counts of the trajectory rows and trajectories per timed call.
+/// Qubit counts and `fake_toronto` noise scales of the trajectory rows,
+/// and trajectories per timed call.
 const TRAJECTORY_ROWS: [usize; 3] = [8, 10, 12];
+const TRAJECTORY_SCALES: [f64; 2] = [1.0, 10.0];
 const TRAJECTORIES: usize = 48;
 
 /// Runs `probabilities` (one averaged noisy distribution from a fixed
@@ -356,13 +361,16 @@ fn main() {
     }
 
     // --- noisy trajectories: carried norm vs renormalizing oracle ---------
-    let noise = fake_toronto().noise;
     let options = TrajectoryOptions {
         trajectories: TRAJECTORIES,
     };
     let params = QaoaParams::new(vec![0.7], vec![0.4]).expect("one layer");
     let mut trajectory_json = Vec::new();
-    for n in TRAJECTORY_ROWS {
+    for (n, scale) in TRAJECTORY_ROWS
+        .into_iter()
+        .flat_map(|n| TRAJECTORY_SCALES.map(|scale| (n, scale)))
+    {
+        let noise = fake_toronto().noise.scaled(scale);
         let circuit = qaoa_circuit(&bench_graph(n, 16), &params).expect("bench graph has edges");
         let (fast_secs, fast) = timed_trajectories(|| {
             trajectory::noisy_probabilities(&circuit, &noise, options, &mut seeded(5))
@@ -377,18 +385,19 @@ fn main() {
             .fold(0.0, f64::max);
         assert!(
             gap <= 1e-12,
-            "trajectories diverged from the oracle at {n} qubits: gap {gap:e}"
+            "trajectories diverged from the oracle at {n} qubits, noise x{scale}: gap {gap:e}"
         );
         let runs = TRAJECTORIES as f64;
         trajectory_json.push(format!(
             concat!(
-                "    {{ \"qubits\": {}, \"gates\": {}, \"trajectories\": {}, ",
+                "    {{ \"qubits\": {}, \"noise_scale\": {}, \"gates\": {}, \"trajectories\": {}, ",
                 "\"oracle_trajectories_per_sec\": {:.1}, ",
                 "\"trajectories_per_sec\": {:.1}, ",
                 "\"max_abs_gap\": {:.3e}, ",
                 "\"speedup\": {:.3} }}"
             ),
             n,
+            scale,
             circuit.gate_count(),
             TRAJECTORIES,
             runs / oracle_secs,

@@ -11,7 +11,6 @@ use crate::RedQaoaError;
 use qsim::noise::NoiseModel;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// Validating builder for [`Engine`].
 ///
@@ -223,7 +222,7 @@ impl EngineBuilder {
         for (key, value) in loaded {
             let hash = key.content_hash();
             let cost = anneal_cost(key.nodes, key.edges.len());
-            cache.insert(key, hash, Arc::new(value), cost);
+            cache.insert(key, hash, &value, cost);
         }
         Ok(Engine {
             threads: self.threads,

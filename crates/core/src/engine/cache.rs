@@ -22,6 +22,7 @@
 //!   bitwise-identical reduction from its content-derived substream.
 
 use crate::reduction::{ReducedGraph, ReductionOptions, WarmDecision, WarmStart};
+use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,9 +52,11 @@ pub struct CacheStats {
     pub capacity: usize,
     /// Cumulative estimated footprint of the cached [`ReducedGraph`]s, as
     /// [`ReducedGraph::approx_heap_bytes`] — the quantity the size-aware
-    /// eviction policy budgets against. Exactly the sum over current
-    /// entries: inserts add, evictions and
-    /// [`Engine::clear_cache`](super::Engine::clear_cache) subtract.
+    /// eviction policy budgets against (an estimate of the expanded
+    /// reductions; the cache stores each as a sorted edge list and a
+    /// mapping). Exactly the sum over current entries: inserts add,
+    /// evictions and [`Engine::clear_cache`](super::Engine::clear_cache)
+    /// subtract.
     pub bytes: usize,
 }
 
@@ -202,12 +205,73 @@ pub(super) fn anneal_cost(nodes: usize, edges: usize) -> f64 {
     2.0 * edges.max(1) as f64 * (nodes.max(2) as f64).ln()
 }
 
+/// A cached reduction held compactly: the reduced graph as its sorted edge
+/// list and the node mapping as `u32`s — three allocations, not one per
+/// reduced node plus four — because a long-lived engine holds many small
+/// reductions. [`CachedReduction::reduced`] rebuilds the equal
+/// [`ReducedGraph`].
+#[derive(Debug)]
+pub(super) struct CachedReduction {
+    node_count: usize,
+    edges: Box<[(u32, u32)]>,
+    nodes: Box<[u32]>,
+    and_ratio: f64,
+    node_reduction: f64,
+    edge_reduction: f64,
+    warm_decision: WarmDecision,
+}
+
+impl CachedReduction {
+    fn new(reduced: &ReducedGraph) -> Self {
+        let graph = reduced.graph();
+        Self {
+            node_count: graph.node_count(),
+            edges: graph
+                .edges()
+                .into_iter()
+                .map(|(u, v)| (endpoint(u), endpoint(v)))
+                .collect(),
+            nodes: reduced
+                .subgraph
+                .nodes
+                .iter()
+                .map(|&v| endpoint(v))
+                .collect(),
+            and_ratio: reduced.and_ratio,
+            node_reduction: reduced.node_reduction,
+            edge_reduction: reduced.edge_reduction,
+            warm_decision: reduced.warm_decision,
+        }
+    }
+
+    /// The cached reduction, equal to the one inserted: adding the sorted
+    /// edge list back rebuilds the same sorted adjacency lists.
+    pub(super) fn reduced(&self) -> ReducedGraph {
+        let mut graph = Graph::new(self.node_count);
+        for &(u, v) in self.edges.iter() {
+            graph
+                .add_edge(u as usize, v as usize)
+                .expect("cached edges come from a valid graph");
+        }
+        ReducedGraph {
+            subgraph: Subgraph {
+                graph,
+                nodes: self.nodes.iter().map(|&v| v as usize).collect(),
+            },
+            and_ratio: self.and_ratio,
+            node_reduction: self.node_reduction,
+            edge_reduction: self.edge_reduction,
+            warm_decision: self.warm_decision,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CacheEntry {
-    value: Arc<ReducedGraph>,
+    value: Arc<CachedReduction>,
     /// Estimated recompute cost ([`anneal_cost`] of the *original* graph).
     cost: f64,
-    /// `value.approx_heap_bytes()`, captured once at insert.
+    /// The inserted reduction's `approx_heap_bytes()`, captured at insert.
     bytes: usize,
     /// Global insertion tick; the eviction tie-breaker (oldest first).
     sequence: u64,
@@ -269,8 +333,8 @@ impl Shard {
 
 /// N-way sharded reduction cache. Lookups and inserts lock exactly one
 /// shard (selected by content hash); entries are `Arc`ed so a hit only
-/// bumps a refcount while the lock is held and the deep clone handed to the
-/// caller happens outside it.
+/// bumps a refcount while the lock is held and the [`ReducedGraph`] handed
+/// to the caller is rebuilt outside it.
 #[derive(Debug)]
 pub(super) struct ShardedReductionCache {
     /// Total configured capacity across all shards (`0` disables caching).
@@ -321,7 +385,7 @@ impl ShardedReductionCache {
     /// Looks `key` up in its shard. `hash` must be `key.content_hash()`
     /// (passed in because every caller already computed it for the RNG
     /// substream).
-    pub(super) fn get(&self, key: &CacheKey, hash: u64) -> Option<Arc<ReducedGraph>> {
+    pub(super) fn get(&self, key: &CacheKey, hash: u64) -> Option<Arc<CachedReduction>> {
         if self.capacity == 0 {
             return None;
         }
@@ -332,13 +396,13 @@ impl ShardedReductionCache {
     /// Inserts `key → value` with recompute-cost estimate `cost`, evicting
     /// the shard's cheapest entries (lowest cost-per-byte) on overflow.
     /// A no-op when the cache is disabled (`capacity == 0`).
-    pub(super) fn insert(&self, key: CacheKey, hash: u64, value: Arc<ReducedGraph>, cost: f64) {
+    pub(super) fn insert(&self, key: CacheKey, hash: u64, value: &ReducedGraph, cost: f64) {
         if self.capacity == 0 {
             return;
         }
         let entry = CacheEntry {
             bytes: value.approx_heap_bytes(),
-            value,
+            value: Arc::new(CachedReduction::new(value)),
             cost,
             sequence: self.sequence.fetch_add(1, Ordering::Relaxed),
         };
@@ -367,7 +431,6 @@ impl ShardedReductionCache {
 mod tests {
     use super::*;
     use graphlib::generators::cycle;
-    use graphlib::subgraph::Subgraph;
 
     /// A distinct key per `n` (different node counts ⇒ different content).
     fn key(n: usize) -> CacheKey {
@@ -375,9 +438,9 @@ mod tests {
     }
 
     /// A synthetic cached value whose footprint grows with `n`.
-    fn value(n: usize) -> Arc<ReducedGraph> {
+    fn value(n: usize) -> ReducedGraph {
         let graph = cycle(n).unwrap();
-        Arc::new(ReducedGraph {
+        ReducedGraph {
             subgraph: Subgraph {
                 nodes: (0..graph.node_count()).collect(),
                 graph,
@@ -386,7 +449,33 @@ mod tests {
             node_reduction: 0.0,
             edge_reduction: 0.0,
             warm_decision: WarmDecision::Cold,
-        })
+        }
+    }
+
+    #[test]
+    fn compact_entries_rebuild_the_inserted_reduction() {
+        let decisions = [
+            WarmDecision::Cold,
+            WarmDecision::Warm,
+            WarmDecision::MeasuredKept,
+            WarmDecision::MeasuredReverted,
+        ];
+        for (n, warm_decision) in [5, 8, 11, 16].into_iter().zip(decisions) {
+            // A chord plus two isolated nodes, and a non-identity mapping.
+            let mut graph = cycle(n).unwrap().with_extra_nodes(2);
+            graph.add_edge(0, n / 2).unwrap();
+            let reduced = ReducedGraph {
+                subgraph: Subgraph {
+                    nodes: (0..graph.node_count()).map(|i| 3 * i + 1).collect(),
+                    graph,
+                },
+                and_ratio: 0.8125,
+                node_reduction: 0.25,
+                edge_reduction: 0.375,
+                warm_decision,
+            };
+            assert_eq!(CachedReduction::new(&reduced).reduced(), reduced);
+        }
     }
 
     #[test]
@@ -395,9 +484,9 @@ mod tests {
         // alone decides the victim.
         let cache = ShardedReductionCache::new(2, 1);
         let (a, b, c) = (key(10), key(11), key(12));
-        cache.insert(a.clone(), a.content_hash(), value(10), 5.0);
-        cache.insert(b.clone(), b.content_hash(), value(10), 1.0);
-        cache.insert(c.clone(), c.content_hash(), value(10), 3.0);
+        cache.insert(a.clone(), a.content_hash(), &value(10), 5.0);
+        cache.insert(b.clone(), b.content_hash(), &value(10), 1.0);
+        cache.insert(c.clone(), c.content_hash(), &value(10), 3.0);
         assert!(
             cache.get(&b, b.content_hash()).is_none(),
             "cheapest evicted"
@@ -412,9 +501,9 @@ mod tests {
         // lower cost-per-byte and goes first.
         let cache = ShardedReductionCache::new(2, 1);
         let (small, big, next) = (key(6), key(30), key(8));
-        cache.insert(small.clone(), small.content_hash(), value(6), 7.0);
-        cache.insert(big.clone(), big.content_hash(), value(30), 7.0);
-        cache.insert(next.clone(), next.content_hash(), value(8), 7.0);
+        cache.insert(small.clone(), small.content_hash(), &value(6), 7.0);
+        cache.insert(big.clone(), big.content_hash(), &value(30), 7.0);
+        cache.insert(next.clone(), next.content_hash(), &value(8), 7.0);
         assert!(cache.get(&big, big.content_hash()).is_none());
         assert!(cache.get(&small, small.content_hash()).is_some());
         assert!(cache.get(&next, next.content_hash()).is_some());
@@ -425,9 +514,9 @@ mod tests {
         let cache = ShardedReductionCache::new(2, 1);
         let (a, b, c) = (key(10), key(11), key(12));
         // Identical cost and bytes: insertion order decides.
-        cache.insert(a.clone(), a.content_hash(), value(10), 2.0);
-        cache.insert(b.clone(), b.content_hash(), value(10), 2.0);
-        cache.insert(c.clone(), c.content_hash(), value(10), 2.0);
+        cache.insert(a.clone(), a.content_hash(), &value(10), 2.0);
+        cache.insert(b.clone(), b.content_hash(), &value(10), 2.0);
+        cache.insert(c.clone(), c.content_hash(), &value(10), 2.0);
         assert!(cache.get(&a, a.content_hash()).is_none(), "oldest evicted");
         assert!(cache.get(&b, b.content_hash()).is_some());
         assert!(cache.get(&c, c.content_hash()).is_some());
@@ -437,7 +526,7 @@ mod tests {
     fn capacity_zero_disables_the_cache() {
         let cache = ShardedReductionCache::new(0, 8);
         let k = key(10);
-        cache.insert(k.clone(), k.content_hash(), value(10), 1.0);
+        cache.insert(k.clone(), k.content_hash(), &value(10), 1.0);
         assert!(cache.get(&k, k.content_hash()).is_none());
         assert_eq!(cache.totals(), (0, 0));
     }
@@ -447,16 +536,16 @@ mod tests {
         let cache = ShardedReductionCache::new(2, 1);
         let (a, b, c) = (key(8), key(16), key(24));
         let bytes = |n: usize| value(n).approx_heap_bytes();
-        cache.insert(a.clone(), a.content_hash(), value(8), 1.0);
+        cache.insert(a.clone(), a.content_hash(), &value(8), 1.0);
         assert_eq!(cache.totals(), (1, bytes(8)));
-        cache.insert(b.clone(), b.content_hash(), value(16), 1.0);
+        cache.insert(b.clone(), b.content_hash(), &value(16), 1.0);
         assert_eq!(cache.totals(), (2, bytes(8) + bytes(16)));
         // Replacing a key must not double-count.
-        cache.insert(a.clone(), a.content_hash(), value(8), 100.0);
+        cache.insert(a.clone(), a.content_hash(), &value(8), 100.0);
         assert_eq!(cache.totals(), (2, bytes(8) + bytes(16)));
         // Overflow evicts exactly one entry's bytes (cost-per-byte picks the
         // victim: `b` is by far the cheapest to recompute, so it goes).
-        cache.insert(c.clone(), c.content_hash(), value(24), 100.0);
+        cache.insert(c.clone(), c.content_hash(), &value(24), 100.0);
         let (entries, total) = cache.totals();
         assert_eq!(entries, 2);
         assert_eq!(total, bytes(8) + bytes(24));
@@ -474,7 +563,7 @@ mod tests {
         assert_eq!(cache.shard_count(), 8);
         for n in 3..20 {
             let k = key(n);
-            cache.insert(k.clone(), k.content_hash(), value(n), 1.0);
+            cache.insert(k.clone(), k.content_hash(), &value(n), 1.0);
             assert!(cache.get(&k, k.content_hash()).is_some());
         }
         assert_eq!(cache.totals().0, 17);
@@ -485,7 +574,7 @@ mod tests {
         let cache = ShardedReductionCache::new(5, 3);
         for n in 3..40 {
             let k = key(n);
-            cache.insert(k.clone(), k.content_hash(), value(n), 1.0);
+            cache.insert(k.clone(), k.content_hash(), &value(n), 1.0);
             assert!(cache.totals().0 <= 5);
         }
     }

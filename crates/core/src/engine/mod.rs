@@ -89,7 +89,6 @@ use mathkit::rng::{derive_seed, seeded};
 use persist::PersistentStore;
 use qsim::noise::NoiseModel;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default seed of the engine's content-addressed reduction substreams.
 ///
@@ -272,11 +271,11 @@ impl Engine {
         let key = CacheKey::new(graph, options);
         let hash = key.content_hash();
         // The shard lock is held only for the lookup (an Arc refcount
-        // bump); the deep clone handed to the caller happens after it is
-        // released, so concurrent hits never serialize on the clone.
+        // bump); the reduction handed to the caller is rebuilt after it is
+        // released, so concurrent hits never serialize on the rebuild.
         if let Some(hit) = self.cache.get(&key, hash) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((*hit).clone());
+            return Ok(hit.reduced());
         }
         let mut rng = seeded(derive_seed(self.reduction_seed, hash));
         let reduced = reduce(graph, options, &mut rng)?;
@@ -288,8 +287,7 @@ impl Engine {
             let _ = store.append(&key, &reduced);
         }
         let cost = anneal_cost(key.nodes, key.edges.len());
-        self.cache
-            .insert(key, hash, Arc::new(reduced.clone()), cost);
+        self.cache.insert(key, hash, &reduced, cost);
         Ok(reduced)
     }
 }

@@ -8,6 +8,7 @@
 use crate::expectation::MAX_EXACT_NODES;
 use crate::QaoaError;
 use graphlib::Graph;
+use qsim::statevector::cut_counts;
 
 /// Number of edges cut by the assignment `z` (bit `i` = partition of node `i`).
 pub fn cut_value(graph: &Graph, assignment: u64) -> usize {
@@ -20,7 +21,8 @@ pub fn cut_value(graph: &Graph, assignment: u64) -> usize {
 
 /// The diagonal of the MaxCut cost Hamiltonian: `values[z] = cut(z)` for all
 /// `2^n` basis states, one byte each (a graph within the exact-simulation
-/// limit has at most 231 edges).
+/// limit has at most 231 edges), built in O(2^n) by
+/// [`qsim::statevector::cut_counts`].
 ///
 /// # Errors
 ///
@@ -34,19 +36,7 @@ pub fn cut_values(graph: &Graph) -> Result<Vec<u8>, QaoaError> {
             limit: MAX_EXACT_NODES,
         });
     }
-    let edges = graph.edges();
-    let dim = 1usize << n;
-    let mut values = vec![0u8; dim];
-    for &(u, v) in &edges {
-        let ubit = 1usize << u;
-        let vbit = 1usize << v;
-        for (z, value) in values.iter_mut().enumerate() {
-            if ((z & ubit) == 0) != ((z & vbit) == 0) {
-                *value += 1;
-            }
-        }
-    }
-    Ok(values)
+    Ok(cut_counts(n, &graph.edges()))
 }
 
 /// Result of the brute-force MaxCut solver.

@@ -81,11 +81,15 @@
 //! [`vectorized::apply_z`] (4 multiplies or none per pair instead of 16),
 //! the unnormalized amplitude-damping steps
 //! [`vectorized::apply_damping_keep`] and
-//! [`vectorized::apply_damping_jump`], and the fused read pass
-//! [`vectorized::one_and_norm_sqr`]. Each gate kernel equals the generic
-//! butterfly under `==` per component, by the argument of the mixer-layer
-//! contract below, and the read pass returns the bits of
-//! [`StateVector::prob_one`] and [`StateVector::norm_sqr`].
+//! [`vectorized::apply_damping_jump`] (the no-jump step also fused into
+//! the `Rx` pass after it, [`vectorized::apply_rx_after_keep`]), the fused
+//! read pass [`vectorized::one_and_norm_sqr`], and the gathers of a run of
+//! equal-angle `RZZ` gates from [`cut_counts`] tables
+//! ([`vectorized::apply_phases`], [`vectorized::apply_phase_difference`]).
+//! Each gate kernel equals the generic butterfly under `==` per component,
+//! by the argument of the mixer-layer contract below, and the read pass
+//! returns the bits of [`StateVector::prob_one`] and
+//! [`StateVector::norm_sqr`].
 //! [`StateVector::apply_gate`] keeps the generic butterfly for every
 //! single-qubit gate.
 //!
@@ -574,6 +578,52 @@ impl CostDiagonal {
     pub fn max(&self) -> u8 {
         self.max
     }
+}
+
+/// `counts[z]` for every basis state `z` of `qubit_count` qubits: how many
+/// of `pairs` it cuts (puts the pair's two qubits in different states) —
+/// the MaxCut table of a graph with these edges, and the table of a run of
+/// `RZZ` gates on these pairs.
+///
+/// Built by doubling, in O(2^n): with the table of the qubits below `q` in
+/// `counts[..2^q]`, qubit `q` with `adj` (the mask of its neighbours below
+/// it) and `deg` (their number) extends it to `2^(q+1)` entries as
+/// `counts[z + 2^q] = counts[z] + deg − popcount(z & adj)` and
+/// `counts[z] += popcount(z & adj)`.
+///
+/// # Panics
+///
+/// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`], a pair
+/// names a qubit outside it or the same qubit twice, a pair repeats (in
+/// either order), or there are more than 255 pairs.
+pub fn cut_counts(qubit_count: usize, pairs: &[(usize, usize)]) -> Vec<u8> {
+    check_qubits(qubit_count);
+    assert!(pairs.len() <= usize::from(u8::MAX), "at most 255 pairs");
+    for &(a, b) in pairs {
+        assert!(
+            a != b && a.max(b) < qubit_count,
+            "pair ({a}, {b}) outside {qubit_count} qubits"
+        );
+    }
+    let mut counts = vec![0u8; 1usize << qubit_count];
+    for q in 0..qubit_count {
+        let mut adj = 0usize;
+        for &(a, b) in pairs {
+            if a.max(b) == q {
+                let bit = 1usize << a.min(b);
+                assert!(adj & bit == 0, "pair ({a}, {b}) repeats");
+                adj |= bit;
+            }
+        }
+        let deg = adj.count_ones() as u8;
+        let (low, high) = counts[..2 << q].split_at_mut(1 << q);
+        for (z, (c0, c1)) in low.iter_mut().zip(high).enumerate() {
+            let cut = (z & adj).count_ones() as u8;
+            *c1 = *c0 + deg - cut;
+            *c0 += cut;
+        }
+    }
+    counts
 }
 
 /// Reusable scratch buffers for repeated statevector evaluations.

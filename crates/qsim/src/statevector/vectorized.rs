@@ -37,8 +37,11 @@
 //! * **Trajectory kernels use gate structure.** [`apply_h`], [`apply_x`],
 //!   [`apply_y`], [`apply_z`] and the amplitude-damping steps
 //!   [`apply_damping_keep`] / [`apply_damping_jump`] skip the generic
-//!   butterfly's products with exact zeros, and [`one_and_norm_sqr`] reads
-//!   `prob_one` and `norm_sqr` in one pass.
+//!   butterfly's products with exact zeros, [`apply_rx_after_keep`] runs a
+//!   deferred no-jump step inside the `Rx` pass that follows it,
+//!   [`apply_phase_difference`] gathers the rest of a split run of `RZZ`
+//!   gates, and [`one_and_norm_sqr`] reads `prob_one` and `norm_sqr` in
+//!   one pass.
 //!
 //! Per-element arithmetic uses the same expression trees as the reference
 //! kernels (`u00·a0 + u01·a1`, `re·re + im·im`, …). Rust never contracts
@@ -173,6 +176,23 @@ pub fn apply_rx(amplitudes: &mut [Complex64], target: usize, c: f64, sn: f64) {
             (*a0, *a1) = rx.pair(*a0, *a1);
         }
     }
+}
+
+/// The no-jump damping step [`apply_damping_keep`] on `target` followed by
+/// [`apply_rx`] on it, in one pass: each pair becomes the `Rx` butterfly of
+/// `(a0, keep·a1)` — the very products the two passes make, so the bits
+/// are theirs.
+pub fn apply_rx_after_keep(
+    amplitudes: &mut [Complex64],
+    target: usize,
+    keep: f64,
+    c: f64,
+    sn: f64,
+) {
+    let rx = RxCoefficients::new(c, sn);
+    for_each_pair(amplitudes, target, |a0, a1| {
+        (*a0, *a1) = rx.pair(*a0, a1.scale(keep));
+    });
 }
 
 /// Applies `Rx(θ)` to the `log2(N)` qubits `low, low + 1, …` in one pass
@@ -518,6 +538,20 @@ pub fn gather_phases(amplitudes: &mut [Complex64], table: &[u8], memo: &[Complex
 pub fn apply_phases(amplitudes: &mut [Complex64], table: &[u8], memo: &[Complex64; 256]) {
     for (amp, &k) in amplitudes.iter_mut().zip(table) {
         *amp *= memo[usize::from(k)];
+    }
+}
+
+/// Multiplies amplitude `z` by `memo[upper[z] − lower[z]]`: [`apply_phases`]
+/// with the table held as the difference of two tables (`upper ≥ lower`
+/// entrywise), such as two prefix counts of one run of gates.
+pub fn apply_phase_difference(
+    amplitudes: &mut [Complex64],
+    upper: &[u8],
+    lower: &[u8],
+    memo: &[Complex64; 256],
+) {
+    for ((amp, &hi), &lo) in amplitudes.iter_mut().zip(upper).zip(lower) {
+        *amp *= memo[usize::from(hi - lo)];
     }
 }
 

@@ -33,6 +33,7 @@ use graphlib::Graph;
 use mathkit::parallel::with_threads;
 use mathkit::rng::seeded;
 use qaoa::circuit::qaoa_circuit;
+use qaoa::depth::{compile_maxcut, scheduled_qaoa_circuit};
 use qaoa::evaluator::{
     AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
     StatevectorEvaluator,
@@ -291,6 +292,40 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         allocs_for(1),
         "noisy_probabilities allocated per trajectory"
     );
+    // The same under ×60 noise, where errors interrupt the cost layers'
+    // deferred `Rzz` runs (their prefixes gather from per-call scratch) and
+    // jumps flush the pending work, on the naive and the depth-scheduled
+    // circuit, through both entry points.
+    let harsh = fake_toronto().noise.scaled(60.0);
+    let scheduled = scheduled_qaoa_circuit(&compile_maxcut(&graph).unwrap(), &params);
+    for (circuit, what) in [(&circuit, "naive"), (&scheduled, "depth-scheduled")] {
+        let allocs_for = |trajectories| {
+            let options = TrajectoryOptions { trajectories };
+            allocations_during(|| {
+                noisy_probabilities(circuit, &harsh, options, &mut seeded(3));
+            })
+        };
+        assert_eq!(
+            allocs_for(24),
+            allocs_for(1),
+            "noisy_probabilities allocated per trajectory ({what} circuit, x60 noise)"
+        );
+        with_threads(1, || {
+            let allocs_for = |trajectories| {
+                let options = TrajectoryOptions { trajectories };
+                allocations_during(|| {
+                    noisy_probabilities_seeded(circuit, &harsh, options, 3);
+                })
+            };
+            // Both counts fill one chunk of eight trajectories, whose
+            // partial sum is one allocation either way.
+            assert_eq!(
+                allocs_for(8),
+                allocs_for(1),
+                "noisy_probabilities_seeded allocated per trajectory ({what} circuit, x60 noise)"
+            );
+        });
+    }
 
     // The noisy instance paths read the `u8` cut table in place: beyond
     // building the circuit they allocate exactly what the trajectory

@@ -27,21 +27,28 @@
 //! must leave the amplitude bits of `begin_uniform` plus `apply_diagonal`
 //! with one `cis(-γ·C(z))` per entry.
 //!
+//! The `u8` cut tables themselves come from one O(2^n) doubling builder
+//! (`qsim::statevector::cut_counts`, behind `qaoa::maxcut::cut_values`);
+//! a proptest checks every entry against the per-state `cut_value` count
+//! and a brute-force count over pairs given in either order.
+//!
 //! Why bitwise and not tolerance-based: the determinism contract
 //! (`docs/determinism.md`) pins every result to exact bits across thread
 //! counts, and the golden pins (`tests/kernel_golden_values.rs`) hold for
 //! the oracle and the simulator alike. A single ULP of drift here would
 //! silently invalidate every golden value downstream.
 
-use graphlib::generators::connected_gnp;
+use graphlib::generators::{connected_gnp, erdos_renyi_gnp};
 use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
 use qaoa::expectation::QaoaInstance;
-use qaoa::maxcut::cut_values;
+use qaoa::maxcut::{cut_value, cut_values};
 use qaoa::params::QaoaParams;
 use qsim::circuit::Gate;
-use qsim::statevector::{reference, vectorized, CostDiagonal, StateVector, StatevectorWorkspace};
+use qsim::statevector::{
+    cut_counts, reference, vectorized, CostDiagonal, StateVector, StatevectorWorkspace,
+};
 use rand::Rng;
 
 /// Samples one random gate over `n` qubits (single-qubit only when `n == 1`).
@@ -373,6 +380,46 @@ fn cost_table<R: Rng>(qubits: usize, kind: usize, rng: &mut R) -> CostDiagonal {
     values[0] = 0;
     values[dim - 1] = max;
     CostDiagonal::new(values)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The doubling cut-table builder gives every entry of the per-edge
+    /// count: `cut_values` equals `cut_value` on every basis state of a
+    /// random G(n, q) graph (isolated nodes and edgeless graphs included),
+    /// and `cut_counts` on the same pairs in random orientation and order
+    /// equals a brute-force count.
+    #[test]
+    fn doubling_cut_tables_match_the_per_edge_count(
+        seed in 0u64..100_000,
+        qubits in 1usize..=16,
+        density in 0usize..4,
+    ) {
+        let mut rng = seeded(seed);
+        let graph = erdos_renyi_gnp(qubits, [0.0, 0.2, 0.5, 0.9][density], &mut rng).unwrap();
+        let table = cut_values(&graph).unwrap();
+        prop_assert_eq!(table.len(), 1usize << qubits);
+        for (z, &count) in table.iter().enumerate() {
+            let direct = cut_value(&graph, z as u64);
+            prop_assert!(usize::from(count) == direct, "state {z}: {count} vs {direct}");
+        }
+
+        let mut pairs = graph.edges();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        for pair in pairs.iter_mut() {
+            if rng.gen_range(0..2) == 1 {
+                *pair = (pair.1, pair.0);
+            }
+        }
+        let counts = cut_counts(qubits, &pairs);
+        for (z, &count) in counts.iter().enumerate() {
+            let brute = pairs.iter().filter(|&&(a, b)| (z >> a & 1) != (z >> b & 1)).count();
+            prop_assert!(usize::from(count) == brute, "state {z}: {count} vs {brute}");
+        }
+    }
 }
 
 /// The mixer angles the differential covers: `0` (where `-sin(0/2)` is
