@@ -55,6 +55,11 @@
 #      compound node+depth noisy MSE gated at <= the node-only MSE) so the
 #      perf trajectory is recorded run-over-run.
 #   5. bench targets resolve  — cargo bench --no-run
+#   5b. examples run          — quickstart and engine_batch run in release,
+#      so engine_batch's assertions execute: one anneal per distinct graph
+#      across its 100-job batch, and each graph's ReduceJob and OptimizeJob
+#      sharing one reduction bit for bit (step 2's clippy --all-targets
+#      only compiles them).
 #   6. figure binaries        — every fig*/table* binary answers --help,
 #      and a fast subset's --json output must parse as JSON (jq)
 set -euo pipefail
@@ -99,6 +104,10 @@ cargo run --quiet --release -p bench --bin depth_smoke BENCH_depth.json
 
 echo "==> benches compile: cargo bench --no-run"
 cargo bench --no-run --quiet
+
+echo "==> examples run: quickstart, engine_batch"
+cargo run --quiet --release --example quickstart >/dev/null
+cargo run --quiet --release --example engine_batch
 
 echo "==> figure binaries answer --help"
 cargo build --release -p experiments --bins --quiet

@@ -1,6 +1,7 @@
-//! Benchmarks of the end-to-end Red-QAOA pipeline (Figures 17, 19, 20): the
-//! ideal pipeline, the noisy pipeline, the throughput model, and the
-//! gradient-free optimizer flavors behind the `OptimizeDriver`.
+//! Benchmarks of the end-to-end Red-QAOA loop (Figures 17, 19, 20): the
+//! ideal loop (`OptimizeJob` with the refine step), the noisy pipeline, the
+//! throughput model, and the gradient-free optimizer flavors behind the
+//! `OptimizeDriver`.
 
 use bench::bench_graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -9,7 +10,8 @@ use qaoa::optimize::{
     NelderMeadOptimizer, OptimizeDriver, OptimizeOptions, OptimizerConfig, SpsaOptimizer,
 };
 use qsim::devices::fake_toronto;
-use red_qaoa::pipeline::{run_ideal, run_noisy, CircuitReduction, PipelineOptions};
+use red_qaoa::engine::{Engine, Job, OptimizeJob};
+use red_qaoa::pipeline::{run_noisy, CircuitReduction, PipelineOptions};
 use red_qaoa::reduction::ReductionOptions;
 use red_qaoa::throughput::dataset_relative_throughput;
 
@@ -21,7 +23,6 @@ fn pipeline_options() -> PipelineOptions {
             restarts: 2,
             max_iters: 40,
         },
-        refine_iters: 20,
         circuit: CircuitReduction::None,
     }
 }
@@ -29,11 +30,21 @@ fn pipeline_options() -> PipelineOptions {
 fn bench_ideal_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("ideal_pipeline_fig17");
     group.sample_size(10);
+    // No cache: every iteration anneals its reduction, as a cold request.
+    let engine = Engine::builder().cache_capacity(0).build().unwrap();
     for &n in &[8usize, 10] {
-        let graph = bench_graph(n, n as u64);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &graph, |b, g| {
-            let mut rng = mathkit::rng::seeded(31);
-            b.iter(|| run_ideal(g, &pipeline_options(), &mut rng).unwrap())
+        let job = Job::Optimize(
+            OptimizeJob::new(bench_graph(n, n as u64))
+                .with_restarts(2)
+                .with_max_iters(40)
+                .with_refine_iters(20),
+        );
+        group.bench_with_input(BenchmarkId::from_parameter(n), &job, |b, job| {
+            let mut seed = 31;
+            b.iter(|| {
+                seed += 1;
+                engine.run(job, seed).unwrap()
+            })
         });
     }
     group.finish();

@@ -12,8 +12,8 @@
 use super::builder::validate_pipeline_options;
 use super::Engine;
 use crate::pipeline::{
-    run_ideal_with_reduction, run_noisy_with_reduction, CircuitReduction, NoisyPipelineOutcome,
-    PipelineOptions, PipelineOutcome,
+    depth_metrics, run_noisy_with_reduction, CircuitReduction, NoisyPipelineOutcome,
+    PipelineOptions,
 };
 use crate::reduction::{ReducedGraph, ReductionOptions};
 use crate::throughput::relative_throughput;
@@ -21,8 +21,9 @@ use crate::transfer::{optimized_transfer, OptimizedTransfer};
 use crate::RedQaoaError;
 use graphlib::Graph;
 use mathkit::rng::seeded;
-use qaoa::depth::{compile_maxcut, DepthMetrics};
+use qaoa::depth::DepthMetrics;
 use qaoa::evaluator::AutoEvaluator;
+use qaoa::expectation::MAX_EXACT_NODES;
 use qaoa::landscape::Landscape;
 use qaoa::optimize::{approximation_ratio, paper_restarts, OptimizeDriver, OptimizerConfig};
 
@@ -53,25 +54,28 @@ impl ReduceJob {
     }
 }
 
-/// An end-to-end pipeline request: reduce (through the cache), optimize on
-/// the reduced graph, transfer back, and report against the plain-QAOA
-/// baseline. With [`PipelineJob::noisy_trajectories`] set, both
-/// optimizations run under the engine's noise model instead
-/// ([`crate::pipeline::run_noisy_with_reduction`]).
+/// A noisy pipeline request: reduce (through the cache), optimize the
+/// reduced circuit and, as the baseline, the full circuit under the engine's
+/// noise model, and re-score both found parameter sets ideally on the full
+/// graph ([`crate::pipeline::run_noisy_with_reduction`]). The job must be
+/// made noisy with [`PipelineJob::noisy`]; the ideal end-to-end loop is
+/// [`OptimizeJob`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineJob {
     /// The graph to run the pipeline on.
     pub graph: Graph,
     /// Per-job options; `None` uses the engine's configured defaults.
     pub options: Option<PipelineOptions>,
-    /// `Some(t)` runs the *noisy* pipeline with `t` trajectories per
-    /// evaluation; requires the engine to have a noise model
-    /// ([`EngineBuilder::noise`](super::EngineBuilder::noise)).
+    /// `Some(t)` runs the pipeline with `t` trajectories per evaluation;
+    /// requires the engine to have a noise model
+    /// ([`EngineBuilder::noise`](super::EngineBuilder::noise)). `None` is
+    /// rejected at dispatch.
     pub noisy_trajectories: Option<usize>,
 }
 
 impl PipelineJob {
-    /// An ideal-pipeline request with the engine's default options.
+    /// A pipeline request with the engine's default options; chain
+    /// [`PipelineJob::noisy`] before submitting it.
     pub fn new(graph: Graph) -> Self {
         Self {
             graph,
@@ -86,8 +90,8 @@ impl PipelineJob {
         self
     }
 
-    /// Switches this job to the noisy pipeline with `trajectories`
-    /// trajectories per energy evaluation.
+    /// Runs this job with `trajectories` trajectories per noisy energy
+    /// evaluation.
     pub fn noisy(mut self, trajectories: usize) -> Self {
         self.noisy_trajectories = Some(trajectories);
         self
@@ -168,13 +172,10 @@ impl ThroughputJob {
 /// (`end_to_end.py`'s `baseline_fun` vs `red_qaoa_fun` protocol): reduce the
 /// graph through the engine's cache, run a full restart session on the
 /// *reduced* graph, re-score the found parameters on the *full* graph, and
-/// run the same session directly on the full graph as the baseline.
-///
-/// Unlike [`PipelineJob`] (which adds a refinement step and reports the
-/// refined value), this job reports the raw transfer comparison — the
-/// approximation ratio of the transferred parameters, the parameter-transfer
-/// error, and the evaluation counts on each side — which is what Figure 17
-/// plots and what `BENCH_optimize.json` records.
+/// run the same session directly on the full graph as the baseline. With
+/// [`OptimizeJob::with_refine_iters`] it also takes the paper's last step and
+/// continues the parameter search on the full graph from the transferred
+/// parameters ([`OptimizedTransfer::refined`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeJob {
     /// The graph to run the session on.
@@ -196,6 +197,9 @@ pub struct OptimizeJob {
     /// [`DepthMetrics`] for the graph the session optimized on to the
     /// report.
     pub circuit: Option<CircuitReduction>,
+    /// Iteration budget of the refine step on the full graph; `0` (the
+    /// default) skips it.
+    pub refine_iters: usize,
 }
 
 impl OptimizeJob {
@@ -210,6 +214,7 @@ impl OptimizeJob {
             max_iters: 80,
             reduction: None,
             circuit: None,
+            refine_iters: 0,
         }
     }
 
@@ -248,6 +253,13 @@ impl OptimizeJob {
         self.circuit = Some(circuit);
         self
     }
+
+    /// Refines the transferred parameters on the full graph with one
+    /// `refine_iters`-iteration run of the job's optimizer.
+    pub fn with_refine_iters(mut self, refine_iters: usize) -> Self {
+        self.refine_iters = refine_iters;
+        self
+    }
 }
 
 /// The typed result of an [`OptimizeJob`].
@@ -256,7 +268,8 @@ pub struct OptimizeReport {
     /// The (cached) reduction the session optimized on.
     pub reduction: ReducedGraph,
     /// The full transfer comparison: reduced-graph session, full-graph
-    /// baseline session, and the re-scored transferred values.
+    /// baseline session, the re-scored transferred values, and the refine
+    /// step when the job asked for one.
     pub transfer: OptimizedTransfer,
     /// Exact MaxCut of the full graph: the maximum of its cut table. Always
     /// `Some` for jobs that ran, since the full-graph session needs an
@@ -269,7 +282,8 @@ pub struct OptimizeReport {
     /// Full-graph-equivalent cost of the Red-QAOA path relative to the
     /// baseline, under the exact-simulation cost model where one evaluation
     /// on a `k`-node graph costs `2^k`:
-    /// `(reduced_evals · 2^(k−n) + rescore_evals) / baseline_evals`.
+    /// `(reduced_evals · 2^(k−n) + rescore_evals + refine_evals) /
+    /// baseline_evals`.
     /// Below 1.0 means the reduced path was cheaper end to end.
     pub cost_ratio: f64,
     /// Depth-compilation metrics of the graph the session optimized on,
@@ -307,7 +321,7 @@ impl OptimizeReport {
 pub enum Job {
     /// Reduce a graph (through the cache).
     Reduce(ReduceJob),
-    /// Run the end-to-end (ideal or noisy) pipeline.
+    /// Run the noisy pipeline.
     Pipeline(PipelineJob),
     /// Scan a `p = 1` energy landscape.
     Landscape(LandscapeJob),
@@ -352,17 +366,16 @@ impl From<OptimizeJob> for Job {
 pub enum JobOutput {
     /// Result of a [`Job::Reduce`].
     Reduced(ReducedGraph),
-    /// Result of an ideal [`Job::Pipeline`].
-    Pipeline(PipelineOutcome),
-    /// Result of a noisy [`Job::Pipeline`].
+    /// Result of a [`Job::Pipeline`].
     NoisyPipeline(NoisyPipelineOutcome),
     /// Result of a [`Job::Landscape`].
     Landscape(Landscape),
     /// Result of a [`Job::Throughput`]: the relative throughput
     /// (reduced / original; `1.0` means no multi-programming benefit).
     Throughput(f64),
-    /// Result of a [`Job::Optimize`].
-    Optimize(OptimizeReport),
+    /// Result of a [`Job::Optimize`], boxed: the report is several times
+    /// the size of every other variant.
+    Optimize(Box<OptimizeReport>),
 }
 
 impl JobOutput {
@@ -370,14 +383,6 @@ impl JobOutput {
     pub fn as_reduced(&self) -> Option<&ReducedGraph> {
         match self {
             JobOutput::Reduced(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The pipeline outcome, when this is a [`JobOutput::Pipeline`].
-    pub fn as_pipeline(&self) -> Option<&PipelineOutcome> {
-        match self {
-            JobOutput::Pipeline(o) => Some(o),
             _ => None,
         }
     }
@@ -505,44 +510,35 @@ pub(super) fn execute(
                 }
                 None => engine.pipeline_options(),
             };
+            let Some(trajectories) = job.noisy_trajectories else {
+                return Err(RedQaoaError::invalid_parameter(
+                    "noisy_trajectories",
+                    "None",
+                    "a pipeline job must be noisy; the ideal loop is \
+                     OptimizeJob::with_refine_iters",
+                ));
+            };
             // Resolve the noise model before reducing: a noisy job on an
             // engine without one must fail cheaply, not after paying for
             // the full SA binary search.
-            let noise = match job.noisy_trajectories {
-                None => None,
-                Some(trajectories) => match engine.noise_model() {
-                    Some(noise) => Some(noise),
-                    None => {
-                        return Err(RedQaoaError::invalid_parameter(
-                            "noisy_trajectories",
-                            trajectories,
-                            "engine has no noise model (set EngineBuilder::noise)",
-                        ));
-                    }
-                },
-            };
-            // Depth-only mode skips node reduction entirely: the identity
-            // reduction costs no annealing, consumes no RNG, and leaves the
-            // cache (whose key covers only ReductionOptions) untouched.
-            let reduction = if options.circuit.wants_node_reduction() {
-                engine.reduce_cached(&job.graph, &options.reduction)?
-            } else {
-                ReducedGraph::identity(&job.graph)
-            };
-            let mut rng = seeded(job_seed);
-            match (job.noisy_trajectories, noise) {
-                (Some(trajectories), Some(noise)) => run_noisy_with_reduction(
-                    &job.graph,
-                    reduction,
-                    options,
-                    noise,
+            let Some(noise) = engine.noise_model() else {
+                return Err(RedQaoaError::invalid_parameter(
+                    "noisy_trajectories",
                     trajectories,
-                    &mut rng,
-                )
-                .map(JobOutput::NoisyPipeline),
-                _ => run_ideal_with_reduction(&job.graph, reduction, options, &mut rng)
-                    .map(JobOutput::Pipeline),
-            }
+                    "engine has no noise model (set EngineBuilder::noise)",
+                ));
+            };
+            let reduction =
+                session_reduction(engine, &job.graph, options.circuit, &options.reduction)?;
+            run_noisy_with_reduction(
+                &job.graph,
+                reduction,
+                options,
+                noise,
+                trajectories,
+                &mut seeded(job_seed),
+            )
+            .map(JobOutput::NoisyPipeline)
         }
         Job::Landscape(job) => {
             if job.width == 0 {
@@ -598,27 +594,27 @@ pub(super) fn execute(
                 .circuit
                 .unwrap_or_else(|| engine.pipeline_options().circuit);
             let reduction_options = job.reduction.as_ref().unwrap_or(engine.reduction_options());
-            let reduction = if circuit.wants_node_reduction() {
-                engine.reduce_cached(&job.graph, reduction_options)?
-            } else {
-                ReducedGraph::identity(&job.graph)
-            };
-            let depth = if circuit.wants_depth() {
-                Some(*compile_maxcut(reduction.graph())?.metrics())
-            } else {
-                None
-            };
+            let reduction = session_reduction(engine, &job.graph, circuit, reduction_options)?;
+            let depth = depth_metrics(circuit, reduction.graph())?;
             let restarts = job.restarts.unwrap_or_else(|| paper_restarts(job.layers));
             let driver = OptimizeDriver::new(job.optimizer.clone(), restarts, job.max_iters);
-            let mut rng = seeded(job_seed);
-            let transfer =
-                optimized_transfer(&job.graph, reduction.graph(), job.layers, &driver, &mut rng)?;
+            let transfer = optimized_transfer(
+                &job.graph,
+                reduction.graph(),
+                job.layers,
+                &driver,
+                job.refine_iters,
+                &mut seeded(job_seed),
+            )?;
             let ground_truth = Some(transfer.original_max_cut);
             let reduced_evaluations = transfer.surrogate.evaluations;
             let baseline_evaluations = transfer.native.evaluations;
-            // Re-scoring on the full graph: one expectation for the best
-            // parameters plus one per restart for the average column.
-            let rescore_evaluations = 1 + transfer.surrogate.restart_params.len();
+            // Full-graph work beyond the baseline: one expectation for the
+            // best parameters, one per restart for the average column, and
+            // the refine step's evaluations.
+            let refine_evaluations = transfer.refined.as_ref().map_or(0, |run| run.evaluations);
+            let rescore_evaluations =
+                1 + transfer.surrogate.restart_params.len() + refine_evaluations;
             // Exact-simulation cost model: an evaluation on a k-node
             // graph costs 2^k, so normalizing by the full graph's 2^n
             // leaves the overflow-free factor 2^(k - n) ≤ 1.
@@ -630,7 +626,7 @@ pub(super) fn execute(
                 (reduced_evaluations as f64 * scale + rescore_evaluations as f64)
                     / baseline_evaluations as f64
             };
-            Ok(JobOutput::Optimize(OptimizeReport {
+            Ok(JobOutput::Optimize(Box::new(OptimizeReport {
                 reduction,
                 transfer,
                 ground_truth,
@@ -638,7 +634,31 @@ pub(super) fn execute(
                 baseline_evaluations,
                 cost_ratio,
                 depth,
-            }))
+            })))
         }
+    }
+}
+
+/// The reduction an optimize or noisy pipeline job runs on. A full graph
+/// beyond the exact evaluator's limit fails first, with the error that
+/// evaluator's constructor returns, so it is never annealed, counted or
+/// cached. Depth-only mode uses the identity reduction: no annealing, no
+/// RNG, and no cache traffic (the cache key covers only
+/// [`ReductionOptions`]).
+fn session_reduction(
+    engine: &Engine,
+    graph: &Graph,
+    circuit: CircuitReduction,
+    options: &ReductionOptions,
+) -> Result<ReducedGraph, RedQaoaError> {
+    let nodes = graph.node_count();
+    if nodes > MAX_EXACT_NODES {
+        let limit = MAX_EXACT_NODES;
+        return Err(qaoa::QaoaError::GraphTooLarge { nodes, limit }.into());
+    }
+    if circuit.wants_node_reduction() {
+        engine.reduce_cached(graph, options)
+    } else {
+        Ok(ReducedGraph::identity(graph))
     }
 }

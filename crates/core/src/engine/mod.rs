@@ -18,10 +18,11 @@
 //!   noise model, cache geometry, persistence) at
 //!   [`EngineBuilder::build`], naming the offending field in the error, so
 //!   no validation-driven failure is left to job time.
-//! * [`jobs`](self) — typed requests ([`ReduceJob`], [`PipelineJob`],
-//!   [`LandscapeJob`], [`ThroughputJob`], [`OptimizeJob`]) submitted
-//!   one-shot via [`Engine::run`] or batched via [`Engine::run_batch`],
-//!   each returning a typed [`JobOutput`].
+//! * [`jobs`](self) — typed requests ([`ReduceJob`], [`OptimizeJob`] for
+//!   the paper's end-to-end loop, the noisy [`PipelineJob`],
+//!   [`LandscapeJob`], [`ThroughputJob`]) submitted one-shot via
+//!   [`Engine::run`] or batched via [`Engine::run_batch`], each returning a
+//!   typed [`JobOutput`].
 //! * [`scheduler`](self) — batches fan out through a **two-level
 //!   scheduler**: per-job costs are estimated up front, the few clear
 //!   outliers get an exclusive lane where their *inner* scans parallelize,
@@ -532,6 +533,25 @@ mod tests {
             assert!(report.cost_ratio < 1.0, "{report:?}");
         }
         assert!(report.cost_ratio > 0.0);
+    }
+
+    #[test]
+    fn refine_evaluations_count_in_the_cost_ratio() {
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let graph = connected_gnp(9, 0.45, &mut seeded(2)).unwrap();
+        let job = OptimizeJob::new(graph).with_restarts(2).with_max_iters(50);
+        let run = |job: OptimizeJob| engine.run(&Job::Optimize(job), 2).unwrap();
+        let (plain, refined) = (run(job.clone()), run(job.with_refine_iters(25)));
+        let (plain, refined) = (plain.as_optimize().unwrap(), refined.as_optimize().unwrap());
+        // The default runs no refine step; the refine step runs after both
+        // sessions and leaves them as they were.
+        assert!(plain.transfer.refined.is_none());
+        assert_eq!(plain.transfer.native, refined.transfer.native);
+        assert_eq!(plain.transfer.surrogate, refined.transfer.surrogate);
+        // Its evaluations run on the full graph, so they count at full price.
+        let refine = refined.transfer.refined.as_ref().expect("refine step ran");
+        let extra = refine.evaluations as f64 / plain.baseline_evaluations as f64;
+        assert!((refined.cost_ratio - plain.cost_ratio - extra).abs() < 1e-12);
     }
 
     #[test]

@@ -30,10 +30,10 @@ use qaoa::optimize::paper_restarts;
 /// * reduce / throughput — node count (the SA anneal dominates);
 /// * landscape — `width²` grid points (plus the reduction when
 ///   `reduce_first`);
-/// * pipeline — `restarts × max_iters + refine_iters` objective
-///   evaluations;
-/// * optimize — `restarts × max_iters` for *both* sessions (reduced +
-///   baseline).
+/// * pipeline — `restarts × max_iters` for *both* noisy sessions (reduced +
+///   baseline);
+/// * optimize — `restarts × max_iters` for both sessions, plus
+///   `refine_iters` for the refine step.
 pub(super) fn estimate_cost(engine: &Engine, job: &Job) -> f64 {
     match job {
         Job::Reduce(job) => job.graph.node_count() as f64,
@@ -48,11 +48,11 @@ pub(super) fn estimate_cost(engine: &Engine, job: &Job) -> f64 {
         }
         Job::Pipeline(job) => {
             let options = job.options.as_ref().unwrap_or(engine.pipeline_options());
-            (options.optimize.restarts * options.optimize.max_iters + options.refine_iters) as f64
+            (2 * options.optimize.restarts * options.optimize.max_iters) as f64
         }
         Job::Optimize(job) => {
             let restarts = job.restarts.unwrap_or_else(|| paper_restarts(job.layers));
-            (2 * restarts * job.max_iters) as f64
+            (2 * restarts * job.max_iters + job.refine_iters) as f64
         }
     }
 }
@@ -130,6 +130,32 @@ mod tests {
         assert_eq!(exclusive_indices(&[30.0, 1.0, 1.0, 1.0], 2), vec![0]);
         // With costs {4, 3, 3, 3} nothing exceeds 2× mean: no outliers.
         assert!(exclusive_indices(&[4.0, 3.0, 3.0, 3.0], 2).is_empty());
+    }
+
+    #[test]
+    fn session_costs_count_both_sessions_and_the_refine_step() {
+        use super::super::{OptimizeJob, PipelineJob};
+        use crate::pipeline::PipelineOptions;
+        use qaoa::optimize::OptimizeOptions;
+        let engine = Engine::builder().build().unwrap();
+        let graph = cycle(8).unwrap();
+        let optimize = OptimizeOptions {
+            restarts: 3,
+            max_iters: 40,
+        };
+        let options = PipelineOptions {
+            optimize,
+            ..Default::default()
+        };
+        let noisy = PipelineJob::new(graph.clone()).with_options(options);
+        let session = OptimizeJob::new(graph).with_restarts(3).with_max_iters(40);
+        let costs = [
+            Job::Pipeline(noisy.noisy(4)),
+            Job::Optimize(session.clone()),
+            Job::Optimize(session.with_refine_iters(30)),
+        ]
+        .map(|job| estimate_cost(&engine, &job));
+        assert_eq!(costs, [240.0, 240.0, 270.0]);
     }
 
     #[test]

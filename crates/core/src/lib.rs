@@ -14,8 +14,10 @@
 //!
 //! * [`engine`] — the batched, session-oriented front door: a validated
 //!   [`engine::Engine`] owning thread policy and a content-hash reduction
-//!   cache, running typed jobs one-shot or in deterministic batches. The
-//!   modules below are the low-level layer it is built from.
+//!   cache, running typed jobs one-shot or in deterministic batches. Its
+//!   [`engine::OptimizeJob`] is the end-to-end Red-QAOA loop (reduce →
+//!   optimize on `G'` → transfer → refine on `G`). The modules below are
+//!   the low-level layer it is built from.
 //! * [`annealing`] — Algorithm 1: simulated-annealing subgraph search with
 //!   constant and adaptive cooling (exposed stagnation knobs), cold and
 //!   warm-seeded entry points.
@@ -27,10 +29,13 @@
 //!   parallel [`reduction::reduce_pool`] over graph slices.
 //! * [`mse`] — ideal and noisy energy-landscape comparisons between the
 //!   original and reduced graphs (the paper's headline metric).
-//! * [`pipeline`] — the end-to-end Red-QAOA flow (reduce → optimize on `G'` →
-//!   transfer → finish on `G`).
-//! * [`transfer`] — the parameter-transfer baseline built on random regular
-//!   surrogate graphs (Section 5.6 / Figure 21).
+//! * [`pipeline`] — the noisy Red-QAOA pipeline (Figures 19–20): optimize
+//!   the reduced and the full circuit under the same noise, then re-score
+//!   both ideally on `G`.
+//! * [`transfer`] — the optimize-small, score-big transfer protocol behind
+//!   [`engine::OptimizeJob`] (with its refine step), and the
+//!   parameter-transfer baseline built on random regular surrogate graphs
+//!   (Section 5.6 / Figure 21).
 //! * [`throughput`] — the multi-programming throughput model (Figure 25).
 //!
 //! # Example

@@ -13,7 +13,7 @@ use graphlib::generators::random_regular;
 use graphlib::metrics::average_node_degree;
 use graphlib::Graph;
 use qaoa::evaluator::StatevectorEvaluator;
-use qaoa::optimize::{OptimizeDriver, OptimizeOutcome, Optimizer};
+use qaoa::optimize::{OptimizeDriver, OptimizeOutcome, Optimizer, OptimizerRun};
 use rand::Rng;
 
 /// Builds the random regular surrogate used by the parameter-transfer
@@ -108,8 +108,9 @@ pub fn transfer_comparison<R: Rng>(
 }
 
 /// Result of the *optimization-based* parameter-transfer comparison: one
-/// full restart session on the surrogate graph, one on the original, and
-/// the surrogate's found parameters re-scored on the original.
+/// full restart session on the surrogate graph, one on the original, the
+/// surrogate's found parameters re-scored on the original, and optionally
+/// the paper's final refine step from those parameters on the original.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizedTransfer {
     /// The optimization session run on the surrogate (donor / reduced) graph.
@@ -134,6 +135,11 @@ pub struct OptimizedTransfer {
     /// Exact MaxCut of the original graph: the maximum of the cut table its
     /// evaluator already built.
     pub original_max_cut: usize,
+    /// The refine step: one local run of the driver's optimizer on the
+    /// original graph, started from the surrogate's best parameters (the
+    /// paper's "continue the parameter search on the original graph").
+    /// `None` when the refine budget was zero.
+    pub refined: Option<OptimizerRun>,
 }
 
 impl OptimizedTransfer {
@@ -149,22 +155,26 @@ impl OptimizedTransfer {
 
 /// Runs the paper's end-to-end transfer protocol with an explicit optimizer:
 /// optimize `surrogate` with `driver`, optimize `original` with the same
-/// driver as the baseline, and re-score the surrogate's parameters on
-/// `original`. All restart scheduling and stopping logic lives in the
-/// [`OptimizeDriver`]; this function only owns the scoring.
+/// driver as the baseline, re-score the surrogate's parameters on
+/// `original`, and — when `refine_iters > 0` — refine them there with one
+/// `refine_iters`-iteration run of the driver's optimizer. All restart
+/// scheduling and stopping logic lives in the [`OptimizeDriver`]; this
+/// function only owns the scoring.
 ///
 /// The surrogate session always consumes `rng` first, then the native
-/// session — callers get a deterministic stream split for any `Rng`.
+/// session, then the refine step — callers get a deterministic stream split
+/// for any `Rng`.
 ///
 /// # Errors
 ///
 /// Returns [`RedQaoaError`] if either graph is too large or too degenerate
 /// to simulate, or the driver's configuration is invalid.
-pub fn optimized_transfer<O: Optimizer, R: Rng>(
+pub fn optimized_transfer<O: Optimizer + Clone, R: Rng>(
     original: &Graph,
     surrogate: &Graph,
     layers: usize,
     driver: &OptimizeDriver<O>,
+    refine_iters: usize,
     rng: &mut R,
 ) -> Result<OptimizedTransfer, RedQaoaError> {
     let surrogate_evaluator = StatevectorEvaluator::new(surrogate, layers)?;
@@ -193,6 +203,15 @@ pub fn optimized_transfer<O: Optimizer, R: Rng>(
     let parameter_distance = surrogate_outcome
         .best_params
         .periodic_distance(&native_outcome.best_params);
+    // The refine step reuses the original graph's evaluator, so it builds
+    // no second cut table.
+    let refined = (refine_iters > 0).then(|| {
+        OptimizeDriver::new(driver.optimizer().clone(), 1, refine_iters).refine_from(
+            &original_evaluator,
+            &surrogate_outcome.best_params,
+            rng,
+        )
+    });
 
     Ok(OptimizedTransfer {
         transferred_value,
@@ -201,6 +220,7 @@ pub fn optimized_transfer<O: Optimizer, R: Rng>(
         transfer_error,
         parameter_distance,
         original_max_cut: original_instance.max_cut(),
+        refined,
         surrogate: surrogate_outcome,
         native: native_outcome,
     })
@@ -245,7 +265,7 @@ mod tests {
         let graph = connected_gnp(10, 0.4, &mut rng).unwrap();
         let reduced = reduce(&graph, &ReductionOptions::default(), &mut rng).unwrap();
         let driver = OptimizeDriver::new(NelderMeadOptimizer::default(), 3, 80);
-        let result = optimized_transfer(&graph, reduced.graph(), 1, &driver, &mut rng).unwrap();
+        let result = optimized_transfer(&graph, reduced.graph(), 1, &driver, 0, &mut rng).unwrap();
         assert_eq!(result.surrogate.restart_values.len(), 3);
         assert_eq!(result.native.restart_values.len(), 3);
         // The transferred value is a real expectation on the original graph,
@@ -266,7 +286,7 @@ mod tests {
         let reduced = reduce(&graph, &ReductionOptions::default(), &mut rng).unwrap();
         let driver = OptimizeDriver::new(OptimizerConfig::spsa(), 2, 60);
         let run = |seed: u64| {
-            optimized_transfer(&graph, reduced.graph(), 1, &driver, &mut seeded(seed)).unwrap()
+            optimized_transfer(&graph, reduced.graph(), 1, &driver, 0, &mut seeded(seed)).unwrap()
         };
         let a = run(4);
         let b = run(4);

@@ -15,8 +15,8 @@
 //!   random starts for the rest, best-so-far tracking, and the stopping
 //!   criteria ([`OptimizeDriver::target_value`],
 //!   [`OptimizeDriver::max_evaluations`]). Every consumer of a
-//!   multi-restart optimization — [`maximize_with_restarts`], the pipeline's
-//!   transfer refinement, `red_qaoa::transfer`'s parameter-transfer scoring,
+//!   multi-restart optimization — [`maximize_with_restarts`],
+//!   `red_qaoa::transfer`'s parameter-transfer scoring and its refine step,
 //!   and the engine's `OptimizeJob` — goes through this one loop.
 //!
 //! The drivers *maximize* the cost expectation by minimizing its negation.

@@ -3,7 +3,8 @@
 //!
 //! The batch deliberately repeats graphs (the "many users, same hot graphs"
 //! scenario): 25 distinct graphs fan out as 100 jobs mixing reductions,
-//! throughput estimates, and full pipelines. The engine anneals each
+//! throughput estimates, and end-to-end optimization sessions with the
+//! refine step (`OptimizeJob`). The engine anneals each
 //! distinct (graph, options) pair once and serves every repeat from its
 //! content-hash cache — asserted at the end via the hit/miss counters and by
 //! comparing the repeated jobs' outputs bitwise.
@@ -12,8 +13,7 @@
 
 use graphlib::generators::connected_gnp;
 use mathkit::rng::{derive_seed, seeded};
-use red_qaoa::engine::{Engine, Job, PipelineJob, ReduceJob, ThroughputJob};
-use red_qaoa::pipeline::PipelineOptions;
+use red_qaoa::engine::{Engine, Job, OptimizeJob, ReduceJob, ThroughputJob};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One engine for the whole session: configuration validated once,
@@ -27,21 +27,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graphs: Vec<graphlib::Graph> = (0..25)
         .map(|i| connected_gnp(12, 0.4, &mut seeded(derive_seed(2026, i))).unwrap())
         .collect();
-    let quick_pipeline = PipelineOptions {
-        optimize: qaoa::optimize::OptimizeOptions {
-            restarts: 1,
-            max_iters: 25,
-        },
-        refine_iters: 10,
-        ..Default::default()
-    };
     let mut jobs: Vec<Job> = Vec::with_capacity(100);
     for graph in &graphs {
         jobs.push(Job::Reduce(ReduceJob::new(graph.clone())));
         jobs.push(Job::Throughput(ThroughputJob::new(graph.clone(), 27, 1)));
         jobs.push(Job::Throughput(ThroughputJob::new(graph.clone(), 65, 1)));
-        jobs.push(Job::Pipeline(
-            PipelineJob::new(graph.clone()).with_options(quick_pipeline.clone()),
+        jobs.push(Job::Optimize(
+            OptimizeJob::new(graph.clone())
+                .with_restarts(1)
+                .with_max_iters(25)
+                .with_refine_iters(10),
         ));
     }
     assert_eq!(jobs.len(), 100);
@@ -71,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.hits
     );
 
-    // The reduce job and the pipeline job of the same graph share one
+    // The reduce job and the optimize job of the same graph share one
     // reduction, bit for bit.
     for i in 0..graphs.len() {
         let reduced = results[4 * i]
@@ -80,12 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .as_reduced()
             .expect("typed output")
             .clone();
-        let pipeline = results[4 * i + 3]
+        let report = results[4 * i + 3]
             .as_ref()
-            .expect("pipeline job succeeds")
-            .as_pipeline()
+            .expect("optimize job succeeds")
+            .as_optimize()
             .expect("typed output");
-        assert_eq!(reduced, pipeline.reduction, "graph {i} re-annealed");
+        assert_eq!(reduced, report.reduction, "graph {i} re-annealed");
     }
 
     let mean_throughput_27: f64 = results

@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             restarts: 2,
             max_iters: 40,
         },
-        refine_iters: 0,
         circuit: CircuitReduction::None,
     };
 

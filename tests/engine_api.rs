@@ -15,6 +15,7 @@ use red_qaoa::engine::{
     Engine, Job, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
 };
 use red_qaoa::pipeline::CircuitReduction;
+use red_qaoa::pipeline::PipelineOptions;
 use red_qaoa::reduction::{reduce, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
@@ -278,7 +279,7 @@ fn repeated_graph_config_pairs_are_served_from_the_cache() {
 #[test]
 fn per_job_pipeline_options_are_validated_before_any_work() {
     let engine = Engine::builder().build().unwrap();
-    let bad = red_qaoa::pipeline::PipelineOptions {
+    let bad = PipelineOptions {
         optimize: qaoa::optimize::OptimizeOptions {
             restarts: 0,
             max_iters: 10,
@@ -299,7 +300,7 @@ fn explicitly_set_pipeline_keeps_its_own_reduction_options() {
         .build()
         .unwrap();
     let engine = Engine::builder()
-        .pipeline(red_qaoa::pipeline::PipelineOptions {
+        .pipeline(PipelineOptions {
             reduction: custom,
             ..Default::default()
         })
@@ -386,5 +387,298 @@ fn optimize_job_ground_truth_is_the_brute_force_maxcut() {
             report.ground_truth,
             Some(brute_force_maxcut(&graph).unwrap().best_cut)
         );
+    }
+}
+
+#[test]
+fn pipeline_jobs_must_be_noisy() {
+    // The check runs after per-job options validation
+    // (`per_job_pipeline_options_are_validated_before_any_work`) and before
+    // the noise-model check: this engine has no noise model.
+    let engine = Engine::builder().build().unwrap();
+    let job = Job::Pipeline(PipelineJob::new(test_graph(21)));
+    let err = engine.run(&job, 1).unwrap_err();
+    assert_eq!(err.field(), Some("noisy_trajectories"));
+    assert!(
+        err.to_string().contains("OptimizeJob::with_refine_iters"),
+        "{err}"
+    );
+    assert_eq!(engine.cache_stats().misses, 0);
+}
+
+#[test]
+fn oversized_and_degenerate_graphs_fail_before_annealing() {
+    let noise = qsim::devices::fake_toronto().noise;
+    let engine = Engine::builder().threads(1).noise(noise).build().unwrap();
+    let limit = qaoa::expectation::MAX_EXACT_NODES;
+    let nodes = limit + 4;
+    let graph = connected_gnp(nodes, 0.2, &mut seeded(26)).unwrap();
+    let optimize = Job::Optimize(OptimizeJob::new(graph.clone()));
+    for job in [optimize, Job::Pipeline(PipelineJob::new(graph).noisy(4))] {
+        let err = engine.run(&job, 1).unwrap_err();
+        assert_eq!(err, qaoa::QaoaError::GraphTooLarge { nodes, limit }.into());
+    }
+    let edgeless = Job::Optimize(OptimizeJob::new(graphlib::Graph::new(3)));
+    assert!(matches!(
+        engine.run(&edgeless, 1),
+        Err(RedQaoaError::GraphNotReducible(_))
+    ));
+    // Nothing was annealed, counted, or cached.
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.entries), (0, 0), "{stats:?}");
+}
+
+// ---------------------------------------------------------------------------
+// The end-to-end loop with the refine step: the same bits as the ideal
+// pipeline job it replaced.
+// ---------------------------------------------------------------------------
+
+/// One `OptimizeJob` run (2 Nelder–Mead restarts × 30 iterations, engine
+/// defaults otherwise) and its outputs as `f64::to_bits`, recorded from the
+/// ideal pipeline job with the same options, graph and job seed.
+struct Pin {
+    /// `(nodes, graph_seed, layers, circuit, refine_iters, job_seed)`; the
+    /// graph is `connected_gnp(nodes, 0.4, seeded(graph_seed))`.
+    case: (usize, u64, usize, CircuitReduction, usize, u64),
+    /// The refined value (the transferred one for `refine_iters = 0`, which
+    /// runs no refine step), the baseline's best value and restart average,
+    /// and the transferred value.
+    values: [u64; 4],
+    /// The refined and the transferred parameters.
+    params: [&'static [u64]; 2],
+    ground_truth: usize,
+    /// Kept nodes and AND ratio.
+    reduction: (&'static [usize], u64),
+    /// `(qubits, scheduled_terms, rounds)` of the depth metrics.
+    depth: Option<(usize, usize, usize)>,
+}
+
+const PINS: [Pin; 8] = [
+    Pin {
+        case: (8, 101, 1, CircuitReduction::None, 0, 1),
+        values: [
+            0x4023869a1177fb3c,
+            0x40238a7ef9424338,
+            0x40238a7ef935ddc4,
+            0x4023869a1177fb3c,
+        ],
+        params: [
+            &[0x3fdd7e34cf7ec5b0, 0x3ffdc6b65fad640c],
+            &[0x3fdd7e34cf7ec5b0, 0x3ffdc6b65fad640c],
+        ],
+        ground_truth: 12,
+        reduction: (&[0, 2, 4, 5, 6, 7], 0x3fed555555555555),
+        depth: None,
+    },
+    Pin {
+        case: (9, 102, 1, CircuitReduction::NodeAndDepth, 5, 2),
+        values: [
+            0x402266734671ef7a,
+            0x4024e14c01984cdd,
+            0x4024e14bfe3738b0,
+            0x401fb772fbd6662e,
+        ],
+        params: [
+            &[0x400c722263abe83b, 0x400049c008e78ff8],
+            &[0x4005722263abe839, 0x3ffdc6b34502531e],
+        ],
+        ground_truth: 13,
+        reduction: (&[1, 3, 5, 6, 7, 8], 0x3fef0f0f0f0f0f0f),
+        depth: Some((6, 11, 5)),
+    },
+    Pin {
+        case: (10, 103, 2, CircuitReduction::Depth, 30, 3),
+        values: [
+            0x402b23170663c526,
+            0x402b4f7382f6e6b5,
+            0x402aa9f2e69cc89a,
+            0x402abd6b71c10d67,
+        ],
+        params: [
+            &[
+                0xbfdafa9f52009148,
+                0x3ff0f0b50074844d,
+                0x400788bb3c8b815f,
+                0x3ffcbfb16252b8a4,
+            ],
+            &[
+                0xbfd775a9f2d2455c,
+                0x3fe8d9afd1b56d8a,
+                0x4006f22d5cb5bb0c,
+                0x3ffbc0060dcb7b75,
+            ],
+        ],
+        ground_truth: 15,
+        reduction: (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 0x3ff0000000000000),
+        depth: Some((10, 21, 6)),
+    },
+    Pin {
+        case: (11, 104, 2, CircuitReduction::None, 5, 4),
+        values: [
+            0x402c48012db4dbb0,
+            0x402fc7847c5d7438,
+            0x402e53cb55a2c334,
+            0x4029ba3bd2804d98,
+        ],
+        params: [
+            &[
+                0x4016bf3eaf58839d,
+                0x400608b36aba0a27,
+                0x40070201c1055a5c,
+                0x3ff8d7d57e637042,
+            ],
+            &[
+                0x401788d848f21d37,
+                0x4003abe69ded3d59,
+                0x40058534f4388d90,
+                0x3ff41e3be4c9d6a8,
+            ],
+        ],
+        ground_truth: 19,
+        reduction: (&[0, 2, 3, 4, 5, 7, 8, 9], 0x3fecb21642c8590b),
+        depth: None,
+    },
+    Pin {
+        case: (12, 105, 1, CircuitReduction::Depth, 0, 5),
+        values: [
+            0x40328ca096c56461,
+            0x40328ca097d789a8,
+            0x40328ca0974e7704,
+            0x40328ca096c56461,
+        ],
+        params: [
+            &[0x3fdaf5871919c78e, 0x3ffe2f2dbdc47468],
+            &[0x3fdaf5871919c78e, 0x3ffe2f2dbdc47468],
+        ],
+        ground_truth: 23,
+        reduction: (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0x3ff0000000000000),
+        depth: Some((12, 31, 8)),
+    },
+    Pin {
+        case: (10, 106, 2, CircuitReduction::NodeAndDepth, 30, 6),
+        values: [
+            0x4026f10b20b148d4,
+            0x4027a7a3867fc2ed,
+            0x402599fb0ef4bcc0,
+            0x402690d54c9a2681,
+        ],
+        params: [
+            &[
+                0x4006462c4d398928,
+                0x401017148574c6a0,
+                0x400a260f8050d5b7,
+                0x3ffe767d3aef6704,
+            ],
+            &[
+                0x400763699869142e,
+                0x400ef36ddcbb212e,
+                0x4007c3e7e488dd3b,
+                0x3ffdfbae89a98b47,
+            ],
+        ],
+        ground_truth: 15,
+        reduction: (&[0, 1, 2, 3, 4, 5, 9], 0x3fee79e79e79e79e),
+        depth: Some((7, 12, 5)),
+    },
+    Pin {
+        case: (9, 107, 1, CircuitReduction::None, 30, 7),
+        values: [
+            0x40211b638c110850,
+            0x40211b638c1cb2c4,
+            0x401fb42ccccf1b3c,
+            0x4021134647bf372e,
+        ],
+        params: [
+            &[0x3fe2aa3ad8ec005b, 0x3ffeca48bf4d73c8],
+            &[0x3fe4327e4e2ce8fc, 0x3ffeffeb9d683366],
+        ],
+        ground_truth: 11,
+        reduction: (&[0, 1, 2, 3, 4, 5], 0x3fed89d89d89d89d),
+        depth: None,
+    },
+    Pin {
+        case: (12, 108, 2, CircuitReduction::NodeAndDepth, 0, 8),
+        values: [
+            0x402fda34dcfb5f90,
+            0x402f6233316bce64,
+            0x402c425d716bc455,
+            0x402fda34dcfb5f90,
+        ],
+        params: [
+            &[
+                0x4017b77fabed3b76,
+                0x4015f061dafe4608,
+                0x3ff2b80eacef99ce,
+                0xbfcb7afad19c3737,
+            ],
+            &[
+                0x4017b77fabed3b76,
+                0x4015f061dafe4608,
+                0x3ff2b80eacef99ce,
+                0xbfcb7afad19c3737,
+            ],
+        ],
+        ground_truth: 18,
+        reduction: (&[0, 2, 3, 4, 6, 9, 10, 11], 0x3ff0000000000000),
+        depth: Some((8, 16, 5)),
+    },
+];
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn refined_optimize_jobs_reproduce_the_pinned_pipeline_bits() {
+    for (i, pin) in PINS.iter().enumerate() {
+        let (nodes, graph_seed, layers, circuit, refine_iters, job_seed) = pin.case;
+        let graph = connected_gnp(nodes, 0.4, &mut seeded(graph_seed)).unwrap();
+        let job = OptimizeJob::new(graph.clone())
+            .with_layers(layers)
+            .with_restarts(2)
+            .with_max_iters(30)
+            .with_circuit(circuit)
+            .with_refine_iters(refine_iters);
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let output = engine.run(&Job::Optimize(job), job_seed).unwrap();
+        let report = output.as_optimize().unwrap();
+        let transfer = &report.transfer;
+        let transferred = &transfer.surrogate.best_params;
+        let refined = transfer.refined.as_ref();
+        assert_eq!(refined.is_some(), refine_iters > 0, "pin {i}");
+        let refined = refined.map_or((transfer.transferred_value, transferred), |run| {
+            (run.value, &run.params)
+        });
+        let values = [
+            refined.0,
+            transfer.native.best_value,
+            transfer.native_average,
+            transfer.transferred_value,
+        ];
+        assert_eq!(values.map(f64::to_bits), pin.values, "pin {i}");
+        let params = [bits(&refined.1.to_flat()), bits(&transferred.to_flat())];
+        assert_eq!(params, pin.params.map(<[u64]>::to_vec), "pin {i}");
+        assert_eq!(report.ground_truth, Some(pin.ground_truth), "pin {i}");
+        let reduction = &report.reduction;
+        let kept = (
+            reduction.subgraph.nodes.as_slice(),
+            reduction.and_ratio.to_bits(),
+        );
+        assert_eq!(kept, pin.reduction, "pin {i}");
+        let depth = report
+            .depth
+            .map(|d| (d.qubits, d.scheduled_terms, d.rounds));
+        assert_eq!(depth, pin.depth, "pin {i}");
+        // Only depth modes compile metrics, for the graph the session ran
+        // on; depth-only mode runs on the identity reduction, unannealed.
+        assert_eq!(report.depth.is_some(), circuit.wants_depth(), "pin {i}");
+        if let Some(metrics) = report.depth {
+            assert!(metrics.meets_vizing_bound(), "pin {i}");
+            assert_eq!(metrics.scheduled_terms, reduction.graph().edge_count());
+        }
+        if circuit == CircuitReduction::Depth {
+            assert_eq!(reduction.graph(), &graph, "pin {i}");
+            assert_eq!(engine.cache_stats().misses, 0, "pin {i}");
+        }
     }
 }

@@ -396,7 +396,6 @@ proptest! {
                 restarts: 1,
                 max_iters: 10,
             },
-            refine_iters: 5,
             circuit: CircuitReduction::NodeAndDepth,
         };
         let jobs = vec![
@@ -510,7 +509,6 @@ fn noisy_pipeline_is_thread_count_invariant() {
             restarts: 2,
             max_iters: 25,
         },
-        refine_iters: 10,
         circuit: CircuitReduction::None,
     };
     let noise = qsim::devices::fake_toronto().noise;
@@ -547,22 +545,17 @@ fn engine_run_batch_is_thread_count_invariant() {
     let graphs: Vec<_> = (0..3)
         .map(|i| connected_gnp(9 + i, 0.45, &mut seeded(derive_seed(33, i as u64))).unwrap())
         .collect();
-    let pipeline_options = PipelineOptions {
-        layers: 1,
-        reduction: ReductionOptions::default(),
-        optimize: qaoa::optimize::OptimizeOptions {
-            restarts: 1,
-            max_iters: 10,
-        },
-        refine_iters: 5,
-        circuit: CircuitReduction::None,
-    };
     let jobs = vec![
         Job::Reduce(ReduceJob::new(graphs[0].clone())),
         Job::Throughput(ThroughputJob::new(graphs[1].clone(), 27, 1)),
         Job::Landscape(LandscapeJob::new(graphs[2].clone(), 4)),
         Job::Reduce(ReduceJob::new(graphs[0].clone())), // duplicate: cache path
-        Job::Pipeline(PipelineJob::new(graphs[0].clone()).with_options(pipeline_options)),
+        Job::Optimize(
+            OptimizeJob::new(graphs[0].clone())
+                .with_restarts(1)
+                .with_max_iters(10)
+                .with_refine_iters(5),
+        ),
         Job::Landscape(LandscapeJob::new(graphs[2].clone(), 4).reduced()),
     ];
     let run = |threads: usize| {
@@ -591,9 +584,15 @@ fn engine_run_batch_is_thread_count_invariant() {
                 (JobOutput::Throughput(x), JobOutput::Throughput(y)) => {
                     assert_eq!(x.to_bits(), y.to_bits());
                 }
-                (JobOutput::Pipeline(x), JobOutput::Pipeline(y)) => {
-                    assert_eq!(x.final_value.to_bits(), y.final_value.to_bits());
-                    assert_eq!(x.baseline_value.to_bits(), y.baseline_value.to_bits());
+                (JobOutput::Optimize(x), JobOutput::Optimize(y)) => {
+                    let xr = x.transfer.refined.as_ref().expect("refine step ran");
+                    let yr = y.transfer.refined.as_ref().expect("refine step ran");
+                    assert_eq!(xr.value.to_bits(), yr.value.to_bits());
+                    assert_eq!(bits(&xr.params.to_flat()), bits(&yr.params.to_flat()));
+                    assert_eq!(
+                        x.transfer.native.best_value.to_bits(),
+                        y.transfer.native.best_value.to_bits()
+                    );
                 }
                 _ => {}
             }

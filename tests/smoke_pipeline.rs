@@ -47,7 +47,6 @@ fn full_pipeline_smoke_on_small_er_graph() {
             restarts: 1,
             max_iters: 25,
         },
-        refine_iters: 10,
         circuit: CircuitReduction::None,
     };
     let noise = fake_toronto().noise;
