@@ -31,7 +31,10 @@
 #      reduction smoke emits BENCH_reduction.json (SA moves/sec,
 #      incremental-vs-rebuild move evaluation, reduce_pool graphs/sec),
 #      the engine smoke emits BENCH_engine.json (batch jobs/sec cold vs
-#      warm reduction cache), the optimize smoke emits BENCH_optimize.json
+#      warm reduction cache, plus a mode-comparison batch: one graph's
+#      landscape in three circuit modes, full and reduced, whose repeated
+#      scans run once, each output gated equal to a one-shot Engine::run
+#      and the batch to one cache lookup), the optimize smoke emits BENCH_optimize.json
 #      (end-to-end session latency, reduced-vs-baseline ratio gated at
 #      >= 0.95, full-graph-equivalent cost ratio, evaluations-to-target),
 #      the qsim smoke emits BENCH_qsim.json (gate-ops/sec of the scalar

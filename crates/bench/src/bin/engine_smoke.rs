@@ -25,6 +25,12 @@
 //! - **Persistence**: an engine with `persist_path` writes its reductions to
 //!   a tmpfile; a second engine reopening that file must start warm — every
 //!   request a hit, outputs bitwise-identical to the writer's.
+//! - **Mode comparison**: one graph's landscape scanned in the three circuit
+//!   modes, full and reduced, as one batch of six jobs. Depth modes cannot
+//!   change an ideal scan and `Depth` scans the graph itself, so the batch
+//!   holds two distinct scans and runs each once. Gates: every output
+//!   equals a one-shot `Engine::run` of its job on a fresh engine, and the
+//!   batch makes one reduction-cache lookup (its repeats make none).
 //!
 //! Results are written to `BENCH_engine.json` so the repository's perf
 //! trajectory records batch jobs/sec with and without a hot cache.
@@ -32,7 +38,9 @@
 //! Usage: `engine_smoke [output.json]` (default `BENCH_engine.json`).
 
 use bench::bench_graph;
-use red_qaoa::engine::{Engine, Job, ReduceJob, ThroughputJob};
+use red_qaoa::engine::{Engine, Job, LandscapeJob, ReduceJob, ThroughputJob};
+use red_qaoa::pipeline::CircuitReduction;
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Distinct graphs cycled through by the sustained-load stream.
@@ -86,6 +94,65 @@ fn sustained_stream() -> (Vec<f64>, Vec<f64>, Vec<f64>, f64) {
     }
     let final_rate = engine.cache_stats().hit_rate();
     (cold, warm, trajectory, final_rate)
+}
+
+/// Nodes of the mode-comparison graph.
+const MODE_NODES: usize = 14;
+/// Grid width of the mode-comparison scans.
+const MODE_WIDTH: usize = 7;
+
+/// The mode-comparison batch on a fresh engine. Returns (jobs, distinct
+/// scans among the outputs, batch ms).
+fn mode_batch() -> (usize, usize, f64) {
+    let engine = || {
+        Engine::builder()
+            .threads(1)
+            .build()
+            .expect("default engine config")
+    };
+    let graph = bench_graph(MODE_NODES, 9000);
+    let modes = [
+        CircuitReduction::None,
+        CircuitReduction::NodeAndDepth,
+        CircuitReduction::Depth,
+    ];
+    let jobs: Vec<Job> = modes
+        .into_iter()
+        .flat_map(|mode| {
+            let full = LandscapeJob::new(graph.clone(), MODE_WIDTH).with_circuit(mode);
+            [Job::Landscape(full.clone()), Job::Landscape(full.reduced())]
+        })
+        .collect();
+    let batch_engine = engine();
+    let start = Instant::now();
+    let batch = batch_engine.run_batch(&jobs, SMOKE_SEED);
+    let batch_ms = start.elapsed().as_secs_f64() * 1e3;
+    let mut scans = HashSet::new();
+    for (i, (job, output)) in jobs.iter().zip(&batch).enumerate() {
+        let output = output.as_ref().expect("mode-comparison scan succeeds");
+        let alone = engine()
+            .run(job, SMOKE_SEED)
+            .expect("one-shot scan succeeds");
+        assert_eq!(
+            *output, alone,
+            "mode-comparison job {i}: a batch must return what the job returns alone"
+        );
+        let landscape = output.as_landscape().expect("landscape output");
+        scans.insert(
+            landscape
+                .values
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+        );
+    }
+    let stats = batch_engine.cache_stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        1,
+        "the mode-comparison batch looks its reduction up once: {stats:?}"
+    );
+    (jobs.len(), scans.len(), batch_ms)
 }
 
 /// Distinct graphs in the pool.
@@ -249,6 +316,9 @@ fn main() {
         "reductions served from disk must be bitwise-identical"
     );
 
+    // --- Mode comparison: repeated scans in one batch run once. -------------
+    let (mode_batch_jobs, mode_batch_distinct_scans, mode_batch_ms) = mode_batch();
+
     let trajectory_json = trajectory
         .iter()
         .map(|r| format!("{r:.4}"))
@@ -285,7 +355,10 @@ fn main() {
             "  \"sustained_final_hit_rate\": {:.4},\n",
             "  \"persist_reopen_entries\": {},\n",
             "  \"persist_reopen_hits\": {},\n",
-            "  \"persist_outputs_identical\": true\n",
+            "  \"persist_outputs_identical\": true,\n",
+            "  \"mode_batch_jobs\": {},\n",
+            "  \"mode_batch_distinct_scans\": {},\n",
+            "  \"mode_batch_ms\": {:.3}\n",
             "}}\n"
         ),
         cores,
@@ -310,6 +383,9 @@ fn main() {
         final_hit_rate,
         persist_reopen_entries,
         persist_reopen_hits,
+        mode_batch_jobs,
+        mode_batch_distinct_scans,
+        mode_batch_ms,
     );
     std::fs::write(&output, &json).expect("write benchmark record");
     print!("{json}");

@@ -36,6 +36,10 @@ use std::sync::{Arc, Mutex};
 /// counters are telemetry for the benches, not part of the determinism
 /// contract.
 ///
+/// A [`LandscapeJob`](super::LandscapeJob) that repeats an earlier scan of
+/// its batch copies that scan's output and makes no lookup, so it counts as
+/// neither a hit nor a miss (see [`Engine::run_batch`](super::Engine::run_batch)).
+///
 /// `hits` and `misses` are **cumulative over the engine's lifetime**:
 /// [`Engine::clear_cache`](super::Engine::clear_cache) resets `entries` and
 /// `bytes` to zero but deliberately keeps both counters, so a long-running
@@ -76,17 +80,23 @@ impl CacheStats {
     }
 }
 
+/// The bit patterns of every reduction option, one `u64` word each.
+pub(super) type OptionWords = [u64; 14];
+
 /// Content-addressed cache key: the full graph (node count + sorted edge
 /// list, which `Graph::edges` yields canonically) and the bit patterns of
 /// every reduction option. Storing the full key rather than a digest makes
 /// collisions impossible; graphs at Red-QAOA scale are a few hundred edges.
 /// Endpoints are held as `u32` (8 bytes an edge instead of 16); the content
-/// hash and the persisted key still widen each one to a `u64` word.
+/// hash and the persisted key still widen each one to a `u64` word. The
+/// option words sit behind an `Arc` so the keys a cache holds share one
+/// allocation per option set (see [`ShardedReductionCache::insert`]);
+/// `Hash` and `Eq` see only the words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(super) struct CacheKey {
     pub(super) nodes: usize,
     pub(super) edges: Vec<(u32, u32)>,
-    pub(super) option_bits: [u64; 14],
+    pub(super) option_bits: Arc<OptionWords>,
 }
 
 impl CacheKey {
@@ -109,7 +119,7 @@ impl CacheKey {
                 .into_iter()
                 .map(|(u, v)| (endpoint(u), endpoint(v)))
                 .collect(),
-            option_bits: [
+            option_bits: Arc::new([
                 options.and_ratio_threshold.to_bits(),
                 options.sa_runs as u64,
                 options.min_size as u64,
@@ -124,7 +134,7 @@ impl CacheKey {
                 options.sa.boost_divisor.to_bits(),
                 options.warm_auto_min_nodes as u64,
                 options.warm_temp_fraction.to_bits(),
-            ],
+            ]),
         }
     }
 
@@ -170,7 +180,7 @@ impl CacheKey {
             eat(u64::from(u));
             eat(u64::from(v));
         }
-        for &word in &self.option_bits {
+        for &word in self.option_bits.iter() {
             eat(word);
         }
         hash
@@ -342,7 +352,16 @@ pub(super) struct ShardedReductionCache {
     shards: Vec<Mutex<Shard>>,
     /// Monotone insertion tick shared by all shards (eviction tie-breaker).
     sequence: AtomicU64,
+    /// The distinct option sets of inserted keys, at most
+    /// [`MAX_SHARED_OPTION_SETS`]; every inserted key shares its set's
+    /// allocation.
+    option_sets: Mutex<Vec<Arc<OptionWords>>>,
 }
+
+/// How many distinct option sets one cache shares. An engine almost always
+/// serves one; per-job options beyond this bound keep their own copy, so no
+/// stream of requests can grow the set list without limit.
+const MAX_SHARED_OPTION_SETS: usize = 16;
 
 impl ShardedReductionCache {
     /// A cache of `capacity` total entries spread over (up to) `shards`
@@ -366,6 +385,7 @@ impl ShardedReductionCache {
             capacity,
             shards,
             sequence: AtomicU64::new(0),
+            option_sets: Mutex::default(),
         }
     }
 
@@ -395,11 +415,15 @@ impl ShardedReductionCache {
 
     /// Inserts `key → value` with recompute-cost estimate `cost`, evicting
     /// the shard's cheapest entries (lowest cost-per-byte) on overflow.
+    /// The stored key's option words are replaced by the equal words of an
+    /// earlier insert, so the cache holds one copy per option set, whether
+    /// the key came from a request or from the persistent store.
     /// A no-op when the cache is disabled (`capacity == 0`).
-    pub(super) fn insert(&self, key: CacheKey, hash: u64, value: &ReducedGraph, cost: f64) {
+    pub(super) fn insert(&self, mut key: CacheKey, hash: u64, value: &ReducedGraph, cost: f64) {
         if self.capacity == 0 {
             return;
         }
+        key.option_bits = self.share_option_words(key.option_bits);
         let entry = CacheEntry {
             bytes: value.approx_heap_bytes(),
             value: Arc::new(CachedReduction::new(value)),
@@ -408,6 +432,19 @@ impl ShardedReductionCache {
         };
         let mut shard = self.shard(hash).lock().expect("cache shard mutex");
         shard.insert(key, entry);
+    }
+
+    /// The cache's shared copy of `words`, recording `words` as the shared
+    /// copy when the set is new and the bound allows.
+    fn share_option_words(&self, words: Arc<OptionWords>) -> Arc<OptionWords> {
+        let mut sets = self.option_sets.lock().expect("option sets mutex");
+        if let Some(shared) = sets.iter().find(|shared| **shared == words) {
+            return Arc::clone(shared);
+        }
+        if sets.len() < MAX_SHARED_OPTION_SETS {
+            sets.push(Arc::clone(&words));
+        }
+        words
     }
 
     /// Current `(entries, bytes)` totals across all shards.
@@ -577,6 +614,40 @@ mod tests {
             cache.insert(k.clone(), k.content_hash(), &value(n), 1.0);
             assert!(cache.totals().0 <= 5);
         }
+    }
+
+    #[test]
+    fn cached_keys_share_one_copy_per_option_set() {
+        let cache = ShardedReductionCache::new(8, 1);
+        let strict = ReductionOptions {
+            and_ratio_threshold: 0.9,
+            ..ReductionOptions::default()
+        };
+        let keys = [
+            key(5),
+            key(6),
+            CacheKey::new(&cycle(7).unwrap(), &strict),
+            CacheKey::new(&cycle(8).unwrap(), &strict),
+        ];
+        for k in &keys {
+            assert_eq!(
+                Arc::strong_count(&k.option_bits),
+                1,
+                "fresh keys own their words"
+            );
+            cache.insert(k.clone(), k.content_hash(), &value(5), 1.0);
+        }
+        let shard = cache.shards[0].lock().unwrap();
+        let stored = |k: &CacheKey| {
+            let (stored, _) = shard.entries.get_key_value(k).unwrap();
+            Arc::clone(&stored.option_bits)
+        };
+        let (default, strict) = (stored(&keys[0]), stored(&keys[2]));
+        assert!(Arc::ptr_eq(&default, &stored(&keys[1])));
+        assert!(Arc::ptr_eq(&strict, &stored(&keys[3])));
+        assert!(!Arc::ptr_eq(&default, &strict));
+        // Sharing changes no key: each still finds its own entry.
+        assert!(keys.iter().all(|k| shard.entries.contains_key(k)));
     }
 
     #[test]

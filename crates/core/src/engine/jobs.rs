@@ -102,6 +102,11 @@ impl PipelineJob {
 /// evaluated with an [`AutoEvaluator`] (exact statevector, analytic `p = 1`
 /// or edge-local, chosen from the graph size) — optionally on the graph's
 /// cached reduction instead of the graph itself.
+///
+/// Identical scans in one [`Engine::run_batch`] run once: a job with the
+/// same graph content, width, and choice of graph or reduction as an
+/// earlier job of its batch gets a copy of that job's output and makes no
+/// cache lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LandscapeJob {
     /// The graph whose landscape is scanned.
@@ -548,12 +553,9 @@ pub(super) fn execute(
                     "must be at least 1",
                 ));
             }
-            let circuit = job
-                .circuit
-                .unwrap_or_else(|| engine.pipeline_options().circuit);
             // In depth-only mode `reduce_first` scans the graph itself (the
             // identity reduction) — no annealing, no cache traffic.
-            let reduction = if job.reduce_first && circuit.wants_node_reduction() {
+            let reduction = if scans_reduction(engine, job) {
                 Some(engine.reduce_cached(&job.graph, engine.reduction_options())?)
             } else {
                 None
@@ -636,6 +638,29 @@ pub(super) fn execute(
                 depth,
             })))
         }
+    }
+}
+
+/// Whether a landscape job scans the graph's cached reduction: it asks for
+/// one and its circuit mode (the engine's default when unset) reduces
+/// nodes. A [`CircuitReduction::Depth`] job scans the graph itself.
+fn scans_reduction(engine: &Engine, job: &LandscapeJob) -> bool {
+    let circuit = job
+        .circuit
+        .unwrap_or_else(|| engine.pipeline_options().circuit);
+    job.reduce_first && circuit.wants_node_reduction()
+}
+
+/// The scan a [`LandscapeJob`] runs, as `(graph, width, scans the
+/// reduction)`; `None` for every other job kind. A scan reads nothing else:
+/// not the job's seed (the grid is fixed), nor its circuit mode beyond
+/// [`scans_reduction`] (every mode evaluates with the same
+/// [`AutoEvaluator`]). So two jobs of one engine with equal keys return
+/// equal outputs, bit for bit, or the same error.
+pub(super) fn scan_key<'a>(engine: &Engine, job: &'a Job) -> Option<(&'a Graph, usize, bool)> {
+    match job {
+        Job::Landscape(job) => Some((&job.graph, job.width, scans_reduction(engine, job))),
+        _ => None,
     }
 }
 

@@ -84,11 +84,12 @@ use crate::reduction::{reduce, ReducedGraph, ReductionOptions};
 use crate::RedQaoaError;
 use cache::{anneal_cost, CacheKey, ShardedReductionCache};
 use graphlib::Graph;
-use jobs::execute;
+use jobs::{execute, scan_key};
 use mathkit::parallel::{current_threads, parallel_map_two_level, with_threads};
 use mathkit::rng::{derive_seed, seeded};
 use persist::PersistentStore;
 use qsim::noise::NoiseModel;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default seed of the engine's content-addressed reduction substreams.
@@ -190,7 +191,14 @@ impl Engine {
     /// Job `i` runs on the RNG substream `derive_seed(seed, i)` and failures
     /// are reported per job as [`RedQaoaError::Job`] (carrying the index)
     /// rather than aborting the batch. Reductions are shared through the
-    /// cache: repeated (graph, options) pairs anneal once.
+    /// cache: repeated (graph, options) pairs anneal once. Identical
+    /// landscape scans run once: a [`LandscapeJob`] with the same graph
+    /// content, width, and choice of graph or cached reduction as an
+    /// earlier job of the batch (depth modes do not change a scan, and a
+    /// [`CircuitReduction::Depth`](crate::pipeline::CircuitReduction::Depth)
+    /// `.reduced()` job scans the graph itself) costs nothing in the
+    /// scheduler, makes no cache lookup, and returns a clone of that job's
+    /// output, or its error wrapped with the repeat's own index.
     ///
     /// **Determinism:** results are bitwise-identical for every
     /// `RED_QAOA_THREADS` value. Each job's work is a pure function of its
@@ -198,24 +206,45 @@ impl Engine {
     /// function of content (see [`DEFAULT_REDUCTION_SEED`]); and the
     /// scheduler only decides *where* a job runs, never what it computes —
     /// so neither lane placement nor the race for who computes a shared
-    /// reduction first can change any output. The full contract lives in
-    /// `docs/determinism.md`.
+    /// reduction first can change any output. A copied scan is the bits
+    /// the repeat would have computed: a scan reads no substream. The full
+    /// contract lives in `docs/determinism.md`.
     pub fn run_batch(&self, jobs: &[Job], seed: u64) -> Vec<Result<JobOutput, RedQaoaError>> {
         self.with_thread_policy(|| {
+            let repeats = repeated_scans(self, jobs);
             let costs: Vec<f64> = jobs
                 .iter()
-                .map(|job| scheduler::estimate_cost(self, job))
+                .zip(&repeats)
+                .map(|(job, repeat)| match repeat {
+                    Some(_) => 0.0,
+                    None => scheduler::estimate_cost(self, job),
+                })
                 .collect();
             let exclusive = scheduler::exclusive_indices(&costs, current_threads());
-            parallel_map_two_level(
+            let ran = parallel_map_two_level(
                 jobs.len(),
                 &exclusive,
                 || (),
                 |_, i| {
-                    execute(self, &jobs[i], derive_seed(seed, i as u64))
-                        .map_err(|e| RedQaoaError::for_job(i, e))
+                    repeats[i]
+                        .is_none()
+                        .then(|| execute(self, &jobs[i], derive_seed(seed, i as u64)))
                 },
-            )
+            );
+            let mut results: Vec<Result<JobOutput, RedQaoaError>> = Vec::with_capacity(jobs.len());
+            for (ran, repeat) in ran.into_iter().zip(repeats) {
+                // A repeat's first job precedes it, so its result is in.
+                let result = match repeat {
+                    Some(first) => results[first].clone(),
+                    None => ran.expect("a job that repeats no scan runs"),
+                };
+                results.push(result);
+            }
+            results
+                .into_iter()
+                .enumerate()
+                .map(|(i, result)| result.map_err(|e| RedQaoaError::for_job(i, e)))
+                .collect()
         })
     }
 
@@ -291,6 +320,27 @@ impl Engine {
         self.cache.insert(key, hash, &reduced, cost);
         Ok(reduced)
     }
+}
+
+/// For each job of a batch, the index of the first earlier job that runs
+/// the same landscape scan ([`jobs::scan_key`]), if there is one. Keys are
+/// grouped by hash, so a batch of `k` scans costs `k` graph hashes, not
+/// `k²` comparisons.
+fn repeated_scans(engine: &Engine, jobs: &[Job]) -> Vec<Option<usize>> {
+    let mut first_of = HashMap::new();
+    jobs.iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let key = scan_key(engine, job)?;
+            match first_of.entry(key) {
+                Entry::Occupied(first) => Some(*first.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    None
+                }
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use graphlib::Graph;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// File magic: "Red-Qaoa Persistent Store".
 const MAGIC: [u8; 4] = *b"RQPS";
@@ -210,7 +210,7 @@ fn encode_key(key: &CacheKey) -> Vec<u8> {
         out.extend_from_slice(&u64::from(u).to_le_bytes());
         out.extend_from_slice(&u64::from(v).to_le_bytes());
     }
-    for &word in &key.option_bits {
+    for &word in key.option_bits.iter() {
         out.extend_from_slice(&word.to_le_bytes());
     }
     out
@@ -245,10 +245,10 @@ fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     for word in &mut option_bits {
         *word = cursor.u64()?;
     }
-    cursor.finished().then_some(CacheKey {
+    cursor.finished().then(|| CacheKey {
         nodes,
         edges,
-        option_bits,
+        option_bits: Arc::new(option_bits),
     })
 }
 
@@ -702,7 +702,7 @@ mod tests {
     fn key_endpoints_outside_the_key_are_corrupt() {
         // A one-edge key section over `nodes` nodes, with the sample's
         // option words.
-        let options = sample().0.option_bits;
+        let options = *sample().0.option_bits;
         let raw_key = |nodes: u64, (u, v): (u64, u64)| {
             let mut out = Vec::new();
             for word in [nodes, 1, u, v].into_iter().chain(options) {

@@ -34,6 +34,9 @@ use qaoa::optimize::paper_restarts;
 ///   baseline);
 /// * optimize — `restarts × max_iters` for both sessions, plus
 ///   `refine_iters` for the refine step.
+///
+/// A landscape job that repeats an earlier scan of its batch is not
+/// estimated: it runs nothing, so `Engine::run_batch` charges it `0`.
 pub(super) fn estimate_cost(engine: &Engine, job: &Job) -> f64 {
     match job {
         Job::Reduce(job) => job.graph.node_count() as f64,

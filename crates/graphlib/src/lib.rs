@@ -71,8 +71,10 @@ impl std::error::Error for GraphError {}
 ///
 /// Each node's neighbors are kept as a sorted, duplicate-free `Vec`: one
 /// small allocation per node instead of a tree node, which matters for the
-/// many small reduced graphs a long-lived engine caches.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// many small reduced graphs a long-lived engine caches. Sorted lists make
+/// the representation canonical, so equal edge sets compare and hash equal
+/// whatever order their edges were added in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Graph {
     node_count: usize,
     adjacency: Vec<Vec<usize>>,

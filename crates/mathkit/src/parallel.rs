@@ -74,22 +74,24 @@ pub fn current_threads() -> usize {
         return n.max(1);
     }
     // Cached once per process: nothing in the workspace mutates the
-    // environment, and re-reading `env::var` here would allocate a `String`
-    // on every call — the hot evaluation paths promise zero steady-state
-    // allocations (`tests/allocation_steady_state.rs`).
-    static THREADS_FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let from_env = *THREADS_FROM_ENV.get_or_init(|| {
+    // environment, re-reading `env::var` would allocate a `String`, and
+    // `available_parallelism` reads the cgroup CPU limits (several
+    // allocations and file reads) on every call — the hot evaluation paths
+    // promise zero steady-state allocations
+    // (`tests/allocation_steady_state.rs`). Thread counts never change an
+    // output, so a limit changed later cannot either.
+    static DEFAULT_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *DEFAULT_THREADS.get_or_init(|| {
         std::env::var(THREADS_ENV)
             .ok()
             .and_then(|raw| raw.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
-    });
-    if let Some(n) = from_env {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// `true` while called from inside a [`parallel_map_indexed`] worker.

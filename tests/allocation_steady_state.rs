@@ -30,7 +30,7 @@ use std::cell::Cell;
 
 use graphlib::generators::connected_gnp;
 use graphlib::Graph;
-use mathkit::parallel::with_threads;
+use mathkit::parallel::{current_threads, with_threads};
 use mathkit::rng::seeded;
 use qaoa::circuit::qaoa_circuit;
 use qaoa::depth::{compile_maxcut, scheduled_qaoa_circuit};
@@ -354,6 +354,16 @@ fn hot_paths_allocate_nothing_in_steady_state() {
             "noisy_expectation_seeded"
         );
     });
+
+    // --- the worker-thread count --------------------------------------------
+    // Every parallel map asks for it. Outside any `with_threads` scope it
+    // falls back to RED_QAOA_THREADS or the machine's parallelism, which is
+    // resolved once per process (the cgroup read allocates).
+    current_threads(); // warm
+    let allocs = allocations_during(|| {
+        std::hint::black_box(current_threads());
+    });
+    assert_eq!(allocs, 0, "current_threads allocated outside with_threads");
 
     // Sanity check that the counter actually counts: a fresh Vec push must
     // register at least one allocation, or every assertion above is vacuous.

@@ -19,6 +19,8 @@ use red_qaoa::pipeline::PipelineOptions;
 use red_qaoa::reduction::{reduce, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
+mod common;
+
 fn test_graph(seed: u64) -> graphlib::Graph {
     connected_gnp(10, 0.4, &mut seeded(seed)).unwrap()
 }
@@ -367,6 +369,39 @@ fn depth_mode_landscapes_equal_legacy_scans_bitwise() {
             );
         }
     }
+}
+
+#[test]
+fn repeated_scans_in_a_batch_match_one_shot_runs() {
+    // A batch runs each distinct scan once and copies it to the jobs that
+    // repeat it; every job must still get what it gets alone.
+    let jobs = common::repeated_scan_batch();
+    let engine = Engine::builder().build().unwrap();
+    let batch = engine.run_batch(&jobs, 17);
+    let mut failures = 0;
+    for (i, (job, result)) in jobs.iter().zip(&batch).enumerate() {
+        let solo = Engine::builder().build().unwrap().run(job, 17);
+        match (result, solo) {
+            (Ok(output), Ok(solo)) => {
+                assert_eq!(*output, solo, "job {i}");
+                if let (Some(a), Some(b)) = (output.as_landscape(), solo.as_landscape()) {
+                    assert_eq!(bits(&a.values), bits(&b.values), "job {i}");
+                }
+            }
+            (Err(RedQaoaError::Job { index, source }), Err(solo)) => {
+                assert_eq!(*index, i);
+                assert_eq!(**source, solo, "job {i}");
+                failures += 1;
+            }
+            (result, solo) => panic!("job {i}: batch {result:?}, one-shot {solo:?}"),
+        }
+    }
+    assert_eq!(failures, 2, "both edgeless scans fail");
+    // One lookup per distinct reduced scan (widths 3 and 5) plus the
+    // ReduceJob; repeats and the depth-only reduced scans make none.
+    let stats = engine.cache_stats();
+    assert_eq!(stats.hits + stats.misses, 3, "{stats:?}");
+    assert_eq!(stats.entries, 1, "{stats:?}");
 }
 
 #[test]

@@ -27,6 +27,8 @@ use red_qaoa::mse::{ideal_sample_mse, noisy_grid_comparison};
 use red_qaoa::pipeline::{run_noisy, CircuitReduction, PipelineOptions};
 use red_qaoa::reduction::{reduce_pool, ReductionOptions, WarmDecision, WarmStart};
 
+mod common;
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -596,6 +598,34 @@ fn engine_run_batch_is_thread_count_invariant() {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+/// Repeated scans run once per batch whatever the thread count: the batch
+/// that copies scans between jobs is bitwise identical for 1, 2 and 4
+/// workers, failures included.
+#[test]
+fn repeated_scan_batches_are_thread_count_invariant() {
+    let jobs = common::repeated_scan_batch();
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let engine = Engine::builder().build().unwrap();
+            engine.run_batch(&jobs, 5)
+        })
+    };
+    let reference = run(1);
+    for threads in THREAD_COUNTS {
+        let batch = run(threads);
+        assert_eq!(reference, batch, "{threads} threads");
+        for (a, b) in reference.iter().zip(&batch) {
+            let scan = |r: &Result<JobOutput, _>| {
+                r.as_ref()
+                    .ok()
+                    .and_then(JobOutput::as_landscape)
+                    .map(|l| bits(&l.values))
+            };
+            assert_eq!(scan(a), scan(b), "{threads} threads");
         }
     }
 }
