@@ -25,24 +25,31 @@
 #      perfbench/Cargo.toml: perfbench is its own workspace, so tier 1 does
 #      not build it; this step makes a public-API change that breaks the
 #      benchmark crate fail here instead of at benchmark time.
-#   4. perf smoke             — the bench/ landscape smoke emits
-#      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
-#      graph, 4-thread speedup gated at >= 2x when cores > 1), the
-#      reduction smoke emits BENCH_reduction.json (SA moves/sec,
-#      incremental-vs-rebuild move evaluation, reduce_pool graphs/sec),
+#   4. perf smoke             — each gate names the exact-energy arm it
+#      measures: QaoaInstance::expectation_with is the chooser (the closed
+#      form at p = 1, the half-state statevector at p >= 2), and
+#      statevector_expectation_with is the statevector arm at every p.
+#      The landscape smoke emits BENCH_landscape.json (points/sec for a
+#      32x32 p = 1 grid on a 16-node graph through the statevector arm,
+#      4-thread speedup gated at >= 2x when cores > 1; the chooser's serial
+#      points/sec recorded without a gate), the reduction smoke emits
+#      BENCH_reduction.json (SA moves/sec, incremental-vs-rebuild move
+#      evaluation, reduce_pool graphs/sec; no energies),
 #      the engine smoke emits BENCH_engine.json (batch jobs/sec cold vs
 #      warm reduction cache, plus a mode-comparison batch: one graph's
 #      landscape in three circuit modes, full and reduced, whose repeated
 #      scans run once, each output gated equal to a one-shot Engine::run
-#      and the batch to one cache lookup), the optimize smoke emits BENCH_optimize.json
-#      (end-to-end session latency, reduced-vs-baseline ratio gated at
-#      >= 0.95, full-graph-equivalent cost ratio, evaluations-to-target),
+#      and the batch to one cache lookup; jobs evaluate through the
+#      chooser), the optimize smoke emits BENCH_optimize.json
+#      (end-to-end p = 1 sessions through the chooser: session latency,
+#      reduced-vs-baseline ratio gated at >= 0.95, full-graph-equivalent
+#      cost ratio, evaluations-to-target),
 #      the qsim smoke emits BENCH_qsim.json (gate-ops/sec of the scalar
 #      oracle's gate runner, statevector::reference::apply_circuit on a raw
 #      amplitude buffer, vs StateVector's vectorized kernels for 8-20
 #      qubits, bitwise cross-checked, 16-qubit speedup gated at >= 1.5x;
-#      ideal p = 1 and p = 2 QAOA points/sec at 12-16 qubits,
-#      expectation_with (half-state evolution) vs the full state with a
+#      ideal p = 1 and p = 2 QAOA points/sec at 12-16 qubits through the
+#      statevector arm (half-state evolution) vs the full state with a
 #      gate-by-gate Rx mixer, energies bitwise cross-checked at every
 #      point; the grouped mixer layer vs per-qubit Rx passes at
 #      12-16 qubits, amplitudes bitwise cross-checked, recorded without a
@@ -51,11 +58,12 @@
 #      trajectories with deferred diagonal work vs the
 #      renormalize-every-step oracle (qsim::trajectory::reference),
 #      distributions cross-checked within 1e-12, recorded without a gate;
-#      per-core landscape scaling gated at >= 2x when cores > 1), and the
-#      depth smoke emits BENCH_depth.json
+#      per-core landscape scaling through the statevector arm gated at
+#      >= 2x when cores > 1), and the depth smoke emits BENCH_depth.json
 #      (interaction-scheduler rounds gated at <= d+1 for d-regular graphs,
 #      two-qubit depth reduction vs naive emission gated at >= 2x, and the
-#      compound node+depth noisy MSE gated at <= the node-only MSE) so the
+#      compound node+depth noisy MSE gated at <= the node-only MSE; noisy
+#      trajectories, no exact arm) so the
 #      perf trajectory is recorded run-over-run.
 #   5. bench targets resolve  — cargo bench --no-run
 #   5b. examples run          — quickstart and engine_batch run in release,

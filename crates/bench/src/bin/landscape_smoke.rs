@@ -1,24 +1,29 @@
 //! CI perf smoke: points/sec of a 32×32 landscape grid on a 16-node graph.
 //!
-//! Runs the grid once with one worker thread and once with four, checks the
-//! two landscapes are bitwise-identical (the determinism contract of
-//! `mathkit::parallel`), and writes a `BENCH_landscape.json` record so the
-//! repository's performance trajectory is tracked run-over-run. On machines
-//! that actually have more than one core the four-thread run must be at
-//! least 2× faster than serial — the same gate `qsim_smoke` enforces.
+//! Runs the grid through the statevector arm of the exact-energy chooser
+//! (`QaoaInstance::statevector_expectation_with`) once with one worker
+//! thread and once with four, checks the two landscapes are
+//! bitwise-identical (the determinism contract of `mathkit::parallel`), and
+//! writes a `BENCH_landscape.json` record so the repository's performance
+//! trajectory is tracked run-over-run. On machines that actually have more
+//! than one core the four-thread run must be at least 2× faster than
+//! serial — the same gate `qsim_smoke` enforces. The grid is also timed
+//! serially through the chooser itself (`StatevectorEvaluator`, the closed
+//! form at `p = 1`) and recorded without a gate: each of its points is too
+//! little work for a thread-scaling gate to mean anything.
 //!
 //! Usage: `landscape_smoke [output.json]` (default `BENCH_landscape.json`).
 
-use bench::bench_graph;
+use bench::{bench_graph, StatevectorArm};
 use mathkit::parallel::with_threads;
-use qaoa::evaluator::StatevectorEvaluator;
+use qaoa::evaluator::{EnergyEvaluator, StatevectorEvaluator};
 use qaoa::landscape::Landscape;
 use std::time::Instant;
 
 const NODES: usize = 16;
 const WIDTH: usize = 32;
 
-fn timed_grid(evaluator: &StatevectorEvaluator, threads: usize) -> (Landscape, f64) {
+fn timed_grid<E: EnergyEvaluator + Sync>(evaluator: &E, threads: usize) -> (Landscape, f64) {
     let start = Instant::now();
     let landscape = with_threads(threads, || Landscape::evaluate(WIDTH, evaluator));
     (landscape, start.elapsed().as_secs_f64())
@@ -29,7 +34,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_landscape.json".to_string());
     let graph = bench_graph(NODES, 16);
-    let evaluator = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
+    let chooser = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
+    let evaluator = StatevectorArm(chooser.instance().clone());
     let points = WIDTH * WIDTH;
 
     let (serial, serial_secs) = timed_grid(&evaluator, 1);
@@ -43,6 +49,8 @@ fn main() {
         identical,
         "parallel landscape diverged from the serial reference"
     );
+
+    let (_, chooser_secs) = timed_grid(&chooser, 1);
 
     let serial_pps = points as f64 / serial_secs;
     let parallel_pps = points as f64 / parallel_secs;
@@ -69,6 +77,7 @@ fn main() {
             "  \"threads4_seconds\": {:.6},\n",
             "  \"threads4_points_per_sec\": {:.2},\n",
             "  \"speedup_4_threads\": {:.3},\n",
+            "  \"chooser_serial_points_per_sec\": {:.2},\n",
             "  \"bitwise_identical\": true\n",
             "}}\n"
         ),
@@ -81,6 +90,7 @@ fn main() {
         parallel_secs,
         parallel_pps,
         serial_secs / parallel_secs,
+        points as f64 / chooser_secs,
     );
     std::fs::write(&output, &json).expect("write benchmark record");
     print!("{json}");

@@ -19,7 +19,9 @@
 //!
 //! An ideal-QAOA section times the p = 1 and p = 2 energies the landscape
 //! and optimizer loops spend their time in, at 12, 14 and 16 qubits:
-//! points/sec through `QaoaInstance::expectation_with` (the half-state
+//! points/sec through `QaoaInstance::statevector_expectation_with` (the
+//! statevector arm of the exact-energy chooser, named so that p = 1 does not
+//! take the closed form: the half-state
 //! evolution: the `u8` cost-layer gathers with the uniform start folded in
 //! and the grouped structured `Rx` mixer layer, on the `2^(n−1)` amplitudes
 //! whose top qubit is clear) against the full `2^n` state with the same
@@ -42,20 +44,20 @@
 //! rows interrupt most cost-layer runs with Pauli errors and jumps, so the
 //! split-run gathers are timed and checked too. It is recorded, not gated.
 //!
-//! A per-core scaling section then times a 16-node landscape grid at one
-//! worker and at `min(4, cores)` workers; whenever the machine actually has
+//! A per-core scaling section then times a 16-node landscape grid through
+//! the same statevector arm at one worker and at `min(4, cores)` workers;
+//! whenever the machine actually has
 //! more than one core, the multi-thread run must be **≥ 2× faster** —
 //! finishing the ROADMAP's multi-core story with a real assertion instead
 //! of a recorded-but-unchecked ratio.
 //!
 //! Usage: `qsim_smoke [output.json]` (default `BENCH_qsim.json`).
 
-use bench::bench_graph;
+use bench::{bench_graph, StatevectorArm};
 use mathkit::parallel::with_threads;
 use mathkit::rng::seeded;
 use mathkit::Complex64;
 use qaoa::circuit::qaoa_circuit;
-use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::Landscape;
 use qaoa::params::QaoaParams;
@@ -133,7 +135,7 @@ fn qaoa_grid(layers: usize) -> Vec<QaoaParams> {
 }
 
 /// The full-state energy with the mixer applied gate by gate: the same
-/// cost layers as `expectation_with` (the first folded into the uniform
+/// cost layers as `statevector_expectation_with` (the first folded into the uniform
 /// start) on all `2^n` amplitudes, then `Gate::Rx(q, 2β)` on each qubit.
 fn gate_by_gate_energy(
     cost: &CostDiagonal,
@@ -293,8 +295,9 @@ fn main() {
                 QaoaInstance::new(&bench_graph(n, 16), layers).expect("bench graph is simulable");
             let cost = CostDiagonal::new(instance.cut_table().to_vec());
             let mut workspace = StatevectorWorkspace::with_qubits(n);
-            let (layer_secs, layer_bits) =
-                timed_grid(&grid, |p| instance.expectation_with(&mut workspace, p));
+            let (layer_secs, layer_bits) = timed_grid(&grid, |p| {
+                instance.statevector_expectation_with(&mut workspace, p)
+            });
             let (gates_secs, gates_bits) =
                 timed_grid(&grid, |p| gate_by_gate_energy(&cost, n, &mut workspace, p));
             assert_eq!(
@@ -308,7 +311,7 @@ fn main() {
                 concat!(
                     "    {{ \"layers\": {}, \"qubits\": {}, \"points\": {}, ",
                     "\"gate_by_gate_points_per_sec\": {:.1}, ",
-                    "\"expectation_with_points_per_sec\": {:.1}, ",
+                    "\"statevector_expectation_with_points_per_sec\": {:.1}, ",
                     "\"speedup\": {:.3} }}"
                 ),
                 layers,
@@ -409,7 +412,8 @@ fn main() {
 
     // --- per-core scaling section ----------------------------------------
     let graph = bench_graph(16, 16);
-    let evaluator = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
+    let evaluator =
+        StatevectorArm(QaoaInstance::new(&graph, 1).expect("16-node graph is simulable"));
     let width = 16usize;
     let points = width * width;
     let multi = cores.clamp(2, 4);

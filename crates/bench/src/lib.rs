@@ -14,6 +14,10 @@ use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::connected_components;
 use graphlib::Graph;
 use mathkit::rng::{derive_seed, seeded};
+use qaoa::evaluator::EnergyEvaluator;
+use qaoa::expectation::QaoaInstance;
+use qaoa::params::QaoaParams;
+use qsim::statevector::StatevectorWorkspace;
 
 /// Deterministic seed used by all benchmarks.
 pub const BENCH_SEED: u64 = 0xBE4C_2024;
@@ -34,6 +38,31 @@ pub fn rebuild_objective(graph: &Graph, nodes: &[usize], target_and: f64, penalt
     let and = average_node_degree(&sub.graph);
     let components = connected_components(&sub.graph).len();
     (and - target_and).abs() + penalty * (components.saturating_sub(1)) as f64
+}
+
+/// The statevector arm of [`QaoaInstance`]'s exact-energy chooser as an
+/// evaluator, at every `p` ([`QaoaInstance::statevector_expectation_with`]).
+///
+/// The smoke benches time, scale and bit-check the statevector kernel; at
+/// `p = 1` the named evaluators take the closed form instead, so these
+/// measurements name the arm.
+#[derive(Debug, Clone)]
+pub struct StatevectorArm(pub QaoaInstance);
+
+impl EnergyEvaluator for StatevectorArm {
+    type Scratch = StatevectorWorkspace;
+
+    fn layers(&self) -> usize {
+        self.0.layers()
+    }
+
+    fn scratch(&self) -> Self::Scratch {
+        StatevectorWorkspace::with_qubits(self.0.graph().node_count())
+    }
+
+    fn energy(&self, scratch: &mut Self::Scratch, _index: u64, params: &QaoaParams) -> f64 {
+        self.0.statevector_expectation_with(scratch, params)
+    }
 }
 
 #[cfg(test)]

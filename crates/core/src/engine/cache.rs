@@ -57,8 +57,8 @@ pub struct CacheStats {
     /// Cumulative estimated footprint of the cached [`ReducedGraph`]s, as
     /// [`ReducedGraph::approx_heap_bytes`] — the quantity the size-aware
     /// eviction policy budgets against (an estimate of the expanded
-    /// reductions; the cache stores each as a sorted edge list and a
-    /// mapping). Exactly the sum over current entries: inserts add,
+    /// reductions; the cache stores each as its node mapping alone). Exactly
+    /// the sum over current entries: inserts add,
     /// evictions and [`Engine::clear_cache`](super::Engine::clear_cache)
     /// subtract.
     pub bytes: usize,
@@ -215,15 +215,14 @@ pub(super) fn anneal_cost(nodes: usize, edges: usize) -> f64 {
     2.0 * edges.max(1) as f64 * (nodes.max(2) as f64).ln()
 }
 
-/// A cached reduction held compactly: the reduced graph as its sorted edge
-/// list and the node mapping as `u32`s — three allocations, not one per
-/// reduced node plus four — because a long-lived engine holds many small
-/// reductions. [`CachedReduction::reduced`] rebuilds the equal
-/// [`ReducedGraph`].
+/// A cached reduction held compactly: the node mapping as `u32`s and the
+/// scalar outcomes — one allocation — because a long-lived engine holds
+/// many small reductions. The reduced graph is not stored: a reduction is
+/// always the subgraph its key's graph induces on the kept nodes, so
+/// [`CachedReduction::reduced`] rebuilds the equal [`ReducedGraph`] from
+/// the key (the way store replay checks a record).
 #[derive(Debug)]
 pub(super) struct CachedReduction {
-    node_count: usize,
-    edges: Box<[(u32, u32)]>,
     nodes: Box<[u32]>,
     and_ratio: f64,
     node_reduction: f64,
@@ -233,14 +232,7 @@ pub(super) struct CachedReduction {
 
 impl CachedReduction {
     fn new(reduced: &ReducedGraph) -> Self {
-        let graph = reduced.graph();
         Self {
-            node_count: graph.node_count(),
-            edges: graph
-                .edges()
-                .into_iter()
-                .map(|(u, v)| (endpoint(u), endpoint(v)))
-                .collect(),
             nodes: reduced
                 .subgraph
                 .nodes
@@ -254,26 +246,52 @@ impl CachedReduction {
         }
     }
 
-    /// The cached reduction, equal to the one inserted: adding the sorted
-    /// edge list back rebuilds the same sorted adjacency lists.
-    pub(super) fn reduced(&self) -> ReducedGraph {
-        let mut graph = Graph::new(self.node_count);
-        for &(u, v) in self.edges.iter() {
-            graph
-                .add_edge(u as usize, v as usize)
-                .expect("cached edges come from a valid graph");
-        }
+    /// The cached reduction, equal to the one inserted under `key`: the
+    /// key's graph induced on the kept nodes, whose sorted edge list
+    /// rebuilds the same sorted adjacency lists.
+    pub(super) fn reduced(&self, key: &CacheKey) -> ReducedGraph {
+        let nodes: Vec<usize> = self.nodes.iter().map(|&v| v as usize).collect();
+        let graph = Graph::from_edges(nodes.len(), &induced_edges(key, &nodes))
+            .expect("a key's induced edges form a valid graph");
         ReducedGraph {
-            subgraph: Subgraph {
-                graph,
-                nodes: self.nodes.iter().map(|&v| v as usize).collect(),
-            },
+            subgraph: Subgraph { graph, nodes },
             and_ratio: self.and_ratio,
             node_reduction: self.node_reduction,
             edge_reduction: self.edge_reduction,
             warm_decision: self.warm_decision,
         }
     }
+}
+
+/// The edges the key's graph induces on `nodes` (strictly increasing
+/// parent nodes; reduced node `i` is `nodes[i]`), as sorted reduced-index
+/// pairs `(a, b)` with `a < b` — the form `Graph::edges` lists them in.
+///
+/// One pass over the key's edges through a parent → reduced index table of
+/// `nodes.last() + 1` entries; the result is sorted only if that pass left
+/// it out of order, which a key built from a `Graph` never does.
+pub(super) fn induced_edges(key: &CacheKey, nodes: &[usize]) -> Vec<(usize, usize)> {
+    const ABSENT: u32 = u32::MAX;
+    let mut index_of = vec![ABSENT; nodes.last().map_or(0, |&top| top + 1)];
+    for (i, &parent) in nodes.iter().enumerate() {
+        index_of[parent] = endpoint(i);
+    }
+    let reduced = |parent: u32| {
+        let index = *index_of.get(parent as usize)?;
+        (index != ABSENT).then_some(index as usize)
+    };
+    let mut edges: Vec<(usize, usize)> = key
+        .edges
+        .iter()
+        .filter_map(|&(u, v)| {
+            let (a, b) = (reduced(u)?, reduced(v)?);
+            Some((a.min(b), a.max(b)))
+        })
+        .collect();
+    if !edges.windows(2).all(|pair| pair[0] <= pair[1]) {
+        edges.sort_unstable();
+    }
+    edges
 }
 
 #[derive(Debug)]
@@ -468,6 +486,7 @@ impl ShardedReductionCache {
 mod tests {
     use super::*;
     use graphlib::generators::cycle;
+    use graphlib::subgraph::induced_subgraph;
 
     /// A distinct key per `n` (different node counts ⇒ different content).
     fn key(n: usize) -> CacheKey {
@@ -498,21 +517,34 @@ mod tests {
             WarmDecision::MeasuredReverted,
         ];
         for (n, warm_decision) in [5, 8, 11, 16].into_iter().zip(decisions) {
-            // A chord plus two isolated nodes, and a non-identity mapping.
-            let mut graph = cycle(n).unwrap().with_extra_nodes(2);
-            graph.add_edge(0, n / 2).unwrap();
+            // A parent with a chord and two isolated nodes; the kept nodes
+            // skip every third one, so the reduction has isolated nodes
+            // (the last one among them) and a non-identity mapping.
+            let mut parent = cycle(n).unwrap().with_extra_nodes(2);
+            parent.add_edge(0, n / 2).unwrap();
+            let kept: Vec<usize> = (0..parent.node_count()).filter(|i| i % 3 != 1).collect();
+            let key = CacheKey::new(&parent, &ReductionOptions::default());
             let reduced = ReducedGraph {
-                subgraph: Subgraph {
-                    nodes: (0..graph.node_count()).map(|i| 3 * i + 1).collect(),
-                    graph,
-                },
+                subgraph: induced_subgraph(&parent, &kept).unwrap(),
                 and_ratio: 0.8125,
                 node_reduction: 0.25,
                 edge_reduction: 0.375,
                 warm_decision,
             };
-            assert_eq!(CachedReduction::new(&reduced).reduced(), reduced);
+            assert_eq!(CachedReduction::new(&reduced).reduced(&key), reduced);
         }
+    }
+
+    #[test]
+    fn induced_edges_sort_only_an_out_of_order_key() {
+        let parent = cycle(6).unwrap();
+        let mut key = CacheKey::new(&parent, &ReductionOptions::default());
+        let kept = [0, 1, 2, 5];
+        let expected = vec![(0, 1), (0, 3), (1, 2)];
+        assert_eq!(induced_edges(&key, &kept), expected);
+        key.edges.reverse();
+        assert_eq!(induced_edges(&key, &kept), expected);
+        assert_eq!(induced_edges(&key, &[]), Vec::new());
     }
 
     #[test]

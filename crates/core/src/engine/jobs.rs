@@ -99,9 +99,9 @@ impl PipelineJob {
 }
 
 /// A `p = 1` energy-landscape scan on a `width × width` `(γ, β)` grid,
-/// evaluated with an [`AutoEvaluator`] (exact statevector, analytic `p = 1`
-/// or edge-local, chosen from the graph size) — optionally on the graph's
-/// cached reduction instead of the graph itself.
+/// evaluated with an [`AutoEvaluator`] (the closed-form `p = 1` arm, whatever
+/// the graph size, so no `2^n` cut table is built) — optionally on the
+/// graph's cached reduction instead of the graph itself.
 ///
 /// Identical scans in one [`Engine::run_batch`] run once: a job with the
 /// same graph content, width, and choice of graph or reduction as an

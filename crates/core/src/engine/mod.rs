@@ -305,7 +305,7 @@ impl Engine {
         // released, so concurrent hits never serialize on the rebuild.
         if let Some(hit) = self.cache.get(&key, hash) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.reduced());
+            return Ok(hit.reduced(&key));
         }
         let mut rng = seeded(derive_seed(self.reduction_seed, hash));
         let reduced = reduce(graph, options, &mut rng)?;

@@ -32,7 +32,7 @@
 //! The format is deliberately plain (little-endian words, FNV-1a checksum,
 //! no compression): reductions are small, and auditability beats density.
 
-use super::cache::CacheKey;
+use super::cache::{induced_edges, CacheKey};
 use crate::reduction::{reduction_fractions, ReducedGraph, WarmDecision};
 use graphlib::metrics::and_ratio_of_counts;
 use graphlib::subgraph::Subgraph;
@@ -50,6 +50,14 @@ const VERSION: u32 = 1;
 /// Upper bound on a single record's key/value payload (sanity check against
 /// interpreting corrupt length fields as multi-gigabyte allocations).
 const MAX_SECTION_LEN: usize = 1 << 24;
+/// Bound on the parent nodes a record's mapping may name. Replay checks a
+/// record through [`induced_edges`], which indexes the mapping with one
+/// `u32` per parent node up to the largest kept one, so this caps that
+/// table at `MAX_SECTION_LEN` bytes whatever node count a crafted key
+/// claims. An honest record of a parent that large already fails the
+/// mapping-length check under the default `min_size_fraction` (0.65): its
+/// mapping would exceed `MAX_SECTION_LEN / 8` nodes.
+const MAX_MAPPED_NODE: usize = MAX_SECTION_LEN / 4;
 
 /// An open persistent store: an append-mode handle behind a mutex (appends
 /// are single `write_all` calls, so concurrent workers interleave whole
@@ -280,10 +288,10 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
 
 /// Decodes a reduction of the graph `key` describes. The reduced graph is
 /// built last, after its mapping has been read and checked: the mapping
-/// must hold one parent node `< key.nodes` per reduced node, strictly
-/// increasing (the order `reduce` emits), so the node count is bounded
-/// both by the key and by the bytes actually present, and a crafted count
-/// cannot drive the allocation. The warm decision must be one the key's
+/// must hold one parent node `< key.nodes` (and `<` [`MAX_MAPPED_NODE`])
+/// per reduced node, strictly increasing (the order `reduce` emits), so
+/// the node count is bounded both by the key and by the bytes actually
+/// present, and a crafted count cannot drive the allocation. The warm decision must be one the key's
 /// options permit ([`CacheKey::permits`]).
 /// The built graph must then carry exactly the edges the key's graph
 /// induces on the mapping, the stored node and edge reductions must be
@@ -318,7 +326,8 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         nodes.push(cursor.u64()? as usize);
     }
     let increasing = nodes.windows(2).all(|pair| pair[0] < pair[1]);
-    if !increasing || nodes.last().is_some_and(|&top| top >= key_nodes) {
+    let out_of_range = |&top: &usize| top >= key_nodes.min(MAX_MAPPED_NODE);
+    if !increasing || nodes.last().is_some_and(out_of_range) {
         return None;
     }
     let and_ratio = f64::from_bits(cursor.u64()?);
@@ -358,24 +367,6 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         edge_reduction,
         warm_decision,
     })
-}
-
-/// The edges the key's graph induces on `nodes` (strictly increasing
-/// parent nodes; reduced node `i` is `nodes[i]`), as sorted reduced-index
-/// pairs `(a, b)` with `a < b` — the form `Graph::edges` lists them in,
-/// once sorted.
-fn induced_edges(key: &CacheKey, nodes: &[usize]) -> Vec<(usize, usize)> {
-    let index_of = |parent: u32| nodes.binary_search(&(parent as usize)).ok();
-    let mut edges: Vec<(usize, usize)> = key
-        .edges
-        .iter()
-        .filter_map(|&(u, v)| {
-            let (a, b) = (index_of(u)?, index_of(v)?);
-            Some((a.min(b), a.max(b)))
-        })
-        .collect();
-    edges.sort_unstable();
-    edges
 }
 
 /// Minimal bounds-checked reader over a byte slice (`std::io::Cursor` on
@@ -667,6 +658,13 @@ mod tests {
         let mapping_at = 16;
         truncated_mapping[mapping_at..mapping_at + 8].copy_from_slice(&huge.to_le_bytes());
         body.extend_from_slice(&hostile_record(&huge_key, &truncated_mapping));
+        // A short mapping whose top node is huge: checking its induced
+        // edges indexes one slot per parent node up to that top, so the
+        // top must be rejected first. The measured decision is one the
+        // huge key permits, so only the bound stops the record.
+        let mut far_mapping = raw_value(2, &[], &[0, huge - 1]);
+        *far_mapping.last_mut().unwrap() = 2;
+        body.extend_from_slice(&hostile_record(&huge_key, &far_mapping));
         body.extend_from_slice(&encode_record(&key, &value));
         let path = std::env::temp_dir().join(format!(
             "red_qaoa_persist_hostile_{}.rqps",

@@ -5,7 +5,12 @@
 //! triangles through the edge (Wang, Hadfield, Jiang, Rieffel, PRA 97, 022304
 //! (2018)). This makes `p = 1` evaluation O(|E|) per parameter point and
 //! therefore usable on the 30–1000-node graphs of the scalability studies,
-//! where statevector simulation is impossible.
+//! where statevector simulation is impossible. `P1EdgeTerms` holds those
+//! per-edge inputs; it is the `p = 1` arm of
+//! [`QaoaInstance::expectation_with`], so every exact `p = 1` energy in the
+//! workspace is this formula.
+//!
+//! [`QaoaInstance::expectation_with`]: crate::expectation::QaoaInstance::expectation_with
 
 use crate::params::QaoaParams;
 use crate::QaoaError;
@@ -27,7 +32,65 @@ pub fn edge_expectation_p1(gamma: f64, beta: f64, d_u: usize, d_v: usize, triang
     0.5 + term1 - term2
 }
 
+/// One edge's inputs to [`edge_expectation_p1`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EdgeTerm {
+    /// Neighbours of `u` excluding `v`.
+    d_u: usize,
+    /// Neighbours of `v` excluding `u`.
+    d_v: usize,
+    /// Triangles through the edge.
+    triangles: usize,
+}
+
+/// The per-edge `(d_u, d_v, triangles)` terms of one graph's closed-form
+/// `p = 1` expectation, computed once, in `graph.edges()` order.
+///
+/// This is the one definition of the `p = 1` energy: [`QaoaInstance`]'s
+/// exact-energy chooser, [`AnalyticP1Evaluator`] and
+/// [`analytic_expectation_p1`] all sum [`P1EdgeTerms::value`], so they
+/// return identical bits for the same graph and point.
+///
+/// [`QaoaInstance`]: crate::expectation::QaoaInstance
+/// [`AnalyticP1Evaluator`]: crate::evaluator::AnalyticP1Evaluator
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct P1EdgeTerms {
+    terms: Vec<EdgeTerm>,
+}
+
+impl P1EdgeTerms {
+    /// Precomputes the terms of every edge of `graph` (none for an
+    /// edgeless graph, whose value is then `0.0`).
+    pub fn new(graph: &Graph) -> Self {
+        let degrees = graph.degrees();
+        let terms = graph
+            .edges()
+            .into_iter()
+            .map(|(u, v)| EdgeTerm {
+                d_u: degrees[u] - 1,
+                d_v: degrees[v] - 1,
+                triangles: graph.common_neighbors(u, v),
+            })
+            .collect();
+        Self { terms }
+    }
+
+    /// The `p = 1` expectation at `(γ, β)`: [`edge_expectation_p1`] summed
+    /// over the edges in `graph.edges()` order. Pure arithmetic, no
+    /// allocation.
+    pub fn value(&self, gamma: f64, beta: f64) -> f64 {
+        let mut total = 0.0;
+        for t in &self.terms {
+            total += edge_expectation_p1(gamma, beta, t.d_u, t.d_v, t.triangles);
+        }
+        total
+    }
+}
+
 /// Exact `p = 1` MaxCut expectation of a whole graph in O(|E|) time.
+///
+/// Builds the graph's per-edge terms per call; repeated evaluation should
+/// hold them (or a `QaoaInstance` / `AnalyticP1Evaluator`, which do).
 ///
 /// # Errors
 ///
@@ -42,15 +105,7 @@ pub fn analytic_expectation_p1(graph: &Graph, params: &QaoaParams) -> Result<f64
     if graph.node_count() == 0 || graph.edge_count() == 0 {
         return Err(QaoaError::DegenerateGraph);
     }
-    let gamma = params.gammas[0];
-    let beta = params.betas[0];
-    let degrees = graph.degrees();
-    let mut total = 0.0;
-    for (u, v) in graph.edges() {
-        let triangles = graph.common_neighbors(u, v);
-        total += edge_expectation_p1(gamma, beta, degrees[u] - 1, degrees[v] - 1, triangles);
-    }
-    Ok(total)
+    Ok(P1EdgeTerms::new(graph).value(params.gammas[0], params.betas[0]))
 }
 
 #[cfg(test)]
@@ -59,6 +114,7 @@ mod tests {
     use crate::expectation::QaoaInstance;
     use graphlib::generators::{complete, connected_gnp, cycle, path, star};
     use mathkit::rng::seeded;
+    use qsim::statevector::StatevectorWorkspace;
 
     #[test]
     fn matches_statevector_on_structured_graphs() {
@@ -73,7 +129,8 @@ mod tests {
             let instance = QaoaInstance::new(&g, 1).unwrap();
             for _ in 0..5 {
                 let params = QaoaParams::random(1, &mut rng);
-                let exact = instance.expectation(&params);
+                let exact = instance
+                    .statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
                 let analytic = analytic_expectation_p1(&g, &params).unwrap();
                 assert!(
                     (exact - analytic).abs() < 1e-8,
@@ -90,7 +147,8 @@ mod tests {
             let g = connected_gnp(8, 0.45, &mut rng).unwrap();
             let instance = QaoaInstance::new(&g, 1).unwrap();
             let params = QaoaParams::random(1, &mut rng);
-            let exact = instance.expectation(&params);
+            let exact =
+                instance.statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
             let analytic = analytic_expectation_p1(&g, &params).unwrap();
             assert!((exact - analytic).abs() < 1e-8);
         }

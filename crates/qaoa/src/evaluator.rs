@@ -10,20 +10,21 @@
 //!
 //! # Backends
 //!
-//! * [`StatevectorEvaluator`] — exact global statevector evaluation with a
-//!   reused [`StatevectorWorkspace`] (zero per-point allocation) and the
-//!   per-graph precomputed cost diagonal.
+//! * [`StatevectorEvaluator`] — the exact energy of a [`QaoaInstance`]
+//!   through its chooser [`QaoaInstance::expectation_with`]: the closed
+//!   form at `p = 1`, the global half-state statevector in a reused
+//!   [`StatevectorWorkspace`] (zero per-point allocation) at `p ≥ 2`.
 //! * [`AnalyticP1Evaluator`] — the closed-form `p = 1` formula with
 //!   precomputed per-edge degree/triangle terms (`O(|E|)` arithmetic per
-//!   point, no graph walks).
+//!   point, no graph walks, no `2^n` cut table).
 //! * [`EdgeLocalEvaluator`] — the light-cone decomposition with per-edge
 //!   subgraphs and cut tables precomputed once per graph.
-//! * [`ScheduledCircuitEvaluator`] — the statevector backend plus the
-//!   depth schedule of the cost layer (see [`crate::depth`]). Scheduling
-//!   cannot change an ideal expectation, so its energies are bitwise-equal to
-//!   [`StatevectorEvaluator`]'s; only noisy trajectory runs execute the
-//!   scheduled gate sequence, and ideal depth-mode scans simply use the
-//!   configured exact backend.
+//! * [`ScheduledCircuitEvaluator`] — the [`StatevectorEvaluator`] energy
+//!   plus the depth schedule of the cost layer (see [`crate::depth`]).
+//!   Scheduling cannot change an ideal expectation, so its energies are
+//!   bitwise-equal to [`StatevectorEvaluator`]'s; only noisy trajectory
+//!   runs execute the scheduled gate sequence, and ideal depth-mode scans
+//!   simply use the configured exact backend.
 //! * [`NoisyTrajectoryEvaluator`] — Monte-Carlo trajectory simulation under
 //!   a device noise model, optionally routed onto a coupling map, with one
 //!   noise substream per evaluation index (parallel-scan safe).
@@ -31,7 +32,13 @@
 //!   sequential RNG stream (the classic optimizer protocol); deliberately
 //!   `!Sync` so parallel scans reject it at compile time.
 //! * [`AutoEvaluator`] — picks the cheapest exact backend for the graph size
-//!   and layer count.
+//!   and layer count: the closed form for every `p = 1` graph.
+//!
+//! At `p = 1` every exact backend here returns the closed form's bits
+//! (`analytic::P1EdgeTerms`), so a scan, an optimizer session and
+//! a re-score of the same point agree bit for bit whichever backend they
+//! name. The statevector, scheduled and analytic types stay separate names
+//! because the benchmark crate (`perfbench/`) imports them.
 //!
 //! # Scratch and determinism
 //!
@@ -51,7 +58,7 @@
 //! in the scratch and are therefore only meaningful in single-scratch,
 //! in-order drivers such as the optimizers — never in parallel scans.
 
-use crate::analytic::edge_expectation_p1;
+use crate::analytic::P1EdgeTerms;
 use crate::expectation::{QaoaInstance, MAX_EXACT_NODES};
 use crate::maxcut::cut_values;
 use crate::params::QaoaParams;
@@ -126,11 +133,16 @@ impl<E: EnergyEvaluator + ?Sized> EnergyEvaluator for &E {
     }
 }
 
-/// Exact global statevector backend.
+/// Exact backend over a [`QaoaInstance`]: its exact-energy chooser
+/// [`QaoaInstance::expectation_with`].
 ///
-/// Wraps a [`QaoaInstance`] (which precomputes the cut-value diagonal once
-/// per graph) and evaluates through a reused [`StatevectorWorkspace`], so a
-/// grid scan performs no per-point statevector allocation.
+/// At `p = 1` that is the closed form over per-edge terms the instance
+/// precomputed, and the scratch is an empty workspace. At `p ≥ 2` it is the
+/// global half-state statevector over the instance's cut-value diagonal,
+/// evaluated in a reused [`StatevectorWorkspace`], so a grid scan performs
+/// no per-point statevector allocation. The statevector arm itself is
+/// [`QaoaInstance::statevector_expectation_with`]. The type keeps its name
+/// because the benchmark crate (`perfbench/`) imports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatevectorEvaluator {
     instance: QaoaInstance,
@@ -168,7 +180,7 @@ impl EnergyEvaluator for StatevectorEvaluator {
     }
 
     fn scratch(&self) -> Self::Scratch {
-        StatevectorWorkspace::with_qubits(self.instance.graph().node_count())
+        self.instance.workspace()
     }
 
     fn energy(&self, scratch: &mut Self::Scratch, _index: u64, params: &QaoaParams) -> f64 {
@@ -176,25 +188,16 @@ impl EnergyEvaluator for StatevectorEvaluator {
     }
 }
 
-/// One precomputed edge term of the closed-form `p = 1` expectation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AnalyticEdgeTerm {
-    /// Neighbours of `u` excluding `v`.
-    d_u: usize,
-    /// Neighbours of `v` excluding `u`.
-    d_v: usize,
-    /// Triangles through the edge.
-    triangles: usize,
-}
-
 /// Closed-form `p = 1` backend with per-edge terms precomputed once.
 ///
 /// Each evaluation is pure trigonometric arithmetic over the edge list — no
-/// graph traversals, no allocation — which is what makes the 30–1000-node
-/// scalability studies tractable.
+/// graph traversals, no allocation, no `2^n` cut table — which is what
+/// makes the 30–1000-node scalability studies tractable. Its energies are
+/// bitwise-equal to a `p = 1` [`QaoaInstance`]'s (both sum
+/// `P1EdgeTerms::value`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyticP1Evaluator {
-    terms: Vec<AnalyticEdgeTerm>,
+    terms: P1EdgeTerms,
 }
 
 impl AnalyticP1Evaluator {
@@ -207,25 +210,14 @@ impl AnalyticP1Evaluator {
         if graph.node_count() == 0 || graph.edge_count() == 0 {
             return Err(QaoaError::DegenerateGraph);
         }
-        let degrees = graph.degrees();
-        let terms = graph
-            .edges()
-            .into_iter()
-            .map(|(u, v)| AnalyticEdgeTerm {
-                d_u: degrees[u] - 1,
-                d_v: degrees[v] - 1,
-                triangles: graph.common_neighbors(u, v),
-            })
-            .collect();
-        Ok(Self { terms })
+        Ok(Self {
+            terms: P1EdgeTerms::new(graph),
+        })
     }
 
     /// The `p = 1` expectation at `(γ, β)`.
     pub fn value(&self, gamma: f64, beta: f64) -> f64 {
-        self.terms
-            .iter()
-            .map(|t| edge_expectation_p1(gamma, beta, t.d_u, t.d_v, t.triangles))
-            .sum()
+        self.terms.value(gamma, beta)
     }
 }
 
@@ -500,16 +492,17 @@ impl EnergyEvaluator for SequentialNoisyEvaluator {
     }
 }
 
-/// Exact statevector backend that also reports the depth schedule of its
-/// cost layer.
+/// Exact backend that also reports the depth schedule of its cost layer.
 ///
 /// A depth schedule only reorders commuting diagonal `RZZ` gates, so it
 /// cannot change an ideal expectation. Energies therefore come from the
-/// shared phase-table kernel ([`QaoaInstance::expectation_with`]) and are
+/// instance's exact-energy chooser ([`QaoaInstance::expectation_with`]: the
+/// closed form at `p = 1`, the phase-table statevector at `p ≥ 2`) and are
 /// bitwise-equal to [`StatevectorEvaluator`]'s. The schedule is compiled
 /// once at construction for [`ScheduledCircuitEvaluator::depth_metrics`];
 /// the gate-by-gate scheduled circuit is only executed on the noisy
-/// trajectory paths, where the emission order matters.
+/// trajectory paths, where the emission order matters. The type keeps its
+/// name because the benchmark crate (`perfbench/`) imports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledCircuitEvaluator {
     instance: QaoaInstance,
@@ -559,7 +552,7 @@ impl EnergyEvaluator for ScheduledCircuitEvaluator {
     }
 
     fn scratch(&self) -> Self::Scratch {
-        StatevectorWorkspace::with_qubits(self.instance.graph().node_count())
+        self.instance.workspace()
     }
 
     fn energy(&self, scratch: &mut Self::Scratch, _index: u64, params: &QaoaParams) -> f64 {
@@ -568,17 +561,20 @@ impl EnergyEvaluator for ScheduledCircuitEvaluator {
 }
 
 /// Node count at or below which [`AutoEvaluator`] prefers the global
-/// statevector backend.
+/// statevector backend at `p ≥ 2`.
 pub const AUTO_EXACT_NODE_CUTOFF: usize = 16;
 
-/// Chooses the cheapest exact backend for a graph: global statevector for
-/// small graphs, the analytic formula for `p = 1` on larger ones, and the
-/// edge-local light-cone decomposition otherwise.
+/// Chooses the cheapest exact backend for a graph: the analytic formula for
+/// every `p = 1` graph (no `2^n` cut table is built), and at `p ≥ 2` the
+/// global statevector up to [`AUTO_EXACT_NODE_CUTOFF`] nodes and the
+/// edge-local light-cone decomposition above it. At `p = 1` it returns the
+/// same bits as every other exact backend, so scans in every circuit mode
+/// agree with optimizer sessions and re-scores bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AutoEvaluator {
-    /// Exact global statevector evaluation.
+    /// Exact global statevector evaluation (`p ≥ 2`, small graphs).
     Exact(StatevectorEvaluator),
-    /// Closed-form `p = 1` evaluation.
+    /// Closed-form evaluation, for every `p = 1` graph.
     Analytic(AnalyticP1Evaluator),
     /// Edge-local light-cone evaluation.
     EdgeLocal(EdgeLocalEvaluator),
@@ -596,12 +592,12 @@ impl AutoEvaluator {
         if graph.node_count() == 0 || graph.edge_count() == 0 {
             return Err(QaoaError::DegenerateGraph);
         }
-        if graph.node_count() <= AUTO_EXACT_NODE_CUTOFF {
+        if layers == 1 {
+            Ok(AutoEvaluator::Analytic(AnalyticP1Evaluator::new(graph)?))
+        } else if graph.node_count() <= AUTO_EXACT_NODE_CUTOFF {
             Ok(AutoEvaluator::Exact(StatevectorEvaluator::new(
                 graph, layers,
             )?))
-        } else if layers == 1 {
-            Ok(AutoEvaluator::Analytic(AnalyticP1Evaluator::new(graph)?))
         } else {
             Ok(AutoEvaluator::EdgeLocal(EdgeLocalEvaluator::new(
                 graph, layers,
@@ -734,7 +730,9 @@ mod tests {
     fn auto_backends_agree_on_medium_cycles() {
         let g = cycle(18).unwrap();
         let params = QaoaParams::new(vec![0.6], vec![0.4]).unwrap();
-        let exact = QaoaInstance::new(&g, 1).unwrap().expectation(&params);
+        let exact = QaoaInstance::new(&g, 1)
+            .unwrap()
+            .statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
         let auto = AutoEvaluator::new(&g, 1).unwrap();
         let value = auto.energy(&mut auto.scratch(), 0, &params);
         assert!((exact - value).abs() < 1e-8);

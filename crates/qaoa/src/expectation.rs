@@ -2,11 +2,16 @@
 //!
 //! Three evaluators are provided:
 //!
-//! * [`QaoaInstance::expectation`] — exact statevector evaluation. The cost
-//!   layer is diagonal, so it is applied from the `u8` cut table as one
-//!   phase gather rather than as individual gates (the first one folded
-//!   into the uniform start), which makes full landscape sweeps cheap for
-//!   ≤ ~20 qubits.
+//! * [`QaoaInstance::expectation`] — the exact energy, and the one place
+//!   that chooses how to compute it: at `p = 1` the closed form summed over
+//!   per-edge terms precomputed with the instance
+//!   (`analytic::P1EdgeTerms`, `O(|E|)` per point); at `p ≥ 2` the
+//!   half-state statevector ([`QaoaInstance::statevector_expectation_with`]).
+//!   The statevector applies the diagonal cost layer from the `u8` cut
+//!   table as one phase gather rather than as individual gates (the first
+//!   one folded into the uniform start), which makes full landscape sweeps
+//!   cheap for ≤ ~20 qubits. It stays callable by name at every `p`, as the
+//!   oracle the closed form is checked against.
 //! * [`edge_local_expectation`] — exact evaluation through the edge
 //!   light-cone decomposition (Section 3.3 / Equation 7): each edge term is
 //!   simulated on the induced subgraph of nodes within distance `p` of the
@@ -16,6 +21,7 @@
 //!   circuit with a device noise model via the Monte-Carlo trajectory
 //!   backend.
 
+use crate::analytic::P1EdgeTerms;
 use crate::circuit::qaoa_circuit;
 use crate::depth::{compile_maxcut, scheduled_qaoa_circuit, DepthMetrics, DepthSchedule};
 use crate::maxcut::cut_values;
@@ -38,13 +44,16 @@ pub const MAX_EXACT_NODES: usize = 22;
 // the limit can have must fit, or raising the limit would wrap cut values.
 const _: () = assert!(MAX_EXACT_NODES * (MAX_EXACT_NODES - 1) / 2 <= u8::MAX as usize);
 
-/// A prepared QAOA MaxCut instance: the graph, the layer count, and the
-/// precomputed diagonal of the cost Hamiltonian.
+/// A prepared QAOA MaxCut instance: the graph, the layer count, the
+/// precomputed diagonal of the cost Hamiltonian and, at `p = 1`, the
+/// closed form's per-edge terms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QaoaInstance {
     graph: Graph,
     layers: usize,
     cut_table: CostDiagonal,
+    /// `Some` exactly when `layers == 1`: the exact energy's closed-form arm.
+    p1_terms: Option<P1EdgeTerms>,
     schedule: Option<DepthSchedule>,
 }
 
@@ -74,6 +83,7 @@ impl QaoaInstance {
             graph: graph.clone(),
             layers,
             cut_table: CostDiagonal::new(cut_values(graph)?),
+            p1_terms: (layers == 1).then(|| P1EdgeTerms::new(graph)),
             schedule: None,
         })
     }
@@ -150,19 +160,31 @@ impl QaoaInstance {
 
     /// Exact cost expectation for the given parameters (to be *maximized*).
     ///
-    /// Allocates a fresh workspace per call; hot loops should hold a
-    /// [`StatevectorWorkspace`] and use [`QaoaInstance::expectation_with`]
-    /// (or the `StatevectorEvaluator` backend, which does so internally).
+    /// At `p = 1` this is the closed form and touches no statevector; at
+    /// `p ≥ 2` it allocates a fresh workspace per call, so hot loops should
+    /// hold a [`StatevectorWorkspace`] and use
+    /// [`QaoaInstance::expectation_with`] (or the `StatevectorEvaluator`
+    /// backend, which does so internally).
     ///
     /// # Panics
     ///
     /// Panics if `params.layers() != self.layers()`.
     pub fn expectation(&self, params: &QaoaParams) -> f64 {
-        self.expectation_with(&mut StatevectorWorkspace::new(), params)
+        match &self.p1_terms {
+            Some(terms) => self.closed_form(terms, params),
+            None => self.statevector_expectation_with(&mut StatevectorWorkspace::new(), params),
+        }
     }
 
-    /// Exact cost expectation evaluated in a reused workspace: after the
-    /// first call of a given size, no allocation happens.
+    /// Exact cost expectation, the one exact-energy chooser: at `p = 1` the
+    /// closed form over the per-edge terms precomputed with the instance
+    /// (`O(|E|)`, the workspace is not touched), at `p ≥ 2` the half-state
+    /// statevector in the reused workspace. Either way no allocation
+    /// happens after the first call of a given size.
+    ///
+    /// The two arms agree to about `1e-13` at `p = 1` but not bit for bit;
+    /// every ideal path (evaluators, re-scoring, landscapes, MSE) goes
+    /// through this method, so they all return the same bits.
     ///
     /// # Panics
     ///
@@ -172,8 +194,45 @@ impl QaoaInstance {
         workspace: &mut StatevectorWorkspace,
         params: &QaoaParams,
     ) -> f64 {
+        match &self.p1_terms {
+            Some(terms) => self.closed_form(terms, params),
+            None => self.statevector_expectation_with(workspace, params),
+        }
+    }
+
+    /// Exact cost expectation by half-state statevector evolution, at any
+    /// `p`: the `p ≥ 2` arm of [`QaoaInstance::expectation_with`] and the
+    /// oracle its `p = 1` closed form is checked against. Bitwise equal to
+    /// the gate-by-gate evolution of the full state (see
+    /// `docs/determinism.md`); after the first call of a given size, no
+    /// allocation happens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.layers() != self.layers()`.
+    pub fn statevector_expectation_with(
+        &self,
+        workspace: &mut StatevectorWorkspace,
+        params: &QaoaParams,
+    ) -> f64 {
         self.evolve_into(workspace, params)
             .expectation_diagonal(self.cut_table())
+    }
+
+    /// The scratch [`QaoaInstance::expectation_with`] needs: an empty
+    /// workspace at `p = 1`, where the closed form uses none, and one sized
+    /// for the graph otherwise.
+    pub(crate) fn workspace(&self) -> StatevectorWorkspace {
+        if self.p1_terms.is_some() {
+            StatevectorWorkspace::new()
+        } else {
+            StatevectorWorkspace::with_qubits(self.graph.node_count())
+        }
+    }
+
+    fn closed_form(&self, terms: &P1EdgeTerms, params: &QaoaParams) -> f64 {
+        assert_eq!(params.layers(), self.layers, "layer count mismatch");
+        terms.value(params.gammas[0], params.betas[0])
     }
 
     /// Exact measurement distribution for the given parameters.

@@ -8,8 +8,11 @@
 //! * [`params`] — the `(γ, β)` parameter vectors of a `p`-layer QAOA ansatz.
 //! * [`circuit`] — construction of the QAOA circuit (Equation 3) in the
 //!   `qsim` gate IR.
-//! * [`expectation`] — ideal (statevector), edge-local, and noisy
-//!   (trajectory / density-matrix) evaluation of the cost expectation.
+//! * [`expectation`] — ideal, edge-local, and noisy (trajectory)
+//!   evaluation of the cost expectation. The ideal energy
+//!   ([`QaoaInstance::expectation_with`](expectation::QaoaInstance::expectation_with))
+//!   is the one exact-energy chooser: the closed form at `p = 1`, the
+//!   half-state statevector at `p ≥ 2`.
 //! * [`evaluator`] — the [`EnergyEvaluator`](evaluator::EnergyEvaluator)
 //!   backend layer: every landscape scan, random-pool sweep, and
 //!   optimization driver evaluates energies through one of its named,
@@ -19,7 +22,8 @@
 //!   factoring of equivalent interaction terms, greedy round scheduling of
 //!   ZZ gates (edge coloring the interaction graph), and the
 //!   [`DepthMetrics`](depth::DepthMetrics) report.
-//! * [`analytic`] — the closed-form `p = 1` MaxCut expectation.
+//! * [`analytic`] — the closed-form `p = 1` MaxCut expectation, whose
+//!   per-edge terms every `p = 1` exact path sums.
 //! * [`landscape`] — energy landscapes over parameter grids or random
 //!   parameter sets, normalization, optima, and landscape MSE.
 //! * [`optimize`] — classical optimization drivers (Nelder–Mead, SPSA, grid)

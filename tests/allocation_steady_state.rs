@@ -1,12 +1,14 @@
 //! Steady-state allocation tests for the hot evaluation paths.
 //!
-//! The workspace-buffer APIs (`expectation_with`, the evaluators'
-//! `energy` — depth-mode, edge-local light-cone and every `AutoEvaluator`
-//! backend — `probabilities_into`, `sample_counts_with`,
+//! The workspace-buffer APIs (`expectation_with` and its statevector arm
+//! `statevector_expectation_with`, the evaluators' `energy` — depth-mode,
+//! edge-local light-cone and every `AutoEvaluator` backend —
+//! `probabilities_into`, `sample_counts_with`,
 //! `apply_readout_confusion_in_place`) promise that
 //! after the first call of a given size *no further allocation happens*,
 //! and the noisy trajectory average allocates per call, never per
-//! trajectory.
+//! trajectory. At `p = 1` the exact energy is the closed form, which
+//! allocates nothing at all, not even on its first call.
 //! That promise is what makes landscape scans allocator-quiet; this file
 //! enforces it with a counting `#[global_allocator]` so an accidental
 //! per-call `Vec` rebuild (the bug class PR 9 removed) fails a test
@@ -149,7 +151,8 @@ fn hot_paths_allocate_nothing_in_steady_state() {
 
     // The mixer walks qubits three per pass; 10 qubits leave one for a
     // single-qubit pass and 11 leave two for a 4-tuple pass. p = 3 runs the
-    // later cost layers as well as the folded first one.
+    // later cost layers as well as the folded first one. The statevector
+    // arm is named, so p = 1 evolves a state too.
     for (n, gammas, betas) in [
         (10, vec![0.7], vec![0.4]),
         (11, vec![0.7, 0.3, -0.2], vec![0.4, 0.2, 0.9]),
@@ -159,20 +162,38 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         let params = QaoaParams::new(gammas, betas).unwrap();
         let mut workspace = StatevectorWorkspace::new();
         for _ in 0..2 {
-            instance.expectation_with(&mut workspace, &params); // warm
+            instance.statevector_expectation_with(&mut workspace, &params); // warm
         }
         let allocs = allocations_during(|| {
             for _ in 0..8 {
-                instance.expectation_with(&mut workspace, &params);
+                instance.statevector_expectation_with(&mut workspace, &params);
             }
         });
         assert_eq!(
             allocs,
             0,
-            "expectation_with allocated in steady state at {n} qubits, p = {}",
+            "statevector_expectation_with allocated in steady state at {n} qubits, p = {}",
             params.layers()
         );
     }
+
+    // --- p = 1: the closed form allocates nothing, first call included ----
+    let p1 = QaoaParams::new(vec![0.7], vec![0.4]).unwrap();
+    let instance_p1 = QaoaInstance::new(&graph, 1).unwrap();
+    let allocs = allocations_during(|| {
+        instance_p1.expectation(&p1);
+    });
+    assert_eq!(allocs, 0, "a p = 1 QaoaInstance::expectation allocated");
+    let exact_p1 = StatevectorEvaluator::from_instance(instance_p1.clone());
+    let scheduled_p1 = ScheduledCircuitEvaluator::from_instance(instance_p1);
+    let (mut exact_scratch, mut scheduled_scratch) = (exact_p1.scratch(), scheduled_p1.scratch());
+    let allocs = allocations_during(|| {
+        for i in 0..4 {
+            exact_p1.energy(&mut exact_scratch, i, &p1);
+            scheduled_p1.energy(&mut scheduled_scratch, i, &p1);
+        }
+    });
+    assert_eq!(allocs, 0, "a p = 1 evaluator energy allocated");
 
     // --- the first energy on a fresh workspace: half a state --------------
     // One full 12-qubit state is 2^12 · 16 bytes; the half state, the
@@ -223,7 +244,6 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     );
 
     // --- every AutoEvaluator backend --------------------------------------
-    let p1 = QaoaParams::new(vec![0.7], vec![0.4]).unwrap();
     let autos = [
         (AutoEvaluator::new(&graph, 2).unwrap(), &params),
         (AutoEvaluator::new(&ring, 1).unwrap(), &p1),

@@ -341,8 +341,8 @@ fn depth_mode_landscapes_equal_legacy_scans_bitwise() {
     // A depth schedule only reorders commuting diagonal gates, so it cannot
     // change an ideal expectation: depth-mode scans use the same evaluator
     // and must match legacy scans bit for bit, on the graph and on its
-    // reduction. The 18-node graph takes `AutoEvaluator` past its
-    // statevector cutoff (to the analytic p = 1 formula).
+    // reduction. `AutoEvaluator` takes the analytic p = 1 formula for
+    // both graphs, the 18-node one above the statevector node cutoff too.
     let engine = Engine::builder().threads(1).build().unwrap();
     let large = connected_gnp(18, 0.25, &mut seeded(12)).unwrap();
     for graph in [test_graph(12), large] {
@@ -470,7 +470,11 @@ fn oversized_and_degenerate_graphs_fail_before_annealing() {
 
 /// One `OptimizeJob` run (2 Nelder–Mead restarts × 30 iterations, engine
 /// defaults otherwise) and its outputs as `f64::to_bits`, recorded from the
-/// ideal pipeline job with the same options, graph and job seed.
+/// ideal pipeline job with the same options, graph and job seed. The
+/// `p = 1` cases were re-recorded when the exact energy took the closed
+/// form at `p = 1` (energies move in the last bits, so Nelder–Mead may take
+/// another path between near-equal optima); the `p = 2` cases are the
+/// original bits.
 struct Pin {
     /// `(nodes, graph_seed, layers, circuit, refine_iters, job_seed)`; the
     /// graph is `connected_gnp(nodes, 0.4, seeded(graph_seed))`.
@@ -492,10 +496,10 @@ const PINS: [Pin; 8] = [
     Pin {
         case: (8, 101, 1, CircuitReduction::None, 0, 1),
         values: [
-            0x4023869a1177fb3c,
-            0x40238a7ef9424338,
-            0x40238a7ef935ddc4,
-            0x4023869a1177fb3c,
+            0x4023869a1177fb3a,
+            0x40238a7ef942433a,
+            0x40238a7ef935ddc6,
+            0x4023869a1177fb3a,
         ],
         params: [
             &[0x3fdd7e34cf7ec5b0, 0x3ffdc6b65fad640c],
@@ -508,14 +512,14 @@ const PINS: [Pin; 8] = [
     Pin {
         case: (9, 102, 1, CircuitReduction::NodeAndDepth, 5, 2),
         values: [
-            0x402266734671ef7a,
-            0x4024e14c01984cdd,
-            0x4024e14bfe3738b0,
-            0x401fb772fbd6662e,
+            0x4024d9e25832951e,
+            0x4024e14c01984cde,
+            0x4024e14bfe3738b2,
+            0x4024d9e25832951e,
         ],
         params: [
-            &[0x400c722263abe83b, 0x400049c008e78ff8],
-            &[0x4005722263abe839, 0x3ffdc6b34502531e],
+            &[0x3fdd7e34cf7ec5b0, 0x3ffdc6b65fad640c],
+            &[0x3fdd7e34cf7ec5b0, 0x3ffdc6b65fad640c],
         ],
         ground_truth: 13,
         reduction: (&[1, 3, 5, 6, 7, 8], 0x3fef0f0f0f0f0f0f),
@@ -576,14 +580,14 @@ const PINS: [Pin; 8] = [
     Pin {
         case: (12, 105, 1, CircuitReduction::Depth, 0, 5),
         values: [
-            0x40328ca096c56461,
-            0x40328ca097d789a8,
-            0x40328ca0974e7704,
-            0x40328ca096c56461,
+            0x40328ca09805a89a,
+            0x40328ca09805a89a,
+            0x40328ca097ee9922,
+            0x40328ca09805a89a,
         ],
         params: [
-            &[0x3fdaf5871919c78e, 0x3ffe2f2dbdc47468],
-            &[0x3fdaf5871919c78e, 0x3ffe2f2dbdc47468],
+            &[0x4017728f8035cd2a, 0x40069b726c6dff5c],
+            &[0x4017728f8035cd2a, 0x40069b726c6dff5c],
         ],
         ground_truth: 23,
         reduction: (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0x3ff0000000000000),
@@ -618,14 +622,14 @@ const PINS: [Pin; 8] = [
     Pin {
         case: (9, 107, 1, CircuitReduction::None, 30, 7),
         values: [
-            0x40211b638c110850,
-            0x40211b638c1cb2c4,
-            0x401fb42ccccf1b3c,
-            0x4021134647bf372e,
+            0x40211b638bd13675,
+            0x40211b638c1cb2c1,
+            0x401fb42ccccf1b3a,
+            0x4021134647bf372b,
         ],
         params: [
-            &[0x3fe2aa3ad8ec005b, 0x3ffeca48bf4d73c8],
-            &[0x3fe4327e4e2ce8fc, 0x3ffeffeb9d683366],
+            &[0x4016ccaea951ba74, 0x3ff379c52d42f196],
+            &[0x40169bab8a7e8ffa, 0x3ff3440b0b2026cc],
         ],
         ground_truth: 11,
         reduction: (&[0, 1, 2, 3, 4, 5], 0x3fed89d89d89d89d),

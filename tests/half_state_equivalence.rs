@@ -17,7 +17,8 @@
 //! (which produce exact zeros, whose signs must match too):
 //!
 //! * every unfolded amplitude;
-//! * `QaoaInstance::expectation_with` and `probabilities_into`;
+//! * `QaoaInstance::statevector_expectation_with` (the statevector arm of
+//!   the exact-energy chooser) and `probabilities_into`;
 //! * `⟨Z_a Z_b⟩` for every qubit pair;
 //! * `EdgeLocalEvaluator::energy`, `edge_local_expectation` and
 //!   `depth::factor::factored_edge_local_expectation`, against the same
@@ -197,7 +198,7 @@ proptest! {
             }
         }
 
-        let energy = instance.expectation_with(&mut workspace, &params);
+        let energy = instance.statevector_expectation_with(&mut workspace, &params);
         prop_assert!(
             energy.to_bits() == full.expectation_diagonal(cost.values()).to_bits(),
             "n = {qubits}, {params:?}: energy drifted"

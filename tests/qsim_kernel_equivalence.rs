@@ -567,9 +567,11 @@ fn gate_by_gate_energy(instance: &QaoaInstance, params: &QaoaParams) -> f64 {
     sv.expectation_diagonal(table)
 }
 
-/// `QaoaInstance::expectation_with` (`u8` cost-layer gathers with the
-/// uniform start folded in + grouped structured mixer layer) is bitwise equal to the gate-by-gate evolution for p = 1..3 on
-/// graphs up to 16 nodes, including the grid corners where γ or β is 0.
+/// `QaoaInstance::statevector_expectation_with` (`u8` cost-layer gathers
+/// with the uniform start folded in + grouped structured mixer layer), the
+/// statevector arm of the exact-energy chooser, is bitwise equal to the
+/// gate-by-gate evolution for p = 1..3 on graphs up to 16 nodes, including
+/// the grid corners where γ or β is 0.
 #[test]
 fn qaoa_energies_match_gate_by_gate_evolution_bitwise() {
     let mut rng = seeded(1406);
@@ -588,7 +590,7 @@ fn qaoa_energies_match_gate_by_gate_evolution_bitwise() {
         ];
         for (g, b) in points {
             let params = QaoaParams::new(g, b).unwrap();
-            let fast = instance.expectation_with(&mut workspace, &params);
+            let fast = instance.statevector_expectation_with(&mut workspace, &params);
             let reference = gate_by_gate_energy(&instance, &params);
             assert_eq!(
                 fast.to_bits(),
