@@ -32,7 +32,10 @@
 #      The landscape smoke emits BENCH_landscape.json (points/sec for a
 #      32x32 p = 1 grid on a 16-node graph through the statevector arm,
 #      4-thread speedup gated at >= 2x when cores > 1; the chooser's serial
-#      points/sec recorded without a gate), the reduction smoke emits
+#      points/sec recorded without a gate; the closed form's points/sec
+#      through the per-edge powi oracle and through the power-table kernel,
+#      recorded without a gate and bitwise cross-checked at every grid
+#      point, a mismatch failing the step), the reduction smoke emits
 #      BENCH_reduction.json (SA moves/sec, incremental-vs-rebuild move
 #      evaluation, reduce_pool graphs/sec; no energies),
 #      the engine smoke emits BENCH_engine.json (batch jobs/sec cold vs

@@ -12,21 +12,65 @@
 //! form at `p = 1`) and recorded without a gate: each of its points is too
 //! little work for a thread-scaling gate to mean anything.
 //!
+//! The closed form itself is timed twice over the same grid, repeated
+//! [`CLOSED_FORM_PASSES`] times: summing the per-edge oracle
+//! `edge_expectation_p1` (four `powi` calls per edge) and the power-table
+//! kernel behind every `p = 1` exact energy (`AnalyticP1Evaluator::value`).
+//! Both rates are recorded without a gate; the two must agree bit for bit
+//! at every point, and with the chooser's landscape, or the run fails.
+//!
 //! Usage: `landscape_smoke [output.json]` (default `BENCH_landscape.json`).
 
 use bench::{bench_graph, StatevectorArm};
+use graphlib::Graph;
 use mathkit::parallel::with_threads;
-use qaoa::evaluator::{EnergyEvaluator, StatevectorEvaluator};
+use qaoa::analytic::edge_expectation_p1;
+use qaoa::evaluator::{AnalyticP1Evaluator, EnergyEvaluator, StatevectorEvaluator};
 use qaoa::landscape::Landscape;
+use std::hint::black_box;
 use std::time::Instant;
 
 const NODES: usize = 16;
 const WIDTH: usize = 32;
+/// Passes over the grid per closed-form timing: one pass of 1,024 points
+/// takes well under a millisecond.
+const CLOSED_FORM_PASSES: usize = 200;
 
 fn timed_grid<E: EnergyEvaluator + Sync>(evaluator: &E, threads: usize) -> (Landscape, f64) {
     let start = Instant::now();
     let landscape = with_threads(threads, || Landscape::evaluate(WIDTH, evaluator));
     (landscape, start.elapsed().as_secs_f64())
+}
+
+/// Points/sec of `energy` over `grid`'s points, and its values on the last
+/// pass in the landscape's row-major order.
+fn closed_form_rate(grid: &Landscape, energy: impl Fn(f64, f64) -> f64) -> (Vec<f64>, f64) {
+    let mut values = Vec::with_capacity(grid.len());
+    let start = Instant::now();
+    for _ in 0..CLOSED_FORM_PASSES {
+        values.clear();
+        for &gamma in &grid.gammas {
+            for &beta in &grid.betas {
+                values.push(energy(black_box(gamma), black_box(beta)));
+            }
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    (values, (CLOSED_FORM_PASSES * grid.len()) as f64 / secs)
+}
+
+/// Each edge's `(d_u, d_v, triangles)`, in `graph.edges()` order.
+fn edge_inputs(graph: &Graph) -> Vec<(usize, usize, usize)> {
+    let degrees = graph.degrees();
+    graph
+        .edges()
+        .into_iter()
+        .map(|(u, v)| (degrees[u] - 1, degrees[v] - 1, graph.common_neighbors(u, v)))
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn main() {
@@ -50,7 +94,29 @@ fn main() {
         "parallel landscape diverged from the serial reference"
     );
 
-    let (_, chooser_secs) = timed_grid(&chooser, 1);
+    let (chooser_grid, chooser_secs) = timed_grid(&chooser, 1);
+
+    let inputs = edge_inputs(&graph);
+    let (oracle_values, oracle_pps) = closed_form_rate(&chooser_grid, |gamma, beta| {
+        let mut total = 0.0;
+        for &(d_u, d_v, triangles) in &inputs {
+            total += edge_expectation_p1(gamma, beta, d_u, d_v, triangles);
+        }
+        total
+    });
+    let analytic = AnalyticP1Evaluator::new(&graph).expect("graph has edges");
+    let (table_values, table_pps) =
+        closed_form_rate(&chooser_grid, |gamma, beta| analytic.value(gamma, beta));
+    assert_eq!(
+        bits(&table_values),
+        bits(&oracle_values),
+        "the closed form's power tables diverged from the per-edge powi oracle"
+    );
+    assert_eq!(
+        bits(&chooser_grid.values),
+        bits(&table_values),
+        "the chooser's landscape diverged from the closed form"
+    );
 
     let serial_pps = points as f64 / serial_secs;
     let parallel_pps = points as f64 / parallel_secs;
@@ -78,6 +144,8 @@ fn main() {
             "  \"threads4_points_per_sec\": {:.2},\n",
             "  \"speedup_4_threads\": {:.3},\n",
             "  \"chooser_serial_points_per_sec\": {:.2},\n",
+            "  \"closed_form_points_per_sec\": {{\"powi_oracle\": {:.2}, \"table_kernel\": {:.2}}},\n",
+            "  \"closed_form_table_speedup\": {:.3},\n",
             "  \"bitwise_identical\": true\n",
             "}}\n"
         ),
@@ -91,6 +159,9 @@ fn main() {
         parallel_pps,
         serial_secs / parallel_secs,
         points as f64 / chooser_secs,
+        oracle_pps,
+        table_pps,
+        table_pps / oracle_pps,
     );
     std::fs::write(&output, &json).expect("write benchmark record");
     print!("{json}");

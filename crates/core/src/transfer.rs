@@ -132,8 +132,9 @@ pub struct OptimizedTransfer {
     /// Periodic distance between the surrogate's and the native session's
     /// best parameters.
     pub parameter_distance: f64,
-    /// Exact MaxCut of the original graph: the maximum of the cut table its
-    /// evaluator already built.
+    /// Exact MaxCut of the original graph: the maximum of its cut table,
+    /// which the original graph's instance builds on this read (at `p = 1`
+    /// no energy needs it).
     pub original_max_cut: usize,
     /// The refine step: one local run of the driver's optimizer on the
     /// original graph, started from the surrogate's best parameters (the
@@ -203,8 +204,6 @@ pub fn optimized_transfer<O: Optimizer + Clone, R: Rng>(
     let parameter_distance = surrogate_outcome
         .best_params
         .periodic_distance(&native_outcome.best_params);
-    // The refine step reuses the original graph's evaluator, so it builds
-    // no second cut table.
     let refined = (refine_iters > 0).then(|| {
         OptimizeDriver::new(driver.optimizer().clone(), 1, refine_iters).refine_from(
             &original_evaluator,

@@ -51,20 +51,27 @@ impl GridSearch {
     ///
     /// Panics if `index >= self.total_points()`.
     pub fn point(&self, index: usize) -> Vec<f64> {
+        let mut coords = vec![0.0; self.lower.len()];
+        self.point_into(index, &mut coords);
+        coords
+    }
+
+    /// Writes the grid point with the given flattened index into `coords`
+    /// (one entry per dimension), as [`GridSearch::point`] returns it.
+    fn point_into(&self, index: usize, coords: &mut [f64]) {
         assert!(index < self.total_points(), "grid index out of range");
-        let d = self.lower.len();
-        let mut coords = vec![0.0; d];
         let mut rest = index;
-        for dim in (0..d).rev() {
+        for dim in (0..coords.len()).rev() {
             let i = rest % self.points_per_dim;
             rest /= self.points_per_dim;
             let step = (self.upper[dim] - self.lower[dim]) / self.points_per_dim as f64;
             coords[dim] = self.lower[dim] + step * i as f64;
         }
-        coords
     }
 
     /// Evaluates the objective at every grid point and returns the minimizer.
+    /// Every point is written into one buffer, so the search allocates the
+    /// same few buffers whatever the grid's size.
     ///
     /// # Panics
     ///
@@ -78,13 +85,14 @@ impl GridSearch {
         let total = self.total_points();
         let mut best_value = f64::INFINITY;
         let mut best_params = self.point(0);
+        let mut p = vec![0.0; self.lower.len()];
         let mut history = Vec::with_capacity(total);
         for idx in 0..total {
-            let p = self.point(idx);
+            self.point_into(idx, &mut p);
             let v = objective.evaluate(&p);
             if v < best_value {
                 best_value = v;
-                best_params = p;
+                best_params.copy_from_slice(&p);
             }
             history.push(best_value);
         }
@@ -99,8 +107,12 @@ impl GridSearch {
     /// Evaluates the objective at every grid point and returns all values in
     /// index order (the raw landscape).
     pub fn evaluate_all(&self, objective: &mut dyn Objective) -> Vec<f64> {
+        let mut p = vec![0.0; self.lower.len()];
         (0..self.total_points())
-            .map(|idx| objective.evaluate(&self.point(idx)))
+            .map(|idx| {
+                self.point_into(idx, &mut p);
+                objective.evaluate(&p)
+            })
             .collect()
     }
 }
@@ -128,6 +140,37 @@ mod tests {
         assert!((result.params[0] - 0.4).abs() < 0.11);
         assert!((result.params[1] + 0.9).abs() < 0.11);
         assert_eq!(result.evaluations, 41 * 41);
+    }
+
+    /// Every output bit of a 2-D and a 3-D search, pinned from the
+    /// per-point allocating implementation this one replaced.
+    #[test]
+    fn results_keep_their_bits() {
+        use crate::optim::assert_result_bits;
+        let g = GridSearch::new(vec![-1.0, 0.0], vec![2.0, 1.5], 7);
+        let result = g.minimize(&mut FnObjective::new(2, |p: &[f64]| {
+            (3.0 * p[0]).sin() * (2.0 * p[1]).cos() + 0.1 * p[0]
+        }));
+        assert_result_bits(
+            "2-D grid",
+            &result,
+            &[0xbfe2492492492492, 0x0000000000000000],
+            0xbff0bff676d9433c,
+            49,
+            (49, 0xcdedead50c3d8e67),
+        );
+        let g = GridSearch::new(vec![-1.0, -1.0, 0.0], vec![1.0, 1.0, 3.0], 4);
+        let result = g.minimize(&mut FnObjective::new(3, |p: &[f64]| {
+            (p[0] - 0.2).powi(2) + (p[1] + 0.4).powi(2) - p[2].sin()
+        }));
+        assert_result_bits(
+            "3-D grid",
+            &result,
+            &[0x0000000000000000, 0xbfe0000000000000, 0x3ff8000000000000],
+            0xbfee51e10192d3f1,
+            64,
+            (64, 0x14deea2b4ecd41ca),
+        );
     }
 
     #[test]

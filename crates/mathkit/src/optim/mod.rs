@@ -67,6 +67,39 @@ impl<F: FnMut(&[f64]) -> f64> Objective for FnObjective<F> {
     }
 }
 
+/// FNV-1a over the bits of `values`, for pinning optimizer histories.
+#[cfg(test)]
+fn bits_digest(values: &[f64]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// Asserts every bit of `result`: each parameter, the value, the evaluation
+/// count, and the history's length and digest.
+#[cfg(test)]
+fn assert_result_bits(
+    what: &str,
+    result: &OptimResult,
+    params: &[u64],
+    value: u64,
+    evaluations: usize,
+    history: (usize, u64),
+) {
+    let got: Vec<u64> = result.params.iter().map(|p| p.to_bits()).collect();
+    assert_eq!(got, params, "{what}: params");
+    assert_eq!(result.value.to_bits(), value, "{what}: value");
+    assert_eq!(result.evaluations, evaluations, "{what}: evaluations");
+    assert_eq!(
+        (result.history.len(), bits_digest(&result.history)),
+        history,
+        "{what}: history"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -67,13 +67,14 @@ impl Spsa {
 
         let mut x = x0.to_vec();
         let mut evaluations = 0usize;
-        let mut history = Vec::with_capacity(self.options.max_iters);
+        let mut history = Vec::with_capacity(self.options.max_iters + 1);
         let mut best = x.clone();
         let mut best_value = {
             evaluations += 1;
             objective.evaluate(&x)
         };
         history.push(best_value);
+        let (mut delta, mut x_plus, mut x_minus) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
 
         for k in 0..self.options.max_iters {
             let ak =
@@ -81,11 +82,13 @@ impl Spsa {
             let ck = self.options.c / (k as f64 + 1.0).powf(self.options.gamma);
 
             // Rademacher perturbation direction.
-            let delta: Vec<f64> = (0..n)
-                .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                .collect();
-            let x_plus: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
-            let x_minus: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
+            for d in delta.iter_mut() {
+                *d = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            }
+            for (((p, m), xi), d) in x_plus.iter_mut().zip(&mut x_minus).zip(&x).zip(&delta) {
+                *p = xi + ck * d;
+                *m = xi - ck * d;
+            }
             let f_plus = objective.evaluate(&x_plus);
             let f_minus = objective.evaluate(&x_minus);
             evaluations += 2;
@@ -99,7 +102,7 @@ impl Spsa {
             evaluations += 1;
             if f_now < best_value {
                 best_value = f_now;
-                best = x.clone();
+                best.copy_from_slice(&x);
             }
             history.push(best_value);
         }
@@ -118,6 +121,43 @@ mod tests {
     use super::*;
     use crate::optim::FnObjective;
     use crate::rng::seeded;
+
+    /// Every output bit of a 2-D and a 3-D run, pinned from the
+    /// per-iteration allocating implementation this one replaced.
+    #[test]
+    fn results_keep_their_bits() {
+        use crate::optim::assert_result_bits;
+        let run = |dim: usize, max_iters, seed| {
+            let mut obj = FnObjective::new(dim, |p: &[f64]| {
+                p.iter()
+                    .enumerate()
+                    .map(|(i, x)| (x - 0.3 * i as f64).powi(2) + 0.3 * (7.0 * x).sin())
+                    .sum()
+            });
+            let x0: Vec<f64> = (0..dim).map(|i| 0.5 - 0.4 * i as f64).collect();
+            Spsa::new(SpsaOptions {
+                max_iters,
+                ..Default::default()
+            })
+            .minimize(&mut obj, &x0, &mut seeded(seed))
+        };
+        assert_result_bits(
+            "2-D",
+            &run(2, 60, 4),
+            &[0x3fe29761ed241f36, 0xbfc3c2eb5d86044e],
+            0x3fa451635496030c,
+            181,
+            (61, 0xeaacc719b9b71b39),
+        );
+        assert_result_bits(
+            "3-D",
+            &run(3, 90, 7),
+            &[0xbfc908f6548fa812, 0xbfc3d5c8987a056e, 0xbfbba525da80efbe],
+            0xbf92e932f4a12a00,
+            271,
+            (91, 0x3ac53d005ef827e8),
+        );
+    }
 
     #[test]
     fn converges_on_quadratic() {

@@ -32,15 +32,75 @@ pub fn edge_expectation_p1(gamma: f64, beta: f64, d_u: usize, d_v: usize, triang
     0.5 + term1 - term2
 }
 
-/// One edge's inputs to [`edge_expectation_p1`].
+/// One edge's inputs to [`edge_expectation_p1`], plus the exponent of its
+/// `cos γ` factor in the second term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EdgeTerm {
     /// Neighbours of `u` excluding `v`.
-    d_u: usize,
+    d_u: u32,
     /// Neighbours of `v` excluding `u`.
-    d_v: usize,
+    d_v: u32,
+    /// `d_u + d_v − 2·triangles`, never negative.
+    exponent: u32,
     /// Triangles through the edge.
-    triangles: usize,
+    triangles: u32,
+}
+
+/// Exponents `0 … 2^TABLE_BITS − 1` come straight from a [`Powers`] table.
+const TABLE_BITS: u32 = 6;
+const TABLE_LEN: usize = 1 << TABLE_BITS;
+
+/// `x^k` for every `u32` exponent `k`, bitwise-equal to `x.powi(k)`.
+///
+/// A runtime-exponent `f64::powi` is `__powidf2`: it starts from `1.0` and,
+/// walking the exponent's bits from the lowest, multiplies in `x^(2^h)`
+/// (formed by repeated squaring) for each set bit `h`. `table[k]` is built
+/// in exactly that order, `table[k] = table[k − 2^h]·squares[h]` with `h`
+/// the highest bit of `k`, and bits above the table multiply the matching
+/// squares lowest bit first, so every exponent takes the same products.
+struct Powers {
+    /// `squares[h] = x^(2^h)`, up to the highest bit of the largest exponent.
+    squares: [f64; 32],
+    /// `x^k` for `k` up to the largest exponent, at most `TABLE_LEN − 1`.
+    table: [f64; TABLE_LEN],
+}
+
+impl Powers {
+    /// The powers of `x` up to exponent `max`.
+    fn new(x: f64, max: u32) -> Self {
+        let mut squares = [0.0; 32];
+        let mut square = x;
+        for slot in squares
+            .iter_mut()
+            .take((u32::BITS - max.leading_zeros()) as usize)
+        {
+            *slot = square;
+            square *= square;
+        }
+        let mut table = [0.0; TABLE_LEN];
+        table[0] = 1.0;
+        for k in 1..(max as usize + 1).min(TABLE_LEN) {
+            let h = k.ilog2();
+            table[k] = table[k - (1 << h)] * squares[h as usize];
+        }
+        Self { squares, table }
+    }
+
+    /// `x^k`, for `k` no larger than the `max` the table was built for.
+    #[inline]
+    fn pow(&self, k: u32) -> f64 {
+        let mut value = self.table[k as usize & (TABLE_LEN - 1)];
+        let mut high = k >> TABLE_BITS;
+        let mut h = TABLE_BITS as usize;
+        while high != 0 {
+            if high & 1 != 0 {
+                value *= self.squares[h];
+            }
+            high >>= 1;
+            h += 1;
+        }
+        value
+    }
 }
 
 /// The per-edge `(d_u, d_v, triangles)` terms of one graph's closed-form
@@ -51,11 +111,22 @@ struct EdgeTerm {
 /// [`analytic_expectation_p1`] all sum [`P1EdgeTerms::value`], so they
 /// return identical bits for the same graph and point.
 ///
+/// Each point computes its angle-only factors once and reads every power
+/// from two small tables (`cos γ` up to the largest exponent, `cos 2γ` up
+/// to the largest triangle count) instead of calling `powi` four times per
+/// edge. The tables repeat `powi`'s own products, so [`P1EdgeTerms::value`]
+/// is bitwise-equal to summing [`edge_expectation_p1`] over the edges (see
+/// `docs/determinism.md`).
+///
 /// [`QaoaInstance`]: crate::expectation::QaoaInstance
 /// [`AnalyticP1Evaluator`]: crate::evaluator::AnalyticP1Evaluator
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct P1EdgeTerms {
     terms: Vec<EdgeTerm>,
+    /// The largest exponent of `cos γ`: every `d_u`, `d_v` and `exponent`.
+    max_cos_exponent: u32,
+    /// The largest triangle count, the largest exponent of `cos 2γ`.
+    max_triangles: u32,
 }
 
 impl P1EdgeTerms {
@@ -63,25 +134,47 @@ impl P1EdgeTerms {
     /// edgeless graph, whose value is then `0.0`).
     pub fn new(graph: &Graph) -> Self {
         let degrees = graph.degrees();
-        let terms = graph
+        let count = |k: usize| u32::try_from(k).expect("degree fits in u32");
+        let terms: Vec<EdgeTerm> = graph
             .edges()
             .into_iter()
-            .map(|(u, v)| EdgeTerm {
-                d_u: degrees[u] - 1,
-                d_v: degrees[v] - 1,
-                triangles: graph.common_neighbors(u, v),
+            .map(|(u, v)| {
+                let (d_u, d_v) = (count(degrees[u] - 1), count(degrees[v] - 1));
+                let triangles = count(graph.common_neighbors(u, v));
+                EdgeTerm {
+                    d_u,
+                    d_v,
+                    exponent: d_u + d_v - 2 * triangles,
+                    triangles,
+                }
             })
             .collect();
-        Self { terms }
+        let max_of = |f: fn(&EdgeTerm) -> u32| terms.iter().map(f).max().unwrap_or(0);
+        Self {
+            max_cos_exponent: max_of(|t| t.d_u.max(t.d_v).max(t.exponent)),
+            max_triangles: max_of(|t| t.triangles),
+            terms,
+        }
     }
 
     /// The `p = 1` expectation at `(γ, β)`: [`edge_expectation_p1`] summed
-    /// over the edges in `graph.edges()` order. Pure arithmetic, no
-    /// allocation.
+    /// over the edges in `graph.edges()` order, bit for bit. Pure
+    /// arithmetic on the stack, no allocation.
+    ///
+    /// Per edge it evaluates `0.5 + A·(cᵈᵘ + cᵈᵛ) − B·cᵉ·(1 − c₂ᵗ)` with
+    /// `c = cos γ`, `c₂ = cos 2γ`, `A = 0.25·sin 4β·sin γ`,
+    /// `B = 0.25·sin²2β` and `e = d_u + d_v − 2t`: the oracle's expression
+    /// with the same association, its angle factors hoisted out of the loop.
     pub fn value(&self, gamma: f64, beta: f64) -> f64 {
+        let a = 0.25 * (4.0 * beta).sin() * gamma.sin();
+        let b = 0.25 * (2.0 * beta).sin().powi(2);
+        let cos = Powers::new(gamma.cos(), self.max_cos_exponent);
+        let cos2 = Powers::new((2.0 * gamma).cos(), self.max_triangles);
         let mut total = 0.0;
         for t in &self.terms {
-            total += edge_expectation_p1(gamma, beta, t.d_u, t.d_v, t.triangles);
+            let term1 = a * (cos.pow(t.d_u) + cos.pow(t.d_v));
+            let term2 = b * cos.pow(t.exponent) * (1.0 - cos2.pow(t.triangles));
+            total += 0.5 + term1 - term2;
         }
         total
     }
@@ -151,6 +244,46 @@ mod tests {
                 instance.statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
             let analytic = analytic_expectation_p1(&g, &params).unwrap();
             assert!((exact - analytic).abs() < 1e-8);
+        }
+    }
+
+    /// Every table power equals `powi` bit for bit, below and above the
+    /// table, for bases of either sign, near `±1` (where high powers stay
+    /// large) and at the special values.
+    #[test]
+    fn power_tables_equal_powi_bitwise() {
+        use rand::Rng;
+        let mut rng = seeded(23);
+        let mut bases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            std::f64::consts::FRAC_PI_2.cos(),
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        bases.extend((0..64).map(|_| rng.gen_range(-1.0f64..1.0)));
+        bases.extend((0..64).map(|_| {
+            let near_one = 1.0 - rng.gen_range(0.0f64..1e-3);
+            if rng.gen::<bool>() {
+                near_one
+            } else {
+                -near_one
+            }
+        }));
+        for x in bases {
+            for max in [0, 1, 2, 63, 64, 200, 1100] {
+                let powers = Powers::new(x, max);
+                for k in 0..=max {
+                    assert_eq!(
+                        powers.pow(k).to_bits(),
+                        x.powi(k as i32).to_bits(),
+                        "{x}^{k} from a table built up to {max}"
+                    );
+                }
+            }
         }
     }
 

@@ -36,6 +36,7 @@ use qsim::trajectory::{
     noisy_expectation_diagonal, noisy_expectation_diagonal_seeded, TrajectoryOptions,
 };
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Maximum number of nodes for the exact global statevector evaluator.
 pub const MAX_EXACT_NODES: usize = 22;
@@ -45,16 +46,31 @@ pub const MAX_EXACT_NODES: usize = 22;
 const _: () = assert!(MAX_EXACT_NODES * (MAX_EXACT_NODES - 1) / 2 <= u8::MAX as usize);
 
 /// A prepared QAOA MaxCut instance: the graph, the layer count, the
-/// precomputed diagonal of the cost Hamiltonian and, at `p = 1`, the
-/// closed form's per-edge terms.
-#[derive(Debug, Clone, PartialEq)]
+/// diagonal of the cost Hamiltonian and, at `p = 1`, the closed form's
+/// per-edge terms.
+///
+/// The `2^n` diagonal is built on first use — by the statevector arm,
+/// [`QaoaInstance::cut_table`], [`QaoaInstance::max_cut`] or a noisy
+/// evaluation — so a `p = 1` instance that only computes energies does
+/// `O(|E|)` set-up work.
+#[derive(Debug, Clone)]
 pub struct QaoaInstance {
     graph: Graph,
     layers: usize,
-    cut_table: CostDiagonal,
+    /// Built by [`QaoaInstance::cost_diagonal`] on first use.
+    cut_table: OnceLock<CostDiagonal>,
     /// `Some` exactly when `layers == 1`: the exact energy's closed-form arm.
     p1_terms: Option<P1EdgeTerms>,
     schedule: Option<DepthSchedule>,
+}
+
+/// Instances are equal when their graph, layer count and depth schedule
+/// are: the cut table and the closed-form terms follow from those, whether
+/// or not the table has been built yet.
+impl PartialEq for QaoaInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph == other.graph && self.layers == other.layers && self.schedule == other.schedule
+    }
 }
 
 impl QaoaInstance {
@@ -82,7 +98,7 @@ impl QaoaInstance {
         Ok(Self {
             graph: graph.clone(),
             layers,
-            cut_table: CostDiagonal::new(cut_values(graph)?),
+            cut_table: OnceLock::new(),
             p1_terms: (layers == 1).then(|| P1EdgeTerms::new(graph)),
             schedule: None,
         })
@@ -135,16 +151,24 @@ impl QaoaInstance {
         self.layers
     }
 
-    /// The diagonal of the cost Hamiltonian (cut value of each basis state).
+    /// The `u8` cost diagonal, built on the first call.
+    fn cost_diagonal(&self) -> &CostDiagonal {
+        self.cut_table.get_or_init(|| {
+            CostDiagonal::new(cut_values(&self.graph).expect("instance size checked in new"))
+        })
+    }
+
+    /// The diagonal of the cost Hamiltonian (cut value of each basis state),
+    /// built on the first call that needs it.
     pub fn cut_table(&self) -> &[u8] {
-        self.cut_table.values()
+        self.cost_diagonal().values()
     }
 
     /// The exact MaxCut value of the graph: the largest entry of the cut
     /// table, which already enumerates every assignment. Equal to
     /// `brute_force_maxcut(graph).best_cut` without a second `2^n` pass.
     pub fn max_cut(&self) -> usize {
-        usize::from(self.cut_table.max())
+        usize::from(self.cost_diagonal().max())
     }
 
     /// Prepares `|ψ(γ, β)⟩` in the workspace's half state (see
@@ -155,7 +179,12 @@ impl QaoaInstance {
         params: &QaoaParams,
     ) -> HalfState<'w> {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
-        evolve_qaoa_layers(workspace, self.graph.node_count(), &self.cut_table, params)
+        evolve_qaoa_layers(
+            workspace,
+            self.graph.node_count(),
+            self.cost_diagonal(),
+            params,
+        )
     }
 
     /// Exact cost expectation for the given parameters (to be *maximized*).

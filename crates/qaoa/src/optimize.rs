@@ -119,15 +119,18 @@ impl Optimizer for NelderMeadOptimizer {
             f_tol: self.f_tol,
             initial_step: self.initial_step,
         });
+        // One parameter set per run, overwritten at every evaluation.
+        let mut params = QaoaParams::from_flat(start).expect("start has the evaluator's shape");
         let mut objective = FnObjective::new(start.len(), |flat: &[f64]| {
-            let params = QaoaParams::from_flat(flat).expect("optimizer keeps the shape");
+            params.copy_from_flat(flat);
             let value = evaluator.energy(scratch, *eval_index, &params);
             *eval_index += 1;
             -value
         });
         let result = nm.minimize(&mut objective, start);
+        params.copy_from_flat(&result.params);
         OptimizerRun {
-            params: QaoaParams::from_flat(&result.params).expect("valid shape"),
+            params,
             value: -result.value,
             evaluations: result.evaluations,
         }
@@ -189,15 +192,18 @@ impl Optimizer for SpsaOptimizer {
             c: self.c,
             gamma: self.gamma,
         });
+        // One parameter set per run, overwritten at every evaluation.
+        let mut params = QaoaParams::from_flat(start).expect("start has the evaluator's shape");
         let mut objective = FnObjective::new(start.len(), |flat: &[f64]| {
-            let params = QaoaParams::from_flat(flat).expect("optimizer keeps the shape");
+            params.copy_from_flat(flat);
             let value = evaluator.energy(scratch, *eval_index, &params);
             *eval_index += 1;
             -value
         });
         let result = spsa.minimize(&mut objective, start, rng);
+        params.copy_from_flat(&result.params);
         OptimizerRun {
-            params: QaoaParams::from_flat(&result.params).expect("valid shape"),
+            params,
             value: -result.value,
             evaluations: result.evaluations,
         }
@@ -337,8 +343,9 @@ fn seed_start<R: Rng, E: EnergyEvaluator>(
             vec![GAMMA_MAX, BETA_MAX],
             SEED_SCAN_POINTS_PER_DIM,
         );
+        let mut params = QaoaParams::new(vec![0.0], vec![0.0]).expect("one layer");
         let mut objective = FnObjective::new(2, |flat: &[f64]| {
-            let params = QaoaParams::from_flat(flat).expect("grid keeps the shape");
+            params.copy_from_flat(flat);
             -call(&params)
         });
         let result = grid.minimize(&mut objective);
@@ -488,9 +495,11 @@ impl<O: Optimizer> OptimizeDriver<O> {
     }
 
     /// One local polish from a known-good start (no restarts, no global
-    /// seeding). With a zero iteration budget this degenerates to a single
-    /// evaluation at `start`, so callers always get a value measured through
-    /// the same evaluator.
+    /// seeding): one `max_iters`-iteration run of the optimizer from
+    /// `start`. A zero budget still runs the optimizer's set-up evaluations
+    /// — Nelder–Mead evaluates its initial simplex and returns the best
+    /// vertex, SPSA evaluates `start` alone — so the result is never worse
+    /// than `start` measured through the same evaluator.
     pub fn refine_from<E, R>(&self, evaluator: &E, start: &QaoaParams, rng: &mut R) -> OptimizerRun
     where
         E: EnergyEvaluator,
@@ -498,14 +507,6 @@ impl<O: Optimizer> OptimizeDriver<O> {
     {
         let mut scratch = evaluator.scratch();
         let mut eval_index: u64 = 0;
-        if self.max_iters == 0 {
-            let value = evaluator.energy(&mut scratch, 0, start);
-            return OptimizerRun {
-                params: start.clone(),
-                value,
-                evaluations: 1,
-            };
-        }
         self.optimizer.maximize_from(
             evaluator,
             &mut scratch,
@@ -823,23 +824,6 @@ mod tests {
         let driver = OptimizeDriver::new(NelderMeadOptimizer::default(), 10, 80).max_evaluations(1);
         let outcome = driver.maximize(&evaluator, &mut seeded(2)).unwrap();
         assert_eq!(outcome.restart_values.len(), 1);
-    }
-
-    #[test]
-    fn refine_from_with_zero_budget_evaluates_in_place() {
-        let g = cycle(6).unwrap();
-        let evaluator = StatevectorEvaluator::new(&g, 1).unwrap();
-        let start = QaoaParams::new(vec![0.4], vec![0.3]).unwrap();
-        let driver = OptimizeDriver::new(NelderMeadOptimizer::default(), 1, 0);
-        let run = driver.refine_from(&evaluator, &start, &mut seeded(1));
-        assert_eq!(run.params, start);
-        assert_eq!(run.evaluations, 1);
-        let refined = OptimizeDriver::new(NelderMeadOptimizer::default(), 1, 60).refine_from(
-            &evaluator,
-            &start,
-            &mut seeded(1),
-        );
-        assert!(refined.value >= run.value - 1e-12);
     }
 
     #[test]

@@ -69,6 +69,20 @@ impl QaoaParams {
         })
     }
 
+    /// Overwrites the angles with the flattened layout
+    /// `[γ_1 … γ_p, β_1 … β_p]`, keeping the layer count: the allocation-free
+    /// counterpart of [`QaoaParams::from_flat`] for optimizer loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len() != 2 · self.layers()`.
+    pub fn copy_from_flat(&mut self, flat: &[f64]) {
+        assert_eq!(flat.len(), 2 * self.layers(), "flattened shape mismatch");
+        let (gammas, betas) = flat.split_at(self.layers());
+        self.gammas.copy_from_slice(gammas);
+        self.betas.copy_from_slice(betas);
+    }
+
     /// Samples uniformly random parameters in the canonical domain.
     pub fn random<R: Rng>(layers: usize, rng: &mut R) -> Self {
         assert!(layers > 0, "layers must be positive");
@@ -124,6 +138,9 @@ mod tests {
         assert_eq!(QaoaParams::from_flat(&flat).unwrap(), p);
         assert!(QaoaParams::from_flat(&[0.1]).is_err());
         assert!(QaoaParams::from_flat(&[]).is_err());
+        let mut q = QaoaParams::new(vec![0.0, 0.0], vec![0.0, 0.0]).unwrap();
+        q.copy_from_flat(&flat);
+        assert_eq!(q, p);
     }
 
     #[test]

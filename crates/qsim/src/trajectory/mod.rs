@@ -71,7 +71,7 @@ pub mod reference;
 use crate::circuit::{rx_matrix, Circuit, Gate};
 use crate::density::apply_readout_confusion_in_place;
 use crate::noise::NoiseModel;
-use crate::statevector::{cut_counts, sample_counts_from_probabilities, vectorized};
+use crate::statevector::{cut_counts, vectorized};
 use mathkit::parallel::parallel_map_indexed;
 use mathkit::rng::{derive_seed, seeded};
 use mathkit::Complex64;
@@ -726,19 +726,6 @@ fn expectation<V: Copy + Into<f64>>(probs: &[f64], values: &[V]) -> f64 {
     probs.iter().zip(values).map(|(p, &v)| p * v.into()).sum()
 }
 
-/// Samples measurement counts from the noisy distribution (shot noise plus
-/// gate and readout error).
-pub fn noisy_sample_counts<R: Rng>(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: usize,
-    options: TrajectoryOptions,
-    rng: &mut R,
-) -> Vec<usize> {
-    let probs = noisy_probabilities(circuit, noise, options, rng);
-    sample_counts_from_probabilities(&probs, shots, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,20 +949,5 @@ mod tests {
         let probs = noisy_probabilities_seeded(&c, &noise, opts, 11);
         let manual: f64 = probs.iter().zip(values).map(|(p, v)| p * v).sum();
         assert_eq!(e.to_bits(), manual.to_bits());
-    }
-
-    #[test]
-    fn expectation_and_sampling_are_consistent() {
-        let c = ghz(2);
-        let values = [1.0, 0.0, 0.0, 1.0]; // parity observable
-        let mut rng = seeded(5);
-        let noise = test_noise();
-        let opts = TrajectoryOptions { trajectories: 500 };
-        let e = noisy_expectation_diagonal(&c, &noise, &values, opts, &mut rng);
-        assert!(e > 0.8 && e < 1.0, "expectation {e}");
-        let counts = noisy_sample_counts(&c, &noise, 4000, opts, &mut rng);
-        assert_eq!(counts.iter().sum::<usize>(), 4000);
-        let sampled_e = (counts[0] + counts[3]) as f64 / 4000.0;
-        assert!((sampled_e - e).abs() < 0.08, "sampled {sampled_e} vs {e}");
     }
 }

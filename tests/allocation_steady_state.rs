@@ -8,7 +8,8 @@
 //! after the first call of a given size *no further allocation happens*,
 //! and the noisy trajectory average allocates per call, never per
 //! trajectory. At `p = 1` the exact energy is the closed form, which
-//! allocates nothing at all, not even on its first call.
+//! allocates nothing at all, not even on its first call, and a Nelder–Mead
+//! session over it allocates the same whatever its iteration budget.
 //! That promise is what makes landscape scans allocator-quiet; this file
 //! enforces it with a counting `#[global_allocator]` so an accidental
 //! per-call `Vec` rebuild (the bug class PR 9 removed) fails a test
@@ -37,10 +38,11 @@ use mathkit::rng::seeded;
 use qaoa::circuit::qaoa_circuit;
 use qaoa::depth::{compile_maxcut, scheduled_qaoa_circuit};
 use qaoa::evaluator::{
-    AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
-    StatevectorEvaluator,
+    AnalyticP1Evaluator, AutoEvaluator, EdgeLocalEvaluator, EnergyEvaluator,
+    ScheduledCircuitEvaluator, StatevectorEvaluator,
 };
 use qaoa::expectation::QaoaInstance;
+use qaoa::optimize::{NelderMeadOptimizer, OptimizeDriver};
 use qaoa::params::QaoaParams;
 use qsim::density::apply_readout_confusion_in_place;
 use qsim::devices::fake_toronto;
@@ -194,6 +196,34 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         }
     });
     assert_eq!(allocs, 0, "a p = 1 evaluator energy allocated");
+
+    // --- a p = 1 Nelder–Mead session -------------------------------------
+    // Each restart sets up its simplex, its buffers and one parameter set,
+    // and the closed form allocates nothing, so the iteration budget adds
+    // no allocation. A zero tolerance keeps every restart running to its
+    // budget.
+    let analytic = AnalyticP1Evaluator::new(&graph).unwrap();
+    let session = |max_iters| {
+        let optimizer = NelderMeadOptimizer {
+            f_tol: 0.0,
+            ..Default::default()
+        };
+        let driver = OptimizeDriver::new(optimizer, 2, max_iters);
+        let mut evaluations = 0;
+        let allocs = allocations_during(|| {
+            evaluations = driver
+                .maximize(&analytic, &mut seeded(4))
+                .unwrap()
+                .evaluations;
+        });
+        (allocs, evaluations)
+    };
+    let ((short, short_evals), (long, long_evals)) = (session(60), session(240));
+    assert!(long_evals > short_evals + 300, "the sessions stopped early");
+    assert_eq!(
+        long, short,
+        "a Nelder–Mead session allocated per iteration ({short_evals} vs {long_evals} evaluations)"
+    );
 
     // --- the first energy on a fresh workspace: half a state --------------
     // One full 12-qubit state is 2^12 · 16 bytes; the half state, the

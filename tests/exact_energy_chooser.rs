@@ -12,6 +12,11 @@
 //!   `QaoaInstance::expectation` / `expectation_with` and
 //!   `analytic_expectation_p1`. The engine's cross-mode landscape
 //!   coalescing relies on that equality.
+//! * Those bits are the per-edge oracle's: the closed form's power tables
+//!   (`P1EdgeTerms::value`, behind `AnalyticP1Evaluator::value`) equal
+//!   `edge_expectation_p1`, which calls `powi`, summed in edge order, on
+//!   random graphs, on degrees and triangle counts past the 64-entry
+//!   tables, and at the angle corners.
 //!
 //! At `p ≥ 2` the chooser is the statevector arm; the recorded 3-layer bits
 //! in `tests/kernel_golden_values.rs` and the `p = 2` pins in
@@ -21,7 +26,7 @@ use graphlib::generators::{complete, connected_gnp, cycle, erdos_renyi_gnp, star
 use graphlib::Graph;
 use mathkit::rng::seeded;
 use proptest::prelude::*;
-use qaoa::analytic::analytic_expectation_p1;
+use qaoa::analytic::{analytic_expectation_p1, edge_expectation_p1};
 use qaoa::evaluator::{
     AnalyticP1Evaluator, AutoEvaluator, EnergyEvaluator, ScheduledCircuitEvaluator,
     StatevectorEvaluator,
@@ -83,6 +88,100 @@ proptest! {
                 (closed - oracle).abs() <= tolerance,
                 "{graph}, {params:?}: closed form {closed} vs statevector {oracle}"
             );
+        }
+    }
+}
+
+/// The closed form summed edge by edge through the public per-edge oracle
+/// (`powi` per power), from `0.0` in `graph.edges()` order.
+fn per_edge_oracle(graph: &Graph, gamma: f64, beta: f64) -> f64 {
+    let degrees = graph.degrees();
+    let mut total = 0.0;
+    for (u, v) in graph.edges() {
+        let triangles = graph.common_neighbors(u, v);
+        total += edge_expectation_p1(gamma, beta, degrees[u] - 1, degrees[v] - 1, triangles);
+    }
+    total
+}
+
+/// The angle corners of the bitwise check: zero, `±π/2` (where `cos γ` is
+/// about `6e-17` and its powers underflow), `π` (where `cos γ = −1`), and a
+/// point where `cos γ` is negative.
+const CORNERS: [f64; 6] = [
+    0.0,
+    std::f64::consts::FRAC_PI_2,
+    -std::f64::consts::FRAC_PI_2,
+    std::f64::consts::PI,
+    -std::f64::consts::PI,
+    2.0,
+];
+
+/// Asserts that the table kernel equals the per-edge oracle bit for bit at
+/// `(γ, β)`.
+fn assert_closed_form_bits(graph: &Graph, analytic: &AnalyticP1Evaluator, gamma: f64, beta: f64) {
+    let table = analytic.value(gamma, beta);
+    let oracle = per_edge_oracle(graph, gamma, beta);
+    assert_eq!(
+        table.to_bits(),
+        oracle.to_bits(),
+        "{graph} at γ = {gamma}, β = {beta}: table {table} vs oracle {oracle}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The table kernel against `powi`, on `G(n, q)` graphs with isolated
+    /// nodes, at random angles of either sign and at the corners.
+    #[test]
+    fn closed_form_tables_equal_the_per_edge_oracle_bitwise(
+        seed in 0u64..100_000,
+        nodes in 2usize..=40,
+        isolated in 0usize..=3,
+    ) {
+        let mut rng = seeded(seed);
+        let isolated = isolated.min(nodes - 2);
+        let graph = loose_graph(nodes - isolated, isolated, &mut rng);
+        let analytic = AnalyticP1Evaluator::new(&graph).unwrap();
+        for _ in 0..8 {
+            let gamma = rng.gen_range(-7.0f64..7.0);
+            let beta = rng.gen_range(-4.0f64..4.0);
+            assert_closed_form_bits(&graph, &analytic, gamma, beta);
+        }
+        for &gamma in &CORNERS {
+            for &beta in &CORNERS {
+                assert_closed_form_bits(&graph, &analytic, gamma, beta);
+            }
+        }
+    }
+}
+
+#[test]
+fn closed_form_tables_cover_exponents_past_the_table() {
+    // A 70-leaf star puts a `cos γ` exponent of 69 past the 64-entry
+    // table, and a 255-leaf star one of 254, whose two bits above the table
+    // multiply two squares in order; `K_70` puts a `cos 2γ` exponent of 68
+    // (its triangles per edge) past the other table.
+    let mut rng = seeded(64);
+    for graph in [star(71).unwrap(), star(256).unwrap(), complete(70)] {
+        let analytic = AnalyticP1Evaluator::new(&graph).unwrap();
+        for &gamma in &CORNERS {
+            for &beta in &CORNERS {
+                assert_closed_form_bits(&graph, &analytic, gamma, beta);
+            }
+        }
+        for _ in 0..32 {
+            // Angles near 0 and π keep |cos γ| close to 1, so the high
+            // powers stay well away from underflow.
+            let near = if rng.gen::<bool>() {
+                std::f64::consts::PI
+            } else {
+                0.0
+            };
+            let gamma = near + rng.gen_range(-0.3f64..0.3);
+            let beta = rng.gen_range(-4.0f64..4.0);
+            assert_closed_form_bits(&graph, &analytic, gamma, beta);
+            assert_closed_form_bits(&graph, &analytic, rng.gen_range(-7.0f64..7.0), beta);
         }
     }
 }
