@@ -12,8 +12,10 @@
 //! 2. the cache counters show `misses == distinct graphs` after the cold
 //!    run and no further misses after the warm run,
 //! 3. the warm batch is dramatically faster (≥ 5× is asserted as a CI
-//!    tripwire; a cache hit is a hash lookup + clone, so an unloaded
-//!    container measures orders of magnitude more).
+//!    tripwire). A cache hit builds the key and its content hash, makes one
+//!    shard lookup and rebuilds the reduced graph from the key's edges; a
+//!    miss anneals, which on these 20-node graphs is one SA run at the size
+//!    floor, so the ratio is a few-fold rather than orders of magnitude.
 //!
 //! Two further sections mirror the service-tier story (PR 8):
 //!

@@ -13,16 +13,19 @@
 //!    (`induced_subgraph` + `average_node_degree` + `connected_components`).
 //! 3. **resize** — steady-state `resize_selection_with_scratch` latency over
 //!    a shrink/grow ladder on the largest Figure 18 graph (the warm binary
-//!    search calls this once per candidate size).
+//!    search calls this once per candidate size above a failing floor).
 //! 4. **graphs/sec** — `reduce_pool` over a pool of random graphs, run with
 //!    one worker and with four; the two results must be bitwise-identical
 //!    (the determinism contract of `mathkit::parallel`), and on a
 //!    multi-core runner the 4-thread pass must actually be faster.
 //! 5. **warm vs cold** — full `reduce` latency with `WarmStart::On` versus
 //!    `WarmStart::Off` at the Figure 18 graph sizes, plus the `Measured`
-//!    policy's keep/revert decision per size. The warm binary search must
-//!    beat asserted speedup floors while achieving equal-or-better AND
-//!    ratios (all asserted, not just recorded).
+//!    policy's decision per size (`warm` where the search stopped at the
+//!    size floor). Both policies anneal the floor first; there one warm run
+//!    from the degeneracy seed replaces `sa_runs` cold restarts, and a cold
+//!    floor that misses the AND ratio pays for the binary search above it.
+//!    The warm search must beat asserted speedup floors while achieving
+//!    equal-or-better AND ratios (all asserted, not just recorded).
 //!
 //! Usage: `reduction_smoke [output.json]` (default `BENCH_reduction.json`).
 
@@ -135,7 +138,7 @@ fn main() {
     let mut scratch = ResizeScratch::default();
     let mut selection: Vec<usize> = (0..resize_graph.node_count()).collect();
     // Warm the scratch once so the measurement is the steady state the warm
-    // binary search actually runs in.
+    // search actually runs in.
     selection =
         resize_selection_with_scratch(&resize_graph, &selection, RESIZE_LADDER[0], &mut scratch)
             .expect("benchmark selection resizes");

@@ -45,7 +45,7 @@ use crate::sa_state::SaState;
 use crate::RedQaoaError;
 use graphlib::connectivity::{AdjacencyCsr, ArticulationPoints};
 use graphlib::metrics::average_node_degree;
-use graphlib::subgraph::{induced_subgraph, random_connected_subgraph, Subgraph};
+use graphlib::subgraph::{induced_subgraph, random_connected_nodes, Subgraph};
 use graphlib::Graph;
 use rand::Rng;
 use std::cmp::Reverse;
@@ -339,6 +339,10 @@ fn run_sa<R: Rng>(
     let mut iterations = 0usize;
     let mut accepted = 0usize;
     let mut stagnation_streak = 0usize;
+    // The cooling factor is a pure function of the stagnation streak, so
+    // each streak length's `powf` is paid once per run: `factors[s]` is the
+    // factor at streak `s`, the same bits as a fresh call.
+    let mut factors: Vec<f64> = Vec::new();
 
     while temperature > options.final_temp {
         iterations += 1;
@@ -397,11 +401,14 @@ fn run_sa<R: Rng>(
         } else {
             stagnation_streak += 1;
         }
-        temperature *= options.cooling.factor(
-            stagnation_streak,
-            options.stagnation_patience,
-            options.boost_divisor,
-        );
+        while factors.len() <= stagnation_streak {
+            factors.push(options.cooling.factor(
+                factors.len(),
+                options.stagnation_patience,
+                options.boost_divisor,
+            ));
+        }
+        temperature *= factors[stagnation_streak];
     }
 
     let (final_value, subgraph) = objective_from_scratch(
@@ -473,9 +480,9 @@ pub(crate) fn anneal_subgraph_prevalidated<R: Rng>(
     let target_and = average_node_degree(graph);
 
     // Line 3: random connected initial subgraph.
-    let initial = random_connected_subgraph(graph, k, rng)
+    let initial = random_connected_nodes(graph, k, rng)
         .map_err(|_| RedQaoaError::GraphNotReducible("no connected subgraph of this size"))?;
-    run_sa(graph, &initial.nodes, target_and, options, rng)
+    run_sa(graph, &initial, target_and, options, rng)
 }
 
 /// Runs Algorithm 1 starting from `seed_selection` instead of a fresh random
@@ -798,6 +805,7 @@ fn count_components(
 mod tests {
     use super::*;
     use graphlib::generators::{complete, connected_gnp, cycle};
+    use graphlib::subgraph::random_connected_subgraph;
     use graphlib::traversal::is_connected;
     use mathkit::rng::seeded;
 

@@ -25,6 +25,7 @@ use crate::reduction::{ReducedGraph, ReductionOptions, WarmDecision, WarmStart};
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,19 +85,30 @@ impl CacheStats {
 pub(super) type OptionWords = [u64; 14];
 
 /// Content-addressed cache key: the full graph (node count + sorted edge
-/// list, which `Graph::edges` yields canonically) and the bit patterns of
+/// list, in the canonical order of `Graph::edges`) and the bit patterns of
 /// every reduction option. Storing the full key rather than a digest makes
 /// collisions impossible; graphs at Red-QAOA scale are a few hundred edges.
 /// Endpoints are held as `u32` (8 bytes an edge instead of 16); the content
 /// hash and the persisted key still widen each one to a `u64` word. The
 /// option words sit behind an `Arc` so the keys a cache holds share one
-/// allocation per option set (see [`ShardedReductionCache::insert`]);
-/// `Hash` and `Eq` see only the words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// allocation per option set (see [`ShardedReductionCache::insert`]).
+///
+/// The [`CacheKey::content_hash`] is computed once, when the key is built,
+/// and is all that `Hash` feeds a shard's map; `Eq` compares the content.
+/// A key is therefore built only through [`CacheKey::new`] or
+/// [`CacheKey::from_parts`] and its content is not edited afterwards.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct CacheKey {
     pub(super) nodes: usize,
     pub(super) edges: Vec<(u32, u32)>,
     pub(super) option_bits: Arc<OptionWords>,
+    hash: u64,
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl CacheKey {
@@ -112,29 +124,56 @@ impl CacheKey {
             WarmStart::Auto => WARM_AUTO,
             WarmStart::Measured => WARM_MEASURED,
         };
+        let mut edges = Vec::with_capacity(graph.edge_count());
+        for u in 0..graph.node_count() {
+            let low = endpoint(u);
+            edges.extend(
+                graph
+                    .neighbors(u)
+                    .filter(|&v| u < v)
+                    .map(|v| (low, endpoint(v))),
+            );
+        }
+        let option_bits = [
+            options.and_ratio_threshold.to_bits(),
+            options.sa_runs as u64,
+            options.min_size as u64,
+            options.min_size_fraction.to_bits(),
+            warm,
+            options.sa.initial_temp.to_bits(),
+            options.sa.final_temp.to_bits(),
+            cooling_kind,
+            cooling_alpha,
+            options.sa.disconnection_penalty.to_bits(),
+            options.sa.stagnation_patience as u64,
+            options.sa.boost_divisor.to_bits(),
+            options.warm_auto_min_nodes as u64,
+            options.warm_temp_fraction.to_bits(),
+        ];
+        Self::from_parts(graph.node_count(), edges, Arc::new(option_bits))
+    }
+
+    /// The key of a graph given as its node count and sorted edge list,
+    /// under the given option words (how the persistent store rebuilds a
+    /// key it reads back).
+    pub(super) fn from_parts(
+        nodes: usize,
+        edges: Vec<(u32, u32)>,
+        option_bits: Arc<OptionWords>,
+    ) -> Self {
+        let mut hash = fnv1a_word(FNV_OFFSET, nodes as u64);
+        hash = fnv1a_word(hash, edges.len() as u64);
+        for &(u, v) in &edges {
+            hash = fnv1a_word(fnv1a_word(hash, u64::from(u)), u64::from(v));
+        }
+        for &word in option_bits.iter() {
+            hash = fnv1a_word(hash, word);
+        }
         Self {
-            nodes: graph.node_count(),
-            edges: graph
-                .edges()
-                .into_iter()
-                .map(|(u, v)| (endpoint(u), endpoint(v)))
-                .collect(),
-            option_bits: Arc::new([
-                options.and_ratio_threshold.to_bits(),
-                options.sa_runs as u64,
-                options.min_size as u64,
-                options.min_size_fraction.to_bits(),
-                warm,
-                options.sa.initial_temp.to_bits(),
-                options.sa.final_temp.to_bits(),
-                cooling_kind,
-                cooling_alpha,
-                options.sa.disconnection_penalty.to_bits(),
-                options.sa.stagnation_patience as u64,
-                options.sa.boost_divisor.to_bits(),
-                options.warm_auto_min_nodes as u64,
-                options.warm_temp_fraction.to_bits(),
-            ]),
+            nodes,
+            edges,
+            option_bits,
+            hash,
         }
     }
 
@@ -159,31 +198,71 @@ impl CacheKey {
         }
     }
 
-    /// Stable FNV-1a content hash: the reduction substream for this key,
-    /// its shard index, *and* its record key in the persistent store.
+    /// Stable FNV-1a content hash over the key's words, each eaten as its
+    /// eight little-endian bytes: the reduction substream for this key, its
+    /// shard index, *and* its record key in the persistent store.
     /// Deliberately hand-rolled (not `DefaultHasher`) so the derived
     /// substreams — and therefore every cached reduction — are stable across
     /// Rust releases and process restarts.
     pub(super) fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.nodes as u64);
-        eat(self.edges.len() as u64);
-        for &(u, v) in &self.edges {
-            eat(u64::from(u));
-            eat(u64::from(v));
+        self.hash
+    }
+}
+
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
+/// Byte-wise FNV-1a of `hash` extended by `word`'s eight little-endian
+/// bytes, with the word's run of zero high bytes eaten in one step: a zero
+/// byte leaves the xor unchanged, so `k` of them are one multiply by
+/// `FNV_PRIME^k` in wrapping arithmetic, folded into the last significant
+/// byte's multiply — the same value as the byte loop, at one multiply per
+/// significant byte (a node index below 256 costs one).
+fn fnv1a_word(mut hash: u64, word: u64) -> u64 {
+    let significant = 8 - (word.leading_zeros() / 8) as usize;
+    if significant == 0 {
+        return hash.wrapping_mul(FNV_PRIME_POWERS[8]);
+    }
+    let mut rest = word;
+    for _ in 1..significant {
+        hash = (hash ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+    }
+    // `rest` is the last significant byte; the zero bytes above it follow
+    // as `FNV_PRIME^(8 - significant)`.
+    (hash ^ rest).wrapping_mul(FNV_PRIME_POWERS[9 - significant])
+}
+
+/// Feeds a shard's map the [`CacheKey::content_hash`] a key already
+/// carries, so a lookup hashes no key content a second time. The hash is
+/// rotated because the shard index already consumed its low bits.
+#[derive(Default)]
+struct ContentHasher(u64);
+
+impl Hasher for ContentHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
-        for &word in self.option_bits.iter() {
-            eat(word);
-        }
-        hash
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash.rotate_left(32);
     }
 }
 
@@ -309,7 +388,7 @@ struct CacheEntry {
 struct Shard {
     /// This shard's slice of the configured capacity (≥ 1).
     capacity: usize,
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<CacheKey, CacheEntry, BuildHasherDefault<ContentHasher>>,
     /// Sum of `CacheEntry::bytes` over `entries`, maintained on every
     /// insert/evict/clear so totalling the cache is O(shards), not O(entries).
     bytes: usize,
@@ -691,6 +770,28 @@ mod tests {
             Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]).unwrap();
         let key = CacheKey::new(&graph, &ReductionOptions::default());
         assert_eq!(key.content_hash(), 0xa439_ca79_128b_51cb);
+    }
+
+    #[test]
+    fn word_steps_hash_like_the_byte_loop() {
+        let byte_loop = |words: &[u64]| {
+            let mut hash = FNV_OFFSET;
+            for word in words {
+                for byte in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+                }
+            }
+            hash
+        };
+        let mut rng = mathkit::rng::seeded(5);
+        let mut words = vec![0, 1, 0xff, 0x100, 0x0100_0000_0000_0000, u64::MAX];
+        // Every significant-byte count, from 0 to 8.
+        words.extend((0..64).map(|shift| rand::Rng::gen::<u64>(&mut rng) >> shift));
+        let mut hash = FNV_OFFSET;
+        for (i, &word) in words.iter().enumerate() {
+            hash = fnv1a_word(hash, word);
+            assert_eq!(hash, byte_loop(&words[..=i]), "after word {i}");
+        }
     }
 
     #[test]

@@ -45,8 +45,10 @@ use std::sync::{Arc, Mutex};
 /// File magic: "Red-Qaoa Persistent Store".
 const MAGIC: [u8; 4] = *b"RQPS";
 /// Format version; bumped on any layout change so old files are rewritten,
-/// not misparsed.
-const VERSION: u32 = 1;
+/// not misparsed, and on any change to what a key reduces to, so a store
+/// never replays a reduction a fresh anneal would no longer produce
+/// (version 2: the search anneals its size floor first).
+const VERSION: u32 = 2;
 /// Upper bound on a single record's key/value payload (sanity check against
 /// interpreting corrupt length fields as multi-gigabyte allocations).
 const MAX_SECTION_LEN: usize = 1 << 24;
@@ -253,11 +255,9 @@ fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     for word in &mut option_bits {
         *word = cursor.u64()?;
     }
-    cursor.finished().then(|| CacheKey {
-        nodes,
-        edges,
-        option_bits: Arc::new(option_bits),
-    })
+    cursor
+        .finished()
+        .then(|| CacheKey::from_parts(nodes, edges, Arc::new(option_bits)))
 }
 
 fn encode_value(value: &ReducedGraph) -> Vec<u8> {
@@ -644,10 +644,11 @@ mod tests {
         // anything is built; each record is skipped as corrupt.
         let (key, value) = sample();
         let huge = 1u64 << 40;
-        let huge_key = CacheKey {
-            nodes: huge as usize,
-            ..key.clone()
-        };
+        let huge_key = CacheKey::from_parts(
+            huge as usize,
+            key.edges.clone(),
+            Arc::clone(&key.option_bits),
+        );
         let mut body = Vec::new();
         body.extend_from_slice(&MAGIC);
         body.extend_from_slice(&VERSION.to_le_bytes());
@@ -896,8 +897,27 @@ mod tests {
     fn header_check_rejects_foreign_files() {
         assert!(!header_ok(b""));
         assert!(!header_ok(b"RQPS"));
-        assert!(!header_ok(b"NOPE\x01\x00\x00\x00"));
-        assert!(!header_ok(b"RQPS\x02\x00\x00\x00"), "future version");
-        assert!(header_ok(b"RQPS\x01\x00\x00\x00"));
+        assert!(!header_ok(b"NOPE\x02\x00\x00\x00"));
+        assert!(!header_ok(b"RQPS\x01\x00\x00\x00"), "past version");
+        assert!(!header_ok(b"RQPS\x03\x00\x00\x00"), "future version");
+        assert!(header_ok(b"RQPS\x02\x00\x00\x00"));
+    }
+
+    #[test]
+    fn a_version_1_store_is_rewritten_not_replayed() {
+        // Version 1 stores hold reductions of the search before it annealed
+        // its size floor first; replaying them would make a warm engine
+        // disagree with a cold one.
+        let (key, value) = sample();
+        let mut file = b"RQPS\x01\x00\x00\x00".to_vec();
+        file.extend_from_slice(&encode_record(&key, &value));
+        let path =
+            std::env::temp_dir().join(format!("red_qaoa_persist_v1_{}.rqps", std::process::id()));
+        std::fs::write(&path, &file).unwrap();
+        let opened = PersistentStore::open(&path).map(|(_, loaded)| loaded);
+        let rewritten = std::fs::read(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(opened.unwrap().is_empty(), "no v1 record is replayed");
+        assert_eq!(rewritten.unwrap(), b"RQPS\x02\x00\x00\x00");
     }
 }

@@ -24,9 +24,10 @@
 //! * [`sa_state`] — the incremental move evaluator behind the annealer:
 //!   O(deg) AND deltas, deduplicated boundary proposals, and
 //!   neighborhood-limited connectivity with zero steady-state allocations.
-//! * [`reduction`] — the (warm-startable) binary search over subgraph
-//!   sizes, the node/edge-reduction bookkeeping, and the deterministic
-//!   parallel [`reduction::reduce_pool`] over graph slices.
+//! * [`reduction`] — the search for the smallest subgraph size that keeps
+//!   the AND ratio (the size floor first, then a warm-startable binary
+//!   search above it), the node/edge-reduction bookkeeping, and the
+//!   deterministic parallel [`reduction::reduce_pool`] over graph slices.
 //! * [`mse`] — ideal and noisy energy-landscape comparisons between the
 //!   original and reduced graphs (the paper's headline metric).
 //! * [`pipeline`] — the noisy Red-QAOA pipeline (Figures 19–20): optimize

@@ -1,10 +1,13 @@
-//! Graph reduction: binary search over subgraph sizes.
+//! Graph reduction: the smallest subgraph size that keeps the AND ratio.
 //!
-//! Red-QAOA runs the SA search (Algorithm 1) inside a binary search over the
-//! subgraph size `k`: the smallest `k` whose best subgraph reaches the
-//! required AND ratio (default 0.7, Section 4.3) is returned. The binary
-//! search is what gives the `n log n` preprocessing scaling reported in
-//! Figure 18.
+//! Red-QAOA looks for the smallest subgraph size `k` whose best subgraph (the
+//! SA search, Algorithm 1) reaches the required AND ratio (default 0.7,
+//! Section 4.3). The search here is bounded below by a floor,
+//! `max(min_size, ⌈min_size_fraction · n⌉)` (65% of the nodes by default),
+//! and [`reduce`] anneals the floor first: the floor is the smallest size
+//! the search admits, so when its best subgraph passes it is returned after
+//! one anneal. Only when the floor fails does a binary search run over the
+//! sizes above it, the `n log n` preprocessing bound of Figure 18.
 //!
 //! Two layers fan out through `mathkit::parallel::parallel_map_indexed` with
 //! per-index RNG substreams, so results are bitwise-identical for every
@@ -16,16 +19,17 @@
 //!   graph; a `reduce` running inside the pool detects the enclosing
 //!   parallel region and runs its restarts serially).
 //!
-//! The binary search is **warm-started** by default ([`WarmStart::Measured`]):
-//! the *first* candidate size anneals once from a degeneracy-ordered greedy
-//! seed (instead of `sa_runs` cold restarts), every later size is seeded from
-//! the previous size's best subgraph (deterministically resized by one-node
-//! drops/grows) at a reduced temperature, and after the second size the
-//! search compares the measured work of the warm run against a cold-restart
-//! proxy and falls back to cold seeding when warm starting is not actually
-//! paying for itself. The measurement is an *iteration-count* proxy, never
-//! wall-clock, so the decision — like everything else here — is a pure
-//! function of the RNG seed and bitwise-identical across thread counts.
+//! The search is **warm-started** by default ([`WarmStart::Measured`]): the
+//! *first* candidate size (the floor) anneals once from a degeneracy-ordered
+//! greedy seed (instead of `sa_runs` cold restarts), every later size is
+//! seeded from the previous size's best subgraph (deterministically resized
+//! by one-node drops/grows) at a reduced temperature, and on the second size
+//! the search compares the measured work of the warm run against a
+//! cold-restart proxy and falls back to cold seeding when warm starting is
+//! not actually paying for itself. The measurement is an *iteration-count*
+//! proxy, never wall-clock, so the decision — like everything else here — is
+//! a pure function of the RNG seed and bitwise-identical across thread
+//! counts.
 //! [`WarmStart::Off`] restores (bit for bit) the cold-start behaviour.
 
 use crate::annealing::{
@@ -33,7 +37,7 @@ use crate::annealing::{
 };
 use crate::RedQaoaError;
 use graphlib::connectivity::degeneracy_order;
-use graphlib::metrics::{and_ratio, average_node_degree};
+use graphlib::metrics::and_ratio;
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use mathkit::parallel::parallel_map_indexed;
@@ -48,11 +52,13 @@ pub const DEFAULT_AND_RATIO_THRESHOLD: f64 = 0.7;
 /// Default of [`ReductionOptions::warm_auto_min_nodes`]: the smallest graph
 /// for which [`WarmStart::Auto`] enables warm starts.
 ///
-/// Below this size the binary search only visits two or three candidate
-/// sizes and each SA run is a few hundred cheap moves, so there is nothing
-/// worth reusing; at and above it the seeded runs measurably cut latency
-/// (the Figure 18 sizes, 20–320 nodes, all qualify — see
-/// `reduce_warm_vs_cold` in the bench crate and `BENCH_reduction.json`).
+/// Below this size each SA run is a few hundred cheap moves, and a search
+/// that passes at the floor anneals one size, so there is nothing worth
+/// reusing; at and above it the degeneracy seed replaces the floor's
+/// `sa_runs` cold restarts with one run, and the seeded runs above a failing
+/// floor measurably cut latency (the Figure 18 sizes, 20–320 nodes, all
+/// qualify — see `reduce_warm_vs_cold` in the bench crate and
+/// `BENCH_reduction.json`).
 pub const WARM_START_AUTO_MIN_NODES: usize = 16;
 
 /// Default of [`ReductionOptions::warm_temp_fraction`]: the fraction of
@@ -65,7 +71,7 @@ pub const WARM_START_AUTO_MIN_NODES: usize = 16;
 /// schedule terminate the (quickly plateauing) run early.
 pub const DEFAULT_WARM_TEMP_FRACTION: f64 = 0.25;
 
-/// Whether the binary search re-anneals every candidate size from scratch or
+/// Whether the size search re-anneals every candidate size from scratch or
 /// reuses the previous size's best subgraph as the SA seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmStart {
@@ -148,7 +154,7 @@ pub struct ReductionOptions {
     /// reduction (default: keep at least 65% of the nodes) keeps Red-QAOA in
     /// the ~25–40% node-reduction regime the paper reports.
     pub min_size_fraction: f64,
-    /// Warm-start policy of the binary search (default:
+    /// Warm-start policy of the size search (default:
     /// [`WarmStart::Measured`]).
     pub warm_start: WarmStart,
     /// Smallest graph for which [`WarmStart::Auto`] and
@@ -189,13 +195,13 @@ impl ReductionOptions {
     /// Checks every field (including the nested [`SaOptions`]) against its
     /// documented domain.
     ///
-    /// [`reduce`] calls this once at its top; the binary search and the SA
+    /// [`reduce`] calls this once at its top; the size search and the SA
     /// runs inside it only `debug_assert` it, so configurations built through
     /// [`ReductionOptionsBuilder`] or [`crate::engine::EngineBuilder`] are
     /// never re-validated on the hot path.
     ///
     /// `min_size` and `sa_runs` are deliberately *not* range-checked here:
-    /// the binary search has always clamped `min_size` into `[2, n]` and
+    /// the size search has always clamped `min_size` into `[2, n]` and
     /// promoted `sa_runs` to at least one run, and the free [`reduce`] keeps
     /// that behaviour unchanged (it is the documented low-level layer). The
     /// engine layer is stricter where a value is genuinely unsatisfiable —
@@ -319,7 +325,7 @@ impl ReductionOptionsBuilder {
         self
     }
 
-    /// Sets the warm-start policy of the binary search.
+    /// Sets the warm-start policy of the size search.
     pub fn warm_start(mut self, warm_start: WarmStart) -> Self {
         self.options.warm_start = warm_start;
         self
@@ -420,7 +426,7 @@ impl ReducedGraph {
     }
 }
 
-/// How one candidate size of the binary search is seeded.
+/// How one candidate size of the size search is seeded.
 enum SizeSeed<'a> {
     /// `sa_runs` independent restarts from random connected seeds.
     Cold,
@@ -449,10 +455,13 @@ fn degeneracy_seed(graph: &Graph, k: usize) -> Vec<usize> {
         rank[u] = position;
     }
     let mut in_sel = vec![false; n];
+    // Whether a node has entered the boundary heap: each node is pushed at
+    // most once, so the heap holds at most `n` entries, not one per edge.
+    let mut queued = vec![false; n];
     let mut selection = Vec::with_capacity(k);
     // Max-heap of (degeneracy rank, node): ranks are unique, so the pick is
-    // deterministic. Stale entries (already selected) are skipped on pop.
-    let mut boundary: BinaryHeap<(usize, usize)> = BinaryHeap::new();
+    // deterministic. Entries selected by the fallback jump are skipped on pop.
+    let mut boundary: BinaryHeap<(usize, usize)> = BinaryHeap::with_capacity(n);
     let mut cursor = n;
     while selection.len() < k {
         let mut pick = None;
@@ -472,7 +481,8 @@ fn degeneracy_seed(graph: &Graph, k: usize) -> Vec<usize> {
         in_sel[u] = true;
         selection.push(u);
         for w in graph.neighbors(u) {
-            if !in_sel[w] {
+            if !in_sel[w] && !queued[w] {
+                queued[w] = true;
                 boundary.push((rank[w], w));
             }
         }
@@ -489,7 +499,7 @@ fn best_subgraph_of_size<R: Rng>(
 ) -> Result<(Subgraph, usize), RedQaoaError> {
     debug_assert!(
         options.validate().is_ok(),
-        "reduce validates options before the binary search"
+        "reduce validates options before the size search"
     );
     let runs_seed: u64 = rng.gen();
     match seed {
@@ -566,19 +576,23 @@ fn best_subgraph_of_size<R: Rng>(
 /// Reduces `graph` to the smallest subgraph whose AND ratio meets the
 /// threshold.
 ///
-/// The search is a binary search on the subgraph size: if the best subgraph
-/// found at size `k` meets the threshold the search tries smaller sizes,
-/// otherwise larger ones. The accepted subgraph of the smallest feasible size
-/// is returned; if no proper subgraph qualifies the original graph is
-/// returned unreduced (a valid, if disappointing, outcome the pipeline
-/// handles gracefully).
+/// The size floor, `max(min_size, ⌈min_size_fraction · n⌉)` clamped to
+/// `[2, n]`, is annealed first; when its best subgraph meets the threshold
+/// it is returned, and exactly one `u64` has been drawn from `rng`.
+/// Otherwise a binary search runs over the sizes above the floor: if the
+/// best subgraph found at size `k` meets the threshold the search tries
+/// smaller sizes, otherwise larger ones. The accepted subgraph of the
+/// smallest feasible size is returned; if no proper subgraph qualifies the
+/// original graph is returned unreduced (a valid, if disappointing, outcome
+/// the pipeline handles gracefully). Every size is judged by the same
+/// predicate: at least one edge, and an [`and_ratio`] at or above
+/// [`ReductionOptions::and_ratio_threshold`].
 ///
-/// Under [`ReductionOptions::warm_start`] (default [`WarmStart::Auto`]),
-/// every candidate size after the first seeds its SA run from the previous
-/// size's best subgraph instead of re-annealing from scratch — the `n log n`
-/// preprocessing claim of Figure 18 with the log-factor's constant cut
-/// roughly in half (see `BENCH_reduction.json`'s `warm_vs_cold` record).
-/// [`WarmStart::Off`] reproduces the pre-warm-start outputs bit for bit.
+/// Under [`ReductionOptions::warm_start`] (default [`WarmStart::Measured`]),
+/// every candidate size after the floor seeds its SA run from the previous
+/// size's best subgraph instead of re-annealing from scratch (see
+/// `BENCH_reduction.json`'s `warm_vs_cold` record). [`WarmStart::Off`]
+/// anneals every size from cold restarts.
 ///
 /// # Example
 ///
@@ -598,7 +612,7 @@ fn best_subgraph_of_size<R: Rng>(
 /// Returns [`RedQaoaError::GraphNotReducible`] for graphs with fewer than 2
 /// nodes or no edges, and [`RedQaoaError::InvalidParameter`] (naming the
 /// offending field) for options outside their documented domains. The
-/// validation happens exactly once here — the binary search and SA runs
+/// validation happens exactly once here — the size search and SA runs
 /// below only `debug_assert` it, so there is no validation-driven `Err` path
 /// left inside the hot loop.
 pub fn reduce<R: Rng>(
@@ -613,53 +627,47 @@ pub fn reduce<R: Rng>(
             "graph needs at least two nodes and one edge",
         ));
     }
-    let original_and = average_node_degree(graph);
-
-    let fraction_floor = (options.min_size_fraction * n as f64).ceil() as usize;
-    let mut lo = options.min_size.max(fraction_floor).clamp(2, n);
-    let mut hi = n;
-    let mut accepted: Option<Subgraph> = None;
-    let warm_enabled = options.warm_enabled_for(n);
-    let mut warm = WarmSearchState {
-        active: warm_enabled,
-        measurement_pending: warm_enabled && options.warm_start == WarmStart::Measured,
-        cold_proxy: None,
-        last_best: None,
-        decision: if warm_enabled {
-            WarmDecision::Warm
-        } else {
-            WarmDecision::Cold
-        },
+    // One acceptance predicate for every size the search visits.
+    let accepts = |candidate: &Subgraph| {
+        candidate.graph.edge_count() > 0
+            && and_ratio(graph, &candidate.graph) >= options.and_ratio_threshold
     };
+    let fraction_floor = (options.min_size_fraction * n as f64).ceil() as usize;
+    let floor = options.min_size.max(fraction_floor).clamp(2, n);
+    let mut warm = WarmSearchState::new(options, n);
 
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let candidate = anneal_candidate_size(graph, mid, options, &mut warm, rng)?;
-        let ratio = if original_and <= f64::EPSILON {
-            1.0
-        } else {
-            average_node_degree(&candidate.graph) / original_and
-        };
-        if ratio >= options.and_ratio_threshold && candidate.graph.edge_count() > 0 {
-            accepted = Some(candidate);
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-
-    let subgraph = match accepted {
-        Some(sub) => sub,
-        None => {
-            // Try the final size (lo == hi); fall back to the whole graph.
-            let candidate = anneal_candidate_size(graph, lo, options, &mut warm, rng)?;
-            let ratio = and_ratio(graph, &candidate.graph);
-            if ratio >= options.and_ratio_threshold && candidate.graph.edge_count() > 0 {
-                candidate
+    // The floor is the smallest size the search admits, so when its best
+    // subgraph passes no other size could be returned: one anneal decides.
+    let at_floor = anneal_candidate_size(graph, floor, options, &mut warm, rng)?;
+    let subgraph = if accepts(&at_floor) {
+        at_floor
+    } else {
+        // Binary search over (floor, n], warm-seeded from the floor's best.
+        let mut lo = (floor + 1).min(n);
+        let mut hi = n;
+        let mut accepted: Option<Subgraph> = None;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let candidate = anneal_candidate_size(graph, mid, options, &mut warm, rng)?;
+            if accepts(&candidate) {
+                accepted = Some(candidate);
+                hi = mid;
             } else {
-                Subgraph {
-                    graph: graph.clone(),
-                    nodes: (0..n).collect(),
+                lo = mid + 1;
+            }
+        }
+        match accepted {
+            Some(sub) => sub,
+            None => {
+                // Try the final size (lo == hi); fall back to the whole graph.
+                let candidate = anneal_candidate_size(graph, lo, options, &mut warm, rng)?;
+                if accepts(&candidate) {
+                    candidate
+                } else {
+                    Subgraph {
+                        graph: graph.clone(),
+                        nodes: (0..n).collect(),
+                    }
                 }
             }
         }
@@ -689,7 +697,7 @@ pub(crate) fn reduction_fractions(nodes: usize, edges: usize, reduced: &Graph) -
     )
 }
 
-/// Mutable warm-start bookkeeping threaded through the binary search.
+/// Mutable warm-start bookkeeping threaded through the size search.
 struct WarmSearchState {
     /// Whether the *next* candidate size will be warm-seeded.
     active: bool,
@@ -705,7 +713,27 @@ struct WarmSearchState {
     decision: WarmDecision,
 }
 
-/// Anneals one candidate size of the binary search, choosing the seeding
+impl WarmSearchState {
+    /// The state before the first candidate size of a graph of `nodes`
+    /// nodes: a search that stops there reports [`WarmDecision::Warm`] or
+    /// [`WarmDecision::Cold`] by the policy's gate alone.
+    fn new(options: &ReductionOptions, nodes: usize) -> Self {
+        let enabled = options.warm_enabled_for(nodes);
+        Self {
+            active: enabled,
+            measurement_pending: enabled && options.warm_start == WarmStart::Measured,
+            cold_proxy: None,
+            last_best: None,
+            decision: if enabled {
+                WarmDecision::Warm
+            } else {
+                WarmDecision::Cold
+            },
+        }
+    }
+}
+
+/// Anneals one candidate size of the size search, choosing the seeding
 /// mode from the warm-start state and updating it afterwards (including the
 /// [`WarmStart::Measured`] cold-vs-warm comparison on the second size).
 /// Exactly one `u64` is drawn from `rng` per call — the per-size substream
@@ -988,6 +1016,60 @@ mod tests {
             let mut solo_rng = seeded(mathkit::rng::derive_seed(42, i as u64));
             let solo = reduce(&graphs[i], &ReductionOptions::default(), &mut solo_rng).unwrap();
             assert_eq!(pooled, &solo, "graph {i} diverged from a solo reduce");
+        }
+    }
+
+    #[test]
+    fn a_passing_floor_is_one_anneal_and_one_draw() {
+        // A 16-cycle (cold: below the warm gate) and an 18-node G(n, 0.35)
+        // (warm-started, measured): both pass at the floor, so the search
+        // anneals once, draws one u64 and keeps ceil(0.65 n) nodes.
+        let cases = [
+            cycle(16).unwrap(),
+            connected_gnp(18, 0.35, &mut seeded(101)).unwrap(),
+        ];
+        for graph in cases {
+            let n = graph.node_count();
+            let mut rng = seeded(11);
+            let mut advanced_once = rng.clone();
+            let _: u64 = advanced_once.gen();
+            let options = ReductionOptions::default();
+            let reduced = reduce(&graph, &options, &mut rng).unwrap();
+            assert_eq!(rng, advanced_once, "{n} nodes: one u64 drawn");
+            assert_eq!(
+                reduced.graph().node_count(),
+                (0.65 * n as f64).ceil() as usize
+            );
+            assert!(reduced.and_ratio >= DEFAULT_AND_RATIO_THRESHOLD);
+            let stopped_at_floor = if options.warm_enabled_for(n) {
+                WarmDecision::Warm
+            } else {
+                WarmDecision::Cold
+            };
+            assert_eq!(reduced.warm_decision, stopped_at_floor);
+        }
+    }
+
+    #[test]
+    fn a_failing_floor_searches_above_it_thread_count_invariantly() {
+        // Every k-node subgraph of K_16 is K_k, at AND ratio (k - 1) / 15:
+        // the floor (11 nodes, 10/15) misses 0.7, and 12 nodes is the
+        // smallest size that clears it.
+        let graph = complete(16);
+        for warm_start in [WarmStart::Off, WarmStart::Measured] {
+            let options = ReductionOptions {
+                warm_start,
+                ..Default::default()
+            };
+            let run = |threads| {
+                mathkit::parallel::with_threads(threads, || {
+                    reduce(&graph, &options, &mut seeded(12)).unwrap()
+                })
+            };
+            let serial = run(1);
+            assert_eq!(serial.graph().node_count(), 12, "{warm_start:?}");
+            assert!(serial.and_ratio >= DEFAULT_AND_RATIO_THRESHOLD);
+            assert_eq!(run(4), serial, "{warm_start:?}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Figure 18: Red-QAOA preprocessing overhead versus problem size.
 //!
-//! The reduction (binary search over SA runs) is timed for random graphs of
+//! The reduction (SA runs at the size floor, and a binary search above it
+//! when the floor misses the AND ratio) is timed for random graphs of
 //! increasing size, an `a·n·log n + b` model is fitted to the measurements,
 //! and the overhead is compared against a per-circuit execution-time model
 //! extrapolated from published device benchmarks (the paper cites ~4.2 s for

@@ -91,13 +91,39 @@ impl Graph {
 
     /// Creates a graph with `n` nodes and the given edges.
     ///
-    /// Duplicate edges are ignored.
+    /// Duplicate edges are ignored. Edges in the canonical form
+    /// [`Graph::edges`] lists them in (pairs `u < v < n`, strictly
+    /// increasing) are laid out in one pass, each list allocated once at its
+    /// final length; any other input is inserted edge by edge. Both give the
+    /// same graph.
     ///
     /// # Errors
     ///
     /// Returns an error if any endpoint is out of range or an edge is a
     /// self-loop.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
+        let canonical = edges.iter().all(|&(u, v)| u < v && v < n)
+            && edges.windows(2).all(|pair| pair[0] < pair[1]);
+        if canonical {
+            let mut degree = vec![0usize; n];
+            for &(u, v) in edges {
+                degree[u] += 1;
+                degree[v] += 1;
+            }
+            let mut adjacency: Vec<Vec<usize>> =
+                degree.into_iter().map(Vec::with_capacity).collect();
+            // Node `x` receives its lower neighbors while earlier rows are
+            // walked, in ascending order, then its higher ones from its own
+            // row, also ascending: every list comes out sorted.
+            for &(u, v) in edges {
+                adjacency[u].push(v);
+                adjacency[v].push(u);
+            }
+            return Ok(Self {
+                node_count: n,
+                adjacency,
+            });
+        }
         let mut g = Self::new(n);
         for &(u, v) in edges {
             g.add_edge(u, v)?;
@@ -336,6 +362,31 @@ mod tests {
         assert!(g.remove_edge(0, 1).unwrap());
         assert!(!g.remove_edge(0, 1).unwrap());
         assert_eq!(g.edge_count(), 0);
+    }
+
+    #[test]
+    fn canonical_and_arbitrary_edge_orders_build_the_same_graph() {
+        // Each graph is built edge by edge, then rebuilt from its canonical
+        // edge list (the one-pass path) and from a reversed, duplicated one.
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7);
+        for n in [0usize, 1, 2, 5, 13, 20] {
+            let mut g = Graph::new(n);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rand::Rng::gen_range(&mut rng, 0..3) == 0 {
+                        g.add_edge(u, v).unwrap();
+                    }
+                }
+            }
+            let canonical = g.edges();
+            assert_eq!(Graph::from_edges(n, &canonical).unwrap(), g, "{n} nodes");
+            let mut shuffled: Vec<(usize, usize)> =
+                canonical.iter().rev().map(|&(u, v)| (v, u)).collect();
+            shuffled.extend_from_slice(&canonical);
+            assert_eq!(Graph::from_edges(n, &shuffled).unwrap(), g);
+        }
+        assert!(Graph::from_edges(2, &[(0, 2)]).is_err());
+        assert!(Graph::from_edges(2, &[(1, 1)]).is_err());
     }
 
     #[test]

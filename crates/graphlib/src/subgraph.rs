@@ -69,7 +69,8 @@ pub fn induced_subgraph(graph: &Graph, nodes: &[usize]) -> Result<Subgraph, Grap
 
 /// Samples a random *connected* induced subgraph with `k` nodes by growing a
 /// BFS/random frontier from a random seed node. This implements the
-/// `RandomSubgraph(G, k)` initializer of Algorithm 1.
+/// `RandomSubgraph(G, k)` initializer of Algorithm 1: the subgraph
+/// [`random_connected_nodes`] samples, induced.
 ///
 /// # Errors
 ///
@@ -81,29 +82,52 @@ pub fn random_connected_subgraph<R: Rng>(
     k: usize,
     rng: &mut R,
 ) -> Result<Subgraph, GraphError> {
-    if k == 0 || k > graph.node_count() {
+    induced_subgraph(graph, &random_connected_nodes(graph, k, rng)?)
+}
+
+/// The sorted node set of a random connected `k`-node subgraph, grown as a
+/// random frontier from a random seed node: [`random_connected_subgraph`]
+/// without building the induced graph, with the same draws and nodes.
+///
+/// # Errors
+///
+/// As [`random_connected_subgraph`].
+pub fn random_connected_nodes<R: Rng>(
+    graph: &Graph,
+    k: usize,
+    rng: &mut R,
+) -> Result<Vec<usize>, GraphError> {
+    let n = graph.node_count();
+    if k == 0 || k > n {
         return Err(GraphError::InvalidParameter(
             "subgraph size must be in 1..=node_count",
         ));
     }
+    let mut in_selection = vec![false; n];
+    let mut selected = Vec::with_capacity(k);
+    let mut frontier = Vec::new();
     for _ in 0..200 {
-        let seed = rng.gen_range(0..graph.node_count());
-        let mut selected: BTreeSet<usize> = BTreeSet::from([seed]);
-        let mut frontier: Vec<usize> = graph.neighbors(seed).collect();
+        for &u in &selected {
+            in_selection[u] = false;
+        }
+        selected.clear();
+        frontier.clear();
+        let seed = rng.gen_range(0..n);
+        in_selection[seed] = true;
+        selected.push(seed);
+        frontier.extend(graph.neighbors(seed));
         while selected.len() < k && !frontier.is_empty() {
             let idx = rng.gen_range(0..frontier.len());
             let next = frontier.swap_remove(idx);
-            if selected.insert(next) {
-                for w in graph.neighbors(next) {
-                    if !selected.contains(&w) {
-                        frontier.push(w);
-                    }
-                }
+            if !in_selection[next] {
+                in_selection[next] = true;
+                selected.push(next);
+                frontier.extend(graph.neighbors(next).filter(|&w| !in_selection[w]));
             }
         }
         if selected.len() == k {
-            let nodes: Vec<usize> = selected.into_iter().collect();
-            return induced_subgraph(graph, &nodes);
+            selected.sort_unstable();
+            return Ok(selected);
         }
     }
     Err(GraphError::InvalidParameter(
