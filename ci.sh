@@ -25,7 +25,10 @@
 #      perfbench/Cargo.toml: perfbench is its own workspace, so tier 1 does
 #      not build it; this step makes a public-API change that breaks the
 #      benchmark crate fail here instead of at benchmark time.
-#   4. perf smoke             — each gate names the exact-energy arm it
+#   4. perf smoke             — every smoke binary runs, even after one of
+#      them fails a gate; the step then fails, naming each binary whose
+#      gates failed, so one host-sensitive gate cannot hide the others.
+#      Each gate names the exact-energy arm it
 #      measures: QaoaInstance::expectation_with is the chooser (the closed
 #      form at p = 1, the half-state statevector at p >= 2), and
 #      statevector_expectation_with is the statevector arm at every p.
@@ -98,23 +101,22 @@ env -u RED_QAOA_THREADS cargo test -q
 echo "==> benchmark crate: cargo test -q --manifest-path perfbench/Cargo.toml"
 cargo test -q --manifest-path perfbench/Cargo.toml
 
-echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
-cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json
-
-echo "==> perf smoke: reduction moves/sec + graphs/sec -> BENCH_reduction.json"
-cargo run --quiet --release -p bench --bin reduction_smoke BENCH_reduction.json
-
-echo "==> perf smoke: engine batch cold vs warm cache -> BENCH_engine.json"
-cargo run --quiet --release -p bench --bin engine_smoke BENCH_engine.json
-
-echo "==> perf smoke: end-to-end optimization sessions -> BENCH_optimize.json"
-cargo run --quiet --release -p bench --bin optimize_smoke BENCH_optimize.json
-
-echo "==> perf smoke: statevector kernels scalar vs vectorized -> BENCH_qsim.json"
-cargo run --quiet --release -p bench --bin qsim_smoke BENCH_qsim.json
-
-echo "==> perf smoke: depth scheduling rounds + compound MSE -> BENCH_depth.json"
-cargo run --quiet --release -p bench --bin depth_smoke BENCH_depth.json
+failed_smokes=()
+smoke() {
+    local bin=$1 record=$2 what=$3
+    echo "==> perf smoke: $what -> $record"
+    cargo run --quiet --release -p bench --bin "$bin" "$record" || failed_smokes+=("$bin")
+}
+smoke landscape_smoke BENCH_landscape.json "landscape grid points/sec"
+smoke reduction_smoke BENCH_reduction.json "reduction moves/sec + graphs/sec"
+smoke engine_smoke BENCH_engine.json "engine batch cold vs warm cache"
+smoke optimize_smoke BENCH_optimize.json "end-to-end optimization sessions"
+smoke qsim_smoke BENCH_qsim.json "statevector kernels scalar vs vectorized"
+smoke depth_smoke BENCH_depth.json "depth scheduling rounds + compound MSE"
+if [ ${#failed_smokes[@]} -gt 0 ]; then
+    echo "FAIL: perf smoke gates failed in: ${failed_smokes[*]}"
+    exit 1
+fi
 
 echo "==> benches compile: cargo bench --no-run"
 cargo bench --no-run --quiet

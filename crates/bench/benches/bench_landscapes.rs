@@ -7,8 +7,8 @@ use bench::bench_graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphlib::generators::cycle;
 use qaoa::analytic::analytic_expectation_p1;
-use qaoa::evaluator::{EnergyEvaluator, StatevectorEvaluator};
-use qaoa::expectation::{edge_local_expectation, QaoaInstance};
+use qaoa::evaluator::{EdgeLocalEvaluator, EnergyEvaluator, StatevectorEvaluator};
+use qaoa::expectation::QaoaInstance;
 use qaoa::landscape::{random_parameter_set, Landscape};
 use qaoa::params::{QaoaParams, BETA_MAX, GAMMA_MAX};
 
@@ -109,12 +109,17 @@ fn bench_analytic_vs_statevector(c: &mut Criterion) {
     let params = QaoaParams::new(vec![0.7], vec![0.3]).unwrap();
     let instance = QaoaInstance::new(&graph, 1).unwrap();
     let mut group = c.benchmark_group("p1_expectation_backends");
-    group.bench_function("statevector", |b| b.iter(|| instance.expectation(&params)));
+    let mut workspace = qsim::statevector::StatevectorWorkspace::new();
+    group.bench_function("statevector", |b| {
+        b.iter(|| instance.statevector_expectation_with(&mut workspace, &params))
+    });
     group.bench_function("analytic", |b| {
         b.iter(|| analytic_expectation_p1(&graph, &params).unwrap())
     });
+    let edge_local = EdgeLocalEvaluator::new(&graph, 1).unwrap();
+    let mut scratch = edge_local.scratch();
     group.bench_function("edge_local", |b| {
-        b.iter(|| edge_local_expectation(&graph, &params).unwrap())
+        b.iter(|| edge_local.energy(&mut scratch, 0, &params))
     });
     group.finish();
 }

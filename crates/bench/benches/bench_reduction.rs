@@ -14,7 +14,7 @@ use graphlib::Graph;
 use red_qaoa::annealing::{
     anneal_subgraph, resize_selection_with_scratch, CoolingSchedule, ResizeScratch, SaOptions,
 };
-use red_qaoa::reduction::{reduce, ReductionOptions, WarmStart};
+use red_qaoa::reduction::{reduce, ReductionOptions};
 use red_qaoa::sa_state::SaState;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,20 +131,21 @@ fn bench_move_eval_rebuild_vs_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR-4 tentpole comparison: the full binary-search `reduce` with the
-/// warm-started SA (each candidate size seeded from the previous size's
-/// best subgraph at reduced temperature) versus the cold re-anneal-per-size
-/// search, at the Figure 18 graph sizes.
+/// The full `reduce` under the default options, warm-started (the floor
+/// seeded from the degeneracy greedy, each later size from the previous
+/// size's best subgraph at reduced temperature), versus the cold
+/// re-anneal-per-size search (`warm_min_nodes: usize::MAX`), at the
+/// Figure 18 graph sizes.
 fn bench_reduce_warm_vs_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduce_warm_vs_cold");
     group.sample_size(10);
     for &n in &[20usize, 60, 120] {
         let graph = bench_graph(n, 700 + n as u64);
-        for (label, warm_start) in [("cold", WarmStart::Off), ("warm", WarmStart::On)] {
-            let options = ReductionOptions {
-                warm_start,
-                ..Default::default()
-            };
+        let cold = ReductionOptions {
+            warm_min_nodes: usize::MAX,
+            ..Default::default()
+        };
+        for (label, options) in [("cold", cold), ("warm", ReductionOptions::default())] {
             group.bench_with_input(BenchmarkId::new(label, n), &graph, |b, graph| {
                 let mut rng = mathkit::rng::seeded(29);
                 b.iter(|| reduce(graph, &options, &mut rng).unwrap())

@@ -18,13 +18,14 @@
 //!    one worker and with four; the two results must be bitwise-identical
 //!    (the determinism contract of `mathkit::parallel`), and on a
 //!    multi-core runner the 4-thread pass must actually be faster.
-//! 5. **warm vs cold** — full `reduce` latency with `WarmStart::On` versus
-//!    `WarmStart::Off` at the Figure 18 graph sizes, plus the `Measured`
-//!    policy's decision per size (`warm` where the search stopped at the
-//!    size floor). Both policies anneal the floor first; there one warm run
-//!    from the degeneracy seed replaces `sa_runs` cold restarts, and a cold
-//!    floor that misses the AND ratio pays for the binary search above it.
-//!    The warm search must beat asserted speedup floors while achieving
+//! 5. **warm vs cold** — full `reduce` latency under the default options
+//!    (every Figure 18 size is above the warm-start gate) versus
+//!    `warm_min_nodes: usize::MAX` (cold) at the Figure 18 graph sizes,
+//!    plus the warm search's decision per size (`warm` where it stopped at
+//!    the size floor). Both searches anneal the floor first; there one warm
+//!    run from the degeneracy seed replaces `sa_runs` cold restarts, and a
+//!    cold floor that misses the AND ratio pays for the binary search above
+//!    it. The warm search must beat asserted speedup floors while achieving
 //!    equal-or-better AND ratios (all asserted, not just recorded).
 //!
 //! Usage: `reduction_smoke [output.json]` (default `BENCH_reduction.json`).
@@ -38,7 +39,7 @@ use red_qaoa::annealing::{
     anneal_subgraph, resize_selection_with_scratch, CoolingSchedule, ResizeScratch, SaOptions,
 };
 use red_qaoa::reduction::{
-    reduce, reduce_pool, ReductionOptions, WarmDecision, WarmStart, DEFAULT_AND_RATIO_THRESHOLD,
+    reduce, reduce_pool, ReductionOptions, WarmDecision, DEFAULT_AND_RATIO_THRESHOLD,
 };
 use red_qaoa::sa_state::SaState;
 use std::time::Instant;
@@ -210,23 +211,27 @@ fn main() {
     let mut speedup_product = 1.0f64;
     for (s_idx, &n) in WARM_VS_COLD_SIZES.iter().enumerate() {
         let graph = bench_graph(n, 2000 + s_idx as u64);
-        let timed = |warm_start: WarmStart| {
+        // The mean latency and AND ratio over the repetitions, and the last
+        // repetition's warm decision.
+        let timed = |warm_min_nodes: usize| {
             let options = ReductionOptions {
-                warm_start,
+                warm_min_nodes,
                 ..Default::default()
             };
             let start = Instant::now();
             let mut and_ratio_sum = 0.0f64;
+            let mut decision = WarmDecision::Cold;
             for rep in 0..WARM_VS_COLD_REPS {
                 let mut rng = seeded(derive_seed(SMOKE_SEED, 3000 + rep as u64));
                 let reduced = reduce(&graph, &options, &mut rng).expect("benchmark graph reduces");
                 and_ratio_sum += reduced.and_ratio;
+                decision = reduced.warm_decision;
             }
             let ms = start.elapsed().as_secs_f64() * 1e3 / WARM_VS_COLD_REPS as f64;
-            (ms, and_ratio_sum / WARM_VS_COLD_REPS as f64)
+            (ms, and_ratio_sum / WARM_VS_COLD_REPS as f64, decision)
         };
-        let (cold_ms, cold_and) = timed(WarmStart::Off);
-        let (warm_ms, warm_and) = timed(WarmStart::On);
+        let (cold_ms, cold_and, _) = timed(usize::MAX);
+        let (warm_ms, warm_and, warm_decision) = timed(ReductionOptions::default().warm_min_nodes);
         let speedup = cold_ms / warm_ms;
         assert!(
             warm_and >= DEFAULT_AND_RATIO_THRESHOLD - 1e-9,
@@ -242,12 +247,9 @@ fn main() {
             warm_and >= cold_and - 1e-9,
             "warm-started reduce lost AND quality at {n} nodes: warm {warm_and} < cold {cold_and}"
         );
-        // The default `Measured` policy's decision at this size, recorded so
-        // the perf trajectory shows when the measured comparison reverts.
-        let mut rng = seeded(derive_seed(SMOKE_SEED, 4000 + s_idx as u64));
-        let measured = reduce(&graph, &ReductionOptions::default(), &mut rng)
-            .expect("benchmark graph reduces");
-        let decision = match measured.warm_decision {
+        // The warm search's decision at this size, recorded so the perf
+        // trajectory shows when the measured comparison reverts.
+        let decision = match warm_decision {
             WarmDecision::Cold => "cold",
             WarmDecision::Warm => "warm",
             WarmDecision::MeasuredKept => "measured_kept",

@@ -133,7 +133,7 @@ impl Default for SaOptions {
     /// margin guards against mistaking a *temporary* plateau for
     /// convergence on larger, rougher instances than the Figure 8 protocol
     /// exercises, and (b) it preserves the pre-PR-4 outputs bit for bit
-    /// (`WarmStart::Off` compatibility, `tests/warm_start_regression.rs`).
+    /// (the cold-search pin in `tests/warm_start_regression.rs`).
     /// Callers that only need a coarse subgraph fast can drop to
     /// `(patience = 5, boost_divisor = 2)` for ~35% fewer iterations at
     /// unchanged Figure 8 quality.

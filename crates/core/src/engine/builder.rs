@@ -6,7 +6,7 @@ use super::cache::{anneal_cost, ShardedReductionCache};
 use super::persist::PersistentStore;
 use super::{Engine, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS, DEFAULT_REDUCTION_SEED};
 use crate::pipeline::PipelineOptions;
-use crate::reduction::{ReductionOptions, WarmStart};
+use crate::reduction::ReductionOptions;
 use crate::RedQaoaError;
 use qsim::noise::NoiseModel;
 use std::path::PathBuf;
@@ -23,11 +23,14 @@ use std::sync::atomic::AtomicU64;
 ///
 /// ```
 /// use red_qaoa::engine::Engine;
-/// use red_qaoa::reduction::WarmStart;
+/// use red_qaoa::reduction::ReductionOptions;
 ///
 /// let engine = Engine::builder()
 ///     .threads(1)
-///     .warm_start(WarmStart::On)
+///     .reduction(ReductionOptions {
+///         warm_min_nodes: usize::MAX,
+///         ..ReductionOptions::default()
+///     })
 ///     .cache_capacity(256)
 ///     .build()
 ///     .unwrap();
@@ -84,12 +87,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the warm-start policy of the default reduction options.
-    pub fn warm_start(mut self, warm_start: WarmStart) -> Self {
-        self.reduction.warm_start = warm_start;
-        self
-    }
-
     /// Sets the SA knobs of the default reduction options.
     pub fn sa(mut self, sa: crate::annealing::SaOptions) -> Self {
         self.reduction.sa = sa;
@@ -108,20 +105,6 @@ impl EngineBuilder {
     pub fn pipeline(mut self, pipeline: PipelineOptions) -> Self {
         self.pipeline = pipeline;
         self.pipeline_set = true;
-        self
-    }
-
-    /// Sets the default [`CircuitReduction`](crate::pipeline::CircuitReduction)
-    /// mode jobs inherit: node reduction only (the legacy default), circuit
-    /// depth reduction only, or both composed. Per-job pipeline options and
-    /// the [`LandscapeJob`](super::LandscapeJob) /
-    /// [`OptimizeJob`](super::OptimizeJob) `with_circuit` overrides take
-    /// precedence.
-    ///
-    /// This does *not* mark the pipeline options as explicitly set, so the
-    /// default pipeline still follows the engine's reduction options.
-    pub fn circuit_reduction(mut self, circuit: crate::pipeline::CircuitReduction) -> Self {
-        self.pipeline.circuit = circuit;
         self
     }
 

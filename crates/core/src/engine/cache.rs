@@ -21,7 +21,7 @@
 //!   affects *performance*: a re-request of an evicted key recomputes the
 //!   bitwise-identical reduction from its content-derived substream.
 
-use crate::reduction::{ReducedGraph, ReductionOptions, WarmDecision, WarmStart};
+use crate::reduction::{size_floor, ReducedGraph, ReductionOptions, WarmDecision};
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use std::collections::HashMap;
@@ -118,12 +118,6 @@ impl CacheKey {
             CoolingSchedule::Constant(a) => (0u64, a.to_bits()),
             CoolingSchedule::Adaptive { base } => (1u64, base.to_bits()),
         };
-        let warm = match options.warm_start {
-            WarmStart::Off => WARM_OFF,
-            WarmStart::On => WARM_ON,
-            WarmStart::Auto => WARM_AUTO,
-            WarmStart::Measured => WARM_MEASURED,
-        };
         let mut edges = Vec::with_capacity(graph.edge_count());
         for u in 0..graph.node_count() {
             let low = endpoint(u);
@@ -139,7 +133,9 @@ impl CacheKey {
             options.sa_runs as u64,
             options.min_size as u64,
             options.min_size_fraction.to_bits(),
-            warm,
+            // Retired policy word, a constant that keeps default keys'
+            // hashes (see `POLICY_WORD`).
+            MEASURED_POLICY,
             options.sa.initial_temp.to_bits(),
             options.sa.final_temp.to_bits(),
             cooling_kind,
@@ -147,8 +143,9 @@ impl CacheKey {
             options.sa.disconnection_penalty.to_bits(),
             options.sa.stagnation_patience as u64,
             options.sa.boost_divisor.to_bits(),
-            options.warm_auto_min_nodes as u64,
-            options.warm_temp_fraction.to_bits(),
+            options.warm_min_nodes as u64,
+            // Retired temperature word, likewise constant.
+            TEMP_FRACTION_BITS,
         ];
         Self::from_parts(graph.node_count(), edges, Arc::new(option_bits))
     }
@@ -177,25 +174,39 @@ impl CacheKey {
         }
     }
 
-    /// Whether a reduction under this key's options can report `decision`,
-    /// by [`ReductionOptions::warm_enabled_for`] on the key's node count:
+    /// Whether a reduction under this key's options can report `decision`
+    /// with `kept` nodes, by [`ReductionOptions::warm_enabled_for`] on the
+    /// key's node count and the search's size floor:
     /// [`WarmDecision::Cold`] exactly when warm starts are off for the
-    /// graph, [`WarmDecision::Warm`] when they are on, and the measured
-    /// outcomes only under [`WarmStart::Measured`].
-    pub(super) fn permits(&self, decision: WarmDecision) -> bool {
-        let policy = self.option_bits[WARM_START_WORD];
-        let enabled = match policy {
-            WARM_OFF => false,
-            WARM_ON => true,
-            _ => self.nodes as u64 >= self.option_bits[WARM_AUTO_MIN_NODES_WORD],
-        };
-        match decision {
-            WarmDecision::Cold => !enabled,
-            WarmDecision::Warm => enabled,
-            WarmDecision::MeasuredKept | WarmDecision::MeasuredReverted => {
-                enabled && policy == WARM_MEASURED
-            }
+    /// graph; [`WarmDecision::Warm`] when they are on and the search
+    /// stopped at the floor; the measured outcomes when they are on and the
+    /// search went past it. A key of fewer than two nodes permits nothing,
+    /// since `reduce` refuses such a graph.
+    pub(super) fn permits(&self, decision: WarmDecision, kept: usize) -> bool {
+        if self.nodes < 2 {
+            return false;
         }
+        let warm = self.nodes as u64 >= self.option_bits[WARM_MIN_NODES_WORD];
+        let floor = size_floor(
+            self.nodes,
+            self.option_bits[MIN_SIZE_WORD] as usize,
+            f64::from_bits(self.option_bits[MIN_SIZE_FRACTION_WORD]),
+        );
+        match decision {
+            WarmDecision::Cold => !warm,
+            WarmDecision::Warm => warm && kept == floor,
+            WarmDecision::MeasuredKept | WarmDecision::MeasuredReverted => warm && kept > floor,
+        }
+    }
+
+    /// Whether the key's two retired option words hold the constants every
+    /// key is built with (`MEASURED_POLICY`, `TEMP_FRACTION_BITS`). A
+    /// key that does not was written under a warm-start policy or
+    /// temperature the search no longer has, so no request can look it up
+    /// again.
+    pub(super) fn has_current_warm_words(&self) -> bool {
+        self.option_bits[POLICY_WORD] == MEASURED_POLICY
+            && self.option_bits[TEMP_FRACTION_WORD] == TEMP_FRACTION_BITS
     }
 
     /// Stable FNV-1a content hash over the key's words, each eaten as its
@@ -266,14 +277,24 @@ impl Hasher for ContentHasher {
     }
 }
 
-/// The option word holding the warm-start policy, and its codes.
-const WARM_START_WORD: usize = 4;
-const WARM_OFF: u64 = 0;
-const WARM_ON: u64 = 1;
-const WARM_AUTO: u64 = 2;
-const WARM_MEASURED: u64 = 3;
-/// The option word holding `warm_auto_min_nodes`.
-const WARM_AUTO_MIN_NODES_WORD: usize = 12;
+/// Option word 4 held a warm-start policy code when the search had four
+/// policies (`Off` 0, `On` 1, `Auto` 2, `Measured` 3). Only the measured
+/// one is left, so every key carries its code. Keeping this word, and word
+/// 13 below, keeps the 14-word layout and with it every default-option
+/// key's content hash: the hash is the reduction's RNG substream and the
+/// store's record key, so no reduction and no stored record moved.
+const POLICY_WORD: usize = 4;
+const MEASURED_POLICY: u64 = 3;
+/// Option word 13 held the warm-run temperature fraction when it was an
+/// option; the search now always starts warm runs at 0.25 of `T0`.
+const TEMP_FRACTION_WORD: usize = 13;
+/// `0.25f64.to_bits()`.
+const TEMP_FRACTION_BITS: u64 = 0x3fd0_0000_0000_0000;
+/// The option words holding `min_size`, `min_size_fraction` and
+/// `warm_min_nodes`.
+const MIN_SIZE_WORD: usize = 2;
+const MIN_SIZE_FRACTION_WORD: usize = 3;
+const WARM_MIN_NODES_WORD: usize = 12;
 
 /// A node index as a key endpoint.
 ///
@@ -802,29 +823,34 @@ mod tests {
             WarmDecision::MeasuredKept,
             WarmDecision::MeasuredReverted,
         ];
-        for policy in [
-            WarmStart::Off,
-            WarmStart::On,
-            WarmStart::Auto,
-            WarmStart::Measured,
-        ] {
-            for (nodes, gate) in [(9, 16), (16, 16), (20, 16), (9, 0)] {
-                let options = ReductionOptions {
-                    warm_start: policy,
-                    warm_auto_min_nodes: gate,
-                    ..ReductionOptions::default()
-                };
-                let key = CacheKey::new(&cycle(nodes).unwrap(), &options);
-                let enabled = options.warm_enabled_for(nodes);
-                let permitted: Vec<bool> = decisions.iter().map(|&d| key.permits(d)).collect();
-                let measured = enabled && policy == WarmStart::Measured;
+        for (nodes, gate) in [(9, 16), (16, 16), (20, 16), (9, 0), (20, usize::MAX)] {
+            let options = ReductionOptions {
+                warm_min_nodes: gate,
+                ..ReductionOptions::default()
+            };
+            let key = CacheKey::new(&cycle(nodes).unwrap(), &options);
+            let warm = options.warm_enabled_for(nodes);
+            let floor = size_floor(nodes, options.min_size, options.min_size_fraction);
+            // A warm search stops at its floor with `Warm`, or goes past it
+            // and measures; a cold one may stop anywhere from the floor up.
+            for (kept, past_floor) in [(floor, false), (floor + 1, true), (nodes, true)] {
+                let permitted: Vec<bool> =
+                    decisions.iter().map(|&d| key.permits(d, kept)).collect();
+                let expected = [
+                    !warm,
+                    warm && !past_floor,
+                    warm && past_floor,
+                    warm && past_floor,
+                ];
                 assert_eq!(
-                    permitted,
-                    [!enabled, enabled, measured, measured],
-                    "{policy:?}, {nodes} nodes, gate {gate}"
+                    permitted, expected,
+                    "{nodes} nodes, gate {gate}, {kept} kept"
                 );
             }
         }
+        // `reduce` refuses a graph of fewer than two nodes.
+        let tiny = CacheKey::new(&Graph::new(1), &ReductionOptions::default());
+        assert!(decisions.iter().all(|&d| !tiny.permits(d, 1)));
     }
 
     #[test]

@@ -115,13 +115,14 @@ pub struct LandscapeJob {
     pub width: usize,
     /// Scan the cached reduction of the graph instead of the graph itself.
     pub reduce_first: bool,
-    /// Per-job circuit-reduction mode; `None` uses the engine's default.
-    /// Depth modes do not change the scan: scheduling cannot change an ideal
-    /// expectation, so every mode evaluates with the same [`AutoEvaluator`]
-    /// and only node reduction decides which graph is scanned.
+    /// Circuit-reduction mode (default [`CircuitReduction::None`], node
+    /// reduction only). Depth modes do not change the scan: scheduling
+    /// cannot change an ideal expectation, so every mode evaluates with the
+    /// same [`AutoEvaluator`] and only node reduction decides which graph
+    /// is scanned.
     /// [`CircuitReduction::Depth`] makes [`LandscapeJob::reduce_first`] scan
     /// the graph itself (the identity reduction).
-    pub circuit: Option<CircuitReduction>,
+    pub circuit: CircuitReduction,
 }
 
 impl LandscapeJob {
@@ -131,7 +132,7 @@ impl LandscapeJob {
             graph,
             width,
             reduce_first: false,
-            circuit: None,
+            circuit: CircuitReduction::None,
         }
     }
 
@@ -141,9 +142,9 @@ impl LandscapeJob {
         self
     }
 
-    /// Overrides the engine's circuit-reduction mode for this job only.
+    /// Sets the circuit-reduction mode.
     pub fn with_circuit(mut self, circuit: CircuitReduction) -> Self {
-        self.circuit = Some(circuit);
+        self.circuit = circuit;
         self
     }
 }
@@ -196,12 +197,12 @@ pub struct OptimizeJob {
     pub max_iters: usize,
     /// Per-job reduction options; `None` uses the engine's defaults.
     pub reduction: Option<ReductionOptions>,
-    /// Per-job circuit-reduction mode; `None` uses the engine's default.
-    /// [`CircuitReduction::Depth`] skips node reduction (the session runs on
-    /// the identity reduction); depth modes attach
+    /// Circuit-reduction mode (default [`CircuitReduction::None`], node
+    /// reduction only). [`CircuitReduction::Depth`] skips node reduction
+    /// (the session runs on the identity reduction); depth modes attach
     /// [`DepthMetrics`] for the graph the session optimized on to the
     /// report.
-    pub circuit: Option<CircuitReduction>,
+    pub circuit: CircuitReduction,
     /// Iteration budget of the refine step on the full graph; `0` (the
     /// default) skips it.
     pub refine_iters: usize,
@@ -218,7 +219,7 @@ impl OptimizeJob {
             restarts: None,
             max_iters: 80,
             reduction: None,
-            circuit: None,
+            circuit: CircuitReduction::None,
             refine_iters: 0,
         }
     }
@@ -253,9 +254,9 @@ impl OptimizeJob {
         self
     }
 
-    /// Overrides the engine's circuit-reduction mode for this job only.
+    /// Sets the circuit-reduction mode.
     pub fn with_circuit(mut self, circuit: CircuitReduction) -> Self {
-        self.circuit = Some(circuit);
+        self.circuit = circuit;
         self
     }
 
@@ -555,7 +556,7 @@ pub(super) fn execute(
             }
             // In depth-only mode `reduce_first` scans the graph itself (the
             // identity reduction) — no annealing, no cache traffic.
-            let reduction = if scans_reduction(engine, job) {
+            let reduction = if scans_reduction(job) {
                 Some(engine.reduce_cached(&job.graph, engine.reduction_options())?)
             } else {
                 None
@@ -592,12 +593,9 @@ pub(super) fn execute(
         }
         Job::Optimize(job) => {
             validate_optimize_job(job)?;
-            let circuit = job
-                .circuit
-                .unwrap_or_else(|| engine.pipeline_options().circuit);
             let reduction_options = job.reduction.as_ref().unwrap_or(engine.reduction_options());
-            let reduction = session_reduction(engine, &job.graph, circuit, reduction_options)?;
-            let depth = depth_metrics(circuit, reduction.graph())?;
+            let reduction = session_reduction(engine, &job.graph, job.circuit, reduction_options)?;
+            let depth = depth_metrics(job.circuit, reduction.graph())?;
             let restarts = job.restarts.unwrap_or_else(|| paper_restarts(job.layers));
             let driver = OptimizeDriver::new(job.optimizer.clone(), restarts, job.max_iters);
             let transfer = optimized_transfer(
@@ -642,13 +640,10 @@ pub(super) fn execute(
 }
 
 /// Whether a landscape job scans the graph's cached reduction: it asks for
-/// one and its circuit mode (the engine's default when unset) reduces
-/// nodes. A [`CircuitReduction::Depth`] job scans the graph itself.
-fn scans_reduction(engine: &Engine, job: &LandscapeJob) -> bool {
-    let circuit = job
-        .circuit
-        .unwrap_or_else(|| engine.pipeline_options().circuit);
-    job.reduce_first && circuit.wants_node_reduction()
+/// one and its circuit mode reduces nodes. A [`CircuitReduction::Depth`]
+/// job scans the graph itself.
+fn scans_reduction(job: &LandscapeJob) -> bool {
+    job.reduce_first && job.circuit.wants_node_reduction()
 }
 
 /// The scan a [`LandscapeJob`] runs, as `(graph, width, scans the
@@ -657,9 +652,9 @@ fn scans_reduction(engine: &Engine, job: &LandscapeJob) -> bool {
 /// [`scans_reduction`] (every mode evaluates with the same
 /// [`AutoEvaluator`]). So two jobs of one engine with equal keys return
 /// equal outputs, bit for bit, or the same error.
-pub(super) fn scan_key<'a>(engine: &Engine, job: &'a Job) -> Option<(&'a Graph, usize, bool)> {
+pub(super) fn scan_key(job: &Job) -> Option<(&Graph, usize, bool)> {
     match job {
-        Job::Landscape(job) => Some((&job.graph, job.width, scans_reduction(engine, job))),
+        Job::Landscape(job) => Some((&job.graph, job.width, scans_reduction(job))),
         _ => None,
     }
 }

@@ -14,7 +14,7 @@
 //! mirrors a request's path through the service:
 //!
 //! * [`builder`](self) — [`EngineBuilder`] validates the whole
-//!   configuration (thread count, warm-start policy, SA knobs, optional
+//!   configuration (thread count, reduction and SA options, optional
 //!   noise model, cache geometry, persistence) at
 //!   [`EngineBuilder::build`], naming the offending field in the error, so
 //!   no validation-driven failure is left to job time.
@@ -211,7 +211,7 @@ impl Engine {
     /// contract lives in `docs/determinism.md`.
     pub fn run_batch(&self, jobs: &[Job], seed: u64) -> Vec<Result<JobOutput, RedQaoaError>> {
         self.with_thread_policy(|| {
-            let repeats = repeated_scans(self, jobs);
+            let repeats = repeated_scans(jobs);
             let costs: Vec<f64> = jobs
                 .iter()
                 .zip(&repeats)
@@ -326,12 +326,12 @@ impl Engine {
 /// the same landscape scan ([`jobs::scan_key`]), if there is one. Keys are
 /// grouped by hash, so a batch of `k` scans costs `k` graph hashes, not
 /// `k²` comparisons.
-fn repeated_scans(engine: &Engine, jobs: &[Job]) -> Vec<Option<usize>> {
+fn repeated_scans(jobs: &[Job]) -> Vec<Option<usize>> {
     let mut first_of = HashMap::new();
     jobs.iter()
         .enumerate()
         .map(|(i, job)| {
-            let key = scan_key(engine, job)?;
+            let key = scan_key(job)?;
             match first_of.entry(key) {
                 Entry::Occupied(first) => Some(*first.get()),
                 Entry::Vacant(slot) => {

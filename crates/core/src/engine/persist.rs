@@ -15,16 +15,20 @@
 //! * **Loading is validating.** Every record must pass a checksum *and* a
 //!   staleness check (the stored hash must equal the re-hashed decoded key —
 //!   a record written by an incompatible option layout re-hashes
-//!   differently and is dropped). Every key endpoint must lie below the
-//!   key's node count. Its reduction must also agree with its key: an
-//!   in-range mapping in the strictly increasing order `reduce` emits,
-//!   exactly the edges the key's graph induces on that mapping, node and
-//!   edge reductions and an AND ratio that recompute to the stored bits,
-//!   and a warm-start decision the key's options can produce. Corrupt or
-//!   stale records are skipped, not fatal. What no check can tell apart
-//!   from a fresh reduction is another node set on which the key's graph
-//!   induces the same reduced graph, or another permitted warm decision
-//!   (the measured outcomes under `WarmStart::Measured`); the mutation
+//!   differently and is dropped). A key whose two retired warm-start words
+//!   (the policy code and temperature fraction of the four-policy search)
+//!   hold anything but today's constants is stale too: no request builds
+//!   such a key again. Every key endpoint must lie below the key's node
+//!   count. Its reduction must also agree with its key: an in-range mapping
+//!   in the strictly increasing order `reduce` emits, exactly the edges the
+//!   key's graph induces on that mapping, node and edge reductions and an
+//!   AND ratio that recompute to the stored bits, and a warm-start decision
+//!   the key's options can produce at the mapping's size (`Warm` only at
+//!   the size floor, a measured outcome only above it). Corrupt or stale
+//!   records are skipped, not fatal. What no check can tell apart from a
+//!   fresh reduction is another node set on which the key's graph induces
+//!   the same reduced graph, or a search past the floor that kept warm
+//!   seeding relabelled as one that reverted (or the reverse); the mutation
 //!   proptest bounds served values by exactly that.
 //! * **Torn tails self-heal.** A record truncated by a crash mid-append is
 //!   cut off at open time, so the next append starts from a clean boundary.
@@ -229,7 +233,8 @@ fn encode_key(key: &CacheKey) -> Vec<u8> {
 /// Decodes a key section. Every edge endpoint must lie below the key's
 /// node count (so within `u32`, the width a key holds it at) before it is
 /// narrowed: an out-of-range endpoint is corruption, never a truncated
-/// index.
+/// index. A key with retired warm-start words is stale
+/// ([`CacheKey::has_current_warm_words`]).
 fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     let mut cursor = Cursor::new(bytes);
     let nodes = cursor.u64()?;
@@ -255,9 +260,11 @@ fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     for word in &mut option_bits {
         *word = cursor.u64()?;
     }
-    cursor
-        .finished()
-        .then(|| CacheKey::from_parts(nodes, edges, Arc::new(option_bits)))
+    if !cursor.finished() {
+        return None;
+    }
+    let key = CacheKey::from_parts(nodes, edges, Arc::new(option_bits));
+    key.has_current_warm_words().then_some(key)
 }
 
 fn encode_value(value: &ReducedGraph) -> Vec<u8> {
@@ -291,8 +298,9 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
 /// must hold one parent node `< key.nodes` (and `<` [`MAX_MAPPED_NODE`])
 /// per reduced node, strictly increasing (the order `reduce` emits), so
 /// the node count is bounded both by the key and by the bytes actually
-/// present, and a crafted count cannot drive the allocation. The warm decision must be one the key's
-/// options permit ([`CacheKey::permits`]).
+/// present, and a crafted count cannot drive the allocation. The warm
+/// decision must be one the key's options permit at the mapping's size
+/// ([`CacheKey::permits`]).
 /// The built graph must then carry exactly the edges the key's graph
 /// induces on the mapping, the stored node and edge reductions must be
 /// the bits [`reduction_fractions`] recomputes, and the stored AND ratio
@@ -340,7 +348,7 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         3 => WarmDecision::MeasuredReverted,
         _ => return None,
     };
-    if !cursor.finished() || !key.permits(warm_decision) {
+    if !cursor.finished() || !key.permits(warm_decision, mapping_len) {
         return None;
     }
     let graph = Graph::from_edges(node_count, &edges).ok()?;
@@ -404,7 +412,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::{reduce, ReductionOptions, WarmStart};
+    use crate::reduction::{reduce, ReductionOptions};
     use graphlib::generators::{connected_gnp, cycle, path};
     use graphlib::metrics::and_ratio;
     use graphlib::subgraph::induced_subgraph;
@@ -644,11 +652,11 @@ mod tests {
         // anything is built; each record is skipped as corrupt.
         let (key, value) = sample();
         let huge = 1u64 << 40;
-        let huge_key = CacheKey::from_parts(
-            huge as usize,
-            key.edges.clone(),
-            Arc::clone(&key.option_bits),
-        );
+        // A zero `min_size_fraction` puts the huge key's size floor at its
+        // three-node `min_size`.
+        let mut words = *key.option_bits;
+        words[3] = 0.0f64.to_bits();
+        let huge_key = CacheKey::from_parts(huge as usize, key.edges.clone(), Arc::new(words));
         let mut body = Vec::new();
         body.extend_from_slice(&MAGIC);
         body.extend_from_slice(&VERSION.to_le_bytes());
@@ -661,10 +669,10 @@ mod tests {
         body.extend_from_slice(&hostile_record(&huge_key, &truncated_mapping));
         // A short mapping whose top node is huge: checking its induced
         // edges indexes one slot per parent node up to that top, so the
-        // top must be rejected first. The measured decision is one the
-        // huge key permits, so only the bound stops the record.
-        let mut far_mapping = raw_value(2, &[], &[0, huge - 1]);
-        *far_mapping.last_mut().unwrap() = 2;
+        // top must be rejected first. A warm stop at the three-node floor
+        // is what the huge key permits, so only the bound stops the record.
+        let mut far_mapping = raw_value(3, &[], &[0, 1, huge - 1]);
+        *far_mapping.last_mut().unwrap() = 1;
         body.extend_from_slice(&hostile_record(&huge_key, &far_mapping));
         body.extend_from_slice(&encode_record(&key, &value));
         let path = std::env::temp_dir().join(format!(
@@ -698,6 +706,59 @@ mod tests {
     }
 
     #[test]
+    fn a_floor_reduction_relabelled_as_measured_is_skipped() {
+        // An 18-node graph is warm-started, and this reduction stops at its
+        // 12-node floor. A measured outcome means the search went past the
+        // floor, so the relabelled record (checksum and hash recomputed)
+        // is one no reduction under the key wrote.
+        let graph = connected_gnp(18, 0.35, &mut seeded(101)).unwrap();
+        let options = ReductionOptions::default();
+        let key = CacheKey::new(&graph, &options);
+        let fresh = reduce(&graph, &options, &mut seeded(11)).unwrap();
+        assert_eq!(fresh.warm_decision, WarmDecision::Warm);
+        assert_eq!(fresh.subgraph.nodes.len(), 12);
+        for warm_decision in [WarmDecision::MeasuredKept, WarmDecision::MeasuredReverted] {
+            let forged = ReducedGraph {
+                warm_decision,
+                ..fresh.clone()
+            };
+            let (records, consumed) = parse_records(&encode_record(&key, &forged));
+            assert!(records.is_empty(), "{warm_decision:?} at the floor");
+            assert!(consumed > 0);
+        }
+        let (records, _) = parse_records(&encode_record(&key, &fresh));
+        assert_eq!(records, vec![(key, fresh)]);
+    }
+
+    #[test]
+    fn a_retired_policy_record_is_skipped_and_a_default_one_replays() {
+        // The same cold reduction stored twice: under the default key, and
+        // under a key whose policy word holds the retired `Off` code. Only
+        // that word tells them apart, so it alone skips the second record.
+        let (key, value) = sample();
+        let mut words = *key.option_bits;
+        words[4] = 0;
+        let retired = CacheKey::from_parts(key.nodes, key.edges.clone(), Arc::new(words));
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC);
+        file.extend_from_slice(&VERSION.to_le_bytes());
+        file.extend_from_slice(&encode_record(&retired, &value));
+        file.extend_from_slice(&encode_record(&key, &value));
+        let path = std::env::temp_dir().join(format!(
+            "red_qaoa_persist_retired_{}.rqps",
+            std::process::id()
+        ));
+        std::fs::write(&path, &file).unwrap();
+        let opened = PersistentStore::open(&path).map(|(_, loaded)| loaded);
+        let _ = std::fs::remove_file(&path);
+        let loaded = opened.unwrap();
+        assert_eq!(loaded.len(), 1, "the retired record is skipped");
+        let (replayed_key, replayed) = &loaded[0];
+        assert_eq!(replayed_key.content_hash(), key.content_hash());
+        assert_eq!(encode_value(replayed), encode_value(&value), "bit for bit");
+    }
+
+    #[test]
     fn key_endpoints_outside_the_key_are_corrupt() {
         // A one-edge key section over `nodes` nodes, with the sample's
         // option words.
@@ -727,10 +788,10 @@ mod tests {
         assert_eq!(encode_key(&key), raw_key(9, (0, 8)), "byte format");
     }
 
-    /// One honest record per policy — the default measured policy below its
-    /// gate (a cold reduction), warm starts off, and the measured policy
-    /// with its gate at 0 (a measured reduction) — each holding a fresh
-    /// `reduce` of its random graph.
+    /// One honest record per warm-start gate — the default gate above the
+    /// graph (a cold reduction), warm starts off (`usize::MAX`), and the
+    /// gate at 0 (a warm reduction) — each holding a fresh `reduce` of its
+    /// random graph.
     struct HonestRecord {
         graph: Graph,
         key: CacheKey,
@@ -744,11 +805,11 @@ mod tests {
             let policies = [
                 ReductionOptions::default(),
                 ReductionOptions {
-                    warm_start: WarmStart::Off,
+                    warm_min_nodes: usize::MAX,
                     ..ReductionOptions::default()
                 },
                 ReductionOptions {
-                    warm_auto_min_nodes: 0,
+                    warm_min_nodes: 0,
                     ..ReductionOptions::default()
                 },
             ];
@@ -806,7 +867,7 @@ mod tests {
         /// exactly the fresh reduced graph and ratios; only the node labels
         /// (another node set on which the key's graph induces that same
         /// graph) or the warm-start telemetry (another decision the key's
-        /// options allow) could differ, since no check short of re-running
+        /// options allow at that size) could differ, since no check short of re-running
         /// the reduction can tell those apart.
         #[test]
         fn mutated_stores_open_and_serve_only_fresh_reductions(
@@ -877,7 +938,7 @@ mod tests {
                 prop_assert_eq!(value.edge_reduction.to_bits(), fresh.edge_reduction.to_bits());
                 let relabelled = induced_subgraph(&source.graph, &value.subgraph.nodes).unwrap();
                 prop_assert!(relabelled.graph == value.subgraph.graph);
-                prop_assert!(key.permits(value.warm_decision));
+                prop_assert!(key.permits(value.warm_decision, value.subgraph.nodes.len()));
             }
             let served = |r: &HonestRecord| loaded.iter().any(|(k, v)| k == &r.key && v == &r.fresh);
             for (i, source) in honest.iter().enumerate() {

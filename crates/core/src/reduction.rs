@@ -19,18 +19,19 @@
 //!   graph; a `reduce` running inside the pool detects the enclosing
 //!   parallel region and runs its restarts serially).
 //!
-//! The search is **warm-started** by default ([`WarmStart::Measured`]): the
-//! *first* candidate size (the floor) anneals once from a degeneracy-ordered
-//! greedy seed (instead of `sa_runs` cold restarts), every later size is
-//! seeded from the previous size's best subgraph (deterministically resized
-//! by one-node drops/grows) at a reduced temperature, and on the second size
-//! the search compares the measured work of the warm run against a
-//! cold-restart proxy and falls back to cold seeding when warm starting is
-//! not actually paying for itself. The measurement is an *iteration-count*
-//! proxy, never wall-clock, so the decision — like everything else here — is
-//! a pure function of the RNG seed and bitwise-identical across thread
-//! counts.
-//! [`WarmStart::Off`] restores (bit for bit) the cold-start behaviour.
+//! Graphs with at least [`ReductionOptions::warm_min_nodes`] nodes (16 by
+//! default) are **warm-started**: the *first* candidate size (the floor)
+//! anneals once from a degeneracy-ordered greedy seed (instead of `sa_runs`
+//! cold restarts), every later size is seeded from the previous size's best
+//! subgraph (deterministically resized by one-node drops/grows) at a reduced
+//! temperature, and on the second size the search compares the measured
+//! work of the warm run against a cold-restart proxy and falls back to cold
+//! seeding when warm starting is not actually paying for itself. The
+//! measurement is an *iteration-count* proxy, never wall-clock, so the
+//! decision — like everything else here — is a pure function of the RNG
+//! seed and bitwise-identical across thread counts. Smaller graphs anneal
+//! every size from cold restarts; `warm_min_nodes: usize::MAX` turns warm
+//! starts off for every graph.
 
 use crate::annealing::{
     anneal_subgraph_from_seed_prevalidated, anneal_subgraph_prevalidated, SaOptions,
@@ -49,8 +50,8 @@ use std::collections::BinaryHeap;
 /// graphs (Section 4.3: a 0.7 ratio corresponds to the 0.02 MSE threshold).
 pub const DEFAULT_AND_RATIO_THRESHOLD: f64 = 0.7;
 
-/// Default of [`ReductionOptions::warm_auto_min_nodes`]: the smallest graph
-/// for which [`WarmStart::Auto`] enables warm starts.
+/// Default of [`ReductionOptions::warm_min_nodes`]: the smallest graph the
+/// size search warm-starts.
 ///
 /// Below this size each SA run is a few hundred cheap moves, and a search
 /// that passes at the floor anneals one size, so there is nothing worth
@@ -59,77 +60,35 @@ pub const DEFAULT_AND_RATIO_THRESHOLD: f64 = 0.7;
 /// floor measurably cut latency (the Figure 18 sizes, 20–320 nodes, all
 /// qualify — see `reduce_warm_vs_cold` in the bench crate and
 /// `BENCH_reduction.json`).
-pub const WARM_START_AUTO_MIN_NODES: usize = 16;
+pub const WARM_START_MIN_NODES: usize = 16;
 
-/// Default of [`ReductionOptions::warm_temp_fraction`]: the fraction of
-/// [`SaOptions::initial_temp`] a warm-started SA run starts at.
+/// The fraction of [`SaOptions::initial_temp`] a warm-seeded SA run starts
+/// at.
 ///
 /// A warm seed is already near the previous size's optimum, so re-heating to
 /// the full `T0` would only walk away from it and re-pay the exploration the
 /// previous candidate size already performed. The reduced temperature keeps
 /// enough mobility to repair the one-node resize while letting the adaptive
-/// schedule terminate the (quickly plateauing) run early.
-pub const DEFAULT_WARM_TEMP_FRACTION: f64 = 0.25;
+/// schedule terminate the (quickly plateauing) run early. The effective warm
+/// temperature is additionally kept at or above `4 × final_temp`, so a warm
+/// run always performs a useful handful of repair moves.
+const WARM_TEMP_FRACTION: f64 = 0.25;
 
-/// Whether the size search re-anneals every candidate size from scratch or
-/// reuses the previous size's best subgraph as the SA seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStart {
-    /// Always anneal from a fresh random connected seed (the pre-warm-start
-    /// behaviour, bitwise-identical to it for any fixed RNG seed).
-    Off,
-    /// Seed the first candidate size from the degeneracy-ordered greedy and
-    /// every later size from the previous size's best subgraph
-    /// ([`crate::annealing::anneal_subgraph_from_seed`]), unconditionally.
-    On,
-    /// [`WarmStart::On`] for graphs with at least
-    /// [`ReductionOptions::warm_auto_min_nodes`] nodes, [`WarmStart::Off`]
-    /// below.
-    Auto,
-    /// [`WarmStart::Auto`]'s size gate plus a measured escape hatch (the
-    /// default): graphs below [`ReductionOptions::warm_auto_min_nodes`]
-    /// anneal cold exactly like [`WarmStart::Auto`], and above the gate the
-    /// search seeds like [`WarmStart::On`] but compares, after the second
-    /// candidate size, the warm run's iteration count against a
-    /// cold-restart work proxy (`sa_runs ×` the first size's iterations)
-    /// and reverts the remaining sizes to cold seeding if warm starting did
-    /// not actually run shorter. The proxy is deterministic — wall-clock
-    /// never enters the decision — so the choice is identical for every
-    /// `RED_QAOA_THREADS` value; see [`ReducedGraph::warm_decision`] for
-    /// what was decided.
-    #[default]
-    Measured,
-}
-
-impl WarmStart {
-    /// Resolves the policy for a graph of `nodes` nodes **under the default
-    /// options** (i.e. an [`WarmStart::Auto`] / [`WarmStart::Measured`]
-    /// gate of [`WARM_START_AUTO_MIN_NODES`]). Configurations with a custom
-    /// gate resolve through [`ReductionOptions::warm_enabled_for`] instead.
-    pub fn enabled_for(self, nodes: usize) -> bool {
-        match self {
-            WarmStart::Off => false,
-            WarmStart::On => true,
-            WarmStart::Auto | WarmStart::Measured => nodes >= WARM_START_AUTO_MIN_NODES,
-        }
-    }
-}
-
-/// What the warm-start policy actually did during one [`reduce`] call.
+/// What the warm-start gate and the measured comparison did during one
+/// [`reduce`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmDecision {
-    /// Every candidate size annealed cold ([`WarmStart::Off`], or an
-    /// [`WarmStart::Auto`] gate below its node threshold).
+    /// Every candidate size annealed cold: the graph is below
+    /// [`ReductionOptions::warm_min_nodes`].
     Cold,
-    /// Every size after the first was warm-seeded and no measurement was
-    /// taken ([`WarmStart::On`], [`WarmStart::Auto`] above its gate, or a
-    /// [`WarmStart::Measured`] search that never reached a second size).
+    /// The graph was warm-started and the search stopped at its size floor,
+    /// the first candidate size, so no measurement was taken.
     Warm,
-    /// [`WarmStart::Measured`] compared the second size's warm run against
-    /// the cold-work proxy and kept warm seeding.
+    /// The search went past the floor, compared the second size's warm run
+    /// against the cold-work proxy and kept warm seeding.
     MeasuredKept,
-    /// [`WarmStart::Measured`] compared and reverted the remaining sizes to
-    /// cold seeding (the warm run was not shorter than the proxy).
+    /// The search went past the floor, compared, and reverted the remaining
+    /// sizes to cold seeding (the warm run was not shorter than the proxy).
     MeasuredReverted,
 }
 
@@ -154,21 +113,11 @@ pub struct ReductionOptions {
     /// reduction (default: keep at least 65% of the nodes) keeps Red-QAOA in
     /// the ~25–40% node-reduction regime the paper reports.
     pub min_size_fraction: f64,
-    /// Warm-start policy of the size search (default:
-    /// [`WarmStart::Measured`]).
-    pub warm_start: WarmStart,
-    /// Smallest graph for which [`WarmStart::Auto`] and
-    /// [`WarmStart::Measured`] warm-start (default:
-    /// [`WARM_START_AUTO_MIN_NODES`]). Below it the handful of candidate
-    /// sizes are too cheap for seeding (or measuring) to pay off;
-    /// [`WarmStart::On`] ignores the gate.
-    pub warm_auto_min_nodes: usize,
-    /// Fraction of [`SaOptions::initial_temp`] a warm-started run starts at
-    /// (default: [`DEFAULT_WARM_TEMP_FRACTION`]); must be in `(0, 1]`. The
-    /// effective warm temperature is additionally kept at or above
-    /// `4 × final_temp` so a warm run always performs a useful handful of
-    /// repair moves.
-    pub warm_temp_fraction: f64,
+    /// Smallest graph the size search warm-starts (default:
+    /// [`WARM_START_MIN_NODES`]). Below it the handful of candidate sizes
+    /// are too cheap for seeding (or measuring) to pay off; `usize::MAX`
+    /// anneals every graph cold.
+    pub warm_min_nodes: usize,
 }
 
 impl Default for ReductionOptions {
@@ -179,9 +128,7 @@ impl Default for ReductionOptions {
             sa_runs: 2,
             min_size: 3,
             min_size_fraction: 0.65,
-            warm_start: WarmStart::default(),
-            warm_auto_min_nodes: WARM_START_AUTO_MIN_NODES,
-            warm_temp_fraction: DEFAULT_WARM_TEMP_FRACTION,
+            warm_min_nodes: WARM_START_MIN_NODES,
         }
     }
 }
@@ -227,36 +174,24 @@ impl ReductionOptions {
                 "must be in [0, 1]",
             ));
         }
-        if !(self.warm_temp_fraction > 0.0 && self.warm_temp_fraction <= 1.0) {
-            return Err(RedQaoaError::invalid_parameter(
-                "warm_temp_fraction",
-                self.warm_temp_fraction,
-                "must be in (0, 1]",
-            ));
-        }
         self.sa.validate()
     }
 
-    /// Resolves the warm-start policy for a graph of `nodes` nodes using
-    /// this configuration's [`ReductionOptions::warm_auto_min_nodes`] gate.
+    /// Whether the size search warm-starts a graph of `nodes` nodes: at or
+    /// above this configuration's [`ReductionOptions::warm_min_nodes`] gate.
     ///
     /// ```
-    /// use red_qaoa::reduction::{ReductionOptions, WarmStart};
+    /// use red_qaoa::reduction::ReductionOptions;
     ///
     /// let options = ReductionOptions::builder()
-    ///     .warm_start(WarmStart::Auto)
-    ///     .warm_auto_min_nodes(100)
+    ///     .warm_min_nodes(100)
     ///     .build()
     ///     .unwrap();
     /// assert!(!options.warm_enabled_for(99));
     /// assert!(options.warm_enabled_for(100));
     /// ```
     pub fn warm_enabled_for(&self, nodes: usize) -> bool {
-        match self.warm_start {
-            WarmStart::Off => false,
-            WarmStart::On => true,
-            WarmStart::Auto | WarmStart::Measured => nodes >= self.warm_auto_min_nodes,
-        }
+        nodes >= self.warm_min_nodes
     }
 }
 
@@ -270,14 +205,14 @@ impl ReductionOptions {
 /// # Example
 ///
 /// ```
-/// use red_qaoa::reduction::{ReductionOptions, WarmStart};
+/// use red_qaoa::reduction::ReductionOptions;
 ///
 /// let options = ReductionOptions::builder()
 ///     .and_ratio_threshold(0.8)
-///     .warm_start(WarmStart::Off)
+///     .warm_min_nodes(usize::MAX)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(options.warm_start, WarmStart::Off);
+/// assert!(!options.warm_enabled_for(1000));
 ///
 /// let err = ReductionOptions::builder()
 ///     .and_ratio_threshold(1.5)
@@ -325,33 +260,10 @@ impl ReductionOptionsBuilder {
         self
     }
 
-    /// Sets the warm-start policy of the size search.
-    pub fn warm_start(mut self, warm_start: WarmStart) -> Self {
-        self.options.warm_start = warm_start;
-        self
-    }
-
-    /// Sets the smallest graph for which [`WarmStart::Auto`] warm-starts.
-    pub fn warm_auto_min_nodes(mut self, nodes: usize) -> Self {
-        self.options.warm_auto_min_nodes = nodes;
-        self
-    }
-
-    /// Sets the fraction of the initial temperature warm-started runs start
-    /// at (must be in `(0, 1]`; rejected by
-    /// [`ReductionOptionsBuilder::build`] otherwise).
-    ///
-    /// ```
-    /// use red_qaoa::reduction::ReductionOptions;
-    ///
-    /// let err = ReductionOptions::builder()
-    ///     .warm_temp_fraction(0.0)
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert_eq!(err.field(), Some("warm_temp_fraction"));
-    /// ```
-    pub fn warm_temp_fraction(mut self, fraction: f64) -> Self {
-        self.options.warm_temp_fraction = fraction;
+    /// Sets the smallest graph the size search warm-starts (`usize::MAX`
+    /// anneals every graph cold).
+    pub fn warm_min_nodes(mut self, nodes: usize) -> Self {
+        self.options.warm_min_nodes = nodes;
         self
     }
 
@@ -378,8 +290,9 @@ pub struct ReducedGraph {
     pub node_reduction: f64,
     /// Fraction of edges removed.
     pub edge_reduction: f64,
-    /// What the warm-start policy did during this reduction (telemetry for
-    /// the benches and the smoke gate; deterministic like everything else).
+    /// What the warm-start gate and measurement did during this reduction
+    /// (telemetry for the benches and the smoke gate; deterministic like
+    /// everything else).
     pub warm_decision: WarmDecision,
 }
 
@@ -506,13 +419,13 @@ fn best_subgraph_of_size<R: Rng>(
         SizeSeed::Warm(seed_selection) => {
             // Warm path: one SA run seeded from the previous candidate
             // size's best subgraph, started at a reduced temperature (the
-            // seed is already near-optimal; see
-            // `ReductionOptions::warm_temp_fraction`). The resize is
+            // seed is already near-optimal; see `WARM_TEMP_FRACTION`). The
+            // resize is
             // deterministic and the single run consumes its own substream,
             // so the result is thread-count invariant just like the cold
             // fan-out.
             let sa = SaOptions {
-                initial_temp: (options.sa.initial_temp * options.warm_temp_fraction)
+                initial_temp: (options.sa.initial_temp * WARM_TEMP_FRACTION)
                     .max(options.sa.final_temp * 4.0)
                     .min(options.sa.initial_temp),
                 ..options.sa
@@ -588,11 +501,12 @@ fn best_subgraph_of_size<R: Rng>(
 /// predicate: at least one edge, and an [`and_ratio`] at or above
 /// [`ReductionOptions::and_ratio_threshold`].
 ///
-/// Under [`ReductionOptions::warm_start`] (default [`WarmStart::Measured`]),
+/// For graphs with at least [`ReductionOptions::warm_min_nodes`] nodes,
 /// every candidate size after the floor seeds its SA run from the previous
 /// size's best subgraph instead of re-annealing from scratch (see
-/// `BENCH_reduction.json`'s `warm_vs_cold` record). [`WarmStart::Off`]
-/// anneals every size from cold restarts.
+/// `BENCH_reduction.json`'s `warm_vs_cold` record), until the measured
+/// comparison on the second size reverts to cold seeding. Smaller graphs
+/// anneal every size from cold restarts.
 ///
 /// # Example
 ///
@@ -632,8 +546,7 @@ pub fn reduce<R: Rng>(
         candidate.graph.edge_count() > 0
             && and_ratio(graph, &candidate.graph) >= options.and_ratio_threshold
     };
-    let fraction_floor = (options.min_size_fraction * n as f64).ceil() as usize;
-    let floor = options.min_size.max(fraction_floor).clamp(2, n);
+    let floor = size_floor(n, options.min_size, options.min_size_fraction);
     let mut warm = WarmSearchState::new(options, n);
 
     // The floor is the smallest size the search admits, so when its best
@@ -685,6 +598,15 @@ pub fn reduce<R: Rng>(
     })
 }
 
+/// The size floor of the search over a graph with `nodes ≥ 2` nodes,
+/// `max(min_size, ⌈min_size_fraction · nodes⌉)` clamped to `[2, nodes]`:
+/// the first size [`reduce`] anneals, which the persistent store recomputes
+/// to check a record's warm decision.
+pub(crate) fn size_floor(nodes: usize, min_size: usize, min_size_fraction: f64) -> usize {
+    let fraction_floor = (min_size_fraction * nodes as f64).ceil() as usize;
+    min_size.max(fraction_floor).clamp(2, nodes)
+}
+
 /// The fractions of nodes and of edges a reduction to `reduced` removes
 /// from a graph with `nodes` nodes and `edges` edges: the
 /// [`ReducedGraph::node_reduction`] and [`ReducedGraph::edge_reduction`]
@@ -701,27 +623,25 @@ pub(crate) fn reduction_fractions(nodes: usize, edges: usize, reduced: &Graph) -
 struct WarmSearchState {
     /// Whether the *next* candidate size will be warm-seeded.
     active: bool,
-    /// [`WarmStart::Measured`] and the cold-vs-warm comparison has not run
-    /// yet (it runs on the first warm-seeded size, i.e. the second size).
-    measurement_pending: bool,
     /// Cold-work proxy: `sa_runs ×` the first size's iteration count.
     cold_proxy: Option<usize>,
     /// Best subgraph of the most recently evaluated size: the warm seed for
     /// the next candidate size.
     last_best: Option<Vec<usize>>,
-    /// What the policy decided, reported as [`ReducedGraph::warm_decision`].
+    /// What the search decided, reported as [`ReducedGraph::warm_decision`].
+    /// [`WarmDecision::Warm`] while the cold-vs-warm comparison is pending
+    /// (it runs on the first warm-seeded size, i.e. the second size).
     decision: WarmDecision,
 }
 
 impl WarmSearchState {
     /// The state before the first candidate size of a graph of `nodes`
     /// nodes: a search that stops there reports [`WarmDecision::Warm`] or
-    /// [`WarmDecision::Cold`] by the policy's gate alone.
+    /// [`WarmDecision::Cold`] by the size gate alone.
     fn new(options: &ReductionOptions, nodes: usize) -> Self {
         let enabled = options.warm_enabled_for(nodes);
         Self {
             active: enabled,
-            measurement_pending: enabled && options.warm_start == WarmStart::Measured,
             cold_proxy: None,
             last_best: None,
             decision: if enabled {
@@ -735,10 +655,9 @@ impl WarmSearchState {
 
 /// Anneals one candidate size of the size search, choosing the seeding
 /// mode from the warm-start state and updating it afterwards (including the
-/// [`WarmStart::Measured`] cold-vs-warm comparison on the second size).
-/// Exactly one `u64` is drawn from `rng` per call — the per-size substream
-/// root — whatever the seeding mode, so all policies stay on the same RNG
-/// stream schedule.
+/// cold-vs-warm comparison on the second size). Exactly one `u64` is drawn
+/// from `rng` per call — the per-size substream root — whatever the seeding
+/// mode, so warm and cold searches stay on the same RNG stream schedule.
 fn anneal_candidate_size<R: Rng>(
     graph: &Graph,
     k: usize,
@@ -761,8 +680,7 @@ fn anneal_candidate_size<R: Rng>(
     if warm.active {
         if first_warm_size {
             warm.cold_proxy = Some(options.sa_runs.max(1).saturating_mul(iterations));
-        } else if warm_seeded && warm.measurement_pending {
-            warm.measurement_pending = false;
+        } else if warm_seeded && warm.decision == WarmDecision::Warm {
             // The warm run must beat re-annealing this size cold —
             // `sa_runs` restarts of roughly the first size's length. Both
             // quantities are iteration counts (deterministic), never
@@ -1021,9 +939,9 @@ mod tests {
 
     #[test]
     fn a_passing_floor_is_one_anneal_and_one_draw() {
-        // A 16-cycle (cold: below the warm gate) and an 18-node G(n, 0.35)
-        // (warm-started, measured): both pass at the floor, so the search
-        // anneals once, draws one u64 and keeps ceil(0.65 n) nodes.
+        // A 16-cycle and an 18-node G(n, 0.35), both at or above the warm
+        // gate: both pass at the floor, so the search anneals once, draws
+        // one u64, keeps ceil(0.65 n) nodes and reports a warm stop.
         let cases = [
             cycle(16).unwrap(),
             connected_gnp(18, 0.35, &mut seeded(101)).unwrap(),
@@ -1041,12 +959,7 @@ mod tests {
                 (0.65 * n as f64).ceil() as usize
             );
             assert!(reduced.and_ratio >= DEFAULT_AND_RATIO_THRESHOLD);
-            let stopped_at_floor = if options.warm_enabled_for(n) {
-                WarmDecision::Warm
-            } else {
-                WarmDecision::Cold
-            };
-            assert_eq!(reduced.warm_decision, stopped_at_floor);
+            assert_eq!(reduced.warm_decision, WarmDecision::Warm);
         }
     }
 
@@ -1056,9 +969,9 @@ mod tests {
         // the floor (11 nodes, 10/15) misses 0.7, and 12 nodes is the
         // smallest size that clears it.
         let graph = complete(16);
-        for warm_start in [WarmStart::Off, WarmStart::Measured] {
+        for warm_min_nodes in [usize::MAX, WARM_START_MIN_NODES] {
             let options = ReductionOptions {
-                warm_start,
+                warm_min_nodes,
                 ..Default::default()
             };
             let run = |threads| {
@@ -1067,9 +980,9 @@ mod tests {
                 })
             };
             let serial = run(1);
-            assert_eq!(serial.graph().node_count(), 12, "{warm_start:?}");
+            assert_eq!(serial.graph().node_count(), 12, "gate {warm_min_nodes}");
             assert!(serial.and_ratio >= DEFAULT_AND_RATIO_THRESHOLD);
-            assert_eq!(run(4), serial, "{warm_start:?}");
+            assert_eq!(run(4), serial, "gate {warm_min_nodes}");
         }
     }
 

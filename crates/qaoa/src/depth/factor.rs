@@ -17,22 +17,13 @@
 //!   [`semi_symmetries`] groups the terms into equivalence classes that
 //!   *observable* evaluation may exploit: the QAOA ansatz commutes with
 //!   every interaction-graph automorphism, so `⟨Z_u Z_v⟩` is constant across
-//!   a class and one representative evaluation per class suffices
-//!   ([`factored_edge_local_expectation`]). The class census also feeds the
-//!   [`super::DepthMetrics`] report.
+//!   a class and one representative evaluation per class would suffice.
+//!   The class census feeds the [`super::DepthMetrics`] report.
 //!
 //! All passes are deterministic: classes are numbered in first-occurrence
 //! order and every scan runs in ascending index order, with no RNG.
 
 use super::ZzTerm;
-use crate::expectation::{evolve_qaoa_layers, MAX_EXACT_NODES};
-use crate::maxcut::cut_values;
-use crate::params::QaoaParams;
-use crate::QaoaError;
-use graphlib::subgraph::induced_subgraph;
-use graphlib::traversal::nodes_within_distance_of_edge;
-use graphlib::Graph;
-use qsim::statevector::{CostDiagonal, StatevectorWorkspace};
 
 /// Merges duplicate-pair terms into single weighted terms (the exact,
 /// circuit-level merge). Returns the merged list — sorted by `(u, v)`, one
@@ -171,70 +162,11 @@ fn swap_is_automorphism(rows: &[Vec<(usize, u64)>], a: usize, b: usize) -> bool 
     strip(&rows[a], b) == strip(&rows[b], a)
 }
 
-/// Edge-local light-cone expectation that evaluates **one representative
-/// per semi-symmetry class** and scales by the class multiplicity — exact by
-/// automorphism invariance of the QAOA state, and cheaper than
-/// [`crate::expectation::edge_local_expectation`] by the factored-term
-/// count. On graphs with no semi-symmetries it degenerates to the plain
-/// edge-local evaluation.
-///
-/// # Errors
-///
-/// Returns [`QaoaError::GraphTooLarge`] if a representative's light cone
-/// exceeds [`MAX_EXACT_NODES`] nodes, and [`QaoaError::DegenerateGraph`] for
-/// graphs without edges.
-pub fn factored_edge_local_expectation(
-    graph: &Graph,
-    params: &QaoaParams,
-) -> Result<f64, QaoaError> {
-    if graph.node_count() == 0 || graph.edge_count() == 0 {
-        return Err(QaoaError::DegenerateGraph);
-    }
-    let terms: Vec<ZzTerm> = graph
-        .edges()
-        .into_iter()
-        .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-        .collect();
-    let symmetry = semi_symmetries(graph.node_count(), &terms);
-    let p = params.layers();
-    let mut workspace = StatevectorWorkspace::new();
-    let mut total = 0.0;
-    for class in &symmetry.classes {
-        let rep = &terms[class.representative];
-        let nodes = nodes_within_distance_of_edge(graph, rep.u, rep.v, p);
-        if nodes.len() > MAX_EXACT_NODES {
-            return Err(QaoaError::GraphTooLarge {
-                nodes: nodes.len(),
-                limit: MAX_EXACT_NODES,
-            });
-        }
-        let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
-        let local_u = sub.nodes.binary_search(&rep.u).expect("u in subgraph");
-        let local_v = sub.nodes.binary_search(&rep.v).expect("v in subgraph");
-        let table = CostDiagonal::new(cut_values(&sub.graph)?);
-        let state = evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
-        let term = 0.5 * (1.0 - state.expectation_zz(local_u, local_v));
-        total += class.multiplicity() as f64 * term;
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expectation::edge_local_expectation;
-    use graphlib::generators::{complete, connected_gnp, cycle, star};
+    use graphlib::generators::{complete, connected_gnp, star};
     use mathkit::rng::seeded;
-
-    fn complete_bipartite(a: usize, b: usize) -> Graph {
-        let mut g = Graph::new(a + b);
-        for u in 0..a {
-            for v in a..a + b {
-                g.add_edge(u, v).unwrap();
-            }
-        }
-        g
-    }
 
     #[test]
     fn duplicate_pairs_merge_into_weighted_terms() {
@@ -324,33 +256,5 @@ mod tests {
         let member_total: usize = sym.classes.iter().map(TermClass::multiplicity).sum();
         assert_eq!(member_total, terms.len());
         assert!(sym.classes.len() <= terms.len());
-    }
-
-    #[test]
-    fn factored_expectation_matches_the_unfactored_evaluation() {
-        let mut rng = seeded(29);
-        for graph in [
-            star(7).unwrap(),
-            complete(6),
-            complete_bipartite(3, 4),
-            cycle(9).unwrap(),
-            connected_gnp(8, 0.45, &mut rng).unwrap(),
-        ] {
-            for p in 1..=2usize {
-                let params = QaoaParams::random(p, &mut rng);
-                let factored = factored_edge_local_expectation(&graph, &params).unwrap();
-                let plain = edge_local_expectation(&graph, &params).unwrap();
-                assert!(
-                    (factored - plain).abs() < 1e-9,
-                    "factored {factored} vs plain {plain}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn factored_expectation_rejects_degenerate_graphs() {
-        let params = QaoaParams::new(vec![0.3], vec![0.2]).unwrap();
-        assert!(factored_edge_local_expectation(&Graph::new(3), &params).is_err());
     }
 }

@@ -638,7 +638,6 @@ impl EnergyEvaluator for AutoEvaluator {
 mod tests {
     use super::*;
     use crate::analytic::analytic_expectation_p1;
-    use crate::expectation::edge_local_expectation;
     use graphlib::generators::{connected_gnp, cycle, star};
     use qsim::devices::heavy_hex_like;
     use qsim::noise::ReadoutError;
@@ -688,11 +687,13 @@ mod tests {
         let g = connected_gnp(8, 0.35, &mut rng).unwrap();
         let evaluator = EdgeLocalEvaluator::new(&g, 2).unwrap();
         let mut scratch = evaluator.scratch();
+        let instance = QaoaInstance::new(&g, 2).unwrap();
+        let mut workspace = StatevectorWorkspace::new();
         for _ in 0..3 {
             let params = QaoaParams::random(2, &mut rng);
             let fast = evaluator.energy(&mut scratch, 0, &params);
-            let reference = edge_local_expectation(&g, &params).unwrap();
-            assert_eq!(fast.to_bits(), reference.to_bits());
+            let reference = instance.statevector_expectation_with(&mut workspace, &params);
+            assert!((fast - reference).abs() < 1e-9, "{fast} vs {reference}");
         }
     }
 
@@ -705,6 +706,10 @@ mod tests {
             Err(QaoaError::GraphTooLarge { .. })
         ));
         assert!(EdgeLocalEvaluator::new(&g, 0).is_err());
+        assert!(matches!(
+            EdgeLocalEvaluator::new(&Graph::new(3), 1),
+            Err(QaoaError::DegenerateGraph)
+        ));
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   one folded into the uniform start), which makes full landscape sweeps
 //!   cheap for ≤ ~20 qubits. It stays callable by name at every `p`, as the
 //!   oracle the closed form is checked against.
-//! * [`edge_local_expectation`] — exact evaluation through the edge
-//!   light-cone decomposition (Section 3.3 / Equation 7): each edge term is
-//!   simulated on the induced subgraph of nodes within distance `p` of the
-//!   edge. For sparse graphs this handles instances far beyond the global
-//!   statevector limit.
+//! * [`crate::evaluator::EdgeLocalEvaluator`] — exact evaluation through
+//!   the edge light-cone decomposition (Section 3.3 / Equation 7): each edge
+//!   term is simulated on the induced subgraph of nodes within distance `p`
+//!   of the edge. For sparse graphs this handles instances far beyond the
+//!   global statevector limit.
 //! * [`QaoaInstance::noisy_expectation`] — noisy evaluation of the full gate
 //!   circuit with a device noise model via the Monte-Carlo trajectory
 //!   backend.
@@ -27,8 +27,6 @@ use crate::depth::{compile_maxcut, scheduled_qaoa_circuit, DepthMetrics, DepthSc
 use crate::maxcut::cut_values;
 use crate::params::QaoaParams;
 use crate::QaoaError;
-use graphlib::subgraph::induced_subgraph;
-use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
 use qsim::noise::NoiseModel;
 use qsim::statevector::{CostDiagonal, HalfState, StatevectorWorkspace};
@@ -450,9 +448,8 @@ impl QaoaInstance {
 /// state.
 ///
 /// This is the single definition of the ansatz evolution; the global
-/// statevector backend, the edge-local light-cone backend and
-/// `depth::factor` all route through it so they can never silently
-/// diverge.
+/// statevector backend and the edge-local light-cone backend both route
+/// through it so they can never silently diverge.
 pub(crate) fn evolve_qaoa_layers<'w>(
     workspace: &'w mut StatevectorWorkspace,
     qubits: usize,
@@ -473,47 +470,10 @@ pub(crate) fn evolve_qaoa_layers<'w>(
     workspace.half_state()
 }
 
-/// Exact cost expectation computed edge-by-edge on light-cone subgraphs.
-///
-/// For each edge `(u, v)` the expectation of `(I - Z_u Z_v)/2` only depends on
-/// the induced subgraph of nodes within graph distance `p` of the edge. Each
-/// such subgraph is simulated independently with the statevector backend, so
-/// the cost of this evaluator scales with the light-cone sizes rather than the
-/// full graph size.
-///
-/// # Errors
-///
-/// Returns [`QaoaError::GraphTooLarge`] if any light-cone subgraph exceeds
-/// [`MAX_EXACT_NODES`] nodes, and [`QaoaError::DegenerateGraph`] for graphs
-/// without edges.
-pub fn edge_local_expectation(graph: &Graph, params: &QaoaParams) -> Result<f64, QaoaError> {
-    if graph.node_count() == 0 || graph.edge_count() == 0 {
-        return Err(QaoaError::DegenerateGraph);
-    }
-    let p = params.layers();
-    let mut workspace = StatevectorWorkspace::new();
-    let mut total = 0.0;
-    for (u, v) in graph.edges() {
-        let nodes = nodes_within_distance_of_edge(graph, u, v, p);
-        if nodes.len() > MAX_EXACT_NODES {
-            return Err(QaoaError::GraphTooLarge {
-                nodes: nodes.len(),
-                limit: MAX_EXACT_NODES,
-            });
-        }
-        let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
-        let local_u = sub.nodes.binary_search(&u).expect("u in subgraph");
-        let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
-        let table = CostDiagonal::new(cut_values(&sub.graph)?);
-        let state = evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
-        total += 0.5 * (1.0 - state.expectation_zz(local_u, local_v));
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::{EdgeLocalEvaluator, EnergyEvaluator};
     use graphlib::generators::{complete, connected_gnp, cycle, path, star};
     use mathkit::rng::seeded;
     use qsim::noise::ReadoutError;
@@ -579,8 +539,10 @@ mod tests {
             let g = connected_gnp(7, 0.35, &mut rng).unwrap();
             let instance = QaoaInstance::new(&g, p).unwrap();
             let params = QaoaParams::random(p, &mut rng);
-            let global = instance.expectation(&params);
-            let local = edge_local_expectation(&g, &params).unwrap();
+            let global =
+                instance.statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
+            let evaluator = EdgeLocalEvaluator::new(&g, p).unwrap();
+            let local = evaluator.energy(&mut evaluator.scratch(), 0, &params);
             assert!(
                 (global - local).abs() < 1e-7,
                 "p={p}: global {global} vs local {local}"
@@ -593,7 +555,8 @@ mod tests {
         // A long path has tiny light cones regardless of total size.
         let g = path(40).unwrap();
         let params = QaoaParams::new(vec![0.4], vec![0.3]).unwrap();
-        let value = edge_local_expectation(&g, &params).unwrap();
+        let evaluator = EdgeLocalEvaluator::new(&g, 1).unwrap();
+        let value = evaluator.energy(&mut evaluator.scratch(), 0, &params);
         assert!(value > 0.0 && value <= 39.0);
         // Global evaluation refuses this size.
         assert!(QaoaInstance::new(&g, 1).is_err());

@@ -20,9 +20,9 @@
 //! * `QaoaInstance::statevector_expectation_with` (the statevector arm of
 //!   the exact-energy chooser) and `probabilities_into`;
 //! * `⟨Z_a Z_b⟩` for every qubit pair;
-//! * `EdgeLocalEvaluator::energy`, `edge_local_expectation` and
-//!   `depth::factor::factored_edge_local_expectation`, against the same
-//!   cone sums taken on full-state cones.
+//! * `EdgeLocalEvaluator::energy`, against the same cone sums taken on
+//!   full-state cones (and, within `1e-9`, against the global statevector
+//!   `QaoaInstance::statevector_expectation_with`).
 
 use graphlib::generators::connected_gnp;
 use graphlib::subgraph::induced_subgraph;
@@ -31,10 +31,8 @@ use graphlib::Graph;
 use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
-use qaoa::depth::factor::factored_edge_local_expectation;
-use qaoa::depth::{semi_symmetries, ZzTerm};
 use qaoa::evaluator::{EdgeLocalEvaluator, EnergyEvaluator};
-use qaoa::expectation::{edge_local_expectation, QaoaInstance};
+use qaoa::expectation::QaoaInstance;
 use qaoa::maxcut::cut_values;
 use qaoa::params::QaoaParams;
 use qsim::statevector::{CostDiagonal, StateVector, StatevectorWorkspace};
@@ -141,25 +139,6 @@ fn full_edge_local(graph: &Graph, params: &QaoaParams) -> f64 {
     total
 }
 
-/// The semi-symmetry-factored energy — one cone per class, scaled by the
-/// class size, in class order — on the full-state oracle.
-fn full_factored(graph: &Graph, params: &QaoaParams) -> f64 {
-    let terms: Vec<ZzTerm> = graph
-        .edges()
-        .into_iter()
-        .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-        .collect();
-    let symmetry = semi_symmetries(graph.node_count(), &terms);
-    let mut workspace = StatevectorWorkspace::new();
-    let mut total = 0.0;
-    for class in &symmetry.classes {
-        let rep = &terms[class.representative];
-        let term = full_cone_term(&mut workspace, graph, (rep.u, rep.v), params);
-        total += class.multiplicity() as f64 * term;
-    }
-    total
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -211,9 +190,9 @@ proptest! {
         );
     }
 
-    /// The cone-based backends (edge-local evaluator and free function,
-    /// semi-symmetry factoring) against the same cone sums on full-state
-    /// cones.
+    /// The edge-local evaluator against the same cone sums on full-state
+    /// cones, bit for bit, and against the global statevector within
+    /// rounding.
     #[test]
     fn cone_backends_match_full_state_cones_bitwise(
         seed in 0u64..100_000,
@@ -232,14 +211,12 @@ proptest! {
             evaluator.energy(&mut scratch, 0, &params).to_bits() == edge_local.to_bits(),
             "n = {qubits}, {params:?}: EdgeLocalEvaluator drifted"
         );
-        prop_assert_eq!(
-            edge_local_expectation(&graph, &params).unwrap().to_bits(),
-            edge_local.to_bits()
-        );
-        let factored = factored_edge_local_expectation(&graph, &params).unwrap();
+        let global = QaoaInstance::new(&graph, layers)
+            .unwrap()
+            .statevector_expectation_with(&mut StatevectorWorkspace::new(), &params);
         prop_assert!(
-            factored.to_bits() == full_factored(&graph, &params).to_bits(),
-            "n = {qubits}, {params:?}: factored energy drifted"
+            (edge_local - global).abs() < 1e-9,
+            "n = {qubits}, {params:?}: edge-local {edge_local} vs global {global}"
         );
     }
 }

@@ -25,7 +25,7 @@ use red_qaoa::engine::{
 };
 use red_qaoa::mse::{ideal_sample_mse, noisy_grid_comparison};
 use red_qaoa::pipeline::{run_noisy, CircuitReduction, PipelineOptions};
-use red_qaoa::reduction::{reduce_pool, ReductionOptions, WarmDecision, WarmStart};
+use red_qaoa::reduction::{reduce_pool, ReductionOptions, WarmDecision};
 
 mod common;
 
@@ -137,9 +137,9 @@ proptest! {
     }
 
     /// Warm-started pool reduction: the deterministic seed resize and the
-    /// single warm SA run per candidate size keep `WarmStart::On` exactly as
-    /// thread-count invariant as the cold fan-out (graphs above the Auto
-    /// cutoff so the warm path actually runs).
+    /// single warm SA run per candidate size keep the default (warm) search
+    /// exactly as thread-count invariant as the cold fan-out (graphs above
+    /// the warm-start gate so the warm path actually runs).
     #[test]
     fn warm_started_reduce_pool_is_thread_count_invariant(seed in 0u64..200) {
         let graphs: Vec<_> = (0..4)
@@ -148,10 +148,7 @@ proptest! {
                 connected_gnp(nodes, 0.35, &mut seeded(derive_seed(seed, i as u64))).unwrap()
             })
             .collect();
-        let options = ReductionOptions {
-            warm_start: WarmStart::On,
-            ..Default::default()
-        };
+        let options = ReductionOptions::default();
         let reference = with_threads(1, || reduce_pool(&graphs, &options, seed));
         for threads in THREAD_COUNTS {
             let pool = with_threads(threads, || reduce_pool(&graphs, &options, seed));
@@ -165,7 +162,7 @@ proptest! {
     }
 
     /// The PR-7 seeding path — degeneracy-ordered first seed plus the
-    /// `Measured` keep-or-revert comparison (iteration-count proxies, never
+    /// measured keep-or-revert comparison (iteration-count proxies, never
     /// wall-clock) — must also be a pure function of the seed: the subgraph,
     /// its AND ratio, and the *decision itself* are identical for every
     /// worker count. Graphs sit above the warm gate, and the size floor is
@@ -181,7 +178,6 @@ proptest! {
             })
             .collect();
         let options = ReductionOptions {
-            warm_start: WarmStart::Measured,
             min_size: 3,
             min_size_fraction: 0.0,
             ..Default::default()

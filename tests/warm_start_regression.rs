@@ -5,8 +5,8 @@
 //! 1. **Quality** — on a fixed seed set, warm-started and cold-started
 //!    `reduce` both meet the AND-ratio threshold, and the warm search keeps
 //!    (or improves) the achieved ratio while reducing at least as far.
-//! 2. **Compatibility** — `WarmStart::Off` reproduces the cold search
-//!    **bit for bit**. The expected values below were first recorded from
+//! 2. **Compatibility** — `warm_min_nodes: usize::MAX` (warm starts off for
+//!    every graph) reproduces the cold search **bit for bit**. The expected values below were first recorded from
 //!    the `reduce` that predates warm starts, and re-recorded once, when the
 //!    search began annealing its size floor before any binary search (every
 //!    seed still keeps 12 of 18 nodes at the same AND ratio; seeds 202 and
@@ -18,21 +18,24 @@ use graphlib::generators::connected_gnp;
 use mathkit::rng::seeded;
 use red_qaoa::annealing::resize_selection;
 use red_qaoa::reduction::{
-    reduce, ReductionOptions, WarmDecision, WarmStart, DEFAULT_AND_RATIO_THRESHOLD,
-    WARM_START_AUTO_MIN_NODES,
+    reduce, ReducedGraph, ReductionOptions, WarmDecision, DEFAULT_AND_RATIO_THRESHOLD,
+    WARM_START_MIN_NODES,
 };
 
-/// The fixed seed set of the regression: 18-node graphs (above the
-/// `WarmStart::Auto` cutoff, so `Auto` genuinely warm-starts them).
+/// The fixed seed set of the regression: 18-node graphs (above the default
+/// warm-start gate, so the default options genuinely warm-start them).
 const SEEDS: [u64; 4] = [101, 202, 303, 404];
+
+/// Warm starts off for every graph.
+const COLD: usize = usize::MAX;
 
 fn graph_for(seed: u64) -> graphlib::Graph {
     connected_gnp(18, 0.35, &mut seeded(seed)).unwrap()
 }
 
-fn reduce_with(seed: u64, warm_start: WarmStart) -> red_qaoa::reduction::ReducedGraph {
+fn reduce_with(seed: u64, warm_min_nodes: usize) -> ReducedGraph {
     let options = ReductionOptions {
-        warm_start,
+        warm_min_nodes,
         ..Default::default()
     };
     reduce(&graph_for(seed), &options, &mut seeded(seed + 1)).unwrap()
@@ -41,8 +44,8 @@ fn reduce_with(seed: u64, warm_start: WarmStart) -> red_qaoa::reduction::Reduced
 #[test]
 fn warm_and_cold_reductions_both_meet_the_and_threshold() {
     for seed in SEEDS {
-        let cold = reduce_with(seed, WarmStart::Off);
-        let warm = reduce_with(seed, WarmStart::On);
+        let cold = reduce_with(seed, COLD);
+        let warm = reduce_with(seed, WARM_START_MIN_NODES);
         assert!(
             cold.and_ratio >= DEFAULT_AND_RATIO_THRESHOLD - 1e-9,
             "seed {seed}: cold ratio {}",
@@ -91,7 +94,7 @@ fn warm_start_off_reproduces_the_pre_warm_start_outputs_bitwise() {
         ),
     ];
     for (seed, (nodes, ratio_bits, reduction_bits)) in SEEDS.into_iter().zip(expected) {
-        let cold = reduce_with(seed, WarmStart::Off);
+        let cold = reduce_with(seed, COLD);
         let mut sorted = cold.subgraph.nodes.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, nodes, "seed {seed}: subgraph diverged");
@@ -109,45 +112,36 @@ fn warm_start_off_reproduces_the_pre_warm_start_outputs_bitwise() {
 }
 
 #[test]
-fn auto_policy_warm_starts_large_graphs_and_cold_starts_small_ones() {
-    assert!(!WarmStart::Auto.enabled_for(WARM_START_AUTO_MIN_NODES - 1));
-    assert!(WarmStart::Auto.enabled_for(WARM_START_AUTO_MIN_NODES));
-    let with_policy = |warm_start| ReductionOptions {
-        warm_start,
+fn the_gate_warm_starts_large_graphs_and_cold_starts_small_ones() {
+    let defaults = ReductionOptions::default();
+    assert!(!defaults.warm_enabled_for(WARM_START_MIN_NODES - 1));
+    assert!(defaults.warm_enabled_for(WARM_START_MIN_NODES));
+    let gated = |warm_min_nodes| ReductionOptions {
+        warm_min_nodes,
         ..Default::default()
     };
-    // Below the cutoff, Auto and Off are the same search, bit for bit.
-    let mut rng_a = seeded(7);
-    let mut rng_b = seeded(7);
-    let graph = connected_gnp(12, 0.4, &mut seeded(1)).unwrap();
-    let auto = reduce(&graph, &with_policy(WarmStart::Auto), &mut rng_a).unwrap();
-    let off = reduce(&graph, &with_policy(WarmStart::Off), &mut rng_b).unwrap();
-    assert_eq!(auto, off);
-    assert_eq!(auto.warm_decision, WarmDecision::Cold);
-    // At or above it, Auto takes the warm path (same outputs as On).
+    // Below the gate, the default search is the cold one, bit for bit.
+    let small = connected_gnp(12, 0.4, &mut seeded(1)).unwrap();
+    let below = reduce(&small, &defaults, &mut seeded(7)).unwrap();
+    assert_eq!(below, reduce(&small, &gated(COLD), &mut seeded(7)).unwrap());
+    assert_eq!(below.warm_decision, WarmDecision::Cold);
+    // At or above it the search warm-starts; raising the gate above the
+    // graph size turns the same search cold, bit for bit.
     let large = graph_for(SEEDS[0]);
-    let mut rng_auto = seeded(9);
-    let mut rng_on = seeded(9);
-    let auto = reduce(&large, &with_policy(WarmStart::Auto), &mut rng_auto).unwrap();
-    let on = reduce(&large, &with_policy(WarmStart::On), &mut rng_on).unwrap();
-    assert_eq!(auto, on);
-    assert_eq!(auto.warm_decision, WarmDecision::Warm);
-    // The gate is configurable: raising it above the graph size turns the
-    // same Auto search cold.
-    let gated = ReductionOptions::builder()
-        .warm_start(WarmStart::Auto)
-        .warm_auto_min_nodes(large.node_count() + 1)
+    let above = reduce(&large, &defaults, &mut seeded(9)).unwrap();
+    assert_eq!(above.warm_decision, WarmDecision::Warm);
+    let raised = ReductionOptions::builder()
+        .warm_min_nodes(large.node_count() + 1)
         .build()
         .unwrap();
-    assert!(!gated.warm_enabled_for(large.node_count()));
-    let mut rng_gated = seeded(9);
-    let cold = reduce(&large, &gated, &mut rng_gated).unwrap();
+    let cold = reduce(&large, &raised, &mut seeded(9)).unwrap();
+    assert_eq!(cold, reduce(&large, &gated(COLD), &mut seeded(9)).unwrap());
     assert_eq!(cold.warm_decision, WarmDecision::Cold);
 }
 
 #[test]
 fn measured_default_decides_and_stays_deterministic() {
-    // The default policy is Measured: on the pinned 18-node seeds it must
+    // The default options warm-start and measure: on the pinned 18-node seeds it must
     // reach a decision (kept or reverted), meet the AND threshold, and be a
     // pure function of the seed. The size floor is three nodes, whose AND
     // (at most 2) misses 0.7 of these graphs', so the search always goes
@@ -158,7 +152,7 @@ fn measured_default_decides_and_stays_deterministic() {
             min_size_fraction: 0.0,
             ..ReductionOptions::default()
         };
-        assert_eq!(options.warm_start, WarmStart::Measured);
+        assert!(options.warm_enabled_for(graph_for(seed).node_count()));
         let first = reduce(&graph_for(seed), &options, &mut seeded(seed + 1)).unwrap();
         let second = reduce(&graph_for(seed), &options, &mut seeded(seed + 1)).unwrap();
         assert_eq!(
