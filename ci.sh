@@ -28,6 +28,13 @@
 #   4. perf smoke             — every smoke binary runs, even after one of
 #      them fails a gate; the step then fails, naming each binary whose
 #      gates failed, so one host-sensitive gate cannot hide the others.
+#      Each binary builds its record through experiments::cli's record
+#      writer: the record carries available_cores and a "gates" object
+#      (each performance gate true, false, or null where it is skipped,
+#      e.g. thread scaling on one core), and it is written before a failed
+#      gate makes the binary exit non-zero, so a failing run still records
+#      its numbers. Bitwise and correctness checks abort at once. Every
+#      record written must parse (jq -e .).
 #      Each gate names the exact-energy arm it
 #      measures: QaoaInstance::expectation_with is the chooser (the closed
 #      form at p = 1, the half-state statevector at p >= 2), and
@@ -77,8 +84,13 @@
 #      across its 100-job batch, and each graph's ReduceJob and OptimizeJob
 #      sharing one reduction bit for bit (step 2's clippy --all-targets
 #      only compiles them).
-#   6. figure binaries        — every fig*/table* binary answers --help,
-#      and a fast subset's --json output must parse as JSON (jq)
+#   6. figure binaries        — every fig*/table* binary answers --help.
+#      Each binary declares its tables once, and the TSV and --json outputs
+#      are two views of the same rows; for every binary that runs in about
+#      a second (README's table), each --json line must parse as JSON (jq)
+#      and the JSON view must have as many rows as the TSV view has data
+#      rows (lines that are not blank, not a "# title", and not the header
+#      line after a title).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -106,6 +118,7 @@ smoke() {
     local bin=$1 record=$2 what=$3
     echo "==> perf smoke: $what -> $record"
     cargo run --quiet --release -p bench --bin "$bin" "$record" || failed_smokes+=("$bin")
+    jq -e . "$record" >/dev/null || failed_smokes+=("$bin (unparseable $record)")
 }
 smoke landscape_smoke BENCH_landscape.json "landscape grid points/sec"
 smoke reduction_smoke BENCH_reduction.json "reduction moves/sec + graphs/sec"
@@ -132,10 +145,21 @@ for bin in target/release/fig* target/release/table1_datasets; do
     "$bin" --help >/dev/null
 done
 
-echo "==> --json output parses (fast subset)"
-for bin in fig03_cycle_landscapes fig06_mse_threshold table1_datasets; do
-    "target/release/$bin" --json | jq -es 'length > 0' >/dev/null \
+echo "==> --json output parses and matches the TSV rows (fast binaries)"
+for bin in fig03_cycle_landscapes fig05_and_correlation fig06_mse_threshold \
+    fig07_optima_distance fig09_sa_effectiveness fig13_dataset_reduction \
+    fig14_dataset_mse table1_datasets; do
+    json=$("target/release/$bin" --json)
+    json_rows=$(printf '%s\n' "$json" | jq -c 'objects' | wc -l) \
         || { echo "FAIL: $bin --json is not parseable JSON"; exit 1; }
+    [ "$json_rows" -eq "$(printf '%s\n' "$json" | wc -l)" ] \
+        || { echo "FAIL: $bin --json is not one JSON object per line"; exit 1; }
+    tsv_rows=$("target/release/$bin" | awk '/^#/ { title = 1; next } /^$/ { next }
+        title { title = 0; next } { rows++ } END { print rows + 0 }')
+    if [ "$json_rows" -eq 0 ] || [ "$json_rows" -ne "$tsv_rows" ]; then
+        echo "FAIL: $bin prints $json_rows JSON rows and $tsv_rows TSV rows"
+        exit 1
+    fi
 done
 
 echo "CI OK"

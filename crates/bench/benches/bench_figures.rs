@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::and_correlation::{run_fig5, run_fig7, Fig5Config, Fig7Config};
 use experiments::convergence::{run_fig1, Fig1Config};
-use experiments::dataset_eval::{run_small_datasets, run_table1, DatasetEvalConfig};
+use experiments::dataset_eval::{run_small_datasets, run_table1_summaries, DatasetEvalConfig};
 use experiments::end_to_end::{run_fig17, Fig17Config};
 use experiments::landscapes::run_fig3;
 use experiments::noisy_mse::{run_fig10, NoisyMseConfig};
@@ -121,7 +121,7 @@ fn bench_datasets_and_throughput(c: &mut Criterion) {
     group.bench_function("fig25_throughput", |b| {
         b.iter(|| run_fig25(&throughput).unwrap())
     });
-    group.bench_function("table1_datasets", |b| b.iter(|| run_table1(1)));
+    group.bench_function("table1_datasets", |b| b.iter(|| run_table1_summaries(1)));
     group.finish();
 }
 

@@ -1,6 +1,6 @@
 //! CI perf smoke: depth-reduction subsystem headline numbers.
 //!
-//! Two sections, both asserted:
+//! Two sections, both gated:
 //!
 //! * **Scheduling** — for random `d`-regular graphs with `d ∈ {3, 4, 6}`
 //!   the greedy interaction scheduler must pack the cost layer's `RZZ`
@@ -16,9 +16,13 @@
 //!   i.e. composing depth scheduling on top of node reduction never costs
 //!   noisy fidelity at matched sampling budgets.
 //!
+//! The record, with each gate's outcome under `gates`, is written before a
+//! failed gate fails the run.
+//!
 //! Usage: `depth_smoke [output.json]` (default `BENCH_depth.json`).
 
 use bench::{bench_graph, BENCH_SEED};
+use experiments::cli::{write_smoke_record, Gates, Record};
 use graphlib::generators::random_regular;
 use mathkit::rng::{derive_seed, seeded};
 use qaoa::depth::compile_maxcut;
@@ -32,46 +36,48 @@ const DEGREES: [usize; 3] = [3, 4, 6];
 const REGULAR_NODES: usize = 24;
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_depth.json".to_string());
+    let mut gates = Gates::default();
 
     // --- scheduling rows --------------------------------------------------
-    let mut row_json = Vec::new();
+    let mut rows = Vec::new();
+    let mut over_bound = Vec::new();
     let mut min_reduction = f64::INFINITY;
     for (i, &d) in DEGREES.iter().enumerate() {
         let mut rng = seeded(derive_seed(BENCH_SEED, 9_000 + i as u64));
         let graph = random_regular(REGULAR_NODES, d, &mut rng).expect("valid regular graph");
         let schedule = compile_maxcut(&graph).expect("non-degenerate graph compiles");
         let m = schedule.metrics();
-        assert!(
-            m.rounds <= d + 1,
-            "{d}-regular graph scheduled into {} rounds, Vizing bound is {}",
-            m.rounds,
-            d + 1
-        );
-        assert!(m.meets_vizing_bound());
+        if m.rounds > d + 1 || !m.meets_vizing_bound() {
+            over_bound.push(format!("{d}-regular: {} rounds", m.rounds));
+        }
         let reduction = m.depth_reduction();
         min_reduction = min_reduction.min(reduction);
-        row_json.push(format!(
-            concat!(
-                "    {{ \"degree\": {}, \"nodes\": {}, \"terms\": {}, ",
-                "\"rounds\": {}, \"naive_depth\": {}, ",
-                "\"depth_reduction\": {:.3}, \"vizing_bound\": {} }}"
-            ),
-            d,
-            REGULAR_NODES,
-            m.scheduled_terms,
-            m.rounds,
-            m.naive_depth,
-            reduction,
-            d + 1
-        ));
+        rows.push(
+            Record::new()
+                .int("degree", d)
+                .int("nodes", REGULAR_NODES)
+                .int("terms", m.scheduled_terms)
+                .int("rounds", m.rounds)
+                .int("naive_depth", m.naive_depth)
+                .fixed("depth_reduction", reduction, 3)
+                .int("vizing_bound", d + 1),
+        );
     }
-    assert!(
+    gates.check(
+        "rounds_le_d_plus_1",
+        over_bound.is_empty(),
+        format!(
+            "regular graphs scheduled over the Vizing bound of d + 1 rounds: {}",
+            over_bound.join(", ")
+        ),
+    );
+    gates.check(
+        "depth_reduction_ge_2x",
         min_reduction >= 2.0,
-        "two-qubit depth reduction vs naive sequential emission must be >= 2x, \
-         got {min_reduction:.3}x"
+        format!(
+            "two-qubit depth reduction vs naive sequential emission must be >= 2x, \
+             got {min_reduction:.3}x"
+        ),
     );
 
     // --- compound-MSE section ---------------------------------------------
@@ -82,54 +88,33 @@ fn main() {
     let trajectories = 16usize;
     let cmp = compound_grid_comparison(&graph, reduced.graph(), 6, &noise, trajectories, &mut rng)
         .expect("compound comparison runs");
-    assert!(
+    gates.check(
+        "compound_mse_le_node_mse",
         cmp.compound_mse <= cmp.node_mse,
-        "node+depth noisy MSE ({:.6}) must not exceed node-only noisy MSE ({:.6}) \
-         at {trajectories} trajectories",
-        cmp.compound_mse,
-        cmp.node_mse
+        format!(
+            "node+depth noisy MSE ({:.6}) must not exceed node-only noisy MSE ({:.6}) \
+             at {trajectories} trajectories",
+            cmp.compound_mse, cmp.node_mse
+        ),
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"depth_smoke\",\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"min_depth_reduction\": {:.3},\n",
-            "  \"compound\": {{\n",
-            "    \"nodes\": {},\n",
-            "    \"reduced_nodes\": {},\n",
-            "    \"width\": 6,\n",
-            "    \"trajectories\": {},\n",
-            "    \"baseline_mse\": {:.6},\n",
-            "    \"node_mse\": {:.6},\n",
-            "    \"depth_mse\": {:.6},\n",
-            "    \"compound_mse\": {:.6},\n",
-            "    \"full_rounds\": {},\n",
-            "    \"full_naive_depth\": {},\n",
-            "    \"reduced_rounds\": {}\n",
-            "  }},\n",
-            "  \"asserted\": {{\n",
-            "    \"rounds_le_d_plus_1\": true,\n",
-            "    \"depth_reduction_ge_2x\": true,\n",
-            "    \"compound_mse_le_node_mse\": true\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        row_json.join(",\n"),
-        min_reduction,
-        graph.node_count(),
-        reduced.graph().node_count(),
-        trajectories,
-        cmp.baseline_mse,
-        cmp.node_mse,
-        cmp.depth_mse,
-        cmp.compound_mse,
-        cmp.full_depth.rounds,
-        cmp.full_depth.naive_depth,
-        cmp.reduced_depth.rounds,
-    );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
+    let record = Record::new()
+        .rows("rows", rows)
+        .fixed("min_depth_reduction", min_reduction, 3)
+        .object(
+            "compound",
+            Record::new()
+                .int("nodes", graph.node_count())
+                .int("reduced_nodes", reduced.graph().node_count())
+                .int("width", 6usize)
+                .int("trajectories", trajectories)
+                .fixed("baseline_mse", cmp.baseline_mse, 6)
+                .fixed("node_mse", cmp.node_mse, 6)
+                .fixed("depth_mse", cmp.depth_mse, 6)
+                .fixed("compound_mse", cmp.compound_mse, 6)
+                .int("full_rounds", cmp.full_depth.rounds)
+                .int("full_naive_depth", cmp.full_depth.naive_depth)
+                .int("reduced_rounds", cmp.reduced_depth.rounds),
+        );
+    write_smoke_record("BENCH_depth.json", "depth_smoke", record, gates);
 }

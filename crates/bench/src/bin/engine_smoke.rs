@@ -6,12 +6,12 @@
 //! throughput jobs) over a pool of distinct graphs is run once cold and then
 //! several times warm (best time taken) through one engine. The cold run
 //! anneals every reduction; the warm runs must serve every reduction from
-//! the content-hash cache — which is asserted three ways:
+//! the content-hash cache — which is checked three ways:
 //!
 //! 1. the two runs' outputs are identical (`JobOutput: PartialEq`),
 //! 2. the cache counters show `misses == distinct graphs` after the cold
 //!    run and no further misses after the warm run,
-//! 3. the warm batch is dramatically faster (≥ 5× is asserted as a CI
+//! 3. the warm batch is dramatically faster (≥ 5× is gated as a CI
 //!    tripwire). A cache hit builds the key and its content hash, makes one
 //!    shard lookup and rebuilds the reduced graph from the key's edges; a
 //!    miss anneals, which on these 20-node graphs is one SA run at the size
@@ -35,11 +35,15 @@
 //!   batch makes one reduction-cache lookup (its repeats make none).
 //!
 //! Results are written to `BENCH_engine.json` so the repository's perf
-//! trajectory records batch jobs/sec with and without a hot cache.
+//! trajectory records batch jobs/sec with and without a hot cache. The
+//! timing gates (the warm speedup, the sustained-load latency and hit
+//! rate) are recorded under `gates` and fail the run only after the record
+//! is written; the output and counter checks abort at once.
 //!
 //! Usage: `engine_smoke [output.json]` (default `BENCH_engine.json`).
 
 use bench::bench_graph;
+use experiments::cli::{write_smoke_record, Gates, Record};
 use red_qaoa::engine::{Engine, Job, LandscapeJob, ReduceJob, ThroughputJob};
 use red_qaoa::pipeline::CircuitReduction;
 use std::collections::HashSet;
@@ -167,9 +171,7 @@ const DEVICE_QUBITS: [usize; 2] = [27, 65];
 const SMOKE_SEED: u64 = 0xE61E_2026;
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let mut gates = Gates::default();
 
     // One worker pins the hit/miss counters the assertions below rely on:
     // with more, two jobs can race on the same key and both count a miss
@@ -233,10 +235,13 @@ fn main() {
     let cold_jps = jobs_total as f64 / cold_secs;
     let warm_jps = jobs_total as f64 / warm_secs;
     let speedup = cold_secs / warm_secs;
-    assert!(
+    gates.check(
+        "warm_speedup_ge_5x",
         speedup >= 5.0,
-        "warm-cache batch speedup regressed catastrophically: {speedup:.1}x \
-         (a cache hit must not re-anneal)"
+        format!(
+            "warm-cache batch speedup regressed catastrophically: {speedup:.1}x \
+             (a cache hit must not re-anneal)"
+        ),
     );
 
     // --- Sustained load: latency percentiles + hit-rate trajectory. ---------
@@ -256,14 +261,18 @@ fn main() {
     let (cold_lat, warm_lat, trajectory, final_hit_rate) = sustained;
     let (cold_p50, cold_p99) = (percentile(&cold_lat, 0.50), percentile(&cold_lat, 0.99));
     let (warm_p50, warm_p99) = (percentile(&warm_lat, 0.50), percentile(&warm_lat, 0.99));
-    assert!(
+    gates.check(
+        "sustained_warm_p99_le_cold_p50",
         warm_p99 <= cold_p50,
-        "sustained-load warm p99 ({warm_p99:.1}µs) must beat cold p50 \
-         ({cold_p50:.1}µs): cache hits are lookups, misses anneal"
+        format!(
+            "sustained-load warm p99 ({warm_p99:.1}µs) must beat cold p50 \
+             ({cold_p50:.1}µs): cache hits are lookups, misses anneal"
+        ),
     );
-    assert!(
+    gates.check(
+        "sustained_final_hit_rate_ge_0_7",
         final_hit_rate >= 0.7,
-        "sustained-load hit rate regressed: {final_hit_rate:.3} < 0.7"
+        format!("sustained-load hit rate regressed: {final_hit_rate:.3} < 0.7"),
     );
 
     // --- Persistence: a second engine reopening the store starts warm. ------
@@ -321,75 +330,32 @@ fn main() {
     // --- Mode comparison: repeated scans in one batch run once. -------------
     let (mode_batch_jobs, mode_batch_distinct_scans, mode_batch_ms) = mode_batch();
 
-    let trajectory_json = trajectory
-        .iter()
-        .map(|r| format!("{r:.4}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"engine_smoke\",\n",
-            "  \"available_cores\": {},\n",
-            "  \"pool_graphs\": {},\n",
-            "  \"pool_graph_nodes\": {},\n",
-            "  \"jobs_per_batch\": {},\n",
-            "  \"cold_batch_ms\": {:.3},\n",
-            "  \"warm_batch_ms\": {:.3},\n",
-            "  \"cold_jobs_per_sec\": {:.2},\n",
-            "  \"warm_jobs_per_sec\": {:.2},\n",
-            "  \"warm_speedup\": {:.2},\n",
-            "  \"cache_hits\": {},\n",
-            "  \"cache_misses\": {},\n",
-            "  \"cache_entries\": {},\n",
-            "  \"outputs_identical\": true,\n",
-            "  \"sustained_jobs\": {},\n",
-            "  \"sustained_pool_graphs\": {},\n",
-            "  \"sustained_cold_p50_us\": {:.1},\n",
-            "  \"sustained_cold_p99_us\": {:.1},\n",
-            "  \"sustained_warm_p50_us\": {:.1},\n",
-            "  \"sustained_warm_p99_us\": {:.1},\n",
-            "  \"sustained_hit_rate_trajectory\": [{}],\n",
-            "  \"sustained_final_hit_rate\": {:.4},\n",
-            "  \"persist_reopen_entries\": {},\n",
-            "  \"persist_reopen_hits\": {},\n",
-            "  \"persist_outputs_identical\": true,\n",
-            "  \"mode_batch_jobs\": {},\n",
-            "  \"mode_batch_distinct_scans\": {},\n",
-            "  \"mode_batch_ms\": {:.3}\n",
-            "}}\n"
-        ),
-        cores,
-        GRAPHS,
-        NODES,
-        jobs_total,
-        cold_secs * 1e3,
-        warm_secs * 1e3,
-        cold_jps,
-        warm_jps,
-        speedup,
-        warm_stats.hits,
-        warm_stats.misses,
-        warm_stats.entries,
-        SUSTAINED_JOBS,
-        SUSTAINED_POOL,
-        cold_p50,
-        cold_p99,
-        warm_p50,
-        warm_p99,
-        trajectory_json,
-        final_hit_rate,
-        persist_reopen_entries,
-        persist_reopen_hits,
-        mode_batch_jobs,
-        mode_batch_distinct_scans,
-        mode_batch_ms,
-    );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
+    let record = Record::new()
+        .int("pool_graphs", GRAPHS)
+        .int("pool_graph_nodes", NODES)
+        .int("jobs_per_batch", jobs_total)
+        .fixed("cold_batch_ms", cold_secs * 1e3, 3)
+        .fixed("warm_batch_ms", warm_secs * 1e3, 3)
+        .fixed("cold_jobs_per_sec", cold_jps, 2)
+        .fixed("warm_jobs_per_sec", warm_jps, 2)
+        .fixed("warm_speedup", speedup, 2)
+        .int("cache_hits", warm_stats.hits)
+        .int("cache_misses", warm_stats.misses)
+        .int("cache_entries", warm_stats.entries)
+        .bool("outputs_identical", cold == warm)
+        .int("sustained_jobs", SUSTAINED_JOBS)
+        .int("sustained_pool_graphs", SUSTAINED_POOL)
+        .fixed("sustained_cold_p50_us", cold_p50, 1)
+        .fixed("sustained_cold_p99_us", cold_p99, 1)
+        .fixed("sustained_warm_p50_us", warm_p50, 1)
+        .fixed("sustained_warm_p99_us", warm_p99, 1)
+        .fixed_list("sustained_hit_rate_trajectory", &trajectory, 4)
+        .fixed("sustained_final_hit_rate", final_hit_rate, 4)
+        .int("persist_reopen_entries", persist_reopen_entries)
+        .int("persist_reopen_hits", persist_reopen_hits)
+        .bool("persist_outputs_identical", written == reread)
+        .int("mode_batch_jobs", mode_batch_jobs)
+        .int("mode_batch_distinct_scans", mode_batch_distinct_scans)
+        .fixed("mode_batch_ms", mode_batch_ms, 3);
+    write_smoke_record("BENCH_engine.json", "engine_smoke", record, gates);
 }

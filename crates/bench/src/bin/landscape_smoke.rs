@@ -22,6 +22,7 @@
 //! Usage: `landscape_smoke [output.json]` (default `BENCH_landscape.json`).
 
 use bench::{bench_graph, StatevectorArm};
+use experiments::cli::{available_cores, write_smoke_record, Gates, Record};
 use graphlib::Graph;
 use mathkit::parallel::with_threads;
 use qaoa::analytic::edge_expectation_p1;
@@ -74,9 +75,6 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_landscape.json".to_string());
     let graph = bench_graph(NODES, 16);
     let chooser = StatevectorEvaluator::new(&graph, 1).expect("16-node graph is simulable");
     let evaluator = StatevectorArm(chooser.instance().clone());
@@ -120,50 +118,46 @@ fn main() {
 
     let serial_pps = points as f64 / serial_secs;
     let parallel_pps = points as f64 / parallel_secs;
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = available_cores();
     let speedup = serial_secs / parallel_secs;
+    let mut gates = Gates::default();
     if cores > 1 {
-        assert!(
+        gates.check(
+            "speedup_4_threads_ge_2x",
             speedup >= 2.0,
-            "with {cores} cores the 4-thread landscape must be >= 2x serial, got {speedup:.3}x"
+            format!(
+                "with {cores} cores the 4-thread landscape must be >= 2x serial, got {speedup:.3}x"
+            ),
         );
+    } else {
+        gates.skip("speedup_4_threads_ge_2x");
     }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"landscape_grid_smoke\",\n",
-            "  \"nodes\": {},\n",
-            "  \"width\": {},\n",
-            "  \"points\": {},\n",
-            "  \"available_cores\": {},\n",
-            "  \"serial_seconds\": {:.6},\n",
-            "  \"serial_points_per_sec\": {:.2},\n",
-            "  \"threads4_seconds\": {:.6},\n",
-            "  \"threads4_points_per_sec\": {:.2},\n",
-            "  \"speedup_4_threads\": {:.3},\n",
-            "  \"chooser_serial_points_per_sec\": {:.2},\n",
-            "  \"closed_form_points_per_sec\": {{\"powi_oracle\": {:.2}, \"table_kernel\": {:.2}}},\n",
-            "  \"closed_form_table_speedup\": {:.3},\n",
-            "  \"bitwise_identical\": true\n",
-            "}}\n"
-        ),
-        NODES,
-        WIDTH,
-        points,
-        cores,
-        serial_secs,
-        serial_pps,
-        parallel_secs,
-        parallel_pps,
-        serial_secs / parallel_secs,
-        points as f64 / chooser_secs,
-        oracle_pps,
-        table_pps,
-        table_pps / oracle_pps,
+    let record = Record::new()
+        .int("nodes", NODES)
+        .int("width", WIDTH)
+        .int("points", points)
+        .fixed("serial_seconds", serial_secs, 6)
+        .fixed("serial_points_per_sec", serial_pps, 2)
+        .fixed("threads4_seconds", parallel_secs, 6)
+        .fixed("threads4_points_per_sec", parallel_pps, 2)
+        .fixed("speedup_4_threads", speedup, 3)
+        .fixed(
+            "chooser_serial_points_per_sec",
+            points as f64 / chooser_secs,
+            2,
+        )
+        .object(
+            "closed_form_points_per_sec",
+            Record::new()
+                .fixed("powi_oracle", oracle_pps, 2)
+                .fixed("table_kernel", table_pps, 2),
+        )
+        .fixed("closed_form_table_speedup", table_pps / oracle_pps, 3)
+        .bool("bitwise_identical", identical);
+    write_smoke_record(
+        "BENCH_landscape.json",
+        "landscape_grid_smoke",
+        record,
+        gates,
     );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
 }

@@ -3,7 +3,7 @@
 //! graph, re-score on the full graph — measured against the full-graph
 //! baseline the job runs internally.
 //!
-//! Three properties are asserted as CI tripwires:
+//! Three properties are gated as CI tripwires:
 //!
 //! 1. **Quality**: the reduced path's best transferred value reaches at
 //!    least 0.95× the baseline's best (the paper reports ≈ 1.0; the bound
@@ -16,11 +16,14 @@
 //!    session.
 //!
 //! Results are written to `BENCH_optimize.json`: per-session latency, the
-//! reduced-vs-baseline ratio, the cost ratio, and evaluations-to-target.
+//! reduced-vs-baseline ratio, the cost ratio, evaluations-to-target, and
+//! each gate's outcome under `gates`. A failed gate fails the run after the
+//! record is written.
 //!
 //! Usage: `optimize_smoke [output.json]` (default `BENCH_optimize.json`).
 
 use bench::bench_graph;
+use experiments::cli::{write_smoke_record, Gates, Record};
 use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::optimize::{NelderMeadOptimizer, OptimizeDriver};
 use red_qaoa::engine::{Engine, Job, OptimizeJob};
@@ -43,9 +46,7 @@ const TARGET_FRACTION: f64 = 0.95;
 const SMOKE_SEED: u64 = 0xE61E_2027;
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_optimize.json".to_string());
+    let mut gates = Gates::default();
 
     // One worker keeps the latency numbers comparable run to run on the
     // 1-core CI container; results are thread-count invariant regardless.
@@ -103,15 +104,21 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    assert!(
+    gates.check(
+        "mean_reduced_vs_baseline_ratio_ge_0_95",
         mean_ratio >= MIN_RELATIVE_BEST,
-        "reduced-graph optimization regressed: mean reduced/baseline ratio \
-         {mean_ratio:.4} < {MIN_RELATIVE_BEST} (per-graph: {ratios:?})"
+        format!(
+            "reduced-graph optimization regressed: mean reduced/baseline ratio \
+             {mean_ratio:.4} < {MIN_RELATIVE_BEST} (per-graph: {ratios:?})"
+        ),
     );
-    assert!(
+    gates.check(
+        "mean_cost_ratio_lt_1",
         mean_cost < 1.0,
-        "the reduced path must cost fewer full-graph-equivalent evaluations \
-         than the baseline (mean cost ratio {mean_cost:.4})"
+        format!(
+            "the reduced path must cost fewer full-graph-equivalent evaluations \
+             than the baseline (mean cost ratio {mean_cost:.4})"
+        ),
     );
 
     // --- Evaluations-to-target: the driver's early stopping. ----------------
@@ -126,60 +133,37 @@ fn main() {
         .maximize(&evaluator, &mut mathkit::rng::seeded(SMOKE_SEED))
         .expect("capped session");
     let evaluations_to_target = capped.evaluations;
-    assert!(
+    gates.check(
+        "capped_session_reaches_target",
         capped.best_value >= target,
-        "the capped session must reach its target ({} < {target})",
-        capped.best_value
+        format!(
+            "the capped session must reach its target ({} < {target})",
+            capped.best_value
+        ),
     );
-    assert!(
+    gates.check(
+        "evaluations_to_target_le_1_5x_baseline",
         evaluations_to_target as f64 <= baseline_evals * 1.5,
-        "early stopping must not cost more than the uncapped sessions \
-         ({evaluations_to_target} vs mean {baseline_evals:.0})"
+        format!(
+            "early stopping must not cost more than the uncapped sessions \
+             ({evaluations_to_target} vs mean {baseline_evals:.0})"
+        ),
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"optimize_smoke\",\n",
-            "  \"available_cores\": {},\n",
-            "  \"pool_graphs\": {},\n",
-            "  \"pool_graph_nodes\": {},\n",
-            "  \"restarts\": {},\n",
-            "  \"max_iters\": {},\n",
-            "  \"batch_ms\": {:.3},\n",
-            "  \"mean_session_ms\": {:.3},\n",
-            "  \"mean_reduced_vs_baseline_ratio\": {:.4},\n",
-            "  \"min_reduced_vs_baseline_ratio\": {:.4},\n",
-            "  \"mean_approximation_ratio\": {:.4},\n",
-            "  \"mean_cost_ratio\": {:.4},\n",
-            "  \"mean_reduced_evaluations\": {:.1},\n",
-            "  \"mean_baseline_evaluations\": {:.1},\n",
-            "  \"target_fraction\": {},\n",
-            "  \"evaluations_to_target\": {},\n",
-            "  \"quality_gate\": {}\n",
-            "}}\n"
-        ),
-        cores,
-        GRAPHS,
-        NODES,
-        RESTARTS,
-        MAX_ITERS,
-        batch_secs * 1e3,
-        batch_secs * 1e3 / GRAPHS as f64,
-        mean_ratio,
-        min_ratio,
-        mean(&approx_ratios),
-        mean_cost,
-        reduced_evals,
-        baseline_evals,
-        TARGET_FRACTION,
-        evaluations_to_target,
-        MIN_RELATIVE_BEST,
-    );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
+    let record = Record::new()
+        .int("pool_graphs", GRAPHS)
+        .int("pool_graph_nodes", NODES)
+        .int("restarts", RESTARTS)
+        .int("max_iters", MAX_ITERS)
+        .fixed("batch_ms", batch_secs * 1e3, 3)
+        .fixed("mean_session_ms", batch_secs * 1e3 / GRAPHS as f64, 3)
+        .fixed("mean_reduced_vs_baseline_ratio", mean_ratio, 4)
+        .fixed("min_reduced_vs_baseline_ratio", min_ratio, 4)
+        .fixed("mean_approximation_ratio", mean(&approx_ratios), 4)
+        .fixed("mean_cost_ratio", mean_cost, 4)
+        .fixed("mean_reduced_evaluations", reduced_evals, 1)
+        .fixed("mean_baseline_evaluations", baseline_evals, 1)
+        .fixed("target_fraction", TARGET_FRACTION, 2)
+        .int("evaluations_to_target", evaluations_to_target);
+    write_smoke_record("BENCH_optimize.json", "optimize_smoke", record, gates);
 }

@@ -48,12 +48,17 @@
 //! the same statevector arm at one worker and at `min(4, cores)` workers;
 //! whenever the machine actually has
 //! more than one core, the multi-thread run must be **≥ 2× faster** —
-//! finishing the ROADMAP's multi-core story with a real assertion instead
+//! finishing the ROADMAP's multi-core story with a real gate instead
 //! of a recorded-but-unchecked ratio.
+//!
+//! Both speedup gates are recorded under `gates` (the scaling gate `null`
+//! on one core) and fail the run after the record is written; the bitwise
+//! and oracle cross-checks abort at once.
 //!
 //! Usage: `qsim_smoke [output.json]` (default `BENCH_qsim.json`).
 
 use bench::{bench_graph, StatevectorArm};
+use experiments::cli::{available_cores, write_smoke_record, Format::Sci, Gates, Record};
 use mathkit::parallel::with_threads;
 use mathkit::rng::seeded;
 use mathkit::Complex64;
@@ -222,15 +227,11 @@ fn timed_grid(
 }
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_qsim.json".to_string());
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = available_cores();
+    let mut gates = Gates::default();
 
     // --- kernel throughput rows ------------------------------------------
-    let mut row_json = Vec::new();
+    let mut rows = Vec::new();
     let mut speedup_16q = 0.0f64;
     for (n, reps) in ROWS {
         let circuit = workload(n);
@@ -271,23 +272,23 @@ fn main() {
         if n == 16 {
             speedup_16q = speedup;
         }
-        row_json.push(format!(
-            concat!(
-                "    {{ \"qubits\": {}, \"gate_ops\": {}, ",
-                "\"scalar_gate_ops_per_sec\": {:.1}, ",
-                "\"vectorized_gate_ops_per_sec\": {:.1}, ",
-                "\"speedup\": {:.3} }}"
-            ),
-            n, gate_ops as u64, scalar_gops, vector_gops, speedup
-        ));
+        rows.push(
+            Record::new()
+                .int("qubits", n)
+                .int("gate_ops", gate_ops as u64)
+                .fixed("scalar_gate_ops_per_sec", scalar_gops, 1)
+                .fixed("vectorized_gate_ops_per_sec", vector_gops, 1)
+                .fixed("speedup", speedup, 3),
+        );
     }
-    assert!(
+    gates.check(
+        "speedup_16q_ge_1_5x",
         speedup_16q >= 1.5,
-        "vectorized kernels must be >= 1.5x scalar at 16 qubits, got {speedup_16q:.3}x"
+        format!("vectorized kernels must be >= 1.5x scalar at 16 qubits, got {speedup_16q:.3}x"),
     );
 
     // --- ideal-QAOA energy: half state vs full-state gate-by-gate Rx ------
-    let mut qaoa_json = Vec::new();
+    let mut qaoa_rows = Vec::new();
     for layers in QAOA_LAYERS {
         let grid = qaoa_grid(layers);
         for n in QAOA_ROWS {
@@ -307,20 +308,15 @@ fn main() {
             );
             let layer_pps = grid.len() as f64 / layer_secs;
             let gates_pps = grid.len() as f64 / gates_secs;
-            qaoa_json.push(format!(
-                concat!(
-                    "    {{ \"layers\": {}, \"qubits\": {}, \"points\": {}, ",
-                    "\"gate_by_gate_points_per_sec\": {:.1}, ",
-                    "\"statevector_expectation_with_points_per_sec\": {:.1}, ",
-                    "\"speedup\": {:.3} }}"
-                ),
-                layers,
-                n,
-                grid.len(),
-                gates_pps,
-                layer_pps,
-                layer_pps / gates_pps
-            ));
+            qaoa_rows.push(
+                Record::new()
+                    .int("layers", layers)
+                    .int("qubits", n)
+                    .int("points", grid.len())
+                    .fixed("gate_by_gate_points_per_sec", gates_pps, 1)
+                    .fixed("statevector_expectation_with_points_per_sec", layer_pps, 1)
+                    .fixed("speedup", layer_pps / gates_pps, 3),
+            );
         }
     }
 
@@ -329,7 +325,7 @@ fn main() {
         .single_qubit_unitary()
         .expect("Rx is one-qubit");
     let (c, sn) = (u[0][0].re, u[0][1].im);
-    let mut mixer_json = Vec::new();
+    let mut mixer_rows = Vec::new();
     for n in MIXER_ROWS {
         let mut start = StateVector::uniform_superposition(n);
         for q in 0..n {
@@ -348,19 +344,14 @@ fn main() {
             "grouped mixer diverged from per-qubit passes at {n} qubits"
         );
         let layers = MIXER_LAYERS as f64;
-        mixer_json.push(format!(
-            concat!(
-                "    {{ \"qubits\": {}, \"layers\": {}, ",
-                "\"per_qubit_layers_per_sec\": {:.1}, ",
-                "\"grouped_layers_per_sec\": {:.1}, ",
-                "\"speedup\": {:.3} }}"
-            ),
-            n,
-            MIXER_LAYERS,
-            layers / passes_secs,
-            layers / grouped_secs,
-            passes_secs / grouped_secs
-        ));
+        mixer_rows.push(
+            Record::new()
+                .int("qubits", n)
+                .int("layers", MIXER_LAYERS)
+                .fixed("per_qubit_layers_per_sec", layers / passes_secs, 1)
+                .fixed("grouped_layers_per_sec", layers / grouped_secs, 1)
+                .fixed("speedup", passes_secs / grouped_secs, 3),
+        );
     }
 
     // --- noisy trajectories: carried norm vs renormalizing oracle ---------
@@ -368,7 +359,7 @@ fn main() {
         trajectories: TRAJECTORIES,
     };
     let params = QaoaParams::new(vec![0.7], vec![0.4]).expect("one layer");
-    let mut trajectory_json = Vec::new();
+    let mut trajectory_rows = Vec::new();
     for (n, scale) in TRAJECTORY_ROWS
         .into_iter()
         .flat_map(|n| TRAJECTORY_SCALES.map(|scale| (n, scale)))
@@ -391,23 +382,17 @@ fn main() {
             "trajectories diverged from the oracle at {n} qubits, noise x{scale}: gap {gap:e}"
         );
         let runs = TRAJECTORIES as f64;
-        trajectory_json.push(format!(
-            concat!(
-                "    {{ \"qubits\": {}, \"noise_scale\": {}, \"gates\": {}, \"trajectories\": {}, ",
-                "\"oracle_trajectories_per_sec\": {:.1}, ",
-                "\"trajectories_per_sec\": {:.1}, ",
-                "\"max_abs_gap\": {:.3e}, ",
-                "\"speedup\": {:.3} }}"
-            ),
-            n,
-            scale,
-            circuit.gate_count(),
-            TRAJECTORIES,
-            runs / oracle_secs,
-            runs / fast_secs,
-            gap,
-            oracle_secs / fast_secs
-        ));
+        trajectory_rows.push(
+            Record::new()
+                .int("qubits", n)
+                .fixed("noise_scale", scale, 0)
+                .int("gates", circuit.gate_count())
+                .int("trajectories", TRAJECTORIES)
+                .fixed("oracle_trajectories_per_sec", runs / oracle_secs, 1)
+                .fixed("trajectories_per_sec", runs / fast_secs, 1)
+                .value("max_abs_gap", Sci(3), gap)
+                .fixed("speedup", oracle_secs / fast_secs, 3),
+        );
     }
 
     // --- per-core scaling section ----------------------------------------
@@ -431,51 +416,35 @@ fn main() {
     assert!(identical, "multi-thread landscape diverged from serial");
     let scaling_speedup = serial_secs / multi_secs;
     if cores > 1 {
-        assert!(
+        gates.check(
+            "multi_thread_speedup_ge_2x",
             scaling_speedup >= 2.0,
-            "with {cores} cores the {multi}-thread landscape must be >= 2x serial, \
-             got {scaling_speedup:.3}x"
+            format!(
+                "with {cores} cores the {multi}-thread landscape must be >= 2x serial, \
+                 got {scaling_speedup:.3}x"
+            ),
         );
+    } else {
+        gates.skip("multi_thread_speedup_ge_2x");
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"qsim_kernel_smoke\",\n",
-            "  \"available_cores\": {},\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "  \"speedup_16q\": {:.3},\n",
-            "  \"ideal_qaoa\": [\n{}\n  ],\n",
-            "  \"rx_layer\": [\n{}\n  ],\n",
-            "  \"trajectory\": [\n{}\n  ],\n",
-            "  \"scaling\": {{\n",
-            "    \"nodes\": 16,\n",
-            "    \"width\": {},\n",
-            "    \"points\": {},\n",
-            "    \"multi_threads\": {},\n",
-            "    \"serial_points_per_sec\": {:.2},\n",
-            "    \"multi_points_per_sec\": {:.2},\n",
-            "    \"multi_thread_speedup\": {:.3},\n",
-            "    \"asserted_ge_2x\": {}\n",
-            "  }},\n",
-            "  \"bitwise_identical\": true\n",
-            "}}\n"
-        ),
-        cores,
-        row_json.join(",\n"),
-        speedup_16q,
-        qaoa_json.join(",\n"),
-        mixer_json.join(",\n"),
-        trajectory_json.join(",\n"),
-        width,
-        points,
-        multi,
-        points as f64 / serial_secs,
-        points as f64 / multi_secs,
-        scaling_speedup,
-        cores > 1,
-    );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
+    let record = Record::new()
+        .rows("rows", rows)
+        .fixed("speedup_16q", speedup_16q, 3)
+        .rows("ideal_qaoa", qaoa_rows)
+        .rows("rx_layer", mixer_rows)
+        .rows("trajectory", trajectory_rows)
+        .object(
+            "scaling",
+            Record::new()
+                .int("nodes", graph.node_count())
+                .int("width", width)
+                .int("points", points)
+                .int("multi_threads", multi)
+                .fixed("serial_points_per_sec", points as f64 / serial_secs, 2)
+                .fixed("multi_points_per_sec", points as f64 / multi_secs, 2)
+                .fixed("multi_thread_speedup", scaling_speedup, 3),
+        )
+        .bool("bitwise_identical", identical);
+    write_smoke_record("BENCH_qsim.json", "qsim_kernel_smoke", record, gates);
 }

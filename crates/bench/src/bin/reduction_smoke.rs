@@ -25,12 +25,18 @@
 //!    the size floor). Both searches anneal the floor first; there one warm
 //!    run from the degeneracy seed replaces `sa_runs` cold restarts, and a
 //!    cold floor that misses the AND ratio pays for the binary search above
-//!    it. The warm search must beat asserted speedup floors while achieving
-//!    equal-or-better AND ratios (all asserted, not just recorded).
+//!    it. The warm search must beat gated speedup floors while achieving
+//!    equal-or-better AND ratios.
+//!
+//! Every performance gate's outcome is recorded under `gates` (`null` where
+//! it is skipped, e.g. the pool's thread-scaling gate on one core); the
+//! record is written first, and a failed gate then fails the run. The
+//! bitwise and AND-threshold checks still abort at once.
 //!
 //! Usage: `reduction_smoke [output.json]` (default `BENCH_reduction.json`).
 
 use bench::{bench_graph, rebuild_objective};
+use experiments::cli::{available_cores, write_smoke_record, Gates, Record};
 use graphlib::metrics::average_node_degree;
 use graphlib::subgraph::random_connected_subgraph;
 use mathkit::parallel::with_threads;
@@ -68,9 +74,7 @@ const WARM_LARGEST_FLOOR: f64 = 1.6;
 const RESIZE_LADDER: [usize; 6] = [200, 120, 170, 60, 140, 80];
 
 fn main() {
-    let output = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_reduction.json".to_string());
+    let mut gates = Gates::default();
 
     // --- 1. SA hot loop: Metropolis steps per second. -----------------------
     let graph = bench_graph(SA_NODES, 7);
@@ -90,9 +94,12 @@ fn main() {
     }
     let anneal_secs = start.elapsed().as_secs_f64();
     let moves_per_sec = total_moves as f64 / anneal_secs;
-    assert!(
+    gates.check(
+        "sa_moves_per_sec_ge_floor",
         moves_per_sec >= SA_MOVES_PER_SEC_FLOOR,
-        "SA hot loop regressed: {moves_per_sec:.0} moves/sec (floor {SA_MOVES_PER_SEC_FLOOR:.0})"
+        format!(
+            "SA hot loop regressed: {moves_per_sec:.0} moves/sec (floor {SA_MOVES_PER_SEC_FLOOR:.0})"
+        ),
     );
 
     // --- 2. Move evaluation: incremental SaState vs rebuild-per-move. ------
@@ -157,11 +164,14 @@ fn main() {
     // the old per-candidate component recount (tens of ms) without flaking
     // on a loaded runner.
     let resize_ms = start.elapsed().as_secs_f64() * 1e3 / resize_calls as f64;
-    assert!(
+    gates.check(
+        "resize_ms_lt_15",
         resize_ms < 15.0,
-        "resize_selection regressed: {resize_ms:.3} ms per call on a \
-         {}-node graph (ceiling 15 ms)",
-        resize_graph.node_count()
+        format!(
+            "resize_selection regressed: {resize_ms:.3} ms per call on a \
+             {}-node graph (ceiling 15 ms)",
+            resize_graph.node_count()
+        ),
     );
 
     // --- 4. reduce_pool: graphs/sec + thread-count determinism. -------------
@@ -191,23 +201,27 @@ fn main() {
     );
     let serial_gps = POOL_GRAPHS as f64 / serial_secs;
     let threaded_gps = POOL_GRAPHS as f64 / threaded_secs;
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = available_cores();
+    let pool_speedup = serial_secs / threaded_secs;
     // On a single hardware thread the 4-worker pool can only add overhead,
-    // so the speedup assertion is meaningless there; with real cores the
-    // pool must at least not be slower than serial by more than noise.
+    // so the speedup gate is meaningless there; with real cores the pool
+    // must at least not be slower than serial by more than noise.
     if cores > 1 {
-        let pool_speedup = serial_secs / threaded_secs;
-        assert!(
+        gates.check(
+            "pool_speedup_4_threads_ge_1_05x",
             pool_speedup >= 1.05,
-            "4-thread reduce_pool is not faster than serial on a {cores}-core \
-             runner: speedup {pool_speedup:.3}"
+            format!(
+                "4-thread reduce_pool is not faster than serial on a {cores}-core \
+                 runner: speedup {pool_speedup:.3}"
+            ),
         );
+    } else {
+        gates.skip("pool_speedup_4_threads_ge_1_05x");
     }
 
     // --- 5. Warm-started vs cold-started `reduce` at the Figure 18 sizes. ---
     let mut warm_vs_cold_rows = Vec::new();
+    let mut lost_quality = Vec::new();
     let mut speedup_product = 1.0f64;
     for (s_idx, &n) in WARM_VS_COLD_SIZES.iter().enumerate() {
         let graph = bench_graph(n, 2000 + s_idx as u64);
@@ -243,10 +257,9 @@ fn main() {
         );
         // The warm search may not buy its speed with quality: its mean AND
         // ratio must match or beat the cold search at every size.
-        assert!(
-            warm_and >= cold_and - 1e-9,
-            "warm-started reduce lost AND quality at {n} nodes: warm {warm_and} < cold {cold_and}"
-        );
+        if warm_and < cold_and - 1e-9 {
+            lost_quality.push(format!("{n} nodes: warm {warm_and} < cold {cold_and}"));
+        }
         // The warm search's decision at this size, recorded so the perf
         // trajectory shows when the measured comparison reverts.
         let decision = match warm_decision {
@@ -256,90 +269,76 @@ fn main() {
             WarmDecision::MeasuredReverted => "measured_reverted",
         };
         speedup_product *= speedup;
-        warm_vs_cold_rows.push(format!(
-            concat!(
-                "    {{ \"nodes\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, ",
-                "\"speedup\": {:.3}, \"cold_and_ratio\": {:.4}, \"warm_and_ratio\": {:.4}, ",
-                "\"measured_decision\": \"{}\" }}"
-            ),
-            n, cold_ms, warm_ms, speedup, cold_and, warm_and, decision
-        ));
+        warm_vs_cold_rows.push(
+            Record::new()
+                .int("nodes", n)
+                .fixed("cold_ms", cold_ms, 3)
+                .fixed("warm_ms", warm_ms, 3)
+                .fixed("speedup", speedup, 3)
+                .fixed("cold_and_ratio", cold_and, 4)
+                .fixed("warm_and_ratio", warm_and, 4)
+                .str("measured_decision", decision),
+        );
         if n == WARM_VS_COLD_SIZES[WARM_VS_COLD_SIZES.len() - 1] {
-            assert!(
+            gates.check(
+                "warm_speedup_largest_ge_floor",
                 speedup >= WARM_LARGEST_FLOOR,
-                "warm-start speedup regressed at {n} nodes: {speedup:.3} \
-                 (floor {WARM_LARGEST_FLOOR})"
+                format!(
+                    "warm-start speedup regressed at {n} nodes: {speedup:.3} \
+                     (floor {WARM_LARGEST_FLOOR})"
+                ),
             );
         }
     }
+    gates.check(
+        "warm_and_ratio_ge_cold",
+        lost_quality.is_empty(),
+        format!(
+            "warm-started reduce lost AND quality at {}",
+            lost_quality.join(", ")
+        ),
+    );
     let warm_speedup_geomean = speedup_product.powf(1.0 / WARM_VS_COLD_SIZES.len() as f64);
     // An unloaded container measures ~3.2× geomean since the degeneracy
     // first seed and the bitset connectivity shortcut (PR 7); the 2.2× floor
     // leaves room for scheduler noise while still catching any genuine
     // warm-path regression.
-    assert!(
+    gates.check(
+        "warm_speedup_geomean_ge_floor",
         warm_speedup_geomean >= WARM_GEOMEAN_FLOOR,
-        "warm-start speedup regressed: {warm_speedup_geomean:.3} (floor {WARM_GEOMEAN_FLOOR})"
-    );
-    let warm_vs_cold_json = warm_vs_cold_rows.join(",\n");
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"reduction_smoke\",\n",
-            "  \"available_cores\": {},\n",
-            "  \"sa_nodes\": {},\n",
-            "  \"sa_subgraph_size\": {},\n",
-            "  \"sa_runs\": {},\n",
-            "  \"sa_total_moves\": {},\n",
-            "  \"sa_moves_per_sec\": {:.2},\n",
-            "  \"sa_moves_per_sec_floor\": {:.0},\n",
-            "  \"move_evals\": {},\n",
-            "  \"incremental_evals_per_sec\": {:.2},\n",
-            "  \"rebuild_evals_per_sec\": {:.2},\n",
-            "  \"incremental_speedup_vs_rebuild\": {:.3},\n",
-            "  \"resize_graph_nodes\": {},\n",
-            "  \"resize_calls\": {},\n",
-            "  \"resize_ms\": {:.4},\n",
-            "  \"pool_graphs\": {},\n",
-            "  \"pool_graph_nodes\": {},\n",
-            "  \"serial_graphs_per_sec\": {:.3},\n",
-            "  \"threads4_graphs_per_sec\": {:.3},\n",
-            "  \"pool_speedup_4_threads\": {:.3},\n",
-            "  \"bitwise_identical\": true,\n",
-            "  \"warm_vs_cold\": [\n{}\n  ],\n",
-            "  \"warm_vs_cold_reps\": {},\n",
-            "  \"warm_speedup_geomean\": {:.3},\n",
-            "  \"warm_speedup_geomean_floor\": {:.1},\n",
-            "  \"warm_speedup_largest_floor\": {:.1}\n",
-            "}}\n"
+        format!(
+            "warm-start speedup regressed: {warm_speedup_geomean:.3} (floor {WARM_GEOMEAN_FLOOR})"
         ),
-        cores,
-        SA_NODES,
-        SA_K,
-        SA_RUNS,
-        total_moves,
-        moves_per_sec,
-        SA_MOVES_PER_SEC_FLOOR,
-        EVAL_SWAPS * EVAL_ROUNDS,
-        incremental_evals_per_sec,
-        rebuild_evals_per_sec,
-        incremental_evals_per_sec / rebuild_evals_per_sec,
-        resize_graph.node_count(),
-        resize_calls,
-        resize_ms,
-        POOL_GRAPHS,
-        POOL_NODES,
-        serial_gps,
-        threaded_gps,
-        serial_secs / threaded_secs,
-        warm_vs_cold_json,
-        WARM_VS_COLD_REPS,
-        warm_speedup_geomean,
-        WARM_GEOMEAN_FLOOR,
-        WARM_LARGEST_FLOOR,
     );
-    std::fs::write(&output, &json).expect("write benchmark record");
-    print!("{json}");
-    println!("wrote {output}");
+
+    let record = Record::new()
+        .int("sa_nodes", SA_NODES)
+        .int("sa_subgraph_size", SA_K)
+        .int("sa_runs", SA_RUNS)
+        .int("sa_total_moves", total_moves)
+        .fixed("sa_moves_per_sec", moves_per_sec, 2)
+        .fixed("sa_moves_per_sec_floor", SA_MOVES_PER_SEC_FLOOR, 0)
+        .int("move_evals", EVAL_SWAPS * EVAL_ROUNDS)
+        .fixed("incremental_evals_per_sec", incremental_evals_per_sec, 2)
+        .fixed("rebuild_evals_per_sec", rebuild_evals_per_sec, 2)
+        .fixed(
+            "incremental_speedup_vs_rebuild",
+            incremental_evals_per_sec / rebuild_evals_per_sec,
+            3,
+        )
+        .int("resize_graph_nodes", resize_graph.node_count())
+        .int("resize_calls", resize_calls)
+        .fixed("resize_ms", resize_ms, 4)
+        .int("pool_graphs", POOL_GRAPHS)
+        .int("pool_graph_nodes", POOL_NODES)
+        .fixed("serial_graphs_per_sec", serial_gps, 3)
+        .fixed("threads4_graphs_per_sec", threaded_gps, 3)
+        .fixed("pool_speedup_4_threads", pool_speedup, 3)
+        .bool("bitwise_identical", identical)
+        .rows("warm_vs_cold", warm_vs_cold_rows)
+        .int("warm_vs_cold_reps", WARM_VS_COLD_REPS)
+        .fixed("warm_speedup_geomean", warm_speedup_geomean, 3)
+        .fixed("warm_speedup_geomean_floor", WARM_GEOMEAN_FLOOR, 1)
+        .fixed("warm_speedup_largest_floor", WARM_LARGEST_FLOOR, 1);
+    write_smoke_record("BENCH_reduction.json", "reduction_smoke", record, gates);
 }

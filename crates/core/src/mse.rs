@@ -21,7 +21,6 @@ pub use qaoa::evaluator::AutoEvaluator;
 use qaoa::evaluator::{NoisyTrajectoryEvaluator, StatevectorEvaluator};
 use qaoa::expectation::{QaoaInstance, MAX_EXACT_NODES};
 use qaoa::landscape::{evaluate_parameter_set, random_parameter_set, sample_mse, Landscape};
-use qaoa::params::QaoaParams;
 use qsim::noise::NoiseModel;
 use qsim::trajectory::TrajectoryOptions;
 use rand::Rng;
@@ -251,39 +250,6 @@ pub fn compound_grid_comparison<R: Rng>(
     })
 }
 
-/// Ideal sample MSE evaluated on an explicit, caller-supplied parameter set
-/// (useful when several graphs must share exactly the same set).
-///
-/// # Errors
-///
-/// Returns [`RedQaoaError`] under the same conditions as [`ideal_sample_mse`].
-pub fn ideal_mse_on_set(
-    original: &Graph,
-    reduced: &Graph,
-    set: &[QaoaParams],
-) -> Result<f64, RedQaoaError> {
-    if set.is_empty() {
-        return Err(RedQaoaError::invalid_parameter(
-            "set",
-            "[]",
-            "parameter set is empty",
-        ));
-    }
-    let layers = set[0].layers();
-    if set.iter().any(|p| p.layers() != layers) {
-        return Err(RedQaoaError::invalid_parameter(
-            "set",
-            set.len(),
-            "parameter set mixes layer counts",
-        ));
-    }
-    let eval_original = AutoEvaluator::new(original, layers)?;
-    let eval_reduced = AutoEvaluator::new(reduced, layers)?;
-    let a = evaluate_parameter_set(set, &eval_original);
-    let b = evaluate_parameter_set(set, &eval_reduced);
-    Ok(sample_mse(&a, &b)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,17 +366,6 @@ mod tests {
         assert!(
             compound_grid_comparison(&g, &g, 0, &NoiseModel::ideal(), 4, &mut seeded(1)).is_err()
         );
-    }
-
-    #[test]
-    fn explicit_parameter_set_comparison() {
-        let mut rng = seeded(8);
-        let set = random_parameter_set(2, 64, &mut rng);
-        let a = cycle(8).unwrap();
-        let b = cycle(6).unwrap();
-        let mse = ideal_mse_on_set(&a, &b, &set).unwrap();
-        assert!(mse < 0.01, "mse {mse}");
-        assert!(ideal_mse_on_set(&a, &b, &[]).is_err());
     }
 
     #[test]

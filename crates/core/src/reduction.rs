@@ -738,65 +738,6 @@ pub fn reduce_pool(
     )
 }
 
-/// Mean node/edge reduction ratios over a graph slice, with the graphs that
-/// failed to reduce counted instead of silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanReductionRatios {
-    /// Mean node-reduction ratio over the graphs that reduced.
-    pub node_reduction: f64,
-    /// Mean edge-reduction ratio over the graphs that reduced.
-    pub edge_reduction: f64,
-    /// Number of graphs that reduced and contribute to the means.
-    pub reduced: usize,
-    /// Number of graphs that failed to reduce (too small / edgeless) and are
-    /// therefore **excluded** from the means.
-    pub skipped: usize,
-}
-
-/// Reduces every graph of a slice and reports the mean node and edge
-/// reduction ratios (the quantities of Figures 13 and 15).
-///
-/// Graphs that fail to reduce (too small / edgeless) do not contribute to
-/// the means, but they are never silently dropped: the returned
-/// [`MeanReductionRatios::skipped`] count says exactly how many were
-/// excluded, so callers can log or abort on partial coverage. The work runs
-/// through [`reduce_pool`] (one derived substream per graph), so the means
-/// are thread-count invariant.
-pub fn mean_reduction_ratios<R: Rng>(
-    graphs: &[Graph],
-    options: &ReductionOptions,
-    rng: &mut R,
-) -> MeanReductionRatios {
-    let pool_seed: u64 = rng.gen();
-    let mut node_sum = 0.0;
-    let mut edge_sum = 0.0;
-    let mut reduced_count = 0usize;
-    let mut skipped = 0usize;
-    for result in reduce_pool(graphs, options, pool_seed) {
-        match result {
-            Ok(reduced) => {
-                node_sum += reduced.node_reduction;
-                edge_sum += reduced.edge_reduction;
-                reduced_count += 1;
-            }
-            Err(_) => skipped += 1,
-        }
-    }
-    let mean = |sum: f64| {
-        if reduced_count == 0 {
-            0.0
-        } else {
-            sum / reduced_count as f64
-        }
-    };
-    MeanReductionRatios {
-        node_reduction: mean(node_sum),
-        edge_reduction: mean(edge_sum),
-        reduced: reduced_count,
-        skipped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,6 +756,25 @@ mod tests {
         assert!(is_connected(reduced.graph()));
         assert!(reduced.node_reduction >= 0.0 && reduced.node_reduction < 1.0);
         assert!(reduced.edge_reduction >= 0.0 && reduced.edge_reduction < 1.0);
+    }
+
+    #[test]
+    fn warm_cold_comparison_runs_at_most_once_per_search() {
+        // A search whose comparison already kept the warm path must not
+        // re-measure on a later warm-seeded size: with a cold proxy of 0
+        // every re-measurement would revert.
+        let mut rng = seeded(11);
+        let g = connected_gnp(20, 0.3, &mut rng).unwrap();
+        let options = ReductionOptions::default();
+        let mut warm = WarmSearchState::new(&options, g.node_count());
+        assert!(warm.active);
+        anneal_candidate_size(&g, 10, &options, &mut warm, &mut rng).unwrap();
+        warm.decision = WarmDecision::MeasuredKept;
+        warm.cold_proxy = Some(0);
+        let candidate = anneal_candidate_size(&g, 12, &options, &mut warm, &mut rng).unwrap();
+        assert_eq!(warm.decision, WarmDecision::MeasuredKept);
+        assert!(warm.active);
+        assert_eq!(warm.last_best, Some(candidate.nodes));
     }
 
     #[test]
@@ -883,37 +843,6 @@ mod tests {
         assert!(reduce(&g, &bad, &mut rng).is_err());
         assert!(reduce(&Graph::new(1), &ReductionOptions::default(), &mut rng).is_err());
         assert!(reduce(&Graph::new(5), &ReductionOptions::default(), &mut rng).is_err());
-    }
-
-    #[test]
-    fn mean_ratios_over_a_small_collection() {
-        let mut rng = seeded(7);
-        let graphs: Vec<Graph> = (0..4)
-            .map(|_| connected_gnp(10, 0.4, &mut rng).unwrap())
-            .collect();
-        let means = mean_reduction_ratios(&graphs, &ReductionOptions::default(), &mut rng);
-        assert_eq!(means.reduced, 4);
-        assert_eq!(means.skipped, 0);
-        assert!((0.0..1.0).contains(&means.node_reduction));
-        assert!((0.0..1.0).contains(&means.edge_reduction));
-        // Edge reduction should be at least as large as node reduction on
-        // average (removing nodes removes their incident edges).
-        assert!(means.edge_reduction + 1e-9 >= means.node_reduction);
-    }
-
-    #[test]
-    fn mean_ratios_count_unreducible_graphs_instead_of_dropping_them() {
-        let mut rng = seeded(17);
-        let mut graphs: Vec<Graph> = (0..3)
-            .map(|_| connected_gnp(10, 0.4, &mut rng).unwrap())
-            .collect();
-        graphs.push(Graph::new(4)); // edgeless: must be counted as skipped
-        let means = mean_reduction_ratios(&graphs, &ReductionOptions::default(), &mut rng);
-        assert_eq!(means.reduced, 3);
-        assert_eq!(means.skipped, 1);
-        let empty = mean_reduction_ratios(&[], &ReductionOptions::default(), &mut rng);
-        assert_eq!((empty.reduced, empty.skipped), (0, 0));
-        assert_eq!(empty.node_reduction, 0.0);
     }
 
     #[test]

@@ -59,22 +59,6 @@ impl DatasetSummary {
             mean_density: dataset.graphs.iter().map(Graph::density).sum::<f64>() / n as f64,
         }
     }
-
-    /// Formats the summary as a TSV row
-    /// (`name, graphs, node range, mean nodes, mean edges, mean degree, density`).
-    pub fn to_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}-{}\t{:.1}\t{:.1}\t{:.2}\t{:.2}",
-            self.name,
-            self.graph_count,
-            self.min_nodes,
-            self.max_nodes,
-            self.mean_nodes,
-            self.mean_edges,
-            self.mean_average_degree,
-            self.mean_density
-        )
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +74,6 @@ mod tests {
         assert!(s.max_nodes <= 10);
         assert!(s.mean_nodes > 3.0 && s.mean_nodes < 9.0);
         assert!(s.mean_average_degree > 1.0);
-        assert!(!s.to_row().is_empty());
     }
 
     #[test]

@@ -1,41 +1,27 @@
 //! Figure 1: ideal vs noisy QAOA convergence for 6- and 10-node graphs.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::convergence::{run_fig1, Fig1Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 1: ideal vs noisy QAOA convergence for 6- and 10-node graphs",
+        &[],
     );
-    let config = Fig1Config::default();
-    let curves = run_fig1(&config).expect("figure 1 experiment failed");
-    if args.json {
-        for c in &curves {
-            for (i, (ideal, noisy)) in c.ideal.iter().zip(&c.noisy).enumerate() {
-                println!(
-                    "{}",
-                    json_row(
-                        "fig01_convergence",
-                        &[
-                            ("nodes", format!("{}", c.nodes)),
-                            ("evaluation", format!("{i}")),
-                            ("ideal", format!("{ideal:.6}")),
-                            ("noisy", format!("{noisy:.6}")),
-                        ],
-                    )
-                );
-            }
-        }
-        return;
-    }
+    let curves = run_fig1(&Fig1Config::default()).expect("figure 1 experiment failed");
+    let mut table = Table::new(
+        "fig01_convergence",
+        "Figure 1: approximation ratio per evaluation, ideal vs noisy",
+        [
+            ("nodes", Int),
+            ("evaluation", Int),
+            ("ideal", Fixed(6)),
+            ("noisy", Fixed(6)),
+        ],
+    );
     for c in &curves {
-        println!(
-            "# Figure 1: {}-node graph (approximation ratio per evaluation)",
-            c.nodes
-        );
-        println!("evaluation\tideal\tnoisy");
         for (i, (ideal, noisy)) in c.ideal.iter().zip(&c.noisy).enumerate() {
-            println!("{i}\t{ideal:.4}\t{noisy:.4}");
+            table.row((c.nodes, i, *ideal, *noisy));
         }
-        println!();
     }
+    table.print(&args);
 }

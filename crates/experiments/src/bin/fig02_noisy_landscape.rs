@@ -1,43 +1,29 @@
 //! Figure 2: ideal vs noisy energy landscape of a 13-node graph (Kolkata).
-use experiments::cli::json_row;
-use experiments::landscapes::{landscape_rows, run_device_landscapes, LandscapeConfig};
-use experiments::print_table;
+use experiments::cli::{handle_default_args, Format::*, Table};
+use experiments::landscapes::{landscape_table, run_device_landscapes, LandscapeConfig};
 use qsim::devices::kolkata;
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 2: ideal vs noisy energy landscape of a 13-node graph (Kolkata)",
+        &[],
     );
     let config = LandscapeConfig {
         nodes: 13,
         ..Default::default()
     };
     let cmp = run_device_landscapes(&config, &kolkata()).expect("figure 2 experiment failed");
-    if args.json {
-        println!(
-            "{}",
-            json_row(
-                "fig02_noisy_landscape",
-                &[
-                    ("nodes", format!("{}", config.nodes)),
-                    ("baseline_mse", format!("{:.6}", cmp.baseline_mse)),
-                ],
-            )
-        );
-        return;
-    }
-    println!(
-        "# Figure 2: noisy-vs-ideal landscape MSE (baseline graph) = {:.4}",
-        cmp.baseline_mse
+    let mut table = Table::new(
+        "fig02_noisy_landscape",
+        "Figure 2: noisy-vs-ideal landscape MSE (baseline graph)",
+        [("nodes", Int), ("baseline_mse", Fixed(6))],
     );
-    print_table(
-        "ideal landscape (normalized)",
-        &["beta ->"],
-        &landscape_rows(&cmp.ideal),
-    );
-    print_table(
-        "noisy landscape (normalized)",
-        &["beta ->"],
-        &landscape_rows(&cmp.noisy_baseline),
-    );
+    table.row((config.nodes, cmp.baseline_mse));
+    table.print(&args);
+    landscape_table(
+        "fig02_noisy_landscape_grid",
+        "Figure 2: ideal and noisy landscapes (normalized)",
+        &[("ideal", &cmp.ideal), ("noisy", &cmp.noisy_baseline)],
+    )
+    .print(&args);
 }

@@ -1,35 +1,27 @@
 //! Figure 3: energy landscapes of 7- and 10-node cycle graphs coincide.
-use experiments::cli::json_row;
-use experiments::landscapes::{landscape_rows, run_fig3};
-use experiments::print_table;
+use experiments::cli::{handle_default_args, Format::*, Table};
+use experiments::landscapes::{landscape_table, run_fig3};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 3: energy landscapes of 7- and 10-node cycle graphs coincide",
+        &[],
     );
     let result = run_fig3(16).expect("figure 3 experiment failed");
-    if args.json {
-        println!(
-            "{}",
-            json_row(
-                "fig03_cycle_landscapes",
-                &[("mse", format!("{:.8}", result.mse))],
-            )
-        );
-        return;
-    }
-    println!(
-        "# Figure 3: MSE between 7-node and 10-node cycle landscapes = {:.2e}",
-        result.mse
+    let mut table = Table::new(
+        "fig03_cycle_landscapes",
+        "Figure 3: MSE between 7-node and 10-node cycle landscapes",
+        [("mse", Fixed(8))],
     );
-    print_table(
-        "7-node cycle landscape",
-        &["beta ->"],
-        &landscape_rows(&result.small),
-    );
-    print_table(
-        "10-node cycle landscape",
-        &["beta ->"],
-        &landscape_rows(&result.large),
-    );
+    table.row((result.mse,));
+    table.print(&args);
+    landscape_table(
+        "fig03_cycle_landscapes_grid",
+        "Figure 3: 7- and 10-node cycle landscapes (normalized)",
+        &[
+            ("7-node cycle", &result.small),
+            ("10-node cycle", &result.large),
+        ],
+    )
+    .print(&args);
 }

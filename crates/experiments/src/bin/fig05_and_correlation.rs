@@ -1,41 +1,34 @@
 //! Figure 5: MSE vs Average-Node-Degree ratio with a polynomial fit.
 use experiments::and_correlation::{run_fig5, Fig5Config};
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 5: MSE vs Average-Node-Degree ratio with a polynomial fit",
+        &[],
     );
     let result = run_fig5(&Fig5Config::default()).expect("figure 5 experiment failed");
-    if args.json {
-        for p in &result.points {
-            println!(
-                "{}",
-                json_row(
-                    "fig05_and_correlation",
-                    &[
-                        ("and_ratio", format!("{:.6}", p.and_ratio)),
-                        ("mse", format!("{:.8}", p.mse)),
-                        ("fit", format!("{:.8}", result.fit.eval(p.and_ratio))),
-                        ("correlation", format!("{:.4}", result.correlation)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!(
-        "# Figure 5: {} subgraph points, Pearson corr (1-AND ratio vs MSE) = {:.3}",
-        result.points.len(),
-        result.correlation
+    let mut table = Table::new(
+        "fig05_and_correlation",
+        format!(
+            "Figure 5: {} subgraph points, Pearson corr (1-AND ratio vs MSE) = {:.3}",
+            result.points.len(),
+            result.correlation
+        ),
+        [
+            ("and_ratio", Fixed(6)),
+            ("mse", Fixed(8)),
+            ("fit", Fixed(8)),
+            ("correlation", Fixed(4)),
+        ],
     );
-    println!("and_ratio\tmse\tfit");
     for p in &result.points {
-        println!(
-            "{:.4}\t{:.5}\t{:.5}",
+        table.row((
             p.and_ratio,
             p.mse,
-            result.fit.eval(p.and_ratio)
-        );
+            result.fit.eval(p.and_ratio),
+            result.correlation,
+        ));
     }
+    table.print(&args);
 }

@@ -1,31 +1,22 @@
 //! Figure 7: MSE vs distance between optimal points.
 use experiments::and_correlation::{run_fig7, Fig7Config};
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 
 fn main() {
-    let args =
-        experiments::cli::handle_default_args("Figure 7: MSE vs distance between optimal points");
+    let args = handle_default_args("Figure 7: MSE vs distance between optimal points", &[]);
     let (points, correlation) =
         run_fig7(&Fig7Config::default()).expect("figure 7 experiment failed");
-    if args.json {
-        for p in &points {
-            println!(
-                "{}",
-                json_row(
-                    "fig07_optima_distance",
-                    &[
-                        ("mse", format!("{:.8}", p.mse)),
-                        ("optimum_distance", format!("{:.6}", p.optimum_distance)),
-                        ("correlation", format!("{correlation:.4}")),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 7: Pearson correlation (MSE vs optimum distance) = {correlation:.3}");
-    println!("mse\toptimum_distance");
+    let mut table = Table::new(
+        "fig07_optima_distance",
+        format!("Figure 7: Pearson correlation (MSE vs optimum distance) = {correlation:.3}"),
+        [
+            ("mse", Fixed(8)),
+            ("optimum_distance", Fixed(6)),
+            ("correlation", Fixed(4)),
+        ],
+    );
     for p in &points {
-        println!("{:.5}\t{:.4}", p.mse, p.optimum_distance);
+        table.row((p.mse, p.optimum_distance, correlation));
     }
+    table.print(&args);
 }

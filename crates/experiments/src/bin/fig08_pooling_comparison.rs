@@ -3,81 +3,56 @@
 //! With `--sweep-sa-knobs`, runs the `SaOptions::{stagnation_patience,
 //! boost_divisor}` ablation on the same protocol instead (the sweep that
 //! chose the defaults recorded on `SaOptions::default`).
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::pooling_cmp::{run_fig8, run_sa_knob_sweep, Fig8Config};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let sweep = raw.iter().any(|a| a == "--sweep-sa-knobs");
-    let help = raw.iter().any(|a| a == "--help" || a == "-h");
-    // --help keeps working in sweep mode; only a bare --sweep-sa-knobs run
-    // skips the shared handler (which would warn about the flag it doesn't
-    // know).
-    if !sweep || help {
-        let args = experiments::cli::handle_default_args(
-            "Figure 8: MSE vs reduction ratio for SA and GNN-pooling baselines \
-             (--sweep-sa-knobs runs the stagnation-patience/boost-divisor ablation)",
+    let args = handle_default_args(
+        "Figure 8: MSE vs reduction ratio for SA and GNN-pooling baselines \
+         (--sweep-sa-knobs runs the stagnation-patience/boost-divisor ablation)",
+        &["--sweep-sa-knobs"],
+    );
+    if args.has("--sweep-sa-knobs") {
+        let rows = run_sa_knob_sweep(
+            &Fig8Config::default(),
+            0.3,
+            &[5, 15, 30, 60],
+            &[2.0, 5.0, 10.0],
+        )
+        .expect("SA knob sweep failed");
+        let mut table = Table::new(
+            "fig08_sa_knob_sweep",
+            "SA knob ablation (Figure 8 protocol, reduction ratio 0.30)",
+            [
+                ("stagnation_patience", Int),
+                ("boost_divisor", Fixed(0)),
+                ("mean_mse", Fixed(5)),
+                ("mean_iterations", Fixed(1)),
+            ],
         );
-        let cells = run_fig8(&Fig8Config::default()).expect("figure 8 experiment failed");
-        if args.json {
-            for c in &cells {
-                println!(
-                    "{}",
-                    json_row(
-                        "fig08_pooling_comparison",
-                        &[
-                            ("method", format!("\"{}\"", c.method.label())),
-                            ("reduction_ratio", format!("{:.2}", c.reduction_ratio)),
-                            ("mean_mse", format!("{:.5}", c.mean_mse)),
-                        ],
-                    )
-                );
-            }
-            return;
-        }
-        println!("# Figure 8: mean landscape MSE by method and node-reduction ratio");
-        println!("method\treduction_ratio\tmean_mse");
-        for c in &cells {
-            println!(
-                "{}\t{:.2}\t{:.5}",
-                c.method.label(),
-                c.reduction_ratio,
-                c.mean_mse
-            );
-        }
-        return;
-    }
-    let json = raw.iter().any(|a| a == "--json");
-    let rows = run_sa_knob_sweep(
-        &Fig8Config::default(),
-        0.3,
-        &[5, 15, 30, 60],
-        &[2.0, 5.0, 10.0],
-    )
-    .expect("SA knob sweep failed");
-    if json {
         for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig08_sa_knob_sweep",
-                    &[
-                        ("stagnation_patience", r.stagnation_patience.to_string()),
-                        ("boost_divisor", format!("{:.0}", r.boost_divisor)),
-                        ("mean_mse", format!("{:.5}", r.mean_mse)),
-                        ("mean_iterations", format!("{:.1}", r.mean_iterations)),
-                    ],
-                )
-            );
+            table.row((
+                r.stagnation_patience,
+                r.boost_divisor,
+                r.mean_mse,
+                r.mean_iterations,
+            ));
         }
+        table.print(&args);
         return;
     }
-    println!("# SA knob ablation (Figure 8 protocol, reduction ratio 0.30)");
-    println!("stagnation_patience\tboost_divisor\tmean_mse\tmean_iterations");
-    for r in &rows {
-        println!(
-            "{}\t{:.0}\t{:.5}\t{:.1}",
-            r.stagnation_patience, r.boost_divisor, r.mean_mse, r.mean_iterations
-        );
+    let cells = run_fig8(&Fig8Config::default()).expect("figure 8 experiment failed");
+    let mut table = Table::new(
+        "fig08_pooling_comparison",
+        "Figure 8: mean landscape MSE by method and node-reduction ratio",
+        [
+            ("method", Str),
+            ("reduction_ratio", Fixed(2)),
+            ("mean_mse", Fixed(5)),
+        ],
+    );
+    for c in &cells {
+        table.row((c.method.label(), c.reduction_ratio, c.mean_mse));
     }
+    table.print(&args);
 }

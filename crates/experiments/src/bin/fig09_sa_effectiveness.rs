@@ -1,41 +1,43 @@
 //! Figure 9: SA-selected subgraph vs the full subgraph MSE distribution.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::sa_effectiveness::{run_fig9, Fig9Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 9: SA-selected subgraph vs the full subgraph MSE distribution",
+        &[],
     );
     let panels = run_fig9(&Fig9Config::default()).expect("figure 9 experiment failed");
-    if args.json {
-        for p in &panels {
-            println!(
-                "{}",
-                json_row(
-                    "fig09_sa_effectiveness",
-                    &[
-                        ("reduction_ratio", format!("{:.3}", p.reduction_ratio)),
-                        ("subgraphs", format!("{}", p.all_mses.len())),
-                        ("sa_mse", format!("{:.8}", p.sa_mse)),
-                        ("sa_percentile", format!("{:.4}", p.sa_percentile)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
+    let mut summary = Table::new(
+        "fig09_sa_effectiveness",
+        "Figure 9: SA subgraph MSE and its percentile among all subgraphs",
+        [
+            ("reduction_ratio", Fixed(3)),
+            ("subgraphs", Int),
+            ("sa_mse", Fixed(8)),
+            ("sa_percentile", Fixed(4)),
+        ],
+    );
+    let mut histogram = Table::new(
+        "fig09_sa_effectiveness_histogram",
+        "Figure 9: MSE distribution of all subgraphs",
+        [
+            ("reduction_ratio", Fixed(3)),
+            ("bin_center", Fixed(5)),
+            ("frequency", Fixed(3)),
+        ],
+    );
     for p in &panels {
-        println!(
-            "# Figure 9: {:.0}% node reduction ({} subgraphs)",
-            p.reduction_ratio * 100.0,
-            p.all_mses.len()
-        );
-        println!("sa_mse\t{:.5}", p.sa_mse);
-        println!("sa_percentile\t{:.3}", p.sa_percentile);
-        println!("bin_center\tfrequency");
+        summary.row((
+            p.reduction_ratio,
+            p.all_mses.len(),
+            p.sa_mse,
+            p.sa_percentile,
+        ));
         for (i, f) in p.histogram.frequencies().iter().enumerate() {
-            println!("{:.5}\t{:.3}", p.histogram.bin_center(i), f);
+            histogram.row((p.reduction_ratio, p.histogram.bin_center(i), *f));
         }
-        println!();
     }
+    summary.print(&args);
+    histogram.print(&args);
 }

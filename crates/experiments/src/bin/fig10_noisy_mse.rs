@@ -1,40 +1,37 @@
 //! Figure 10: noisy MSE of baseline vs Red-QAOA for 7-14 qubit graphs.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::noisy_mse::{red_qaoa_win_rate, run_fig10, NoisyMseConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 10: noisy MSE of baseline vs Red-QAOA for 7-14 qubit graphs",
+        &[],
     );
     let rows = run_fig10(&NoisyMseConfig::default()).expect("figure 10 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig10_noisy_mse",
-                    &[
-                        ("qubits", format!("{}", r.nodes)),
-                        ("baseline_mse", format!("{:.6}", r.baseline_mse)),
-                        ("red_qaoa_mse", format!("{:.6}", r.red_qaoa_mse)),
-                        ("reduced_nodes", format!("{}", r.reduced_nodes)),
-                        ("win_rate", format!("{:.3}", red_qaoa_win_rate(&rows))),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 10: noisy landscape MSE vs ideal reference (FakeToronto-class noise)");
-    println!("qubits\tbaseline_mse\tred_qaoa_mse\treduced_nodes");
-    for r in &rows {
-        println!(
-            "{}\t{:.4}\t{:.4}\t{}",
-            r.nodes, r.baseline_mse, r.red_qaoa_mse, r.reduced_nodes
-        );
-    }
-    println!(
-        "# Red-QAOA win rate: {:.0}%",
-        red_qaoa_win_rate(&rows) * 100.0
+    let win_rate = red_qaoa_win_rate(&rows);
+    let mut table = Table::new(
+        "fig10_noisy_mse",
+        format!(
+            "Figure 10: noisy landscape MSE vs ideal reference (FakeToronto-class noise); \
+             Red-QAOA win rate {:.0}%",
+            win_rate * 100.0
+        ),
+        [
+            ("qubits", Int),
+            ("baseline_mse", Fixed(6)),
+            ("red_qaoa_mse", Fixed(6)),
+            ("reduced_nodes", Int),
+            ("win_rate", Fixed(3)),
+        ],
     );
+    for r in &rows {
+        table.row((
+            r.nodes,
+            r.baseline_mse,
+            r.red_qaoa_mse,
+            r.reduced_nodes,
+            win_rate,
+        ));
+    }
+    table.print(&args);
 }

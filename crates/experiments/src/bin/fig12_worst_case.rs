@@ -1,45 +1,24 @@
 //! Figure 12: worst-case (11-node) landscapes: ideal / Red-QAOA / baseline.
-use experiments::cli::json_row;
-use experiments::landscapes::{landscape_rows, run_device_landscapes, LandscapeConfig};
-use experiments::print_table;
+use experiments::cli::handle_default_args;
+use experiments::landscapes::{device_landscape_tables, run_device_landscapes, LandscapeConfig};
 use qsim::devices::fake_toronto;
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 12: worst-case (11-node) landscapes: ideal / Red-QAOA / baseline",
+        &[],
     );
     let config = LandscapeConfig {
         nodes: 11,
         ..Default::default()
     };
     let cmp = run_device_landscapes(&config, &fake_toronto()).expect("figure 12 experiment failed");
-    if args.json {
-        println!(
-            "{}",
-            json_row(
-                "fig12_worst_case",
-                &[
-                    ("nodes", format!("{}", config.nodes)),
-                    ("red_qaoa_mse", format!("{:.6}", cmp.reduced_mse)),
-                    ("baseline_mse", format!("{:.6}", cmp.baseline_mse)),
-                ],
-            )
-        );
-        return;
+    for table in device_landscape_tables(
+        "fig12_worst_case",
+        "Figure 12: worst case, 11 nodes",
+        config.nodes,
+        &cmp,
+    ) {
+        table.print(&args);
     }
-    println!(
-        "# Figure 12: Red-QAOA MSE {:.3} vs baseline MSE {:.3}",
-        cmp.reduced_mse, cmp.baseline_mse
-    );
-    print_table("ideal", &["beta ->"], &landscape_rows(&cmp.ideal));
-    print_table(
-        "red-qaoa (noisy)",
-        &["beta ->"],
-        &landscape_rows(&cmp.noisy_reduced),
-    );
-    print_table(
-        "baseline (noisy)",
-        &["beta ->"],
-        &landscape_rows(&cmp.noisy_baseline),
-    );
 }

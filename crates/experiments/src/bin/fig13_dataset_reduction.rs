@@ -1,39 +1,19 @@
 //! Figure 13: node and edge reduction ratios for AIDS, IMDb, LINUX (<=10 nodes).
-use experiments::cli::json_row;
-use experiments::dataset_eval::{run_small_datasets, DatasetEvalConfig};
+use experiments::cli::handle_default_args;
+use experiments::dataset_eval::{reduction_table, run_small_datasets, DatasetEvalConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 13: node and edge reduction ratios for AIDS, IMDb, LINUX (<=10 nodes)",
+        &[],
     );
     let rows =
         run_small_datasets(&DatasetEvalConfig::default()).expect("figure 13 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig13_dataset_reduction",
-                    &[
-                        ("dataset", format!("\"{}\"", r.dataset)),
-                        ("graphs", format!("{}", r.graphs)),
-                        ("node_reduction", format!("{:.4}", r.node_reduction)),
-                        ("edge_reduction", format!("{:.4}", r.edge_reduction)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 13: mean reduction ratios (graphs with up to 10 nodes)");
-    println!("dataset\tgraphs\tnode_reduction\tedge_reduction");
-    for r in &rows {
-        println!(
-            "{}\t{}\t{:.1}%\t{:.1}%",
-            r.dataset,
-            r.graphs,
-            r.node_reduction * 100.0,
-            r.edge_reduction * 100.0
-        );
-    }
+    reduction_table(
+        "fig13_dataset_reduction",
+        "Figure 13: mean reduction ratios (graphs with up to 10 nodes)",
+        "dataset",
+        &rows,
+    )
+    .print(&args);
 }

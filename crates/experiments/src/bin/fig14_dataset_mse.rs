@@ -1,36 +1,20 @@
 //! Figure 14: ideal landscape MSE for AIDS, IMDb, LINUX at p = 1, 2, 3.
-use experiments::cli::json_row;
-use experiments::dataset_eval::{run_small_datasets, DatasetEvalConfig};
+use experiments::cli::handle_default_args;
+use experiments::dataset_eval::{mse_table, run_small_datasets, DatasetEvalConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 14: ideal landscape MSE for AIDS, IMDb, LINUX at p = 1, 2, 3",
+        &[],
     );
     let config = DatasetEvalConfig::default();
     let rows = run_small_datasets(&config).expect("figure 14 experiment failed");
-    if args.json {
-        for r in &rows {
-            for (i, mse) in r.mse_per_layer.iter().enumerate() {
-                println!(
-                    "{}",
-                    json_row(
-                        "fig14_dataset_mse",
-                        &[
-                            ("dataset", format!("\"{}\"", r.dataset)),
-                            ("p", format!("{}", config.layers[i])),
-                            ("mse", format!("{mse:.6}")),
-                        ],
-                    )
-                );
-            }
-        }
-        return;
-    }
-    println!("# Figure 14: mean ideal MSE by dataset and layer count");
-    println!("dataset\tp\tmse");
-    for r in &rows {
-        for (i, mse) in r.mse_per_layer.iter().enumerate() {
-            println!("{}\t{}\t{:.4}", r.dataset, config.layers[i], mse);
-        }
-    }
+    mse_table(
+        "fig14_dataset_mse",
+        "Figure 14: mean ideal MSE by dataset and layer count",
+        "dataset",
+        &config,
+        &rows,
+    )
+    .print(&args);
 }

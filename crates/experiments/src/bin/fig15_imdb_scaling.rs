@@ -1,38 +1,16 @@
 //! Figure 15: IMDb small vs medium reduction ratios.
-use experiments::cli::json_row;
-use experiments::dataset_eval::{run_imdb_scaling, DatasetEvalConfig};
+use experiments::cli::handle_default_args;
+use experiments::dataset_eval::{reduction_table, run_imdb_scaling, DatasetEvalConfig};
 
 fn main() {
-    let args =
-        experiments::cli::handle_default_args("Figure 15: IMDb small vs medium reduction ratios");
+    let args = handle_default_args("Figure 15: IMDb small vs medium reduction ratios", &[]);
     let rows =
         run_imdb_scaling(&DatasetEvalConfig::default()).expect("figure 15 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig15_imdb_scaling",
-                    &[
-                        ("split", format!("\"{}\"", r.dataset)),
-                        ("graphs", format!("{}", r.graphs)),
-                        ("node_reduction", format!("{:.4}", r.node_reduction)),
-                        ("edge_reduction", format!("{:.4}", r.edge_reduction)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 15: IMDb reduction ratios by size split");
-    println!("split\tgraphs\tnode_reduction\tedge_reduction");
-    for r in &rows {
-        println!(
-            "{}\t{}\t{:.1}%\t{:.1}%",
-            r.dataset,
-            r.graphs,
-            r.node_reduction * 100.0,
-            r.edge_reduction * 100.0
-        );
-    }
+    reduction_table(
+        "fig15_imdb_scaling",
+        "Figure 15: IMDb reduction ratios by size split",
+        "split",
+        &rows,
+    )
+    .print(&args);
 }

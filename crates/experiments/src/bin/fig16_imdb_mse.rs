@@ -1,36 +1,20 @@
 //! Figure 16: IMDb small vs medium ideal MSE at p = 1, 2, 3.
-use experiments::cli::json_row;
-use experiments::dataset_eval::{run_imdb_scaling, DatasetEvalConfig};
+use experiments::cli::handle_default_args;
+use experiments::dataset_eval::{mse_table, run_imdb_scaling, DatasetEvalConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 16: IMDb small vs medium ideal MSE at p = 1, 2, 3",
+        &[],
     );
     let config = DatasetEvalConfig::default();
     let rows = run_imdb_scaling(&config).expect("figure 16 experiment failed");
-    if args.json {
-        for r in &rows {
-            for (i, mse) in r.mse_per_layer.iter().enumerate() {
-                println!(
-                    "{}",
-                    json_row(
-                        "fig16_imdb_mse",
-                        &[
-                            ("split", format!("\"{}\"", r.dataset)),
-                            ("p", format!("{}", config.layers[i])),
-                            ("mse", format!("{mse:.6}")),
-                        ],
-                    )
-                );
-            }
-        }
-        return;
-    }
-    println!("# Figure 16: IMDb ideal MSE by size split and layer count");
-    println!("split\tp\tmse");
-    for r in &rows {
-        for (i, mse) in r.mse_per_layer.iter().enumerate() {
-            println!("{}\t{}\t{:.4}", r.dataset, config.layers[i], mse);
-        }
-    }
+    mse_table(
+        "fig16_imdb_mse",
+        "Figure 16: IMDb ideal MSE by size split and layer count",
+        "split",
+        &config,
+        &rows,
+    )
+    .print(&args);
 }

@@ -1,45 +1,38 @@
 //! Figure 17: end-to-end Red-QAOA vs baseline on larger random graphs.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::end_to_end::{run_fig17, Fig17Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 17: end-to-end Red-QAOA vs baseline on larger random graphs",
+        &[],
     );
     let rows = run_fig17(&Fig17Config::default()).expect("figure 17 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig17_end_to_end",
-                    &[
-                        ("layers", r.layers.to_string()),
-                        ("restarts", r.restarts.to_string()),
-                        ("best_ratio", format!("{:.4}", r.best_ratio)),
-                        ("average_ratio", format!("{:.4}", r.average_ratio)),
-                        ("node_reduction", format!("{:.4}", r.node_reduction)),
-                        ("edge_reduction", format!("{:.4}", r.edge_reduction)),
-                        ("transfer_error", format!("{:.4}", r.transfer_error)),
-                        ("cost_ratio", format!("{:.4}", r.cost_ratio)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 17: Red-QAOA / baseline ratios (best and average across restarts)");
-    println!("p\trestarts\tbest_ratio\taverage_ratio\tnode_reduction\tedge_reduction\tcost_ratio");
+    let mut table = Table::new(
+        "fig17_end_to_end",
+        "Figure 17: Red-QAOA / baseline ratios (best and average across restarts)",
+        [
+            ("layers", Int),
+            ("restarts", Int),
+            ("best_ratio", Fixed(4)),
+            ("average_ratio", Fixed(4)),
+            ("node_reduction", Fixed(4)),
+            ("edge_reduction", Fixed(4)),
+            ("transfer_error", Fixed(4)),
+            ("cost_ratio", Fixed(4)),
+        ],
+    );
     for r in &rows {
-        println!(
-            "{}\t{}\t{:.3}\t{:.3}\t{:.1}%\t{:.1}%\t{:.3}",
+        table.row((
             r.layers,
             r.restarts,
             r.best_ratio,
             r.average_ratio,
-            r.node_reduction * 100.0,
-            r.edge_reduction * 100.0,
-            r.cost_ratio
-        );
+            r.node_reduction,
+            r.edge_reduction,
+            r.transfer_error,
+            r.cost_ratio,
+        ));
     }
+    table.print(&args);
 }

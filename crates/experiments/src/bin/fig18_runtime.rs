@@ -1,54 +1,39 @@
 //! Figure 18: Red-QAOA preprocessing overhead and its n log n fit.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::runtime::{run_fig18, Fig18Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 18: Red-QAOA preprocessing overhead and its n log n fit",
+        &[],
     );
     let result = run_fig18(&Fig18Config::default()).expect("figure 18 experiment failed");
-    if args.json {
-        // Machine-readable exemplar of the shared --json flag: one JSON
-        // object per timed size plus one fit record, line-delimited.
-        for p in &result.points {
-            println!(
-                "{}",
-                json_row(
-                    "fig18_runtime",
-                    &[
-                        ("nodes", p.nodes.to_string()),
-                        ("preprocessing_s", format!("{:.6}", p.preprocessing_seconds)),
-                        (
-                            "circuit_execution_s",
-                            format!("{:.3}", p.circuit_execution_seconds)
-                        ),
-                    ],
-                )
-            );
-        }
-        println!(
-            "{}",
-            json_row(
-                "fig18_runtime_fit",
-                &[
-                    ("fit_a", format!("{:.6e}", result.fit_a)),
-                    ("fit_b", format!("{:.6e}", result.fit_b)),
-                    ("r_squared", format!("{:.4}", result.r_squared)),
-                ],
-            )
-        );
-        return;
-    }
-    println!("# Figure 18: preprocessing time vs circuit execution time");
-    println!("nodes\tpreprocessing_s\tcircuit_execution_s");
-    for p in &result.points {
-        println!(
-            "{}\t{:.4}\t{:.1}",
-            p.nodes, p.preprocessing_seconds, p.circuit_execution_seconds
-        );
-    }
-    println!(
-        "# fit: {:.3e} * n ln n + {:.3e}  (R^2 = {:.3})",
-        result.fit_a, result.fit_b, result.r_squared
+    let mut points = Table::new(
+        "fig18_runtime",
+        "Figure 18: preprocessing time vs circuit execution time",
+        [
+            ("nodes", Int),
+            ("preprocessing_s", Fixed(6)),
+            ("circuit_execution_s", Fixed(3)),
+        ],
     );
+    for p in &result.points {
+        points.row((
+            p.nodes,
+            p.preprocessing_seconds,
+            p.circuit_execution_seconds,
+        ));
+    }
+    let mut fit = Table::new(
+        "fig18_runtime_fit",
+        "Figure 18: preprocessing_s fitted as fit_a * n ln n + fit_b",
+        [
+            ("fit_a", Sci(6)),
+            ("fit_b", Sci(6)),
+            ("r_squared", Fixed(4)),
+        ],
+    );
+    fit.row((result.fit_a, result.fit_b, result.r_squared));
+    points.print(&args);
+    fit.print(&args);
 }

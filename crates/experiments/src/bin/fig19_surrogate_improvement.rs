@@ -1,44 +1,28 @@
 //! Figure 19: relative approximation-ratio improvement over the noisy baseline.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::pooling_cmp::{run_fig19, Fig19Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 19: relative approximation-ratio improvement over the noisy baseline",
+        &[],
     );
     let rows = run_fig19(&Fig19Config::default()).expect("figure 19 experiment failed");
-    if args.json {
-        for r in &rows {
-            let b = &r.box_plot;
-            println!(
-                "{}",
-                json_row(
-                    "fig19_surrogate_improvement",
-                    &[
-                        ("method", format!("\"{}\"", r.method.label())),
-                        ("min", format!("{:.4}", b.min)),
-                        ("q1", format!("{:.4}", b.q1)),
-                        ("median", format!("{:.4}", b.median)),
-                        ("q3", format!("{:.4}", b.q3)),
-                        ("max", format!("{:.4}", b.max)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 19: relative improvement over noisy baseline (box-plot summary)");
-    println!("method\tmin\tq1\tmedian\tq3\tmax");
+    let mut table = Table::new(
+        "fig19_surrogate_improvement",
+        "Figure 19: relative improvement over noisy baseline (box-plot summary)",
+        [
+            ("method", Str),
+            ("min", Fixed(4)),
+            ("q1", Fixed(4)),
+            ("median", Fixed(4)),
+            ("q3", Fixed(4)),
+            ("max", Fixed(4)),
+        ],
+    );
     for r in &rows {
         let b = &r.box_plot;
-        println!(
-            "{}\t{:.1}%\t{:.1}%\t{:.1}%\t{:.1}%\t{:.1}%",
-            r.method.label(),
-            b.min * 100.0,
-            b.q1 * 100.0,
-            b.median * 100.0,
-            b.q3 * 100.0,
-            b.max * 100.0
-        );
+        table.row((r.method.label(), b.min, b.q1, b.median, b.q3, b.max));
     }
+    table.print(&args);
 }

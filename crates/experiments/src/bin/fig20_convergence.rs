@@ -1,37 +1,25 @@
 //! Figure 20: convergence of noisy QAOA, baseline vs Red-QAOA.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::convergence::{run_fig20, Fig20Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 20: convergence of noisy QAOA, baseline vs Red-QAOA",
+        &[],
     );
     let curves = run_fig20(&Fig20Config::default()).expect("figure 20 experiment failed");
-    if args.json {
-        // One JSON object per optimizer evaluation, line-delimited, so the
-        // two running-best curves are machine-readable side by side.
-        for (i, (b, r)) in curves.baseline.iter().zip(&curves.red_qaoa).enumerate() {
-            println!(
-                "{}",
-                json_row(
-                    "fig20_convergence",
-                    &[
-                        ("evaluation", i.to_string()),
-                        ("baseline", format!("{b:.6}")),
-                        ("red_qaoa", format!("{r:.6}")),
-                        ("reduced_nodes", curves.reduced_nodes.to_string()),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!(
-        "# Figure 20: running-best ideal expectation (reduced graph kept {} nodes)",
-        curves.reduced_nodes
+    let mut table = Table::new(
+        "fig20_convergence",
+        "Figure 20: running-best ideal expectation per optimizer evaluation",
+        [
+            ("evaluation", Int),
+            ("baseline", Fixed(6)),
+            ("red_qaoa", Fixed(6)),
+            ("reduced_nodes", Int),
+        ],
     );
-    println!("evaluation\tbaseline\tred_qaoa");
     for (i, (b, r)) in curves.baseline.iter().zip(&curves.red_qaoa).enumerate() {
-        println!("{i}\t{b:.4}\t{r:.4}");
+        table.row((i, *b, *r, curves.reduced_nodes));
     }
+    table.print(&args);
 }

@@ -1,31 +1,24 @@
 //! Figure 21: Red-QAOA vs parameter transfer across graph families.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::transfer_cmp::{run_fig21, Fig21Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 21: Red-QAOA vs parameter transfer across graph families",
+        &[],
     );
     let rows = run_fig21(&Fig21Config::default()).expect("figure 21 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig21_parameter_transfer",
-                    &[
-                        ("family", format!("\"{}\"", r.family)),
-                        ("transfer_mse", format!("{:.6}", r.transfer_mse)),
-                        ("red_qaoa_mse", format!("{:.6}", r.red_qaoa_mse)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 21: ideal landscape MSE, parameter transfer vs Red-QAOA");
-    println!("family\ttransfer_mse\tred_qaoa_mse");
+    let mut table = Table::new(
+        "fig21_parameter_transfer",
+        "Figure 21: ideal landscape MSE, parameter transfer vs Red-QAOA",
+        [
+            ("family", Str),
+            ("transfer_mse", Fixed(6)),
+            ("red_qaoa_mse", Fixed(6)),
+        ],
+    );
     for r in &rows {
-        println!("{}\t{:.4}\t{:.4}", r.family, r.transfer_mse, r.red_qaoa_mse);
+        table.row((r.family.as_str(), r.transfer_mse, r.red_qaoa_mse));
     }
+    table.print(&args);
 }

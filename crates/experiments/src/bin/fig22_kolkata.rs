@@ -1,45 +1,24 @@
 //! Figure 22: 13-node landscapes on the ibmq_kolkata noise model.
-use experiments::cli::json_row;
-use experiments::landscapes::{landscape_rows, run_device_landscapes, LandscapeConfig};
-use experiments::print_table;
+use experiments::cli::handle_default_args;
+use experiments::landscapes::{device_landscape_tables, run_device_landscapes, LandscapeConfig};
 use qsim::devices::kolkata;
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 22: 13-node landscapes on the ibmq_kolkata noise model",
+        &[],
     );
     let config = LandscapeConfig {
         nodes: 13,
         ..Default::default()
     };
     let cmp = run_device_landscapes(&config, &kolkata()).expect("figure 22 experiment failed");
-    if args.json {
-        println!(
-            "{}",
-            json_row(
-                "fig22_kolkata",
-                &[
-                    ("nodes", format!("{}", config.nodes)),
-                    ("red_qaoa_mse", format!("{:.6}", cmp.reduced_mse)),
-                    ("baseline_mse", format!("{:.6}", cmp.baseline_mse)),
-                ],
-            )
-        );
-        return;
+    for table in device_landscape_tables(
+        "fig22_kolkata",
+        "Figure 22: 13 nodes, ibmq_kolkata model",
+        config.nodes,
+        &cmp,
+    ) {
+        table.print(&args);
     }
-    println!(
-        "# Figure 22: Red-QAOA MSE {:.3} vs baseline MSE {:.3} (ibmq_kolkata model)",
-        cmp.reduced_mse, cmp.baseline_mse
-    );
-    print_table("ideal", &["beta ->"], &landscape_rows(&cmp.ideal));
-    print_table(
-        "red-qaoa (noisy)",
-        &["beta ->"],
-        &landscape_rows(&cmp.noisy_reduced),
-    );
-    print_table(
-        "baseline (noisy)",
-        &["beta ->"],
-        &landscape_rows(&cmp.noisy_baseline),
-    );
 }

@@ -1,35 +1,28 @@
 //! Figure 23: baseline vs Red-QAOA noisy MSE on the Rigetti Aspen-M-3 model.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::noisy_mse::{run_fig23, NoisyMseConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 23: baseline vs Red-QAOA noisy MSE on the Rigetti Aspen-M-3 model",
+        &[],
     );
     let config = NoisyMseConfig {
         node_counts: vec![5, 6, 7, 8, 9, 10],
         ..Default::default()
     };
     let rows = run_fig23(&config).expect("figure 23 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig23_rigetti",
-                    &[
-                        ("nodes", format!("{}", r.nodes)),
-                        ("baseline_mse", format!("{:.6}", r.baseline_mse)),
-                        ("red_qaoa_mse", format!("{:.6}", r.red_qaoa_mse)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 23: noisy landscape MSE on Aspen-M-3 class noise");
-    println!("nodes\tbaseline_mse\tred_qaoa_mse");
+    let mut table = Table::new(
+        "fig23_rigetti",
+        "Figure 23: noisy landscape MSE on Aspen-M-3 class noise",
+        [
+            ("nodes", Int),
+            ("baseline_mse", Fixed(6)),
+            ("red_qaoa_mse", Fixed(6)),
+        ],
+    );
     for r in &rows {
-        println!("{}\t{:.4}\t{:.4}", r.nodes, r.baseline_mse, r.red_qaoa_mse);
+        table.row((r.nodes, r.baseline_mse, r.red_qaoa_mse));
     }
+    table.print(&args);
 }

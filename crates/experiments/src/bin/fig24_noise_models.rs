@@ -1,36 +1,31 @@
 //! Figure 24: baseline vs Red-QAOA MSE across seven device noise models.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::noisy_mse::run_fig24;
 use experiments::DEFAULT_SEED;
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 24: baseline vs Red-QAOA MSE across seven device noise models",
+        &[],
     );
     let rows = run_fig24(10, 6, 16, DEFAULT_SEED).expect("figure 24 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig24_noise_models",
-                    &[
-                        ("device", format!("\"{}\"", r.device)),
-                        ("error_2q", format!("{:.4}", r.error_2q)),
-                        ("baseline_mse", format!("{:.6}", r.baseline_mse)),
-                        ("red_qaoa_mse", format!("{:.6}", r.red_qaoa_mse)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 24: noisy landscape MSE across device noise models");
-    println!("device\terror_2q\tbaseline_mse\tred_qaoa_mse");
+    let mut table = Table::new(
+        "fig24_noise_models",
+        "Figure 24: noisy landscape MSE across device noise models",
+        [
+            ("device", Str),
+            ("error_2q", Fixed(4)),
+            ("baseline_mse", Fixed(6)),
+            ("red_qaoa_mse", Fixed(6)),
+        ],
+    );
     for r in &rows {
-        println!(
-            "{}\t{:.4}\t{:.4}\t{:.4}",
-            r.device, r.error_2q, r.baseline_mse, r.red_qaoa_mse
-        );
+        table.row((
+            r.device.as_str(),
+            r.error_2q,
+            r.baseline_mse,
+            r.red_qaoa_mse,
+        ));
     }
+    table.print(&args);
 }

@@ -1,38 +1,30 @@
 //! Figure 25: relative multi-programming throughput of Red-QAOA.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::throughput_cmp::{run_fig25, Fig25Config};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 25: relative multi-programming throughput of Red-QAOA",
+        &[],
     );
     let rows = run_fig25(&Fig25Config::default()).expect("figure 25 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig25_throughput",
-                    &[
-                        ("dataset", format!("\"{}\"", r.dataset)),
-                        ("device", format!("\"{}\"", r.device)),
-                        ("device_qubits", r.device_qubits.to_string()),
-                        (
-                            "relative_throughput",
-                            format!("{:.4}", r.relative_throughput)
-                        ),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 25: relative throughput (Red-QAOA / baseline)");
-    println!("dataset\tdevice\tqubits\trelative_throughput");
+    let mut table = Table::new(
+        "fig25_throughput",
+        "Figure 25: relative throughput (Red-QAOA / baseline)",
+        [
+            ("dataset", Str),
+            ("device", Str),
+            ("device_qubits", Int),
+            ("relative_throughput", Fixed(4)),
+        ],
+    );
     for r in &rows {
-        println!(
-            "{}\t{}\t{}\t{:.2}x",
-            r.dataset, r.device, r.device_qubits, r.relative_throughput
-        );
+        table.row((
+            r.dataset.as_str(),
+            r.device.as_str(),
+            r.device_qubits,
+            r.relative_throughput,
+        ));
     }
+    table.print(&args);
 }

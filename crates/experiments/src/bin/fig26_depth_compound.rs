@@ -1,45 +1,36 @@
 //! Figure 26: compound effect of node reduction × depth scheduling on
 //! noisy-landscape MSE.
-use experiments::cli::json_row;
+use experiments::cli::{handle_default_args, Format::*, Table};
 use experiments::depth_compound::{compound_win_rate, run_fig26, DepthCompoundConfig};
 
 fn main() {
-    let args = experiments::cli::handle_default_args(
+    let args = handle_default_args(
         "Figure 26: noisy MSE of baseline vs node-only vs depth-only vs compound reduction",
+        &[],
     );
-    let config = DepthCompoundConfig::default();
-    let rows = run_fig26(&config).expect("figure 26 experiment failed");
-    if args.json {
-        for r in &rows {
-            println!(
-                "{}",
-                json_row(
-                    "fig26_depth_compound",
-                    &[
-                        ("nodes", format!("{}", r.nodes)),
-                        ("reduced_nodes", format!("{}", r.reduced_nodes)),
-                        ("baseline_mse", format!("{:.6}", r.baseline_mse)),
-                        ("node_mse", format!("{:.6}", r.node_mse)),
-                        ("depth_mse", format!("{:.6}", r.depth_mse)),
-                        ("compound_mse", format!("{:.6}", r.compound_mse)),
-                        ("full_rounds", format!("{}", r.full_rounds)),
-                        ("full_naive_depth", format!("{}", r.full_naive_depth)),
-                        ("reduced_rounds", format!("{}", r.reduced_rounds)),
-                        ("depth_reduction", format!("{:.3}", r.depth_reduction)),
-                    ],
-                )
-            );
-        }
-        return;
-    }
-    println!("# Figure 26: compound circuit reduction, noisy landscape MSE");
-    println!(
-        "nodes\treduced_nodes\tbaseline_mse\tnode_mse\tdepth_mse\tcompound_mse\t\
-         full_rounds\tnaive_depth\treduced_rounds\tdepth_reduction"
+    let rows = run_fig26(&DepthCompoundConfig::default()).expect("figure 26 experiment failed");
+    let mut table = Table::new(
+        "fig26_depth_compound",
+        format!(
+            "Figure 26: compound circuit reduction, noisy landscape MSE; \
+             compound <= node-only in {:.0}% of rows",
+            compound_win_rate(&rows) * 100.0
+        ),
+        [
+            ("nodes", Int),
+            ("reduced_nodes", Int),
+            ("baseline_mse", Fixed(6)),
+            ("node_mse", Fixed(6)),
+            ("depth_mse", Fixed(6)),
+            ("compound_mse", Fixed(6)),
+            ("full_rounds", Int),
+            ("full_naive_depth", Int),
+            ("reduced_rounds", Int),
+            ("depth_reduction", Fixed(3)),
+        ],
     );
     for r in &rows {
-        println!(
-            "{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{}\t{}\t{}\t{:.2}",
+        table.row((
             r.nodes,
             r.reduced_nodes,
             r.baseline_mse,
@@ -49,11 +40,8 @@ fn main() {
             r.full_rounds,
             r.full_naive_depth,
             r.reduced_rounds,
-            r.depth_reduction
-        );
+            r.depth_reduction,
+        ));
     }
-    println!(
-        "# compound <= node-only in {:.0}% of rows",
-        compound_win_rate(&rows) * 100.0
-    );
+    table.print(&args);
 }

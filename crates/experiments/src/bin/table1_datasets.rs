@@ -1,34 +1,35 @@
 //! Table 1: benchmark dataset characteristics.
-use experiments::cli::json_row;
-use experiments::dataset_eval::{run_table1, run_table1_summaries};
+use experiments::cli::{handle_default_args, Format::*, Table};
+use experiments::dataset_eval::run_table1_summaries;
 use experiments::DEFAULT_SEED;
 
 fn main() {
-    let args = experiments::cli::handle_default_args("Table 1: benchmark dataset characteristics");
-    if args.json {
-        for s in run_table1_summaries(DEFAULT_SEED) {
-            println!(
-                "{}",
-                json_row(
-                    "table1_datasets",
-                    &[
-                        ("dataset", format!("\"{}\"", s.name)),
-                        ("graphs", format!("{}", s.graph_count)),
-                        ("min_nodes", format!("{}", s.min_nodes)),
-                        ("max_nodes", format!("{}", s.max_nodes)),
-                        ("mean_nodes", format!("{:.2}", s.mean_nodes)),
-                        ("mean_edges", format!("{:.2}", s.mean_edges)),
-                        ("mean_degree", format!("{:.3}", s.mean_average_degree)),
-                        ("mean_density", format!("{:.3}", s.mean_density)),
-                    ],
-                )
-            );
-        }
-        return;
+    let args = handle_default_args("Table 1: benchmark dataset characteristics", &[]);
+    let mut table = Table::new(
+        "table1_datasets",
+        "Table 1: benchmark graph datasets (synthetic statistical twins)",
+        [
+            ("dataset", Str),
+            ("graphs", Int),
+            ("min_nodes", Int),
+            ("max_nodes", Int),
+            ("mean_nodes", Fixed(2)),
+            ("mean_edges", Fixed(2)),
+            ("mean_degree", Fixed(3)),
+            ("mean_density", Fixed(3)),
+        ],
+    );
+    for s in run_table1_summaries(DEFAULT_SEED) {
+        table.row((
+            s.name.as_str(),
+            s.graph_count,
+            s.min_nodes,
+            s.max_nodes,
+            s.mean_nodes,
+            s.mean_edges,
+            s.mean_average_degree,
+            s.mean_density,
+        ));
     }
-    println!("# Table 1: benchmark graph datasets (synthetic statistical twins)");
-    println!("dataset\tgraphs\tnodes\tmean_nodes\tmean_edges\tmean_degree\tmean_density");
-    for row in run_table1(DEFAULT_SEED) {
-        println!("{row}");
-    }
+    table.print(&args);
 }

@@ -5,6 +5,7 @@
 //! edge reduction ratios (Figures 13 and 15) and the ideal landscape MSE at
 //! `p = 1, 2, 3` (Figures 14 and 16). Table 1 is the dataset summary.
 
+use crate::cli::{Format, Table};
 use datasets::{aids, imdb, linux, random_suite, Dataset};
 use mathkit::rng::{derive_seed, seeded};
 use red_qaoa::mse::ideal_sample_mse;
@@ -154,15 +155,54 @@ pub fn run_imdb_scaling(config: &DatasetEvalConfig) -> Result<Vec<DatasetEvalRow
         .collect()
 }
 
-/// Table 1: summary rows of the four benchmark datasets.
-pub fn run_table1(seed: u64) -> Vec<String> {
-    run_table1_summaries(seed)
-        .iter()
-        .map(|s| s.to_row())
-        .collect()
+/// The reduction table of Figures 13 and 15: one row per dataset, its name
+/// under the key `label`.
+pub fn reduction_table(name: &str, title: &str, label: &str, rows: &[DatasetEvalRow]) -> Table {
+    let mut table = Table::new(
+        name,
+        title,
+        [
+            (label, Format::Str),
+            ("graphs", Format::Int),
+            ("node_reduction", Format::Fixed(4)),
+            ("edge_reduction", Format::Fixed(4)),
+        ],
+    );
+    for r in rows {
+        table.row((
+            r.dataset.as_str(),
+            r.graphs,
+            r.node_reduction,
+            r.edge_reduction,
+        ));
+    }
+    table
 }
 
-/// Table 1 as structured summaries (the `--json` path of the binary).
+/// The MSE table of Figures 14 and 16: one row per dataset and layer count
+/// (`config.layers`), the dataset's name under the key `label`.
+pub fn mse_table(
+    name: &str,
+    title: &str,
+    label: &str,
+    config: &DatasetEvalConfig,
+    rows: &[DatasetEvalRow],
+) -> Table {
+    let columns = [
+        (label, Format::Str),
+        ("p", Format::Int),
+        ("mse", Format::Fixed(6)),
+    ];
+    let mut table = Table::new(name, title, columns);
+    for r in rows {
+        for (&p, &mse) in config.layers.iter().zip(&r.mse_per_layer) {
+            table.row((r.dataset.as_str(), p, mse));
+        }
+    }
+    table
+}
+
+/// Table 1: summaries of the four benchmark datasets.
 pub fn run_table1_summaries(seed: u64) -> Vec<datasets::stats::DatasetSummary> {
     vec![
         aids(seed).summary(),
@@ -235,8 +275,8 @@ mod tests {
 
     #[test]
     fn table1_has_four_rows() {
-        let rows = run_table1(1);
+        let rows = run_table1_summaries(1);
         assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.split('\t').count() >= 6));
+        assert!(rows.iter().all(|r| r.min_nodes <= r.max_nodes));
     }
 }

@@ -1,10 +1,11 @@
 //! Figures 2, 3, 6, 11, 12, and 22: energy-landscape visualizations and
 //! their MSE annotations.
 //!
-//! The binaries print the (γ, β) grids as TSV matrices plus the MSE of each
-//! landscape against its reference, which is the quantity the paper's heat
-//! maps annotate.
+//! The binaries print the MSE of each landscape against its reference,
+//! which is the quantity the paper's heat maps annotate, plus the (γ, β)
+//! grids themselves ([`landscape_table`]).
 
+use crate::cli::{Cell, Format, Table};
 use graphlib::generators::{connected_gnp, cycle};
 use mathkit::rng::{derive_seed, seeded};
 use qaoa::evaluator::StatevectorEvaluator;
@@ -141,17 +142,57 @@ pub fn run_fig6(
     Ok(rows)
 }
 
-/// Formats a landscape as TSV rows (γ index per row, β index per column).
-pub fn landscape_rows(landscape: &Landscape) -> Vec<Vec<String>> {
-    let width = landscape.width();
-    let normalized = landscape.normalized();
-    (0..width)
-        .map(|i| {
-            (0..width)
-                .map(|j| format!("{:.4}", normalized[i * width + j]))
-                .collect()
-        })
-        .collect()
+/// The grid table of `landscapes`: one row per `(landscape, γ index)`,
+/// the normalized energies in columns `beta_0 … beta_{w−1}`. Every
+/// landscape must have the first one's width.
+pub fn landscape_table(name: &str, title: &str, landscapes: &[(&str, &Landscape)]) -> Table {
+    let width = landscapes.first().map_or(0, |(_, l)| l.width());
+    let columns = [
+        ("landscape".to_string(), Format::Str),
+        ("gamma_index".to_string(), Format::Int),
+    ]
+    .into_iter()
+    .chain((0..width).map(|j| (format!("beta_{j}"), Format::Fixed(4))));
+    let mut table = Table::new(name, title, columns);
+    for (label, landscape) in landscapes {
+        let normalized = landscape.normalized();
+        for (i, row) in normalized.chunks(width).enumerate() {
+            let mut cells = vec![Cell::from(*label), Cell::from(i)];
+            cells.extend(row.iter().map(|&v| Cell::from(v)));
+            table.row(cells);
+        }
+    }
+    table
+}
+
+/// The tables of a device-landscape figure (11, 12 and 22): the Red-QAOA
+/// and baseline MSE row, and the ideal, Red-QAOA and baseline grids.
+pub fn device_landscape_tables(
+    name: &str,
+    title: &str,
+    nodes: usize,
+    cmp: &NoisyComparison,
+) -> [Table; 2] {
+    let mut mse = Table::new(
+        name,
+        format!("{title}: noisy landscape MSE vs ideal"),
+        [
+            ("nodes", Format::Int),
+            ("red_qaoa_mse", Format::Fixed(6)),
+            ("baseline_mse", Format::Fixed(6)),
+        ],
+    );
+    mse.row((nodes, cmp.reduced_mse, cmp.baseline_mse));
+    let grid = landscape_table(
+        &format!("{name}_grid"),
+        &format!("{title}: ideal, Red-QAOA (noisy) and baseline (noisy) landscapes, normalized"),
+        &[
+            ("ideal", &cmp.ideal),
+            ("red_qaoa", &cmp.noisy_reduced),
+            ("baseline", &cmp.noisy_baseline),
+        ],
+    );
+    [mse, grid]
 }
 
 #[cfg(test)]
@@ -164,7 +205,8 @@ mod tests {
         let result = run_fig3(10).unwrap();
         assert!(result.mse < 1e-3, "mse {}", result.mse);
         assert_eq!(result.small.width(), 10);
-        assert_eq!(landscape_rows(&result.small).len(), 10);
+        let table = landscape_table("t", "t", &[("small", &result.small)]);
+        assert_eq!(table.json_lines().lines().count(), 10);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every figure and table of the paper's evaluation section maps to a module
 //! here and to a binary (`cargo run --release -p experiments --bin figXX`).
-//! Each module exposes a `Config` with scaled-down-but-faithful defaults, a
-//! `run` function returning structured data, and a `report` helper that
-//! prints the same rows/series the paper plots. Absolute values depend on the
+//! Each module exposes a `Config` with scaled-down-but-faithful defaults and
+//! a `run` function returning structured data; each binary declares the
+//! rows/series the paper plots as [`cli::Table`]s, printed as TSV or, with
+//! `--json`, as JSON lines. Absolute values depend on the
 //! simulated substrate; the *shape* of each result (who wins, by roughly what
 //! factor, where crossovers fall) is what the defaults are tuned to
 //! reproduce. EXPERIMENTS.md records paper-vs-measured numbers.
@@ -67,25 +68,19 @@ pub fn shared_engine() -> &'static red_qaoa::engine::Engine {
     })
 }
 
-/// Prints a TSV header followed by data rows (the common output format of
-/// the experiment binaries).
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    println!("{}", header.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::cli::{CliArgs, Format, Table};
+
     #[test]
     fn print_table_does_not_panic() {
-        super::print_table(
-            "demo",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
+        let mut table = Table::new("demo", "demo", [("a", Format::Int), ("b", Format::Int)]);
+        table.row((1usize, 2usize));
+        table.row((3usize, 4usize));
+        table.print(&CliArgs::default());
+        table.print(&CliArgs {
+            json: true,
+            ..CliArgs::default()
+        });
     }
 }

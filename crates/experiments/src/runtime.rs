@@ -8,9 +8,7 @@
 //! a 1-layer QAOA circuit on ibm_sherbrooke at 10 nodes).
 //!
 //! The timed work runs as [`red_qaoa::engine::ReduceJob`] batches through a
-//! single-worker [`red_qaoa::engine::Engine`], and `fig18_runtime` is the
-//! exemplar binary for the shared `--json` flag
-//! ([`crate::cli::handle_default_args`]).
+//! single-worker [`red_qaoa::engine::Engine`].
 
 use graphlib::generators::connected_gnp;
 use graphlib::Graph;
