@@ -25,6 +25,13 @@
 #      perfbench/Cargo.toml: perfbench is its own workspace, so tier 1 does
 #      not build it; this step makes a public-API change that breaks the
 #      benchmark crate fail here instead of at benchmark time.
+#   3c. benchmark digests — each perfbench workload runs once at seed 1
+#      with --seconds 0 (about 2 s in all), and the digest on its detail
+#      line must equal the pin below, which is the digest in ROADMAP.md's
+#      table. The digests hash every output the workload computes, so this
+#      is the "same bits" check for a change that declares no output
+#      change. A change that does declare one updates these pins and
+#      ROADMAP.md's table in the same commit.
 #   4. perf smoke             — every smoke binary runs, even after one of
 #      them fails a gate; the step then fails, naming each binary whose
 #      gates failed, so one host-sensitive gate cannot hide the others.
@@ -112,6 +119,18 @@ env -u RED_QAOA_THREADS cargo test -q
 
 echo "==> benchmark crate: cargo test -q --manifest-path perfbench/Cargo.toml"
 cargo test -q --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark digests: perfbench --seed 1 --seconds 0 per workload"
+for pin in optimize=3250f10a39492398 landscape=a581a88171002e94 \
+    noisy=9ba5e83c1c65c073 reduce-stream=ce053e8fcc11df06; do
+    workload=${pin%%=*}
+    digest=$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 | jq -r 'select(.detail) | .detail.digest')
+    if [ "$digest" != "${pin#*=}" ]; then
+        echo "FAIL: perfbench $workload digest $digest, pinned ${pin#*=}"
+        exit 1
+    fi
+done
 
 failed_smokes=()
 smoke() {

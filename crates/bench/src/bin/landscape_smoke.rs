@@ -65,7 +65,6 @@ fn edge_inputs(graph: &Graph) -> Vec<(usize, usize, usize)> {
     let degrees = graph.degrees();
     graph
         .edges()
-        .into_iter()
         .map(|(u, v)| (degrees[u] - 1, degrees[v] - 1, graph.common_neighbors(u, v)))
         .collect()
 }

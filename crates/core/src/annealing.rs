@@ -6,6 +6,8 @@
 //! each candidate move is scored in `O(deg(out) + deg(inn))` plus a
 //! neighborhood-limited connectivity check — no induced subgraph is ever
 //! rebuilt inside the loop and the steady state performs zero allocations.
+//! The state, and the articulation pass behind [`resize_selection`], borrow
+//! the input graph and read its CSR rows; neither copies the adjacency.
 //!
 //! A move swaps one selected node for an unselected *boundary* node (uniform
 //! over the deduplicated boundary, matching Algorithm 1's uniform neighbor
@@ -43,7 +45,7 @@
 
 use crate::sa_state::SaState;
 use crate::RedQaoaError;
-use graphlib::connectivity::{AdjacencyCsr, ArticulationPoints};
+use graphlib::connectivity::ArticulationPoints;
 use graphlib::metrics::average_node_degree;
 use graphlib::subgraph::{induced_subgraph, random_connected_nodes, Subgraph};
 use graphlib::Graph;
@@ -574,9 +576,10 @@ pub fn resize_selection(
 }
 
 /// Reusable buffers for [`resize_selection_with_scratch`]: membership mask,
-/// degree cache, CSR adjacency snapshot, Tarjan articulation-point state,
-/// the eviction heap, and the debug-oracle BFS buffers are all retained
-/// across calls, so steady-state resizing performs no per-call allocations.
+/// degree cache, Tarjan articulation-point state (which walks the graph's
+/// own CSR rows), the eviction heap, and the debug-oracle BFS buffers are
+/// all retained across calls, so steady-state resizing performs no per-call
+/// allocations.
 ///
 /// # Example
 ///
@@ -595,7 +598,6 @@ pub fn resize_selection(
 pub struct ResizeScratch {
     in_set: Vec<bool>,
     internal_degree: Vec<usize>,
-    csr: AdjacencyCsr,
     cuts: ArticulationPoints,
     /// Min-heap of `(score bits, node)`; scores are non-negative, so the
     /// IEEE bit pattern orders exactly like the float value.
@@ -664,9 +666,6 @@ pub fn resize_selection_with_scratch(
         .internal_degree
         .extend((0..n).map(|u| graph.neighbor_count_in(u, &scratch.in_set)));
     let mut degree_sum: usize = selection.iter().map(|&u| scratch.internal_degree[u]).sum();
-    if selection.len() > k {
-        scratch.csr.rebuild_from(graph);
-    }
 
     while selection.len() > k {
         // Rank selected nodes by how close the post-removal AND lands to the
@@ -683,7 +682,7 @@ pub fn resize_selection_with_scratch(
         }));
         scratch.heap.clear();
         scratch.heap.extend(scratch.heap_store.drain(..));
-        let is_cut = scratch.cuts.compute(&scratch.csr, &scratch.in_set);
+        let is_cut = scratch.cuts.compute(graph, &scratch.in_set);
         let evicted = choose_eviction(&mut scratch.heap, is_cut);
         #[cfg(debug_assertions)]
         {

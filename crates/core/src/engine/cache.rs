@@ -118,16 +118,10 @@ impl CacheKey {
             CoolingSchedule::Constant(a) => (0u64, a.to_bits()),
             CoolingSchedule::Adaptive { base } => (1u64, base.to_bits()),
         };
-        let mut edges = Vec::with_capacity(graph.edge_count());
-        for u in 0..graph.node_count() {
-            let low = endpoint(u);
-            edges.extend(
-                graph
-                    .neighbors(u)
-                    .filter(|&v| u < v)
-                    .map(|v| (low, endpoint(v))),
-            );
-        }
+        let edges = graph
+            .edges()
+            .map(|(u, v)| (endpoint(u), endpoint(v)))
+            .collect();
         let option_bits = [
             options.and_ratio_threshold.to_bits(),
             options.sa_runs as u64,
@@ -217,6 +211,33 @@ impl CacheKey {
     /// Rust releases and process restarts.
     pub(super) fn content_hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The subgraph the key's graph induces on `nodes` (strictly increasing
+    /// parent nodes; reduced node `i` is `nodes[i]`): one pass over the
+    /// key's edges through a parent → reduced index table of
+    /// `nodes.last() + 1` entries, and the CSR filled from the mapped pairs.
+    /// That is how a cache hit rebuilds its reduction and how store replay
+    /// checks a record. `None` if the key's edges among `nodes` are not a
+    /// simple graph (a self-loop or a repeated edge, which only a crafted
+    /// stored key can carry); an out-of-order key is fine.
+    pub(super) fn induced_graph(&self, nodes: &[usize]) -> Option<Graph> {
+        const ABSENT: u32 = u32::MAX;
+        let mut index_of = vec![ABSENT; nodes.last().map_or(0, |&top| top + 1)];
+        for (i, &parent) in nodes.iter().enumerate() {
+            index_of[parent] = endpoint(i);
+        }
+        let reduced = |parent: u32| {
+            let index = *index_of.get(parent as usize)?;
+            (index != ABSENT).then_some(index as usize)
+        };
+        let edges: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .filter_map(|&(u, v)| Some((reduced(u)?, reduced(v)?)))
+            .collect();
+        let graph = Graph::from_edges(nodes.len(), &edges).ok()?;
+        (graph.edge_count() == edges.len()).then_some(graph)
     }
 }
 
@@ -347,12 +368,12 @@ impl CachedReduction {
     }
 
     /// The cached reduction, equal to the one inserted under `key`: the
-    /// key's graph induced on the kept nodes, whose sorted edge list
-    /// rebuilds the same sorted adjacency lists.
+    /// key's graph induced on the kept nodes.
     pub(super) fn reduced(&self, key: &CacheKey) -> ReducedGraph {
         let nodes: Vec<usize> = self.nodes.iter().map(|&v| v as usize).collect();
-        let graph = Graph::from_edges(nodes.len(), &induced_edges(key, &nodes))
-            .expect("a key's induced edges form a valid graph");
+        let graph = key
+            .induced_graph(&nodes)
+            .expect("a cached key induces a simple graph on its kept nodes");
         ReducedGraph {
             subgraph: Subgraph { graph, nodes },
             and_ratio: self.and_ratio,
@@ -361,37 +382,6 @@ impl CachedReduction {
             warm_decision: self.warm_decision,
         }
     }
-}
-
-/// The edges the key's graph induces on `nodes` (strictly increasing
-/// parent nodes; reduced node `i` is `nodes[i]`), as sorted reduced-index
-/// pairs `(a, b)` with `a < b` — the form `Graph::edges` lists them in.
-///
-/// One pass over the key's edges through a parent → reduced index table of
-/// `nodes.last() + 1` entries; the result is sorted only if that pass left
-/// it out of order, which a key built from a `Graph` never does.
-pub(super) fn induced_edges(key: &CacheKey, nodes: &[usize]) -> Vec<(usize, usize)> {
-    const ABSENT: u32 = u32::MAX;
-    let mut index_of = vec![ABSENT; nodes.last().map_or(0, |&top| top + 1)];
-    for (i, &parent) in nodes.iter().enumerate() {
-        index_of[parent] = endpoint(i);
-    }
-    let reduced = |parent: u32| {
-        let index = *index_of.get(parent as usize)?;
-        (index != ABSENT).then_some(index as usize)
-    };
-    let mut edges: Vec<(usize, usize)> = key
-        .edges
-        .iter()
-        .filter_map(|&(u, v)| {
-            let (a, b) = (reduced(u)?, reduced(v)?);
-            Some((a.min(b), a.max(b)))
-        })
-        .collect();
-    if !edges.windows(2).all(|pair| pair[0] <= pair[1]) {
-        edges.sort_unstable();
-    }
-    edges
 }
 
 #[derive(Debug)]
@@ -620,8 +610,9 @@ mod tests {
             // A parent with a chord and two isolated nodes; the kept nodes
             // skip every third one, so the reduction has isolated nodes
             // (the last one among them) and a non-identity mapping.
-            let mut parent = cycle(n).unwrap().with_extra_nodes(2);
-            parent.add_edge(0, n / 2).unwrap();
+            let ring = cycle(n).unwrap();
+            let edges: Vec<(usize, usize)> = ring.edges().chain([(0, n / 2)]).collect();
+            let parent = Graph::from_edges(n + 2, &edges).unwrap();
             let kept: Vec<usize> = (0..parent.node_count()).filter(|i| i % 3 != 1).collect();
             let key = CacheKey::new(&parent, &ReductionOptions::default());
             let reduced = ReducedGraph {
@@ -635,16 +626,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn induced_edges_sort_only_an_out_of_order_key() {
-        let parent = cycle(6).unwrap();
-        let mut key = CacheKey::new(&parent, &ReductionOptions::default());
-        let kept = [0, 1, 2, 5];
-        let expected = vec![(0, 1), (0, 3), (1, 2)];
-        assert_eq!(induced_edges(&key, &kept), expected);
-        key.edges.reverse();
-        assert_eq!(induced_edges(&key, &kept), expected);
-        assert_eq!(induced_edges(&key, &[]), Vec::new());
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The graph a cache hit rebuilds from its key is the induced
+        /// subgraph of the parent, also when a stored key lists its edges
+        /// out of order or reversed; a key whose kept edges are not simple
+        /// induces nothing.
+        #[test]
+        fn key_induced_graph_matches_induced_subgraph(n in 1usize..40, q in 0.0f64..0.5, keep in 0.0f64..1.0, seed in 0u64..1_000_000) {
+            use rand::Rng;
+            let mut rng = mathkit::rng::seeded(seed);
+            let parent = graphlib::generators::erdos_renyi_gnp(n, q, &mut rng).unwrap();
+            let kept: Vec<usize> = (0..n).filter(|_| rng.gen::<f64>() < keep).collect();
+            let expected = induced_subgraph(&parent, &kept).unwrap().graph;
+            let mut key = CacheKey::new(&parent, &ReductionOptions::default());
+            proptest::prop_assert_eq!(key.induced_graph(&[]), Some(Graph::new(0)));
+            proptest::prop_assert_eq!(key.induced_graph(&kept), Some(expected.clone()));
+            key.edges.reverse();
+            for i in (1..key.edges.len()).rev() {
+                key.edges.swap(i, rng.gen_range(0..=i));
+                if rng.gen::<bool>() {
+                    let (u, v) = key.edges[i];
+                    key.edges[i] = (v, u);
+                }
+            }
+            proptest::prop_assert_eq!(key.induced_graph(&kept), Some(expected.clone()));
+            if let Some(&(u, v)) = key.edges.iter().find(|&&(u, v)| {
+                kept.binary_search(&(u as usize)).is_ok() && kept.binary_search(&(v as usize)).is_ok()
+            }) {
+                key.edges.push((v, u));
+                proptest::prop_assert_eq!(key.induced_graph(&kept), None);
+                key.edges.pop();
+            }
+            if let Some(&top) = kept.last() {
+                key.edges.push((endpoint(top), endpoint(top)));
+                proptest::prop_assert_eq!(key.induced_graph(&kept), None);
+            }
+        }
     }
 
     #[test]

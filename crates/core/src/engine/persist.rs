@@ -36,11 +36,10 @@
 //! The format is deliberately plain (little-endian words, FNV-1a checksum,
 //! no compression): reductions are small, and auditability beats density.
 
-use super::cache::{induced_edges, CacheKey};
+use super::cache::CacheKey;
 use crate::reduction::{reduction_fractions, ReducedGraph, WarmDecision};
 use graphlib::metrics::and_ratio_of_counts;
 use graphlib::subgraph::Subgraph;
-use graphlib::Graph;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -57,9 +56,9 @@ const VERSION: u32 = 2;
 /// interpreting corrupt length fields as multi-gigabyte allocations).
 const MAX_SECTION_LEN: usize = 1 << 24;
 /// Bound on the parent nodes a record's mapping may name. Replay checks a
-/// record through [`induced_edges`], which indexes the mapping with one
-/// `u32` per parent node up to the largest kept one, so this caps that
-/// table at `MAX_SECTION_LEN` bytes whatever node count a crafted key
+/// record through [`CacheKey::induced_graph`], which indexes the mapping
+/// with one `u32` per parent node up to the largest kept one, so this caps
+/// that table at `MAX_SECTION_LEN` bytes whatever node count a crafted key
 /// claims. An honest record of a parent that large already fails the
 /// mapping-length check under the default `min_size_fraction` (0.65): its
 /// mapping would exceed `MAX_SECTION_LEN / 8` nodes.
@@ -269,11 +268,11 @@ fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
 
 fn encode_value(value: &ReducedGraph) -> Vec<u8> {
     let graph = &value.subgraph.graph;
-    let edges = graph.edges();
-    let mut out = Vec::with_capacity(32 + edges.len() * 16 + value.subgraph.nodes.len() * 8);
+    let edges = graph.edge_count();
+    let mut out = Vec::with_capacity(32 + edges * 16 + value.subgraph.nodes.len() * 8);
     out.extend_from_slice(&(graph.node_count() as u64).to_le_bytes());
-    out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-    for (u, v) in edges {
+    out.extend_from_slice(&(edges as u64).to_le_bytes());
+    for (u, v) in graph.edges() {
         out.extend_from_slice(&(u as u64).to_le_bytes());
         out.extend_from_slice(&(v as u64).to_le_bytes());
     }
@@ -301,13 +300,14 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
 /// present, and a crafted count cannot drive the allocation. The warm
 /// decision must be one the key's options permit at the mapping's size
 /// ([`CacheKey::permits`]).
-/// The built graph must then carry exactly the edges the key's graph
-/// induces on the mapping, the stored node and edge reductions must be
-/// the bits [`reduction_fractions`] recomputes, and the stored AND ratio
-/// the bits [`and_ratio_of_counts`] recomputes from the key's counts (the
-/// key's graph is never built: a crafted key's node count is unbounded),
-/// so a record can only serve what a fresh reduction to that subgraph
-/// would.
+/// The reduced graph is the one the key induces on the mapping
+/// ([`CacheKey::induced_graph`]), and the stored edge list must be exactly
+/// its edges, in the order the encoder writes them. The stored node and
+/// edge reductions must be the bits [`reduction_fractions`] recomputes, and
+/// the stored AND ratio the bits [`and_ratio_of_counts`] recomputes from
+/// the key's counts (the key's graph is never built: a crafted key's node
+/// count is unbounded), so a record can only serve what a fresh reduction
+/// to that subgraph would.
 fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
     let key_nodes = key.nodes;
     let mut cursor = Cursor::new(bytes);
@@ -351,10 +351,8 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
     if !cursor.finished() || !key.permits(warm_decision, mapping_len) {
         return None;
     }
-    let graph = Graph::from_edges(node_count, &edges).ok()?;
-    let mut stored = graph.edges();
-    stored.sort_unstable();
-    if stored != induced_edges(key, &nodes) {
+    let graph = key.induced_graph(&nodes)?;
+    if !graph.edges().eq(edges) {
         return None;
     }
     let (nodes_cut, edges_cut) = reduction_fractions(key.nodes, key.edges.len(), &graph);
@@ -416,6 +414,7 @@ mod tests {
     use graphlib::generators::{connected_gnp, cycle, path};
     use graphlib::metrics::and_ratio;
     use graphlib::subgraph::induced_subgraph;
+    use graphlib::Graph;
     use mathkit::rng::seeded;
     use proptest::{prop_assert, prop_assert_eq};
 
@@ -583,7 +582,7 @@ mod tests {
         let fresh = reduce(&graph, &options, &mut seeded(6)).unwrap();
         let sub = &fresh.subgraph;
         let n = sub.graph.node_count();
-        let edges = sub.graph.edges();
+        let edges: Vec<(usize, usize)> = sub.graph.edges().collect();
         assert!(edges.len() >= 2 && edges.len() < n * (n - 1) / 2);
         let missing = (0..n)
             .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
@@ -647,7 +646,7 @@ mod tests {
     fn a_crafted_node_count_cannot_drive_allocation_at_open() {
         // Records whose checksum and content hash are valid but whose
         // reduced node count is astronomically large. The graph allocates
-        // one adjacency list per node, so the count must be rejected (it
+        // one CSR offset per node, so the count must be rejected (it
         // exceeds the key's nodes, or the mapping bytes present) before
         // anything is built; each record is skipped as corrupt.
         let (key, value) = sample();

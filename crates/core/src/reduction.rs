@@ -321,8 +321,8 @@ impl ReducedGraph {
     }
 
     /// Documented *estimate* of this value's memory footprint in bytes:
-    /// the struct itself, the node-mapping vector, the adjacency-list spine,
-    /// and three words per directed edge entry (the adjacency lists store
+    /// the struct itself, the node-mapping vector, one `Vec` header per
+    /// node, and three words per directed edge entry (the adjacency stores
     /// each undirected edge twice; three words is a generous allowance for
     /// allocation slack per element). The engine's cache accounting
     /// (`CacheStats::bytes`) sums exactly this quantity, so evictions and

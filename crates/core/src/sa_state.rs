@@ -49,18 +49,15 @@ const NONE: usize = usize::MAX;
 
 /// Incremental state of one simulated-annealing subgraph search.
 ///
-/// Construction is `O(V + E)` (it snapshots the adjacency into a flat CSR
-/// layout); every subsequent [`SaState::evaluate_swap`] /
+/// The state borrows the parent graph and walks its CSR rows directly.
+/// Construction is `O(V + E)`; every subsequent [`SaState::evaluate_swap`] /
 /// [`SaState::apply_swap`] pair touches only the neighborhoods of the two
 /// swapped nodes plus, for connectivity, the mutated component region.
 #[derive(Debug, Clone)]
-pub struct SaState {
+pub struct SaState<'g> {
     target_and: f64,
     penalty: f64,
-    /// CSR offsets into `adj`; `adj[offsets[u]..offsets[u + 1]]` are `u`'s
-    /// neighbors.
-    offsets: Vec<usize>,
-    adj: Vec<usize>,
+    graph: &'g Graph,
     /// Membership bitset of the current selection.
     in_set: Vec<bool>,
     /// Word count per adjacency-bitset row (`0` disables the bitset fast
@@ -121,10 +118,10 @@ pub struct SaState {
     last_bound: Option<(usize, usize, usize, bool)>,
 }
 
-impl SaState {
+impl<'g> SaState<'g> {
     /// Builds the incremental state for `nodes` (a duplicate-free selection
-    /// of `graph`). The state snapshots the adjacency into its own CSR
-    /// layout, so it does not borrow the graph afterwards.
+    /// of `graph`). The state borrows `graph` for its lifetime and reads
+    /// every neighborhood from the graph's own CSR rows.
     ///
     /// `target_and` is the parent graph's average node degree and `penalty`
     /// the per-extra-component disconnection penalty of the SA objective.
@@ -134,7 +131,7 @@ impl SaState {
     /// Returns [`RedQaoaError::InvalidParameter`] if the selection is empty,
     /// contains duplicates, or references a node outside the graph.
     pub fn new(
-        graph: &Graph,
+        graph: &'g Graph,
         nodes: &[usize],
         target_and: f64,
         penalty: f64,
@@ -170,14 +167,6 @@ impl SaState {
             selection.push(u);
         }
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut adj = Vec::with_capacity(2 * graph.edge_count());
-        for u in 0..n {
-            adj.extend(graph.neighbors(u));
-            offsets.push(adj.len());
-        }
-
         // Adjacency bit matrix: O(V²) bits, so only for graphs where that
         // stays a few megabytes. Beyond the cap the bitset fast paths are
         // disabled and every query falls back to the CSR.
@@ -186,8 +175,7 @@ impl SaState {
         let mut in_set_bits = vec![0u64; words];
         if words > 0 {
             for u in 0..n {
-                for i in offsets[u]..offsets[u + 1] {
-                    let v = adj[i];
+                for v in graph.neighbors(u) {
                     adj_bits[u * words + v / 64] |= 1u64 << (v % 64);
                 }
             }
@@ -212,8 +200,7 @@ impl SaState {
         let mut state = Self {
             target_and,
             penalty,
-            offsets,
-            adj,
+            graph,
             in_set,
             words,
             adj_bits,
@@ -282,10 +269,6 @@ impl SaState {
             + self.penalty * (components.saturating_sub(1)) as f64
     }
 
-    fn adj_range(&self, u: usize) -> std::ops::Range<usize> {
-        self.offsets[u]..self.offsets[u + 1]
-    }
-
     /// Proposes a move: a uniformly chosen selected node to evict and a
     /// uniformly chosen boundary node to bring in. Boundary nodes are
     /// deduplicated, so an outside node is proposed with equal probability
@@ -328,7 +311,7 @@ impl SaState {
     pub fn evaluate_and_bound(&mut self, out: usize, inn: usize) -> f64 {
         debug_assert!(self.in_set[out], "swap source must be selected");
         debug_assert!(!self.in_set[inn], "swap target must be outside");
-        let uv = self.csr_has_edge(out, inn);
+        let uv = self.has_edge(out, inn);
         let degree_sum = self.internal_degree_sum - 2 * self.internal_degree[out]
             + 2 * (self.internal_degree[inn] - usize::from(uv));
         self.last_bound = Some((out, inn, degree_sum, uv));
@@ -349,7 +332,7 @@ impl SaState {
         let (degree_sum, uv) = match self.last_bound {
             Some((o, i, ds, uv)) if o == out && i == inn => (ds, uv),
             _ => {
-                let uv = self.csr_has_edge(out, inn);
+                let uv = self.has_edge(out, inn);
                 let ds = self.internal_degree_sum - 2 * self.internal_degree[out]
                     + 2 * (self.internal_degree[inn] - usize::from(uv));
                 (ds, uv)
@@ -361,15 +344,13 @@ impl SaState {
     }
 
     /// `true` if the edge `{u, v}` exists — one bit test on the adjacency
-    /// matrix when available, otherwise a binary search on the sorted CSR
-    /// neighbor slice.
-    fn csr_has_edge(&self, u: usize, v: usize) -> bool {
+    /// matrix when available, otherwise a binary search on the graph's
+    /// sorted CSR row.
+    fn has_edge(&self, u: usize, v: usize) -> bool {
         if self.words > 0 {
             self.adj_bits[u * self.words + v / 64] >> (v % 64) & 1 == 1
         } else {
-            self.adj[self.offsets[u]..self.offsets[u + 1]]
-                .binary_search(&v)
-                .is_ok()
+            self.graph.has_edge(u, v)
         }
     }
 
@@ -385,7 +366,7 @@ impl SaState {
         let components = match self.last_eval {
             Some((o, i, c)) if o == out && i == inn => c,
             _ => {
-                let uv = self.csr_has_edge(out, inn);
+                let uv = self.has_edge(out, inn);
                 self.candidate_components(out, inn, uv)
             }
         };
@@ -424,8 +405,7 @@ impl SaState {
             self.pos_in_nodes[self.nodes[pos]] = pos;
         }
         self.pos_in_nodes[out] = NONE;
-        for i in self.adj_range(out) {
-            let w = self.adj[i];
+        for w in self.graph.neighbors(out) {
             self.internal_degree[w] -= 1;
             if !self.in_set[w] && self.internal_degree[w] == 0 && self.pos_in_boundary[w] != NONE {
                 self.boundary_remove(w);
@@ -448,8 +428,7 @@ impl SaState {
         self.pos_in_nodes[inn] = self.nodes.len();
         self.nodes.push(inn);
         self.slot_of[inn] = self.uf.make_set();
-        for i in self.adj_range(inn) {
-            let w = self.adj[i];
+        for w in self.graph.neighbors(inn) {
             self.internal_degree[w] += 1;
             if self.in_set[w] {
                 self.uf.union(self.slot_of[inn], self.slot_of[w]);
@@ -505,8 +484,7 @@ impl SaState {
             self.queue.clear();
             self.queue.push(start);
             while let Some(w) = self.queue.pop() {
-                for i in self.offsets[w]..self.offsets[w + 1] {
-                    let x = self.adj[i];
+                for x in self.graph.neighbors(w) {
                     if self.in_set[x] && self.visit_epoch[x] != epoch {
                         self.visit_epoch[x] = epoch;
                         self.slot_of[x] = slot;
@@ -549,8 +527,7 @@ impl SaState {
             self.queue.clear();
             self.queue.push(start);
             while let Some(w) = self.queue.pop() {
-                for i in self.offsets[w]..self.offsets[w + 1] {
-                    let x = self.adj[i];
+                for x in self.graph.neighbors(w) {
                     if self.in_set[x] && self.visit_epoch[x] != epoch {
                         self.visit_epoch[x] = epoch;
                         state[x] = root;
@@ -690,8 +667,7 @@ impl SaState {
         let epoch = self.epoch;
         let mut remaining = 0usize;
         let mut first = NONE;
-        for i in self.adj_range(out) {
-            let w = self.adj[i];
+        for w in self.graph.neighbors(out) {
             if self.in_set[w] {
                 self.mark_epoch[w] = epoch;
                 remaining += 1;
@@ -710,8 +686,7 @@ impl SaState {
         self.queue.clear();
         self.queue.push(first);
         while let Some(w) = self.queue.pop() {
-            for i in self.adj_range(w) {
-                let x = self.adj[i];
+            for x in self.graph.neighbors(w) {
                 if self.in_set[x] && self.visit_epoch[x] != epoch {
                     self.visit_epoch[x] = epoch;
                     self.piece_id[x] = 1;
@@ -734,8 +709,7 @@ impl SaState {
         // contains at least one of `out`'s neighbors) so every node of the
         // dirty region carries a piece label.
         let mut pieces = 1u32;
-        for i in self.adj_range(out) {
-            let start = self.adj[i];
+        for start in self.graph.neighbors(out) {
             if self.mark_epoch[start] != epoch || self.visit_epoch[start] == epoch {
                 continue;
             }
@@ -746,8 +720,7 @@ impl SaState {
             self.queue.clear();
             self.queue.push(start);
             while let Some(w) = self.queue.pop() {
-                for j in self.adj_range(w) {
-                    let x = self.adj[j];
+                for x in self.graph.neighbors(w) {
                     if self.in_set[x] && self.visit_epoch[x] != epoch {
                         self.visit_epoch[x] = epoch;
                         self.piece_id[x] = pieces;
@@ -771,8 +744,7 @@ impl SaState {
         let split = self.split_for == Some((out, inn));
         let epoch = self.epoch;
         self.label_scratch.clear();
-        for i in self.adj_range(inn) {
-            let w = self.adj[i];
+        for w in self.graph.neighbors(inn) {
             if w == out || !self.in_set[w] {
                 continue;
             }
@@ -826,8 +798,7 @@ impl SaState {
             self.queue.clear();
             self.queue.push(start);
             while let Some(w) = self.queue.pop() {
-                for i in self.offsets[w]..self.offsets[w + 1] {
-                    let x = self.adj[i];
+                for x in self.graph.neighbors(w) {
                     if is_member(&self.in_set, swap, x) && self.visit_epoch[x] != epoch {
                         self.visit_epoch[x] = epoch;
                         self.queue.push(x);

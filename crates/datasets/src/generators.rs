@@ -1,8 +1,7 @@
 //! Deterministic generators for the four benchmark corpora.
 
 use crate::Dataset;
-use graphlib::generators::{connected_gnp, erdos_renyi_gnm};
-use graphlib::traversal::connected_components;
+use graphlib::generators::{connect_components, connected_gnp, erdos_renyi_gnm};
 use graphlib::Graph;
 use mathkit::rng::{derive_seed, seeded};
 use rand::rngs::SmallRng;
@@ -43,24 +42,29 @@ impl DatasetName {
     }
 }
 
-/// Ensures the graph is connected by linking consecutive components.
-fn connect(graph: &mut Graph, rng: &mut SmallRng) {
-    let components = connected_components(graph);
-    for window in components.windows(2) {
-        let a = window[0][rng.gen_range(0..window[0].len())];
-        let b = window[1][rng.gen_range(0..window[1].len())];
-        graph.add_edge(a, b).expect("nodes are in range");
-    }
+/// The graph on `n` nodes with the given edges; every generator here only
+/// lists in-range, loop-free pairs.
+fn build(n: usize, edges: &[(usize, usize)]) -> Graph {
+    Graph::from_edges(n, edges).expect("nodes are in range")
 }
 
-/// A random tree on `n` nodes (uniform attachment).
-fn random_tree(n: usize, rng: &mut SmallRng) -> Graph {
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        let parent = rng.gen_range(0..v);
-        g.add_edge(parent, v).expect("nodes are in range");
+/// The edges of a random tree on `n` nodes (uniform attachment), as
+/// `(parent, child)` pairs with `parent < child`.
+fn random_tree(n: usize, rng: &mut SmallRng) -> Vec<(usize, usize)> {
+    (1..n).map(|v| (rng.gen_range(0..v), v)).collect()
+}
+
+/// Adds one random chord to a tree's edges: up to ten draws of a pair, the
+/// first one that is not already an edge is added.
+fn add_chord(n: usize, edges: &mut Vec<(usize, usize)>, rng: &mut SmallRng) {
+    for _ in 0..10 {
+        let u = rng.gen_range(0..n);
+        let v = rng.gen_range(0..n);
+        if u != v && !edges.contains(&(u.min(v), u.max(v))) {
+            edges.push((u, v));
+            break;
+        }
     }
-    g
 }
 
 /// Synthetic AIDS twin: 700 chemical-compound-like graphs with 2–10 nodes.
@@ -71,19 +75,12 @@ pub fn aids(seed: u64) -> Dataset {
     for i in 0..700u64 {
         let mut rng = seeded(derive_seed(seed, i));
         let n = rng.gen_range(2..=10);
-        let mut g = random_tree(n, &mut rng);
+        let mut edges = random_tree(n, &mut rng);
         // Ring closure with modest probability, as in small organic molecules.
         if n >= 5 && rng.gen::<f64>() < 0.45 {
-            for _ in 0..10 {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                if u != v && !g.has_edge(u, v) {
-                    g.add_edge(u, v).expect("nodes are in range");
-                    break;
-                }
-            }
+            add_chord(n, &mut edges, &mut rng);
         }
-        graphs.push(g);
+        graphs.push(build(n, &edges));
     }
     Dataset {
         name: "AIDS".to_string(),
@@ -99,19 +96,12 @@ pub fn linux(seed: u64) -> Dataset {
     for i in 0..1000u64 {
         let mut rng = seeded(derive_seed(seed.wrapping_add(0x11), i));
         let n = rng.gen_range(4..=10);
-        let mut g = random_tree(n, &mut rng);
+        let mut edges = random_tree(n, &mut rng);
         // Occasional cross edge (shared helper function).
         if n >= 6 && rng.gen::<f64>() < 0.3 {
-            for _ in 0..10 {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                if u != v && !g.has_edge(u, v) {
-                    g.add_edge(u, v).expect("nodes are in range");
-                    break;
-                }
-            }
+            add_chord(n, &mut edges, &mut rng);
         }
-        graphs.push(g);
+        graphs.push(build(n, &edges));
     }
     Dataset {
         name: "LINUX".to_string(),
@@ -144,11 +134,8 @@ pub fn imdb(seed: u64) -> Dataset {
             graphs.push(graphlib::generators::complete(n));
             continue;
         }
-        let mut g = Graph::new(n);
         // Node 0 is the ego, connected to every other actor.
-        for v in 1..n {
-            g.add_edge(0, v).expect("nodes are in range");
-        }
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
         // Co-star cliques: partition the alters into a few productions and
         // connect each production densely.
         let mut alters: Vec<usize> = (1..n).collect();
@@ -159,14 +146,12 @@ pub fn imdb(seed: u64) -> Dataset {
             for a in 0..production.len() {
                 for b in (a + 1)..production.len() {
                     if rng.gen::<f64>() < 0.85 {
-                        g.add_edge(production[a], production[b])
-                            .expect("nodes are in range");
+                        edges.push((production[a], production[b]));
                     }
                 }
             }
         }
-        connect(&mut g, &mut rng);
-        graphs.push(g);
+        graphs.push(connect_components(build(n, &edges), &mut rng));
     }
     Dataset {
         name: "IMDb".to_string(),
@@ -204,9 +189,8 @@ pub fn random_graphs_with_degree(
     (0..count as u64)
         .map(|i| {
             let mut rng = seeded(derive_seed(seed.wrapping_add(0x44), i));
-            let mut g = erdos_renyi_gnm(nodes, edges, &mut rng).expect("valid parameters");
-            connect(&mut g, &mut rng);
-            g
+            let g = erdos_renyi_gnm(nodes, edges, &mut rng).expect("valid parameters");
+            connect_components(g, &mut rng)
         })
         .collect()
 }

@@ -11,7 +11,7 @@ fn main() {
     let mut table = Table::new(
         "fig03_cycle_landscapes",
         "Figure 3: MSE between 7-node and 10-node cycle landscapes",
-        [("mse", Fixed(8))],
+        [("mse", Sci(2))],
     );
     table.row((result.mse,));
     table.print(&args);

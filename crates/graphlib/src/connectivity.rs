@@ -1,6 +1,7 @@
 //! Connectivity primitives behind the SA core: a slot-based union-find,
-//! a reusable flat CSR adjacency, masked articulation points (iterative
-//! Tarjan), and degeneracy ordering.
+//! masked articulation points (iterative Tarjan), and degeneracy ordering.
+//! Each walks the [`Graph`]'s own CSR rows; none keeps a copy of the
+//! adjacency.
 //!
 //! These are the building blocks PR 7 moves the hot reduction paths onto:
 //!
@@ -9,9 +10,6 @@
 //!   so a node that leaves and later re-enters a selection gets a *fresh*
 //!   slot instead of dragging its stale tree along — deletion is handled by
 //!   ghosting the old slot and periodically rebuilding.
-//! * [`AdjacencyCsr`] — the flat `offsets`/`adj` layout shared by the SA
-//!   state and the resize scratch, rebuildable in place without
-//!   reallocating.
 //! * [`ArticulationPoints`] — one Tarjan pass answers "which selected nodes
 //!   are cut vertices?" for a whole selection at once, replacing
 //!   per-candidate component recounts.
@@ -123,73 +121,6 @@ impl UnionFind {
     }
 }
 
-/// Flat CSR snapshot of a [`Graph`]'s adjacency: `adj[offsets[u]..offsets[u + 1]]`
-/// are `u`'s neighbors in ascending order.
-///
-/// Both the SA move evaluator and the resize scratch iterate neighborhoods
-/// millions of times; a contiguous slice walk (plus binary-search edge
-/// tests, see [`AdjacencyCsr::has_edge`]) beats hopping between the
-/// graph's per-node lists by a wide margin. [`AdjacencyCsr::rebuild_from`]
-/// refills the buffers in place, so a scratch-owned CSR allocates only on
-/// first use or growth.
-///
-/// # Example
-///
-/// ```
-/// use graphlib::connectivity::AdjacencyCsr;
-/// use graphlib::Graph;
-///
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-/// let csr = AdjacencyCsr::from_graph(&g);
-/// assert_eq!(csr.neighbors(1), &[0, 2]);
-/// assert!(csr.has_edge(0, 1));
-/// assert!(!csr.has_edge(0, 2));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AdjacencyCsr {
-    offsets: Vec<usize>,
-    adj: Vec<usize>,
-}
-
-impl AdjacencyCsr {
-    /// Builds the CSR snapshot of `graph`.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let mut csr = Self::default();
-        csr.rebuild_from(graph);
-        csr
-    }
-
-    /// Refills the snapshot from `graph`, reusing the existing buffers.
-    pub fn rebuild_from(&mut self, graph: &Graph) {
-        let n = graph.node_count();
-        self.offsets.clear();
-        self.adj.clear();
-        self.offsets.reserve(n + 1);
-        self.adj.reserve(2 * graph.edge_count());
-        self.offsets.push(0);
-        for u in 0..n {
-            self.adj.extend(graph.neighbors(u));
-            self.offsets.push(self.adj.len());
-        }
-    }
-
-    /// Number of nodes in the snapshot.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Neighbors of `u` in ascending order.
-    pub fn neighbors(&self, u: usize) -> &[usize] {
-        &self.adj[self.offsets[u]..self.offsets[u + 1]]
-    }
-
-    /// `true` if the edge `{u, v}` exists (binary search on the sorted
-    /// neighbor slice — `O(log deg)` with no tree traversal).
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-}
-
 /// Reusable articulation-point engine (iterative Tarjan DFS).
 ///
 /// One [`ArticulationPoints::compute`] call classifies every node of a
@@ -203,15 +134,14 @@ impl AdjacencyCsr {
 /// # Example
 ///
 /// ```
-/// use graphlib::connectivity::{AdjacencyCsr, ArticulationPoints};
+/// use graphlib::connectivity::ArticulationPoints;
 /// use graphlib::Graph;
 ///
 /// // Path 0 - 1 - 2: the middle node is the only cut vertex.
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-/// let csr = AdjacencyCsr::from_graph(&g);
 /// let mut engine = ArticulationPoints::default();
 /// let mask = vec![true; 3];
-/// let cut = engine.compute(&csr, &mask).to_vec();
+/// let cut = engine.compute(&g, &mask).to_vec();
 /// assert_eq!(cut, vec![false, true, false]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -219,20 +149,21 @@ pub struct ArticulationPoints {
     disc: Vec<u32>,
     low: Vec<u32>,
     is_cut: Vec<bool>,
-    /// DFS stack frames: (node, parent, next adjacency index).
+    /// DFS stack frames: (node, parent, next index into the node's
+    /// neighbor row).
     stack: Vec<(usize, usize, usize)>,
 }
 
 impl ArticulationPoints {
-    /// Computes the cut-vertex classification of the subgraph of `csr`
+    /// Computes the cut-vertex classification of the subgraph of `graph`
     /// induced by `mask` (`mask[u]` selects node `u`). Returns a slice
     /// indexed by node id; entries of unselected nodes are `false`.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is shorter than the snapshot's node count.
-    pub fn compute(&mut self, csr: &AdjacencyCsr, mask: &[bool]) -> &[bool] {
-        let n = csr.node_count();
+    /// Panics if `mask` is shorter than the graph's node count.
+    pub fn compute(&mut self, graph: &Graph, mask: &[bool]) -> &[bool] {
+        let n = graph.node_count();
         assert!(mask.len() >= n, "mask shorter than node count");
         self.disc.clear();
         self.disc.resize(n, 0);
@@ -251,10 +182,10 @@ impl ArticulationPoints {
             self.disc[root] = timer;
             self.low[root] = timer;
             let mut root_children = 0usize;
-            self.stack.push((root, NONE, csr.offsets[root]));
+            self.stack.push((root, NONE, 0));
             while let Some(&mut (u, parent, ref mut i)) = self.stack.last_mut() {
-                if *i < csr.offsets[u + 1] {
-                    let v = csr.adj[*i];
+                if let Some(&v) = graph.neighbor_slice(u).get(*i) {
+                    let v = v as usize;
                     *i += 1;
                     if !mask[v] || v == parent {
                         continue;
@@ -263,7 +194,7 @@ impl ArticulationPoints {
                         timer += 1;
                         self.disc[v] = timer;
                         self.low[v] = timer;
-                        self.stack.push((v, u, csr.offsets[v]));
+                        self.stack.push((v, u, 0));
                     } else {
                         self.low[u] = self.low[u].min(self.disc[v]);
                     }
@@ -434,27 +365,39 @@ mod tests {
 
     #[test]
     fn csr_matches_graph_adjacency() {
+        // The articulation pass walks `Graph::neighbor_slice` rows directly:
+        // each row must be the sorted neighbor list `has_edge` agrees with.
         let mut rng = mathkit::rng::seeded(3);
         let g = connected_gnp(12, 0.3, &mut rng).unwrap();
-        let csr = AdjacencyCsr::from_graph(&g);
-        assert_eq!(csr.node_count(), 12);
+        assert_eq!(g.node_count(), 12);
         for u in 0..12 {
+            let row: Vec<usize> = g.neighbor_slice(u).iter().map(|&v| v as usize).collect();
             let expected: Vec<usize> = g.neighbors(u).collect();
-            assert_eq!(csr.neighbors(u), expected.as_slice());
+            assert_eq!(row, expected);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {u} not sorted");
             for v in 0..12 {
-                assert_eq!(csr.has_edge(u, v), g.has_edge(u, v), "edge ({u}, {v})");
+                assert_eq!(row.contains(&v), g.has_edge(u, v), "edge ({u}, {v})");
             }
         }
     }
 
     #[test]
     fn csr_rebuild_reuses_buffers() {
-        let g1 = complete(6);
-        let g2 = cycle(4).unwrap();
-        let mut csr = AdjacencyCsr::from_graph(&g1);
-        csr.rebuild_from(&g2);
-        assert_eq!(csr.node_count(), 4);
-        assert_eq!(csr.neighbors(0), &[1, 3]);
+        // One engine serves a large graph then a smaller one: its scratch
+        // keeps the grown capacity and the smaller answer is not polluted.
+        let mut engine = ArticulationPoints::default();
+        let k6 = complete(6);
+        assert_eq!(engine.compute(&k6, &[true; 6]), &[false; 6]);
+        let capacity = engine.disc.capacity();
+        assert!(capacity >= 6);
+        let c4 = cycle(4).unwrap();
+        assert_eq!(engine.compute(&c4, &[true; 4]), &[false; 4]);
+        assert_eq!(engine.disc.capacity(), capacity);
+        // Dropping node 3 of the cycle leaves the path 0 - 1 - 2.
+        assert_eq!(
+            engine.compute(&c4, &[true, true, true, false]),
+            &[false, true, false, false]
+        );
     }
 
     #[test]
@@ -466,8 +409,7 @@ mod tests {
             // Full mask and a masked subset.
             for drop in [usize::MAX, 0, 5] {
                 let mask: Vec<bool> = (0..12).map(|u| u != drop).collect();
-                let csr = AdjacencyCsr::from_graph(&g);
-                let got = engine.compute(&csr, &mask).to_vec();
+                let got = engine.compute(&g, &mask).to_vec();
                 let expected = brute_force_cuts(&g, &mask);
                 assert_eq!(got, expected, "seed {seed}, dropped {drop}");
             }
@@ -479,14 +421,12 @@ mod tests {
         let mut engine = ArticulationPoints::default();
         // A star's hub is the only articulation point.
         let s = star(6).unwrap();
-        let cut = engine
-            .compute(&AdjacencyCsr::from_graph(&s), &[true; 6])
-            .to_vec();
+        let cut = engine.compute(&s, &[true; 6]).to_vec();
         assert_eq!(cut, vec![true, false, false, false, false, false]);
         // No node of a cycle or a complete graph is a cut vertex.
         for g in [cycle(7).unwrap(), complete(5)] {
             let n = g.node_count();
-            let cut = engine.compute(&AdjacencyCsr::from_graph(&g), &vec![true; n]);
+            let cut = engine.compute(&g, &vec![true; n]);
             assert!(cut.iter().all(|&c| !c));
         }
     }

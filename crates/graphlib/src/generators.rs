@@ -5,9 +5,24 @@
 //! regular graphs for the parameter-transfer experiments, and the cycle,
 //! star, and k-ary-tree families used in the motivation and transfer
 //! sections.
+//!
+//! Every generator collects its edge list and builds the frozen graph once
+//! with [`Graph::from_edges`]; those that test membership while they draw
+//! keep the edges in a `BTreeSet` of `(low, high)` pairs meanwhile.
 
 use crate::{Graph, GraphError};
 use rand::Rng;
+use std::collections::BTreeSet;
+
+/// The edge `{u, v}` as its `(low, high)` pair.
+fn ordered(u: usize, v: usize) -> (usize, usize) {
+    (u.min(v), u.max(v))
+}
+
+/// Builds a graph from an edge set of `(low, high)` pairs over `0..n`.
+fn from_set(n: usize, edges: &BTreeSet<(usize, usize)>) -> Result<Graph, GraphError> {
+    Graph::from_edges(n, &edges.iter().copied().collect::<Vec<_>>())
+}
 
 /// Erdős–Rényi `G(n, p)` random graph: each of the `n(n-1)/2` possible edges
 /// is present independently with probability `p`.
@@ -19,15 +34,15 @@ pub fn erdos_renyi_gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, G
     if !(0.0..=1.0).contains(&p) {
         return Err(GraphError::InvalidParameter("p must be in [0, 1]"));
     }
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen::<f64>() < p {
-                g.add_edge(u, v)?;
+                edges.push((u, v));
             }
         }
     }
-    Ok(g)
+    Graph::from_edges(n, &edges)
 }
 
 /// Erdős–Rényi `G(n, m)` random graph: exactly `m` edges chosen uniformly
@@ -44,17 +59,15 @@ pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Result<Graph,
             "m exceeds the number of possible edges",
         ));
     }
-    let mut g = Graph::new(n);
-    let mut added = 0usize;
-    while added < m {
+    let mut edges = BTreeSet::new();
+    while edges.len() < m {
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v)?;
-            added += 1;
+        if u != v {
+            edges.insert(ordered(u, v));
         }
     }
-    Ok(g)
+    from_set(n, &edges)
 }
 
 /// A connected Erdős–Rényi-style random graph: draws `G(n, p)` and, if the
@@ -72,17 +85,26 @@ pub fn connected_gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, Gra
     if n == 0 {
         return Err(GraphError::InvalidParameter("n must be positive"));
     }
-    let mut g = erdos_renyi_gnp(n, p, rng)?;
-    let components = crate::traversal::connected_components(&g);
-    if components.len() > 1 {
-        // Chain component representatives together with random members.
-        for window in components.windows(2) {
-            let a = window[0][rng.gen_range(0..window[0].len())];
-            let b = window[1][rng.gen_range(0..window[1].len())];
-            g.add_edge(a, b)?;
-        }
+    let g = erdos_renyi_gnp(n, p, rng)?;
+    Ok(connect_components(g, rng))
+}
+
+/// Links the components of `graph` into one: for each consecutive pair of
+/// components (in [`connected_components`](crate::traversal::connected_components)
+/// order), one edge between a random member of each. A connected graph
+/// comes back unchanged and draws nothing.
+pub fn connect_components<R: Rng>(graph: Graph, rng: &mut R) -> Graph {
+    let components = crate::traversal::connected_components(&graph);
+    if components.len() < 2 {
+        return graph;
     }
-    Ok(g)
+    let mut edges: Vec<(usize, usize)> = graph.edges().collect();
+    for window in components.windows(2) {
+        let a = window[0][rng.gen_range(0..window[0].len())];
+        let b = window[1][rng.gen_range(0..window[1].len())];
+        edges.push((a, b));
+    }
+    Graph::from_edges(graph.node_count(), &edges).expect("component members are in range")
 }
 
 /// Random `d`-regular graph via the pairing (configuration) model with
@@ -110,7 +132,7 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Result<Graph, 
             let j = rng.gen_range(0..=i);
             stubs.swap(i, j);
         }
-        let mut g = Graph::new(n);
+        let mut present = BTreeSet::new();
         // Pair off the clean stubs first; conflicting pairs (self-loops or
         // duplicate edges) are repaired afterwards instead of restarting the
         // whole matching — plain rejection succeeds only with probability
@@ -118,17 +140,15 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Result<Graph, 
         let mut conflicts: Vec<(usize, usize)> = Vec::new();
         for pair in stubs.chunks(2) {
             let (u, v) = (pair[0], pair[1]);
-            if u == v || g.has_edge(u, v) {
+            if u == v || !present.insert(ordered(u, v)) {
                 conflicts.push((u, v));
-            } else {
-                g.add_edge(u, v)?;
             }
         }
         // Repair each conflicting pair with a double-edge swap: remove a
         // random compatible edge (x, y) and rewire as (u, x) and (v, y).
-        // The edge list is kept in sync incrementally; the graph only
-        // changes when a repair succeeds.
-        let mut edges = g.edges();
+        // The edge list (drawn from by index) and the edge set are kept in
+        // sync; both change only when a repair succeeds.
+        let mut edges: Vec<(usize, usize)> = present.iter().copied().collect();
         for &(u, v) in &conflicts {
             let mut repaired = false;
             for _ in 0..500 {
@@ -141,10 +161,13 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Result<Graph, 
                     std::mem::swap(&mut x, &mut y);
                 }
                 let distinct = x != u && x != v && y != u && y != v;
-                if distinct && !g.has_edge(u, x) && !g.has_edge(v, y) {
-                    g.remove_edge(x, y)?;
-                    g.add_edge(u, x)?;
-                    g.add_edge(v, y)?;
+                if distinct
+                    && !present.contains(&ordered(u, x))
+                    && !present.contains(&ordered(v, y))
+                {
+                    present.remove(&ordered(x, y));
+                    present.insert(ordered(u, x));
+                    present.insert(ordered(v, y));
                     edges.swap_remove(pick);
                     edges.push((u, x));
                     edges.push((v, y));
@@ -156,7 +179,7 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Result<Graph, 
                 continue 'attempt;
             }
         }
-        return Ok(g);
+        return from_set(n, &present);
     }
     Err(GraphError::InvalidParameter(
         "failed to generate a random regular graph; try different n, d",
@@ -172,11 +195,8 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
     if n < 3 {
         return Err(GraphError::InvalidParameter("cycle needs at least 3 nodes"));
     }
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        g.add_edge(u, (u + 1) % n)?;
-    }
-    Ok(g)
+    let edges: Vec<(usize, usize)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Path graph `P_n` on `n` nodes.
@@ -188,11 +208,8 @@ pub fn path(n: usize) -> Result<Graph, GraphError> {
     if n == 0 {
         return Err(GraphError::InvalidParameter("path needs at least 1 node"));
     }
-    let mut g = Graph::new(n);
-    for u in 0..n.saturating_sub(1) {
-        g.add_edge(u, u + 1)?;
-    }
-    Ok(g)
+    let edges: Vec<(usize, usize)> = (1..n).map(|u| (u - 1, u)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Star graph: node 0 is connected to every other node.
@@ -204,22 +221,16 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::InvalidParameter("star needs at least 2 nodes"));
     }
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        g.add_edge(0, v)?;
-    }
-    Ok(g)
+    let edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v).expect("complete graph edges are valid");
-        }
-    }
-    g
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    Graph::from_edges(n, &edges).expect("complete graph edges are valid")
 }
 
 /// Full `k`-ary tree with `n` nodes (node 0 is the root; node `i` has parent
@@ -235,12 +246,8 @@ pub fn k_ary_tree(n: usize, k: usize) -> Result<Graph, GraphError> {
             "k-ary tree needs n > 0 and k > 0",
         ));
     }
-    let mut g = Graph::new(n);
-    for child in 1..n {
-        let parent = (child - 1) / k;
-        g.add_edge(parent, child)?;
-    }
-    Ok(g)
+    let edges: Vec<(usize, usize)> = (1..n).map(|child| ((child - 1) / k, child)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Perturbs a graph by rewiring roughly `fraction` of its edges: that many
@@ -259,33 +266,31 @@ pub fn rewire_fraction<R: Rng>(
     if !(0.0..=1.0).contains(&fraction) {
         return Err(GraphError::InvalidParameter("fraction must be in [0, 1]"));
     }
-    let mut g = graph.clone();
-    let edges = g.edges();
+    let edges: Vec<(usize, usize)> = graph.edges().collect();
     let k = ((edges.len() as f64) * fraction).round() as usize;
     if k == 0 || edges.is_empty() {
-        return Ok(g);
+        return Ok(graph.clone());
     }
-    let n = g.node_count();
+    let n = graph.node_count();
     let max_edges = n * (n - 1) / 2;
+    let mut present: BTreeSet<(usize, usize)> = edges.iter().copied().collect();
     // Remove k random edges.
     let picked = mathkit::rng::choose_indices(rng, edges.len(), k.min(edges.len()));
     for &idx in &picked {
-        let (u, v) = edges[idx];
-        g.remove_edge(u, v)?;
+        present.remove(&edges[idx]);
     }
     // Add k random non-edges (bounded retries to avoid spinning on dense graphs).
     let mut added = 0usize;
     let mut attempts = 0usize;
-    while added < picked.len() && g.edge_count() < max_edges && attempts < 100 * max_edges.max(1) {
+    while added < picked.len() && present.len() < max_edges && attempts < 100 * max_edges.max(1) {
         attempts += 1;
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v)?;
+        if u != v && present.insert(ordered(u, v)) {
             added += 1;
         }
     }
-    Ok(g)
+    from_set(n, &present)
 }
 
 #[cfg(test)]

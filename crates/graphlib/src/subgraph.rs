@@ -52,17 +52,16 @@ pub fn induced_subgraph(graph: &Graph, nodes: &[usize]) -> Result<Subgraph, Grap
         }
     }
     let ordered: Vec<usize> = unique.into_iter().collect();
-    let index_of = |parent: usize| ordered.binary_search(&parent).expect("node present");
-    let mut g = Graph::new(ordered.len());
+    let mut edges = Vec::new();
     for (i, &u) in ordered.iter().enumerate() {
-        for v in graph.neighbors(u) {
-            if v > u && ordered.binary_search(&v).is_ok() {
-                g.add_edge(i, index_of(v))?;
+        for v in graph.neighbors(u).filter(|&v| v > u) {
+            if let Ok(j) = ordered.binary_search(&v) {
+                edges.push((i, j));
             }
         }
     }
     Ok(Subgraph {
-        graph: g,
+        graph: Graph::from_edges(ordered.len(), &edges)?,
         nodes: ordered,
     })
 }

@@ -86,7 +86,7 @@ impl PoolingMethod for AsaPooling {
                 members
             })
             .collect();
-        let mut pooled = Graph::new(k);
+        let mut edges = Vec::new();
         for i in 0..k {
             for j in (i + 1)..k {
                 // Connected if the clusters overlap or any cross edge exists.
@@ -95,12 +95,12 @@ impl PoolingMethod for AsaPooling {
                     .iter()
                     .any(|&a| clusters[j].iter().any(|&b| graph.has_edge(a, b)));
                 if overlap || cross_edge {
-                    pooled.add_edge(i, j).expect("indices are in range");
+                    edges.push((i, j));
                 }
             }
         }
         Ok(PooledGraph {
-            graph: pooled,
+            graph: Graph::from_edges(k, &edges).expect("indices are in range"),
             nodes: kept,
         })
     }

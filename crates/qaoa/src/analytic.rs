@@ -137,7 +137,6 @@ impl P1EdgeTerms {
         let count = |k: usize| u32::try_from(k).expect("degree fits in u32");
         let terms: Vec<EdgeTerm> = graph
             .edges()
-            .into_iter()
             .map(|(u, v)| {
                 let (d_u, d_v) = (count(degrees[u] - 1), count(degrees[v] - 1));
                 let triangles = count(graph.common_neighbors(u, v));

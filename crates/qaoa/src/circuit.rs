@@ -30,9 +30,8 @@ pub fn qaoa_circuit(graph: &Graph, params: &QaoaParams) -> Result<Circuit, QaoaE
     for q in 0..n {
         circuit.push(Gate::H(q)).expect("qubit within range");
     }
-    let edges = graph.edges();
     for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        for &(u, v) in &edges {
+        for (u, v) in graph.edges() {
             circuit
                 .push(Gate::Rzz(u, v, -*gamma))
                 .expect("qubit within range");

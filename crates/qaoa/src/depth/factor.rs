@@ -203,11 +203,7 @@ mod tests {
     #[test]
     fn star_leaves_form_one_twin_class() {
         let g = star(6).unwrap();
-        let terms: Vec<ZzTerm> = g
-            .edges()
-            .into_iter()
-            .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-            .collect();
+        let terms: Vec<ZzTerm> = g.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect();
         let sym = semi_symmetries(6, &terms);
         // Hub is its own class; the 5 leaves are independent twins.
         assert_eq!(sym.qubit_class.iter().max().unwrap() + 1, 2);
@@ -219,11 +215,7 @@ mod tests {
     #[test]
     fn complete_graph_is_fully_symmetric() {
         let g = complete(5);
-        let terms: Vec<ZzTerm> = g
-            .edges()
-            .into_iter()
-            .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-            .collect();
+        let terms: Vec<ZzTerm> = g.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect();
         let sym = semi_symmetries(5, &terms);
         // All vertices are connected twins — one qubit class, one term class.
         assert!(sym.qubit_class.iter().all(|&c| c == 0));
@@ -245,11 +237,7 @@ mod tests {
     fn asymmetric_graphs_have_singleton_classes() {
         let mut rng = seeded(23);
         let g = connected_gnp(9, 0.4, &mut rng).unwrap();
-        let terms: Vec<ZzTerm> = g
-            .edges()
-            .into_iter()
-            .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-            .collect();
+        let terms: Vec<ZzTerm> = g.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect();
         let sym = semi_symmetries(9, &terms);
         // Generic random graphs carry few or no symmetries; the class count
         // must never exceed the term count and members must partition terms.

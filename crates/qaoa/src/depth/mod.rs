@@ -171,11 +171,7 @@ impl CostHamiltonian {
         }
         Ok(Self {
             qubits: graph.node_count(),
-            terms: graph
-                .edges()
-                .into_iter()
-                .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-                .collect(),
+            terms: graph.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect(),
         })
     }
 

@@ -392,11 +392,7 @@ mod tests {
     use mathkit::rng::seeded;
 
     fn schedule_graph(g: &Graph) -> ScheduledLayer {
-        let terms: Vec<ZzTerm> = g
-            .edges()
-            .into_iter()
-            .map(|(u, v)| ZzTerm::new(u, v, 1.0))
-            .collect();
+        let terms: Vec<ZzTerm> = g.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect();
         schedule_terms(g.node_count(), &terms)
     }
 

@@ -14,8 +14,7 @@ use qsim::statevector::cut_counts;
 pub fn cut_value(graph: &Graph, assignment: u64) -> usize {
     graph
         .edges()
-        .iter()
-        .filter(|&&(u, v)| ((assignment >> u) & 1) != ((assignment >> v) & 1))
+        .filter(|&(u, v)| ((assignment >> u) & 1) != ((assignment >> v) & 1))
         .count()
 }
 
@@ -36,7 +35,7 @@ pub fn cut_values(graph: &Graph) -> Result<Vec<u8>, QaoaError> {
             limit: MAX_EXACT_NODES,
         });
     }
-    Ok(cut_counts(n, &graph.edges()))
+    Ok(cut_counts(n, &graph.edges().collect::<Vec<_>>()))
 }
 
 /// Result of the brute-force MaxCut solver.
@@ -65,7 +64,7 @@ pub fn brute_force_maxcut(graph: &Graph) -> Result<MaxCutSolution, QaoaError> {
             limit: 26,
         });
     }
-    let edges = graph.edges();
+    let edges: Vec<(usize, usize)> = graph.edges().collect();
     let mut best_cut = 0usize;
     let mut best_assignment = 0u64;
     // Fixing node 0 to partition 0 halves the search space.
@@ -118,11 +117,7 @@ pub fn greedy_maxcut(graph: &Graph) -> usize {
         cut_value(graph, assignment)
     } else {
         // Count directly for very large graphs.
-        graph
-            .edges()
-            .iter()
-            .filter(|&&(u, v)| side[u] != side[v])
-            .count()
+        graph.edges().filter(|&(u, v)| side[u] != side[v]).count()
     }
 }
 

@@ -101,18 +101,12 @@ impl CouplingMap {
 /// This is an approximation of the true heavy-hex layout — the routing and
 /// throughput experiments only depend on the map being sparse and connected.
 pub fn heavy_hex_like(qubits: usize) -> CouplingMap {
-    let mut g = Graph::new(qubits);
-    for q in 1..qubits {
-        g.add_edge(q - 1, q).expect("backbone edge");
-    }
+    let backbone = (1..qubits).map(|q| (q - 1, q));
     // Rungs: connect q to q + 5 every 8 qubits, emulating the cross-links of
     // heavy-hex cells.
-    let mut q = 0;
-    while q + 5 < qubits {
-        g.add_edge(q, q + 5).expect("rung edge");
-        q += 8;
-    }
-    CouplingMap::new(g)
+    let rungs = (0..qubits.saturating_sub(5)).step_by(8).map(|q| (q, q + 5));
+    let edges: Vec<(usize, usize)> = backbone.chain(rungs).collect();
+    CouplingMap::new(Graph::from_edges(qubits, &edges).expect("in-range coupling edges"))
 }
 
 /// Builds a Rigetti-style octagonal coupling map: rings of eight qubits with
@@ -121,19 +115,19 @@ pub fn heavy_hex_like(qubits: usize) -> CouplingMap {
 pub fn octagonal(qubits: usize) -> CouplingMap {
     let rings = (qubits / 8).max(1);
     let n = rings * 8;
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     for r in 0..rings {
         let base = r * 8;
         for i in 0..8 {
-            g.add_edge(base + i, base + (i + 1) % 8).expect("ring edge");
+            edges.push((base + i, base + (i + 1) % 8));
         }
         if r + 1 < rings {
             // Two inter-ring couplers.
-            g.add_edge(base + 2, base + 8 + 6).expect("link edge");
-            g.add_edge(base + 3, base + 8 + 7).expect("link edge");
+            edges.push((base + 2, base + 8 + 6));
+            edges.push((base + 3, base + 8 + 7));
         }
     }
-    CouplingMap::new(g)
+    CouplingMap::new(Graph::from_edges(n, &edges).expect("in-range coupling edges"))
 }
 
 /// A quantum device: a name, a coupling map, and a noise model.

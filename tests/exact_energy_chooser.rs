@@ -40,13 +40,12 @@ use rand::Rng;
 /// isolated nodes; one edge is added if the draw has none.
 fn loose_graph<R: Rng>(n: usize, isolated: usize, rng: &mut R) -> Graph {
     let q = rng.gen_range(0.1f64..0.9);
-    let mut graph = erdos_renyi_gnp(n, q, rng)
-        .expect("valid G(n, q)")
-        .with_extra_nodes(isolated);
-    if graph.edge_count() == 0 {
-        graph.add_edge(0, 1).expect("n ≥ 2");
+    let draw = erdos_renyi_gnp(n, q, rng).expect("valid G(n, q)");
+    let mut edges: Vec<(usize, usize)> = draw.edges().collect();
+    if edges.is_empty() {
+        edges.push((0, 1));
     }
-    graph
+    Graph::from_edges(n + isolated, &edges).expect("n ≥ 2")
 }
 
 /// Random angles, with `γ` (`corner == 1`), `β` (`corner == 2`) or both
@@ -190,16 +189,16 @@ fn closed_form_tables_cover_exponents_past_the_table() {
 /// an isolated node and two components among them.
 fn p1_graphs() -> Vec<Graph> {
     let mut rng = seeded(2218);
-    let mut two_parts = Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (5, 6), (6, 7)]).unwrap();
-    two_parts.add_edge(7, 8).unwrap();
+    let two_parts =
+        Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 8)]).unwrap();
+    let dense = connected_gnp(12, 0.4, &mut rng).unwrap();
+    let dense_and_isolated = Graph::from_edges(13, &dense.edges().collect::<Vec<_>>()).unwrap();
     vec![
         cycle(7).unwrap(),
         star(6).unwrap(),
         complete(6),
         two_parts,
-        connected_gnp(12, 0.4, &mut rng)
-            .unwrap()
-            .with_extra_nodes(1),
+        dense_and_isolated,
         connected_gnp(14, 0.35, &mut rng).unwrap(),
         connected_gnp(18, 0.3, &mut rng).unwrap(),
     ]

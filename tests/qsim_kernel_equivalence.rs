@@ -405,7 +405,7 @@ proptest! {
             prop_assert!(usize::from(count) == direct, "state {z}: {count} vs {direct}");
         }
 
-        let mut pairs = graph.edges();
+        let mut pairs: Vec<(usize, usize)> = graph.edges().collect();
         for i in (1..pairs.len()).rev() {
             pairs.swap(i, rng.gen_range(0..=i));
         }
