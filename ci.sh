@@ -97,7 +97,10 @@
 #      a second (README's table), each --json line must parse as JSON (jq)
 #      and the JSON view must have as many rows as the TSV view has data
 #      rows (lines that are not blank, not a "# title", and not the header
-#      line after a title).
+#      line after a title). fig26_depth_compound is on that list because it
+#      is the only figure that prints DepthMetrics. Last, one figure binary
+#      prints into `head -n 1`: a reader that closes the pipe early must end
+#      the binary with status 0, not a broken-pipe panic.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -167,7 +170,7 @@ done
 echo "==> --json output parses and matches the TSV rows (fast binaries)"
 for bin in fig03_cycle_landscapes fig05_and_correlation fig06_mse_threshold \
     fig07_optima_distance fig09_sa_effectiveness fig13_dataset_reduction \
-    fig14_dataset_mse table1_datasets; do
+    fig14_dataset_mse fig26_depth_compound table1_datasets; do
     json=$("target/release/$bin" --json)
     json_rows=$(printf '%s\n' "$json" | jq -c 'objects' | wc -l) \
         || { echo "FAIL: $bin --json is not parseable JSON"; exit 1; }
@@ -180,5 +183,15 @@ for bin in fig03_cycle_landscapes fig05_and_correlation fig06_mse_threshold \
         exit 1
     fi
 done
+
+echo "==> a figure binary whose reader closes early exits 0"
+# Under pipefail a failing pipeline runs the `||` branch, where PIPESTATUS
+# still holds the pipeline's exit codes.
+status=0
+target/release/fig03_cycle_landscapes | head -n 1 >/dev/null || status=${PIPESTATUS[0]}
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: fig03_cycle_landscapes exited $status when its reader closed"
+    exit 1
+fi
 
 echo "CI OK"

@@ -78,8 +78,9 @@ fn resolve_reduction<R: Rng>(
 }
 
 /// Depth-compiles `graph`'s cost layer when `circuit` asks for it; `None`
-/// (and no work) otherwise. The one depth-metrics step of every job that
-/// reports [`DepthMetrics`].
+/// (and no work) otherwise. The depth-metrics step of a job that builds no
+/// scheduled instance; the noisy pipeline reads its metrics off the
+/// instance it schedules, so it compiles once.
 pub(crate) fn depth_metrics(
     circuit: CircuitReduction,
     graph: &graphlib::Graph,
@@ -159,7 +160,6 @@ pub fn run_noisy_with_reduction<R: Rng>(
     trajectories: usize,
     rng: &mut R,
 ) -> Result<NoisyPipelineOutcome, RedQaoaError> {
-    let depth = depth_metrics(options.circuit, reduction.graph())?;
     let reduced_evaluator = StatevectorEvaluator::new(reduction.graph(), options.layers)?;
     let original_evaluator = StatevectorEvaluator::new(graph, options.layers)?;
     let traj = TrajectoryOptions {
@@ -181,6 +181,7 @@ pub fn run_noisy_with_reduction<R: Rng>(
     if options.circuit.wants_depth() {
         red_instance = red_instance.with_depth_schedule();
     }
+    let depth = red_instance.depth_metrics();
     let red_noisy = SequentialNoisyEvaluator::new(red_instance, *noise, traj, red_seed);
     let red_outcome = maximize_with_restarts(&red_noisy, &options.optimize, rng)?;
 

@@ -18,6 +18,7 @@
 //! writes the record before it reports a failed gate.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Flags shared by every experiment binary, parsed by
 /// [`handle_default_args`].
@@ -61,16 +62,13 @@ pub fn handle_default_args(about: &str, extra_flags: &[&'static str]) -> CliArgs
     for arg in args {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{name}: {about}");
-                println!();
                 let extra: String = extra_flags.iter().map(|f| format!(" [{f}]")).collect();
-                println!("Usage: {name} [--help] [--json]{extra}");
-                println!();
-                println!(
-                    "Runs the experiment with its deterministic default configuration \
+                print_stdout(&format!(
+                    "{name}: {about}\n\nUsage: {name} [--help] [--json]{extra}\n\n\
+                     Runs the experiment with its deterministic default configuration \
                      and prints tab-separated rows to stdout. With --json, it emits \
-                     the same rows as machine-readable JSON (one object per line) instead."
-                );
+                     the same rows as machine-readable JSON (one object per line) instead.\n"
+                ));
                 std::process::exit(0);
             }
             "--json" => parsed.json = true,
@@ -290,13 +288,25 @@ impl Table {
         out
     }
 
-    /// Prints the view `args` asks for.
+    /// Prints the view `args` asks for through a locked stdout. A closed
+    /// stdout (a reader such as `head` that stopped early) ends the process
+    /// quietly with status 0; any other write error panics.
     pub fn print(&self, args: &CliArgs) {
         if args.json {
-            print!("{}", self.json_lines());
+            print_stdout(&self.json_lines());
         } else {
-            print!("{}", self.tsv());
+            print_stdout(&self.tsv());
         }
+    }
+}
+
+/// Writes `text` as [`Table::print`] does.
+fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => panic!("failed printing to stdout: {err}"),
     }
 }
 

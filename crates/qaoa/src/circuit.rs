@@ -19,30 +19,45 @@ use qsim::circuit::{Circuit, Gate};
 ///
 /// # Errors
 ///
-/// Returns [`QaoaError::DegenerateGraph`] if the graph has no nodes or no
-/// edges.
+/// Returns [`QaoaError::DegenerateGraph`] if the graph has no edges.
 pub fn qaoa_circuit(graph: &Graph, params: &QaoaParams) -> Result<Circuit, QaoaError> {
-    let n = graph.node_count();
-    if n == 0 || graph.edge_count() == 0 {
+    if graph.edge_count() == 0 {
         return Err(QaoaError::DegenerateGraph);
     }
-    let mut circuit = Circuit::new(n);
-    for q in 0..n {
+    Ok(circuit_in_cost_order(
+        graph.node_count(),
+        graph.edges(),
+        params,
+    ))
+}
+
+/// Builds the `p`-layer QAOA circuit over `qubits` qubits with each cost
+/// layer's `RZZ_{uv}(-γ)` gates emitted in `cost_order`: one Hadamard wall,
+/// then per layer the cost gates followed by the `RX(2β)` mixer wall.
+/// [`qaoa_circuit`] passes the graph's sorted edge list and
+/// [`crate::depth::scheduled_qaoa_circuit`] the compiled rounds; the diagonal
+/// cost gates commute, so both orders prepare the same state.
+pub(crate) fn circuit_in_cost_order<I>(qubits: usize, cost_order: I, params: &QaoaParams) -> Circuit
+where
+    I: Iterator<Item = (usize, usize)> + Clone,
+{
+    let mut circuit = Circuit::new(qubits);
+    for q in 0..qubits {
         circuit.push(Gate::H(q)).expect("qubit within range");
     }
     for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        for (u, v) in graph.edges() {
+        for (u, v) in cost_order.clone() {
             circuit
                 .push(Gate::Rzz(u, v, -*gamma))
                 .expect("qubit within range");
         }
-        for q in 0..n {
+        for q in 0..qubits {
             circuit
                 .push(Gate::Rx(q, 2.0 * *beta))
                 .expect("qubit within range");
         }
     }
-    Ok(circuit)
+    circuit
 }
 
 /// Gate-count summary of a QAOA circuit without building it, useful for the

@@ -7,62 +7,36 @@
 //! hashable-by-equality, and trivially serializable to the repo's hand-rolled
 //! JSON rows.
 
-use super::factor::SemiSymmetry;
-use super::schedule::ScheduledLayer;
-
-/// Summary of one depth-compilation run: how many interaction terms came in,
-/// what factoring removed, and how tightly scheduling packed the remainder.
+/// Summary of one depth-compilation run: how many interaction terms came in
+/// and how tightly scheduling packed them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepthMetrics {
     /// Qubits in the register.
     pub qubits: usize,
-    /// Interaction terms in the input Hamiltonian (before factoring).
+    /// Interaction terms in the input. The compiler takes a simple graph's
+    /// edges, so this always equals `scheduled_terms`; it stays because the
+    /// benchmark digest (`perfbench/src/digest.rs`) hashes it.
     pub input_terms: usize,
-    /// Terms that survived duplicate merging and were scheduled — the
-    /// two-qubit gate count of one compiled cost layer.
+    /// Terms scheduled — the two-qubit gate count of one compiled cost
+    /// layer.
     pub scheduled_terms: usize,
-    /// Duplicate-pair terms eliminated by the exact weighted-`RZZ` merge.
+    /// Duplicate-pair terms merged before scheduling. A simple graph has no
+    /// duplicate pairs, so this is always `0`; it stays because the
+    /// benchmark digest (`perfbench/src/digest.rs`) hashes it.
     pub merged_duplicates: usize,
     /// Rounds of disjoint interactions — the two-qubit depth of one compiled
     /// cost layer.
     pub rounds: usize,
     /// Two-qubit depth of the naive per-gate sequential emission of the same
-    /// (merged) term list: one round per gate. The baseline `rounds` is
-    /// measured against.
+    /// edge list: one round per gate. The baseline `rounds` is measured
+    /// against.
     pub naive_depth: usize,
     /// Maximum interaction degree Δ of any qubit — the scheduler's lower
     /// bound (Vizing: the optimum lies in `[Δ, Δ+1]`).
     pub max_degree: usize,
-    /// Semi-symmetry equivalence classes among the scheduled terms.
-    pub symmetry_classes: usize,
-    /// Scheduled terms sharing a class with at least one other term — the
-    /// factored-term count of arXiv 2411.08824.
-    pub semi_symmetric_terms: usize,
 }
 
 impl DepthMetrics {
-    /// Assembles the report from the compiler's pass outputs.
-    pub fn new(
-        qubits: usize,
-        input_terms: usize,
-        merged_duplicates: usize,
-        symmetry: &SemiSymmetry,
-        layer: &ScheduledLayer,
-        max_degree: usize,
-    ) -> Self {
-        Self {
-            qubits,
-            input_terms,
-            scheduled_terms: layer.term_count(),
-            merged_duplicates,
-            rounds: layer.round_count(),
-            naive_depth: layer.term_count(),
-            max_degree,
-            symmetry_classes: symmetry.classes.len(),
-            semi_symmetric_terms: symmetry.semi_symmetric_terms(),
-        }
-    }
-
     /// Two-qubit depth reduction factor vs the naive sequential layer
     /// (`naive_depth / rounds`); `1.0` for an empty schedule.
     pub fn depth_reduction(&self) -> f64 {
@@ -103,9 +77,6 @@ mod tests {
         assert!(m.meets_vizing_bound());
         assert_eq!(m.two_qubit_depth(3), 15);
         assert!((m.depth_reduction() - 3.0).abs() < 1e-12);
-        // K6 is vertex-transitive: one qubit class, one term class.
-        assert_eq!(m.symmetry_classes, 1);
-        assert_eq!(m.semi_symmetric_terms, 15);
     }
 
     #[test]

@@ -4,25 +4,21 @@
 //! Red-QAOA shrinks the *graph* so the optimization loop runs on a smaller,
 //! less noise-sensitive instance. The same argument applies to the *circuit*:
 //! a shallower cost layer spends less wall-clock time decohering in the
-//! trajectory simulator. This module compiles a cost Hamiltonian into a
-//! depth-minimized layered circuit in three passes:
+//! trajectory simulator. [`compile_maxcut`], the only entry point, compiles a
+//! graph's MaxCut cost layer into a depth-minimized layered circuit in two
+//! steps:
 //!
-//! 1. **Semi-symmetry factoring** ([`factor`]) — duplicate interaction terms
-//!    on the *same* qubit pair are merged into one weighted `RZZ` gate (an
-//!    exact, unitary-level merge), and terms equivalent under a
-//!    qubit-swap automorphism of the weighted interaction graph are grouped
-//!    into classes ("semi-symmetries", after arXiv 2411.08824) that
-//!    observable evaluation can exploit one-representative-per-class.
-//! 2. **Interaction scheduling** ([`schedule`]) — the remaining ZZ terms are
-//!    packed into rounds of disjoint qubit pairs by a greedy lowest-max-load
-//!    heuristic plus a Kempe-chain repair pass; on a `d`-regular interaction
-//!    graph the result approaches the `d`/`d+1` edge-coloring bound, so one
-//!    cost layer executes in ~`d+1` two-qubit time steps instead of `|E|`.
-//! 3. **Metrics** ([`metrics`]) — a [`DepthMetrics`] report (rounds,
-//!    two-qubit depth, gate and factored-term counts) surfaced next to the
-//!    AND ratio wherever reduction metrics appear.
+//! 1. **Interaction scheduling** — the graph's edges, which are sorted,
+//!    unique and of unit weight, are packed into rounds of disjoint qubit
+//!    pairs by a greedy lowest-max-load heuristic, a matching-augmentation
+//!    step and a Kempe-chain repair pass; on a `d`-regular graph the result
+//!    approaches the `d`/`d+1` edge-coloring bound, so one cost layer
+//!    executes in ~`d+1` two-qubit time steps instead of `|E|`.
+//! 2. **Metrics** ([`metrics`]) — a [`DepthMetrics`] report (rounds,
+//!    two-qubit depth, gate counts, Δ) surfaced next to the AND ratio
+//!    wherever reduction metrics appear.
 //!
-//! Every pass is deterministic: ties break toward the lowest term index and
+//! Every pass is deterministic: ties break toward the lowest edge index and
 //! no RNG is consumed, so compiled schedules — and everything simulated from
 //! them — inherit the repo-wide bitwise thread-count and kernel-mode
 //! invariance contract (see `docs/determinism.md`).
@@ -43,18 +39,16 @@
 //! assert_eq!(circuit.two_qubit_gate_count(), 6);
 //! ```
 
-pub mod factor;
 pub mod metrics;
-pub mod schedule;
+mod schedule;
 
-pub use factor::{merge_duplicates, semi_symmetries, SemiSymmetry, TermClass};
 pub use metrics::DepthMetrics;
-pub use schedule::{schedule_terms, ScheduledLayer};
 
+use crate::circuit::circuit_in_cost_order;
 use crate::params::QaoaParams;
 use crate::QaoaError;
 use graphlib::Graph;
-use qsim::circuit::{Circuit, Gate};
+use qsim::circuit::Circuit;
 
 /// Which reduction axes a pipeline or job should apply: the node axis
 /// (Red-QAOA SA graph distillation), the circuit-depth axis (this module),
@@ -89,111 +83,14 @@ impl CircuitReduction {
     }
 }
 
-/// One weighted ZZ interaction term `w · (I - Z_u Z_v) / 2` of a cost
-/// Hamiltonian, normalized so `u < v`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZzTerm {
-    /// Lower qubit index of the pair.
-    pub u: usize,
-    /// Higher qubit index of the pair.
-    pub v: usize,
-    /// Term weight (`1.0` for unweighted MaxCut).
-    pub weight: f64,
-}
-
-impl ZzTerm {
-    /// A term on the (order-normalized) pair `(u, v)` with the given weight.
-    pub fn new(u: usize, v: usize, weight: f64) -> Self {
-        Self {
-            u: u.min(v),
-            v: u.max(v),
-            weight,
-        }
-    }
-}
-
-/// A diagonal cost Hamiltonian `H_C = Σ w_i (I - Z_u Z_v)/2` over a fixed
-/// qubit register — the input of the depth compiler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostHamiltonian {
-    qubits: usize,
-    terms: Vec<ZzTerm>,
-}
-
-impl CostHamiltonian {
-    /// Builds the Hamiltonian from explicit terms, normalizing each pair to
-    /// `u < v`. Duplicate pairs are allowed (the factoring pass merges them).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QaoaError::InvalidParameters`] for out-of-range qubits,
-    /// diagonal pairs (`u == v`), or non-finite weights, and
-    /// [`QaoaError::DegenerateGraph`] when there are no qubits or no terms.
-    pub fn from_terms(qubits: usize, terms: Vec<ZzTerm>) -> Result<Self, QaoaError> {
-        if qubits == 0 || terms.is_empty() {
-            return Err(QaoaError::DegenerateGraph);
-        }
-        let mut normalized = Vec::with_capacity(terms.len());
-        for t in terms {
-            if t.u == t.v {
-                return Err(QaoaError::InvalidParameters(
-                    "interaction term pairs a qubit with itself",
-                ));
-            }
-            if t.u >= qubits || t.v >= qubits {
-                return Err(QaoaError::InvalidParameters(
-                    "interaction term qubit out of range",
-                ));
-            }
-            if !t.weight.is_finite() {
-                return Err(QaoaError::InvalidParameters(
-                    "interaction term weight must be finite",
-                ));
-            }
-            normalized.push(ZzTerm::new(t.u, t.v, t.weight));
-        }
-        Ok(Self {
-            qubits,
-            terms: normalized,
-        })
-    }
-
-    /// The MaxCut cost Hamiltonian of `graph`: one unit-weight term per edge,
-    /// in the graph's canonical (sorted) edge order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QaoaError::DegenerateGraph`] for graphs without nodes or
-    /// edges.
-    pub fn maxcut(graph: &Graph) -> Result<Self, QaoaError> {
-        if graph.node_count() == 0 || graph.edge_count() == 0 {
-            return Err(QaoaError::DegenerateGraph);
-        }
-        Ok(Self {
-            qubits: graph.node_count(),
-            terms: graph.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect(),
-        })
-    }
-
-    /// Number of qubits in the register.
-    pub fn qubits(&self) -> usize {
-        self.qubits
-    }
-
-    /// The interaction terms.
-    pub fn terms(&self) -> &[ZzTerm] {
-        &self.terms
-    }
-}
-
 /// The compiled output of the depth pipeline: a scheduled cost layer plus
 /// the metrics report. One compiled schedule serves every `(γ, β)` — only
 /// the gate angles depend on the parameters, so compilation happens once per
-/// Hamiltonian, never per evaluation.
-#[derive(Debug, Clone, PartialEq)]
+/// graph, never per evaluation.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepthSchedule {
     qubits: usize,
-    layer: ScheduledLayer,
+    rounds: Vec<Vec<(usize, usize)>>,
     metrics: DepthMetrics,
 }
 
@@ -203,9 +100,10 @@ impl DepthSchedule {
         self.qubits
     }
 
-    /// The scheduled cost layer (rounds of disjoint interactions).
-    pub fn layer(&self) -> &ScheduledLayer {
-        &self.layer
+    /// The rounds of the cost layer, in execution order: each round's edges
+    /// touch pairwise-disjoint qubits and are sorted by `(u, v)`.
+    pub fn rounds(&self) -> &[Vec<(usize, usize)>] {
+        &self.rounds
     }
 
     /// The depth-reduction metrics report.
@@ -214,109 +112,58 @@ impl DepthSchedule {
     }
 }
 
-/// Compiles a cost Hamiltonian through the full pipeline: duplicate-term
-/// merging, semi-symmetry detection, and round scheduling.
+/// Compiles the MaxCut cost layer of `graph`: its edges are scheduled into
+/// rounds of disjoint qubit pairs and the metrics report is filled in.
 ///
-/// Deterministic: same Hamiltonian, same schedule, bit for bit.
-pub fn compile(hamiltonian: &CostHamiltonian) -> DepthSchedule {
-    let (merged, merged_duplicates) = merge_duplicates(&hamiltonian.terms);
-    let symmetry = semi_symmetries(hamiltonian.qubits, &merged);
-    let layer = schedule_terms(hamiltonian.qubits, &merged);
-    let metrics = DepthMetrics::new(
-        hamiltonian.qubits,
-        hamiltonian.terms.len(),
-        merged_duplicates,
-        &symmetry,
-        &layer,
-        max_term_degree(hamiltonian.qubits, &merged),
-    );
-    DepthSchedule {
-        qubits: hamiltonian.qubits,
-        layer,
-        metrics,
-    }
-}
-
-/// Convenience wrapper: compiles the MaxCut Hamiltonian of `graph`.
+/// Deterministic: same graph, same schedule, bit for bit.
 ///
 /// # Errors
 ///
-/// Returns [`QaoaError::DegenerateGraph`] for graphs without nodes or edges.
+/// Returns [`QaoaError::DegenerateGraph`] for graphs without edges.
 pub fn compile_maxcut(graph: &Graph) -> Result<DepthSchedule, QaoaError> {
-    Ok(compile(&CostHamiltonian::maxcut(graph)?))
-}
-
-/// Maximum number of interaction terms incident to any single qubit — the
-/// interaction graph's maximum degree Δ, the scheduler's natural lower bound.
-fn max_term_degree(qubits: usize, terms: &[ZzTerm]) -> usize {
-    let mut degree = vec![0usize; qubits];
-    for t in terms {
-        degree[t.u] += 1;
-        degree[t.v] += 1;
+    if graph.edge_count() == 0 {
+        return Err(QaoaError::DegenerateGraph);
     }
-    degree.into_iter().max().unwrap_or(0)
+    let qubits = graph.node_count();
+    let edges: Vec<(usize, usize)> = graph.edges().collect();
+    let rounds = schedule::schedule_edges(qubits, &edges);
+    let metrics = DepthMetrics {
+        qubits,
+        input_terms: edges.len(),
+        scheduled_terms: edges.len(),
+        merged_duplicates: 0,
+        rounds: rounds.len(),
+        naive_depth: edges.len(),
+        max_degree: (0..qubits).map(|u| graph.degree(u)).max().unwrap_or(0),
+    };
+    Ok(DepthSchedule {
+        qubits,
+        rounds,
+        metrics,
+    })
 }
 
-/// Builds the full `p`-layer QAOA circuit from a compiled schedule: one
-/// Hadamard wall, then per layer the scheduled `RZZ` rounds followed by the
-/// `RX` mixer wall. The gate *multiset* matches
-/// [`crate::circuit::qaoa_circuit`] on the same (duplicate-free, unit-weight)
-/// Hamiltonian — scheduling only reorders the mutually-commuting diagonal
-/// cost gates, so the circuit is unitarily identical while packing into
-/// [`ScheduledLayer::round_count`] two-qubit time steps per layer.
+/// Builds the full `p`-layer QAOA circuit from a compiled schedule: the
+/// same circuit as [`crate::circuit::qaoa_circuit`] with each cost layer's
+/// `RZZ` gates emitted round by round. Scheduling only reorders the
+/// mutually-commuting diagonal cost gates, so the circuit is unitarily
+/// identical while packing into [`DepthMetrics::rounds`] two-qubit time
+/// steps per layer.
 pub fn scheduled_qaoa_circuit(schedule: &DepthSchedule, params: &QaoaParams) -> Circuit {
-    let n = schedule.qubits;
-    let mut circuit = Circuit::new(n);
-    for q in 0..n {
-        circuit.push(Gate::H(q)).expect("qubit within range");
-    }
-    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        for gate in schedule.layer.gates(*gamma) {
-            circuit.push(gate).expect("scheduled pair within range");
-        }
-        for q in 0..n {
-            circuit
-                .push(Gate::Rx(q, 2.0 * *beta))
-                .expect("qubit within range");
-        }
-    }
-    circuit
+    circuit_in_cost_order(
+        schedule.qubits,
+        schedule.rounds.iter().flatten().copied(),
+        params,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuit::qaoa_circuit;
-    use graphlib::generators::{complete, connected_gnp, cycle, random_regular};
+    use graphlib::generators::{complete, connected_gnp, cycle, random_regular, star};
     use mathkit::rng::seeded;
     use qsim::statevector::StateVector;
-
-    #[test]
-    fn maxcut_hamiltonian_mirrors_the_edge_list() {
-        let g = cycle(5).unwrap();
-        let h = CostHamiltonian::maxcut(&g).unwrap();
-        assert_eq!(h.qubits(), 5);
-        assert_eq!(h.terms().len(), 5);
-        assert!(h.terms().iter().all(|t| t.u < t.v && t.weight == 1.0));
-        assert!(CostHamiltonian::maxcut(&Graph::new(3)).is_err());
-    }
-
-    #[test]
-    fn from_terms_normalizes_and_validates() {
-        let h = CostHamiltonian::from_terms(4, vec![ZzTerm::new(3, 1, 0.5)]).unwrap();
-        assert_eq!(
-            h.terms()[0],
-            ZzTerm {
-                u: 1,
-                v: 3,
-                weight: 0.5
-            }
-        );
-        assert!(CostHamiltonian::from_terms(0, vec![]).is_err());
-        assert!(CostHamiltonian::from_terms(4, vec![ZzTerm::new(2, 2, 1.0)]).is_err());
-        assert!(CostHamiltonian::from_terms(2, vec![ZzTerm::new(0, 5, 1.0)]).is_err());
-        assert!(CostHamiltonian::from_terms(3, vec![ZzTerm::new(0, 1, f64::NAN)]).is_err());
-    }
 
     #[test]
     fn compiled_rounds_respect_the_vizing_bound_on_regular_graphs() {
@@ -332,6 +179,12 @@ mod tests {
             assert!(m.rounds >= d, "d = {d}: fewer rounds than Δ");
             assert_eq!(m.naive_depth, g.edge_count());
         }
+    }
+
+    #[test]
+    fn edgeless_graphs_are_rejected() {
+        assert!(compile_maxcut(&Graph::new(0)).is_err());
+        assert!(compile_maxcut(&Graph::new(3)).is_err());
     }
 
     #[test]
@@ -367,6 +220,66 @@ mod tests {
         assert_eq!(scheduled.depth(), 7);
     }
 
+    /// FNV-1a over `(round, u, v)` of every scheduled edge, rounds in
+    /// execution order and edges in their order within a round.
+    fn schedule_hash(schedule: &DepthSchedule) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (round, edges) in schedule.rounds().iter().enumerate() {
+            for &(u, v) in edges {
+                for word in [round, u, v] {
+                    for byte in (word as u64).to_le_bytes() {
+                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn compiled_schedules_are_pinned() {
+        // Recorded when the compiler still read a weighted term list: a
+        // change to the greedy, augmentation or Kempe passes, or to the
+        // order they see the edges in, moves a hash here.
+        let mut graphs = vec![
+            cycle(7).unwrap(),
+            cycle(8).unwrap(),
+            complete(6),
+            star(9).unwrap(),
+        ];
+        for d in [3usize, 4, 6] {
+            for seed in [1u64, 2] {
+                let mut rng = seeded(100 + 10 * d as u64 + seed);
+                graphs.push(random_regular(16, d, &mut rng).unwrap());
+            }
+        }
+        for n in [8usize, 10, 14] {
+            graphs.push(connected_gnp(n, 0.4, &mut seeded(200 + n as u64)).unwrap());
+        }
+        graphs.push(random_regular(240, 4, &mut seeded(240)).unwrap());
+        let pins: [(&str, usize, u64); 14] = [
+            ("C7", 3, 0xfa9c5c9dc158d306),
+            ("C8", 2, 0xd2a4b3ddc1a10485),
+            ("K6", 5, 0x1ed7a437a8cadcc0),
+            ("star9", 8, 0x6bc797d549a459ad),
+            ("3-regular seed 1", 3, 0x5521fbc4d46b2285),
+            ("3-regular seed 2", 3, 0xc67ea286caebd0c5),
+            ("4-regular seed 1", 4, 0x6fbf830ddae3a3c5),
+            ("4-regular seed 2", 4, 0x634e29827617ce05),
+            ("6-regular seed 1", 7, 0x25c81c40304828e4),
+            ("6-regular seed 2", 6, 0xd2eb429052ee26e5),
+            ("G(8, .4)", 5, 0xb3e9b9e472263de1),
+            ("G(10, .4)", 5, 0x88866719b4df41ef),
+            ("G(14, .4)", 8, 0xf80e47a64b0eaee3),
+            ("240-node 4-regular", 5, 0x10eb4b6e730d7ea4),
+        ];
+        for (g, (name, rounds, hash)) in graphs.iter().zip(pins) {
+            let schedule = compile_maxcut(g).unwrap();
+            assert_eq!(schedule.metrics().rounds, rounds, "{name}: rounds");
+            assert_eq!(schedule_hash(&schedule), hash, "{name}: schedule hash");
+        }
+    }
+
     #[test]
     fn compilation_is_deterministic() {
         let g = random_regular(30, 4, &mut seeded(11)).unwrap();
@@ -374,6 +287,4 @@ mod tests {
         let b = compile_maxcut(&g).unwrap();
         assert_eq!(a, b);
     }
-
-    use graphlib::Graph;
 }

@@ -1,20 +1,21 @@
-//! Greedy interaction scheduling: packing ZZ terms into rounds of disjoint
-//! qubit pairs.
+//! Greedy interaction scheduling: packing a graph's edges into rounds of
+//! disjoint qubit pairs.
 //!
-//! Scheduling the cost layer is edge coloring of the interaction graph: two
-//! terms can execute in the same two-qubit time step iff they touch disjoint
-//! qubits, so the minimum number of rounds is the chromatic index — between
-//! Δ and Δ+1 for a simple graph (Vizing). Two passes get close to that bound:
+//! Scheduling the cost layer is edge coloring of the graph: two `RZZ` gates
+//! can execute in the same two-qubit time step iff their edges touch
+//! disjoint qubits, so the minimum number of rounds is the chromatic index —
+//! between Δ and Δ+1 for a simple graph (Vizing). Two passes get close to
+//! that bound:
 //!
 //! 1. **Greedy round packing** — rounds are built one at a time; within a
-//!    round, the eligible term (both endpoints still free this round) with
+//!    round, the eligible edge (both endpoints still free this round) with
 //!    the *lowest max per-qubit load* is placed first. This generalizes the
 //!    pairwise `find_best_pair` balancing heuristic of the IBM
 //!    QAOA-graph-decomposition scheduler from picking one pair to building
 //!    whole rounds: balancing the per-qubit op counts keeps any single qubit
 //!    from serializing the layer. Once the round stalls (a maximal matching),
 //!    it is grown to a maximum-style matching by flipping alternating
-//!    augmenting paths over the unscheduled terms — greedy alone strands
+//!    augmenting paths over the unscheduled edges — greedy alone strands
 //!    qubits whose mutual edge is already scheduled, which is exactly how
 //!    `K_6` degrades from 5 rounds to 6. Each round is a maximal matching,
 //!    so the pass alone needs at most `2Δ - 1` rounds.
@@ -24,101 +25,44 @@
 //!    every one of its gates can be repaired. On the d-regular benchmark
 //!    graphs this closes the gap to `d + 1` rounds or better.
 //!
-//! Both passes are pure functions of the term list: candidates are scanned
-//! in ascending term order, ties break toward the lowest term index, colors
+//! Both passes are pure functions of the edge list: candidates are scanned
+//! in ascending edge order, ties break toward the lowest edge index, colors
 //! are tried in ascending order, and no RNG is consumed anywhere. This is
 //! what lets depth-scheduled pipelines keep the repo's bitwise determinism
 //! contract (`docs/determinism.md`).
 
-use super::ZzTerm;
-use qsim::circuit::Gate;
-
-/// One scheduled cost layer: rounds of qubit-disjoint interaction terms.
-///
-/// The rounds translate directly into `qsim` gates through
-/// [`ScheduledLayer::gates`]; [`super::scheduled_qaoa_circuit`] is the
-/// standard consumer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduledLayer {
-    qubits: usize,
-    rounds: Vec<Vec<ZzTerm>>,
-}
-
-impl ScheduledLayer {
-    /// The rounds, in execution order; terms within a round are sorted by
-    /// `(u, v)` and touch pairwise-disjoint qubits.
-    pub fn rounds(&self) -> &[Vec<ZzTerm>] {
-        &self.rounds
-    }
-
-    /// Number of rounds — the two-qubit depth of one cost layer.
-    pub fn round_count(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total number of scheduled terms.
-    pub fn term_count(&self) -> usize {
-        self.rounds.iter().map(Vec::len).sum()
-    }
-
-    /// Number of qubits in the register.
-    pub fn qubits(&self) -> usize {
-        self.qubits
-    }
-
-    /// The cost-layer gates for angle `gamma`, round-major: each term
-    /// `w · (I - Z_u Z_v)/2` becomes `RZZ_{uv}(-γ·w)` (the same convention as
-    /// [`crate::circuit::qaoa_circuit`], which this generalizes to weighted
-    /// terms).
-    pub fn gates(&self, gamma: f64) -> impl Iterator<Item = Gate> + '_ {
-        self.rounds
-            .iter()
-            .flatten()
-            .map(move |t| Gate::Rzz(t.u, t.v, -gamma * t.weight))
-    }
-
-    /// `true` when no qubit appears twice within any round — the invariant
-    /// every schedule must satisfy (checked in tests and the smoke bench).
-    pub fn is_proper(&self) -> bool {
-        let mut used = vec![usize::MAX; self.qubits];
-        for (r, round) in self.rounds.iter().enumerate() {
-            for t in round {
-                if used[t.u] == r || used[t.v] == r {
-                    return false;
-                }
-                used[t.u] = r;
-                used[t.v] = r;
-            }
-        }
-        true
-    }
-}
-
-/// Schedules `terms` over a `qubits`-qubit register: greedy lowest-max-load
+/// Schedules `edges` over a `qubits`-qubit register: greedy lowest-max-load
 /// round packing followed by Kempe-chain repair. Deterministic — ties break
-/// toward the lowest term index, no RNG.
+/// toward the lowest edge index, no RNG.
 ///
-/// The input is typically the duplicate-merged term list of
-/// [`super::compile`]; duplicate pairs are still scheduled correctly (they
-/// simply land in different rounds).
-pub fn schedule_terms(qubits: usize, terms: &[ZzTerm]) -> ScheduledLayer {
-    let mut color_of = greedy_rounds(qubits, terms);
-    kempe_repair(qubits, terms, &mut color_of);
+/// `edges` are a simple graph's sorted `(u, v)` pairs with `u < v`, as
+/// [`graphlib::Graph::edges`] yields them. Returns the rounds in execution
+/// order; each round keeps its edges in input order, so it is sorted too.
+pub(crate) fn schedule_edges(qubits: usize, edges: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+    let mut color_of = greedy_rounds(qubits, edges);
+    kempe_repair(qubits, edges, &mut color_of);
     let round_count = color_of.iter().map(|&c| c + 1).max().unwrap_or(0);
-    let mut rounds: Vec<Vec<ZzTerm>> = vec![Vec::new(); round_count];
-    // Terms are visited in input (ascending-pair) order, so every round
-    // comes out sorted by (u, v) without an explicit sort.
-    for (i, t) in terms.iter().enumerate() {
-        rounds[color_of[i]].push(*t);
+    let mut rounds = vec![Vec::new(); round_count];
+    for (i, &edge) in edges.iter().enumerate() {
+        rounds[color_of[i]].push(edge);
     }
-    ScheduledLayer { qubits, rounds }
+    rounds
+}
+
+/// The endpoint of `edge` that is not `x`.
+fn other_end((u, v): (usize, usize), x: usize) -> usize {
+    if u == x {
+        v
+    } else {
+        u
+    }
 }
 
 /// Greedy pass: builds rounds as maximal matchings, placing within each
-/// round the eligible term whose endpoints carry the lowest max load
-/// (number of already-scheduled terms). Returns the round index per term.
-fn greedy_rounds(qubits: usize, terms: &[ZzTerm]) -> Vec<usize> {
-    let m = terms.len();
+/// round the eligible edge whose endpoints carry the lowest max load
+/// (number of already-scheduled edges). Returns the round index per edge.
+fn greedy_rounds(qubits: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+    let m = edges.len();
     let mut color_of = vec![usize::MAX; m];
     let mut load = vec![0usize; qubits];
     // `busy[q] == round` marks q as used in the round being built.
@@ -127,26 +71,27 @@ fn greedy_rounds(qubits: usize, terms: &[ZzTerm]) -> Vec<usize> {
     let mut round = 0usize;
     while remaining > 0 {
         loop {
-            // Lowest max(load) first, ties to the lowest term index.
+            // Lowest max(load) first, ties to the lowest edge index.
             let mut best: Option<(usize, usize)> = None;
-            for (i, t) in terms.iter().enumerate() {
-                if color_of[i] != usize::MAX || busy[t.u] == round || busy[t.v] == round {
+            for (i, &(u, v)) in edges.iter().enumerate() {
+                if color_of[i] != usize::MAX || busy[u] == round || busy[v] == round {
                     continue;
                 }
-                let key = load[t.u].max(load[t.v]);
+                let key = load[u].max(load[v]);
                 if best.map_or(true, |(bk, _)| key < bk) {
                     best = Some((key, i));
                 }
             }
             let Some((_, i)) = best else { break };
+            let (u, v) = edges[i];
             color_of[i] = round;
-            busy[terms[i].u] = round;
-            busy[terms[i].v] = round;
-            load[terms[i].u] += 1;
-            load[terms[i].v] += 1;
+            busy[u] = round;
+            busy[v] = round;
+            load[u] += 1;
+            load[v] += 1;
             remaining -= 1;
         }
-        while augment_round(qubits, terms, &mut color_of, &mut busy, &mut load, round) {
+        while augment_round(qubits, edges, &mut color_of, &mut busy, &mut load, round) {
             remaining -= 1;
         }
         round += 1;
@@ -155,22 +100,22 @@ fn greedy_rounds(qubits: usize, terms: &[ZzTerm]) -> Vec<usize> {
 }
 
 /// Grows the round's matching by one along an alternating augmenting path
-/// (unscheduled terms are the free edges, the round's terms the matched
+/// (unscheduled edges are the free edges, the round's edges the matched
 /// ones) and flips it. Returns `true` when a path was found. Start vertices,
-/// terms, and branches are all scanned in ascending order — deterministic.
+/// edges, and branches are all scanned in ascending order — deterministic.
 fn augment_round(
     qubits: usize,
-    terms: &[ZzTerm],
+    edges: &[(usize, usize)],
     color_of: &mut [usize],
     busy: &mut [usize],
     load: &mut [usize],
     round: usize,
 ) -> bool {
     let mut matched = vec![usize::MAX; qubits];
-    for (i, t) in terms.iter().enumerate() {
+    for (i, &(u, v)) in edges.iter().enumerate() {
         if color_of[i] == round {
-            matched[t.u] = i;
-            matched[t.v] = i;
+            matched[u] = i;
+            matched[v] = i;
         }
     }
     for x in 0..qubits {
@@ -180,23 +125,25 @@ fn augment_round(
         let mut visited = vec![false; qubits];
         visited[x] = true;
         let mut path = Vec::new();
-        if alternating_dfs(terms, color_of, &matched, &mut visited, x, &mut path) {
+        if alternating_dfs(edges, color_of, &matched, &mut visited, x, &mut path) {
             // Even path positions are free edges joining the round, odd
             // positions are matched edges leaving it; the flip nets +1.
             for (k, &t) in path.iter().enumerate() {
                 if k % 2 == 1 {
+                    let (u, v) = edges[t];
                     color_of[t] = usize::MAX;
-                    load[terms[t].u] -= 1;
-                    load[terms[t].v] -= 1;
+                    load[u] -= 1;
+                    load[v] -= 1;
                 }
             }
             for (k, &t) in path.iter().enumerate() {
                 if k % 2 == 0 {
+                    let (u, v) = edges[t];
                     color_of[t] = round;
-                    busy[terms[t].u] = round;
-                    busy[terms[t].v] = round;
-                    load[terms[t].u] += 1;
-                    load[terms[t].v] += 1;
+                    busy[u] = round;
+                    busy[v] = round;
+                    load[u] += 1;
+                    load[v] += 1;
                 }
             }
             return true;
@@ -206,23 +153,23 @@ fn augment_round(
 }
 
 /// DFS step of the augmentation: from the free-side vertex `cur`, try each
-/// unscheduled term to an unvisited neighbor — an unmatched neighbor
+/// unscheduled edge to an unvisited neighbor — an unmatched neighbor
 /// completes the path, a matched one continues through its round partner.
 /// (No blossom handling: odd cycles may hide a path, but the Kempe repair
 /// pass covers what this heuristic misses.)
 fn alternating_dfs(
-    terms: &[ZzTerm],
+    edges: &[(usize, usize)],
     color_of: &[usize],
     matched: &[usize],
     visited: &mut [bool],
     cur: usize,
     path: &mut Vec<usize>,
 ) -> bool {
-    for (i, t) in terms.iter().enumerate() {
-        if color_of[i] != usize::MAX || (t.u != cur && t.v != cur) {
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        if color_of[i] != usize::MAX || (u != cur && v != cur) {
             continue;
         }
-        let y = if t.u == cur { t.v } else { t.u };
+        let y = other_end((u, v), cur);
         if visited[y] {
             continue;
         }
@@ -232,15 +179,11 @@ fn alternating_dfs(
             return true;
         }
         let mt = matched[y];
-        let z = if terms[mt].u == y {
-            terms[mt].v
-        } else {
-            terms[mt].u
-        };
+        let z = other_end(edges[mt], y);
         if !visited[z] {
             visited[z] = true;
             path.push(mt);
-            if alternating_dfs(terms, color_of, matched, visited, z, path) {
+            if alternating_dfs(edges, color_of, matched, visited, z, path) {
                 return true;
             }
             path.pop();
@@ -253,22 +196,22 @@ fn alternating_dfs(
 /// Repair pass: repeatedly tries to empty the last round by recoloring each
 /// of its gates along Kempe (alternating-color) chains; a fully-emptied
 /// round is deleted and the pass continues on the new last round.
-fn kempe_repair(qubits: usize, terms: &[ZzTerm], color_of: &mut [usize]) {
+fn kempe_repair(qubits: usize, edges: &[(usize, usize)], color_of: &mut [usize]) {
     let mut colors = color_of.iter().map(|&c| c + 1).max().unwrap_or(0);
     if colors <= 1 {
         return;
     }
-    // at[q][c] = index of the term holding color c at qubit q.
+    // at[q][c] = index of the edge holding color c at qubit q.
     let mut at: Vec<Vec<Option<usize>>> = vec![vec![None; colors]; qubits];
-    for (i, t) in terms.iter().enumerate() {
-        at[t.u][color_of[i]] = Some(i);
-        at[t.v][color_of[i]] = Some(i);
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        at[u][color_of[i]] = Some(i);
+        at[v][color_of[i]] = Some(i);
     }
     'shrink: while colors > 1 {
         let last = colors - 1;
-        let victims: Vec<usize> = (0..terms.len()).filter(|&i| color_of[i] == last).collect();
+        let victims: Vec<usize> = (0..edges.len()).filter(|&i| color_of[i] == last).collect();
         for &i in &victims {
-            if !recolor_term(terms, color_of, &mut at, i, last) {
+            if !recolor_edge(edges, color_of, &mut at, i, last) {
                 break 'shrink;
             }
         }
@@ -279,22 +222,22 @@ fn kempe_repair(qubits: usize, terms: &[ZzTerm], color_of: &mut [usize]) {
     }
 }
 
-/// Tries to move term `i` (currently colored `last`) into a color `< last`,
+/// Tries to move edge `i` (currently colored `last`) into a color `< last`,
 /// first by direct assignment, then by swapping one Kempe chain. Colors and
 /// chain endpoints are scanned in ascending order, so the outcome is a pure
 /// function of the inputs.
-fn recolor_term(
-    terms: &[ZzTerm],
+fn recolor_edge(
+    edges: &[(usize, usize)],
     color_of: &mut [usize],
     at: &mut [Vec<Option<usize>>],
     i: usize,
     last: usize,
 ) -> bool {
-    let (u, v) = (terms[i].u, terms[i].v);
+    let (u, v) = edges[i];
     // Direct: some earlier color is free at both endpoints.
     for c in 0..last {
         if at[u][c].is_none() && at[v][c].is_none() {
-            move_color(color_of, at, terms, i, c);
+            move_color(color_of, at, edges, i, c);
             return true;
         }
     }
@@ -309,23 +252,25 @@ fn recolor_term(
             if b == a || at[v][b].is_some() {
                 continue;
             }
-            if let Some(chain) = alternating_chain(terms, at, v, u, a, b) {
+            if let Some(chain) = alternating_chain(edges, at, v, u, a, b) {
                 // Two-phase swap: clear every chain entry first — adjacent
                 // chain links hold each other's target color, so in-place
                 // reassignment would transiently collide in the table.
                 for &t in &chain {
+                    let (x, y) = edges[t];
                     let old = color_of[t];
-                    at[terms[t].u][old] = None;
-                    at[terms[t].v][old] = None;
+                    at[x][old] = None;
+                    at[y][old] = None;
                 }
                 for &t in &chain {
+                    let (x, y) = edges[t];
                     let to = if color_of[t] == a { b } else { a };
-                    at[terms[t].u][to] = Some(t);
-                    at[terms[t].v][to] = Some(t);
+                    at[x][to] = Some(t);
+                    at[y][to] = Some(t);
                     color_of[t] = to;
                 }
                 debug_assert!(at[u][a].is_none() && at[v][a].is_none());
-                move_color(color_of, at, terms, i, a);
+                move_color(color_of, at, edges, i, a);
                 return true;
             }
         }
@@ -334,10 +279,10 @@ fn recolor_term(
 }
 
 /// Walks the alternating `a`/`b` chain starting at `start` (first edge
-/// colored `a`). Returns the chain's term indices unless it touches
+/// colored `a`). Returns the chain's edge indices unless it touches
 /// `forbidden` or closes a cycle (either would break the swap).
 fn alternating_chain(
-    terms: &[ZzTerm],
+    edges: &[(usize, usize)],
     at: &[Vec<Option<usize>>],
     start: usize,
     forbidden: usize,
@@ -349,11 +294,7 @@ fn alternating_chain(
     let mut want = a;
     while let Some(t) = at[cur][want] {
         chain.push(t);
-        cur = if terms[t].u == cur {
-            terms[t].v
-        } else {
-            terms[t].u
-        };
+        cur = other_end(edges[t], cur);
         if cur == forbidden || cur == start {
             return None;
         }
@@ -362,15 +303,15 @@ fn alternating_chain(
     Some(chain)
 }
 
-/// Reassigns term `i` to `color`, keeping the qubit×color table consistent.
+/// Reassigns edge `i` to `color`, keeping the qubit×color table consistent.
 fn move_color(
     color_of: &mut [usize],
     at: &mut [Vec<Option<usize>>],
-    terms: &[ZzTerm],
+    edges: &[(usize, usize)],
     i: usize,
     color: usize,
 ) {
-    let (u, v) = (terms[i].u, terms[i].v);
+    let (u, v) = edges[i];
     let old = color_of[i];
     if at[u][old] == Some(i) {
         at[u][old] = None;
@@ -387,13 +328,32 @@ fn move_color(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphlib::generators::{complete, connected_gnp, cycle, random_regular, star};
+    use crate::circuit::qaoa_circuit;
+    use crate::depth::{compile_maxcut, scheduled_qaoa_circuit};
+    use crate::params::QaoaParams;
+    use graphlib::generators::{complete, connected_gnp, cycle, path, random_regular, star};
     use graphlib::Graph;
     use mathkit::rng::seeded;
+    use qsim::circuit::{Circuit, Gate};
 
-    fn schedule_graph(g: &Graph) -> ScheduledLayer {
-        let terms: Vec<ZzTerm> = g.edges().map(|(u, v)| ZzTerm::new(u, v, 1.0)).collect();
-        schedule_terms(g.node_count(), &terms)
+    fn schedule_graph(g: &Graph) -> Vec<Vec<(usize, usize)>> {
+        schedule_edges(g.node_count(), &g.edges().collect::<Vec<_>>())
+    }
+
+    /// `true` when no qubit appears twice within any round — the invariant
+    /// every schedule must satisfy.
+    fn is_proper(qubits: usize, rounds: &[Vec<(usize, usize)>]) -> bool {
+        let mut used = vec![usize::MAX; qubits];
+        for (r, round) in rounds.iter().enumerate() {
+            for &(u, v) in round {
+                if used[u] == r || used[v] == r {
+                    return false;
+                }
+                used[u] = r;
+                used[v] = r;
+            }
+        }
+        true
     }
 
     fn max_degree(g: &Graph) -> usize {
@@ -405,51 +365,76 @@ mod tests {
         let mut rng = seeded(3);
         for n in [6usize, 10, 15, 20] {
             let g = connected_gnp(n, 0.4, &mut rng).unwrap();
-            let layer = schedule_graph(&g);
-            assert!(layer.is_proper());
-            assert_eq!(layer.term_count(), g.edge_count());
-            assert!(layer.round_count() >= max_degree(&g));
-            assert!(layer.round_count() < 2 * max_degree(&g));
+            let rounds = schedule_graph(&g);
+            assert!(is_proper(n, &rounds));
+            assert_eq!(rounds.iter().map(Vec::len).sum::<usize>(), g.edge_count());
+            assert!(rounds.len() >= max_degree(&g));
+            assert!(rounds.len() < 2 * max_degree(&g));
         }
     }
 
     #[test]
     fn structured_graphs_hit_their_chromatic_index() {
         // Even cycle: class 1, Δ = 2.
-        assert_eq!(schedule_graph(&cycle(8).unwrap()).round_count(), 2);
+        assert_eq!(schedule_graph(&cycle(8).unwrap()).len(), 2);
         // Odd cycle: class 2, needs 3.
-        assert_eq!(schedule_graph(&cycle(7).unwrap()).round_count(), 3);
+        assert_eq!(schedule_graph(&cycle(7).unwrap()).len(), 3);
         // A star serializes completely.
-        assert_eq!(schedule_graph(&star(6).unwrap()).round_count(), 5);
+        assert_eq!(schedule_graph(&star(6).unwrap()).len(), 5);
         // Even complete graphs are class 1 (χ' = n − 1).
-        assert_eq!(schedule_graph(&complete(6)).round_count(), 5);
+        assert_eq!(schedule_graph(&complete(6)).len(), 5);
     }
 
     #[test]
     fn regular_graphs_meet_the_vizing_bound() {
         for (d, seed) in [(3usize, 1u64), (3, 2), (4, 3), (4, 4), (6, 5), (6, 6)] {
             let g = random_regular(20, d, &mut seeded(seed)).unwrap();
-            let layer = schedule_graph(&g);
-            assert!(layer.is_proper());
+            let rounds = schedule_graph(&g);
+            assert!(is_proper(20, &rounds));
             assert!(
-                layer.round_count() <= d + 1,
+                rounds.len() <= d + 1,
                 "d = {d}, seed {seed}: {} rounds",
-                layer.round_count()
+                rounds.len()
             );
         }
     }
 
     #[test]
     fn gates_follow_round_order_and_weighting() {
-        let terms = vec![ZzTerm::new(0, 1, 1.0), ZzTerm::new(2, 3, 0.5)];
-        let layer = schedule_terms(4, &terms);
-        assert_eq!(layer.round_count(), 1, "disjoint pairs share a round");
-        let gates: Vec<Gate> = layer.gates(0.8).collect();
-        assert_eq!(gates.len(), 2);
-        match gates[1] {
-            Gate::Rzz(2, 3, angle) => assert!((angle - (-0.4)).abs() < 1e-12),
-            ref other => panic!("unexpected gate {other:?}"),
-        }
+        // On the path 0-1-2-3 the outer edges share a round, so the cost
+        // layer emits (0,1), (2,3), (1,2) where the naive circuit emits the
+        // sorted edge list. Every edge has unit weight, so both carry
+        // RZZ(-γ), and the H and RX walls are the same.
+        let g = path(4).unwrap();
+        let schedule = compile_maxcut(&g).unwrap();
+        assert_eq!(schedule.rounds(), [vec![(0, 1), (2, 3)], vec![(1, 2)]]);
+        let params = QaoaParams::new(vec![0.8], vec![0.3]).unwrap();
+        let split = |circuit: &Circuit| -> (Vec<Gate>, Vec<Gate>) {
+            circuit
+                .gates()
+                .iter()
+                .partition(|g| matches!(g, Gate::Rzz(..)))
+        };
+        let (scheduled_rzz, scheduled_rest) = split(&scheduled_qaoa_circuit(&schedule, &params));
+        let (naive_rzz, naive_rest) = split(&qaoa_circuit(&g, &params).unwrap());
+        let angle = -0.8;
+        assert_eq!(
+            scheduled_rzz,
+            [
+                Gate::Rzz(0, 1, angle),
+                Gate::Rzz(2, 3, angle),
+                Gate::Rzz(1, 2, angle)
+            ]
+        );
+        assert_eq!(
+            naive_rzz,
+            [
+                Gate::Rzz(0, 1, angle),
+                Gate::Rzz(1, 2, angle),
+                Gate::Rzz(2, 3, angle)
+            ]
+        );
+        assert_eq!(scheduled_rest, naive_rest);
     }
 
     #[test]
@@ -462,9 +447,8 @@ mod tests {
 
     #[test]
     fn empty_term_list_schedules_to_zero_rounds() {
-        let layer = schedule_terms(4, &[]);
-        assert_eq!(layer.round_count(), 0);
-        assert_eq!(layer.term_count(), 0);
-        assert!(layer.is_proper());
+        let rounds = schedule_edges(4, &[]);
+        assert!(rounds.is_empty());
+        assert!(is_proper(4, &rounds));
     }
 }

@@ -18,9 +18,8 @@
 //!   optimization driver evaluates energies through one of its named,
 //!   swappable backends (statevector workspace, analytic `p = 1`,
 //!   edge-local light cones, noisy trajectories).
-//! * [`depth`] — the circuit depth-reduction subsystem: semi-symmetry
-//!   factoring of equivalent interaction terms, greedy round scheduling of
-//!   ZZ gates (edge coloring the interaction graph), and the
+//! * [`depth`] — the circuit depth-reduction subsystem: greedy round
+//!   scheduling of a graph's `RZZ` gates (edge coloring the graph) and the
 //!   [`DepthMetrics`](depth::DepthMetrics) report.
 //! * [`analytic`] — the closed-form `p = 1` MaxCut expectation, whose
 //!   per-edge terms every `p = 1` exact path sums.

@@ -1,18 +1,14 @@
 //! Qubit routing for sparse coupling maps.
 //!
 //! The paper transpiles circuits with SABRE and keeps the shortest of 100
-//! repetitions. SABRE itself is a look-ahead heuristic; here we implement the
-//! same *interface* with a greedy distance-based SWAP-insertion router plus a
-//! best-of-N repetition loop over random initial layouts. The routed circuit
-//! is only used for depth, gate-count, and duration estimates (noise scaling
-//! and the throughput model), where the greedy router is an adequate
-//! substitute.
+//! repetitions. SABRE itself is a look-ahead heuristic; here a greedy
+//! distance-based SWAP-insertion router maps the circuit from the trivial
+//! layout `logical i → physical i`. The routed circuit feeds the noisy
+//! routed evaluation, where the greedy router is an adequate substitute.
 
 use crate::circuit::{Circuit, Gate};
 use crate::devices::CouplingMap;
-use crate::noise::NoiseModel;
 use crate::QsimError;
-use rand::Rng;
 
 /// The result of routing a logical circuit onto a physical device.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,25 +19,6 @@ pub struct RoutedCircuit {
     pub swap_count: usize,
     /// Final logical-to-physical mapping.
     pub final_layout: Vec<usize>,
-}
-
-impl RoutedCircuit {
-    /// Depth of the routed circuit.
-    pub fn depth(&self) -> usize {
-        self.circuit.depth()
-    }
-
-    /// Number of two-qubit gates after routing (including inserted SWAPs).
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.circuit.two_qubit_gate_count()
-    }
-
-    /// Estimated wall-clock duration of the circuit in nanoseconds under the
-    /// given noise model's gate times, assuming full parallelism across
-    /// qubits (duration = depth × the slower gate time mix).
-    pub fn duration_ns(&self, noise: &NoiseModel) -> f64 {
-        noise.circuit_duration_ns(&self.circuit)
-    }
 }
 
 /// Rewrites a circuit into the native gate set of superconducting hardware:
@@ -73,18 +50,17 @@ pub fn decompose_to_native(circuit: &Circuit) -> Circuit {
     out
 }
 
-/// Routes `circuit` onto `coupling` starting from the given initial layout
-/// (`layout[logical] = physical`).
+/// Routes `circuit` onto `coupling` from the trivial layout
+/// `logical i → physical i`, inserting a SWAP chain along a shortest path
+/// before every two-qubit gate whose qubits are not adjacent.
 ///
 /// # Errors
 ///
-/// Returns [`QsimError::InvalidParameter`] if the layout is shorter than the
-/// logical qubit count, maps outside the device, contains duplicates, or the
-/// device has fewer qubits than the circuit.
-pub fn route_with_layout(
+/// Returns [`QsimError::TooManyQubits`] if the device has fewer qubits than
+/// the circuit.
+pub fn route_trivial(
     circuit: &Circuit,
     coupling: &CouplingMap,
-    layout: &[usize],
 ) -> Result<RoutedCircuit, QsimError> {
     let n_logical = circuit.qubit_count();
     let n_physical = coupling.qubit_count();
@@ -94,26 +70,9 @@ pub fn route_with_layout(
             limit: n_physical,
         });
     }
-    if layout.len() < n_logical {
-        return Err(QsimError::InvalidParameter(
-            "layout must cover every logical qubit",
-        ));
-    }
-    let mut seen = vec![false; n_physical];
-    for &p in &layout[..n_logical] {
-        if p >= n_physical {
-            return Err(QsimError::InvalidParameter(
-                "layout maps outside the device",
-            ));
-        }
-        if seen[p] {
-            return Err(QsimError::InvalidParameter("layout contains duplicates"));
-        }
-        seen[p] = true;
-    }
 
     // logical -> physical for the circuit's qubits.
-    let mut l2p: Vec<usize> = layout[..n_logical].to_vec();
+    let mut l2p: Vec<usize> = (0..n_logical).collect();
     let mut routed = Circuit::new(n_physical);
     let mut swap_count = 0usize;
 
@@ -155,68 +114,13 @@ pub fn route_with_layout(
     })
 }
 
-/// Routes with the trivial layout `logical i → physical i`.
-///
-/// # Errors
-///
-/// Same error conditions as [`route_with_layout`].
-pub fn route_trivial(
-    circuit: &Circuit,
-    coupling: &CouplingMap,
-) -> Result<RoutedCircuit, QsimError> {
-    let layout: Vec<usize> = (0..circuit.qubit_count()).collect();
-    route_with_layout(circuit, coupling, &layout)
-}
-
-/// SABRE-style protocol: routes the circuit `repetitions` times from random
-/// initial layouts and returns the result with the smallest depth (ties
-/// broken by SWAP count). This mirrors the paper's "pick the shortest of 100
-/// repetitions" methodology.
-///
-/// # Errors
-///
-/// Same error conditions as [`route_with_layout`]; `repetitions == 0` is an
-/// invalid parameter.
-pub fn route_best_of<R: Rng>(
-    circuit: &Circuit,
-    coupling: &CouplingMap,
-    repetitions: usize,
-    rng: &mut R,
-) -> Result<RoutedCircuit, QsimError> {
-    if repetitions == 0 {
-        return Err(QsimError::InvalidParameter("repetitions must be positive"));
-    }
-    let n_logical = circuit.qubit_count();
-    let n_physical = coupling.qubit_count();
-    let mut best: Option<RoutedCircuit> = None;
-    for rep in 0..repetitions {
-        let layout = if rep == 0 {
-            (0..n_logical).collect::<Vec<usize>>()
-        } else {
-            mathkit::rng::choose_indices(rng, n_physical, n_logical)
-        };
-        let candidate = route_with_layout(circuit, coupling, &layout)?;
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                candidate.depth() < b.depth()
-                    || (candidate.depth() == b.depth() && candidate.swap_count < b.swap_count)
-            }
-        };
-        if better {
-            best = Some(candidate);
-        }
-    }
-    Ok(best.expect("at least one repetition"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{heavy_hex_like, CouplingMap};
+    use crate::devices::CouplingMap;
+    use crate::noise::NoiseModel;
     use crate::statevector::StateVector;
     use graphlib::generators::path;
-    use mathkit::rng::seeded;
 
     fn line_coupling(n: usize) -> CouplingMap {
         CouplingMap::new(path(n).unwrap())
@@ -238,7 +142,7 @@ mod tests {
         c.push(Gate::Cnot(0, 3)).unwrap();
         let routed = route_trivial(&c, &line_coupling(4)).unwrap();
         assert!(routed.swap_count >= 2, "swaps {}", routed.swap_count);
-        assert_eq!(routed.two_qubit_gate_count(), routed.swap_count + 1);
+        assert_eq!(routed.circuit.two_qubit_gate_count(), routed.swap_count + 1);
     }
 
     #[test]
@@ -264,29 +168,10 @@ mod tests {
 
     #[test]
     fn layout_validation() {
-        let c = Circuit::new(3);
+        // The trivial layout needs the device to hold every logical qubit.
         let map = line_coupling(3);
-        assert!(route_with_layout(&c, &map, &[0, 1]).is_err());
-        assert!(route_with_layout(&c, &map, &[0, 1, 9]).is_err());
-        assert!(route_with_layout(&c, &map, &[0, 1, 1]).is_err());
-        let big = Circuit::new(5);
-        assert!(route_trivial(&big, &map).is_err());
-    }
-
-    #[test]
-    fn best_of_reduces_or_matches_trivial_depth() {
-        let mut c = Circuit::new(6);
-        for a in 0..6usize {
-            for b in (a + 1)..6 {
-                c.push(Gate::Rzz(a, b, 0.3)).unwrap();
-            }
-        }
-        let map = heavy_hex_like(16);
-        let trivial = route_trivial(&c, &map).unwrap();
-        let mut rng = seeded(11);
-        let best = route_best_of(&c, &map, 16, &mut rng).unwrap();
-        assert!(best.depth() <= trivial.depth());
-        assert!(route_best_of(&c, &map, 0, &mut rng).is_err());
+        assert!(route_trivial(&Circuit::new(3), &map).is_ok());
+        assert!(route_trivial(&Circuit::new(5), &map).is_err());
     }
 
     #[test]
@@ -330,8 +215,9 @@ mod tests {
         }
         let map = line_coupling(2);
         let noise = NoiseModel::ideal();
-        let d_shallow = route_trivial(&shallow, &map).unwrap().duration_ns(&noise);
-        let d_deep = route_trivial(&deep, &map).unwrap().duration_ns(&noise);
+        let duration =
+            |c: &Circuit| noise.circuit_duration_ns(&route_trivial(c, &map).unwrap().circuit);
+        let (d_shallow, d_deep) = (duration(&shallow), duration(&deep));
         assert!(d_deep > d_shallow * 5.0);
     }
 }
