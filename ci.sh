@@ -13,7 +13,10 @@
 #      links, malformed doc fragments) that rustc cannot see.
 #   3. tier-1 verify          — cargo build --release && cargo test -q,
 #      run twice: once with RED_QAOA_THREADS=1 (forced-serial paths) and
-#      once with the variable unset (parallel paths, default thread count).
+#      once with RED_QAOA_THREADS=4 (parallel paths). The second pass pins
+#      four workers rather than leaving the variable unset, because unset
+#      resolves to available_parallelism, which is 1 on a one-core host and
+#      would only repeat the serial pass.
 #      The root Cargo.toml's `default-members` lists the umbrella package
 #      and every crates/* member, so `cargo test -q` runs the whole suite:
 #      the workspace integration tests plus every crate's unit tests and
@@ -117,8 +120,8 @@ echo "==> tier-1 (serial: RED_QAOA_THREADS=1): cargo build --release && cargo te
 cargo build --release
 RED_QAOA_THREADS=1 cargo test -q
 
-echo "==> tier-1 (parallel: RED_QAOA_THREADS unset): cargo test -q"
-env -u RED_QAOA_THREADS cargo test -q
+echo "==> tier-1 (parallel: RED_QAOA_THREADS=4): cargo test -q"
+RED_QAOA_THREADS=4 cargo test -q
 
 echo "==> benchmark crate: cargo test -q --manifest-path perfbench/Cargo.toml"
 cargo test -q --manifest-path perfbench/Cargo.toml

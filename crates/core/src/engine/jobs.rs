@@ -7,7 +7,7 @@
 //! the job-specific work runs on the job's RNG substream. The dispatch
 //! ([`execute`]) is a pure function of `(engine config, job, job_seed)` —
 //! which is the whole determinism story: nothing in here can observe which
-//! worker, lane, or scheduling order ran it.
+//! worker ran it, or in what order.
 
 use super::builder::validate_pipeline_options;
 use super::Engine;
@@ -98,6 +98,12 @@ impl PipelineJob {
     }
 }
 
+/// Largest grid a [`LandscapeJob`] may scan: `2^24` points, a `4096 × 4096`
+/// grid. That is far above the `32 × 32` grids the benches scan, and it
+/// keeps the grid's allocation bounded, so a job with a larger `width` fails
+/// with an `InvalidParameter` error on `width` instead of panicking.
+pub const MAX_LANDSCAPE_POINTS: usize = 1 << 24;
+
 /// A `p = 1` energy-landscape scan on a `width × width` `(γ, β)` grid,
 /// evaluated with an [`AutoEvaluator`] (the closed-form `p = 1` arm, whatever
 /// the graph size, so no `2^n` cut table is built) — optionally on the
@@ -111,7 +117,8 @@ impl PipelineJob {
 pub struct LandscapeJob {
     /// The graph whose landscape is scanned.
     pub graph: Graph,
-    /// Grid width (the scan evaluates `width²` points).
+    /// Grid width (the scan evaluates `width²` points, at least 1 and at
+    /// most [`MAX_LANDSCAPE_POINTS`]).
     pub width: usize,
     /// Scan the cached reduction of the graph instead of the graph itself.
     pub reduce_first: bool,
@@ -547,11 +554,14 @@ pub(super) fn execute(
             .map(JobOutput::NoisyPipeline)
         }
         Job::Landscape(job) => {
-            if job.width == 0 {
+            // Checked before the grid is allocated: an overflowing width
+            // would otherwise panic in `Landscape::evaluate`.
+            let points = job.width.saturating_mul(job.width);
+            if !(1..=MAX_LANDSCAPE_POINTS).contains(&points) {
                 return Err(RedQaoaError::invalid_parameter(
                     "width",
                     job.width,
-                    "must be at least 1",
+                    "must be at least 1, with width² at most MAX_LANDSCAPE_POINTS (2^24)",
                 ));
             }
             // In depth-only mode `reduce_first` scans the graph itself (the

@@ -22,16 +22,13 @@
 //!   the paper's end-to-end loop, the noisy [`PipelineJob`],
 //!   [`LandscapeJob`], [`ThroughputJob`]) submitted one-shot via
 //!   [`Engine::run`] or batched via [`Engine::run_batch`], each returning a
-//!   typed [`JobOutput`].
-//! * [`scheduler`](self) — batches fan out through a **two-level
-//!   scheduler**: per-job costs are estimated up front, the few clear
-//!   outliers get an exclusive lane where their *inner* scans parallelize,
-//!   and the rest run coarse job-level parallelism
-//!   (`mathkit::parallel::parallel_map_two_level`). Job `i` always derives
-//!   the substream `derive_seed(batch_seed, i)`, so batch results are
-//!   bitwise-identical for every `RED_QAOA_THREADS` value regardless of
-//!   lane placement (`tests/parallel_determinism.rs`,
-//!   `docs/determinism.md`).
+//!   typed [`JobOutput`]. A batch fans out flat over the engine's worker
+//!   threads (`mathkit::parallel::parallel_map_indexed`, one index per
+//!   job). Job `i` always derives the substream `derive_seed(batch_seed,
+//!   i)`, so batch results are bitwise-identical for every
+//!   `RED_QAOA_THREADS` value (`tests/parallel_determinism.rs`,
+//!   `docs/determinism.md`), and a job that panics fails alone, as
+//!   [`RedQaoaError::JobPanicked`].
 //! * [`cache`](self) — reductions are content-addressed in an N-way
 //!   **sharded** cache with size-aware cost-based eviction: the same
 //!   (graph, options) pair maps to the same cache key *and* the same
@@ -70,13 +67,12 @@ mod builder;
 mod cache;
 mod jobs;
 mod persist;
-mod scheduler;
 
 pub use builder::EngineBuilder;
 pub use cache::CacheStats;
 pub use jobs::{
     Job, JobOutput, LandscapeJob, OptimizeJob, OptimizeReport, PipelineJob, ReduceJob,
-    ThroughputJob,
+    ThroughputJob, MAX_LANDSCAPE_POINTS,
 };
 
 use crate::pipeline::PipelineOptions;
@@ -85,11 +81,12 @@ use crate::RedQaoaError;
 use cache::{anneal_cost, CacheKey, ShardedReductionCache};
 use graphlib::Graph;
 use jobs::{execute, scan_key};
-use mathkit::parallel::{current_threads, parallel_map_two_level, with_threads};
+use mathkit::parallel::{parallel_map_indexed, with_threads};
 use mathkit::rng::{derive_seed, seeded};
 use persist::PersistentStore;
 use qsim::noise::NoiseModel;
 use std::collections::hash_map::{Entry, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default seed of the engine's content-addressed reduction substreams.
@@ -178,57 +175,47 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the underlying [`RedQaoaError`] (no [`RedQaoaError::Job`]
-    /// wrapper — there is no batch index to report).
+    /// wrapper — there is no batch index to report); a job that panics
+    /// returns [`RedQaoaError::JobPanicked`].
     pub fn run(&self, job: &Job, seed: u64) -> Result<JobOutput, RedQaoaError> {
-        self.with_thread_policy(|| execute(self, job, derive_seed(seed, 0)))
+        self.with_thread_policy(|| isolate_panic(|| execute(self, job, derive_seed(seed, 0))))
     }
 
-    /// Runs a batch of jobs, fanning out across the engine's worker threads
-    /// through the two-level scheduler: estimated-cost outliers get an
-    /// exclusive lane where their inner scans parallelize; the rest share
-    /// coarse job-level parallelism (see the [module docs](crate::engine)).
+    /// Runs a batch of jobs, fanning them out across the engine's worker
+    /// threads (one [`parallel_map_indexed`] index per job).
     ///
     /// Job `i` runs on the RNG substream `derive_seed(seed, i)` and failures
     /// are reported per job as [`RedQaoaError::Job`] (carrying the index)
-    /// rather than aborting the batch. Reductions are shared through the
-    /// cache: repeated (graph, options) pairs anneal once. Identical
+    /// rather than aborting the batch; a job that panics fails the same way,
+    /// wrapping [`RedQaoaError::JobPanicked`]. Reductions are shared through
+    /// the cache: repeated (graph, options) pairs anneal once. Identical
     /// landscape scans run once: a [`LandscapeJob`] with the same graph
     /// content, width, and choice of graph or cached reduction as an
     /// earlier job of the batch (depth modes do not change a scan, and a
     /// [`CircuitReduction::Depth`](crate::pipeline::CircuitReduction::Depth)
-    /// `.reduced()` job scans the graph itself) costs nothing in the
-    /// scheduler, makes no cache lookup, and returns a clone of that job's
-    /// output, or its error wrapped with the repeat's own index.
+    /// `.reduced()` job scans the graph itself) runs nothing, makes no
+    /// cache lookup, and returns a clone of that job's output, or its error
+    /// wrapped with the repeat's own index.
     ///
     /// **Determinism:** results are bitwise-identical for every
     /// `RED_QAOA_THREADS` value. Each job's work is a pure function of its
     /// substream and the engine configuration; cached reductions are a pure
-    /// function of content (see [`DEFAULT_REDUCTION_SEED`]); and the
-    /// scheduler only decides *where* a job runs, never what it computes —
-    /// so neither lane placement nor the race for who computes a shared
-    /// reduction first can change any output. A copied scan is the bits
-    /// the repeat would have computed: a scan reads no substream. The full
-    /// contract lives in `docs/determinism.md`.
+    /// function of content (see [`DEFAULT_REDUCTION_SEED`]); and the thread
+    /// count only decides *where* a job runs, never what it computes — so
+    /// neither the worker a job lands on nor the race for who computes a
+    /// shared reduction first can change any output. A copied scan is the
+    /// bits the repeat would have computed: a scan reads no substream. The
+    /// full contract lives in `docs/determinism.md`.
     pub fn run_batch(&self, jobs: &[Job], seed: u64) -> Vec<Result<JobOutput, RedQaoaError>> {
         self.with_thread_policy(|| {
             let repeats = repeated_scans(jobs);
-            let costs: Vec<f64> = jobs
-                .iter()
-                .zip(&repeats)
-                .map(|(job, repeat)| match repeat {
-                    Some(_) => 0.0,
-                    None => scheduler::estimate_cost(self, job),
-                })
-                .collect();
-            let exclusive = scheduler::exclusive_indices(&costs, current_threads());
-            let ran = parallel_map_two_level(
+            let ran = parallel_map_indexed(
                 jobs.len(),
-                &exclusive,
                 || (),
                 |_, i| {
-                    repeats[i]
-                        .is_none()
-                        .then(|| execute(self, &jobs[i], derive_seed(seed, i as u64)))
+                    repeats[i].is_none().then(|| {
+                        isolate_panic(|| execute(self, &jobs[i], derive_seed(seed, i as u64)))
+                    })
                 },
             );
             let mut results: Vec<Result<JobOutput, RedQaoaError>> = Vec::with_capacity(jobs.len());
@@ -246,23 +233,6 @@ impl Engine {
                 .map(|(i, result)| result.map_err(|e| RedQaoaError::for_job(i, e)))
                 .collect()
         })
-    }
-
-    /// Reduces a whole slice through the engine, delegating to the
-    /// low-level [`crate::reduction::reduce_pool`] with **identical RNG
-    /// substreams** (graph `i` reduces on `derive_seed(seed, i)`).
-    ///
-    /// This is the bitwise-compatibility path: experiments pinned to the
-    /// PR 4 output streams run under the engine's thread policy without any
-    /// numeric change. It deliberately bypasses the content-hash cache —
-    /// the caller chose explicit per-index seeds, which a cache keyed on
-    /// content alone cannot honour.
-    pub fn reduce_pool(
-        &self,
-        graphs: &[Graph],
-        seed: u64,
-    ) -> Vec<Result<ReducedGraph, RedQaoaError>> {
-        self.with_thread_policy(|| crate::reduction::reduce_pool(graphs, &self.reduction, seed))
     }
 
     fn with_thread_policy<T>(&self, f: impl FnOnce() -> T) -> T {
@@ -320,6 +290,25 @@ impl Engine {
         self.cache.insert(key, hash, &reduced, cost);
         Ok(reduced)
     }
+}
+
+/// Runs one job's body, turning a panic in it into
+/// [`RedQaoaError::JobPanicked`] so that the job fails alone: the panic
+/// unwinds no further than this call, and the batch's other jobs run and
+/// return as if it had failed with an error. The engine's shared state
+/// stays usable, since its locks guard only cache and store bookkeeping,
+/// never a job's body.
+fn isolate_panic<T>(body: impl FnOnce() -> Result<T, RedQaoaError>) -> Result<T, RedQaoaError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        let message = match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => match payload.downcast::<&'static str>() {
+                Ok(message) => message.to_string(),
+                Err(_) => "non-string panic payload".to_string(),
+            },
+        };
+        Err(RedQaoaError::JobPanicked(message))
+    })
 }
 
 /// For each job of a batch, the index of the first earlier job that runs
@@ -511,23 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_jobs_change_lanes_but_never_outputs() {
-        // A batch whose landscape dwarfs its siblings: under 4 threads the
-        // scheduler gives it the exclusive (inner-parallel) lane; under 1
-        // thread everything is serial. Outputs must be bitwise-identical.
-        let build = |threads| Engine::builder().threads(threads).build().unwrap();
-        let graph = test_graph(11);
-        let jobs = vec![
-            Job::Reduce(ReduceJob::new(graph.clone())),
-            Job::Landscape(LandscapeJob::new(graph.clone(), 16)),
-            Job::Throughput(ThroughputJob::new(graph, 27, 1)),
-        ];
-        let serial: Vec<_> = build(1).run_batch(&jobs, 5);
-        let split: Vec<_> = build(4).run_batch(&jobs, 5);
-        assert_eq!(serial, split);
-    }
-
-    #[test]
     fn unsatisfiable_min_size_is_rejected_with_context() {
         let engine = Engine::builder().build().unwrap();
         let options = ReductionOptions {
@@ -668,11 +640,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_reduce_pool_matches_the_free_function_bitwise() {
-        let engine = Engine::builder().build().unwrap();
-        let graphs: Vec<Graph> = (0..3).map(test_graph).collect();
-        let via_engine = engine.reduce_pool(&graphs, 42);
-        let via_free = crate::reduction::reduce_pool(&graphs, engine.reduction_options(), 42);
-        assert_eq!(via_engine, via_free);
+    fn a_panicking_job_body_becomes_an_error() {
+        let panicked: Result<(), _> = isolate_panic(|| panic!("boom at index {}", 3));
+        assert_eq!(
+            panicked,
+            Err(RedQaoaError::JobPanicked("boom at index 3".into()))
+        );
+        let literal: Result<(), _> = isolate_panic(|| panic!("boom"));
+        assert_eq!(literal, Err(RedQaoaError::JobPanicked("boom".into())));
+        assert_eq!(isolate_panic(|| Ok(7)), Ok(7));
     }
 }

@@ -93,6 +93,9 @@ pub enum RedQaoaError {
         /// The underlying failure.
         source: Box<RedQaoaError>,
     },
+    /// A job panicked; carries the panic message. The engine reports it
+    /// like any other job failure, so the batch's other jobs still run.
+    JobPanicked(String),
     /// An error bubbled up from the graph substrate.
     Graph(graphlib::GraphError),
     /// An error bubbled up from the QAOA library.
@@ -146,6 +149,7 @@ impl std::fmt::Display for RedQaoaError {
             }
             RedQaoaError::EmptyInput(what) => write!(f, "empty input: {what}"),
             RedQaoaError::Job { index, source } => write!(f, "job {index}: {source}"),
+            RedQaoaError::JobPanicked(message) => write!(f, "job panicked: {message}"),
             RedQaoaError::Graph(e) => write!(f, "graph error: {e}"),
             RedQaoaError::Qaoa(e) => write!(f, "qaoa error: {e}"),
         }

@@ -15,6 +15,7 @@ use qaoa::optimize::{maximize_with_restarts, EvaluationTrace, OptimizeOptions, T
 use qsim::devices::fake_toronto;
 use qsim::noise::NoiseModel;
 use qsim::trajectory::TrajectoryOptions;
+use red_qaoa::reduction::{reduce_pool, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
 /// Configuration for the Figure 1 experiment.
@@ -189,14 +190,16 @@ fn running_best_on_original(original: &QaoaInstance, trace: &EvaluationTrace) ->
 pub fn run_fig20(config: &Fig20Config) -> Result<Fig20Curves, RedQaoaError> {
     let mut rng = seeded(config.seed);
     let graph: Graph = connected_gnp(config.nodes, config.edge_probability, &mut rng)?;
-    // A one-graph pool through the shared engine's deterministic
-    // `reduce_pool` delegation, on its own derived substream: the reduction
-    // does not advance the optimizer's RNG stream and stays bitwise
-    // thread-count invariant like the multi-graph pools.
-    let reduced = crate::shared_engine()
-        .reduce_pool(std::slice::from_ref(&graph), derive_seed(config.seed, 3))
-        .pop()
-        .expect("one-graph pool yields one result")?;
+    // A one-graph deterministic `reduce_pool`, on its own derived
+    // substream: the reduction does not advance the optimizer's RNG stream
+    // and stays bitwise thread-count invariant like the multi-graph pools.
+    let reduced = reduce_pool(
+        std::slice::from_ref(&graph),
+        &ReductionOptions::default(),
+        derive_seed(config.seed, 3),
+    )
+    .pop()
+    .expect("one-graph pool yields one result")?;
     let original_instance = QaoaInstance::new(&graph, 1)?;
     let reduced_instance = QaoaInstance::new(reduced.graph(), 1)?;
     let noise: NoiseModel = fake_toronto().noise;

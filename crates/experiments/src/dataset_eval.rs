@@ -9,6 +9,7 @@ use crate::cli::{Format, Table};
 use datasets::{aids, imdb, linux, random_suite, Dataset};
 use mathkit::rng::{derive_seed, seeded};
 use red_qaoa::mse::ideal_sample_mse;
+use red_qaoa::reduction::{reduce_pool, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
 /// Configuration of the dataset evaluation.
@@ -76,13 +77,12 @@ fn evaluate_dataset(
     let mut node_red = Vec::new();
     let mut edge_red = Vec::new();
     let mut mse_per_layer = vec![Vec::new(); config.layers.len()];
-    // One deterministic parallel pool over the whole split, submitted
-    // through the shared engine's `reduce_pool` delegation: graph `g_idx`
-    // reduces on the substream `derive_seed(config.seed, g_idx)` — exactly
-    // the stream the old per-graph `reduce` loop used, so the migration is
-    // output-preserving, and the pool is bitwise-identical for every
-    // `RED_QAOA_THREADS` value.
-    let reductions = crate::shared_engine().reduce_pool(&graphs, config.seed);
+    // One deterministic parallel `reduce_pool` over the whole split: graph
+    // `g_idx` reduces on the substream `derive_seed(config.seed, g_idx)` —
+    // exactly the stream the old per-graph `reduce` loop used, so the
+    // migration is output-preserving, and the pool is bitwise-identical for
+    // every `RED_QAOA_THREADS` value.
+    let reductions = reduce_pool(&graphs, &ReductionOptions::default(), config.seed);
     for (g_idx, (graph, reduction)) in graphs.iter().zip(reductions).enumerate() {
         let reduced = match reduction {
             Ok(r) => r,

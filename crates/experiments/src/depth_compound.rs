@@ -15,6 +15,7 @@ use graphlib::Graph;
 use mathkit::rng::{derive_seed, seeded};
 use qsim::devices::fake_toronto;
 use red_qaoa::mse::compound_grid_comparison;
+use red_qaoa::reduction::{reduce_pool, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
 /// Stream offset separating the reduction pool's seed from the per-size
@@ -95,8 +96,11 @@ pub fn run_fig26(config: &DepthCompoundConfig) -> Result<Vec<DepthCompoundRow>, 
             connected_gnp(n, config.edge_probability, &mut rng)
         })
         .collect::<Result<_, _>>()?;
-    let reductions =
-        crate::shared_engine().reduce_pool(&graphs, derive_seed(config.seed, REDUCE_STREAM));
+    let reductions = reduce_pool(
+        &graphs,
+        &ReductionOptions::default(),
+        derive_seed(config.seed, REDUCE_STREAM),
+    );
     let noise = fake_toronto().noise;
     let mut rows = Vec::new();
     for (i, (graph, reduction)) in graphs.iter().zip(reductions).enumerate() {

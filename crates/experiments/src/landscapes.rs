@@ -12,6 +12,7 @@ use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::landscape::Landscape;
 use qsim::devices::Device;
 use red_qaoa::mse::{noisy_grid_comparison, NoisyComparison};
+use red_qaoa::reduction::{reduce_pool, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
 /// Configuration shared by the landscape figures.
@@ -80,14 +81,16 @@ pub fn run_device_landscapes(
 ) -> Result<NoisyComparison, RedQaoaError> {
     let mut rng = seeded(config.seed);
     let graph = connected_gnp(config.nodes, config.edge_probability, &mut rng)?;
-    // A one-graph pool through the shared engine's deterministic
-    // `reduce_pool` delegation, on a derived substream: the reduction does
-    // not advance the comparison's RNG stream and stays bitwise thread-count
-    // invariant like the multi-graph pools.
-    let reduced = crate::shared_engine()
-        .reduce_pool(std::slice::from_ref(&graph), derive_seed(config.seed, 1))
-        .pop()
-        .expect("one-graph pool yields one result")?;
+    // A one-graph deterministic `reduce_pool`, on a derived substream: the
+    // reduction does not advance the comparison's RNG stream and stays
+    // bitwise thread-count invariant like the multi-graph pools.
+    let reduced = reduce_pool(
+        std::slice::from_ref(&graph),
+        &ReductionOptions::default(),
+        derive_seed(config.seed, 1),
+    )
+    .pop()
+    .expect("one-graph pool yields one result")?;
     noisy_grid_comparison(
         &graph,
         reduced.graph(),

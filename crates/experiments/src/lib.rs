@@ -48,14 +48,13 @@ pub mod transfer_cmp;
 /// harness is reproducible end to end.
 pub const DEFAULT_SEED: u64 = 0xA5F0_2024;
 
-/// The process-wide [`red_qaoa::engine::Engine`] the experiment modules
-/// submit their reduction work to.
+/// The process-wide [`red_qaoa::engine::Engine`] the job-based experiments
+/// (`end_to_end`, `throughput_cmp`) submit their jobs to.
 ///
 /// One long-lived engine per process is the session-oriented usage the
-/// engine is designed for: modules that need the PR 4 output streams call
-/// [`red_qaoa::engine::Engine::reduce_pool`] (bitwise-identical delegation
-/// to the low-level pool), while the job-based experiments (`runtime`,
-/// `end_to_end`, `throughput_cmp`) share its reduction cache. The engine is
+/// engine is designed for: those experiments share its reduction cache.
+/// Experiments pinned to per-index reduction substreams call
+/// [`red_qaoa::reduction::reduce_pool`] directly instead. The engine is
 /// built with default options and no pinned thread count, so the ambient
 /// thread policy (`RED_QAOA_THREADS` / `with_threads`) stays in charge —
 /// which is what the thread-count-invariance tests rely on.

@@ -12,6 +12,7 @@ use graphlib::Graph;
 use mathkit::rng::{derive_seed, seeded};
 use qsim::devices::{aspen_m3, fake_toronto, noise_sweep_devices, Device};
 use red_qaoa::mse::noisy_grid_comparison;
+use red_qaoa::reduction::{reduce_pool, ReductionOptions};
 use red_qaoa::RedQaoaError;
 
 /// Stream offset separating the reduction pool's seed from the per-size
@@ -83,8 +84,11 @@ pub fn run_size_sweep(
             connected_gnp(n, config.edge_probability, &mut rng)
         })
         .collect::<Result<_, _>>()?;
-    let reductions =
-        crate::shared_engine().reduce_pool(&graphs, derive_seed(config.seed, REDUCE_STREAM));
+    let reductions = reduce_pool(
+        &graphs,
+        &ReductionOptions::default(),
+        derive_seed(config.seed, REDUCE_STREAM),
+    );
     let mut rows = Vec::new();
     for (i, (graph, reduction)) in graphs.iter().zip(reductions).enumerate() {
         let reduced = reduction?;
@@ -154,13 +158,13 @@ pub fn run_fig24(
     let graph = connected_gnp(nodes, 0.4, &mut rng)?;
     // A one-graph pool keeps this call site on the same deterministic
     // substream scheme as the multi-graph sweeps.
-    let reduced = crate::shared_engine()
-        .reduce_pool(
-            std::slice::from_ref(&graph),
-            derive_seed(seed, REDUCE_STREAM),
-        )
-        .pop()
-        .expect("one-graph pool yields one result")?;
+    let reduced = reduce_pool(
+        std::slice::from_ref(&graph),
+        &ReductionOptions::default(),
+        derive_seed(seed, REDUCE_STREAM),
+    )
+    .pop()
+    .expect("one-graph pool yields one result")?;
     let mut rows = Vec::new();
     for (d_idx, device) in noise_sweep_devices().iter().enumerate() {
         let mut rng = seeded(derive_seed(seed, COMPARISON_STREAM + d_idx as u64));

@@ -3,11 +3,9 @@
 //! The landscape scans, random-pool sweeps, and trajectory averages of the
 //! Red-QAOA experiments evaluate thousands of *independent* points. This
 //! module provides the concurrency primitives the workspace uses for all
-//! of them: [`parallel_map_indexed`], a scoped-thread fan-out over a range of
-//! indices with a per-thread scratch value, and its two-level variant
-//! [`parallel_map_two_level`], which carves a handful of *exclusive* indices
-//! out of the flat fan-out so their own nested parallel scans get real
-//! workers instead of serializing under the nested-region rule.
+//! of them, and the engine's batches of jobs too: [`parallel_map_indexed`],
+//! a scoped-thread fan-out over a range of indices with a per-thread
+//! scratch value.
 //!
 //! # Determinism contract
 //!
@@ -95,7 +93,7 @@ pub fn current_threads() -> usize {
 }
 
 /// `true` while called from inside a [`parallel_map_indexed`] worker.
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_PARALLEL_REGION.with(Cell::get)
 }
 
@@ -189,110 +187,6 @@ where
     })
 }
 
-/// Maps `f` over `0..len` like [`parallel_map_indexed`], but runs the
-/// `exclusive` indices on their own worker lane so their *nested* parallel
-/// scans get real workers.
-///
-/// Under [`parallel_map_indexed`] alone, a batch containing one huge item
-/// (say a landscape job whose inner grid scan is itself a
-/// `parallel_map_indexed`) serializes that inner scan: the outer region owns
-/// every worker, so the nested-region rule runs the grid on one thread and
-/// the big item dominates the batch's tail latency. This primitive is the
-/// two-level work split that fixes it:
-///
-/// * the **coarse lane** fans the non-exclusive indices out across its
-///   workers exactly as [`parallel_map_indexed`] would;
-/// * the **exclusive lane** processes the `exclusive` indices one at a time
-///   in ascending order, *outside* any parallel region, so each one's nested
-///   `parallel_map_indexed` calls fan out across the lane's workers.
-///
-/// With more than one worker available and both lanes non-empty, the two
-/// lanes run concurrently, splitting the workers between them (half to each,
-/// clamped so neither lane is starved). With one worker, inside an enclosing
-/// parallel region, or with no exclusive indices, the call degrades to the
-/// flat primitive's behaviour.
-///
-/// # Determinism
-///
-/// The result is **bitwise-identical to `parallel_map_indexed(len, ...)`**
-/// for any `exclusive` set and any worker count, under the same contract:
-/// `f(&mut scratch, i)` must be a pure function of `i` and captured immutable
-/// state. Lane assignment and worker split only decide *where* an index is
-/// computed, never *what* — which is exactly why callers are free to pick
-/// `exclusive` heuristically (e.g. by estimated cost, or differently per
-/// thread count) without affecting any output. See `docs/determinism.md`.
-///
-/// Out-of-range and duplicate entries in `exclusive` are ignored.
-pub fn parallel_map_two_level<S, R, FS, F>(
-    len: usize,
-    exclusive: &[usize],
-    make_scratch: FS,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let mut is_exclusive = vec![false; len];
-    for &i in exclusive {
-        if i < len {
-            is_exclusive[i] = true;
-        }
-    }
-    if !is_exclusive.iter().any(|&b| b) {
-        return parallel_map_indexed(len, make_scratch, f);
-    }
-    let coarse: Vec<usize> = (0..len).filter(|&i| !is_exclusive[i]).collect();
-    let heavy: Vec<usize> = (0..len).filter(|&i| is_exclusive[i]).collect();
-
-    // The exclusive lane: one scratch, indices in ascending order, no
-    // enclosing region — each index's nested scans see `workers` threads.
-    let run_heavy = |workers: usize| -> Vec<R> {
-        with_threads(workers, || {
-            let mut scratch = make_scratch();
-            heavy.iter().map(|&i| f(&mut scratch, i)).collect()
-        })
-    };
-    let run_coarse = |workers: usize| -> Vec<R> {
-        with_threads(workers, || {
-            parallel_map_indexed(coarse.len(), &make_scratch, |scratch, j| {
-                f(scratch, coarse[j])
-            })
-        })
-    };
-
-    let threads = current_threads();
-    let (heavy_results, coarse_results) = if threads <= 1 || coarse.is_empty() {
-        // One worker (or nothing to overlap with): run the lanes back to
-        // back; the exclusive lane keeps the full width for its inner scans.
-        (run_heavy(threads), run_coarse(threads))
-    } else {
-        let coarse_workers = (threads / 2).clamp(1, coarse.len());
-        let heavy_workers = (threads - coarse_workers).max(1);
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| run_heavy(heavy_workers));
-            let coarse_results = run_coarse(coarse_workers);
-            match handle.join() {
-                Ok(heavy_results) => (heavy_results, coarse_results),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        })
-    };
-
-    let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-    out.resize_with(len, || None);
-    for (&i, r) in heavy.iter().zip(heavy_results) {
-        out[i] = Some(r);
-    }
-    for (&i, r) in coarse.iter().zip(coarse_results) {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every index computed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,82 +261,6 @@ mod tests {
     fn override_wins_over_environment() {
         // Whatever RED_QAOA_THREADS says, the scoped override is stronger.
         with_threads(2, || assert_eq!(current_threads(), 2));
-    }
-
-    #[test]
-    fn two_level_matches_flat_map_for_any_exclusive_set() {
-        let flat = with_threads(1, || {
-            parallel_map_indexed(31, || 0u64, |_, i| (i as f64).cos().to_bits())
-        });
-        let sets: [&[usize]; 5] = [&[], &[0], &[30], &[3, 17, 3, 99], &[5, 6, 7]];
-        for threads in [1usize, 2, 4] {
-            for exclusive in sets {
-                let two_level = with_threads(threads, || {
-                    parallel_map_two_level(
-                        31,
-                        exclusive,
-                        || 0u64,
-                        |_, i| (i as f64).cos().to_bits(),
-                    )
-                });
-                assert_eq!(
-                    flat, two_level,
-                    "threads {threads}, exclusive {exclusive:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn two_level_exclusive_indices_get_a_parallel_inner_region() {
-        // An exclusive index runs outside any parallel region, so its nested
-        // map sees the lane's workers; coarse indices stay nested-serial.
-        let out = with_threads(4, || {
-            parallel_map_two_level(
-                3,
-                &[1],
-                || (),
-                |_, i| {
-                    if i == 1 {
-                        assert!(!in_parallel_region(), "exclusive lane must not nest");
-                        current_threads() > 1
-                    } else {
-                        assert!(in_parallel_region());
-                        current_threads() == 1
-                    }
-                },
-            )
-        });
-        assert_eq!(out, vec![true, true, true]);
-    }
-
-    #[test]
-    fn two_level_all_exclusive_keeps_full_width() {
-        let out = with_threads(4, || {
-            parallel_map_two_level(2, &[0, 1], || (), |_, i| (i, current_threads()))
-        });
-        // No coarse lane: the exclusive lane inherits all four workers.
-        assert_eq!(out, vec![(0, 4), (1, 4)]);
-    }
-
-    #[test]
-    fn two_level_panics_propagate_from_both_lanes() {
-        for exclusive in [&[2usize][..], &[5][..]] {
-            let result = std::panic::catch_unwind(|| {
-                with_threads(2, || {
-                    parallel_map_two_level(
-                        8,
-                        exclusive,
-                        || (),
-                        |_, i| {
-                            assert!(i != 5, "boom");
-                            i
-                        },
-                    )
-                })
-            });
-            assert!(result.is_err(), "exclusive {exclusive:?}");
-        }
     }
 
     #[test]

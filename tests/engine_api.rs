@@ -12,7 +12,7 @@ use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{NelderMeadOptimizer, OptimizerConfig, SpsaOptimizer};
 use red_qaoa::annealing::SaOptions;
 use red_qaoa::engine::{
-    Engine, Job, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
+    Engine, Job, JobOutput, LandscapeJob, OptimizeJob, PipelineJob, ReduceJob, ThroughputJob,
 };
 use red_qaoa::pipeline::CircuitReduction;
 use red_qaoa::pipeline::PipelineOptions;
@@ -197,6 +197,24 @@ fn empty_input_for_a_dataset_with_no_reducible_graph() {
 // ---------------------------------------------------------------------------
 // RedQaoaError::Job — batch failures carry their index.
 // ---------------------------------------------------------------------------
+
+#[test]
+fn an_oversized_landscape_width_fails_alone() {
+    let reduce = Job::Reduce(ReduceJob::new(cycle(8).unwrap()));
+    let oversized = Job::Landscape(LandscapeJob::new(cycle(8).unwrap(), usize::MAX));
+    let run = |jobs: &[Job]| Engine::builder().build().unwrap().run_batch(jobs, 3);
+    let alone = run(std::slice::from_ref(&reduce));
+    let results = run(&[reduce, oversized]);
+    let float_bits = |result: &Result<JobOutput, RedQaoaError>| {
+        let r = result.as_ref().unwrap().as_reduced().unwrap();
+        [r.and_ratio, r.node_reduction, r.edge_reduction].map(f64::to_bits)
+    };
+    assert_eq!(results[0], alone[0]);
+    assert_eq!(float_bits(&results[0]), float_bits(&alone[0]));
+    let err = results[1].as_ref().unwrap_err();
+    assert!(matches!(err, RedQaoaError::Job { index: 1, .. }), "{err}");
+    assert_eq!(err.field(), Some("width"));
+}
 
 #[test]
 fn job_errors_carry_the_batch_index() {

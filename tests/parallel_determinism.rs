@@ -269,14 +269,13 @@ proptest! {
         }
     }
 
-    /// The two-level scheduler (PR 8): a mixed batch containing one
-    /// oversized `LandscapeJob` — whose estimated cost dwarfs its siblings,
-    /// so at 2 and 4 workers it is routed to the exclusive lane where its
-    /// inner grid scan parallelizes — is bitwise-identical across worker
-    /// counts. Lane placement differs per thread count by design; outputs
-    /// must not. A fresh engine per run keeps the cache comparison honest.
+    /// A mixed batch — reductions, a throughput estimate, and landscape
+    /// scans of very different sizes, with jobs sharing graphs — is
+    /// bitwise-identical across worker counts. Which worker runs which job
+    /// differs per thread count; outputs must not. A fresh engine per run
+    /// keeps the cache comparison honest.
     #[test]
-    fn two_level_scheduled_batches_are_thread_count_invariant(seed in 0u64..100) {
+    fn mixed_batches_are_thread_count_invariant(seed in 0u64..100) {
         let graphs: Vec<_> = (0..3)
             .map(|i| {
                 let nodes = 8 + (i % 2);
@@ -285,7 +284,7 @@ proptest! {
             .collect();
         let jobs = vec![
             Job::Reduce(ReduceJob::new(graphs[0].clone())),
-            // Cost 144 ≫ every sibling (~9–16): the scheduler's outlier.
+            // 144 grid points, far more work than any sibling.
             Job::Landscape(LandscapeJob::new(graphs[1].clone(), 12)),
             Job::Throughput(ThroughputJob::new(graphs[2].clone(), 27, 1)),
             Job::Landscape(LandscapeJob::new(graphs[0].clone(), 3).reduced()),
@@ -627,21 +626,6 @@ fn repeated_scan_batches_are_thread_count_invariant() {
             };
             assert_eq!(scan(a), scan(b), "{threads} threads");
         }
-    }
-}
-
-/// The engine's `reduce_pool` delegation really is the low-level pool:
-/// identical substreams, identical bits, for every worker count.
-#[test]
-fn engine_reduce_pool_delegation_is_thread_count_invariant() {
-    let graphs: Vec<_> = (0..4)
-        .map(|i| connected_gnp(10, 0.4, &mut seeded(derive_seed(44, i as u64))).unwrap())
-        .collect();
-    let reference = with_threads(1, || reduce_pool(&graphs, &ReductionOptions::default(), 7));
-    for threads in THREAD_COUNTS {
-        let engine = Engine::builder().build().unwrap();
-        let pool = with_threads(threads, || engine.reduce_pool(&graphs, 7));
-        assert_eq!(reference, pool, "threads {threads}");
     }
 }
 
