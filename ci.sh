@@ -7,6 +7,9 @@
 #      clippy::needless_range_loop, granted workspace-wide in Cargo.toml
 #      ([workspace.lints.clippy]) because index loops are the clearest form
 #      for the dense-matrix and qubit kernels.
+#      Steps 1 and 2 also run on the perfbench crate (--manifest-path
+#      perfbench/Cargo.toml; it is its own workspace), so a public-API
+#      change that leaves the benchmark with warnings fails here.
 #   2b. cargo doc (warnings denied) — every crate carries
 #      #![deny(missing_docs)], so missing rustdoc already fails the build;
 #      this gate additionally fails on rustdoc-only rot (broken intra-doc
@@ -107,11 +110,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check (workspace, perfbench)"
 cargo fmt --check
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+echo "==> cargo clippy --all-targets -- -D warnings (workspace, perfbench)"
 cargo clippy --quiet --workspace --all-targets -- -D warnings
+cargo clippy --quiet --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

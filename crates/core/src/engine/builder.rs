@@ -3,7 +3,7 @@
 //! job time.
 
 use super::cache::{anneal_cost, ShardedReductionCache};
-use super::persist::PersistentStore;
+use super::persist::{PersistentStore, Replay};
 use super::{Engine, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS, DEFAULT_REDUCTION_SEED};
 use crate::pipeline::PipelineOptions;
 use crate::reduction::ReductionOptions;
@@ -185,9 +185,9 @@ impl EngineBuilder {
             // validated) reduction settings untouched.
             self.pipeline.reduction = self.reduction;
         }
-        let (store, loaded) = match &self.persist_path {
+        let (store, replay) = match &self.persist_path {
             Some(path) => match PersistentStore::open(path) {
-                Ok((store, loaded)) => (Some(store), loaded),
+                Ok((store, replay)) => (Some(store), replay),
                 Err(_) => {
                     return Err(RedQaoaError::invalid_parameter(
                         "persist_path",
@@ -196,13 +196,18 @@ impl EngineBuilder {
                     ));
                 }
             },
-            None => (None, Vec::new()),
+            None => (None, Replay::default()),
         };
         let cache = ShardedReductionCache::new(self.cache_capacity, self.cache_shards);
         // Warm the in-memory cache from the store. Loaded entries are not
         // counted as hits or misses — telemetry starts at zero and the
         // first request served from a loaded entry counts as a plain hit.
-        for (key, value) in loaded {
+        let Replay {
+            records,
+            skipped: store_skipped,
+        } = replay;
+        let store_replayed = records.len() as u64;
+        for (key, value) in records {
             let hash = key.content_hash();
             let cost = anneal_cost(key.nodes, key.edges.len());
             cache.insert(key, hash, &value, cost);
@@ -215,6 +220,8 @@ impl EngineBuilder {
             reduction_seed: self.reduction_seed,
             cache,
             store,
+            store_replayed,
+            store_skipped,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })

@@ -14,6 +14,11 @@
 //!   not on one global mutex. The configured capacity is partitioned exactly
 //!   across shards (no shard gets zero), so the total entry count never
 //!   exceeds it.
+//! * **Compact entries.** An entry holds the kept nodes and the warm
+//!   decision alone. A hit expands it through [`CacheKey::reduction`]: the
+//!   graph the key induces on the kept nodes, with the ratios derived from
+//!   the key's counts by the constructor `reduce` builds its result with.
+//!   Store replay expands a record the same way.
 //! * **Cost-based eviction.** When a shard overflows, it evicts the entry
 //!   with the lowest *recompute-cost per cached byte* — the entry whose
 //!   eviction loses the least annealing work per byte freed — instead of the
@@ -44,7 +49,8 @@ use std::sync::{Arc, Mutex};
 /// `hits` and `misses` are **cumulative over the engine's lifetime**:
 /// [`Engine::clear_cache`](super::Engine::clear_cache) resets `entries` and
 /// `bytes` to zero but deliberately keeps both counters, so a long-running
-/// service's hit-rate telemetry survives a cache flush.
+/// service's hit-rate telemetry survives a cache flush. The two store
+/// counters are fixed when the engine is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Jobs served from the cache without re-annealing.
@@ -58,11 +64,21 @@ pub struct CacheStats {
     /// Cumulative estimated footprint of the cached [`ReducedGraph`]s, as
     /// [`ReducedGraph::approx_heap_bytes`] — the quantity the size-aware
     /// eviction policy budgets against (an estimate of the expanded
-    /// reductions; the cache stores each as its node mapping alone). Exactly
-    /// the sum over current entries: inserts add,
+    /// reductions; the cache stores each as its kept nodes and warm
+    /// decision). Exactly the sum over current entries: inserts add,
     /// evictions and [`Engine::clear_cache`](super::Engine::clear_cache)
     /// subtract.
     pub bytes: usize,
+    /// Records the persistent store replayed into the cache when the engine
+    /// was built (`0` without a store). Every valid record counts, also one
+    /// the cache's capacity then evicts.
+    pub store_replayed: u64,
+    /// Records the persistent store dropped when the engine was built:
+    /// each corrupt or stale record, plus one for any bytes cut off after
+    /// the last whole record (a torn tail, unparseable framing, or a file
+    /// under a foreign or outdated header). A damaged store shows here
+    /// rather than as a cold cache.
+    pub store_skipped: u64,
 }
 
 impl CacheStats {
@@ -128,7 +144,7 @@ impl CacheKey {
             options.min_size as u64,
             options.min_size_fraction.to_bits(),
             // Retired policy word, a constant that keeps default keys'
-            // hashes (see `POLICY_WORD`).
+            // hashes (see `MEASURED_POLICY`).
             MEASURED_POLICY,
             options.sa.initial_temp.to_bits(),
             options.sa.final_temp.to_bits(),
@@ -193,16 +209,6 @@ impl CacheKey {
         }
     }
 
-    /// Whether the key's two retired option words hold the constants every
-    /// key is built with (`MEASURED_POLICY`, `TEMP_FRACTION_BITS`). A
-    /// key that does not was written under a warm-start policy or
-    /// temperature the search no longer has, so no request can look it up
-    /// again.
-    pub(super) fn has_current_warm_words(&self) -> bool {
-        self.option_bits[POLICY_WORD] == MEASURED_POLICY
-            && self.option_bits[TEMP_FRACTION_WORD] == TEMP_FRACTION_BITS
-    }
-
     /// Stable FNV-1a content hash over the key's words, each eaten as its
     /// eight little-endian bytes: the reduction substream for this key, its
     /// shard index, *and* its record key in the persistent store.
@@ -217,10 +223,9 @@ impl CacheKey {
     /// parent nodes; reduced node `i` is `nodes[i]`): one pass over the
     /// key's edges through a parent → reduced index table of
     /// `nodes.last() + 1` entries, and the CSR filled from the mapped pairs.
-    /// That is how a cache hit rebuilds its reduction and how store replay
-    /// checks a record. `None` if the key's edges among `nodes` are not a
-    /// simple graph (a self-loop or a repeated edge, which only a crafted
-    /// stored key can carry); an out-of-order key is fine.
+    /// `None` if the key's edges among `nodes` are not a simple graph (a
+    /// self-loop or a repeated edge, which only a crafted stored key can
+    /// carry); an out-of-order key is fine.
     pub(super) fn induced_graph(&self, nodes: &[usize]) -> Option<Graph> {
         const ABSENT: u32 = u32::MAX;
         let mut index_of = vec![ABSENT; nodes.last().map_or(0, |&top| top + 1)];
@@ -238,6 +243,25 @@ impl CacheKey {
             .collect();
         let graph = Graph::from_edges(nodes.len(), &edges).ok()?;
         (graph.edge_count() == edges.len()).then_some(graph)
+    }
+
+    /// The reduction of the key's graph that keeps `nodes` (strictly
+    /// increasing) and reported `warm_decision`: the graph the key induces
+    /// on them ([`CacheKey::induced_graph`]), with its ratios derived from
+    /// the key's counts by [`ReducedGraph::new`]. A cache hit and store
+    /// replay both expand their record through here, so each serves the
+    /// bits `reduce` returned. `None` where `induced_graph` is.
+    pub(super) fn reduction(
+        &self,
+        nodes: Vec<usize>,
+        warm_decision: WarmDecision,
+    ) -> Option<ReducedGraph> {
+        let graph = self.induced_graph(&nodes)?;
+        Some(ReducedGraph::new(
+            (self.nodes, self.edges.len()),
+            Subgraph { graph, nodes },
+            warm_decision,
+        ))
     }
 }
 
@@ -302,14 +326,12 @@ impl Hasher for ContentHasher {
 /// policies (`Off` 0, `On` 1, `Auto` 2, `Measured` 3). Only the measured
 /// one is left, so every key carries its code. Keeping this word, and word
 /// 13 below, keeps the 14-word layout and with it every default-option
-/// key's content hash: the hash is the reduction's RNG substream and the
-/// store's record key, so no reduction and no stored record moved.
-const POLICY_WORD: usize = 4;
+/// key's content hash: the hash is the reduction's RNG substream, so no
+/// reduction moved.
 const MEASURED_POLICY: u64 = 3;
 /// Option word 13 held the warm-run temperature fraction when it was an
-/// option; the search now always starts warm runs at 0.25 of `T0`.
-const TEMP_FRACTION_WORD: usize = 13;
-/// `0.25f64.to_bits()`.
+/// option; the search now always starts warm runs at 0.25 of `T0`, and the
+/// word holds `0.25f64.to_bits()`.
 const TEMP_FRACTION_BITS: u64 = 0x3fd0_0000_0000_0000;
 /// The option words holding `min_size`, `min_size_fraction` and
 /// `warm_min_nodes`.
@@ -336,18 +358,14 @@ pub(super) fn anneal_cost(nodes: usize, edges: usize) -> f64 {
     2.0 * edges.max(1) as f64 * (nodes.max(2) as f64).ln()
 }
 
-/// A cached reduction held compactly: the node mapping as `u32`s and the
-/// scalar outcomes — one allocation — because a long-lived engine holds
-/// many small reductions. The reduced graph is not stored: a reduction is
-/// always the subgraph its key's graph induces on the kept nodes, so
-/// [`CachedReduction::reduced`] rebuilds the equal [`ReducedGraph`] from
-/// the key (the way store replay checks a record).
+/// A cached reduction held compactly: the kept nodes as `u32`s and the warm
+/// decision — one allocation — because a long-lived engine holds many small
+/// reductions. Everything else is a function of the key:
+/// [`CachedReduction::reduced`] expands the entry through
+/// [`CacheKey::reduction`], as store replay expands a record.
 #[derive(Debug)]
 pub(super) struct CachedReduction {
     nodes: Box<[u32]>,
-    and_ratio: f64,
-    node_reduction: f64,
-    edge_reduction: f64,
     warm_decision: WarmDecision,
 }
 
@@ -360,27 +378,15 @@ impl CachedReduction {
                 .iter()
                 .map(|&v| endpoint(v))
                 .collect(),
-            and_ratio: reduced.and_ratio,
-            node_reduction: reduced.node_reduction,
-            edge_reduction: reduced.edge_reduction,
             warm_decision: reduced.warm_decision,
         }
     }
 
-    /// The cached reduction, equal to the one inserted under `key`: the
-    /// key's graph induced on the kept nodes.
+    /// The cached reduction, equal to the one inserted under `key`.
     pub(super) fn reduced(&self, key: &CacheKey) -> ReducedGraph {
-        let nodes: Vec<usize> = self.nodes.iter().map(|&v| v as usize).collect();
-        let graph = key
-            .induced_graph(&nodes)
-            .expect("a cached key induces a simple graph on its kept nodes");
-        ReducedGraph {
-            subgraph: Subgraph { graph, nodes },
-            and_ratio: self.and_ratio,
-            node_reduction: self.node_reduction,
-            edge_reduction: self.edge_reduction,
-            warm_decision: self.warm_decision,
-        }
+        let nodes = self.nodes.iter().map(|&v| v as usize).collect();
+        key.reduction(nodes, self.warm_decision)
+            .expect("a cached key induces a simple graph on its kept nodes")
     }
 }
 
@@ -585,17 +591,7 @@ mod tests {
 
     /// A synthetic cached value whose footprint grows with `n`.
     fn value(n: usize) -> ReducedGraph {
-        let graph = cycle(n).unwrap();
-        ReducedGraph {
-            subgraph: Subgraph {
-                nodes: (0..graph.node_count()).collect(),
-                graph,
-            },
-            and_ratio: 1.0,
-            node_reduction: 0.0,
-            edge_reduction: 0.0,
-            warm_decision: WarmDecision::Cold,
-        }
+        ReducedGraph::identity(&cycle(n).unwrap())
     }
 
     #[test]
@@ -615,13 +611,11 @@ mod tests {
             let parent = Graph::from_edges(n + 2, &edges).unwrap();
             let kept: Vec<usize> = (0..parent.node_count()).filter(|i| i % 3 != 1).collect();
             let key = CacheKey::new(&parent, &ReductionOptions::default());
-            let reduced = ReducedGraph {
-                subgraph: induced_subgraph(&parent, &kept).unwrap(),
-                and_ratio: 0.8125,
-                node_reduction: 0.25,
-                edge_reduction: 0.375,
+            let reduced = ReducedGraph::new(
+                (parent.node_count(), parent.edge_count()),
+                induced_subgraph(&parent, &kept).unwrap(),
                 warm_decision,
-            };
+            );
             assert_eq!(CachedReduction::new(&reduced).reduced(&key), reduced);
         }
     }
@@ -889,6 +883,8 @@ mod tests {
             entries: 1,
             capacity: 8,
             bytes: 100,
+            store_replayed: 2,
+            store_skipped: 1,
         };
         assert_eq!(stats.hit_rate(), 0.75);
         let empty = CacheStats {
@@ -897,6 +893,8 @@ mod tests {
             entries: 0,
             capacity: 8,
             bytes: 0,
+            store_replayed: 0,
+            store_skipped: 0,
         };
         assert_eq!(empty.hit_rate(), 0.0);
     }

@@ -123,6 +123,9 @@ pub struct Engine {
     reduction_seed: u64,
     cache: ShardedReductionCache,
     store: Option<PersistentStore>,
+    /// Store records replayed and skipped at build (see [`CacheStats`]).
+    store_replayed: u64,
+    store_skipped: u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -154,6 +157,8 @@ impl Engine {
             entries,
             capacity: self.cache.capacity(),
             bytes,
+            store_replayed: self.store_replayed,
+            store_skipped: self.store_skipped,
         }
     }
 

@@ -4,32 +4,35 @@
 //! cache; this module amortizes it across *process restarts and co-located
 //! workers*. The store is a single append-only file of
 //! `(content hash, key, reduction)` records keyed by the same
-//! [`CacheKey::content_hash`] the in-memory cache shards on — so an entry
-//! loaded from disk is indistinguishable (bitwise) from one the process
-//! computed itself.
+//! [`CacheKey::content_hash`] the in-memory cache shards on. A record's
+//! reduction is what a cache entry holds: the kept nodes and the warm
+//! decision. Replay expands it through [`CacheKey::reduction`], the same
+//! function a cache hit calls, so an entry loaded from disk is
+//! indistinguishable (bitwise) from one the process computed itself.
 //!
 //! Robustness contract (pinned by `tests/engine_persist.rs`):
 //!
 //! * **Write-through is best-effort.** A failed append never fails the job;
 //!   the computed reduction is still returned and cached in memory.
+//! * **Appends are whole records.** Every handle opens the file in append
+//!   mode and writes a record with one `write_all`, so engines that share a
+//!   path interleave whole records and never overwrite each other's.
 //! * **Loading is validating.** Every record must pass a checksum *and* a
 //!   staleness check (the stored hash must equal the re-hashed decoded key —
 //!   a record written by an incompatible option layout re-hashes
-//!   differently and is dropped). A key whose two retired warm-start words
-//!   (the policy code and temperature fraction of the four-policy search)
-//!   hold anything but today's constants is stale too: no request builds
-//!   such a key again. Every key endpoint must lie below the key's node
-//!   count. Its reduction must also agree with its key: an in-range mapping
-//!   in the strictly increasing order `reduce` emits, exactly the edges the
-//!   key's graph induces on that mapping, node and edge reductions and an
-//!   AND ratio that recompute to the stored bits, and a warm-start decision
-//!   the key's options can produce at the mapping's size (`Warm` only at
-//!   the size floor, a measured outcome only above it). Corrupt or stale
-//!   records are skipped, not fatal. What no check can tell apart from a
-//!   fresh reduction is another node set on which the key's graph induces
-//!   the same reduced graph, or a search past the floor that kept warm
-//!   seeding relabelled as one that reverted (or the reverse); the mutation
-//!   proptest bounds served values by exactly that.
+//!   differently and is dropped). Every key endpoint must lie below the
+//!   key's node count. The kept nodes must be strictly increasing (the
+//!   order `reduce` emits) and below the key's node count, the key's graph
+//!   must induce a simple graph on them, and the warm-start decision must
+//!   be one the key's options can produce at that size (`Warm` only at the
+//!   size floor, a measured outcome only above it). Corrupt or stale
+//!   records are skipped, not fatal, and counted
+//!   ([`CacheStats::store_skipped`](super::CacheStats::store_skipped)).
+//!   What no check can tell apart from a fresh reduction is another node
+//!   set on which the key's graph induces the same reduced graph, or a
+//!   search past the floor that kept warm seeding relabelled as one that
+//!   reverted (or the reverse): the record holds exactly those two fields,
+//!   and the mutation proptest bounds served values by them.
 //! * **Torn tails self-heal.** A record truncated by a crash mid-append is
 //!   cut off at open time, so the next append starts from a clean boundary.
 //!
@@ -37,11 +40,9 @@
 //! no compression): reductions are small, and auditability beats density.
 
 use super::cache::CacheKey;
-use crate::reduction::{reduction_fractions, ReducedGraph, WarmDecision};
-use graphlib::metrics::and_ratio_of_counts;
-use graphlib::subgraph::Subgraph;
+use crate::reduction::{ReducedGraph, WarmDecision};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -50,12 +51,13 @@ const MAGIC: [u8; 4] = *b"RQPS";
 /// Format version; bumped on any layout change so old files are rewritten,
 /// not misparsed, and on any change to what a key reduces to, so a store
 /// never replays a reduction a fresh anneal would no longer produce
-/// (version 2: the search anneals its size floor first).
-const VERSION: u32 = 2;
+/// (version 2: the search anneals its size floor first; version 3: a record
+/// holds the kept nodes and the warm decision alone).
+const VERSION: u32 = 3;
 /// Upper bound on a single record's key/value payload (sanity check against
 /// interpreting corrupt length fields as multi-gigabyte allocations).
 const MAX_SECTION_LEN: usize = 1 << 24;
-/// Bound on the parent nodes a record's mapping may name. Replay checks a
+/// Bound on the parent nodes a record's mapping may name. Replay expands a
 /// record through [`CacheKey::induced_graph`], which indexes the mapping
 /// with one `u32` per parent node up to the largest kept one, so this caps
 /// that table at `MAX_SECTION_LEN` bytes whatever node count a crafted key
@@ -72,46 +74,47 @@ pub(super) struct PersistentStore {
     file: Mutex<File>,
 }
 
+/// What opening a store found: every valid record, and how many were
+/// dropped ([`CacheStats::store_skipped`](super::CacheStats::store_skipped)).
+#[derive(Default)]
+pub(super) struct Replay {
+    pub(super) records: Vec<(CacheKey, ReducedGraph)>,
+    pub(super) skipped: u64,
+}
+
 impl PersistentStore {
     /// Opens (creating if absent) the store at `path` and returns it along
     /// with every valid record found. A missing, empty, or wrong-header file
     /// is (re)initialized; corrupt or stale records are skipped; a torn tail
     /// is truncated away.
-    pub(super) fn open(path: &Path) -> std::io::Result<(Self, Vec<(CacheKey, ReducedGraph)>)> {
+    pub(super) fn open(path: &Path) -> std::io::Result<(Self, Replay)> {
         let mut file = OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(false)
             .open(path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let (loaded, good_len) = if header_ok(&buf) {
-            let (records, body_len) = parse_records(&buf[HEADER_LEN..]);
-            (records, HEADER_LEN + body_len)
+        let (records, mut skipped, good_len) = if header_ok(&buf) {
+            let (records, skipped, body_len) = parse_records(&buf[HEADER_LEN..]);
+            (records, skipped, HEADER_LEN + body_len)
         } else {
-            (Vec::new(), 0)
+            (Vec::new(), 0, 0)
         };
-        if good_len == 0 {
-            // Empty or foreign file: rewrite the header from scratch.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(&MAGIC);
-            header.extend_from_slice(&VERSION.to_le_bytes());
-            file.write_all(&header)?;
-        } else if good_len < buf.len() {
-            // Torn tail (crashed mid-append): cut back to the last whole
-            // record so future appends land on a clean boundary.
+        if good_len < buf.len() {
+            // A torn tail (crashed mid-append) or a foreign file: cut back
+            // to the last whole record, or to nothing.
+            skipped += 1;
             file.set_len(good_len as u64)?;
-            file.seek(SeekFrom::End(0))?;
         }
-        Ok((
-            Self {
-                file: Mutex::new(file),
-            },
-            loaded,
-        ))
+        if good_len == 0 {
+            // Appends land at the end, so this header starts the file.
+            file.write_all(&[MAGIC, VERSION.to_le_bytes()].concat())?;
+        }
+        let store = Self {
+            file: Mutex::new(file),
+        };
+        Ok((store, Replay { records, skipped }))
     }
 
     /// Appends one record. Callers treat failures as telemetry, not errors
@@ -162,12 +165,14 @@ fn frame_record(hash: u64, key_bytes: &[u8], val_bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Parses the record region of a store file. Returns every record that
-/// passes the checksum, staleness, and decode checks, plus the byte length
-/// of the whole-record prefix (anything past it is a torn tail). Records
-/// with intact framing but bad content are skipped *and counted into the
-/// prefix* — corruption quarantines one record, not the file.
-fn parse_records(body: &[u8]) -> (Vec<(CacheKey, ReducedGraph)>, usize) {
+/// passes the checksum, staleness, and decode checks, the number of records
+/// that failed them, and the byte length of the whole-record prefix
+/// (anything past it is a torn tail). Records with intact framing but bad
+/// content are skipped *and counted into the prefix* — corruption
+/// quarantines one record, not the file.
+fn parse_records(body: &[u8]) -> (Vec<(CacheKey, ReducedGraph)>, u64, usize) {
     let mut records = Vec::new();
+    let mut skipped = 0;
     let mut offset = 0;
     while body.len() - offset >= RECORD_PREFIX_LEN {
         let hash = read_u64(body, offset);
@@ -188,23 +193,33 @@ fn parse_records(body: &[u8]) -> (Vec<(CacheKey, ReducedGraph)>, usize) {
         }
         let payload = &body[payload_start..payload_end];
         offset = payload_end;
-        if fnv1a(payload) != checksum {
-            continue; // flipped bits inside one record: skip it
+        match decode_record(hash, checksum, payload, key_len) {
+            Some(record) => records.push(record),
+            None => skipped += 1,
         }
-        let Some(key) = decode_key(&payload[..key_len]) else {
-            continue;
-        };
-        // Staleness check: a record written under a different option layout
-        // (or a hash collision in framing) re-hashes differently.
-        if key.content_hash() != hash {
-            continue;
-        }
-        let Some(value) = decode_value(&payload[key_len..], &key) else {
-            continue;
-        };
-        records.push((key, value));
     }
-    (records, offset)
+    (records, skipped, offset)
+}
+
+/// Decodes one whole record's payload (`key_len` bytes of key section, then
+/// the value section), or `None` if it is corrupt or stale.
+fn decode_record(
+    hash: u64,
+    checksum: u64,
+    payload: &[u8],
+    key_len: usize,
+) -> Option<(CacheKey, ReducedGraph)> {
+    if fnv1a(payload) != checksum {
+        return None; // flipped bits inside one record
+    }
+    let key = decode_key(&payload[..key_len])?;
+    // Staleness check: a record written under a different option layout
+    // (or a hash collision in framing) re-hashes differently.
+    if key.content_hash() != hash {
+        return None;
+    }
+    let value = decode_value(&payload[key_len..], &key)?;
+    Some((key, value))
 }
 
 fn read_u64(buf: &[u8], at: usize) -> u64 {
@@ -232,8 +247,7 @@ fn encode_key(key: &CacheKey) -> Vec<u8> {
 /// Decodes a key section. Every edge endpoint must lie below the key's
 /// node count (so within `u32`, the width a key holds it at) before it is
 /// narrowed: an out-of-range endpoint is corruption, never a truncated
-/// index. A key with retired warm-start words is stale
-/// ([`CacheKey::has_current_warm_words`]).
+/// index.
 fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     let mut cursor = Cursor::new(bytes);
     let nodes = cursor.u64()?;
@@ -262,27 +276,17 @@ fn decode_key(bytes: &[u8]) -> Option<CacheKey> {
     if !cursor.finished() {
         return None;
     }
-    let key = CacheKey::from_parts(nodes, edges, Arc::new(option_bits));
-    key.has_current_warm_words().then_some(key)
+    Some(CacheKey::from_parts(nodes, edges, Arc::new(option_bits)))
 }
 
+/// A reduction's record: the kept nodes, then the warm decision's byte.
 fn encode_value(value: &ReducedGraph) -> Vec<u8> {
-    let graph = &value.subgraph.graph;
-    let edges = graph.edge_count();
-    let mut out = Vec::with_capacity(32 + edges * 16 + value.subgraph.nodes.len() * 8);
-    out.extend_from_slice(&(graph.node_count() as u64).to_le_bytes());
-    out.extend_from_slice(&(edges as u64).to_le_bytes());
-    for (u, v) in graph.edges() {
-        out.extend_from_slice(&(u as u64).to_le_bytes());
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&(value.subgraph.nodes.len() as u64).to_le_bytes());
-    for &node in &value.subgraph.nodes {
+    let nodes = &value.subgraph.nodes;
+    let mut out = Vec::with_capacity(9 + nodes.len() * 8);
+    out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+    for &node in nodes {
         out.extend_from_slice(&(node as u64).to_le_bytes());
     }
-    out.extend_from_slice(&value.and_ratio.to_bits().to_le_bytes());
-    out.extend_from_slice(&value.node_reduction.to_bits().to_le_bytes());
-    out.extend_from_slice(&value.edge_reduction.to_bits().to_le_bytes());
     out.push(match value.warm_decision {
         WarmDecision::Cold => 0,
         WarmDecision::Warm => 1,
@@ -292,55 +296,31 @@ fn encode_value(value: &ReducedGraph) -> Vec<u8> {
     out
 }
 
-/// Decodes a reduction of the graph `key` describes. The reduced graph is
-/// built last, after its mapping has been read and checked: the mapping
-/// must hold one parent node `< key.nodes` (and `<` [`MAX_MAPPED_NODE`])
-/// per reduced node, strictly increasing (the order `reduce` emits), so
-/// the node count is bounded both by the key and by the bytes actually
-/// present, and a crafted count cannot drive the allocation. The warm
-/// decision must be one the key's options permit at the mapping's size
-/// ([`CacheKey::permits`]).
-/// The reduced graph is the one the key induces on the mapping
-/// ([`CacheKey::induced_graph`]), and the stored edge list must be exactly
-/// its edges, in the order the encoder writes them. The stored node and
-/// edge reductions must be the bits [`reduction_fractions`] recomputes, and
-/// the stored AND ratio the bits [`and_ratio_of_counts`] recomputes from
-/// the key's counts (the key's graph is never built: a crafted key's node
-/// count is unbounded), so a record can only serve what a fresh reduction
-/// to that subgraph would.
+/// Decodes a reduction of the graph `key` describes. The kept nodes must be
+/// strictly increasing (the order `reduce` emits) and below `key.nodes` and
+/// [`MAX_MAPPED_NODE`]; their count is checked against the key and against
+/// the section's length before anything is allocated, so a crafted count
+/// cannot drive an allocation. The warm decision must be one the key's
+/// options permit at that size ([`CacheKey::permits`]). The reduction is
+/// then expanded from the key ([`CacheKey::reduction`]), so a record can
+/// only serve what a fresh reduction keeping those nodes would.
 fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
-    let key_nodes = key.nodes;
     let mut cursor = Cursor::new(bytes);
-    let node_count = cursor.u64()? as usize;
-    if node_count > key_nodes {
+    let kept = cursor.u64()? as usize;
+    // The section is the count, one word per kept node and the decision
+    // byte, so its length alone bounds the count.
+    let section_len = kept.checked_mul(8).and_then(|words| words.checked_add(9));
+    if kept > key.nodes || section_len != Some(bytes.len()) {
         return None;
     }
-    let edge_count = cursor.u64()? as usize;
-    if edge_count > MAX_SECTION_LEN / 16 {
-        return None;
-    }
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let u = cursor.u64()? as usize;
-        let v = cursor.u64()? as usize;
-        edges.push((u, v));
-    }
-    let mapping_len = cursor.u64()? as usize;
-    if mapping_len != node_count || mapping_len > MAX_SECTION_LEN / 8 {
-        return None;
-    }
-    let mut nodes = Vec::with_capacity(mapping_len);
-    for _ in 0..mapping_len {
-        nodes.push(cursor.u64()? as usize);
-    }
+    let nodes: Vec<usize> = (0..kept)
+        .map(|_| Some(cursor.u64()? as usize))
+        .collect::<Option<_>>()?;
     let increasing = nodes.windows(2).all(|pair| pair[0] < pair[1]);
-    let out_of_range = |&top: &usize| top >= key_nodes.min(MAX_MAPPED_NODE);
+    let out_of_range = |&top: &usize| top >= key.nodes.min(MAX_MAPPED_NODE);
     if !increasing || nodes.last().is_some_and(out_of_range) {
         return None;
     }
-    let and_ratio = f64::from_bits(cursor.u64()?);
-    let node_reduction = f64::from_bits(cursor.u64()?);
-    let edge_reduction = f64::from_bits(cursor.u64()?);
     let warm_decision = match cursor.u8()? {
         0 => WarmDecision::Cold,
         1 => WarmDecision::Warm,
@@ -348,31 +328,10 @@ fn decode_value(bytes: &[u8], key: &CacheKey) -> Option<ReducedGraph> {
         3 => WarmDecision::MeasuredReverted,
         _ => return None,
     };
-    if !cursor.finished() || !key.permits(warm_decision, mapping_len) {
+    if !key.permits(warm_decision, kept) {
         return None;
     }
-    let graph = key.induced_graph(&nodes)?;
-    if !graph.edges().eq(edges) {
-        return None;
-    }
-    let (nodes_cut, edges_cut) = reduction_fractions(key.nodes, key.edges.len(), &graph);
-    let and = and_ratio_of_counts(
-        (key.nodes, key.edges.len()),
-        (graph.node_count(), graph.edge_count()),
-    );
-    if nodes_cut.to_bits() != node_reduction.to_bits()
-        || edges_cut.to_bits() != edge_reduction.to_bits()
-        || and.to_bits() != and_ratio.to_bits()
-    {
-        return None;
-    }
-    Some(ReducedGraph {
-        subgraph: Subgraph { graph, nodes },
-        and_ratio,
-        node_reduction,
-        edge_reduction,
-        warm_decision,
-    })
+    key.reduction(nodes, warm_decision)
 }
 
 /// Minimal bounds-checked reader over a byte slice (`std::io::Cursor` on
@@ -412,7 +371,6 @@ mod tests {
     use super::*;
     use crate::reduction::{reduce, ReductionOptions};
     use graphlib::generators::{connected_gnp, cycle, path};
-    use graphlib::metrics::and_ratio;
     use graphlib::subgraph::induced_subgraph;
     use graphlib::Graph;
     use mathkit::rng::seeded;
@@ -421,30 +379,56 @@ mod tests {
     /// A 9-cycle's key and the reduction to nodes `0..6`, on which the
     /// cycle induces a 6-node path.
     fn sample() -> (CacheKey, ReducedGraph) {
-        let graph = cycle(9).unwrap();
-        let key = CacheKey::new(&graph, &ReductionOptions::default());
-        let value = ReducedGraph {
-            subgraph: Subgraph {
-                nodes: (0..6).collect(),
-                graph: path(6).unwrap(),
-            },
-            and_ratio: and_ratio(&graph, &path(6).unwrap()),
-            node_reduction: 1.0 - 6.0 / 9.0,
-            edge_reduction: 1.0 - 5.0 / 9.0,
-            warm_decision: WarmDecision::Cold,
-        };
+        let key = CacheKey::new(&cycle(9).unwrap(), &ReductionOptions::default());
+        let value = key.reduction((0..6).collect(), WarmDecision::Cold).unwrap();
+        assert_eq!(value.graph(), &path(6).unwrap());
         (key, value)
+    }
+
+    /// A file of the current header followed by `records`.
+    fn store_file(records: &[&[u8]]) -> Vec<u8> {
+        let mut file = [MAGIC, VERSION.to_le_bytes()].concat();
+        for record in records {
+            file.extend_from_slice(record);
+        }
+        file
+    }
+
+    /// Writes `bytes` to a temporary file named after `name`, opens it as a
+    /// store, and returns what opening found and the file's bytes after.
+    fn open_temp(name: &str, bytes: &[u8]) -> (Replay, Vec<u8>) {
+        let path = std::env::temp_dir().join(format!(
+            "red_qaoa_persist_{name}_{}.rqps",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = std::panic::catch_unwind(|| PersistentStore::open(&path));
+        let after = std::fs::read(&path);
+        let _ = std::fs::remove_file(&path);
+        let (_, replay) = opened
+            .expect("opening a store never panics")
+            .expect("opening a store is Ok");
+        (replay, after.unwrap())
     }
 
     #[test]
     fn records_round_trip_bitwise() {
         let (key, value) = sample();
         let body = encode_record(&key, &value);
-        let (records, consumed) = parse_records(&body);
-        assert_eq!(consumed, body.len());
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].0, key);
-        assert_eq!(records[0].1, value);
+        let (records, skipped, consumed) = parse_records(&body);
+        assert_eq!((skipped, consumed), (0, body.len()));
+        assert_eq!(records, vec![(key, value)]);
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        // The v3 layout, recorded: a layout change that does not bump
+        // `VERSION` would misparse every existing store, so it must fail
+        // here first.
+        let (key, value) = sample();
+        let record = encode_record(&key, &value);
+        assert_eq!(record.len(), 24 + 272 + 57, "prefix, key, value sections");
+        assert_eq!(fnv1a(&record), 0xfd36_4365_d8d9_3b8e);
     }
 
     #[test]
@@ -456,9 +440,9 @@ mod tests {
         let target = RECORD_PREFIX_LEN + 3;
         body[target] ^= 0xFF;
         body.extend_from_slice(&good);
-        let (records, consumed) = parse_records(&body);
+        let (records, skipped, consumed) = parse_records(&body);
         assert_eq!(records.len(), 1, "second record survives");
-        assert_eq!(consumed, body.len());
+        assert_eq!((skipped, consumed), (1, body.len()));
     }
 
     #[test]
@@ -467,9 +451,13 @@ mod tests {
         let mut body = encode_record(&key, &value);
         let whole = body.len();
         body.extend_from_slice(&encode_record(&key, &value)[..10]);
-        let (records, consumed) = parse_records(&body);
+        let (records, skipped, consumed) = parse_records(&body);
         assert_eq!(records.len(), 1);
         assert_eq!(consumed, whole, "tail excluded from the good prefix");
+        assert_eq!(skipped, 0, "opening counts the cut tail, not the parse");
+        let (replay, healed) = open_temp("torn", &store_file(&[&body]));
+        assert_eq!((replay.records.len(), replay.skipped), (1, 1));
+        assert_eq!(healed.len(), HEADER_LEN + whole, "the tail is cut off");
     }
 
     #[test]
@@ -479,9 +467,9 @@ mod tests {
         // Rewrite the stored content hash (checksum still passes: it only
         // covers the payload) — the staleness check must reject it.
         body[..8].copy_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
-        let (records, consumed) = parse_records(&body);
+        let (records, skipped, consumed) = parse_records(&body);
         assert!(records.is_empty());
-        assert_eq!(consumed, body.len());
+        assert_eq!((skipped, consumed), (1, body.len()));
     }
 
     #[test]
@@ -489,32 +477,18 @@ mod tests {
         let mut body = vec![0xA5u8; 200];
         // Absurd key_len: framing untrustworthy, parse must stop at 0.
         body[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let (records, consumed) = parse_records(&body);
+        let (records, skipped, consumed) = parse_records(&body);
         assert!(records.is_empty());
-        assert_eq!(consumed, 0);
+        assert_eq!((skipped, consumed), (0, 0));
     }
 
-    /// Raw value-section bytes with the given node count, edges and
-    /// mapping (no validation — for crafting hostile records). The node and
-    /// edge reductions are the ones those counts give against the sample's
-    /// 9-node, 9-edge key.
-    fn raw_value(node_count: u64, edges: &[(u64, u64)], mapping: &[u64]) -> Vec<u8> {
+    /// Raw value-section bytes with the given kept-node count, kept nodes
+    /// and a `Cold` decision (no validation — for crafting hostile
+    /// records).
+    fn raw_value(count: u64, kept: &[u64]) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&node_count.to_le_bytes());
-        out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-        for &(u, v) in edges {
-            out.extend_from_slice(&u.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(mapping.len() as u64).to_le_bytes());
-        for &node in mapping {
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        let node_reduction = 1.0 - node_count as f64 / 9.0;
-        let edge_reduction = 1.0 - edges.len() as f64 / 9.0;
-        let and = and_ratio_of_counts((9, 9), (node_count as usize, edges.len()));
-        for ratio in [and, node_reduction, edge_reduction] {
-            out.extend_from_slice(&ratio.to_bits().to_le_bytes());
+        for word in std::iter::once(&count).chain(kept) {
+            out.extend_from_slice(&word.to_le_bytes());
         }
         out.push(0);
         out
@@ -529,117 +503,36 @@ mod tests {
     #[test]
     fn reductions_inconsistent_with_their_key_are_corrupt() {
         let (key, _) = sample(); // a 9-node key
-        let ring: Vec<(u64, u64)> = (0..3).map(|i| (i, (i + 1) % 3)).collect();
-        let path_edges: Vec<(u64, u64)> = (0..5).map(|i| (i, i + 1)).collect();
+        let ten: Vec<u64> = (0..10).collect();
         let cases = [
+            ("more kept nodes than the key", raw_value(10, &ten)),
+            ("fewer kept nodes than the count", raw_value(3, &[0, 1])),
             (
-                "more reduced nodes than the key",
-                raw_value(10, &[], &[0; 10]),
+                "more kept nodes than the count",
+                raw_value(3, &[0, 1, 2, 3]),
             ),
-            (
-                "mapping shorter than the graph",
-                raw_value(3, &ring, &[0, 1]),
-            ),
-            (
-                "mapping longer than the graph",
-                raw_value(3, &ring, &[0, 1, 2, 3]),
-            ),
-            ("duplicate mapping index", raw_value(3, &ring, &[0, 4, 4])),
-            (
-                "mapping index outside the key",
-                raw_value(3, &ring, &[0, 1, 9]),
-            ),
+            ("a duplicate kept node", raw_value(3, &[0, 4, 4])),
+            ("a kept node outside the key", raw_value(3, &[0, 1, 9])),
             (
                 // The cycle induces the same 6-node path on the reversed
                 // labels, but `reduce` lists its nodes in increasing order.
-                "mapping out of increasing order",
-                raw_value(6, &path_edges, &[5, 4, 3, 2, 1, 0]),
+                "kept nodes out of increasing order",
+                raw_value(6, &[5, 4, 3, 2, 1, 0]),
             ),
         ];
         for (what, value) in cases {
-            let (records, consumed) = parse_records(&hostile_record(&key, &value));
+            let (records, skipped, consumed) = parse_records(&hostile_record(&key, &value));
             assert!(records.is_empty(), "{what}: record must be rejected");
+            assert_eq!(skipped, 1, "{what}: counted");
             assert!(consumed > 0, "{what}: framing is intact, parsing goes on");
         }
-        // The same layout with a consistent mapping decodes: the 9-cycle
-        // induces the single edge 8–0 on nodes {0, 4, 8}.
-        let (records, _) = parse_records(&hostile_record(&key, &raw_value(3, &ring, &[0, 4, 8])));
-        assert!(records.is_empty(), "a ring is not what the key induces");
-        let (records, _) =
-            parse_records(&hostile_record(&key, &raw_value(3, &[(0, 2)], &[0, 4, 8])));
+        // Consistent kept nodes decode to what the key induces on them: the
+        // 9-cycle's single edge 8–0 on nodes {0, 4, 8}.
+        let (records, _, _) = parse_records(&hostile_record(&key, &raw_value(3, &[0, 4, 8])));
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].1.subgraph.nodes, vec![0, 4, 8]);
-    }
-
-    #[test]
-    fn records_that_disagree_with_a_fresh_reduce_are_corrupt() {
-        // Crafted records whose checksum and content hash are valid but
-        // whose reduction is not the one a fresh `reduce` of the key's
-        // graph gives: the store must serve the fresh value or nothing.
-        let graph = connected_gnp(12, 0.4, &mut seeded(5)).unwrap();
-        let options = ReductionOptions::default();
-        let key = CacheKey::new(&graph, &options);
-        let fresh = reduce(&graph, &options, &mut seeded(6)).unwrap();
-        let sub = &fresh.subgraph;
-        let n = sub.graph.node_count();
-        let edges: Vec<(usize, usize)> = sub.graph.edges().collect();
-        assert!(edges.len() >= 2 && edges.len() < n * (n - 1) / 2);
-        let missing = (0..n)
-            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .find(|&(a, b)| !sub.graph.has_edge(a, b))
-            .unwrap();
-        let with_graph = |edges: &[(usize, usize)]| ReducedGraph {
-            subgraph: Subgraph {
-                graph: Graph::from_edges(n, edges).unwrap(),
-                nodes: sub.nodes.clone(),
-            },
-            ..fresh.clone()
-        };
-        let mut added = edges.clone();
-        added.push(missing);
-        let mut swapped = fresh.clone();
-        swapped.subgraph.nodes.swap(0, n - 1);
-        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
-        let cases = [
-            ("an induced edge dropped", with_graph(&edges[1..])),
-            ("a non-induced edge added", with_graph(&added)),
-            ("two mapping entries swapped", swapped),
-            (
-                "node reduction off by one ulp",
-                ReducedGraph {
-                    node_reduction: next_up(fresh.node_reduction),
-                    ..fresh.clone()
-                },
-            ),
-            (
-                "edge reduction off by one ulp",
-                ReducedGraph {
-                    edge_reduction: next_up(fresh.edge_reduction),
-                    ..fresh.clone()
-                },
-            ),
-            (
-                "AND ratio off by one ulp",
-                ReducedGraph {
-                    and_ratio: next_up(fresh.and_ratio),
-                    ..fresh.clone()
-                },
-            ),
-        ];
-        for (what, value) in &cases {
-            assert_ne!(value, &fresh, "{what}: the crafted value differs");
-            let record = hostile_record(&key, &encode_value(value));
-            let (records, consumed) = parse_records(&record);
-            assert!(
-                records.iter().all(|(_, served)| served == &fresh),
-                "{what}: a value that differs from a fresh reduce was served"
-            );
-            assert!(records.is_empty(), "{what}: record must be rejected");
-            assert_eq!(consumed, record.len(), "{what}: framing is intact");
-        }
-        // The honest record serves exactly the fresh value.
-        let (records, _) = parse_records(&encode_record(&key, &fresh));
-        assert_eq!(records, vec![(key, fresh)]);
+        let served = &records[0].1;
+        assert_eq!(served.subgraph.nodes, vec![0, 4, 8]);
+        assert_eq!(served.graph(), &Graph::from_edges(3, &[(0, 2)]).unwrap());
     }
 
     #[test]
@@ -656,37 +549,27 @@ mod tests {
         let mut words = *key.option_bits;
         words[3] = 0.0f64.to_bits();
         let huge_key = CacheKey::from_parts(huge as usize, key.edges.clone(), Arc::new(words));
-        let mut body = Vec::new();
-        body.extend_from_slice(&MAGIC);
-        body.extend_from_slice(&VERSION.to_le_bytes());
-        body.extend_from_slice(&hostile_record(&key, &raw_value(huge, &[], &[])));
-        body.extend_from_slice(&hostile_record(&huge_key, &raw_value(huge, &[], &[0, 1])));
-        // Mapping length claims the huge count but the bytes are absent.
-        let mut truncated_mapping = raw_value(huge, &[], &[]);
-        let mapping_at = 16;
-        truncated_mapping[mapping_at..mapping_at + 8].copy_from_slice(&huge.to_le_bytes());
-        body.extend_from_slice(&hostile_record(&huge_key, &truncated_mapping));
-        // A short mapping whose top node is huge: checking its induced
-        // edges indexes one slot per parent node up to that top, so the
-        // top must be rejected first. A warm stop at the three-node floor
-        // is what the huge key permits, so only the bound stops the record.
-        let mut far_mapping = raw_value(3, &[], &[0, 1, huge - 1]);
-        *far_mapping.last_mut().unwrap() = 1;
-        body.extend_from_slice(&hostile_record(&huge_key, &far_mapping));
-        body.extend_from_slice(&encode_record(&key, &value));
-        let path = std::env::temp_dir().join(format!(
-            "red_qaoa_persist_hostile_{}.rqps",
-            std::process::id()
-        ));
-        std::fs::write(&path, &body).unwrap();
-        let opened = PersistentStore::open(&path);
-        let _ = std::fs::remove_file(&path);
-        let (_, loaded) = opened.expect("opening a store with hostile records is Ok");
-        assert!(
-            loaded.iter().all(|(k, _)| k.nodes != huge_key.nodes),
-            "nothing served for the hostile key"
+        // A short list of kept nodes whose top node is huge: expanding it
+        // indexes one slot per parent node up to that top, so the top must
+        // be rejected first. A warm stop at the three-node floor is what
+        // the huge key permits, so only the bound stops the record.
+        let mut far_nodes = raw_value(3, &[0, 1, huge - 1]);
+        *far_nodes.last_mut().unwrap() = 1;
+        let file = store_file(&[
+            // More kept nodes than the key has.
+            &hostile_record(&key, &raw_value(huge, &[])),
+            // A count the huge key allows, without the bytes to back it.
+            &hostile_record(&huge_key, &raw_value(huge, &[0, 1])),
+            &hostile_record(&huge_key, &far_nodes),
+            &encode_record(&key, &value),
+        ]);
+        let (replay, _) = open_temp("hostile", &file);
+        assert_eq!(
+            replay.records,
+            vec![(key, value)],
+            "only the honest record loads"
         );
-        assert_eq!(loaded, vec![(key, value)], "only the honest record loads");
+        assert_eq!(replay.skipped, 3);
     }
 
     #[test]
@@ -698,7 +581,7 @@ mod tests {
         let mut bytes = encode_value(&value);
         for (byte, served) in [(0u8, true), (1, false), (2, false), (3, false), (4, false)] {
             *bytes.last_mut().unwrap() = byte;
-            let (records, consumed) = parse_records(&hostile_record(&key, &bytes));
+            let (records, _, consumed) = parse_records(&hostile_record(&key, &bytes));
             assert_eq!(records.len(), usize::from(served), "decision byte {byte}");
             assert!(consumed > 0);
         }
@@ -721,40 +604,12 @@ mod tests {
                 warm_decision,
                 ..fresh.clone()
             };
-            let (records, consumed) = parse_records(&encode_record(&key, &forged));
+            let (records, _, consumed) = parse_records(&encode_record(&key, &forged));
             assert!(records.is_empty(), "{warm_decision:?} at the floor");
             assert!(consumed > 0);
         }
-        let (records, _) = parse_records(&encode_record(&key, &fresh));
+        let (records, _, _) = parse_records(&encode_record(&key, &fresh));
         assert_eq!(records, vec![(key, fresh)]);
-    }
-
-    #[test]
-    fn a_retired_policy_record_is_skipped_and_a_default_one_replays() {
-        // The same cold reduction stored twice: under the default key, and
-        // under a key whose policy word holds the retired `Off` code. Only
-        // that word tells them apart, so it alone skips the second record.
-        let (key, value) = sample();
-        let mut words = *key.option_bits;
-        words[4] = 0;
-        let retired = CacheKey::from_parts(key.nodes, key.edges.clone(), Arc::new(words));
-        let mut file = Vec::new();
-        file.extend_from_slice(&MAGIC);
-        file.extend_from_slice(&VERSION.to_le_bytes());
-        file.extend_from_slice(&encode_record(&retired, &value));
-        file.extend_from_slice(&encode_record(&key, &value));
-        let path = std::env::temp_dir().join(format!(
-            "red_qaoa_persist_retired_{}.rqps",
-            std::process::id()
-        ));
-        std::fs::write(&path, &file).unwrap();
-        let opened = PersistentStore::open(&path).map(|(_, loaded)| loaded);
-        let _ = std::fs::remove_file(&path);
-        let loaded = opened.unwrap();
-        assert_eq!(loaded.len(), 1, "the retired record is skipped");
-        let (replayed_key, replayed) = &loaded[0];
-        assert_eq!(replayed_key.content_hash(), key.content_hash());
-        assert_eq!(encode_value(replayed), encode_value(&value), "bit for bit");
     }
 
     #[test]
@@ -902,23 +757,11 @@ mod tests {
                 }
                 _ => {}
             }
-            let mut file = Vec::new();
-            file.extend_from_slice(&MAGIC);
-            file.extend_from_slice(&VERSION.to_le_bytes());
-            for record in &records {
-                file.extend_from_slice(record);
-            }
+            let mut file = store_file(&records.iter().map(Vec::as_slice).collect::<Vec<_>>());
             let cut = if kind == 3 { at % (file.len() + 1) } else { file.len() };
             file.truncate(cut);
-            let path = std::env::temp_dir().join(format!(
-                "red_qaoa_persist_mutated_{}_{target}_{kind}_{at}_{bit}_{amount}.rqps",
-                std::process::id()
-            ));
-            std::fs::write(&path, &file).unwrap();
-            let opened = std::panic::catch_unwind(|| PersistentStore::open(&path));
-            let _ = std::fs::remove_file(&path);
-            let opened = opened.map_err(|_| "opening a mutated store panicked");
-            let (_, loaded) = opened.unwrap().expect("opening a mutated store is Ok");
+            let name = format!("mutated_{target}_{kind}_{at}_{bit}_{amount}");
+            let loaded = open_temp(&name, &file).0.records;
 
             let framing_kept = kind == 1 || kind == 3;
             for (key, value) in &loaded {
@@ -957,27 +800,26 @@ mod tests {
     fn header_check_rejects_foreign_files() {
         assert!(!header_ok(b""));
         assert!(!header_ok(b"RQPS"));
-        assert!(!header_ok(b"NOPE\x02\x00\x00\x00"));
-        assert!(!header_ok(b"RQPS\x01\x00\x00\x00"), "past version");
-        assert!(!header_ok(b"RQPS\x03\x00\x00\x00"), "future version");
-        assert!(header_ok(b"RQPS\x02\x00\x00\x00"));
+        assert!(!header_ok(b"NOPE\x03\x00\x00\x00"));
+        assert!(!header_ok(b"RQPS\x02\x00\x00\x00"), "past version");
+        assert!(!header_ok(b"RQPS\x04\x00\x00\x00"), "future version");
+        assert!(header_ok(b"RQPS\x03\x00\x00\x00"));
     }
 
     #[test]
-    fn a_version_1_store_is_rewritten_not_replayed() {
+    fn an_older_version_store_is_rewritten_not_replayed() {
         // Version 1 stores hold reductions of the search before it annealed
-        // its size floor first; replaying them would make a warm engine
-        // disagree with a cold one.
+        // its size floor first, and version 2 stores a layout this decoder
+        // does not read; a record under either header is never replayed,
+        // even one whose bytes would decode today.
         let (key, value) = sample();
-        let mut file = b"RQPS\x01\x00\x00\x00".to_vec();
-        file.extend_from_slice(&encode_record(&key, &value));
-        let path =
-            std::env::temp_dir().join(format!("red_qaoa_persist_v1_{}.rqps", std::process::id()));
-        std::fs::write(&path, &file).unwrap();
-        let opened = PersistentStore::open(&path).map(|(_, loaded)| loaded);
-        let rewritten = std::fs::read(&path);
-        let _ = std::fs::remove_file(&path);
-        assert!(opened.unwrap().is_empty(), "no v1 record is replayed");
-        assert_eq!(rewritten.unwrap(), b"RQPS\x02\x00\x00\x00");
+        for version in [1u8, 2] {
+            let mut file = vec![b'R', b'Q', b'P', b'S', version, 0, 0, 0];
+            file.extend_from_slice(&encode_record(&key, &value));
+            let (replay, rewritten) = open_temp(&format!("v{version}"), &file);
+            assert!(replay.records.is_empty(), "no v{version} record replays");
+            assert_eq!(replay.skipped, 1, "the dropped file counts once");
+            assert_eq!(rewritten, b"RQPS\x03\x00\x00\x00");
+        }
     }
 }

@@ -38,7 +38,7 @@ use crate::annealing::{
 };
 use crate::RedQaoaError;
 use graphlib::connectivity::degeneracy_order;
-use graphlib::metrics::and_ratio;
+use graphlib::metrics::{and_ratio, and_ratio_of_counts};
 use graphlib::subgraph::Subgraph;
 use graphlib::Graph;
 use mathkit::parallel::parallel_map_indexed;
@@ -315,6 +315,28 @@ impl ReducedGraph {
         }
     }
 
+    /// The reduction of a parent graph with `parent = (nodes, edges)` to
+    /// `subgraph`, which [`reduce`] settled on with `warm_decision`: the
+    /// AND ratio ([`and_ratio_of_counts`]) and the fractions of nodes and
+    /// of edges removed follow from the two graphs' counts. Every
+    /// reduction but [`ReducedGraph::identity`] is built here — by
+    /// [`reduce`], by a cache hit, and by store replay, which hold only the
+    /// kept nodes and the decision — so all three carry the same bits.
+    pub(crate) fn new(
+        parent: (usize, usize),
+        subgraph: Subgraph,
+        warm_decision: WarmDecision,
+    ) -> Self {
+        let reduced = (subgraph.graph.node_count(), subgraph.graph.edge_count());
+        Self {
+            and_ratio: and_ratio_of_counts(parent, reduced),
+            node_reduction: 1.0 - reduced.0 as f64 / parent.0 as f64,
+            edge_reduction: 1.0 - reduced.1 as f64 / parent.1 as f64,
+            subgraph,
+            warm_decision,
+        }
+    }
+
     /// Convenience accessor for the reduced graph itself.
     pub fn graph(&self) -> &Graph {
         &self.subgraph.graph
@@ -586,16 +608,11 @@ pub fn reduce<R: Rng>(
         }
     };
 
-    let (node_reduction, edge_reduction) =
-        reduction_fractions(n, graph.edge_count(), &subgraph.graph);
-    let ratio = and_ratio(graph, &subgraph.graph);
-    Ok(ReducedGraph {
+    Ok(ReducedGraph::new(
+        (n, graph.edge_count()),
         subgraph,
-        and_ratio: ratio,
-        node_reduction,
-        edge_reduction,
-        warm_decision: warm.decision,
-    })
+        warm.decision,
+    ))
 }
 
 /// The size floor of the search over a graph with `nodes ≥ 2` nodes,
@@ -605,18 +622,6 @@ pub fn reduce<R: Rng>(
 pub(crate) fn size_floor(nodes: usize, min_size: usize, min_size_fraction: f64) -> usize {
     let fraction_floor = (min_size_fraction * nodes as f64).ceil() as usize;
     min_size.max(fraction_floor).clamp(2, nodes)
-}
-
-/// The fractions of nodes and of edges a reduction to `reduced` removes
-/// from a graph with `nodes` nodes and `edges` edges: the
-/// [`ReducedGraph::node_reduction`] and [`ReducedGraph::edge_reduction`]
-/// of [`reduce`], which the persistent store recomputes to validate
-/// records.
-pub(crate) fn reduction_fractions(nodes: usize, edges: usize, reduced: &Graph) -> (f64, f64) {
-    (
-        1.0 - reduced.node_count() as f64 / nodes as f64,
-        1.0 - reduced.edge_count() as f64 / edges as f64,
-    )
 }
 
 /// Mutable warm-start bookkeeping threaded through the size search.

@@ -51,7 +51,9 @@ fn reductions_round_trip_through_the_store_bitwise_and_count_as_hits() {
         .persist_path(&path)
         .build()
         .unwrap();
-    assert_eq!(reader.cache_stats().entries, 3, "store warmed the cache");
+    let stats = reader.cache_stats();
+    assert_eq!(stats.entries, 3, "store warmed the cache");
+    assert_eq!((stats.store_replayed, stats.store_skipped), (3, 0));
     for (graph, expected) in graphs.iter().zip(&cold) {
         let out = reader
             .run(&Job::Reduce(ReduceJob::new(graph.clone())), 99)
@@ -91,10 +93,63 @@ fn a_corrupt_store_file_is_skipped_not_fatal() {
         .persist_path(&path)
         .build()
         .unwrap();
-    assert_eq!(reader.cache_stats().entries, 0, "bad record dropped");
+    let stats = reader.cache_stats();
+    assert_eq!(stats.entries, 0, "bad record dropped");
+    assert_eq!(
+        (stats.store_replayed, stats.store_skipped),
+        (0, 1),
+        "and counted"
+    );
     let out = reader.run(&Job::Reduce(ReduceJob::new(graph)), 1).unwrap();
     assert_eq!(out, expected, "recomputed bitwise-identically");
     assert_eq!(reader.cache_stats().misses, 1);
+}
+
+#[test]
+fn engines_sharing_a_store_keep_each_others_records() {
+    // Two engines open one path before either writes, as a co-located
+    // worker fleet does, and each computes a different reduction. Both
+    // records must survive the other's append.
+    let path = store_path("shared");
+    let graphs = [
+        connected_gnp(30, 0.3, &mut seeded(1)).unwrap(),
+        test_graph(2),
+    ];
+    let engines: Vec<Engine> = (0..2)
+        .map(|_| {
+            Engine::builder()
+                .threads(1)
+                .persist_path(&path)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let computed: Vec<_> = engines
+        .iter()
+        .zip(&graphs)
+        .map(|(engine, graph)| {
+            engine
+                .run(&Job::Reduce(ReduceJob::new(graph.clone())), 1)
+                .unwrap()
+        })
+        .collect();
+    drop(engines);
+
+    let reader = Engine::builder()
+        .threads(1)
+        .persist_path(&path)
+        .build()
+        .unwrap();
+    let stats = reader.cache_stats();
+    assert_eq!((stats.store_replayed, stats.store_skipped), (2, 0));
+    assert_eq!(stats.entries, 2, "both records replayed");
+    for (graph, expected) in graphs.iter().zip(&computed) {
+        let out = reader
+            .run(&Job::Reduce(ReduceJob::new(graph.clone())), 2)
+            .unwrap();
+        assert_eq!(&out, expected);
+    }
+    assert_eq!(reader.cache_stats().hits, 2);
 }
 
 #[test]

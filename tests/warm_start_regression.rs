@@ -176,6 +176,24 @@ fn measured_default_decides_and_stays_deterministic() {
 }
 
 #[test]
+fn the_warm_cold_comparison_runs_once_per_search() {
+    // A strict threshold over a low floor sends this 16-node search past
+    // its floor through several warm-seeded sizes. The comparison on the
+    // second size keeps warm seeding; re-measuring a later warm size would
+    // revert and keep another node set.
+    let options = ReductionOptions {
+        and_ratio_threshold: 0.9,
+        min_size_fraction: 0.3,
+        sa_runs: 1,
+        ..ReductionOptions::default()
+    };
+    let graph = connected_gnp(16, 0.2, &mut seeded(3016)).unwrap();
+    let reduced = reduce(&graph, &options, &mut seeded(3)).unwrap();
+    assert_eq!(reduced.warm_decision, WarmDecision::MeasuredKept);
+    assert_eq!(reduced.subgraph.nodes, [2, 4, 5, 6, 14, 15]);
+}
+
+#[test]
 fn resize_selection_shrinks_and_grows_deterministically() {
     let graph = connected_gnp(16, 0.35, &mut seeded(21)).unwrap();
     let seed: Vec<usize> = (0..12).collect();
