@@ -115,7 +115,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the reduction cache's capacity in entries (`0` disables caching).
+    /// Sets the reduction cache's capacity in entries. `0` disables the
+    /// cache that lasts across batches; repeated keys inside one
+    /// [`Engine::run_batch`] still anneal once.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self

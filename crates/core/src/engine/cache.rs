@@ -37,10 +37,12 @@ use std::sync::{Arc, Mutex};
 /// Snapshot of the reduction cache's counters.
 ///
 /// The *contents* of the cache are deterministic (every entry is a pure
-/// function of its key), but the hit/miss split of a parallel batch is not:
-/// two workers may race to compute the same key and both count a miss. The
-/// counters are telemetry for the benches, not part of the determinism
-/// contract.
+/// function of its key), and so is the hit/miss split of one batch at any
+/// worker count: the batch's table lets one job per distinct key reach the
+/// cache, so the batch counts one miss per key it anneals and one hit per
+/// other reduction it serves. Only concurrent batches on one engine can
+/// race to compute the same key and both count a miss. The counters are
+/// telemetry for the benches, not part of the determinism contract.
 ///
 /// A [`LandscapeJob`](super::LandscapeJob) that repeats an earlier scan of
 /// its batch copies that scan's output and makes no lookup, so it counts as
@@ -53,7 +55,8 @@ use std::sync::{Arc, Mutex};
 /// counters are fixed when the engine is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Jobs served from the cache without re-annealing.
+    /// Reductions served without annealing: from the cache, or from the
+    /// slot an earlier job of the same batch filled.
     pub hits: u64,
     /// Jobs that computed (and inserted) their reduction.
     pub misses: u64,
@@ -304,7 +307,7 @@ fn fnv1a_word(mut hash: u64, word: u64) -> u64 {
 /// carries, so a lookup hashes no key content a second time. The hash is
 /// rotated because the shard index already consumed its low bits.
 #[derive(Default)]
-struct ContentHasher(u64);
+pub(super) struct ContentHasher(u64);
 
 impl Hasher for ContentHasher {
     fn finish(&self) -> u64 {

@@ -3,14 +3,15 @@
 //!
 //! Every job follows the same lifecycle: cheap field validation first (so a
 //! bad request fails before any annealing is paid for), then the reduction
-//! it needs is obtained through the engine's content-addressed cache, then
+//! it needs is obtained through its batch's table and the engine's
+//! content-addressed cache, then
 //! the job-specific work runs on the job's RNG substream. The dispatch
 //! ([`execute`]) is a pure function of `(engine config, job, job_seed)` —
 //! which is the whole determinism story: nothing in here can observe which
 //! worker ran it, or in what order.
 
 use super::builder::validate_pipeline_options;
-use super::Engine;
+use super::{BatchReductions, Engine};
 use crate::pipeline::{
     depth_metrics, run_noisy_with_reduction, CircuitReduction, NoisyPipelineOutcome,
     PipelineOptions,
@@ -158,8 +159,9 @@ impl LandscapeJob {
 
 /// A multi-programming throughput estimate (Figure 25): how much faster
 /// batches of the graph's reduced circuit execute on a `device_qubits`-qubit
-/// device than batches of the original. The reduction comes from the cache,
-/// so evaluating one graph against several device sizes anneals once.
+/// device than batches of the original. The reduction comes from the batch's
+/// table or the cache, so evaluating one graph against several device sizes
+/// in one batch anneals once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputJob {
     /// The graph whose circuits are batched.
@@ -498,18 +500,20 @@ fn validate_optimize_job(job: &OptimizeJob) -> Result<(), RedQaoaError> {
     Ok(())
 }
 
-/// Executes one job on `engine` with the job's derived RNG substream.
-/// Validation runs first, then the cached reduction, then the job body.
+/// Executes one job on `engine` with the job's derived RNG substream,
+/// sharing reductions with its batch through `reductions`. Validation runs
+/// first, then the cached reduction, then the job body.
 pub(super) fn execute(
     engine: &Engine,
     job: &Job,
     job_seed: u64,
+    reductions: &BatchReductions,
 ) -> Result<JobOutput, RedQaoaError> {
     match job {
         Job::Reduce(job) => {
             let options = job.options.as_ref().unwrap_or(engine.reduction_options());
             engine
-                .reduce_cached(&job.graph, options)
+                .reduce_cached(&job.graph, options, reductions)
                 .map(JobOutput::Reduced)
         }
         Job::Pipeline(job) => {
@@ -541,8 +545,13 @@ pub(super) fn execute(
                     "engine has no noise model (set EngineBuilder::noise)",
                 ));
             };
-            let reduction =
-                session_reduction(engine, &job.graph, options.circuit, &options.reduction)?;
+            let reduction = session_reduction(
+                engine,
+                reductions,
+                &job.graph,
+                options.circuit,
+                &options.reduction,
+            )?;
             run_noisy_with_reduction(
                 &job.graph,
                 reduction,
@@ -567,7 +576,7 @@ pub(super) fn execute(
             // In depth-only mode `reduce_first` scans the graph itself (the
             // identity reduction) — no annealing, no cache traffic.
             let reduction = if scans_reduction(job) {
-                Some(engine.reduce_cached(&job.graph, engine.reduction_options())?)
+                Some(engine.reduce_cached(&job.graph, engine.reduction_options(), reductions)?)
             } else {
                 None
             };
@@ -593,7 +602,8 @@ pub(super) fn execute(
                     "must be at least 1",
                 ));
             }
-            let reduction = engine.reduce_cached(&job.graph, engine.reduction_options())?;
+            let reduction =
+                engine.reduce_cached(&job.graph, engine.reduction_options(), reductions)?;
             Ok(JobOutput::Throughput(relative_throughput(
                 &job.graph,
                 reduction.graph(),
@@ -604,7 +614,13 @@ pub(super) fn execute(
         Job::Optimize(job) => {
             validate_optimize_job(job)?;
             let reduction_options = job.reduction.as_ref().unwrap_or(engine.reduction_options());
-            let reduction = session_reduction(engine, &job.graph, job.circuit, reduction_options)?;
+            let reduction = session_reduction(
+                engine,
+                reductions,
+                &job.graph,
+                job.circuit,
+                reduction_options,
+            )?;
             let depth = depth_metrics(job.circuit, reduction.graph())?;
             let restarts = job.restarts.unwrap_or_else(|| paper_restarts(job.layers));
             let driver = OptimizeDriver::new(job.optimizer.clone(), restarts, job.max_iters);
@@ -677,6 +693,7 @@ pub(super) fn scan_key(job: &Job) -> Option<(&Graph, usize, bool)> {
 /// [`ReductionOptions`]).
 fn session_reduction(
     engine: &Engine,
+    reductions: &BatchReductions,
     graph: &Graph,
     circuit: CircuitReduction,
     options: &ReductionOptions,
@@ -687,7 +704,7 @@ fn session_reduction(
         return Err(qaoa::QaoaError::GraphTooLarge { nodes, limit }.into());
     }
     if circuit.wants_node_reduction() {
-        engine.reduce_cached(graph, options)
+        engine.reduce_cached(graph, options, reductions)
     } else {
         Ok(ReducedGraph::identity(graph))
     }

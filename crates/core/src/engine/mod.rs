@@ -34,7 +34,9 @@
 //!   (graph, options) pair maps to the same cache key *and* the same
 //!   derived reduction substream, so a cache hit returns the
 //!   bitwise-identical [`ReducedGraph`] the miss computed, without
-//!   re-annealing. Hit/miss counters are exposed through
+//!   re-annealing. In front of it each batch keeps a table with one slot
+//!   per distinct key, so a batch anneals each key at most once whatever
+//!   the cache holds. Hit/miss counters are exposed through
 //!   [`Engine::cache_stats`] for the benches (`BENCH_engine.json`).
 //! * [`persist`](self) — with [`EngineBuilder::persist_path`], every miss
 //!   is written through to a validating file-backed store and the store's
@@ -50,13 +52,13 @@
 //! use graphlib::generators::connected_gnp;
 //! use red_qaoa::engine::{Engine, Job, ReduceJob};
 //!
-//! // threads(1) only so the hit/miss counters below are exact; results are
-//! // identical for any worker count (counters are telemetry, not contract).
-//! let engine = Engine::builder().threads(1).build().unwrap();
+//! // The counters below are exact for any worker count: the batch's table
+//! // anneals each distinct key once and serves the repeat from its slot.
+//! let engine = Engine::builder().build().unwrap();
 //! let graph = connected_gnp(12, 0.4, &mut mathkit::rng::seeded(7)).unwrap();
 //! let jobs = vec![
 //!     Job::Reduce(ReduceJob::new(graph.clone())),
-//!     Job::Reduce(ReduceJob::new(graph)), // same content: served from cache
+//!     Job::Reduce(ReduceJob::new(graph)), // same content: reuses the anneal
 //! ];
 //! let results = engine.run_batch(&jobs, 42);
 //! assert_eq!(results[0], results[1]); // bitwise-identical, no re-annealing
@@ -78,7 +80,7 @@ pub use jobs::{
 use crate::pipeline::PipelineOptions;
 use crate::reduction::{reduce, ReducedGraph, ReductionOptions};
 use crate::RedQaoaError;
-use cache::{anneal_cost, CacheKey, ShardedReductionCache};
+use cache::{anneal_cost, CacheKey, ContentHasher, ShardedReductionCache};
 use graphlib::Graph;
 use jobs::{execute, scan_key};
 use mathkit::parallel::{parallel_map_indexed, with_threads};
@@ -86,8 +88,10 @@ use mathkit::rng::{derive_seed, seeded};
 use persist::PersistentStore;
 use qsim::noise::NoiseModel;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default seed of the engine's content-addressed reduction substreams.
 ///
@@ -183,7 +187,10 @@ impl Engine {
     /// wrapper — there is no batch index to report); a job that panics
     /// returns [`RedQaoaError::JobPanicked`].
     pub fn run(&self, job: &Job, seed: u64) -> Result<JobOutput, RedQaoaError> {
-        self.with_thread_policy(|| isolate_panic(|| execute(self, job, derive_seed(seed, 0))))
+        let reductions = BatchReductions::default();
+        self.with_thread_policy(|| {
+            isolate_panic(|| execute(self, job, derive_seed(seed, 0), &reductions))
+        })
     }
 
     /// Runs a batch of jobs, fanning them out across the engine's worker
@@ -192,8 +199,16 @@ impl Engine {
     /// Job `i` runs on the RNG substream `derive_seed(seed, i)` and failures
     /// are reported per job as [`RedQaoaError::Job`] (carrying the index)
     /// rather than aborting the batch; a job that panics fails the same way,
-    /// wrapping [`RedQaoaError::JobPanicked`]. Reductions are shared through
-    /// the cache: repeated (graph, options) pairs anneal once. Identical
+    /// wrapping [`RedQaoaError::JobPanicked`]. Repeated (graph, options)
+    /// pairs anneal once per batch, whatever the cache holds: the batch
+    /// keeps a table with one slot per distinct reduction key, the first
+    /// job that needs a key fills it (from the cache, or by annealing), and
+    /// every later job with that key reuses the slot's reduction, counted
+    /// as a hit, or its error, counted as neither. The table is dropped
+    /// when the batch returns, so
+    /// [`EngineBuilder::cache_capacity`]`(0)` turns off only the cache that
+    /// lasts across batches. Within one batch, `misses` is the number of
+    /// distinct keys the batch annealed at every worker count. Identical
     /// landscape scans run once: a [`LandscapeJob`] with the same graph
     /// content, width, and choice of graph or cached reduction as an
     /// earlier job of the batch (depth modes do not change a scan, and a
@@ -207,11 +222,23 @@ impl Engine {
     /// substream and the engine configuration; cached reductions are a pure
     /// function of content (see [`DEFAULT_REDUCTION_SEED`]); and the thread
     /// count only decides *where* a job runs, never what it computes — so
-    /// neither the worker a job lands on nor the race for who computes a
-    /// shared reduction first can change any output. A copied scan is the
+    /// neither the worker a job lands on nor which job fills a reduction's
+    /// slot can change any output. A copied scan is the
     /// bits the repeat would have computed: a scan reads no substream. The
     /// full contract lives in `docs/determinism.md`.
     pub fn run_batch(&self, jobs: &[Job], seed: u64) -> Vec<Result<JobOutput, RedQaoaError>> {
+        self.run_batch_with(jobs, seed, execute)
+    }
+
+    /// [`Engine::run_batch`] with the job body as a parameter: production
+    /// passes [`execute`], and the tests pass a body that panics.
+    fn run_batch_with(
+        &self,
+        jobs: &[Job],
+        seed: u64,
+        body: impl Fn(&Engine, &Job, u64, &BatchReductions) -> Result<JobOutput, RedQaoaError> + Sync,
+    ) -> Vec<Result<JobOutput, RedQaoaError>> {
+        let reductions = BatchReductions::default();
         self.with_thread_policy(|| {
             let repeats = repeated_scans(jobs);
             let ran = parallel_map_indexed(
@@ -219,7 +246,8 @@ impl Engine {
                 || (),
                 |_, i| {
                     repeats[i].is_none().then(|| {
-                        isolate_panic(|| execute(self, &jobs[i], derive_seed(seed, i as u64)))
+                        let job_seed = derive_seed(seed, i as u64);
+                        isolate_panic(|| body(self, &jobs[i], job_seed, &reductions))
                     })
                 },
             );
@@ -252,15 +280,20 @@ impl Engine {
         self.noise.as_ref()
     }
 
-    /// Reduces `graph` through the sharded content-hash cache: a hit
-    /// returns the cached [`ReducedGraph`] without re-annealing; a miss
-    /// derives the content-addressed substream, anneals, writes through to
-    /// the persistent store (best-effort, if one is configured), and
-    /// populates the cache.
+    /// Reduces `graph` through the batch's table and then the sharded
+    /// content-hash cache. The first job of the batch that needs the key
+    /// fills its slot in `reductions`: a cache hit returns the cached
+    /// [`ReducedGraph`] without re-annealing; a miss derives the
+    /// content-addressed substream, anneals, writes through to the
+    /// persistent store (best-effort, if one is configured), and populates
+    /// the cache. Every later job with the key reads the slot, the
+    /// reduction (a hit) or the error, and touches neither the cache nor
+    /// the annealer.
     fn reduce_cached(
         &self,
         graph: &Graph,
         options: &ReductionOptions,
+        reductions: &BatchReductions,
     ) -> Result<ReducedGraph, RedQaoaError> {
         options.validate()?;
         // Degenerate graphs (< 2 nodes / edgeless) fall through to `reduce`,
@@ -274,6 +307,27 @@ impl Engine {
             ));
         }
         let key = CacheKey::new(graph, options);
+        let slot = reductions.slot(&key);
+        let mut filled = false;
+        let result = slot.get_or_init(|| {
+            filled = true;
+            self.reduce_through_cache(graph, options, key)
+        });
+        // Failed reductions never count: hits + misses = reductions served.
+        if !filled && result.is_ok() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        result.clone()
+    }
+
+    /// Fills a batch slot: the cached reduction of `key` (a hit), or a
+    /// fresh anneal (a miss) written through to the store and the cache.
+    fn reduce_through_cache(
+        &self,
+        graph: &Graph,
+        options: &ReductionOptions,
+        key: CacheKey,
+    ) -> Result<ReducedGraph, RedQaoaError> {
         let hash = key.content_hash();
         // The shard lock is held only for the lookup (an Arc refcount
         // bump); the reduction handed to the caller is rebuilt after it is
@@ -284,7 +338,6 @@ impl Engine {
         }
         let mut rng = seeded(derive_seed(self.reduction_seed, hash));
         let reduced = reduce(graph, options, &mut rng)?;
-        // Failed reductions never count: hits + misses = reductions served.
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
             // Write-through is best-effort: a full disk or yanked volume
@@ -294,6 +347,33 @@ impl Engine {
         let cost = anneal_cost(key.nodes, key.edges.len());
         self.cache.insert(key, hash, &reduced, cost);
         Ok(reduced)
+    }
+}
+
+/// One batch's reductions, a slot per distinct [`CacheKey`] (a single
+/// flight): the first job that needs a key fills its slot, and every later
+/// job of the batch with that key waits for it and reads it. The table's
+/// lock is held only to find or create a slot; a slot fills outside it, so
+/// a job that panics while filling one poisons nothing, and the next job
+/// with the key fills the slot instead. The table lives as long as its
+/// batch, so the cache's capacity (even `0`) decides only what later
+/// batches find.
+#[derive(Default)]
+struct BatchReductions {
+    slots: Mutex<HashMap<CacheKey, Arc<ReductionSlot>, BuildHasherDefault<ContentHasher>>>,
+}
+
+type ReductionSlot = OnceLock<Result<ReducedGraph, RedQaoaError>>;
+
+impl BatchReductions {
+    /// The slot of `key`, created empty if no job of the batch has asked
+    /// for the key yet.
+    fn slot(&self, key: &CacheKey) -> Arc<ReductionSlot> {
+        let mut slots = self.slots.lock().expect("batch reduction table");
+        match slots.get(key) {
+            Some(slot) => Arc::clone(slot),
+            None => Arc::clone(slots.entry(key.clone()).or_default()),
+        }
     }
 }
 
@@ -428,11 +508,25 @@ mod tests {
         let a = engine
             .run(&Job::Reduce(ReduceJob::new(graph.clone())), 1)
             .unwrap();
-        let b = engine.run(&Job::Reduce(ReduceJob::new(graph)), 1).unwrap();
+        let b = engine
+            .run(&Job::Reduce(ReduceJob::new(graph.clone())), 1)
+            .unwrap();
         // Still identical (content-addressed substreams), just recomputed.
         assert_eq!(a, b);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+        // Only the cache that outlasts a batch is off: repeats inside a
+        // batch read its table, and the next batch anneals again.
+        let jobs = jobs_sharing_keys(&[graph]);
+        for batch in 1..=2 {
+            let results = engine.run_batch(&jobs, 5);
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+            let stats = engine.cache_stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.entries),
+                (3 * batch, 2 + batch, 0)
+            );
+        }
     }
 
     #[test]
@@ -473,10 +567,6 @@ mod tests {
 
     #[test]
     fn mixed_batch_produces_typed_outputs_and_indexed_errors() {
-        // One worker pins the hit/miss split: with more, two jobs can race
-        // to compute the same key and both count a miss (results would still
-        // be identical — the counters are telemetry, not contract).
-        let engine = Engine::builder().threads(1).build().unwrap();
         let graph = test_graph(4);
         let jobs = vec![
             Job::Reduce(ReduceJob::new(graph.clone())),
@@ -485,23 +575,137 @@ mod tests {
             Job::Reduce(ReduceJob::new(Graph::new(0))), // must fail with its index
             Job::Landscape(LandscapeJob::new(graph, 3).reduced()),
         ];
-        let results = engine.run_batch(&jobs, 7);
-        assert!(results[0].as_ref().unwrap().as_reduced().is_some());
-        let throughput = results[1].as_ref().unwrap().as_throughput().unwrap();
-        assert!(throughput >= 1.0);
-        assert!(results[2].as_ref().unwrap().as_landscape().is_some());
-        match results[3].as_ref().unwrap_err() {
-            RedQaoaError::Job { index, source } => {
-                assert_eq!(*index, 3);
-                assert!(matches!(**source, RedQaoaError::GraphNotReducible(_)));
+        for threads in [1, 4] {
+            let engine = Engine::builder().threads(threads).build().unwrap();
+            let results = engine.run_batch(&jobs, 7);
+            assert!(results[0].as_ref().unwrap().as_reduced().is_some());
+            let throughput = results[1].as_ref().unwrap().as_throughput().unwrap();
+            assert!(throughput >= 1.0);
+            assert!(results[2].as_ref().unwrap().as_landscape().is_some());
+            match results[3].as_ref().unwrap_err() {
+                RedQaoaError::Job { index, source } => {
+                    assert_eq!(*index, 3);
+                    assert!(matches!(**source, RedQaoaError::GraphNotReducible(_)));
+                }
+                other => panic!("expected a Job error, got {other}"),
             }
-            other => panic!("expected a Job error, got {other}"),
+            assert!(results[4].as_ref().unwrap().as_landscape().is_some());
+            // Reduce, throughput, and the reduced landscape share one
+            // annealing, whatever the worker count.
+            let stats = engine.cache_stats();
+            assert_eq!((stats.misses, stats.hits), (1, 2), "{threads} threads");
         }
-        assert!(results[4].as_ref().unwrap().as_landscape().is_some());
-        // Reduce, throughput, and the reduced landscape share one annealing.
-        let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
+    }
+
+    /// Each graph's reduction, reduced scan, throughput estimate and
+    /// optimize session: four jobs sharing one reduction key.
+    fn jobs_sharing_keys(graphs: &[Graph]) -> Vec<Job> {
+        graphs
+            .iter()
+            .flat_map(|graph| {
+                [
+                    Job::Reduce(ReduceJob::new(graph.clone())),
+                    Job::Landscape(LandscapeJob::new(graph.clone(), 3).reduced()),
+                    Job::Throughput(ThroughputJob::new(graph.clone(), 27, 1)),
+                    Job::Optimize(
+                        OptimizeJob::new(graph.clone())
+                            .with_restarts(1)
+                            .with_max_iters(5),
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_anneals_each_distinct_key_once_on_a_full_cache() {
+        for threads in [1, 4] {
+            let engine = Engine::builder()
+                .threads(threads)
+                .cache_capacity(1)
+                .build()
+                .unwrap();
+            // Fill the one-entry cache, so that every later insert evicts.
+            for seed in 0..3 {
+                engine
+                    .run(&Job::Reduce(ReduceJob::new(test_graph(seed))), 1)
+                    .unwrap();
+            }
+            assert_eq!(engine.cache_stats().entries, 1);
+            for round in 0..2 {
+                // Graphs no earlier batch has seen: each key anneals once.
+                let graphs: Vec<_> = (0..3).map(|k| test_graph(10 + 3 * round + k)).collect();
+                let jobs = jobs_sharing_keys(&graphs);
+                let before = engine.cache_stats();
+                let results = engine.run_batch(&jobs, round);
+                assert!(results.iter().all(Result::is_ok), "{results:?}");
+                let after = engine.cache_stats();
+                let misses = after.misses - before.misses;
+                let hits = after.hits - before.hits;
+                assert_eq!(misses, graphs.len() as u64, "{threads} threads");
+                assert_eq!(
+                    hits,
+                    (jobs.len() - graphs.len()) as u64,
+                    "{threads} threads"
+                );
+                assert_eq!(after.entries, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_failing_key_returns_one_error_per_job_and_counts_nothing() {
+        let edgeless = Graph::new(4);
+        let jobs = vec![
+            Job::Reduce(ReduceJob::new(edgeless.clone())),
+            Job::Throughput(ThroughputJob::new(edgeless.clone(), 27, 1)),
+            Job::Landscape(LandscapeJob::new(edgeless.clone(), 3).reduced()),
+            Job::Reduce(ReduceJob::new(edgeless)),
+        ];
+        for threads in [1, 4] {
+            let engine = Engine::builder().threads(threads).build().unwrap();
+            let results = engine.run_batch(&jobs, 3);
+            let RedQaoaError::Job { source, .. } = results[0].clone().unwrap_err() else {
+                panic!("expected a Job error, got {:?}", results[0]);
+            };
+            assert!(matches!(*source, RedQaoaError::GraphNotReducible(_)));
+            for (index, result) in results.into_iter().enumerate() {
+                let expected = RedQaoaError::for_job(index, (*source).clone());
+                assert_eq!(result, Err(expected), "{threads} threads");
+            }
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_siblings_bits_unchanged() {
+        let graph = test_graph(4);
+        let mut jobs = jobs_sharing_keys(std::slice::from_ref(&graph));
+        jobs.push(Job::Reduce(ReduceJob::new(test_graph(5))));
+        let render = |results: &[Result<JobOutput, RedQaoaError>]| format!("{results:?}");
+        for threads in [1, 4] {
+            let engine = || Engine::builder().threads(threads).build().unwrap();
+            let reference = engine().run_batch(&jobs, 7);
+            // Job 0 panics after filling its key's slot, or while filling it.
+            for panics_while_filling in [false, true] {
+                let results = engine().run_batch_with(&jobs, 7, |engine, job, seed, reductions| {
+                    if !std::ptr::eq(job, &jobs[0]) {
+                        return execute(engine, job, seed, reductions);
+                    }
+                    if panics_while_filling {
+                        let key = CacheKey::new(&graph, engine.reduction_options());
+                        reductions.slot(&key).get_or_init(|| panic!("job 0"));
+                    } else {
+                        execute(engine, job, seed, reductions)?;
+                    }
+                    panic!("job 0")
+                });
+                let panicked = RedQaoaError::for_job(0, RedQaoaError::JobPanicked("job 0".into()));
+                assert_eq!(results[0], Err(panicked));
+                assert_eq!(render(&results[1..]), render(&reference[1..]));
+            }
+        }
     }
 
     #[test]
