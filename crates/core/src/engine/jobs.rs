@@ -4,8 +4,8 @@
 //! Every job follows the same lifecycle: cheap field validation first (so a
 //! bad request fails before any annealing is paid for), then the reduction
 //! it needs is obtained through its batch's table and the engine's
-//! content-addressed cache, then
-//! the job-specific work runs on the job's RNG substream. The dispatch
+//! content-addressed cache, then the job-specific work runs on the job's
+//! RNG substream. The dispatch
 //! ([`execute`]) is a pure function of `(engine config, job, job_seed)` —
 //! which is the whole determinism story: nothing in here can observe which
 //! worker ran it, or in what order.
